@@ -1,5 +1,6 @@
 //! Microbenchmarks of the simulation substrate: event-calendar throughput
-//! (heap path, same-instant fast lane, and mixes), end-to-end
+//! (scattered, same-instant and mixed pushes, and the pending-set shape of
+//! the figure workloads), end-to-end
 //! events/second on a small incast, allocation-accounted packet-path
 //! probes, and the parallel fig. 14 sweep — run with
 //! `DSH_BENCH_JSON=BENCH_PRn.json` to record a perf-trajectory point.
@@ -92,7 +93,8 @@ fn allocations() -> Option<u64> {
 }
 
 fn event_queue_throughput(c: &mut Criterion) {
-    // Pure heap path: pushes land all over the timeline, never at "now".
+    // Scattered: pushes land all over the first 100 µs, many past the
+    // calendar ring's 67 µs horizon, never at "now".
     c.bench_function("event_queue_push_pop_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
@@ -106,8 +108,9 @@ fn event_queue_throughput(c: &mut Criterion) {
             sum
         });
     });
-    // Pure fast-lane path: a same-instant cascade, the shape of
-    // `Scheduler::immediately` and PFC pause/resume storms.
+    // A same-instant cascade: every pop pushes one event at its own
+    // instant, the shape of `Scheduler::immediately` and PFC pause/resume
+    // storms.
     c.bench_function("event_queue_same_instant_cascade_100k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(4);
@@ -122,8 +125,8 @@ fn event_queue_throughput(c: &mut Criterion) {
             sum
         });
     });
-    // Mixed: each handled event schedules one future event (heap) and one
-    // same-instant follow-up (lane), like a switch forwarding under PFC.
+    // Mixed: each handled event schedules one future event and, for even
+    // ids, a same-instant follow-up, like a switch forwarding under PFC.
     c.bench_function("event_queue_mixed_lane_heap_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(64);
@@ -154,6 +157,30 @@ fn event_queue_throughput(c: &mut Criterion) {
             let mut sum = 0u64;
             while let Some((_, e)) = q.pop_before(Time::from_ns(40_000)) {
                 sum = sum.wrapping_add(e);
+            }
+            sum
+        });
+    });
+    // The pending set the figure workloads produce: about 900 events in
+    // flight, each handled event scheduling one follow-up, alternately one
+    // serialization (~80 ns, a `TxDone`) and one serialization plus
+    // propagation (~2.1 µs, an `Arrive`) ahead.
+    c.bench_function("event_queue_fabric_shape_900", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::with_capacity(1_024);
+            for i in 0..900u64 {
+                q.push(Time::from_ps(i * 2_333), i);
+            }
+            let mut sum = 0u64;
+            let mut handled = 0u64;
+            while let Some((t, e)) = q.pop() {
+                sum = sum.wrapping_add(e);
+                handled += 1;
+                if handled < 100_000 {
+                    let jitter = (e * 131) % 1_000;
+                    let ahead = if handled.is_multiple_of(2) { 80_000 } else { 2_100_000 };
+                    q.push(t + Delta::from_ps(ahead + jitter), e + 1);
+                }
             }
             sum
         });

@@ -150,33 +150,6 @@ impl FaultPlan {
     }
 }
 
-/// Whether `DSH_FAULT_TRACE=1` debug logging is on (always `false` unless
-/// the `fault-trace` feature is compiled in).
-#[cfg(feature = "fault-trace")]
-pub(crate) fn trace_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("DSH_FAULT_TRACE").is_ok_and(|v| v == "1"))
-}
-
-/// Feature-gated stub so `fault_trace!` call sites compile unchanged.
-#[cfg(not(feature = "fault-trace"))]
-pub(crate) fn trace_enabled() -> bool {
-    false
-}
-
-/// Logs one fault-injection / loss-recovery event to stderr when the
-/// `fault-trace` feature is enabled and `DSH_FAULT_TRACE=1` is set.
-/// Compiles to dead code otherwise (the condition is `cfg!`-const false).
-macro_rules! fault_trace {
-    ($($arg:tt)*) => {
-        if cfg!(feature = "fault-trace") && $crate::fault::trace_enabled() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-pub(crate) use fault_trace;
-
 #[cfg(test)]
 mod tests {
     use super::*;

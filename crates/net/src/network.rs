@@ -2,7 +2,7 @@
 //! measurement.
 
 use crate::builder::{FidelityMode, NetParams};
-use crate::fault::{fault_trace, FaultKind, FaultPlan};
+use crate::fault::{FaultKind, FaultPlan};
 use crate::fluid::{EscalateReason, FidelityStats, FluidFlowAccount, FluidState};
 use crate::frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcScope};
 use crate::host::{HostNode, ReceiverFlow, SenderFlow};
@@ -46,10 +46,10 @@ pub struct FlowSpec {
 /// The simulator's event alphabet.
 ///
 /// Node, port, and flow indices are stored as `u32` rather than the
-/// `usize`-backed id types used everywhere else: calendar entries are
-/// memcpy'd on every heap sift, and the narrower fields keep the whole
-/// event at 24 bytes (asserted below). The builder guarantees the
-/// counts fit; [`Network::handle`] widens them back into typed ids.
+/// `usize`-backed id types used everywhere else: every event is copied
+/// into and out of the calendar's node slab, and the narrower fields keep
+/// the whole event at 24 bytes (asserted below). The builder guarantees
+/// the counts fit; [`Network::handle`] widens them back into typed ids.
 #[derive(Clone, Debug)]
 pub enum NetEvent {
     /// A frame finished arriving at `node` on ingress `in_port`.
@@ -1339,7 +1339,11 @@ impl Network {
             // active plan a partition legitimately black-holes traffic.
             assert!(self.fault_plan.is_some(), "no route from {node} to host {}", dst.0);
             self.link_drops += 1;
-            fault_trace!("[fault] {node}: no route to {dst}, frame dropped");
+            trace_event!(self.tracer, TraceEvent::FaultDrop, {
+                node: node.0 as u32,
+                port: in_port as u16,
+                payload: frame.bytes,
+            });
             self.pool.put(frame);
             return;
         };
@@ -2044,7 +2048,6 @@ impl Network {
                 }
             }
         }
-        fault_trace!("[fault] flow {flow:?} FAILED: retry budget exhausted");
     }
 
     /// Go-back-N rewind: back off the transport, rewind `sent` to the
@@ -2059,12 +2062,6 @@ impl Network {
             let host = self.host_mut(node);
             let slot = host.sender_slot(flow).expect("RTO for unregistered flow");
             let f = &mut host.tx_flows[slot];
-            fault_trace!(
-                "[fault] t={now:?} flow {flow:?} RTO: go-back-N to seq {} (retry {}, rto {:?})",
-                f.acked,
-                f.recovery.retries(),
-                f.recovery.rto()
-            );
             f.cc.on_loss(now);
             f.sent = f.acked;
             f.next_send = now;
@@ -2122,12 +2119,6 @@ impl Network {
             let host = self.host_mut(node);
             let slot = host.sender_slot(flow).expect("RTO for unregistered flow");
             let f = &mut host.tx_flows[slot];
-            fault_trace!(
-                "[fault] t={now:?} flow {flow:?} RTO: selective repeat from seq {} (retry {}, rto {:?})",
-                f.acked,
-                f.recovery.retries(),
-                f.recovery.rto()
-            );
             f.cc.on_loss(now);
             f.sack.rearm_on_timeout(f.acked, mtu);
             f.next_send = now;
@@ -2192,14 +2183,17 @@ impl Network {
             return false;
         }
         if !self.port_mut(node, in_port).is_link_up() {
-            fault_trace!("[fault] frame dropped on dead ingress {in_port} at {node}");
+            trace_event!(self.tracer, TraceEvent::FaultDrop, {
+                node: node.0 as u32,
+                port: in_port as u16,
+                payload: frame.bytes,
+            });
             return true;
         }
         if frame.is_data() && !self.corrupt.is_empty() {
             let key = (node.0 as u32, in_port as u32);
             if let Some(c) = self.corrupt.iter_mut().find(|c| (c.node, c.in_port) == key) {
                 if c.rng.gen_bool(c.probability) {
-                    fault_trace!("[fault] frame corrupted on ingress {in_port} at {node}");
                     trace_event!(self.tracer, TraceEvent::FrameCorrupt, {
                         node: node.0 as u32,
                         port: in_port as u16,
@@ -2222,7 +2216,6 @@ impl Network {
 
     fn link_down(&mut self, a: NodeId, b: NodeId, sched: &mut Scheduler<'_, NetEvent>) {
         let now = sched.now();
-        fault_trace!("[fault] t={now:?} link DOWN {a}-{b}");
         trace_event!(self.tracer, TraceEvent::LinkDown, {
             node: a.0 as u32,
             payload: b.0 as u64,
@@ -2261,9 +2254,11 @@ impl Network {
         if let Node::Switch(s) = &mut self.nodes[node.0] {
             let cleared = s.mmu.release_port_pauses(port);
             if cleared > 0 {
-                fault_trace!(
-                    "[fault] {node}: cleared {cleared} pause ledger entries on port {port}"
-                );
+                trace_event!(self.tracer, TraceEvent::PauseRelease, {
+                    node: node.0 as u32,
+                    port: port as u16,
+                    payload: cleared as u64,
+                });
             }
         }
         // The failure wipes the port's pause clocks, so any open cascade
@@ -2306,7 +2301,6 @@ impl Network {
     }
 
     fn link_up(&mut self, a: NodeId, b: NodeId, sched: &mut Scheduler<'_, NetEvent>) {
-        fault_trace!("[fault] t={:?} link UP {a}-{b}", sched.now());
         trace_event!(self.tracer, TraceEvent::LinkUp, {
             node: a.0 as u32,
             payload: b.0 as u64,

@@ -15,7 +15,10 @@
 //! * [`Bandwidth`] converts between bytes and wire time exactly (bits/s).
 //! * [`EventQueue`] is a calendar ordered by `(time, insertion sequence)` so
 //!   that simultaneous events run in FIFO order — the whole simulator is
-//!   deterministic for a given seed.
+//!   deterministic for a given seed. It is a bucketed calendar queue: a
+//!   ring of 65.5 ns slots reaching 67 µs ahead, where a fabric's
+//!   serialization and propagation events land, makes push and pop O(1);
+//!   the rare later event waits in a heap until the ring reaches it.
 //! * [`SimRng`] is a self-contained xoshiro256** generator (seeded via
 //!   SplitMix64) so results do not drift across `rand` versions or
 //!   platforms.

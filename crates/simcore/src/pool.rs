@@ -96,10 +96,10 @@ impl<T> Pool<T> {
 
 /// Asserts at compile time that a type fits a size ceiling.
 ///
-/// Hot-path types (events, queued frames) are memcpy'd by the calendar's
-/// heap sifts, so their size is a performance contract: this macro turns an
-/// accidental regression (e.g. un-boxing a large variant) into a compile
-/// error instead of a silent slowdown.
+/// Hot-path types (events, queued frames) are memcpy'd into and out of the
+/// calendar and the port queues, so their size is a performance contract:
+/// this macro turns an accidental regression (e.g. un-boxing a large
+/// variant) into a compile error instead of a silent slowdown.
 #[macro_export]
 macro_rules! const_assert_size {
     ($ty:ty, $max:expr) => {

@@ -71,8 +71,8 @@ impl TraceMask {
     /// MMU decisions: pause/resume thresholds, headroom entry, occupancy
     /// samples, audit violations, deadlock onset.
     pub const MMU: TraceMask = TraceMask(1 << 2);
-    /// Fault injection: link death/repair, frame corruption, drained
-    /// frames.
+    /// Fault injection: link death/repair, frame corruption, drained and
+    /// lost frames, released pauses.
     pub const FAULT: TraceMask = TraceMask(1 << 3);
     /// Hybrid fidelity: fluid-link escalation/de-escalation and fluid
     /// flow completions.
@@ -193,6 +193,13 @@ pub enum TraceEvent {
     FrameCorrupt = 50,
     /// Frames drained by a dying link; `payload` = how many.
     LinkDrain = 51,
+    /// A frame was lost to a fault as it arrived: its ingress link was
+    /// dead, or a partition left no route onward; `port` = the ingress
+    /// port, `payload` = frame bytes.
+    FaultDrop = 52,
+    /// A dying link released the pauses its peer had asserted on it;
+    /// `port` = the failed port, `payload` = ledger entries cleared.
+    PauseRelease = 53,
 
     /// A fluid link escalated to packet mode; `node`/`port` name the
     /// directed link's egress side, `payload` = the trigger reason code
@@ -261,6 +268,8 @@ impl TraceEvent {
             TraceEvent::LinkUp => "link_up",
             TraceEvent::FrameCorrupt => "frame_corrupt",
             TraceEvent::LinkDrain => "link_drain",
+            TraceEvent::FaultDrop => "fault_drop",
+            TraceEvent::PauseRelease => "pause_release",
             TraceEvent::FluidEscalate => "fluid_escalate",
             TraceEvent::FluidDeescalate => "fluid_deescalate",
             TraceEvent::FluidFlowStart => "fluid_flow_start",
@@ -298,6 +307,8 @@ impl TraceEvent {
             49 => TraceEvent::LinkUp,
             50 => TraceEvent::FrameCorrupt,
             51 => TraceEvent::LinkDrain,
+            52 => TraceEvent::FaultDrop,
+            53 => TraceEvent::PauseRelease,
             64 => TraceEvent::FluidEscalate,
             65 => TraceEvent::FluidDeescalate,
             66 => TraceEvent::FluidFlowStart,
@@ -937,7 +948,9 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
                 TraceEvent::LinkDown
                 | TraceEvent::LinkUp
                 | TraceEvent::FrameCorrupt
-                | TraceEvent::LinkDrain => {
+                | TraceEvent::LinkDrain
+                | TraceEvent::FaultDrop
+                | TraceEvent::PauseRelease => {
                     events.push(ev(kind.name(), "i", ts, 5, node).with("s", "p").with(
                         "args",
                         Json::object().with("node", node).with("payload", rec.payload),
