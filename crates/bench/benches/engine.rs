@@ -109,8 +109,8 @@ fn event_queue_throughput(c: &mut Criterion) {
         });
     });
     // A same-instant cascade: every pop pushes one event at its own
-    // instant, the shape of `Scheduler::immediately` and PFC pause/resume
-    // storms.
+    // instant, the shape of a handler scheduling at `sched.now()` and of
+    // PFC pause/resume storms.
     c.bench_function("event_queue_same_instant_cascade_100k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(4);

@@ -22,7 +22,6 @@ fn run(args: &dsh_bench::Args) {
     let mut base = FctExperiment::small(Scheme::Sih, CcKind::PowerTcp);
     base.seed = seed;
     base.workers = args.sim_workers();
-    base.fidelity = args.fidelity;
     if full {
         base.topo = Topo::PAPER_LEAF_SPINE;
         base.horizon = Delta::from_ms(10);

@@ -1,16 +1,52 @@
 //! Fig. 12: deadlock onset-time CDF with cyclic buffer dependencies.
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig12_deadlock [--full] [--threads N]
+//! cargo run --release -p dsh-bench --bin fig12_deadlock [--full] [--smoke] [--threads N]
 //! ```
+//!
+//! `--smoke` is the quick look: the laptop-scale scenario under DCQCN for
+//! SIH and DSH, seeds 1–4, printing each seed's deadlock onset. It asserts
+//! that SIH deadlocks in more of those seeds than DSH and skips the
+//! watchdog extension.
 
 use dsh_bench::fig12::{self, Fig12Config};
 use dsh_core::Scheme;
+use dsh_simcore::Executor;
 use dsh_transport::CcKind;
+
+/// Seeds per scheme of the `--smoke` run.
+const SMOKE_SEEDS: u64 = 4;
 
 fn main() {
     let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || run(&args));
+    dsh_bench::with_trace(&args, || if args.smoke { smoke(&args.executor()) } else { run(&args) });
+}
+
+fn smoke(ex: &Executor) {
+    let cfg = Fig12Config::small();
+    println!(
+        "Fig. 12 smoke — fan-in {}, load {}, DCQCN, seeds 1-{SMOKE_SEEDS}",
+        cfg.fan_in, cfg.load
+    );
+    // Prints each seed's onset and returns how many seeds deadlocked.
+    let deadlocked = |scheme: Scheme| {
+        let runs = fig12::run_many(scheme, CcKind::Dcqcn, &cfg, SMOKE_SEEDS, ex);
+        for r in &runs {
+            println!(
+                "{scheme}/dcqcn seed {}: onset {:?} ms",
+                r.seed,
+                r.onset.map(|t| t.as_ms_f64())
+            );
+        }
+        runs.iter().filter(|r| r.onset.is_some()).count()
+    };
+    let (sih, dsh) = (deadlocked(Scheme::Sih), deadlocked(Scheme::Dsh));
+    assert!(
+        sih > dsh,
+        "SIH must deadlock in more smoke seeds than DSH: SIH {sih}/{SMOKE_SEEDS}, \
+         DSH {dsh}/{SMOKE_SEEDS}"
+    );
+    println!("[smoke] OK: SIH deadlocked {sih}/{SMOKE_SEEDS}, DSH {dsh}/{SMOKE_SEEDS}");
 }
 
 fn run(args: &dsh_bench::Args) {

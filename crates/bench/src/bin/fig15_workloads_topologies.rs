@@ -21,7 +21,6 @@ fn run(args: &dsh_bench::Args) {
     let mut base = FctExperiment::small(Scheme::Sih, CcKind::Dcqcn);
     base.seed = seed;
     base.workers = args.sim_workers();
-    base.fidelity = args.fidelity;
     let k = if full { 16 } else { 4 };
     if full {
         base.topo = Topo::PAPER_LEAF_SPINE;

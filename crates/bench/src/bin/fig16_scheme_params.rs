@@ -3,8 +3,7 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig16_scheme_params \
-//!     [--full] [--json] [--smoke] [--seed N] [--threads N] [--workers N] \
-//!     [--fidelity SPEC]
+//!     [--full] [--json] [--smoke] [--seed N] [--threads N] [--workers N]
 //! ```
 
 use dsh_bench::fabric::{FctExperiment, Topo};
@@ -22,7 +21,6 @@ fn run(args: &dsh_bench::Args) {
     let mut base = FctExperiment::small(Scheme::BShare, CcKind::Dcqcn);
     base.seed = args.seed;
     base.workers = args.sim_workers();
-    base.fidelity = args.fidelity;
     if args.full {
         base.topo = Topo::PAPER_LEAF_SPINE;
         base.horizon = Delta::from_ms(10);

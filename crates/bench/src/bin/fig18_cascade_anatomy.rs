@@ -83,7 +83,7 @@ fn reparse_metrics(args: &dsh_bench::Args) {
             let doc = Json::parse(&text)
                 .unwrap_or_else(|e| panic!("metrics export {path} is not valid JSON: {e}"));
             let version = doc.get("version").and_then(Json::as_u64);
-            assert_eq!(version, Some(1), "metrics export {path} missing version 1");
+            assert_eq!(version, Some(2), "metrics export {path} missing version 2");
             let switches = doc.get("switches").and_then(Json::as_arr);
             assert!(
                 switches.is_some_and(|s| !s.is_empty()),
@@ -109,7 +109,6 @@ fn run(args: &dsh_bench::Args) {
         let mut base = fig18::smoke_base(Scheme::Dsh);
         base.seed = args.seed;
         base.workers = args.sim_workers();
-        base.fidelity = args.fidelity;
         if let Some(cfg) = dsh_bench::observe_config(args) {
             base.observe = cfg;
         }
@@ -132,7 +131,6 @@ fn run(args: &dsh_bench::Args) {
     let mut base = Fig18Experiment::small(Scheme::Dsh);
     base.seed = args.seed;
     base.workers = args.sim_workers();
-    base.fidelity = args.fidelity;
     if let Some(cfg) = dsh_bench::observe_config(args) {
         base.observe = cfg;
     }

@@ -5,10 +5,7 @@
 use dsh_analysis::fct::FctSummary;
 use dsh_core::Scheme;
 use dsh_net::topology::{fat_tree, leaf_spine, LeafSpineShape};
-use dsh_net::{
-    FctRecord, FidelityMode, FidelityStats, FlowId, FlowSpec, NetParams, Network, NodeId,
-    ObserveConfig, ParallelSim,
-};
+use dsh_net::{FlowId, FlowSpec, NetParams, Network, NodeId, ObserveConfig, ParallelSim};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, Executor, SimRng, Time};
 use dsh_transport::CcKind;
 use dsh_workloads::{background_flows, fan_in_bursts, FlowSizeDist, PatternConfig, Workload};
@@ -71,9 +68,6 @@ pub struct FctExperiment {
     /// Intra-run partition workers: 1 runs the serial calendar, ≥ 2 the
     /// link-partitioned conservative engine (see [`run_net`]).
     pub workers: usize,
-    /// Engine fidelity: pure packet-level (the default, byte-identical to
-    /// the historical engine) or the hybrid fluid/packet fast path.
-    pub fidelity: FidelityMode,
     /// DT `α` override (`None` keeps the chip default).
     pub alpha: Option<f64>,
     /// BShare per-packet delay-target override (`None` keeps the chip
@@ -101,7 +95,6 @@ impl FctExperiment {
             buffer: ByteSize::mib(16),
             seed: 1,
             workers: 1,
-            fidelity: FidelityMode::Packet,
             alpha: None,
             bshare_delay_target: None,
             observe: None,
@@ -184,10 +177,7 @@ pub fn run_fct_pair(base: &FctExperiment, ex: &Executor) -> (FctResult, FctResul
 
 /// Builds the fabric and returns `(network, hosts)`.
 fn build(exp: &FctExperiment) -> (Network, Vec<NodeId>) {
-    let mut params = NetParams::tomahawk(exp.scheme)
-        .with_buffer(exp.buffer)
-        .with_seed(exp.seed)
-        .with_fidelity(exp.fidelity);
+    let mut params = NetParams::tomahawk(exp.scheme).with_buffer(exp.buffer).with_seed(exp.seed);
     if exp.cc == CcKind::Uncontrolled {
         params = params.without_ecn();
     }
@@ -224,29 +214,6 @@ fn build(exp: &FctExperiment) -> (Network, Vec<NodeId>) {
     }
 }
 
-/// An FCT run with the engine-level measurements the fidelity A-B
-/// harness compares: raw completion records (for per-size-bucket
-/// percentiles), PFC pause wall-clock, drop and event counters, the
-/// host wall time of the run, and the hybrid engine's
-/// [`FidelityStats`] when one was in force.
-#[derive(Clone, Debug)]
-pub struct InstrumentedFct {
-    /// The per-traffic-type summaries (same as [`run_fct`]).
-    pub result: FctResult,
-    /// Every completion record, in completion order.
-    pub records: Vec<FctRecord>,
-    /// Summed queue- plus port-level PFC pause wall-clock over all
-    /// egress ports at the deadline.
-    pub pause_wall: Delta,
-    /// Calendar events processed.
-    pub events: u64,
-    /// Host wall time of the simulation run itself (build and flow
-    /// loading excluded).
-    pub wall: std::time::Duration,
-    /// Hybrid engine counters (`None` under [`FidelityMode::Packet`]).
-    pub fidelity: Option<FidelityStats>,
-}
-
 /// Runs an FCT experiment.
 ///
 /// # Panics
@@ -256,52 +223,8 @@ pub struct InstrumentedFct {
 pub fn run_fct(exp: &FctExperiment) -> FctResult {
     let (net, fan_ids, registered) = loaded(exp);
     let (net, _events) = run_net(net, Time::ZERO + exp.run_until, exp.workers);
-    // SIH's per-queue headroom is the paper's continuous-time worst case
-    // (Eq. 1), which the discrete engine can exceed by one frame when a
-    // line-rate back-to-back stream spans the whole PFC reaction window:
-    // the packet whose admission crosses `T` is itself charged to headroom
-    // and the PAUSE frame's own wire time is unbudgeted, so a maximally
-    // adversarial alignment needs up to one MTU more than η. Packet-mode
-    // runs never line up that way in practice (pacing gaps), but hybrid
-    // escalation hands senders off at exactly the fluid fair share, which
-    // at low contention IS sustained line rate — so SIH cells under hybrid
-    // timing can hit the edge. Tightening admission to the hardware rule
-    // (compare occupancy before the packet, overshoot `T` by one frame)
-    // closes the hole but moves the pinned packet-mode goldens, so it is
-    // deferred (see DESIGN.md §14 and ROADMAP). DSH/BShare losslessness is
-    // the paper's claim under test and stays a hard invariant everywhere.
-    let sih_eta_edge =
-        exp.scheme == Scheme::Sih && matches!(exp.fidelity, FidelityMode::Hybrid { .. });
-    if sih_eta_edge && net.data_drops() > 0 {
-        eprintln!(
-            "warning: {} drop(s) in SIH hybrid run (known discrete-η edge, DESIGN.md §14): {exp:?}",
-            net.data_drops()
-        );
-    } else {
-        assert_eq!(net.data_drops(), 0, "lossless fabric dropped packets: {exp:?}");
-    }
+    assert_eq!(net.data_drops(), 0, "lossless fabric dropped packets: {exp:?}");
     summarize(&net, &fan_ids, registered)
-}
-
-/// Like [`run_fct`] but instruments the run instead of asserting on it:
-/// drops are reported (in `result.drops`), not panicked on, so the A-B
-/// harness can compare them across fidelity modes.
-#[must_use]
-pub fn run_fct_instrumented(exp: &FctExperiment) -> InstrumentedFct {
-    let (net, fan_ids, registered) = loaded(exp);
-    let deadline = Time::ZERO + exp.run_until;
-    let wall = std::time::Instant::now();
-    let (net, events) = run_net(net, deadline, exp.workers);
-    let wall = wall.elapsed();
-    let pause_wall = net.pause_ledgers(deadline).map(|l| l.queue_level + l.port_level).sum();
-    InstrumentedFct {
-        result: summarize(&net, &fan_ids, registered),
-        records: net.fct_records().to_vec(),
-        pause_wall,
-        events,
-        wall,
-        fidelity: net.fidelity_stats(),
-    }
 }
 
 /// When `--metrics`/`DSH_METRICS` asked for an export, re-runs one

@@ -14,7 +14,7 @@
 use dsh_analysis::fct::FctSummary;
 use dsh_core::Scheme;
 use dsh_net::topology::{leaf_spine, LeafSpineShape};
-use dsh_net::{FidelityMode, FlowSpec, NetParams, Network, ObserveConfig};
+use dsh_net::{FlowSpec, NetParams, Network, ObserveConfig};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, Executor, SimRng, Time};
 use dsh_transport::{CcKind, RecoveryConfig, Regime};
 use dsh_workloads::{background_flows, fan_in_bursts, FlowSizeDist, PatternConfig, Workload};
@@ -109,8 +109,6 @@ pub struct Fig17Experiment {
     pub seed: u64,
     /// Intra-run partition workers (1 = serial calendar).
     pub workers: usize,
-    /// Engine fidelity.
-    pub fidelity: FidelityMode,
     /// Regime override for the lossless cells (`--regime`); lossy cells
     /// ignore it (their regime is the cell).
     pub override_regime: Option<Regime>,
@@ -142,7 +140,6 @@ impl Fig17Experiment {
             buffer: ByteSize::mib(4),
             seed: 1,
             workers: 1,
-            fidelity: FidelityMode::Packet,
             override_regime: None,
             no_recovery: false,
             observe: None,
@@ -262,10 +259,8 @@ pub fn run_cell(exp: &Fig17Experiment) -> Fig17Result {
 /// figure scenario through their own engines.
 #[must_use]
 pub fn loaded(exp: &Fig17Experiment) -> (Network, usize) {
-    let mut params = NetParams::tomahawk(exp.cell.scheme())
-        .with_buffer(exp.buffer)
-        .with_seed(exp.seed)
-        .with_fidelity(exp.fidelity);
+    let mut params =
+        NetParams::tomahawk(exp.cell.scheme()).with_buffer(exp.buffer).with_seed(exp.seed);
     if exp.no_recovery && exp.cell.is_lossless() {
         // Legal only where PFC guarantees delivery; the builder rejects
         // a recovery-free lossy fabric outright.

@@ -48,7 +48,9 @@ pub struct Fig18Experiment {
     /// *this* figure may differ in tie order (see
     /// `tests/observability.rs` for the tie-free byte-identity proof).
     pub workers: usize,
-    /// Engine fidelity.
+    /// Always [`FidelityMode::Packet`]: read by nothing here. Exists only
+    /// so the frozen `simbench` benchmark, which passes it to
+    /// [`NetParams::with_fidelity`], compiles; drop the three together.
     pub fidelity: FidelityMode,
     /// Observability configuration. Always armed here — the cascade
     /// tracker *is* the measurement; [`crate::observe_config`] merely
@@ -108,7 +110,6 @@ pub fn loaded(exp: &Fig18Experiment) -> (Network, usize) {
     let params = NetParams::tomahawk(exp.scheme)
         .with_buffer(exp.buffer)
         .with_seed(exp.seed)
-        .with_fidelity(exp.fidelity)
         .with_observability(exp.observe)
         .without_ecn();
     let mut b = NetworkBuilder::new(params);

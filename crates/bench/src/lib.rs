@@ -38,13 +38,10 @@ pub mod fig17;
 pub mod fig18;
 pub mod theory;
 
-use dsh_net::{FidelityMode, Network, ObserveConfig};
+use dsh_net::{Network, ObserveConfig};
 use dsh_simcore::trace::{self, TraceConfig, TraceMask};
 use dsh_simcore::{exec, Delta, Executor, Json};
 use dsh_transport::Regime;
-
-/// Environment fallback for `--fidelity` (same spec grammar).
-pub const FIDELITY_ENV: &str = "DSH_FIDELITY";
 
 /// Environment fallback for `--metrics` (an output PATH).
 pub const METRICS_ENV: &str = "DSH_METRICS";
@@ -85,11 +82,6 @@ pub struct Args {
     /// simulation of the run and write a Chrome `trace_event` JSON
     /// document to PATH (see [`with_trace`]).
     pub trace: Option<String>,
-    /// `--fidelity SPEC`, falling back to `DSH_FIDELITY`: engine
-    /// fidelity — `packet` (the default, byte-identical to the
-    /// historical engine), `hybrid`, or
-    /// `hybrid:<util_threshold>[:<quiesce_us>]`.
-    pub fidelity: FidelityMode,
     /// `--regime gbn|sr`: loss-recovery regime for figures that exercise
     /// recovery (fig17). `None` = flag not given, figure defaults apply.
     pub regime: Option<Regime>,
@@ -123,9 +115,6 @@ usage: <figure-binary> [OPTIONS]
   --workers N     intra-run partition workers (1 = serial engine, 0 = auto;
                   DSH_WORKERS fallback)
   --trace PATH    write a Chrome trace_event JSON document to PATH
-  --fidelity SPEC engine fidelity: packet (default) | hybrid |
-                  hybrid:<util_threshold>[:<quiesce_us>]; DSH_FIDELITY
-                  fallback
   --regime R      loss-recovery regime where a figure exercises recovery:
                   gbn (go-back-N) | sr (selective repeat)
   --no-recovery   disable loss recovery where the figure allows it
@@ -152,7 +141,6 @@ impl Args {
             std::env::args().skip(1),
             exec::threads_from(std::env::var(exec::THREADS_ENV).ok().as_deref()),
             exec::workers_from(std::env::var(exec::WORKERS_ENV).ok().as_deref()),
-            std::env::var(FIDELITY_ENV).ok().as_deref(),
             std::env::var(METRICS_ENV).ok().as_deref(),
         );
         match parsed {
@@ -176,14 +164,8 @@ impl Args {
         argv: I,
         env_threads: Option<usize>,
         env_workers: Option<usize>,
-        env_fidelity: Option<&str>,
         env_metrics: Option<&str>,
     ) -> Result<Args, String> {
-        let fidelity = match env_fidelity {
-            Some(spec) => FidelityMode::parse(spec)
-                .map_err(|s| format!("invalid {FIDELITY_ENV} spec '{s}'"))?,
-            None => FidelityMode::Packet,
-        };
         let mut args = Args {
             full: false,
             json: false,
@@ -192,7 +174,6 @@ impl Args {
             threads: env_threads.unwrap_or(0),
             workers: env_workers.unwrap_or(1),
             trace: None,
-            fidelity,
             regime: None,
             no_recovery: false,
             metrics: env_metrics.map(str::to_string),
@@ -219,13 +200,6 @@ impl Args {
                         return Err(format!("--trace requires a PATH operand, got flag '{path}'"));
                     }
                     args.trace = Some(path);
-                }
-                "--fidelity" => {
-                    let spec = it
-                        .next()
-                        .ok_or_else(|| "--fidelity requires a SPEC operand".to_string())?;
-                    args.fidelity = FidelityMode::parse(&spec)
-                        .map_err(|s| format!("invalid value for --fidelity: '{s}'"))?;
                 }
                 "--regime" => {
                     let r = it.next().ok_or_else(|| "--regime requires a value".to_string())?;
@@ -327,19 +301,12 @@ fn parse_value<T: std::str::FromStr>(flag: &str, operand: Option<String>) -> Res
 /// [`dsh_simcore::trace::TraceKey`] tag instead.
 #[must_use]
 pub fn provenance(args: &Args) -> Json {
-    let doc = Json::object()
+    Json::object()
         .with("seed", args.seed)
         .with("threads", args.executor().threads() as u64)
         .with("workers", args.sim_workers() as u64)
         .with("available_parallelism", exec::default_threads() as u64)
-        .with("version", env!("CARGO_PKG_VERSION"));
-    // Only stamped for hybrid runs so historical packet-mode artifacts
-    // (and their content-hash goldens) stay byte-identical.
-    if args.fidelity.is_hybrid() {
-        doc.with("fidelity", args.fidelity.spec())
-    } else {
-        doc
-    }
+        .with("version", env!("CARGO_PKG_VERSION"))
 }
 
 /// Runs `f` under a flight-recorder capture session when `--trace PATH`
@@ -411,7 +378,7 @@ mod tests {
 
     #[test]
     fn defaults_when_no_flags() {
-        let a = Args::from_iter(argv(&[]), None, None, None, None).unwrap();
+        let a = Args::from_iter(argv(&[]), None, None, None).unwrap();
         assert_eq!(
             a,
             Args {
@@ -422,7 +389,6 @@ mod tests {
                 threads: 0,
                 workers: 1,
                 trace: None,
-                fidelity: FidelityMode::Packet,
                 regime: None,
                 no_recovery: false,
                 metrics: None,
@@ -447,8 +413,6 @@ mod tests {
                 "2",
                 "--trace",
                 "t.json",
-                "--fidelity",
-                "hybrid",
                 "--regime",
                 "sr",
                 "--metrics",
@@ -458,7 +422,6 @@ mod tests {
                 "--metrics-format",
                 "prom",
             ]),
-            None,
             None,
             None,
             None,
@@ -474,7 +437,6 @@ mod tests {
                 threads: 3,
                 workers: 2,
                 trace: Some("t.json".to_string()),
-                fidelity: FidelityMode::hybrid_default(),
                 regime: Some(Regime::SelectiveRepeat),
                 no_recovery: false,
                 metrics: Some("m.json".to_string()),
@@ -486,19 +448,19 @@ mod tests {
 
     #[test]
     fn regime_values_parse_and_reject() {
-        let a = Args::from_iter(argv(&["--regime", "gbn"]), None, None, None, None).unwrap();
+        let a = Args::from_iter(argv(&["--regime", "gbn"]), None, None, None).unwrap();
         assert_eq!(a.regime, Some(Regime::GoBackN));
-        let a = Args::from_iter(argv(&["--no-recovery"]), None, None, None, None).unwrap();
+        let a = Args::from_iter(argv(&["--no-recovery"]), None, None, None).unwrap();
         assert!(a.no_recovery && a.regime.is_none());
-        let e = Args::from_iter(argv(&["--regime", "tcp"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--regime", "tcp"]), None, None, None).unwrap_err();
         assert!(e.contains("invalid value for --regime: 'tcp'"), "{e}");
-        let e = Args::from_iter(argv(&["--regime"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--regime"]), None, None, None).unwrap_err();
         assert!(e.contains("--regime requires a value"), "{e}");
     }
 
     #[test]
     fn no_recovery_with_regime_is_a_usage_error() {
-        let e = Args::from_iter(argv(&["--no-recovery", "--regime", "sr"]), None, None, None, None)
+        let e = Args::from_iter(argv(&["--no-recovery", "--regime", "sr"]), None, None, None)
             .unwrap_err();
         assert!(e.contains("--no-recovery"), "{e}");
         assert!(e.contains("--regime"), "{e}");
@@ -506,95 +468,62 @@ mod tests {
 
     #[test]
     fn threads_flag_overrides_env_fallback() {
-        assert_eq!(Args::from_iter(argv(&[]), Some(2), None, None, None).unwrap().threads, 2);
+        assert_eq!(Args::from_iter(argv(&[]), Some(2), None, None).unwrap().threads, 2);
         assert_eq!(
-            Args::from_iter(argv(&["--threads", "5"]), Some(2), None, None, None).unwrap().threads,
+            Args::from_iter(argv(&["--threads", "5"]), Some(2), None, None).unwrap().threads,
             5
         );
     }
 
     #[test]
     fn workers_flag_overrides_env_fallback_and_defaults_serial() {
-        assert_eq!(Args::from_iter(argv(&[]), None, None, None, None).unwrap().workers, 1);
-        assert_eq!(Args::from_iter(argv(&[]), None, Some(4), None, None).unwrap().workers, 4);
+        assert_eq!(Args::from_iter(argv(&[]), None, None, None).unwrap().workers, 1);
+        assert_eq!(Args::from_iter(argv(&[]), None, Some(4), None).unwrap().workers, 4);
         assert_eq!(
-            Args::from_iter(argv(&["--workers", "3"]), None, Some(4), None, None).unwrap().workers,
+            Args::from_iter(argv(&["--workers", "3"]), None, Some(4), None).unwrap().workers,
             3
         );
         // 0 = auto resolves to at least one worker.
-        let auto = Args::from_iter(argv(&["--workers", "0"]), None, None, None, None).unwrap();
+        let auto = Args::from_iter(argv(&["--workers", "0"]), None, None, None).unwrap();
         assert!(auto.sim_workers() >= 1);
-        let serial = Args::from_iter(argv(&[]), None, None, None, None).unwrap();
+        let serial = Args::from_iter(argv(&[]), None, None, None).unwrap();
         assert_eq!(serial.sim_workers(), 1);
     }
 
     #[test]
-    fn fidelity_flag_overrides_env_fallback() {
-        let a = Args::from_iter(argv(&[]), None, None, Some("hybrid"), None).unwrap();
-        assert_eq!(a.fidelity, FidelityMode::hybrid_default());
-        let a = Args::from_iter(argv(&["--fidelity", "packet"]), None, None, Some("hybrid"), None)
-            .unwrap();
-        assert_eq!(a.fidelity, FidelityMode::Packet);
-        let a = Args::from_iter(argv(&["--fidelity", "hybrid:0.5:250"]), None, None, None, None)
-            .unwrap();
-        let FidelityMode::Hybrid { util_threshold, quiesce } = a.fidelity else {
-            panic!("expected hybrid, got {:?}", a.fidelity);
-        };
-        assert!((util_threshold - 0.5).abs() < 1e-12);
-        assert_eq!(quiesce, dsh_simcore::Delta::from_us(250));
-    }
-
-    #[test]
-    fn malformed_fidelity_specs_are_rejected() {
-        let e =
-            Args::from_iter(argv(&["--fidelity", "fluid"]), None, None, None, None).unwrap_err();
-        assert!(e.contains("invalid value for --fidelity: 'fluid'"), "{e}");
-        let e = Args::from_iter(argv(&["--fidelity"]), None, None, None, None).unwrap_err();
-        assert!(e.contains("--fidelity requires a SPEC"), "{e}");
-        let e = Args::from_iter(argv(&[]), None, None, Some("bogus"), None).unwrap_err();
-        assert!(e.contains("invalid DSH_FIDELITY spec 'bogus'"), "{e}");
-    }
-
-    #[test]
-    fn provenance_stamps_fidelity_only_for_hybrid_runs() {
-        let packet = Args::from_iter(argv(&[]), None, None, None, None).unwrap();
-        assert!(!provenance(&packet).to_string().contains("fidelity"));
-        let hybrid =
-            Args::from_iter(argv(&["--fidelity", "hybrid"]), None, None, None, None).unwrap();
-        assert!(provenance(&hybrid).to_string().contains("\"fidelity\":\"hybrid:1:100\""));
-    }
-
-    #[test]
     fn typod_flags_are_rejected() {
-        let e = Args::from_iter(argv(&["--sed", "9"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--sed", "9"]), None, None, None).unwrap_err();
         assert!(e.contains("unknown argument '--sed'"), "{e}");
-        let e = Args::from_iter(argv(&["--bogus"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--bogus"]), None, None, None).unwrap_err();
         assert!(e.contains("--bogus"), "{e}");
         // Bare operands are unknown tokens too.
-        let e = Args::from_iter(argv(&["full"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["full"]), None, None, None).unwrap_err();
         assert!(e.contains("unknown argument 'full'"), "{e}");
+        // So is a flag of a removed feature.
+        let e = Args::from_iter(argv(&["--fidelity", "packet"]), None, None, None).unwrap_err();
+        assert!(e.contains("unknown argument '--fidelity'"), "{e}");
     }
 
     #[test]
     fn malformed_values_are_rejected() {
-        let e = Args::from_iter(argv(&["--seed", "abc"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--seed", "abc"]), None, None, None).unwrap_err();
         assert!(e.contains("invalid value for --seed: 'abc'"), "{e}");
-        let e = Args::from_iter(argv(&["--threads", "-1"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--threads", "-1"]), None, None, None).unwrap_err();
         assert!(e.contains("invalid value for --threads"), "{e}");
     }
 
     #[test]
     fn missing_operands_are_rejected() {
-        let e = Args::from_iter(argv(&["--seed"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--seed"]), None, None, None).unwrap_err();
         assert!(e.contains("--seed requires a value"), "{e}");
-        let e = Args::from_iter(argv(&["--threads"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--threads"]), None, None, None).unwrap_err();
         assert!(e.contains("--threads requires a value"), "{e}");
         // The original bug: `--trace` as the last token silently produced
         // an untraced run.
-        let e = Args::from_iter(argv(&["--trace"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--trace"]), None, None, None).unwrap_err();
         assert!(e.contains("--trace requires a PATH"), "{e}");
         // A following flag is not a PATH either.
-        let e = Args::from_iter(argv(&["--trace", "--json"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--trace", "--json"]), None, None, None).unwrap_err();
         assert!(e.contains("--trace requires a PATH"), "{e}");
     }
 
@@ -608,7 +537,6 @@ mod tests {
             "--threads",
             "--workers",
             "--trace",
-            "--fidelity",
             "--regime",
             "--no-recovery",
             "--metrics",
@@ -621,15 +549,13 @@ mod tests {
 
     #[test]
     fn metrics_env_fallback_and_flag_override() {
-        let a = Args::from_iter(argv(&[]), None, None, None, Some("env.json")).unwrap();
+        let a = Args::from_iter(argv(&[]), None, None, Some("env.json")).unwrap();
         assert_eq!(a.metrics.as_deref(), Some("env.json"));
-        let a = Args::from_iter(argv(&["--metrics", "cli.json"]), None, None, None, Some("env"))
-            .unwrap();
+        let a = Args::from_iter(argv(&["--metrics", "cli.json"]), None, None, Some("env")).unwrap();
         assert_eq!(a.metrics.as_deref(), Some("cli.json"));
         // The env fallback also legitimizes the companion flags.
         let a = Args::from_iter(
             argv(&["--metrics-interval", "500", "--metrics-format", "prom"]),
-            None,
             None,
             None,
             Some("env.json"),
@@ -642,14 +568,12 @@ mod tests {
     #[test]
     fn metrics_operand_errors_fail_fast() {
         // `--metrics` as the last token must not silently skip the export.
-        let e = Args::from_iter(argv(&["--metrics"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--metrics"]), None, None, None).unwrap_err();
         assert!(e.contains("--metrics requires a PATH"), "{e}");
-        let e =
-            Args::from_iter(argv(&["--metrics", "--json"]), None, None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--metrics", "--json"]), None, None, None).unwrap_err();
         assert!(e.contains("--metrics requires a PATH"), "{e}");
         let e = Args::from_iter(
             argv(&["--metrics", "m.json", "--metrics-interval", "abc"]),
-            None,
             None,
             None,
             None,
@@ -661,13 +585,11 @@ mod tests {
             None,
             None,
             None,
-            None,
         )
         .unwrap_err();
         assert!(e.contains("must be positive"), "{e}");
         let e = Args::from_iter(
             argv(&["--metrics", "m.json", "--metrics-format", "csv"]),
-            None,
             None,
             None,
             None,
@@ -679,18 +601,17 @@ mod tests {
     #[test]
     fn metrics_companions_without_destination_are_rejected() {
         for toks in [&["--metrics-interval", "500"][..], &["--metrics-format", "prom"][..]] {
-            let e = Args::from_iter(argv(toks), None, None, None, None).unwrap_err();
+            let e = Args::from_iter(argv(toks), None, None, None).unwrap_err();
             assert!(e.contains("pass --metrics PATH"), "{e}");
         }
     }
 
     #[test]
     fn observe_config_is_armed_only_with_metrics() {
-        let off = Args::from_iter(argv(&[]), None, None, None, None).unwrap();
+        let off = Args::from_iter(argv(&[]), None, None, None).unwrap();
         assert!(observe_config(&off).is_none());
         let on = Args::from_iter(
             argv(&["--metrics", "m.json", "--metrics-interval", "500"]),
-            None,
             None,
             None,
             None,

@@ -13,101 +13,14 @@ use dsh_simcore::trace::{TraceConfig, TraceKey, Tracer};
 use dsh_simcore::{Bandwidth, ByteSize, Delta};
 use dsh_transport::RecoveryConfig;
 
-/// Engine fidelity: pure packet-level simulation, or the hybrid
-/// fluid/packet engine (DESIGN.md §14).
-///
-/// In `Hybrid` mode every link starts in fluid mode: flows crossing only
-/// uncontended links are advanced analytically by a max-min fair-share
-/// solver (one `FluidAdvance` calendar event per rate-change epoch, zero
-/// frames allocated) and escalate to packet-level simulation the instant
-/// a fidelity trigger fires — offered load past `util_threshold`, an MMU
-/// shared/headroom charge, an ECN mark, a PFC pause, a fault event, or
-/// loss recovery engaging. Links return to fluid mode after `quiesce` of
-/// trigger-free quiet. `Packet` is byte-identical to the historical
-/// engine (no fluid state exists at all).
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// The engine's fidelity: always packet level. Exists only so the frozen
+/// `simbench` benchmark, which still passes a mode to
+/// [`NetParams::with_fidelity`], compiles; drop it with that call.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FidelityMode {
-    /// Pure packet-level simulation (the default; byte-identical to the
-    /// pre-hybrid engine).
+    /// Packet-level simulation, the only engine.
+    #[default]
     Packet,
-    /// Fluid fast path with automatic packet-level escalation.
-    Hybrid {
-        /// A link escalates when the summed line-rate demand of fluid
-        /// flows crossing it exceeds `util_threshold × capacity`. `0.0`
-        /// escalates on the first flow (packet-equivalent, used by the
-        /// equivalence tests); `1.0` (the default) keeps a link fluid
-        /// only while a single flow could saturate it.
-        util_threshold: f64,
-        /// How long a link must stay trigger-free (and its egress queue
-        /// empty) before it de-escalates back to fluid mode.
-        quiesce: Delta,
-    },
-}
-
-impl FidelityMode {
-    /// The default hybrid configuration: escalate at line rate, return
-    /// to fluid after 100 µs of quiet.
-    #[must_use]
-    pub fn hybrid_default() -> Self {
-        FidelityMode::Hybrid { util_threshold: 1.0, quiesce: Delta::from_us(100) }
-    }
-
-    /// Whether this is a hybrid (fluid-capable) mode.
-    #[must_use]
-    pub fn is_hybrid(self) -> bool {
-        matches!(self, FidelityMode::Hybrid { .. })
-    }
-
-    /// Stable lowercase tag for provenance headers (`"packet"` /
-    /// `"hybrid"`).
-    #[must_use]
-    pub fn tag(self) -> &'static str {
-        match self {
-            FidelityMode::Packet => "packet",
-            FidelityMode::Hybrid { .. } => "hybrid",
-        }
-    }
-
-    /// Full round-trippable spec in the `parse` grammar
-    /// (`"packet"` / `"hybrid:<util_threshold>:<quiesce_us>"`).
-    #[must_use]
-    pub fn spec(self) -> String {
-        match self {
-            FidelityMode::Packet => "packet".to_string(),
-            FidelityMode::Hybrid { util_threshold, quiesce } => {
-                format!("hybrid:{util_threshold}:{}", quiesce.as_ns() / 1_000)
-            }
-        }
-    }
-
-    /// Parses a CLI/env spec: `packet`, `hybrid`, or
-    /// `hybrid:<util_threshold>[:<quiesce_us>]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending spec on anything unparseable.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        if spec == "packet" {
-            return Ok(FidelityMode::Packet);
-        }
-        if spec == "hybrid" {
-            return Ok(FidelityMode::hybrid_default());
-        }
-        if let Some(rest) = spec.strip_prefix("hybrid:") {
-            let mut it = rest.splitn(2, ':');
-            let thr: f64 =
-                it.next().and_then(|s| s.parse().ok()).ok_or_else(|| spec.to_string())?;
-            let quiesce = match it.next() {
-                Some(us) => Delta::from_us(us.parse().map_err(|_| spec.to_string())?),
-                None => Delta::from_us(100),
-            };
-            if !(0.0..=1024.0).contains(&thr) {
-                return Err(spec.to_string());
-            }
-            return Ok(FidelityMode::Hybrid { util_threshold: thr, quiesce });
-        }
-        Err(spec.to_string())
-    }
 }
 
 /// Global simulation parameters.
@@ -151,9 +64,6 @@ pub struct NetParams {
     /// [`FaultPlan`](crate::FaultPlan) enables a default config derived
     /// from `base_rtt` if this is still `None`.
     pub recovery: Option<RecoveryConfig>,
-    /// Engine fidelity: pure packet-level, or the hybrid fluid/packet
-    /// fast path (see [`FidelityMode`]).
-    pub fidelity: FidelityMode,
     /// Pause-causality observatory: `Some(cfg)` records who-paused-whom
     /// cascade edges and samples per-switch occupancy at
     /// `cfg.metrics_interval`. `None` (the default) keeps every existing
@@ -188,7 +98,6 @@ impl NetParams {
             deadlock_threshold: Delta::from_ms(5),
             pfc_watchdog: None,
             recovery: None,
-            fidelity: FidelityMode::Packet,
             observe: None,
             seed: 1,
             trace: TraceConfig::off(),
@@ -498,10 +407,10 @@ impl NetParams {
         self
     }
 
-    /// Returns a copy with a different engine fidelity.
+    /// Returns `self` unchanged: there is one engine. Exists only so the
+    /// frozen `simbench` benchmark compiles; drop it with [`FidelityMode`].
     #[must_use]
-    pub fn with_fidelity(mut self, fidelity: FidelityMode) -> Self {
-        self.fidelity = fidelity;
+    pub fn with_fidelity(self, _fidelity: FidelityMode) -> Self {
         self
     }
 

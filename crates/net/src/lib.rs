@@ -59,7 +59,6 @@
 mod builder;
 mod ecn;
 mod fault;
-mod fluid;
 mod frame;
 mod host;
 mod ids;
@@ -75,7 +74,6 @@ pub mod topology;
 pub use builder::{FidelityMode, HeadroomSource, NetParams, NetworkBuilder};
 pub use ecn::EcnConfig;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkCorruption};
-pub use fluid::{FidelityStats, FluidFlowAccount};
 pub use frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcFrame, PfcScope};
 pub use ids::{FlowId, NodeId, CONTROL_CLASS, NUM_CLASSES, NUM_DATA_CLASSES};
 pub use monitor::{

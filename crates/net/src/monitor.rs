@@ -415,10 +415,6 @@ pub struct TelemetryReport {
     /// Engine dispatch profile, if the harness ran the simulation through
     /// [`dsh_simcore::Simulation::run_until_profiled`] and attached it.
     pub engine_profile: Option<EngineProfile>,
-    /// Fidelity section (mode, thresholds, fluid statistics); present only
-    /// for hybrid-fidelity runs so packet-mode reports stay byte-identical
-    /// to pre-hybrid goldens.
-    pub fidelity: Option<Json>,
     /// Pause-cascade summary and victim-flow attribution; present only
     /// when the pause-causality observatory is enabled
     /// (`NetParams::observe`), so ordinary reports are unchanged.
@@ -477,10 +473,6 @@ impl TelemetryReport {
             .with("ports", Json::Arr(self.ports.iter().map(PortPauseTelemetry::to_json).collect()));
         let doc = match &self.engine_profile {
             Some(p) => doc.with("engine_profile", p.to_json()),
-            None => doc,
-        };
-        let doc = match &self.fidelity {
-            Some(f) => doc.with("fidelity", f.clone()),
             None => doc,
         };
         match &self.pause_cascades {
@@ -585,7 +577,6 @@ mod tests {
             ports: vec![],
             provenance: Json::object().with("seed", 1u64),
             engine_profile: None,
-            fidelity: None,
             pause_cascades: None,
         };
         let v = report.lossless_violations();

@@ -1,9 +1,8 @@
 //! The network model: event dispatch, switching, host NIC logic and
 //! measurement.
 
-use crate::builder::{FidelityMode, NetParams};
+use crate::builder::NetParams;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::fluid::{EscalateReason, FidelityStats, FluidFlowAccount, FluidState};
 use crate::frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcScope};
 use crate::host::{HostNode, ReceiverFlow, SenderFlow};
 use crate::ids::{FlowId, NodeId, NUM_DATA_CLASSES};
@@ -15,11 +14,11 @@ use crate::observe::{GlobalSample, ObserveState, SwitchSample, PORT_SCOPE_CLASS}
 use crate::port::{EgressPort, IngressTag, QueuedFrame};
 use crate::switch::SwitchNode;
 use dsh_core::headroom::PFC_PROCESSING_BYTES;
-use dsh_core::{FcAction, FcActions, Region};
+use dsh_core::{FcAction, FcActions};
 use dsh_simcore::trace::{TraceEvent, TraceLog, TraceMask, Tracer};
 use dsh_simcore::{
-    split_seed, trace_event, Bandwidth, Delta, EventClass, FlightGuard, Model, Pool, Scheduler,
-    SimRng, Simulation, Time,
+    split_seed, trace_event, Delta, EventClass, FlightGuard, Model, Pool, Scheduler, SimRng,
+    Simulation, Time,
 };
 use dsh_transport::{
     new_cc, AckInfo, CcKind, GoBackN, HopList, RecoveryConfig, Regime, RtoOutcome, SackBuffer,
@@ -126,13 +125,6 @@ pub enum NetEvent {
     /// gauges into the metrics sampler (only scheduled when
     /// `NetParams::observe` is set).
     MetricsTick,
-    /// Fluid fast path: the earliest analytic flow completion of the
-    /// current rate epoch is due (hybrid fidelity only).
-    FluidAdvance {
-        /// Epoch generation at scheduling time; a rate re-solve bumps the
-        /// generation, so stale events fall through harmlessly.
-        gen: u32,
-    },
 }
 
 /// A node in the network.
@@ -257,13 +249,6 @@ pub struct Network {
     /// next window — moving the per-event heap pushes off the serial
     /// coordinator and onto the parallel workers.
     pub(crate) inbox: Vec<(Time, NetEvent)>,
-    /// Payload bytes that advanced a receiver's in-order mark via real
-    /// packets (the packet-engine half of the hybrid byte-conservation
-    /// invariant; fluid credits are the other half).
-    packet_rx_bytes: u64,
-    /// Fluid fast-path state; `Some` only under
-    /// [`FidelityMode::Hybrid`].
-    pub(crate) fluid: Option<FluidState>,
     /// Pause-causality observatory; `Some` only when
     /// `NetParams::observe` is set. Boxed so the disabled case costs one
     /// pointer-sized `Option` and a single branch on the pause path.
@@ -331,8 +316,6 @@ impl Network {
             part: 0,
             outbox: Vec::new(),
             inbox: Vec::new(),
-            packet_rx_bytes: 0,
-            fluid: None,
             observe,
             metrics_capture_at: Time::MAX,
         }
@@ -534,21 +517,6 @@ impl Network {
                 h.tx_index.resize(nflows, u32::MAX);
             }
         }
-        // Hybrid fidelity, serial engine: build the fluid state now with
-        // every link fluid-eligible. The partitioned engine pins its cut
-        // links packet-mode instead (split() builds each partition's
-        // state itself and skips this branch via the owner-map check);
-        // its plan is computed at MAX_PARTITIONS granularity regardless
-        // of worker count, so partitioned hybrid results are identical at
-        // any `--workers` — the same contract the packet engine gives
-        // (serial-vs-partitioned comparisons go through the partitioned
-        // entry point, see `fabric::run_net_partitioned`).
-        if matches!(self.params.fidelity, FidelityMode::Hybrid { .. })
-            && self.fluid.is_none()
-            && self.owner.is_empty()
-        {
-            self.init_fluid(None);
-        }
     }
 
     // ---- partitioned execution (see crate::par) ---------------------------
@@ -612,7 +580,6 @@ impl Network {
             net.part = k as u32;
             net.outbox = Vec::with_capacity(OUTBOX_RESERVE);
             net.inbox = Vec::with_capacity(OUTBOX_RESERVE);
-            net.init_fluid(Some(owner));
             out.push(net);
         }
         out
@@ -654,10 +621,6 @@ impl Network {
         self.recovery_timeouts += other.recovery_timeouts;
         self.recovery_nacks += other.recovery_nacks;
         self.failed_flows += other.failed_flows;
-        self.packet_rx_bytes += other.packet_rx_bytes;
-        if let (Some(mine), Some(theirs)) = (self.fluid.as_mut(), other.fluid.as_ref()) {
-            mine.stats.merge(&theirs.stats);
-        }
         // Observability logs merge like outboxes: concatenate here,
         // restore canonical order once in finish_merge.
         if let (Some(mine), Some(theirs)) = (self.observe.as_deref_mut(), other.observe.take()) {
@@ -730,12 +693,6 @@ impl Network {
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let port = self.find_port(node, peer);
-        if let Some(lid) = self.fluid.as_ref().map(|st| st.lid(node, port)) {
-            // A faulted link must be at packet fidelity before the fault
-            // lands: in-flight fluid bytes become real frames that the
-            // dead link can then drop (and recovery retransmit).
-            self.escalate_link(lid, EscalateReason::Fault, sched);
-        }
         if up {
             self.port_mut(node, port).restore();
         } else {
@@ -986,7 +943,6 @@ impl Network {
             ports,
             provenance: self.provenance(),
             engine_profile: None,
-            fidelity: self.fidelity_json(),
             pause_cascades: self.cascade_report(now),
         }
     }
@@ -1039,50 +995,10 @@ impl Network {
     /// byte-identical at any executor width.
     #[must_use]
     pub fn provenance(&self) -> dsh_simcore::Json {
-        let base = dsh_simcore::Json::object()
+        dsh_simcore::Json::object()
             .with("seed", self.params.seed)
             .with("scheme", self.params.scheme.to_string())
-            .with("version", env!("CARGO_PKG_VERSION"));
-        // Hybrid runs carry their fidelity knobs in provenance (packet
-        // mode adds nothing, so every pre-existing report stays
-        // byte-identical).
-        match self.params.fidelity {
-            FidelityMode::Packet => base,
-            FidelityMode::Hybrid { .. } => base.with("fidelity", self.params.fidelity.tag()),
-        }
-    }
-
-    /// Fluid fast-path counters, when running under
-    /// [`FidelityMode::Hybrid`] (`None` in packet mode).
-    #[must_use]
-    pub fn fidelity_stats(&self) -> Option<FidelityStats> {
-        self.fluid.as_ref().map(|st| st.stats)
-    }
-
-    /// Payload bytes that advanced a receiver's in-order mark via real
-    /// packets. Together with [`FidelityStats::fluid_bytes`] this
-    /// conserves offered load: for a run in which every flow completed,
-    /// `packet_rx_bytes + fluid_bytes == Σ flow sizes`.
-    #[must_use]
-    pub fn packet_rx_bytes(&self) -> u64 {
-        self.packet_rx_bytes
-    }
-
-    /// The `fidelity` telemetry section: mode, knobs, and fluid counters.
-    /// `None` in packet mode so packet-mode reports stay byte-identical
-    /// with pre-hybrid builds.
-    fn fidelity_json(&self) -> Option<dsh_simcore::Json> {
-        let FidelityMode::Hybrid { util_threshold, quiesce } = self.params.fidelity else {
-            return None;
-        };
-        let stats = self.fluid.as_ref().map(|st| st.stats).unwrap_or_default();
-        Some(
-            dsh_simcore::Json::object()
-                .with("mode", "hybrid")
-                .with("util_threshold", util_threshold)
-                .with("quiesce_ns", quiesce.as_ns())
-                .with("stats", stats.to_json()),
-        )
+            .with("version", env!("CARGO_PKG_VERSION"))
     }
 
     /// Diagnostic: a sender flow's current congestion window and pacing
@@ -1378,36 +1294,12 @@ impl Network {
         };
 
         // ECN marking against the egress queue length (congestion point).
-        let mut marked = false;
         if frame.is_data() && self.params.ecn.enabled {
             let qlen = self.port_mut(node, out_port).queue_bytes(frame.class);
             let mark = self.params.ecn.mark(qlen, &mut self.rng);
             if mark {
                 if let FrameKind::Data(d) = &mut frame.kind {
                     d.ecn = true;
-                    marked = true;
-                }
-            }
-        }
-
-        // Fluid fidelity triggers: a real data frame on the egress link
-        // means it is not quiescent (an ECN mark is the stronger signal
-        // when both fire at once), and a shared/headroom MMU charge drags
-        // the *ingress* link to packet fidelity — fluid links must never
-        // hold MMU state.
-        if self.fluid.is_some() && frame.is_data() {
-            let reason = if marked { EscalateReason::Ecn } else { EscalateReason::Enqueue };
-            let out_lid = self.fluid.as_ref().expect("checked").lid(node, out_port);
-            self.escalate_link(out_lid, reason, sched);
-            if let Some(IngressTag { region, .. }) = tag {
-                if region != Region::Private {
-                    let in_lid = {
-                        let st = self.fluid.as_ref().expect("checked");
-                        st.ingress_link(st.lid(node, in_port))
-                    };
-                    if let Some(lid) = in_lid {
-                        self.escalate_link(lid, EscalateReason::MmuCharge, sched);
-                    }
                 }
             }
         }
@@ -1603,7 +1495,6 @@ impl Network {
             // in the MTU-strided SACK window instead of discarded, and
             // each such arrival triggers a NACK carrying the cumulative
             // mark plus the window bitmap.
-            let before = rx.received;
             let mut nack = false;
             if seq == rx.received {
                 rx.received += payload;
@@ -1623,7 +1514,6 @@ impl Network {
                 let _ = rx.sack.offer(gap);
                 nack = true;
             }
-            self.packet_rx_bytes += rx.received - before;
             let send_cnp = rx.cnp.on_data(now, ecn);
             let completed = !rx.completed && rx.received >= meta_size;
             if completed {
@@ -1682,12 +1572,6 @@ impl Network {
             class: spec.class,
             payload: spec.size,
         });
-        // Fluid fast path: an uncontended whole-local path admits the flow
-        // analytically — no sender state, no frames, one calendar event
-        // per rate epoch.
-        if self.fluid.is_some() && self.try_fluid_start(flow, sched) {
-            return;
-        }
         let (bw, base_rtt) = {
             let host = self.host_mut(spec.src);
             (host.uplink().bandwidth, self.params.base_rtt)
@@ -1719,10 +1603,6 @@ impl Network {
     /// Generates data frames from eligible flows into the NIC queue and
     /// kicks the serializer; schedules a pacing wake-up if needed.
     fn host_try_send(&mut self, node: NodeId, sched: &mut Scheduler<'_, NetEvent>) {
-        // An active packet-mode sender keeps its uplink at packet
-        // fidelity (and re-stamps the quiescence clock on every visit —
-        // this function runs on each TxDone/ACK/wake).
-        self.fluid_touch_uplink(node, sched);
         let now = sched.now();
         let mtu = self.params.mtu;
         let recovery_on = self.params.recovery.is_some();
@@ -2066,11 +1946,6 @@ impl Network {
             f.sent = f.acked;
             f.next_send = now;
             f.rtt_probe = None;
-            // (Recovery escalation below keeps the rewinding sender's
-            // uplink at packet fidelity for the whole backoff window.)
-            // (The uplink is dragged to packet fidelity below via
-            // host_try_send's touch; a rewinding sender is the opposite
-            // of quiescent.)
             // Still armed: the same generation carries the next event,
             // scheduled at the backed-off deadline.
             f.rto_deadline = f.recovery.deadline(now);
@@ -2082,10 +1957,6 @@ impl Network {
             }
             pair
         };
-        if self.fluid.is_some() {
-            let lid = self.fluid.as_ref().expect("checked").lid(node, 0);
-            self.escalate_link(lid, EscalateReason::Recovery, sched);
-        }
         trace_event!(self.tracer, TraceEvent::Retransmit, {
             flow: flow.0 as u32,
             node: node.0 as u32,
@@ -2134,10 +2005,6 @@ impl Network {
             }
             triple
         };
-        if self.fluid.is_some() {
-            let lid = self.fluid.as_ref().expect("checked").lid(node, 0);
-            self.escalate_link(lid, EscalateReason::Recovery, sched);
-        }
         trace_event!(self.tracer, TraceEvent::Retransmit, {
             flow: flow.0 as u32,
             node: node.0 as u32,
@@ -2222,15 +2089,6 @@ impl Network {
         });
         let pa = self.find_port(a, b);
         let pb = self.find_port(b, a);
-        // Escalate both directions to packet fidelity *before* the kill:
-        // fluid in-flight bytes become real frames whose loss the
-        // recovery machinery can then observe.
-        if self.fluid.is_some() {
-            for (node, port) in [(a, pa), (b, pb)] {
-                let lid = self.fluid.as_ref().expect("checked").lid(node, port);
-                self.escalate_link(lid, EscalateReason::Fault, sched);
-            }
-        }
         for (node, port) in [(a, pa), (b, pb)] {
             self.kill_port(node, port, now, sched);
         }
@@ -2307,15 +2165,6 @@ impl Network {
         });
         let pa = self.find_port(a, b);
         let pb = self.find_port(b, a);
-        // A repaired link re-enters service at packet fidelity (the
-        // escalation is a cheap trigger refresh if it is already there);
-        // it may de-escalate after a clean quiescence window.
-        if self.fluid.is_some() {
-            for (node, port) in [(a, pa), (b, pb)] {
-                let lid = self.fluid.as_ref().expect("checked").lid(node, port);
-                self.escalate_link(lid, EscalateReason::Fault, sched);
-            }
-        }
         self.port_mut(a, pa).restore();
         self.port_mut(b, pb).restore();
         self.recompute_routes();
@@ -2407,12 +2256,6 @@ impl Network {
             } else {
                 obs.cascade.on_resume(node, port, class, now);
             }
-        }
-        // A PFC pause asserted on this egress is a congestion signal the
-        // fluid model cannot represent: escalate the link.
-        if pause && self.fluid.is_some() {
-            let lid = self.fluid.as_ref().expect("checked").lid(node, port);
-            self.escalate_link(lid, EscalateReason::Pfc, sched);
         }
         let kind = match (scope, pause) {
             (PfcScope::Queue(_), true) => TraceEvent::PfcPause,
@@ -2513,493 +2356,9 @@ impl Network {
         }
     }
 
-    // ---- fluid fast path (hybrid fidelity; see DESIGN.md §14) -------------
-
-    /// Builds the per-link fluid state for hybrid mode; no-op under
-    /// [`FidelityMode::Packet`]. `owner` is the canonical partition plan's
-    /// node→partition map: links crossing a partition cut are pinned
-    /// packet-mode so serial and partitioned hybrid runs agree on which
-    /// links may ever go fluid. `None` pins nothing (no valid plan).
-    pub(crate) fn init_fluid(&mut self, owner: Option<&[u32]>) {
-        let FidelityMode::Hybrid { util_threshold, quiesce } = self.params.fidelity else {
-            return;
-        };
-        let mut st = FluidState::new(util_threshold, quiesce, self.flows.len());
-        for n in &self.nodes {
-            let ports: &[EgressPort] = match n {
-                Node::Switch(s) => &s.ports,
-                Node::Host(h) => h.port.as_slice(),
-                Node::Absent => &[],
-            };
-            st.push_node(ports.len());
-            for p in ports {
-                st.push_link(p.bandwidth.as_bps());
-            }
-        }
-        for (node, p, port) in self.all_ports() {
-            let lid = st.lid(node, p);
-            if !matches!(self.nodes[port.peer.0], Node::Absent) {
-                let ingress_lid = st.lid(port.peer, port.peer_port);
-                st.set_ingress(ingress_lid, lid);
-            }
-            if let Some(owner) = owner {
-                if owner[node.0] != owner[port.peer.0] {
-                    st.pin(lid);
-                }
-            }
-        }
-        debug_assert_eq!(
-            st.num_links(),
-            self.all_ports().count(),
-            "one fluid link per egress port"
-        );
-        self.fluid = Some(st);
-    }
-
-    /// Attempts to admit a starting flow to the fluid fast path. Returns
-    /// `false` (caller takes the packet path) if any path link is
-    /// packet-mode, pinned, or would exceed the utilization threshold —
-    /// or if the path leaves this partition.
-    fn try_fluid_start(&mut self, flow: FlowId, sched: &mut Scheduler<'_, NetEvent>) -> bool {
-        let now = sched.now();
-        let spec = self.flows[flow.0].spec;
-        let mtu = self.params.mtu;
-        // Pipe latency = Σ propagation + the *last* segment's
-        // store-and-forward serialization on every hop after the first,
-        // which is exactly when the packet engine's final byte lands on an
-        // idle path.
-        let last_seg =
-            if spec.size.is_multiple_of(mtu) { mtu.min(spec.size) } else { spec.size % mtu };
-        let walk = {
-            let Some(st) = self.fluid.as_ref() else { return false };
-            let Node::Host(h) = &self.nodes[spec.src.0] else { return false };
-            if h.port.is_none() {
-                return false;
-            }
-            let uplink = h.uplink();
-            if !uplink.is_link_up() {
-                return false;
-            }
-            let line_rate = uplink.bandwidth;
-            let mut links: Vec<u32> = vec![st.lid(spec.src, 0) as u32];
-            let mut pipe = uplink.prop_delay;
-            let mut cur = uplink.peer;
-            let mut ok = false;
-            // The walk follows the deterministic per-flow ECMP pick, the
-            // same choice every frame of this flow would make; bounded by
-            // the node count as a route-cycle guard.
-            for _ in 0..self.nodes.len() {
-                if cur == spec.dst {
-                    ok = true;
-                    break;
-                }
-                let Node::Switch(s) = &self.nodes[cur.0] else { break };
-                let Some(out) = s.routes.try_pick(spec.dst.0, flow, s.id) else { break };
-                let port = &s.ports[out];
-                if !port.is_link_up() {
-                    break;
-                }
-                links.push(st.lid(cur, out) as u32);
-                pipe = pipe + port.bandwidth.tx_delay(last_seg) + port.prop_delay;
-                cur = port.peer;
-            }
-            ok.then_some((links, pipe, line_rate))
-        };
-        let Some((links, pipe, line_rate)) = walk else { return false };
-        let blocker = {
-            let st = self.fluid.as_ref().expect("checked");
-            st.admission_blocker(&links, line_rate.as_bps())
-        };
-        match blocker {
-            Some((lid, true)) => {
-                // Offered load above the threshold is congestion the fluid
-                // model must not absorb: the blocking link escalates and
-                // this flow takes the packet path from byte zero.
-                self.escalate_link(lid, EscalateReason::Util, sched);
-                return false;
-            }
-            Some((_, false)) => return false,
-            None => {}
-        }
-        let credit_start = now + pipe;
-        {
-            let st = self.fluid.as_mut().expect("checked");
-            st.admit(FluidFlowAccount {
-                flow,
-                size: spec.size,
-                start: now,
-                credit_start,
-                pipe_delay: pipe,
-                credited: 0,
-                rate: Bandwidth::from_bps(0),
-                basis: credit_start,
-                line_rate_bps: line_rate.as_bps(),
-                links,
-                done: false,
-            });
-            st.solve(now);
-        }
-        trace_event!(self.tracer, TraceEvent::FluidFlowStart, {
-            flow: flow.0 as u32,
-            node: spec.src.0 as u32,
-            class: spec.class,
-            payload: spec.size,
-        });
-        self.schedule_fluid_advance(sched);
-        true
-    }
-
-    /// Records a fidelity trigger on a directed link. If the link was
-    /// fluid it escalates to packet mode, dragging every fluid flow whose
-    /// path crosses it (and, transitively, all links of those paths) along:
-    /// due flows finalize, the rest materialize into the packet engine.
-    /// On an already-packet link this is just a quiescence-clock refresh.
-    fn escalate_link(
-        &mut self,
-        lid: usize,
-        reason: EscalateReason,
-        sched: &mut Scheduler<'_, NetEvent>,
-    ) {
-        let now = sched.now();
-        let escalated = {
-            let Some(st) = self.fluid.as_mut() else { return };
-            st.mark_packet(lid, now)
-        };
-        if !escalated {
-            return;
-        }
-        {
-            let st = self.fluid.as_ref().expect("checked");
-            let (node, port) = st.link_endpoint(lid);
-            trace_event!(self.tracer, TraceEvent::FluidEscalate, {
-                node: node,
-                port: port,
-                payload: reason as u64,
-            });
-        }
-        // Closure first, flows second: a materialized flow puts real
-        // frames on *every* link of its path, so the whole affected
-        // subgraph must be packet-mode before any sender starts
-        // transmitting (otherwise admission/escalation would recurse).
-        let mut affected: Vec<usize> = Vec::new();
-        let mut frontier: Vec<usize> = vec![lid];
-        while let Some(l) = frontier.pop() {
-            for idx in self.fluid.as_ref().expect("checked").flows_on_link(l) {
-                if affected.contains(&idx) {
-                    continue;
-                }
-                affected.push(idx);
-                let path = self.fluid.as_ref().expect("checked").flows[idx].links.clone();
-                for pl in path {
-                    let st = self.fluid.as_mut().expect("checked");
-                    if st.mark_packet(pl as usize, now) {
-                        let (node, port) = st.link_endpoint(pl as usize);
-                        trace_event!(self.tracer, TraceEvent::FluidEscalate, {
-                            node: node,
-                            port: port,
-                            payload: EscalateReason::Cascade as u64,
-                        });
-                        frontier.push(pl as usize);
-                    }
-                }
-            }
-        }
-        affected.sort_unstable();
-        for idx in affected {
-            let due = {
-                let a = &self.fluid.as_ref().expect("checked").flows[idx];
-                a.credited_at(now) >= a.size
-            };
-            if due {
-                // The escalation instant coincides with (or passed) the
-                // flow's analytic completion: record the FCT, no handoff.
-                self.finalize_fluid_completion(idx, sched);
-            } else {
-                self.materialize_flow(idx, sched);
-            }
-        }
-        {
-            let st = self.fluid.as_mut().expect("checked");
-            st.solve(now);
-            st.compact();
-        }
-        self.schedule_fluid_advance(sched);
-    }
-
-    /// Completes a fluid flow analytically: retires the account, credits
-    /// the receiver in full, and records the FCT — the fluid counterpart
-    /// of the packet path's completion in `host_receive_data`.
-    fn finalize_fluid_completion(&mut self, idx: usize, sched: &mut Scheduler<'_, NetEvent>) {
-        let now = sched.now();
-        let (flow, credited) = {
-            let st = self.fluid.as_mut().expect("fluid state");
-            let flow = st.flows[idx].flow;
-            let credited = st.retire(idx, now);
-            st.stats.fluid_completions += 1;
-            (flow, credited)
-        };
-        let spec = self.flows[flow.0].spec;
-        debug_assert_eq!(credited, spec.size, "fluid completion must credit the full flow");
-        self.flows[flow.0].completed = true;
-        self.flow_rx[flow.0] = credited;
-        self.rx_flows[flow.0].received = credited;
-        self.rx_flows[flow.0].completed = true;
-        self.fct.push(FctRecord { flow, size: spec.size, start: spec.start, finish: now });
-        trace_event!(self.tracer, TraceEvent::FlowComplete, {
-            flow: flow.0 as u32,
-            node: spec.dst.0 as u32,
-            payload: now.saturating_since(spec.start).as_ps(),
-        });
-        trace_event!(self.tracer, TraceEvent::FluidFlowComplete, {
-            flow: flow.0 as u32,
-            node: spec.dst.0 as u32,
-            payload: now.saturating_since(spec.start).as_ps(),
-        });
-    }
-
-    /// Hands a fluid flow to the packet engine mid-flight: the credited
-    /// prefix becomes receiver state, the in-pipe bytes become real pooled
-    /// frames arriving directly at the destination with fluid-accurate
-    /// timestamps (analytically they were already past every queue), and
-    /// the residue becomes an ordinary sender whose transport is seeded
-    /// from the fluid fair share.
-    fn materialize_flow(&mut self, idx: usize, sched: &mut Scheduler<'_, NetEvent>) {
-        let now = sched.now();
-        let mtu = self.params.mtu;
-        let recovery_on = self.params.recovery.is_some();
-        let (flow, credited, infl, rate, basis) = {
-            let st = self.fluid.as_mut().expect("fluid state");
-            let infl = st.flows[idx].in_flight_at(now);
-            let credited = st.retire(idx, now);
-            st.stats.materializations += 1;
-            let a = &st.flows[idx];
-            (a.flow, credited, infl, a.rate, a.basis)
-        };
-        let spec = self.flows[flow.0].spec;
-        // Receiver resumes from the analytic in-order mark.
-        self.rx_flows[flow.0].received = credited;
-        self.flow_rx[flow.0] = credited;
-        let end = credited + infl;
-        let mut seq = credited;
-        while seq < end {
-            let seg = mtu.min(end - seq);
-            let df = DataFrame {
-                flow,
-                src: spec.src,
-                dst: spec.dst,
-                seq,
-                payload: seg,
-                ecn: false,
-                hops: HopList::new(),
-            };
-            let frame = self.pool.get(|| Frame::data(df, spec.class));
-            // The segment lands when the fluid model would have credited
-            // its last byte (basis was folded to `now` by the retire
-            // above, so these arrivals are never in the past).
-            let t = basis + rate.tx_delay(seq + seg - credited);
-            sched.at(t, NetEvent::Arrive { node: spec.dst.0 as u32, in_port: 0, frame });
-            seq += seg;
-        }
-        // Sender resumes from the handoff point.
-        let (bw, base_rtt) = {
-            let Node::Host(h) = &self.nodes[spec.src.0] else {
-                unreachable!("flow source must be a host")
-            };
-            (h.uplink().bandwidth, self.params.base_rtt)
-        };
-        let mut cc = new_cc(spec.cc, bw, base_rtt);
-        cc.on_fluid_handoff(now, rate);
-        let rcfg = self.params.recovery.unwrap_or_else(|| RecoveryConfig::for_rtt(base_rtt));
-        let host = self.host_mut(spec.src);
-        host.add_sender(SenderFlow {
-            id: flow,
-            dst: spec.dst,
-            class: spec.class,
-            size: spec.size,
-            sent: end,
-            acked: credited,
-            next_send: now,
-            cc,
-            timer_gen: 0,
-            recovery: GoBackN::new(rcfg),
-            rto_gen: 0,
-            rto_deadline: Time::MAX,
-            rto_armed: false,
-            max_sent: end,
-            sack: SackState::new(),
-            rtt_probe: None,
-        });
-        if end >= spec.size {
-            // Everything is already on the wire: off the active list (the
-            // in-flight arrivals finish the flow).
-            let slot = host.tx_flows.len() - 1;
-            if let Some(pos) = host.active.iter().position(|&i| i == slot) {
-                host.active.swap_remove(pos);
-                if host.rr_cursor >= host.active.len() {
-                    host.rr_cursor = 0;
-                }
-            }
-        }
-        if recovery_on && end > credited {
-            // In-flight bytes under recovery need a live RTO: a fault that
-            // eats the materialized arrivals must not wedge the flow.
-            let f = host.sender_mut(flow).expect("just added");
-            f.rto_deadline = f.recovery.deadline(now);
-            f.rto_armed = true;
-            f.rto_gen = f.rto_gen.wrapping_add(1);
-            let (deadline, gen) = (f.rto_deadline, f.rto_gen);
-            sched.at(
-                deadline,
-                NetEvent::RtoTimer { host: spec.src.0 as u32, flow: flow.0 as u32, gen },
-            );
-        }
-        self.arm_cc_timer(spec.src, flow, sched);
-        self.host_try_send(spec.src, sched);
-    }
-
-    /// Schedules the next `FluidAdvance` at the earliest analytic
-    /// completion of the current epoch (no-op with no active accounts).
-    fn schedule_fluid_advance(&mut self, sched: &mut Scheduler<'_, NetEvent>) {
-        let Some(st) = self.fluid.as_ref() else { return };
-        let Some(t) = st.next_completion() else { return };
-        let gen = st.gen;
-        sched.at(t.max(sched.now()), NetEvent::FluidAdvance { gen });
-    }
-
-    /// Handles a `FluidAdvance`: finalizes every account due at this
-    /// instant, re-solves, and schedules the next epoch tick. Stale
-    /// generations (a re-solve happened since scheduling) fall through.
-    fn handle_fluid_advance(&mut self, gen: u32, sched: &mut Scheduler<'_, NetEvent>) {
-        let now = sched.now();
-        let due: Vec<usize> = {
-            let Some(st) = self.fluid.as_ref() else { return };
-            if st.gen != gen {
-                return;
-            }
-            st.flows
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !a.done && a.credited_at(now) >= a.size)
-                .map(|(i, _)| i)
-                .collect()
-        };
-        for idx in due {
-            self.finalize_fluid_completion(idx, sched);
-        }
-        {
-            let st = self.fluid.as_mut().expect("checked");
-            st.solve(now);
-            st.compact();
-        }
-        self.schedule_fluid_advance(sched);
-    }
-
-    /// Folds every active fluid account's analytic credits into the
-    /// receiver-side byte counters the goodput monitors read (read-only
-    /// peek; accounts are not mutated).
-    fn fluid_peek_rx(&mut self, now: Time) {
-        let Some(st) = self.fluid.as_ref() else { return };
-        if !st.any_active() {
-            return;
-        }
-        for a in &st.flows {
-            if !a.done {
-                self.flow_rx[a.flow.0] = a.credited_at(now);
-            }
-        }
-    }
-
-    /// An active packet-mode sender keeps its uplink at packet fidelity;
-    /// called from `host_try_send` so every TxDone/ACK/wake refreshes the
-    /// quiescence clock (and escalates a still-fluid uplink the moment a
-    /// packet-path flow wants to transmit on it).
-    fn fluid_touch_uplink(&mut self, node: NodeId, sched: &mut Scheduler<'_, NetEvent>) {
-        let lid = {
-            let Some(st) = self.fluid.as_ref() else { return };
-            let Node::Host(h) = &self.nodes[node.0] else { return };
-            if h.port.is_none() || h.active.is_empty() {
-                return;
-            }
-            st.lid(node, 0)
-        };
-        self.escalate_link(lid, EscalateReason::Enqueue, sched);
-    }
-
-    /// Per-sample fluid bookkeeping: de-escalates packet-mode links whose
-    /// quiescence window elapsed with an idle, empty egress and a clean
-    /// peer MMU; in debug builds, audits that fluid links hold zero MMU
-    /// shared/headroom occupancy at their receiving switch.
-    fn fluid_sample(&mut self, now: Time, _sched: &mut Scheduler<'_, NetEvent>) {
-        if self.fluid.is_none() {
-            return;
-        }
-        let mut ready: Vec<usize> = Vec::new();
-        {
-            let st = self.fluid.as_ref().expect("checked");
-            for (node, p, port) in self.all_ports() {
-                let lid = st.lid(node, p);
-                if st.is_pinned(lid)
-                    || !st.deescalation_ready(lid, now)
-                    || port.total_queued_bytes() != 0
-                    || port.is_busy()
-                    || !port.is_link_up()
-                {
-                    continue;
-                }
-                // The receiving switch must have drained every frame this
-                // link fed it: a fluid link's ingress holds no MMU state.
-                let peer_clear = match &self.nodes[port.peer.0] {
-                    Node::Switch(s) => {
-                        s.mmu.port_shared_occupancy(port.peer_port)
-                            + s.mmu.port_headroom_occupancy(port.peer_port)
-                            == 0
-                    }
-                    Node::Host(_) | Node::Absent => true,
-                };
-                if peer_clear {
-                    ready.push(lid);
-                }
-            }
-        }
-        for lid in ready {
-            let flipped = {
-                let st = self.fluid.as_mut().expect("checked");
-                st.try_deescalate(lid, now)
-            };
-            if flipped {
-                let (node, port) = self.fluid.as_ref().expect("checked").link_endpoint(lid);
-                trace_event!(self.tracer, TraceEvent::FluidDeescalate, {
-                    node: node,
-                    port: port,
-                });
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            let st = self.fluid.as_ref().expect("checked");
-            for (node, p, port) in self.all_ports() {
-                if !st.is_fluid(st.lid(node, p)) {
-                    continue;
-                }
-                if let Node::Switch(s) = &self.nodes[port.peer.0] {
-                    let occ = s.mmu.port_shared_occupancy(port.peer_port)
-                        + s.mmu.port_headroom_occupancy(port.peer_port);
-                    debug_assert_eq!(
-                        occ, 0,
-                        "fluid link {node}:{p} feeds MMU occupancy at {}:{}",
-                        port.peer, port.peer_port
-                    );
-                }
-            }
-        }
-    }
-
     fn handle_sample(&mut self, sched: &mut Scheduler<'_, NetEvent>) {
         let now = sched.now();
         let dt = self.params.sample_interval;
-        // Fluid flows deliver no frames, so fold their analytic credits
-        // into the receiver-side byte counters the monitors read.
-        self.fluid_peek_rx(now);
         // Flow goodput monitors.
         for m in &mut self.monitors {
             let bytes = self.flow_rx[m.flow.0];
@@ -3066,10 +2425,6 @@ impl Network {
             }
         }
         self.deadlock.onset = onset;
-        // Fluid bookkeeping rides the sampling tick: de-escalate links
-        // whose quiescence window expired, and (debug builds) audit that
-        // fluid links hold no MMU shared/headroom occupancy.
-        self.fluid_sample(now, sched);
         sched.at(now + dt, NetEvent::Sample);
     }
 
@@ -3137,27 +2492,14 @@ impl Network {
                 );
             }
         }
-        // Fluid links hold no MMU occupancy by construction (the hybrid
-        // engine audits that separately); they contribute only their mode
-        // here — never phantom bytes.
-        let mut fluid_links = 0u64;
-        let mut packet_links = 0u64;
-        let mut paused_ports = 0u64;
-        for (node, p, port) in self.all_ports() {
-            let is_fluid = self.fluid.as_ref().is_some_and(|st| st.is_fluid(st.lid(node, p)));
-            if is_fluid {
-                fluid_links += 1;
-            } else {
-                packet_links += 1;
-            }
-            if port.port_paused() || (0..NUM_DATA_CLASSES as u8).any(|c| port.class_paused(c)) {
-                paused_ports += 1;
-            }
-        }
+        let paused_ports = self
+            .all_ports()
+            .filter(|(_, _, port)| {
+                port.port_paused() || (0..NUM_DATA_CLASSES as u8).any(|c| port.class_paused(c))
+            })
+            .count() as u64;
         obs.metrics.stage_global(GlobalSample {
             t,
-            fluid_links,
-            packet_links,
             paused_ports,
             nacks_sent: self.nacks_sent,
             retransmitted_bytes: self.retransmitted_bytes,
@@ -3318,7 +2660,6 @@ impl Model for Network {
             NetEvent::Fault { index } => self.handle_fault(index as usize, sched),
             NetEvent::Sample => self.handle_sample(sched),
             NetEvent::MetricsTick => self.handle_metrics_tick(sched),
-            NetEvent::FluidAdvance { gen } => self.handle_fluid_advance(gen, sched),
         }
     }
 }
@@ -3337,7 +2678,6 @@ impl EventClass for NetEvent {
         "fault",
         "sample",
         "metrics_tick",
-        "fluid_advance",
     ];
 
     fn class(&self) -> usize {
@@ -3352,7 +2692,6 @@ impl EventClass for NetEvent {
             NetEvent::Fault { .. } => 7,
             NetEvent::Sample => 8,
             NetEvent::MetricsTick => 9,
-            NetEvent::FluidAdvance { .. } => 10,
         }
     }
 }
@@ -3590,258 +2929,5 @@ mod tests {
         let net = sim.into_model();
         assert_eq!(net.fct_records().len(), 1);
         assert_eq!(net.data_drops(), 0);
-    }
-
-    // ---- hybrid fidelity (fluid fast path) --------------------------------
-
-    fn hybrid_params() -> NetParams {
-        NetParams::tomahawk(Scheme::Dsh).without_ecn().with_fidelity(FidelityMode::hybrid_default())
-    }
-
-    fn two_hosts_one_switch_hybrid() -> (Network, NodeId, NodeId) {
-        let mut b = NetworkBuilder::new(hybrid_params());
-        let h0 = b.host();
-        let h1 = b.host();
-        let s = b.switch();
-        b.link(h0, s, Bandwidth::from_gbps(100), Delta::from_us(2));
-        b.link(h1, s, Bandwidth::from_gbps(100), Delta::from_us(2));
-        (b.build(), h0, h1)
-    }
-
-    /// Two senders and one receiver behind one switch: the receiver's
-    /// downlink is the contended resource.
-    fn incast_pair_hybrid() -> (Network, NodeId, NodeId, NodeId) {
-        let mut b = NetworkBuilder::new(hybrid_params().with_default_recovery());
-        let h0 = b.host();
-        let h1 = b.host();
-        let dst = b.host();
-        let s = b.switch();
-        for h in [h0, h1, dst] {
-            b.link(h, s, Bandwidth::from_gbps(100), Delta::from_us(2));
-        }
-        (b.build(), h0, h1, dst)
-    }
-
-    #[test]
-    fn fluid_solo_flow_fct_matches_packet_hand_calculation() {
-        // The analytic pipe model (store-and-forward serialization of the
-        // last segment per switch hop + propagation) must land a solo
-        // uncontended flow on exactly the packet engine's FCT.
-        let (mut net, h0, h1) = two_hosts_one_switch_hybrid();
-        net.add_flow(FlowSpec {
-            src: h0,
-            dst: h1,
-            size: 1500,
-            class: 0,
-            start: Time::ZERO,
-            cc: CcKind::Uncontrolled,
-        });
-        let mut sim = net.into_sim();
-        sim.run_until(Time::from_ms(1));
-        let net = sim.into_model();
-        let rec = net.fct_records()[0];
-        assert_eq!(rec.fct(), Delta::from_ns(2 * 120 + 2 * 2_000), "got {}", rec.fct());
-        let stats = net.fidelity_stats().expect("hybrid run must carry fluid stats");
-        assert_eq!(stats.fluid_flows, 1);
-        assert_eq!(stats.fluid_completions, 1);
-        assert_eq!(stats.materializations, 0);
-        assert_eq!(stats.fluid_bytes, 1500);
-        assert_eq!(net.packet_rx_bytes(), 0, "no packets may move for a fluid-only run");
-    }
-
-    #[test]
-    fn fluid_larger_flow_also_matches_packet_fct() {
-        for size in [1_000u64, 150_000, 3_000_000] {
-            let fct_of = |fidelity: FidelityMode| {
-                let mut b = NetworkBuilder::new(
-                    NetParams::tomahawk(Scheme::Dsh).without_ecn().with_fidelity(fidelity),
-                );
-                let h0 = b.host();
-                let h1 = b.host();
-                let s = b.switch();
-                b.link(h0, s, Bandwidth::from_gbps(100), Delta::from_us(2));
-                b.link(h1, s, Bandwidth::from_gbps(100), Delta::from_us(2));
-                let mut net = b.build();
-                net.add_flow(FlowSpec {
-                    src: h0,
-                    dst: h1,
-                    size,
-                    class: 0,
-                    start: Time::ZERO,
-                    cc: CcKind::Uncontrolled,
-                });
-                let mut sim = net.into_sim();
-                sim.run_until(Time::from_ms(10));
-                sim.into_model().fct_records()[0].fct()
-            };
-            let packet = fct_of(FidelityMode::Packet);
-            let fluid = fct_of(FidelityMode::hybrid_default());
-            assert_eq!(packet, fluid, "size {size}: packet {packet} vs fluid {fluid}");
-        }
-    }
-
-    #[test]
-    fn hybrid_threshold_zero_is_packet_identical() {
-        // util_threshold = 0 blocks every fluid admission at flow start, so
-        // the hybrid engine must reproduce the packet engine exactly.
-        let run = |fidelity: FidelityMode| {
-            let mut b =
-                NetworkBuilder::new(NetParams::tomahawk(Scheme::Dsh).with_fidelity(fidelity));
-            let h0 = b.host();
-            let h1 = b.host();
-            let s = b.switch();
-            b.link(h0, s, Bandwidth::from_gbps(100), Delta::from_us(2));
-            b.link(h1, s, Bandwidth::from_gbps(100), Delta::from_us(2));
-            let mut net = b.build();
-            for (i, size) in [40_000u64, 900_000, 2_500].into_iter().enumerate() {
-                net.add_flow(FlowSpec {
-                    src: if i % 2 == 0 { h0 } else { h1 },
-                    dst: if i % 2 == 0 { h1 } else { h0 },
-                    size,
-                    class: (i % 2) as u8,
-                    start: Time::from_us(i as u64 * 3),
-                    cc: CcKind::Dcqcn,
-                });
-            }
-            let mut sim = net.into_sim();
-            sim.run_until(Time::from_ms(5));
-            let net = sim.into_model();
-            net.fct_records().iter().map(|r| (r.flow, r.finish)).collect::<Vec<_>>()
-        };
-        let packet = run(FidelityMode::Packet);
-        let zero = run(FidelityMode::Hybrid { util_threshold: 0.0, quiesce: Delta::from_us(100) });
-        assert_eq!(packet.len(), 3);
-        assert_eq!(packet, zero, "threshold-0 hybrid must be packet-identical");
-    }
-
-    #[test]
-    fn escalation_hands_off_mid_flight_and_conserves_bytes() {
-        // Flow 0 cruises fluid; flow 1 starts 20 µs later and over-offers
-        // the shared downlink, forcing an escalation that materializes
-        // flow 0 mid-flight. Every payload byte must be delivered exactly
-        // once, split between analytic credits and real packets.
-        let (mut net, h0, h1, dst) = incast_pair_hybrid();
-        let sizes = [2_000_000u64, 2_000_000];
-        net.add_flow(FlowSpec {
-            src: h0,
-            dst,
-            size: sizes[0],
-            class: 0,
-            start: Time::ZERO,
-            cc: CcKind::Uncontrolled,
-        });
-        net.add_flow(FlowSpec {
-            src: h1,
-            dst,
-            size: sizes[1],
-            class: 0,
-            start: Time::from_us(20),
-            cc: CcKind::Uncontrolled,
-        });
-        let mut sim = net.into_sim();
-        sim.run_until(Time::from_ms(20));
-        let net = sim.into_model();
-        assert_eq!(net.fct_records().len(), 2, "both flows must complete");
-        let stats = net.fidelity_stats().unwrap();
-        assert_eq!(stats.fluid_flows, 1, "flow 0 admitted, flow 1 blocked at start");
-        assert_eq!(stats.materializations, 1, "flow 0 must hand off mid-flight");
-        assert!(stats.escalations > 0);
-        assert!(
-            stats.fluid_bytes > 0 && stats.fluid_bytes < sizes[0],
-            "handoff must split flow 0: {} fluid bytes",
-            stats.fluid_bytes
-        );
-        // Byte conservation across the handoff.
-        assert_eq!(
-            stats.fluid_bytes + net.packet_rx_bytes(),
-            sizes.iter().sum::<u64>(),
-            "fluid credits + packet deliveries must cover the offered bytes exactly"
-        );
-        assert_eq!(net.data_drops(), 0);
-    }
-
-    #[test]
-    fn fault_on_fluid_link_escalates_before_link_down() {
-        // A flap on the path of a fluid flow must drag it to the packet
-        // engine (where loss recovery exists) rather than letting analytic
-        // credits sail through a dead link.
-        let (mut net, h0, h1, dst) = incast_pair_hybrid();
-        let s = NodeId(3);
-        net.add_flow(FlowSpec {
-            src: h0,
-            dst,
-            size: 3_000_000,
-            class: 0,
-            start: Time::ZERO,
-            cc: CcKind::Uncontrolled,
-        });
-        let _ = h1;
-        net.set_fault_plan(crate::fault::FaultPlan::new(11).flap(
-            s,
-            dst,
-            Time::from_us(10),
-            Time::from_us(60),
-        ));
-        let mut sim = net.into_sim();
-        sim.run_until(Time::from_ms(50));
-        let net = sim.into_model();
-        let stats = net.fidelity_stats().unwrap();
-        assert_eq!(stats.materializations, 1, "flap must force a mid-flight handoff");
-        assert!(stats.escalations >= 2, "both directions of the flapped link escalate");
-        assert_eq!(net.fct_records().len(), 1, "flow must survive the flap via recovery");
-        assert!(!net.flow_failed(FlowId(0)));
-    }
-
-    #[test]
-    fn quiescent_links_deescalate_back_to_fluid() {
-        let (mut net, h0, h1, dst) = incast_pair_hybrid();
-        // Two same-instant senders: flow 1's admission is blocked, the
-        // downlink escalates, both run as packets and finish quickly.
-        for src in [h0, h1] {
-            net.add_flow(FlowSpec {
-                src,
-                dst,
-                size: 100_000,
-                class: 0,
-                start: Time::ZERO,
-                cc: CcKind::Uncontrolled,
-            });
-        }
-        let mut sim = net.into_sim();
-        // Generous horizon: completion ≈ 20 µs, quiesce 100 µs, sampled
-        // every 10 µs.
-        sim.run_until(Time::from_ms(2));
-        let net = sim.into_model();
-        let stats = net.fidelity_stats().unwrap();
-        assert!(stats.escalations > 0);
-        assert!(
-            stats.deescalations >= stats.escalations,
-            "idle links must return to fluid: {} escalations, {} de-escalations",
-            stats.escalations,
-            stats.deescalations
-        );
-    }
-
-    #[test]
-    fn hybrid_telemetry_reports_fidelity_section() {
-        let (mut net, h0, h1) = two_hosts_one_switch_hybrid();
-        net.add_flow(FlowSpec {
-            src: h0,
-            dst: h1,
-            size: 50_000,
-            class: 0,
-            start: Time::ZERO,
-            cc: CcKind::Uncontrolled,
-        });
-        let mut sim = net.into_sim();
-        sim.run_until(Time::from_ms(1));
-        let end = sim.now();
-        let net = sim.into_model();
-        let report = net.telemetry_report(end);
-        let fid = report.to_json().get("fidelity").cloned().expect("hybrid must report fidelity");
-        assert_eq!(fid.get("mode").and_then(|m| m.as_str()), Some("hybrid"));
-        let flows = fid.get("stats").and_then(|s| s.get("fluid_flows")).and_then(|v| v.as_u64());
-        assert_eq!(flows, Some(1));
-        assert!(report.provenance.get("fidelity").is_some(), "provenance must name the mode");
     }
 }

@@ -36,10 +36,6 @@ pub struct SwitchSample {
 pub struct GlobalSample {
     /// Sample instant.
     pub t: Time,
-    /// Links currently simulated by the fluid solver.
-    pub fluid_links: u64,
-    /// Links currently simulated packet-by-packet.
-    pub packet_links: u64,
     /// Egress ports with any pause (class or port scope) in effect.
     pub paused_ports: u64,
     /// Cumulative NACK frames sent by receivers.
@@ -207,8 +203,6 @@ impl MetricsSampler {
         debug_assert_eq!(self.global.head, other.global.head);
         for (mine, theirs) in self.global.buf.iter_mut().zip(other.global.buf.iter()) {
             debug_assert_eq!(mine.t, theirs.t);
-            mine.fluid_links += theirs.fluid_links;
-            mine.packet_links += theirs.packet_links;
             mine.paused_ports += theirs.paused_ports;
             mine.nacks_sent += theirs.nacks_sent;
             mine.retransmitted_bytes += theirs.retransmitted_bytes;
@@ -241,7 +235,7 @@ impl MetricsSampler {
             .collect();
         let g = &self.global;
         Json::object()
-            .with("version", 1u64)
+            .with("version", 2u64)
             .with("interval_ns", self.interval.as_ns())
             .with("samples", self.samples() as u64)
             .with("dropped_samples", self.dropped_samples())
@@ -250,8 +244,6 @@ impl MetricsSampler {
                 "global",
                 Json::object()
                     .with("t_ns", column(g.iter(), |s| s.t.as_ns()))
-                    .with("fluid_links", column(g.iter(), |s| s.fluid_links))
-                    .with("packet_links", column(g.iter(), |s| s.packet_links))
                     .with("paused_ports", column(g.iter(), |s| s.paused_ports))
                     .with("nacks_sent", column(g.iter(), |s| s.nacks_sent))
                     .with("retransmitted_bytes", column(g.iter(), |s| s.retransmitted_bytes))
@@ -286,10 +278,6 @@ impl MetricsSampler {
             }
         }
         if let Some(s) = self.global.last() {
-            out.push_str("# TYPE dsh_fluid_links gauge\n");
-            let _ = writeln!(out, "dsh_fluid_links {}", s.fluid_links);
-            out.push_str("# TYPE dsh_packet_links gauge\n");
-            let _ = writeln!(out, "dsh_packet_links {}", s.packet_links);
             out.push_str("# TYPE dsh_paused_ports gauge\n");
             let _ = writeln!(out, "dsh_paused_ports {}", s.paused_ports);
             out.push_str("# TYPE dsh_nacks_sent_total counter\n");
@@ -313,12 +301,10 @@ fn column<'a, T: 'a>(iter: impl Iterator<Item = &'a T>, f: impl Fn(&T) -> u64) -
 mod tests {
     use super::*;
 
-    fn gs(t_us: u64, fluid: u64, nacks: u64) -> GlobalSample {
+    fn gs(t_us: u64, paused: u64, nacks: u64) -> GlobalSample {
         GlobalSample {
             t: Time::from_us(t_us),
-            fluid_links: fluid,
-            packet_links: 4,
-            paused_ports: 1,
+            paused_ports: paused,
             nacks_sent: nacks,
             retransmitted_bytes: 0,
             sr_retransmitted_bytes: 0,
@@ -351,9 +337,8 @@ mod tests {
         assert_eq!(a.switches[0].0, NodeId(2));
         assert_eq!(a.switches[1].0, NodeId(9));
         let g: Vec<GlobalSample> = a.global.iter().copied().collect();
-        assert_eq!(g[0].fluid_links, 3);
+        assert_eq!(g[0].paused_ports, 3);
         assert_eq!(g[0].nacks_sent, 12);
-        assert_eq!(g[0].packet_links, 8);
     }
 
     #[test]
@@ -370,16 +355,16 @@ mod tests {
                 paused_ports: 0,
             },
         );
-        m.record_global(gs(10, 0, 0));
+        m.record_global(gs(10, 1, 0));
         let doc = m.to_json();
         let round = Json::parse(&doc.to_string()).unwrap();
-        assert_eq!(round.get("version").and_then(Json::as_u64), Some(1));
+        assert_eq!(round.get("version").and_then(Json::as_u64), Some(2));
         assert_eq!(round.get("samples").and_then(Json::as_u64), Some(1));
         let sw = round.get("switches").and_then(Json::as_arr).unwrap();
         assert_eq!(sw.len(), 1);
         assert_eq!(sw[0].get("shared_bytes").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
         let prom = m.to_prometheus();
         assert!(prom.contains("dsh_switch_shared_bytes{node=\"n4\"} 4096"));
-        assert!(prom.contains("dsh_packet_links 4"));
+        assert!(prom.contains("dsh_paused_ports 1"));
     }
 }

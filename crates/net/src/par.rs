@@ -771,90 +771,6 @@ mod tests {
         assert_eq!(fct_key(&par.into_network()), whole);
     }
 
-    /// Hybrid fidelity composed with partitioning: intra-partition flows
-    /// ride the fluid fast path, cut-crossing flows stay packet (their
-    /// links are pinned), and the result is bit-identical to the serial
-    /// hybrid engine at any worker count — because `prepare()` pins the
-    /// same canonical plan's cut links the split pins.
-    #[test]
-    fn hybrid_parallel_matches_serial_hybrid() {
-        use crate::builder::FidelityMode;
-        fn hybrid_chain() -> Network {
-            let mut b = NetworkBuilder::new(
-                NetParams::tomahawk(Scheme::Dsh)
-                    .without_ecn()
-                    .with_fidelity(FidelityMode::hybrid_default()),
-            );
-            let s0 = b.switch();
-            let s1 = b.switch();
-            let hosts: Vec<_> = (0..4).map(|_| b.host()).collect();
-            let bw = Bandwidth::from_gbps(100);
-            b.link(hosts[0], s0, bw, Delta::from_us(1));
-            b.link(hosts[1], s0, bw, Delta::from_us(1));
-            b.link(hosts[2], s1, bw, Delta::from_us(1));
-            b.link(hosts[3], s1, bw, Delta::from_us(1));
-            b.link(s0, s1, bw, Delta::from_us(2));
-            let mut net = b.build();
-            // Two partition-local flows (fluid) and two cut-crossing flows
-            // (packet: the s0–s1 link is pinned), staggered starts.
-            let pairs = [
-                (hosts[0], hosts[1]),
-                (hosts[2], hosts[3]),
-                (hosts[1], hosts[3]),
-                (hosts[3], hosts[1]),
-            ];
-            for (i, &(src, dst)) in pairs.iter().enumerate() {
-                net.add_flow(FlowSpec {
-                    src,
-                    dst,
-                    size: 150_000 + 30_000 * i as u64,
-                    class: 0,
-                    start: Time::from_us(5 * i as u64),
-                    cc: CcKind::Uncontrolled,
-                });
-            }
-            net
-        }
-        let deadline = Time::from_ms(2);
-        // The serial calendar keeps every link fluid-eligible (no pinned
-        // cuts); the partitioned engine pins the s0–s1 cut. Like the
-        // packet engine under ECN, serial-vs-partitioned is not
-        // byte-identical — worker-count invariance is the contract, so
-        // the exact comparison runs partitioned-vs-partitioned.
-        let serial = {
-            let mut sim = hybrid_chain().into_sim();
-            sim.run_until(deadline);
-            sim.into_model()
-        };
-        assert_eq!(serial.fct_records().len(), 4);
-        let serial_stats = serial.fidelity_stats().expect("hybrid serial run has fluid state");
-        assert!(
-            serial_stats.fluid_flows >= 2,
-            "unpinned serial run must admit at least the two local flows: {serial_stats:?}"
-        );
-
-        let baseline = {
-            let mut par = ParallelSim::new(hybrid_chain(), 1).expect("partitionable");
-            par.run_until(deadline);
-            par.into_network()
-        };
-        assert_eq!(baseline.fct_records().len(), 4);
-        let baseline_stats = baseline.fidelity_stats().expect("merged fluid stats");
-        assert_eq!(baseline_stats.fluid_flows, 2, "the two local flows must go fluid");
-        // Flow 0 completes analytically; flow 1 is materialized when the
-        // first cut-crossing flow's frames reach its egress at s1.
-        assert_eq!(baseline_stats.fluid_completions, 1);
-        assert_eq!(baseline_stats.materializations, 1);
-        for workers in [2, 4] {
-            let mut par = ParallelSim::new(hybrid_chain(), workers).expect("partitionable");
-            par.run_until(deadline);
-            let merged = par.into_network();
-            assert_eq!(fct_key(&merged), fct_key(&baseline), "workers={workers}");
-            let stats = merged.fidelity_stats().expect("merged fluid stats");
-            assert_eq!(stats, baseline_stats, "workers={workers}");
-        }
-    }
-
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {

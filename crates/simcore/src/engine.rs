@@ -45,13 +45,6 @@ impl<E> Scheduler<'_, E> {
         self.queue.push(self.now + after, event);
     }
 
-    /// Schedules `event` to fire at the current instant, after all events
-    /// already queued for this instant.
-    #[inline]
-    pub fn immediately(&mut self, event: E) {
-        self.queue.push(self.now, event);
-    }
-
     /// Takes the calendar's next event if it fires at exactly the current
     /// instant and satisfies `pred` — the fused-dispatch primitive.
     ///
@@ -318,29 +311,6 @@ mod tests {
         // Resuming picks up where we stopped: 1 seed event + 100 chained.
         sim.run();
         assert_eq!(sim.events_processed(), 101);
-    }
-
-    #[test]
-    fn immediately_runs_after_current_instant_events() {
-        struct Imm {
-            log: Vec<u32>,
-        }
-        impl Model for Imm {
-            type Event = u32;
-            fn handle(&mut self, ev: u32, sched: &mut Scheduler<'_, u32>) {
-                self.log.push(ev);
-                if ev == 1 {
-                    sched.immediately(99);
-                }
-            }
-        }
-        let mut sim = Simulation::new(Imm { log: vec![] });
-        sim.schedule(Time::ZERO, 1);
-        sim.schedule(Time::ZERO, 2);
-        sim.run();
-        // 99 was scheduled while handling 1, but 2 was already queued for
-        // t=0 and must run first (FIFO among simultaneous events).
-        assert_eq!(sim.model().log, vec![1, 2, 99]);
     }
 
     #[test]

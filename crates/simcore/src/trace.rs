@@ -74,15 +74,14 @@ impl TraceMask {
     /// Fault injection: link death/repair, frame corruption, drained and
     /// lost frames, released pauses.
     pub const FAULT: TraceMask = TraceMask(1 << 3);
-    /// Hybrid fidelity: fluid-link escalation/de-escalation and fluid
-    /// flow completions.
-    pub const FLUID: TraceMask = TraceMask(1 << 4);
+    // Bit 4 is retired: it named a category that no longer exists and
+    // stays unassigned.
     /// Loss recovery: NACK emission, selective-repeat hole repairs, and
     /// RTO fires (the backoff window renders as a span in the Chrome
     /// export).
     pub const RECOVERY: TraceMask = TraceMask(1 << 5);
     /// Every category.
-    pub const ALL: TraceMask = TraceMask((1 << 6) - 1);
+    pub const ALL: TraceMask = TraceMask(0b10_1111);
 
     /// True when no category is enabled.
     #[must_use]
@@ -125,7 +124,6 @@ impl TraceMask {
                 "flow" => Self::FLOW,
                 "mmu" => Self::MMU,
                 "fault" => Self::FAULT,
-                "fluid" => Self::FLUID,
                 "recovery" => Self::RECOVERY,
                 "all" => Self::ALL,
                 _ => Self::NONE,
@@ -201,19 +199,7 @@ pub enum TraceEvent {
     /// `port` = the failed port, `payload` = ledger entries cleared.
     PauseRelease = 53,
 
-    /// A fluid link escalated to packet mode; `node`/`port` name the
-    /// directed link's egress side, `payload` = the trigger reason code
-    /// (see `dsh_net::fluid::EscalateReason`).
-    FluidEscalate = 64,
-    /// A packet link de-escalated back to fluid mode after its
-    /// quiescence window.
-    FluidDeescalate = 65,
-    /// A flow was admitted to the fluid fast path; `payload` = its size.
-    FluidFlowStart = 66,
-    /// A fluid flow completed analytically; `payload` = its FCT in
-    /// nanoseconds.
-    FluidFlowComplete = 67,
-
+    // Discriminants 64..=79 are retired and stay unassigned.
     /// A receiver emitted a selective-repeat NACK; `payload` = the
     /// receiver's in-order mark (the cumulative-ACK byte the NACK
     /// carries).
@@ -232,7 +218,6 @@ impl TraceEvent {
     #[must_use]
     pub const fn mask(self) -> TraceMask {
         match self as u8 {
-            64..=79 => TraceMask::FLUID,
             80..=95 => TraceMask::RECOVERY,
             1..=15 => TraceMask::PFC,
             16..=31 => TraceMask::MMU,
@@ -270,10 +255,6 @@ impl TraceEvent {
             TraceEvent::LinkDrain => "link_drain",
             TraceEvent::FaultDrop => "fault_drop",
             TraceEvent::PauseRelease => "pause_release",
-            TraceEvent::FluidEscalate => "fluid_escalate",
-            TraceEvent::FluidDeescalate => "fluid_deescalate",
-            TraceEvent::FluidFlowStart => "fluid_flow_start",
-            TraceEvent::FluidFlowComplete => "fluid_flow_complete",
             TraceEvent::RecoveryNack => "recovery_nack",
             TraceEvent::RecoveryRepair => "recovery_repair",
             TraceEvent::RecoveryRto => "recovery_rto",
@@ -309,10 +290,6 @@ impl TraceEvent {
             51 => TraceEvent::LinkDrain,
             52 => TraceEvent::FaultDrop,
             53 => TraceEvent::PauseRelease,
-            64 => TraceEvent::FluidEscalate,
-            65 => TraceEvent::FluidDeescalate,
-            66 => TraceEvent::FluidFlowStart,
-            67 => TraceEvent::FluidFlowComplete,
             80 => TraceEvent::RecoveryNack,
             81 => TraceEvent::RecoveryRepair,
             82 => TraceEvent::RecoveryRto,
@@ -817,7 +794,9 @@ fn span_end(open: &mut std::collections::BTreeMap<(u64, u64), u64>, pid: u64, ti
 ///   markers;
 /// * **pid 4 "occupancy"** — shared / headroom / threshold counters per
 ///   switch;
-/// * **pid 5 "faults"** — link death/repair and corruption instants.
+/// * **pid 5 "faults"** — link death/repair and corruption instants;
+/// * **pid 7 "recovery"** — RTO backoff spans and NACK/repair instants
+///   per flow (only when such records exist).
 ///
 /// `provenance` is embedded under `otherData.provenance`; pass a fixed
 /// value when byte-stable output matters across runs.
@@ -830,7 +809,6 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
     let mut names: BTreeMap<(u64, u64), String> = BTreeMap::new();
     let mut end_ts = 0.0f64;
     let mut dropped_total = 0u64;
-    let mut any_fluid = false;
     let mut any_recovery = false;
 
     let ev = |name: &str, ph: &str, ts: f64, pid: u64, tid: u64| {
@@ -956,21 +934,6 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
                         Json::object().with("node", node).with("payload", rec.payload),
                     ));
                 }
-                TraceEvent::FluidEscalate
-                | TraceEvent::FluidDeescalate
-                | TraceEvent::FluidFlowStart
-                | TraceEvent::FluidFlowComplete => {
-                    any_fluid = true;
-                    events.push(
-                        ev(kind.name(), "i", ts, 6, node).with("s", "t").with(
-                            "args",
-                            Json::object()
-                                .with("node", node)
-                                .with("port", u64::from(rec.port))
-                                .with("payload", rec.payload),
-                        ),
-                    );
-                }
                 TraceEvent::RecoveryRto => {
                     // The RTO fire renders as a complete span covering the
                     // backed-off timeout window it arms, so stacked
@@ -1009,14 +972,10 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
     }
 
     // Name the tracks (metadata events may appear anywhere in the array).
-    // The fluid and recovery tracks appear only when matching records
-    // exist, so exports without them stay byte-identical to older
-    // goldens.
+    // The recovery track appears only when matching records exist, so
+    // exports without them stay byte-identical to older goldens.
     let mut pids: Vec<(u64, &str)> =
         vec![(1, "PFC wire"), (2, "MMU"), (3, "flows"), (4, "occupancy"), (5, "faults")];
-    if any_fluid {
-        pids.push((6, "fluid"));
-    }
     if any_recovery {
         pids.push((7, "recovery"));
     }
@@ -1064,7 +1023,7 @@ mod tests {
             TraceMask::parse("15"),
             TraceMask::PFC.union(TraceMask::FLOW).union(TraceMask::MMU).union(TraceMask::FAULT)
         );
-        assert_eq!(TraceMask::parse("fluid"), TraceMask::FLUID);
+        assert_eq!(TraceMask::parse("16"), TraceMask::NONE, "bit 4 is retired");
         assert_eq!(TraceMask::parse("recovery"), TraceMask::RECOVERY);
         assert_eq!(TraceMask::parse(""), TraceMask::NONE);
     }

@@ -67,16 +67,6 @@ pub trait Cc: fmt::Debug + Send {
     /// Called when the NIC hands `bytes` of this flow to the wire.
     fn on_sent(&mut self, now: Time, bytes: u64);
 
-    /// Called once when a flow that was being advanced analytically by the
-    /// fluid fast path is handed to the packet engine. `rate` is the
-    /// max-min fair share the fluid solver last assigned the flow — a
-    /// congestion-free estimate the transport may seed its own state from
-    /// so it does not open at line rate onto a link that just escalated.
-    /// Default: no-op (uncontrolled senders always run at line rate).
-    fn on_fluid_handoff(&mut self, now: Time, rate: Bandwidth) {
-        let _ = (now, rate);
-    }
-
     /// Current pacing rate.
     fn rate(&self) -> Bandwidth;
 

@@ -148,16 +148,6 @@ impl Cc for Dcqcn {
         self.on_cnp(now);
     }
 
-    fn on_fluid_handoff(&mut self, _now: Time, rate: Bandwidth) {
-        // Seed both rates from the fluid fair share: the flow was cruising
-        // at `rate` analytically, so resuming there (instead of line rate)
-        // keeps the handoff transparent. Timers stay parked until a CNP.
-        let r = (rate.as_bps() as f64)
-            .clamp(self.cfg.min_rate.as_bps() as f64, self.cfg.link.as_bps() as f64);
-        self.rc = r;
-        self.rt = r;
-    }
-
     fn on_sent(&mut self, _now: Time, bytes: u64) {
         if !self.cut_seen {
             return;

@@ -176,12 +176,6 @@ impl Cc for PowerTcp {
         self.cwnd = (self.cwnd / 2.0).max(self.cfg.min_cwnd as f64);
     }
 
-    fn on_fluid_handoff(&mut self, _now: Time, rate: Bandwidth) {
-        // Window equivalent of the fluid fair share: rate × base RTT.
-        let w = rate.as_bps() as f64 / 8.0 * self.cfg.base_rtt.as_secs_f64();
-        self.cwnd = w.clamp(self.cfg.min_cwnd as f64, self.cfg.max_cwnd as f64);
-    }
-
     fn on_sent(&mut self, _now: Time, _bytes: u64) {}
 
     fn rate(&self) -> Bandwidth {

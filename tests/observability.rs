@@ -79,11 +79,11 @@ fn chain_partitioned_metrics(scheme: Scheme, workers: usize) -> String {
 }
 
 /// Golden digests (SIH, DSH, BShare) of the chain scenario's
-/// `metrics.json`, pinned when instant-closed sampling landed.  Shared by
-/// the thread- and worker-sweep tests below: one number covers every
-/// engine and every parallelism degree.
+/// `metrics.json` (schema version 2).  Shared by the thread- and
+/// worker-sweep tests below: one number covers every engine and every
+/// parallelism degree.
 const CHAIN_METRICS_GOLDENS: [u64; 3] =
-    [1_703_595_893_821_035_905, 11_353_493_432_171_286_276, 5_148_546_422_598_002_649];
+    [5_771_651_002_691_532_224, 4_685_503_019_571_799_165, 17_613_441_913_672_845_992];
 
 #[test]
 fn metrics_json_is_byte_identical_at_1_and_4_threads() {
@@ -182,7 +182,7 @@ proptest! {
 
         let doc = net.metrics_json().expect("observatory armed");
         let round = Json::parse(&doc.to_string()).expect("export must re-parse");
-        prop_assert_eq!(round.get("version").and_then(Json::as_u64), Some(1));
+        prop_assert_eq!(round.get("version").and_then(Json::as_u64), Some(2));
         prop_assert_eq!(
             round.get("interval_ns").and_then(Json::as_u64),
             Some(interval_us * 1_000)
