@@ -1,6 +1,6 @@
 //! Microbenchmarks of the simulation substrate: event-calendar throughput
-//! (scattered, same-instant and mixed pushes, and the pending-set shape of
-//! the figure workloads), end-to-end
+//! (scattered, same-instant and mixed pushes, and the pending-set shape and
+//! clustered arrivals of the figure workloads), end-to-end
 //! events/second on a small incast, allocation-accounted packet-path
 //! probes, and the parallel fig. 14 sweep — run with
 //! `DSH_BENCH_JSON=BENCH_PRn.json` to record a perf-trajectory point.
@@ -180,6 +180,34 @@ fn event_queue_throughput(c: &mut Criterion) {
                     let jitter = (e * 131) % 1_000;
                     let ahead = if handled.is_multiple_of(2) { 80_000 } else { 2_100_000 };
                     q.push(t + Delta::from_ps(ahead + jitter), e + 1);
+                }
+            }
+            sum
+        });
+    });
+    // Fig. 14's clustered arrivals: 40 ports serializing back to back on
+    // one 82 ns quantum (a 1 KB frame at 100 Gb/s), phases spread over the
+    // quantum. Each `TxDone` schedules the port's next `TxDone` 82 ns on
+    // and an `Arrive` 2.08 µs on, over links up to 10 ns apart in length,
+    // so arrivals from different ports land nanoseconds apart and reach
+    // the calendar out of time order.
+    c.bench_function("event_queue_fabric_clustered", |b| {
+        const PORTS: u64 = 40;
+        const QUANTUM_PS: u64 = 82_000;
+        b.iter(|| {
+            let mut q = EventQueue::with_capacity(2_048);
+            for port in 0..PORTS {
+                q.push(Time::from_ps(port * QUANTUM_PS / PORTS), (port, true));
+            }
+            let mut sum = 0u64;
+            let mut handled = 0u64;
+            while let Some((t, (port, tx_done))) = q.pop() {
+                sum = sum.wrapping_add(port);
+                handled += 1;
+                if tx_done && handled < 100_000 {
+                    let skew_ps = (port * 17 % PORTS) * 250;
+                    q.push(t + Delta::from_ps(QUANTUM_PS), (port, true));
+                    q.push(t + Delta::from_ps(2_080_000 + skew_ps), (port, false));
                 }
             }
             sum

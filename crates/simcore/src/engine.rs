@@ -209,9 +209,11 @@ impl<M: Model> Simulation<M> {
             let spent = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             #[cfg(not(feature = "profile"))]
             let spent = 0;
-            // A fused follow-up is attributed to the class that absorbed
-            // it: the profile shows where dispatch time is actually spent.
+            // A fused follow-up's time stays with the class that absorbed
+            // it, where it was spent; its count goes to the profile's
+            // fused total, not to a class row.
             profile.record(class, spent);
+            profile.record_fused(sched.fused);
             n += 1 + sched.fused;
         }
         self.processed += n;
@@ -325,6 +327,14 @@ mod tests {
         assert_eq!(sim.now(), Time::from_ns(30));
     }
 
+    /// Profiler classes of the test models' `u32` events.
+    impl crate::profile::EventClass for u32 {
+        const NAMES: &'static [&'static str] = &["even", "odd"];
+        fn class(&self) -> usize {
+            (self % 2) as usize
+        }
+    }
+
     #[test]
     fn take_next_if_fuses_only_the_adjacent_same_instant_event() {
         struct Fuser {
@@ -340,17 +350,33 @@ mod tests {
                 }
             }
         }
-        let mut sim = Simulation::new(Fuser { log: vec![] });
-        sim.schedule(Time::from_ns(5), 1);
-        sim.schedule(Time::from_ns(5), 2);
-        sim.schedule(Time::from_ns(5), 3);
-        sim.schedule(Time::from_ns(5), 4);
-        sim.schedule(Time::from_ns(9), 6);
+        let seeded = || {
+            let mut sim = Simulation::new(Fuser { log: vec![] });
+            sim.schedule(Time::from_ns(5), 1);
+            sim.schedule(Time::from_ns(5), 2);
+            sim.schedule(Time::from_ns(5), 3);
+            sim.schedule(Time::from_ns(5), 4);
+            sim.schedule(Time::from_ns(9), 6);
+            sim
+        };
+        let mut sim = seeded();
         sim.run();
         // 1 fuses 2, stops at odd 3; 3 fuses 4; 6 is at a later instant
         // and dispatches on its own.
         assert_eq!(sim.model().log, vec![1, 2, 3, 4, 6]);
         assert_eq!(sim.events_processed(), 5, "fused events still count");
+
+        // The profiled loop fuses and counts the same way, and its profile
+        // accounts for every processed event.
+        let mut profiled = seeded();
+        let mut profile = crate::profile::EngineProfile::new::<u32>();
+        profiled.run_until_profiled(Time::MAX, &mut profile);
+        assert_eq!(profiled.model().log, sim.model().log);
+        assert_eq!(profiled.events_processed(), sim.events_processed());
+        assert_eq!(profile.to_json().get("fused").and_then(crate::Json::as_u64), Some(2));
+        let rows: Vec<_> = profile.rows().map(|(name, count, _)| (name, count)).collect();
+        assert_eq!(rows, [("even", 1), ("odd", 2)]);
+        assert_eq!(profile.total_events(), profiled.events_processed());
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! * [`EventQueue`] is a calendar ordered by `(time, insertion sequence)` so
 //!   that simultaneous events run in FIFO order — the whole simulator is
 //!   deterministic for a given seed. It is a bucketed calendar queue: a
-//!   ring of 65.5 ns slots reaching 67 µs ahead, where a fabric's
-//!   serialization and propagation events land, makes push and pop O(1);
-//!   the rare later event waits in a heap until the ring reaches it.
+//!   ring of 4.1 ns slots reaching 67 µs ahead, where a fabric's
+//!   serialization and propagation events land, makes push and pop O(1)
+//!   but for a short walk when a push lands before its slot's latest
+//!   event; the rare later event waits in a heap until the ring reaches
+//!   it.
 //! * [`SimRng`] is a self-contained xoshiro256** generator (seeded via
 //!   SplitMix64) so results do not drift across `rand` versions or
 //!   platforms.

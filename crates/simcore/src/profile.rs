@@ -26,6 +26,10 @@ pub struct EngineProfile {
     names: &'static [&'static str],
     counts: Vec<u64>,
     nanos: Vec<u64>,
+    /// Events a handler took from the calendar itself
+    /// ([`Scheduler::take_next_if`](crate::Scheduler::take_next_if)); their
+    /// time is in the row of the class that absorbed them.
+    fused: u64,
 }
 
 impl EngineProfile {
@@ -36,6 +40,7 @@ impl EngineProfile {
             names: E::NAMES,
             counts: vec![0; E::NAMES.len()],
             nanos: vec![0; E::NAMES.len()],
+            fused: 0,
         }
     }
 
@@ -53,10 +58,18 @@ impl EngineProfile {
         self.nanos[class] += nanos;
     }
 
-    /// Total events dispatched.
+    /// Records `n` events a handler fused into its own dispatch.
+    #[inline]
+    pub(crate) fn record_fused(&mut self, n: u64) {
+        self.fused += n;
+    }
+
+    /// Total events handled: every dispatch plus every fused event, which
+    /// is what [`Simulation::events_processed`](crate::Simulation::events_processed)
+    /// counts.
     #[must_use]
     pub fn total_events(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().sum::<u64>() + self.fused
     }
 
     /// Total stamped wall time in nanoseconds (0 unless the `profile`
@@ -76,8 +89,8 @@ impl EngineProfile {
             .map(|(&name, (&c, &ns))| (name, c, ns))
     }
 
-    /// The profile as a JSON document: total counts plus one row per
-    /// dispatched event class.
+    /// The profile as a JSON document: total counts, the fused count, and
+    /// one row per dispatched event class.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let rows: Vec<Json> = self
@@ -88,6 +101,7 @@ impl EngineProfile {
             .collect();
         Json::object()
             .with("events", self.total_events())
+            .with("fused", self.fused)
             .with("nanos", self.total_nanos())
             .with("timed", Self::timing_enabled())
             .with("per_event", rows)
@@ -119,7 +133,8 @@ mod tests {
         p.record(Toy::A.class(), 10);
         p.record(Toy::A.class(), 5);
         p.record(Toy::B.class(), 1);
-        assert_eq!(p.total_events(), 3);
+        p.record_fused(2);
+        assert_eq!(p.total_events(), 5);
         assert_eq!(p.total_nanos(), 16);
         let rows: Vec<_> = p.rows().collect();
         assert_eq!(rows, vec![("a", 2, 15), ("b", 1, 1)]);
@@ -129,8 +144,10 @@ mod tests {
     fn json_reports_all_dispatched_classes() {
         let mut p = EngineProfile::new::<Toy>();
         p.record(0, 0);
+        p.record_fused(1);
         let doc = p.to_json();
-        assert_eq!(doc.get("events").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("events").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("fused").and_then(Json::as_u64), Some(1));
         assert_eq!(doc.get("per_event").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
     }
 }

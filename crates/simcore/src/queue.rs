@@ -9,26 +9,40 @@
 //! pays O(log n) sifts. The rare event beyond the ring's horizon (a flow
 //! start seeded at set-up, an RTO) waits in a small heap until the ring
 //! reaches it.
+//!
+//! The common cases (a push into an empty slot or behind its latest event,
+//! a pop from the front slot) are inlined into the callers; an
+//! out-of-order push, slab growth and the far heap are out of line.
 
 use crate::time::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Width of one ring slot as a power of two in picoseconds: 2^16 ps is
-/// 65.5 ns, about one 1 KB frame at 100 Gb/s, so a port's back-to-back
-/// serializations fall into neighbouring slots and a slot holds a handful
-/// of events.
-const SLOT_SHIFT: u32 = 16;
+/// Width of one ring slot as a power of two in picoseconds: 2^12 ps is
+/// 4.1 ns, a 512-byte serialization at 100 Gb/s.
+///
+/// The slot width follows the measured occupancy. Fabric arrivals cluster
+/// within a few nanoseconds, so a push often carries an earlier time than
+/// its slot's latest event and walks the slot's list. With 2^16 ps
+/// (65.5 ns) slots, 40% of the ring inserts of the benchmark's fig14 cells
+/// walked, comparing 9.1 nodes each (fig17: 38%, 4.5 nodes; fig18: 6.7%,
+/// 2.9 nodes). At 2^12 ps, 6.3% of fig14's inserts walk, 2.6 nodes each
+/// (fig17: 3.5%, 1.6 nodes; fig18: 0.3%, 2.2 nodes).
+const SLOT_SHIFT: u32 = 12;
 
-/// Slots in the ring. At 65.5 ns a slot the ring looks 67 µs ahead, past
+/// Slots in the ring. At 4.1 ns a slot the ring looks 67 µs ahead, past
 /// every serialization, propagation and PFC delay of the modelled fabrics,
-/// while its index and occupancy bitmap stay about 8 KB.
-const SLOTS: usize = 1024;
+/// while its heads and tails take 128 KB and its occupancy bitmap 2 KB.
+const SLOTS: usize = 1 << 14;
+
+// The horizon stays 2^26 ps (67 µs) whatever the slot width, so the far
+// heap sees the same traffic.
+const _: () = assert!((SLOTS as u64) << SLOT_SHIFT == 1 << 26);
 
 /// Words of the occupancy bitmap, one bit per slot.
 const WORDS: usize = SLOTS / 64;
 
-/// End of a node list; also marks an empty slot and an empty free list.
+/// End of the free list.
 const NIL: u32 = u32::MAX;
 
 /// Absolute slot number of `time` (not wrapped onto the ring).
@@ -75,18 +89,15 @@ impl<E> Ord for Entry<E> {
 /// A pending event in the ring: one node of its slot's list.
 struct Node<E> {
     time: Time,
-    /// Next node of the same slot, or of the free list.
+    /// Next node of the same slot (stale on the slot's tail), or of the
+    /// free list.
     next: u32,
     /// `None` while the node is on the free list.
     event: Option<E>,
 }
 
-/// First and last node of one slot's list (`NIL` head: empty slot).
-#[derive(Clone, Copy)]
-struct Slot {
-    head: u32,
-    tail: u32,
-}
+/// Why a node reached through a slot's list holds an event.
+const LINKED: &str = "a linked node holds an event";
 
 /// A discrete-event calendar.
 ///
@@ -94,15 +105,16 @@ struct Slot {
 /// instant pop in the order they were pushed, which makes whole-simulation
 /// runs reproducible.
 ///
-/// Internally the calendar is a ring of 1,024 slots, each 65.5 ns wide,
+/// Internally the calendar is a ring of 16,384 slots, each 4.1 ns wide,
 /// starting at the slot of the last popped event. Each slot keeps a list
 /// sorted by `(time, push order)`; a new event usually carries its slot's
 /// latest time and is appended at the tail. An occupancy bitmap finds the
-/// next non-empty slot. Events past the ring's 67 µs horizon wait in a
-/// binary heap keyed by `(time, seq)` and move into the ring, still in
-/// order, as pops advance the cursor. The observable pop order is that of
-/// a single heap keyed by `(time, seq)`, which `tests::prop_matches_pure_heap`
-/// checks operation by operation.
+/// next non-empty slot and is the only record of which slots are empty.
+/// Events past the ring's 67 µs horizon wait in a binary heap keyed by
+/// `(time, seq)` and move into the ring, still in order, as pops advance
+/// the cursor. The observable pop order is that of a single heap keyed by
+/// `(time, seq)`, which `tests::prop_matches_pure_heap` checks operation
+/// by operation.
 ///
 /// # Example
 ///
@@ -116,7 +128,9 @@ struct Slot {
 /// assert_eq!(order, ['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<E> {
-    slots: Box<[Slot; SLOTS]>,
+    /// First and last node of each slot's list, as `[head, tail]`; stale
+    /// unless the slot's `occupied` bit is set.
+    slots: Box<[[u32; 2]; SLOTS]>,
     /// One bit per non-empty slot.
     occupied: [u64; WORDS],
     /// Storage of every ring event; freed nodes are reused before the slab
@@ -146,8 +160,15 @@ impl<E> EventQueue<E> {
     /// before it reallocates.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
+        // Built on the heap (a zeroed allocation) rather than staged on
+        // the stack; the zero heads and tails are never read before the
+        // occupancy bitmap marks their slot.
+        let slots = vec![[0; 2]; SLOTS]
+            .into_boxed_slice()
+            .try_into()
+            .expect("a vector of SLOTS slots fits the array");
         EventQueue {
-            slots: Box::new([Slot { head: NIL, tail: NIL }; SLOTS]),
+            slots,
             occupied: [0; WORDS],
             nodes: Vec::with_capacity(capacity),
             free: NIL,
@@ -174,73 +195,98 @@ impl<E> EventQueue<E> {
         if slot_of(time) < slot_of(self.cursor) + SLOTS as u64 {
             self.insert(time, event);
         } else {
-            // A full tier grows to hold the whole calendar, so events moving
-            // between the tiers (an RTO storm while the ring drains) only
-            // reallocate once the calendar outgrows its population at that
-            // tier's last growth.
-            if self.far.len() == self.far.capacity() {
-                self.far.reserve(self.ring_len + 1);
-            }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.far.push(Entry { time, seq, event });
+            self.push_far(time, event);
         }
+    }
+
+    /// Queues `event` in the far heap, past the ring's horizon.
+    #[inline(never)]
+    fn push_far(&mut self, time: Time, event: E) {
+        // A full tier grows to hold the whole calendar, so events moving
+        // between the tiers (an RTO storm while the ring drains) only
+        // reallocate once the calendar outgrows its population at that
+        // tier's last growth.
+        if self.far.len() == self.far.capacity() {
+            self.far.reserve(self.ring_len + 1);
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.far.push(Entry { time, seq, event });
     }
 
     /// Files `event` into its ring slot, behind every event of the slot at
     /// or before `time`.
-    #[inline]
+    #[inline(always)]
     fn insert(&mut self, time: Time, event: E) {
-        let node = Node { time, next: NIL, event: Some(event) };
-        let idx = if self.free == NIL {
-            if self.nodes.len() == self.nodes.capacity() {
-                // Every node is live: make room for the far events too, as
-                // in `push`.
-                self.nodes.reserve(self.far.len() + 1);
-            }
-            let idx = u32::try_from(self.nodes.len())
-                .ok()
-                .filter(|&i| i != NIL)
-                .expect("ring holds fewer than 2^32 - 1 events");
-            self.nodes.push(node);
-            idx
-        } else {
-            let idx = self.free;
-            self.free = self.nodes[idx as usize].next;
-            self.nodes[idx as usize] = node;
-            idx
-        };
+        if self.free == NIL {
+            self.grow();
+        }
+        let idx = self.free;
+        let node = &mut self.nodes[idx as usize];
+        self.free = node.next;
+        node.time = time;
+        node.event = Some(event);
         self.ring_len += 1;
         let pos = ring_pos(time);
-        let slot = &mut self.slots[pos];
-        if slot.head == NIL {
-            *slot = Slot { head: idx, tail: idx };
-            self.occupied[pos / 64] |= 1 << (pos % 64);
-        } else if self.nodes[slot.tail as usize].time <= time {
-            self.nodes[slot.tail as usize].next = idx;
-            slot.tail = idx;
-        } else if self.nodes[slot.head as usize].time > time {
-            self.nodes[idx as usize].next = slot.head;
-            slot.head = idx;
-        } else {
-            // Walk to the last node at or before `time`; the tail is later,
-            // so the walk stops before the end of the list.
-            let mut prev = slot.head as usize;
-            loop {
-                let next = self.nodes[prev].next as usize;
-                if self.nodes[next].time > time {
-                    break;
-                }
-                prev = next;
-            }
-            self.nodes[idx as usize].next = self.nodes[prev].next;
-            self.nodes[prev].next = idx;
+        let word = &mut self.occupied[pos / 64];
+        let bit = 1 << (pos % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.slots[pos] = [idx, idx];
+            return;
         }
+        let tail = &mut self.slots[pos][1];
+        let last = &mut self.nodes[*tail as usize];
+        if last.time <= time {
+            last.next = idx;
+            *tail = idx;
+        } else {
+            self.link_out_of_order(pos, idx, time);
+        }
+    }
+
+    /// Adds one node to the empty free list.
+    #[inline(never)]
+    fn grow(&mut self) {
+        if self.nodes.len() == self.nodes.capacity() {
+            // Every node is live: make room for the far events too, as in
+            // `push_far`.
+            self.nodes.reserve(self.far.len() + 1);
+        }
+        self.free = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("ring holds fewer than 2^32 - 1 events");
+        self.nodes.push(Node { time: Time::ZERO, next: NIL, event: None });
+    }
+
+    /// Links node `idx` into the occupied slot at `pos`, whose latest event
+    /// is later than `time`.
+    #[inline(never)]
+    fn link_out_of_order(&mut self, pos: usize, idx: u32, time: Time) {
+        let head = &mut self.slots[pos][0];
+        if self.nodes[*head as usize].time > time {
+            self.nodes[idx as usize].next = *head;
+            *head = idx;
+            return;
+        }
+        // Walk to the last node at or before `time`; the tail is later, so
+        // the walk stops before the end of the list.
+        let mut prev = *head as usize;
+        loop {
+            let next = self.nodes[prev].next as usize;
+            if self.nodes[next].time > time {
+                break;
+            }
+            prev = next;
+        }
+        self.nodes[idx as usize].next = self.nodes[prev].next;
+        self.nodes[prev].next = idx;
     }
 
     /// Ring position of the earliest ring event, or `None` if the ring is
     /// empty (the far heap may still hold events).
-    #[inline]
+    #[inline(always)]
     fn front_pos(&self) -> Option<usize> {
         if self.ring_len == 0 {
             return None;
@@ -251,8 +297,14 @@ impl<E> EventQueue<E> {
         if bits != 0 {
             return Some(word * 64 + bits.trailing_zeros() as usize);
         }
-        // The later words, wrapping round to the cursor's own word, whose
-        // bits from `start` on are known to be clear.
+        self.scan_from(word)
+    }
+
+    /// Ring position of the first occupied slot in the words after `word`,
+    /// wrapping round to `word` itself, whose bits from the cursor on are
+    /// known to be clear.
+    #[inline(never)]
+    fn scan_from(&self, word: usize) -> Option<usize> {
         (1..=WORDS).map(|i| (word + i) % WORDS).find_map(|w| {
             let bits = self.occupied[w];
             (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
@@ -261,48 +313,58 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event if `take` accepts its time
     /// and payload; leaves the calendar and its cursor untouched otherwise.
-    #[inline]
+    #[inline(always)]
     fn pop_where(&mut self, take: impl FnOnce(Time, &E) -> bool) -> Option<(Time, E)> {
-        let (time, event) = if let Some(pos) = self.front_pos() {
-            let head = &self.nodes[self.slots[pos].head as usize];
-            if !take(head.time, head.event.as_ref()?) {
-                return None;
-            }
-            self.unlink_head(pos)
-        } else {
-            let top = self.far.peek()?;
-            if !take(top.time, &top.event) {
-                return None;
-            }
-            let e = self.far.pop()?;
-            (e.time, e.event)
+        let Some(pos) = self.front_pos() else {
+            return self.pop_far_where(take);
         };
+        let [head, tail] = self.slots[pos];
+        let node = &mut self.nodes[head as usize];
+        let time = node.time;
+        if !take(time, node.event.as_ref().expect(LINKED)) {
+            return None;
+        }
+        let event = node.event.take().expect(LINKED);
+        if head == tail {
+            self.occupied[pos / 64] &= !(1 << (pos % 64));
+        } else {
+            self.slots[pos][0] = node.next;
+        }
+        node.next = self.free;
+        self.free = head;
+        self.ring_len -= 1;
         self.advance(time);
         Some((time, event))
     }
 
-    /// Unlinks the first node of the slot at `pos` and frees it.
-    #[inline]
-    fn unlink_head(&mut self, pos: usize) -> (Time, E) {
-        let slot = &mut self.slots[pos];
-        let idx = slot.head;
-        let node = &mut self.nodes[idx as usize];
-        slot.head = node.next;
-        if slot.head == NIL {
-            self.occupied[pos / 64] &= !(1 << (pos % 64));
+    /// [`EventQueue::pop_where`] with the ring empty: the front, if any, is
+    /// the far heap's top.
+    #[inline(never)]
+    fn pop_far_where(&mut self, take: impl FnOnce(Time, &E) -> bool) -> Option<(Time, E)> {
+        let top = self.far.peek()?;
+        if !take(top.time, &top.event) {
+            return None;
         }
-        node.next = self.free;
-        self.free = idx;
-        self.ring_len -= 1;
-        (node.time, node.event.take().expect("a linked node holds an event"))
+        let Entry { time, event, .. } = self.far.pop()?;
+        self.advance(time);
+        Some((time, event))
     }
 
     /// Moves the cursor to `time`, the instant just popped, and brings the
     /// far events the horizon now reaches into the ring.
-    #[inline]
+    #[inline(always)]
     fn advance(&mut self, time: Time) {
         self.cursor = time;
-        let horizon = slot_of(time) + SLOTS as u64;
+        if self.far.peek().is_some_and(|top| slot_of(top.time) < slot_of(time) + SLOTS as u64) {
+            self.migrate();
+        }
+    }
+
+    /// Moves every far event inside the cursor's horizon into the ring.
+    #[cold]
+    #[inline(never)]
+    fn migrate(&mut self) {
+        let horizon = slot_of(self.cursor) + SLOTS as u64;
         // The slots entering the ring were behind the popped event, so they
         // are empty and the in-order far events are appended at their tails.
         while self.far.peek().is_some_and(|top| slot_of(top.time) < horizon) {
@@ -323,7 +385,7 @@ impl<E> EventQueue<E> {
     ///
     /// This is the run-loop primitive: one call replaces the
     /// `peek_time` + `pop` pair.
-    #[inline]
+    #[inline(always)]
     pub fn pop_before(&mut self, deadline: Time) -> Option<(Time, E)> {
         self.pop_where(|t, _| t <= deadline)
     }
@@ -336,7 +398,7 @@ impl<E> EventQueue<E> {
     /// events with `pop_strictly_before(stop)` and leaves everything at
     /// `stop` itself for the next window (after cross-partition inboxes
     /// for that instant have been merged).
-    #[inline]
+    #[inline(always)]
     pub fn pop_strictly_before(&mut self, bound: Time) -> Option<(Time, E)> {
         self.pop_where(|t, _| t < bound)
     }
@@ -359,7 +421,7 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn peek_time(&self) -> Option<Time> {
         match self.front_pos() {
-            Some(pos) => Some(self.nodes[self.slots[pos].head as usize].time),
+            Some(pos) => Some(self.nodes[self.slots[pos][0] as usize].time),
             None => self.far.peek().map(|e| e.time),
         }
     }
@@ -510,7 +572,7 @@ mod tests {
 
     #[test]
     fn out_of_order_pushes_into_one_slot_pop_sorted() {
-        // All within one 65.5 ns slot: later times first, then earlier
+        // All within one 4.1 ns slot: later times first, then earlier
         // ones and ties, so inserts land at the head, middle and tail.
         let mut q = EventQueue::new();
         for (ps, id) in [(900, 0), (500, 1), (100, 2), (500, 3), (900, 4), (700, 5), (50, 6)] {
@@ -606,6 +668,34 @@ mod tests {
     }
 
     #[test]
+    fn slot_reused_after_a_lap_holds_no_stale_list() {
+        let lap = Delta::from_ps((SLOTS as u64) << SLOT_SHIFT);
+        let t0 = Time::from_ps(5 << SLOT_SHIFT);
+        let pos = ring_pos(t0);
+        let mut q = EventQueue::new();
+        // Fill one slot with a three-event list and pop it empty.
+        for i in 0..3 {
+            q.push(t0 + Delta::from_ps(i), i);
+        }
+        assert_eq!(drain(&mut q).len(), 3);
+        // Step the cursor half a lap on, so one lap after t0 is in the ring.
+        q.push(t0 + lap / 2, 99);
+        assert_eq!(q.pop(), Some((t0 + lap / 2, 99)));
+        // The same ring position takes a fresh list: a first event, an
+        // earlier one at the head and a later one at the tail.
+        q.push(t0 + lap + Delta::from_ps(1), 10);
+        q.push(t0 + lap, 11);
+        q.push(t0 + lap + Delta::from_ps(2), 12);
+        let [head, tail] = q.slots[pos];
+        assert_eq!(q.nodes[head as usize].event, Some(11));
+        assert_eq!(q.nodes[tail as usize].event, Some(12));
+        let ids: Vec<_> = drain(&mut q).into_iter().map(|(_, id)| id).collect();
+        assert_eq!(ids, [11, 10, 12]);
+        assert_eq!(q.occupied, [0; WORDS], "an emptied slot keeps its bit");
+        assert_eq!(q.nodes.len(), 3, "freed nodes are reused");
+    }
+
+    #[test]
     fn pop_before_respects_deadline() {
         let mut q = EventQueue::new();
         q.push(Time::from_ns(10), 1);
@@ -675,86 +765,122 @@ mod tests {
         }
     }
 
+    /// The calendar and its oracle side by side, fed one operation stream.
+    struct Pair {
+        q: EventQueue<u32>,
+        oracle: PureHeap<u32>,
+        now: Time,
+        next_id: u32,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            Pair { q: EventQueue::new(), oracle: PureHeap::new(), now: Time::ZERO, next_id: 0 }
+        }
+
+        /// `ps` picoseconds after now; once the clock reaches the
+        /// end-of-time events, pushes saturate there instead of overflowing.
+        fn ahead(&self, ps: u64) -> Time {
+            Time::from_ps(self.now.as_ps().saturating_add(ps))
+        }
+
+        fn push(&mut self, at: Time) {
+            self.q.push(at, self.next_id);
+            self.oracle.push(at, self.next_id);
+            self.next_id += 1;
+        }
+
+        /// Pops through primitive `kind` (6-10, accepting or refusing as
+        /// `delta` decides) from both and checks they agree.
+        fn pop(&mut self, kind: u8, delta: u64) {
+            let now = self.now;
+            let bound = self.ahead(delta * 200_000);
+            let (a, b) = match kind {
+                6 | 7 => (self.q.pop(), self.oracle.pop()),
+                8 => (self.q.pop_before(bound), self.oracle.pop_where(|t, _| t <= bound)),
+                9 => (self.q.pop_strictly_before(bound), self.oracle.pop_where(|t, _| t < bound)),
+                _ => {
+                    let accept = |&e: &u32| u64::from(e) % 2 == delta % 2;
+                    (
+                        self.q.pop_current_if(now, accept).map(|e| (now, e)),
+                        self.oracle.pop_where(|t, e| t == now && accept(e)),
+                    )
+                }
+            };
+            assert_eq!(a, b);
+            match a {
+                Some((t, _)) => self.now = t,
+                // A refused pop must leave room to push anywhere from now
+                // up to the front.
+                None => {
+                    if let Some(front) = self.oracle.peek_time() {
+                        self.push(now + (front - now) / 2);
+                    }
+                }
+            }
+        }
+
+        fn check(&self) {
+            assert_eq!(self.q.len(), self.oracle.heap.len());
+            assert_eq!(self.q.peek_time(), self.oracle.peek_time());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Event-trace equivalence against the pure-heap oracle: an
         /// arbitrary interleaving of pushes (at now, within a slot, within
         /// the ring, past its 67 µs horizon, in the slots either side of
-        /// the horizon, and at the end of time) and of every pop
-        /// primitive, accepting and refusing, produces the exact same
-        /// trace from both implementations.
+        /// the horizon, at the end of time, and in dense bursts) and of
+        /// every pop primitive, accepting and refusing, produces the exact
+        /// same trace from both implementations.
         #[test]
         fn prop_matches_pure_heap(
-            ops in proptest::collection::vec((0u8..11, 0u64..50), 1..400)
+            ops in proptest::collection::vec((0u8..12, 0u64..50), 1..400)
         ) {
-            let mut q = EventQueue::new();
-            let mut oracle = PureHeap::new();
-            let mut now = Time::ZERO;
-            let mut next_id = 0u32;
+            let mut p = Pair::new();
             for (kind, delta) in ops {
-                // Once the clock reaches the end-of-time events, pushes
-                // saturate there instead of overflowing.
-                let ahead = |ps: u64| Time::from_ps(now.as_ps().saturating_add(ps));
-                // kinds 0-5 push, 6-10 pop.
-                let push_at = match kind {
-                    0 => Some(now),
-                    1 => Some(ahead(delta * 1_000)),
-                    2 => Some(ahead(delta * 100_000)),
-                    3 => Some(ahead(delta * 3_000_000)),
+                let now = p.now;
+                // kinds 0-5 push, 6-10 pop, 11 pushes a burst.
+                match kind {
+                    0 => p.push(now),
+                    1 => p.push(p.ahead(delta * 1_000)),
+                    2 => p.push(p.ahead(delta * 100_000)),
+                    3 => p.push(p.ahead(delta * 3_000_000)),
                     4 => {
                         // The last ring slot, the first past the horizon,
                         // or the one after, at an offset within the slot.
                         let slot = (now.as_ps() >> SLOT_SHIFT) + SLOTS as u64 - 1 + delta % 3;
                         let ps = slot.saturating_mul(1 << SLOT_SHIFT).saturating_add(delta * 1_311);
-                        Some(Time::from_ps(ps).max(now))
+                        p.push(Time::from_ps(ps).max(now));
                     }
-                    5 => Some(Time::from_ps(u64::MAX - delta).max(now)),
-                    _ => None,
-                };
-                if let Some(at) = push_at {
-                    q.push(at, next_id);
-                    oracle.push(at, next_id);
-                    next_id += 1;
-                } else {
-                    let bound = ahead(delta * 200_000);
-                    let (a, b) = match kind {
-                        6 | 7 => (q.pop(), oracle.pop()),
-                        8 => (q.pop_before(bound), oracle.pop_where(|t, _| t <= bound)),
-                        9 => (
-                            q.pop_strictly_before(bound),
-                            oracle.pop_where(|t, _| t < bound),
-                        ),
-                        _ => {
-                            let accept = |&e: &u32| u64::from(e) % 2 == delta % 2;
-                            (
-                                q.pop_current_if(now, accept).map(|e| (now, e)),
-                                oracle.pop_where(|t, e| t == now && accept(e)),
-                            )
-                        }
-                    };
-                    prop_assert_eq!(&a, &b);
-                    match a {
-                        Some((t, _)) => now = t,
-                        // A refused pop must leave room to push anywhere
-                        // from now up to the front.
-                        None => {
-                            if let Some(front) = oracle.peek_time() {
-                                let at = now + (front - now) / 2;
-                                q.push(at, next_id);
-                                oracle.push(at, next_id);
-                                next_id += 1;
+                    5 => p.push(Time::from_ps(u64::MAX - delta).max(now)),
+                    6..=10 => p.pop(kind, delta),
+                    _ => {
+                        // A dense burst, the shape of a fabric's clustered
+                        // arrivals: 50-491 pushes inside the 65.5 ns window
+                        // (sixteen ring slots) holding now or the next one,
+                        // latest first in groups of one to four ties, with
+                        // every pop primitive in turn after each 37 pushes.
+                        let n = 50 + delta * 9;
+                        let ties = 1 + delta % 4;
+                        let window = ((now.as_ps() >> 16) + delta % 2) << 16;
+                        for i in 0..n {
+                            let offset = (n - 1 - i) / ties * ties * 65_535 / n;
+                            p.push(Time::from_ps(window.saturating_add(offset)).max(p.now));
+                            if i % 37 == 36 {
+                                p.pop(6 + (i / 37 % 5) as u8, delta);
                             }
                         }
                     }
                 }
-                prop_assert_eq!(q.len(), oracle.heap.len());
-                prop_assert_eq!(q.peek_time(), oracle.peek_time());
+                p.check();
             }
             // Drain both: the tails must match too.
             loop {
-                let a = q.pop();
-                let b = oracle.pop();
+                let a = p.q.pop();
+                let b = p.oracle.pop();
                 prop_assert_eq!(&a, &b);
                 if a.is_none() {
                     break;
