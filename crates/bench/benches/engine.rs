@@ -14,8 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dsh_bench::fabric::{FctExperiment, Topo};
 use dsh_bench::fig14;
 use dsh_core::Scheme;
-use dsh_net::topology::fat_tree;
-use dsh_net::{FlowSpec, NetParams, Network, NetworkBuilder, ParallelSim};
+use dsh_net::{FlowSpec, NetParams, Network, NetworkBuilder};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, EventQueue, Executor, Simulation, Time};
 use dsh_transport::{CcKind, RecoveryConfig};
 
@@ -478,193 +477,11 @@ fn packet_path(c: &mut Criterion) {
     sr_path_probe("packet_path/lossy_sr_incast_8_to_1", lossy_sr_incast_sim(4 * 1024 * 1024));
 }
 
-/// A k-ary fat-tree under steady cross-pod load: every flow leaves its pod
-/// (host → edge → agg → core → agg → edge → host), so traffic crosses the
-/// partition cuts continuously. ECN off and uncontrolled long flows keep
-/// the fixture deterministic and busy through the whole window.
-fn fat_tree_net(k: usize, flows_per_pod: usize) -> Network {
-    let ft = fat_tree(
-        NetParams::tomahawk(Scheme::Dsh).without_ecn(),
-        k,
-        Bandwidth::from_gbps(100),
-        Delta::from_us(2),
-    );
-    let mut net = ft.builder.build();
-    for pod in 0..k {
-        for i in 0..flows_per_pod {
-            net.add_flow(FlowSpec {
-                src: ft.hosts[pod][i],
-                dst: ft.hosts[(pod + k / 2) % k][i],
-                size: 64 * 1024 * 1024,
-                class: 0,
-                start: Time::from_ns(137 * (pod * flows_per_pod + i) as u64),
-                cc: CcKind::Uncontrolled,
-            });
-        }
-    }
-    net
-}
-
-/// Fat-tree scale probe for the intra-run partitioned engine: the k=16
-/// evaluation fabric (1024 hosts, 320 switches) run at 1, 2, and 4
-/// workers. The window's event count is bit-identical across worker
-/// counts (asserted), so the events/second ratio is a pure wall-clock
-/// speedup. Shared CI runners are too noisy (and often single-core) for a
-/// hard gate, so the >1.3× contract at 4 workers is advisory unless
-/// `DSH_BENCH_STRICT=1`; `DSH_SMOKE=1` shrinks the load and window for
-/// CI.
-fn parallel_scale(_c: &mut Criterion) {
-    let smoke = std::env::var("DSH_SMOKE").is_ok();
-    let k = 16;
-    let flows_per_pod = if smoke { 2 } else { 4 };
-    let warmup_end = Time::from_us(if smoke { 20 } else { 50 });
-    let window_end = Time::from_us(if smoke { 60 } else { 250 });
-    let mut eps = Vec::new();
-    let mut window_events = None;
-    for workers in [1usize, 2, 4] {
-        let mut par = ParallelSim::new(fat_tree_net(k, flows_per_pod), workers)
-            .expect("a fat-tree with real wire delays must partition");
-        assert!(par.plan().parts() > 1, "the scale probe needs real partitions");
-        let (events, packets, wall) = par.session(|run| {
-            run.run_until(warmup_end);
-            let events0 = run.events_processed();
-            let packets0 = run.packets_delivered();
-            let wall = std::time::Instant::now();
-            run.run_until(window_end);
-            let wall = wall.elapsed();
-            (run.events_processed() - events0, run.packets_delivered() - packets0, wall)
-        });
-        assert!(packets > 0, "scale window saw no deliveries");
-        match window_events {
-            None => window_events = Some(events),
-            Some(e) => assert_eq!(e, events, "event count drifted at {workers} workers"),
-        }
-        let rate = events as f64 / wall.as_secs_f64();
-        criterion::record_metric(
-            &format!("parallel_scale/fat_tree_k{k}/workers_{workers}/events_per_sec"),
-            rate,
-        );
-        eps.push(rate);
-    }
-    let speedup = eps[2] / eps[0];
-    criterion::record_metric(&format!("parallel_scale/fat_tree_k{k}/speedup_4w"), speedup);
-    if std::env::var("DSH_BENCH_STRICT").as_deref() == Ok("1") {
-        assert!(
-            speedup > 1.3,
-            "partitioned engine managed only {speedup:.2}x at 4 workers (contract: >1.3x)"
-        );
-    }
-}
-
-/// A 4-switch chain with long cross-cut uncontrolled flows (ECN off): the
-/// partitioned counterpart of the packet-path fixtures. Every flow's path
-/// crosses at least one partition cut, so the steady state continuously
-/// exercises the outbox → merge → remote-calendar machinery.
-fn partitioned_chain() -> ParallelSim {
-    let mut bld = NetworkBuilder::new(NetParams::tomahawk(Scheme::Dsh).without_ecn());
-    let switches: Vec<_> = (0..4).map(|_| bld.switch()).collect();
-    for w in switches.windows(2) {
-        bld.link(w[0], w[1], Bandwidth::from_gbps(100), Delta::from_us(2));
-    }
-    let mut hosts = Vec::new();
-    for &s in &switches {
-        for _ in 0..2 {
-            let h = bld.host();
-            bld.link(h, s, Bandwidth::from_gbps(100), Delta::from_us(1));
-            hosts.push(h);
-        }
-    }
-    let mut net = bld.build();
-    for (i, (src, dst)) in
-        [(0, 6), (6, 0), (1, 7), (7, 1), (2, 4), (4, 2), (3, 5), (5, 3)].into_iter().enumerate()
-    {
-        net.add_flow(FlowSpec {
-            src: hosts[src],
-            dst: hosts[dst],
-            size: 16 * 1024 * 1024,
-            class: 0,
-            start: Time::from_us(i as u64),
-            cc: CcKind::Uncontrolled,
-        });
-    }
-    let par = ParallelSim::new(net, 2).expect("the chain must partition");
-    assert!(par.plan().parts() > 1, "the alloc probe needs a real cut");
-    par
-}
-
-/// Steady-state probe of the partitioned engine: warmup and measurement
-/// both run inside one worker session (thread spawn sits outside the
-/// measured window), so with the counting allocator the window must be
-/// allocation-free once per-partition pools, outboxes, and calendars
-/// reach steady capacity — the serial zero-allocation contract carries
-/// over to the parallel engine.
-fn parallel_packet_path_probe(label: &str, mut par: ParallelSim) {
-    // Warmup runs past the point where PFC-paused egress queues reach
-    // their peak depth (deeper than the serial fixtures': cross-partition
-    // traffic is window-batched), so queue capacity growth is done before
-    // the measured window opens.
-    let warmup_end = Time::from_us(250);
-    let window_end = Time::from_us(550);
-    if std::env::var("DSH_ALLOC_TRACE").is_ok() {
-        par.session(|run| {
-            run.run_until(warmup_end);
-            #[cfg(feature = "alloc-count")]
-            alloc_count::TRAP.store(true, std::sync::atomic::Ordering::Relaxed);
-            run.run_until(window_end);
-            #[cfg(feature = "alloc-count")]
-            alloc_count::TRAP.store(false, std::sync::atomic::Ordering::Relaxed);
-        });
-        println!("{label} traced");
-        return;
-    }
-    let (allocs0, allocs1, events, packets, wall) = par.session(|run| {
-        run.run_until(warmup_end);
-        let allocs0 = allocations();
-        let events0 = run.events_processed();
-        let packets0 = run.packets_delivered();
-        let wall = std::time::Instant::now();
-        run.run_until(window_end);
-        let wall = wall.elapsed();
-        let allocs1 = allocations(); // Read before anything below allocates.
-        (
-            allocs0,
-            allocs1,
-            run.events_processed() - events0,
-            run.packets_delivered() - packets0,
-            wall,
-        )
-    });
-    assert!(packets > 0, "{label}: measurement window saw no deliveries");
-    criterion::record_metric(
-        &format!("{label}/events_per_sec"),
-        events as f64 / wall.as_secs_f64(),
-    );
-    criterion::record_metric(&format!("{label}/packets"), packets as f64);
-    if let (Some(a0), Some(a1)) = (allocs0, allocs1) {
-        let allocs = a1 - a0;
-        let per_packet = allocs as f64 / packets as f64;
-        criterion::record_metric(&format!("{label}/allocs_per_packet"), per_packet);
-        assert_eq!(
-            allocs, 0,
-            "{label}: {allocs} heap allocations in the steady-state window \
-             ({per_packet:.4}/packet) — the partitioned packet hot path must not allocate"
-        );
-    }
-}
-
-/// Partitioned-engine probes: the k=16 fat-tree scale sweep plus the
-/// allocation-accounted cross-partition packet path.
-fn parallel_engine(c: &mut Criterion) {
-    parallel_packet_path_probe("parallel_packet_path/chain_4sw_2workers", partitioned_chain());
-    parallel_scale(c);
-}
-
 criterion_group!(
     benches,
     event_queue_throughput,
     end_to_end_incast,
     packet_path,
-    fig14_sweep_parallel,
-    parallel_engine
+    fig14_sweep_parallel
 );
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig05_fct_vs_buffer \
-//!     [--full] [--json] [--seed N] [--threads N] [--workers N]
+//!     [--full] [--json] [--seed N] [--threads N]
 //! ```
 
 use dsh_bench::fabric::{FctExperiment, Topo};
@@ -21,7 +21,6 @@ fn run(args: &dsh_bench::Args) {
     let (full, seed) = (args.full, args.seed);
     let mut base = FctExperiment::small(Scheme::Sih, CcKind::PowerTcp);
     base.seed = seed;
-    base.workers = args.sim_workers();
     if full {
         base.topo = Topo::PAPER_LEAF_SPINE;
         base.horizon = Delta::from_ms(10);

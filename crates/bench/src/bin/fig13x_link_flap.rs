@@ -2,7 +2,7 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig13x_link_flap \
-//!     [--full] [--smoke] [--json] [--seed N] [--threads N] [--workers N] [--trace out.json]
+//!     [--full] [--smoke] [--json] [--seed N] [--threads N] [--trace out.json]
 //! ```
 //!
 //! `--smoke` runs one CI-sized flapped run per scheme (SIH/DSH/BShare)
@@ -60,7 +60,6 @@ fn run(args: &dsh_bench::Args) {
     if args.smoke {
         let mut base = fig13x::smoke_base(Scheme::Sih);
         base.seed = args.seed;
-        base.workers = args.sim_workers();
         // A 3 MiB buffer (vs the 16 MiB Tomahawk default) leaves just
         // ~0.6 MiB shared after private + headroom reservations, so the
         // rerouted fan-in crosses the PFC thresholds and the traced
@@ -82,7 +81,6 @@ fn run(args: &dsh_bench::Args) {
 
     let mut base = FlapExperiment::small(Scheme::Sih, CcKind::Dcqcn);
     base.seed = args.seed;
-    base.workers = args.sim_workers();
     if args.full {
         base.hosts_per_leaf = 8;
         base.flow_size = 4_000_000;

@@ -1,7 +1,7 @@
 //! Fig. 14: normalized average FCT vs background load (DCQCN & PowerTCP).
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig14_fct_vs_load [--full] [--seed N] [--threads N] [--workers N]
+//! cargo run --release -p dsh-bench --bin fig14_fct_vs_load [--full] [--seed N] [--threads N]
 //! ```
 
 use dsh_bench::fabric::{FctExperiment, Topo};
@@ -20,7 +20,6 @@ fn run(args: &dsh_bench::Args) {
     let ex = args.executor();
     let mut base = FctExperiment::small(Scheme::Sih, CcKind::Dcqcn);
     base.seed = seed;
-    base.workers = args.sim_workers();
     if full {
         base.topo = Topo::PAPER_LEAF_SPINE;
         base.horizon = Delta::from_ms(10);

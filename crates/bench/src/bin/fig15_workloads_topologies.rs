@@ -2,7 +2,7 @@
 //! (DCQCN).
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig15_workloads_topologies [--full] [--seed N] [--threads N] [--workers N]
+//! cargo run --release -p dsh-bench --bin fig15_workloads_topologies [--full] [--seed N] [--threads N]
 //! ```
 
 use dsh_bench::fabric::{FctExperiment, Topo};
@@ -20,7 +20,6 @@ fn run(args: &dsh_bench::Args) {
     let (full, seed) = (args.full, args.seed);
     let mut base = FctExperiment::small(Scheme::Sih, CcKind::Dcqcn);
     base.seed = seed;
-    base.workers = args.sim_workers();
     let k = if full { 16 } else { 4 };
     if full {
         base.topo = Topo::PAPER_LEAF_SPINE;

@@ -3,7 +3,7 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig16_scheme_params \
-//!     [--full] [--json] [--smoke] [--seed N] [--threads N] [--workers N]
+//!     [--full] [--json] [--smoke] [--seed N] [--threads N]
 //! ```
 
 use dsh_bench::fabric::{FctExperiment, Topo};
@@ -20,7 +20,6 @@ fn main() {
 fn run(args: &dsh_bench::Args) {
     let mut base = FctExperiment::small(Scheme::BShare, CcKind::Dcqcn);
     base.seed = args.seed;
-    base.workers = args.sim_workers();
     if args.full {
         base.topo = Topo::PAPER_LEAF_SPINE;
         base.horizon = Delta::from_ms(10);

@@ -2,7 +2,7 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig17_lossless_vs_lossy \
-//!     [--full] [--smoke] [--json] [--seed N] [--threads N] [--workers N] \
+//!     [--full] [--smoke] [--json] [--seed N] [--threads N] \
 //!     [--regime gbn|sr] [--no-recovery]
 //! ```
 //!
@@ -82,7 +82,6 @@ fn run(args: &dsh_bench::Args) {
     if args.smoke {
         let mut base = fig17::smoke_base(Cell::Sih);
         base.seed = args.seed;
-        base.workers = args.sim_workers();
         base.override_regime = args.regime;
         base.no_recovery = args.no_recovery;
         let points = fig17::sweep(&[base.load], &base, &ex);
@@ -109,7 +108,6 @@ fn run(args: &dsh_bench::Args) {
 
     let mut base = Fig17Experiment::small(Cell::Sih);
     base.seed = args.seed;
-    base.workers = args.sim_workers();
     base.override_regime = args.regime;
     base.no_recovery = args.no_recovery;
     if args.full {

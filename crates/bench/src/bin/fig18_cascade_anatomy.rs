@@ -3,7 +3,7 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig18_cascade_anatomy \
-//!     [--full] [--smoke] [--json] [--seed N] [--threads N] [--workers N] \
+//!     [--full] [--smoke] [--json] [--seed N] [--threads N] \
 //!     [--metrics out.json] [--metrics-interval NS] [--metrics-format json|prom]
 //! ```
 //!
@@ -108,7 +108,6 @@ fn run(args: &dsh_bench::Args) {
     if args.smoke {
         let mut base = fig18::smoke_base(Scheme::Dsh);
         base.seed = args.seed;
-        base.workers = args.sim_workers();
         if let Some(cfg) = dsh_bench::observe_config(args) {
             base.observe = cfg;
         }
@@ -130,7 +129,6 @@ fn run(args: &dsh_bench::Args) {
 
     let mut base = Fig18Experiment::small(Scheme::Dsh);
     base.seed = args.seed;
-    base.workers = args.sim_workers();
     if let Some(cfg) = dsh_bench::observe_config(args) {
         base.observe = cfg;
     }

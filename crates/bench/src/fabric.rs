@@ -5,7 +5,7 @@
 use dsh_analysis::fct::FctSummary;
 use dsh_core::Scheme;
 use dsh_net::topology::{fat_tree, leaf_spine, LeafSpineShape};
-use dsh_net::{FlowId, FlowSpec, NetParams, Network, NodeId, ObserveConfig, ParallelSim};
+use dsh_net::{FlowId, FlowSpec, NetParams, Network, NodeId, ObserveConfig};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, Executor, SimRng, Time};
 use dsh_transport::CcKind;
 use dsh_workloads::{background_flows, fan_in_bursts, FlowSizeDist, PatternConfig, Workload};
@@ -65,9 +65,6 @@ pub struct FctExperiment {
     pub buffer: ByteSize,
     /// Seed.
     pub seed: u64,
-    /// Intra-run partition workers: 1 runs the serial calendar, ≥ 2 the
-    /// link-partitioned conservative engine (see [`run_net`]).
-    pub workers: usize,
     /// DT `α` override (`None` keeps the chip default).
     pub alpha: Option<f64>,
     /// BShare per-packet delay-target override (`None` keeps the chip
@@ -94,7 +91,6 @@ impl FctExperiment {
             run_until: Delta::from_ms(8),
             buffer: ByteSize::mib(16),
             seed: 1,
-            workers: 1,
             alpha: None,
             bshare_delay_target: None,
             observe: None,
@@ -102,43 +98,14 @@ impl FctExperiment {
     }
 }
 
-/// Runs a loaded network to `deadline` on the configured engine: the
-/// serial calendar for `workers <= 1`, the link-partitioned conservative
-/// engine otherwise. Returns the measured network and the number of
-/// calendar events processed.
-///
-/// # Panics
-///
-/// Panics if `workers >= 2` and the topology cannot be partitioned
-/// (a cut link with zero propagation delay — every figure fabric has
-/// real wire delays, so this means a misconfigured custom topology).
+/// Runs a loaded network to `deadline`. Returns the measured network
+/// and the number of calendar events processed.
 #[must_use]
-pub fn run_net(net: Network, deadline: Time, workers: usize) -> (Network, u64) {
-    if workers <= 1 {
-        let mut sim = net.into_sim();
-        sim.run_until(deadline);
-        let events = sim.events_processed();
-        return (sim.into_model(), events);
-    }
-    run_net_partitioned(net, deadline, workers)
-}
-
-/// Like [`run_net`] but always partitions, even at one worker — the
-/// partitioned engine's per-partition RNG streams make its results
-/// self-consistent at any worker count but (with ECN enabled) not
-/// byte-identical to the serial calendar, so determinism tests compare
-/// partitioned-vs-partitioned through this entry point.
-///
-/// # Panics
-///
-/// Panics if the topology cannot be partitioned (see [`run_net`]).
-#[must_use]
-pub fn run_net_partitioned(net: Network, deadline: Time, workers: usize) -> (Network, u64) {
-    let mut par = ParallelSim::new(net, workers)
-        .unwrap_or_else(|e| panic!("figure fabric must be partitionable: {e}"));
-    par.run_until(deadline);
-    let events = par.events_processed();
-    (par.into_network(), events)
+pub fn run_net(net: Network, deadline: Time) -> (Network, u64) {
+    let mut sim = net.into_sim();
+    sim.run_until(deadline);
+    let events = sim.events_processed();
+    (sim.into_model(), events)
 }
 
 /// Outcome of one FCT experiment.
@@ -222,7 +189,7 @@ fn build(exp: &FctExperiment) -> (Network, Vec<NodeId>) {
 #[must_use]
 pub fn run_fct(exp: &FctExperiment) -> FctResult {
     let (net, fan_ids, registered) = loaded(exp);
-    let (net, _events) = run_net(net, Time::ZERO + exp.run_until, exp.workers);
+    let (net, _events) = run_net(net, Time::ZERO + exp.run_until);
     assert_eq!(net.data_drops(), 0, "lossless fabric dropped packets: {exp:?}");
     summarize(&net, &fan_ids, registered)
 }
@@ -237,7 +204,7 @@ pub fn export_fct_metrics(args: &crate::Args, base: &FctExperiment) {
     let Some(cfg) = crate::observe_config(args) else { return };
     let exp = FctExperiment { observe: Some(cfg), ..*base };
     let (net, _fan_ids, _registered) = loaded(&exp);
-    let (net, _events) = run_net(net, Time::ZERO + exp.run_until, exp.workers);
+    let (net, _events) = run_net(net, Time::ZERO + exp.run_until);
     crate::write_metrics(args, &net);
 }
 

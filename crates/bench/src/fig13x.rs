@@ -48,10 +48,6 @@ pub struct FlapExperiment {
     /// buffer pushes the post-outage fan-in over the PFC thresholds, so
     /// traced runs exercise the pause/resume machinery.
     pub buffer: Option<ByteSize>,
-    /// Intra-run partition workers: 1 runs the serial calendar, ≥ 2 the
-    /// link-partitioned engine (profiled runs always stay serial — the
-    /// engine profiler hooks the serial dispatch loop).
-    pub workers: usize,
 }
 
 impl FlapExperiment {
@@ -71,7 +67,6 @@ impl FlapExperiment {
             run_until: Delta::from_ms(6),
             seed: 1,
             buffer: None,
-            workers: 1,
         }
     }
 }
@@ -119,40 +114,18 @@ pub fn run_flap_profiled(exp: &FlapExperiment) -> (FlapResult, EngineProfile) {
     (result, profile)
 }
 
-/// Runs one flap experiment on the partitioned engine — even at one
-/// worker — and returns the result plus the run's full telemetry report
-/// as a JSON string. Determinism regressions compare this document
-/// across worker counts byte for byte; the engine is held fixed because
-/// the partitioned per-partition RNG streams legitimately differ from
-/// the serial calendar's when ECN marking draws random numbers.
-///
-/// # Panics
-///
-/// Same contract as [`run_flap`].
-#[must_use]
-pub fn run_flap_report(exp: &FlapExperiment, workers: usize) -> (FlapResult, String) {
-    let net = build_flap(exp);
-    let registered = net.flow_count();
-    let deadline = Time::ZERO + exp.run_until;
-    let (net, events) = crate::fabric::run_net_partitioned(net, deadline, workers);
-    let report = net.telemetry_report(deadline).to_json().to_string();
-    (summarize(&net, events, registered), report)
-}
-
 fn run_flap_inner(exp: &FlapExperiment, profile: Option<&mut EngineProfile>) -> FlapResult {
     let net = build_flap(exp);
     let registered = net.flow_count();
     let deadline = Time::ZERO + exp.run_until;
     let (net, events) = match profile {
         Some(p) => {
-            // The profiler hooks the serial dispatch loop, so profiled
-            // runs ignore `workers`.
             let mut sim = net.into_sim();
             sim.run_until_profiled(deadline, p);
             let events = sim.events_processed();
             (sim.into_model(), events)
         }
-        None => crate::fabric::run_net(net, deadline, exp.workers),
+        None => crate::fabric::run_net(net, deadline),
     };
     summarize(&net, events, registered)
 }

@@ -107,8 +107,6 @@ pub struct Fig17Experiment {
     pub buffer: ByteSize,
     /// Seed.
     pub seed: u64,
-    /// Intra-run partition workers (1 = serial calendar).
-    pub workers: usize,
     /// Regime override for the lossless cells (`--regime`); lossy cells
     /// ignore it (their regime is the cell).
     pub override_regime: Option<Regime>,
@@ -139,7 +137,6 @@ impl Fig17Experiment {
             run_until: Delta::from_ms(40),
             buffer: ByteSize::mib(4),
             seed: 1,
-            workers: 1,
             override_regime: None,
             no_recovery: false,
             observe: None,
@@ -204,7 +201,7 @@ pub fn run_cell(exp: &Fig17Experiment) -> Fig17Result {
     let (net, registered) = loaded(exp);
     let deadline = Time::ZERO + exp.run_until;
     let wall = std::time::Instant::now();
-    let (mut net, events) = crate::fabric::run_net(net, deadline, exp.workers);
+    let (mut net, events) = crate::fabric::run_net(net, deadline);
     let wall = wall.elapsed();
 
     let pause_wall_ns: u64 =
@@ -373,7 +370,7 @@ pub fn export_metrics(args: &crate::Args, base: &Fig17Experiment) {
     let Some(cfg) = crate::observe_config(args) else { return };
     let exp = Fig17Experiment { observe: Some(cfg), ..*base };
     let (net, _registered) = loaded(&exp);
-    let (net, _events) = crate::fabric::run_net(net, Time::ZERO + exp.run_until, exp.workers);
+    let (net, _events) = crate::fabric::run_net(net, Time::ZERO + exp.run_until);
     crate::write_metrics(args, &net);
 }
 

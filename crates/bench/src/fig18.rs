@@ -39,15 +39,6 @@ pub struct Fig18Experiment {
     pub buffer: ByteSize,
     /// Seed.
     pub seed: u64,
-    /// Intra-run partition workers (1 = serial calendar). Each engine is
-    /// individually deterministic (and the partitioned engine is
-    /// byte-identical at any worker count ≥ 2), but a synchronized incast
-    /// inherently piles same-instant frame ties onto the shared
-    /// bottleneck, which is outside the serial/partitioned equivalence
-    /// class documented in DESIGN.md — so serial and partitioned runs of
-    /// *this* figure may differ in tie order (see
-    /// `tests/observability.rs` for the tie-free byte-identity proof).
-    pub workers: usize,
     /// Always [`FidelityMode::Packet`]: read by nothing here. Exists only
     /// so the frozen `simbench` benchmark, which passes it to
     /// [`NetParams::with_fidelity`], compiles; drop the three together.
@@ -71,7 +62,6 @@ impl Fig18Experiment {
             run_until: Delta::from_ms(3),
             buffer: ByteSize::mib(2),
             seed: 1,
-            workers: 1,
             fidelity: FidelityMode::Packet,
             observe: ObserveConfig::default(),
         }
@@ -127,8 +117,7 @@ pub fn loaded(exp: &Fig18Experiment) -> (Network, usize) {
 
     let mut net = b.build();
     for (i, &src) in senders.iter().enumerate() {
-        // Staggered starts keep every calendar instant distinct, the
-        // documented requirement for serial/partitioned bit-identity.
+        // Staggered starts keep every sender's start instant distinct.
         net.add_flow(FlowSpec {
             src,
             dst: receiver,
@@ -155,7 +144,7 @@ pub fn run_cell_net(exp: &Fig18Experiment) -> (Fig18Result, Network) {
     let (net, registered) = loaded(exp);
     let deadline = Time::ZERO + exp.run_until;
     let wall = std::time::Instant::now();
-    let (net, events) = run_net(net, deadline, exp.workers);
+    let (net, events) = run_net(net, deadline);
     let wall = wall.elapsed();
 
     for (id, audit) in net.audit_all() {

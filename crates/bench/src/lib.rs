@@ -73,11 +73,6 @@ pub struct Args {
     /// `--threads N`, falling back to `DSH_THREADS`; 0 means "auto"
     /// (available parallelism). Resolve through [`Args::executor`].
     pub threads: usize,
-    /// `--workers N`, falling back to `DSH_WORKERS`: intra-run partition
-    /// workers for the conservative parallel engine. 1 (the default) runs
-    /// the plain serial calendar; 0 means "auto" (available parallelism).
-    /// Resolve through [`Args::sim_workers`].
-    pub workers: usize,
     /// `--trace PATH`: record flight-recorder traces for every
     /// simulation of the run and write a Chrome `trace_event` JSON
     /// document to PATH (see [`with_trace`]).
@@ -112,8 +107,6 @@ usage: <figure-binary> [OPTIONS]
   --smoke         CI-sized single-point run with hard assertions
   --seed N        RNG seed (unsigned integer, default 1)
   --threads N     worker pool width (0 = auto; DSH_THREADS fallback)
-  --workers N     intra-run partition workers (1 = serial engine, 0 = auto;
-                  DSH_WORKERS fallback)
   --trace PATH    write a Chrome trace_event JSON document to PATH
   --regime R      loss-recovery regime where a figure exercises recovery:
                   gbn (go-back-N) | sr (selective repeat)
@@ -132,15 +125,15 @@ usage: <figure-binary> [OPTIONS]
 
 impl Args {
     /// Parses the process argv, with `DSH_THREADS` as the `--threads`
-    /// fallback. Invalid arguments print the error and [`USAGE`] to
-    /// stderr and exit with status 2 — a typo'd flag or value must never
-    /// silently run with defaults.
+    /// fallback. Invalid arguments, and a set `DSH_THREADS` that is not
+    /// an unsigned integer, print the error and [`USAGE`] to stderr and
+    /// exit with status 2 — a typo'd flag or value must never silently
+    /// run with defaults.
     #[must_use]
     pub fn parse() -> Args {
         let parsed = Args::from_iter(
             std::env::args().skip(1),
-            exec::threads_from(std::env::var(exec::THREADS_ENV).ok().as_deref()),
-            exec::workers_from(std::env::var(exec::WORKERS_ENV).ok().as_deref()),
+            std::env::var(exec::THREADS_ENV).ok().as_deref(),
             std::env::var(METRICS_ENV).ok().as_deref(),
         );
         match parsed {
@@ -157,22 +150,25 @@ impl Args {
     /// # Errors
     ///
     /// Fails fast on unknown tokens, missing operands (`--seed`,
-    /// `--threads`, `--trace` all take one) and unparseable values —
+    /// `--threads`, `--trace` all take one) and unparseable values,
+    /// including a malformed `DSH_THREADS` value (`env_threads`) —
     /// the old scanner silently kept defaults, so `--seed abc` ran with
     /// seed 1 and `--trace` as the last token produced no trace at all.
     fn from_iter<I: IntoIterator<Item = String>>(
         argv: I,
-        env_threads: Option<usize>,
-        env_workers: Option<usize>,
+        env_threads: Option<&str>,
         env_metrics: Option<&str>,
     ) -> Result<Args, String> {
+        let threads = match env_threads {
+            Some(v) => parse_value(exec::THREADS_ENV, Some(v.to_string()))?,
+            None => 0,
+        };
         let mut args = Args {
             full: false,
             json: false,
             smoke: false,
             seed: 1,
-            threads: env_threads.unwrap_or(0),
-            workers: env_workers.unwrap_or(1),
+            threads,
             trace: None,
             regime: None,
             no_recovery: false,
@@ -192,7 +188,6 @@ impl Args {
                 "--smoke" => args.smoke = true,
                 "--seed" => args.seed = parse_value(&tok, it.next())?,
                 "--threads" => args.threads = parse_value(&tok, it.next())?,
-                "--workers" => args.workers = parse_value(&tok, it.next())?,
                 "--trace" => {
                     let path =
                         it.next().ok_or_else(|| "--trace requires a PATH operand".to_string())?;
@@ -271,17 +266,6 @@ impl Args {
     pub fn executor(&self) -> Executor {
         Executor::new(self.threads)
     }
-
-    /// The intra-run worker count for partitioned simulations, resolving
-    /// 0 = auto to the machine's available parallelism.
-    #[must_use]
-    pub fn sim_workers(&self) -> usize {
-        if self.workers == 0 {
-            exec::default_threads()
-        } else {
-            self.workers
-        }
-    }
 }
 
 /// Parses the operand of a value-taking flag, failing on a missing or
@@ -293,18 +277,16 @@ fn parse_value<T: std::str::FromStr>(flag: &str, operand: Option<String>) -> Res
 
 /// The provenance header embedded in every JSON artifact the harness
 /// emits (Chrome traces, structured dumps, bench metrics): the run's
-/// inputs, the parallelism actually in force (sweep threads *and*
-/// intra-run partition workers, not just what the host could offer),
-/// and the host's available parallelism for context, stamped with the
-/// package version. Per-scheme artifacts add their own `scheme` field;
-/// trace logs carry the scheme in their
+/// inputs, the sweep threads actually in force (not just what the host
+/// could offer), and the host's available parallelism for context,
+/// stamped with the package version. Per-scheme artifacts add their own
+/// `scheme` field; trace logs carry the scheme in their
 /// [`dsh_simcore::trace::TraceKey`] tag instead.
 #[must_use]
 pub fn provenance(args: &Args) -> Json {
     Json::object()
         .with("seed", args.seed)
         .with("threads", args.executor().threads() as u64)
-        .with("workers", args.sim_workers() as u64)
         .with("available_parallelism", exec::default_threads() as u64)
         .with("version", env!("CARGO_PKG_VERSION"))
 }
@@ -378,7 +360,7 @@ mod tests {
 
     #[test]
     fn defaults_when_no_flags() {
-        let a = Args::from_iter(argv(&[]), None, None, None).unwrap();
+        let a = Args::from_iter(argv(&[]), None, None).unwrap();
         assert_eq!(
             a,
             Args {
@@ -387,7 +369,6 @@ mod tests {
                 smoke: false,
                 seed: 1,
                 threads: 0,
-                workers: 1,
                 trace: None,
                 regime: None,
                 no_recovery: false,
@@ -409,8 +390,6 @@ mod tests {
                 "--smoke",
                 "--threads",
                 "3",
-                "--workers",
-                "2",
                 "--trace",
                 "t.json",
                 "--regime",
@@ -424,7 +403,6 @@ mod tests {
             ]),
             None,
             None,
-            None,
         )
         .unwrap();
         assert_eq!(
@@ -435,7 +413,6 @@ mod tests {
                 smoke: true,
                 seed: 9,
                 threads: 3,
-                workers: 2,
                 trace: Some("t.json".to_string()),
                 regime: Some(Regime::SelectiveRepeat),
                 no_recovery: false,
@@ -448,82 +425,73 @@ mod tests {
 
     #[test]
     fn regime_values_parse_and_reject() {
-        let a = Args::from_iter(argv(&["--regime", "gbn"]), None, None, None).unwrap();
+        let a = Args::from_iter(argv(&["--regime", "gbn"]), None, None).unwrap();
         assert_eq!(a.regime, Some(Regime::GoBackN));
-        let a = Args::from_iter(argv(&["--no-recovery"]), None, None, None).unwrap();
+        let a = Args::from_iter(argv(&["--no-recovery"]), None, None).unwrap();
         assert!(a.no_recovery && a.regime.is_none());
-        let e = Args::from_iter(argv(&["--regime", "tcp"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--regime", "tcp"]), None, None).unwrap_err();
         assert!(e.contains("invalid value for --regime: 'tcp'"), "{e}");
-        let e = Args::from_iter(argv(&["--regime"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--regime"]), None, None).unwrap_err();
         assert!(e.contains("--regime requires a value"), "{e}");
     }
 
     #[test]
     fn no_recovery_with_regime_is_a_usage_error() {
-        let e = Args::from_iter(argv(&["--no-recovery", "--regime", "sr"]), None, None, None)
-            .unwrap_err();
+        let e =
+            Args::from_iter(argv(&["--no-recovery", "--regime", "sr"]), None, None).unwrap_err();
         assert!(e.contains("--no-recovery"), "{e}");
         assert!(e.contains("--regime"), "{e}");
     }
 
     #[test]
     fn threads_flag_overrides_env_fallback() {
-        assert_eq!(Args::from_iter(argv(&[]), Some(2), None, None).unwrap().threads, 2);
-        assert_eq!(
-            Args::from_iter(argv(&["--threads", "5"]), Some(2), None, None).unwrap().threads,
-            5
-        );
-    }
-
-    #[test]
-    fn workers_flag_overrides_env_fallback_and_defaults_serial() {
-        assert_eq!(Args::from_iter(argv(&[]), None, None, None).unwrap().workers, 1);
-        assert_eq!(Args::from_iter(argv(&[]), None, Some(4), None).unwrap().workers, 4);
-        assert_eq!(
-            Args::from_iter(argv(&["--workers", "3"]), None, Some(4), None).unwrap().workers,
-            3
-        );
-        // 0 = auto resolves to at least one worker.
-        let auto = Args::from_iter(argv(&["--workers", "0"]), None, None, None).unwrap();
-        assert!(auto.sim_workers() >= 1);
-        let serial = Args::from_iter(argv(&[]), None, None, None).unwrap();
-        assert_eq!(serial.sim_workers(), 1);
+        assert_eq!(Args::from_iter(argv(&[]), Some("2"), None).unwrap().threads, 2);
+        assert_eq!(Args::from_iter(argv(&["--threads", "5"]), Some("2"), None).unwrap().threads, 5);
+        // 0 still means auto.
+        assert_eq!(Args::from_iter(argv(&[]), Some("0"), None).unwrap().threads, 0);
     }
 
     #[test]
     fn typod_flags_are_rejected() {
-        let e = Args::from_iter(argv(&["--sed", "9"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--sed", "9"]), None, None).unwrap_err();
         assert!(e.contains("unknown argument '--sed'"), "{e}");
-        let e = Args::from_iter(argv(&["--bogus"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--bogus"]), None, None).unwrap_err();
         assert!(e.contains("--bogus"), "{e}");
         // Bare operands are unknown tokens too.
-        let e = Args::from_iter(argv(&["full"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["full"]), None, None).unwrap_err();
         assert!(e.contains("unknown argument 'full'"), "{e}");
-        // So is a flag of a removed feature.
-        let e = Args::from_iter(argv(&["--fidelity", "packet"]), None, None, None).unwrap_err();
-        assert!(e.contains("unknown argument '--fidelity'"), "{e}");
+        // So is the flag of a removed feature: the hybrid engine's
+        // fidelity and the partitioned engine's worker count.
+        for (removed, value) in [("fidelity", "packet"), ("workers", "2")] {
+            let flag = format!("--{removed}");
+            let e = Args::from_iter(argv(&[&flag, value]), None, None).unwrap_err();
+            assert!(e.contains(&format!("unknown argument '{flag}'")), "{e}");
+        }
     }
 
     #[test]
     fn malformed_values_are_rejected() {
-        let e = Args::from_iter(argv(&["--seed", "abc"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--seed", "abc"]), None, None).unwrap_err();
         assert!(e.contains("invalid value for --seed: 'abc'"), "{e}");
-        let e = Args::from_iter(argv(&["--threads", "-1"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--threads", "-1"]), None, None).unwrap_err();
         assert!(e.contains("invalid value for --threads"), "{e}");
+        // A malformed DSH_THREADS fails too instead of meaning "auto".
+        let e = Args::from_iter(argv(&[]), Some("abc"), None).unwrap_err();
+        assert!(e.contains("invalid value for DSH_THREADS: 'abc'"), "{e}");
     }
 
     #[test]
     fn missing_operands_are_rejected() {
-        let e = Args::from_iter(argv(&["--seed"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--seed"]), None, None).unwrap_err();
         assert!(e.contains("--seed requires a value"), "{e}");
-        let e = Args::from_iter(argv(&["--threads"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--threads"]), None, None).unwrap_err();
         assert!(e.contains("--threads requires a value"), "{e}");
         // The original bug: `--trace` as the last token silently produced
         // an untraced run.
-        let e = Args::from_iter(argv(&["--trace"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--trace"]), None, None).unwrap_err();
         assert!(e.contains("--trace requires a PATH"), "{e}");
         // A following flag is not a PATH either.
-        let e = Args::from_iter(argv(&["--trace", "--json"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--trace", "--json"]), None, None).unwrap_err();
         assert!(e.contains("--trace requires a PATH"), "{e}");
     }
 
@@ -535,7 +503,6 @@ mod tests {
             "--smoke",
             "--seed",
             "--threads",
-            "--workers",
             "--trace",
             "--regime",
             "--no-recovery",
@@ -549,14 +516,13 @@ mod tests {
 
     #[test]
     fn metrics_env_fallback_and_flag_override() {
-        let a = Args::from_iter(argv(&[]), None, None, Some("env.json")).unwrap();
+        let a = Args::from_iter(argv(&[]), None, Some("env.json")).unwrap();
         assert_eq!(a.metrics.as_deref(), Some("env.json"));
-        let a = Args::from_iter(argv(&["--metrics", "cli.json"]), None, None, Some("env")).unwrap();
+        let a = Args::from_iter(argv(&["--metrics", "cli.json"]), None, Some("env")).unwrap();
         assert_eq!(a.metrics.as_deref(), Some("cli.json"));
         // The env fallback also legitimizes the companion flags.
         let a = Args::from_iter(
             argv(&["--metrics-interval", "500", "--metrics-format", "prom"]),
-            None,
             None,
             Some("env.json"),
         )
@@ -568,51 +534,41 @@ mod tests {
     #[test]
     fn metrics_operand_errors_fail_fast() {
         // `--metrics` as the last token must not silently skip the export.
-        let e = Args::from_iter(argv(&["--metrics"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--metrics"]), None, None).unwrap_err();
         assert!(e.contains("--metrics requires a PATH"), "{e}");
-        let e = Args::from_iter(argv(&["--metrics", "--json"]), None, None, None).unwrap_err();
+        let e = Args::from_iter(argv(&["--metrics", "--json"]), None, None).unwrap_err();
         assert!(e.contains("--metrics requires a PATH"), "{e}");
         let e = Args::from_iter(
             argv(&["--metrics", "m.json", "--metrics-interval", "abc"]),
             None,
             None,
-            None,
         )
         .unwrap_err();
         assert!(e.contains("invalid value for --metrics-interval: 'abc'"), "{e}");
-        let e = Args::from_iter(
-            argv(&["--metrics", "m.json", "--metrics-interval", "0"]),
-            None,
-            None,
-            None,
-        )
-        .unwrap_err();
+        let e =
+            Args::from_iter(argv(&["--metrics", "m.json", "--metrics-interval", "0"]), None, None)
+                .unwrap_err();
         assert!(e.contains("must be positive"), "{e}");
-        let e = Args::from_iter(
-            argv(&["--metrics", "m.json", "--metrics-format", "csv"]),
-            None,
-            None,
-            None,
-        )
-        .unwrap_err();
+        let e =
+            Args::from_iter(argv(&["--metrics", "m.json", "--metrics-format", "csv"]), None, None)
+                .unwrap_err();
         assert!(e.contains("invalid value for --metrics-format: 'csv'"), "{e}");
     }
 
     #[test]
     fn metrics_companions_without_destination_are_rejected() {
         for toks in [&["--metrics-interval", "500"][..], &["--metrics-format", "prom"][..]] {
-            let e = Args::from_iter(argv(toks), None, None, None).unwrap_err();
+            let e = Args::from_iter(argv(toks), None, None).unwrap_err();
             assert!(e.contains("pass --metrics PATH"), "{e}");
         }
     }
 
     #[test]
     fn observe_config_is_armed_only_with_metrics() {
-        let off = Args::from_iter(argv(&[]), None, None, None).unwrap();
+        let off = Args::from_iter(argv(&[]), None, None).unwrap();
         assert!(observe_config(&off).is_none());
         let on = Args::from_iter(
             argv(&["--metrics", "m.json", "--metrics-interval", "500"]),
-            None,
             None,
             None,
         )

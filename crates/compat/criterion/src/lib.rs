@@ -57,9 +57,9 @@ pub fn record_metric(name: &str, value: f64) {
 /// Environment variable naming the file [`emit_json_if_requested`] writes.
 pub const JSON_ENV: &str = "DSH_BENCH_JSON";
 
-/// Parses a positive worker/thread count from an environment variable
-/// (the `DSH_THREADS`/`DSH_WORKERS` convention: unset, `0`, or garbage
-/// mean "not configured").
+/// Parses a positive thread count from an environment variable (the
+/// `DSH_THREADS` convention: unset, `0`, or garbage mean "not
+/// configured").
 fn env_count(var: &str) -> Option<usize> {
     std::env::var(var).ok().and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
 }
@@ -86,18 +86,16 @@ pub fn emit_json_to(path: &str) -> std::io::Result<()> {
     let cores = std::thread::available_parallelism().map_or(0, usize::from);
     // The provenance records what the run was *configured* to use, not
     // what the host could have offered: sweep threads resolve exactly
-    // like `Executor::from_env` (DSH_THREADS, else all cores) and
-    // intra-run partition workers default to the serial engine unless
-    // DSH_WORKERS opts in. `available_parallelism` stays alongside as
-    // the host context those counts should be read against.
+    // like `Executor::from_env` (DSH_THREADS, else all cores).
+    // `available_parallelism` stays alongside as the host context that
+    // count should be read against.
     let threads = env_count("DSH_THREADS").unwrap_or(cores);
-    let workers = env_count("DSH_WORKERS").unwrap_or(1);
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     out.push_str(&format!(
         "  \"provenance\": {{\"harness_version\": \"{}\", \"threads\": {threads}, \
-         \"workers\": {workers}, \"available_parallelism\": {cores}, \"command\": \"{}\"}},\n",
+         \"available_parallelism\": {cores}, \"command\": \"{}\"}},\n",
         json_escape(env!("CARGO_PKG_VERSION")),
         json_escape(&std::env::args().collect::<Vec<_>>().join(" ")),
     ));
@@ -322,7 +320,6 @@ mod tests {
         assert!(body.contains("\"provenance\""), "{body}");
         assert!(body.contains("\"harness_version\""), "{body}");
         assert!(body.contains("\"threads\""), "{body}");
-        assert!(body.contains("\"workers\""), "{body}");
         assert!(body.contains("\"json_emission_probe\""), "{body}");
         assert!(body.contains("\"mean_ns\""), "{body}");
         assert!(body.contains("\"metrics\""), "{body}");

@@ -65,7 +65,6 @@ mod ids;
 mod monitor;
 mod network;
 pub mod observe;
-pub mod par;
 mod port;
 mod routing;
 mod switch;
@@ -83,6 +82,5 @@ pub use monitor::{
 };
 pub use network::{BlockedPort, ClassMask, FlowSpec, NetEvent, Network};
 pub use observe::{CascadeReport, FlowPauseAttribution, ObserveConfig, PauseEdge};
-pub use par::{partition, ParallelSim, PartitionError, PartitionPlan, MAX_PARTITIONS};
 pub use port::{EgressPort, IngressTag, QueuedFrame, DWRR_QUANTUM};
 pub use routing::{ecmp_hash, RouteTable};

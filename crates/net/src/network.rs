@@ -135,12 +135,6 @@ pub(crate) enum Node {
     Switch(SwitchNode),
     /// A host.
     Host(HostNode),
-    /// A node owned by another partition of a split network (see
-    /// [`crate::par`]). Keeping the full-length node vector with absent
-    /// placeholders means node ids stay global — no per-partition
-    /// re-indexing anywhere — and any event dispatched to a node the
-    /// partition does not own panics instead of corrupting state.
-    Absent,
 }
 
 #[derive(Debug)]
@@ -177,8 +171,8 @@ struct FlowMonitor {
 /// from the model.
 #[derive(Debug)]
 pub struct Network {
-    pub(crate) params: NetParams,
-    pub(crate) nodes: Vec<Node>,
+    params: NetParams,
+    nodes: Vec<Node>,
     flows: Vec<FlowMeta>,
     flow_rx: Vec<u64>,
     /// Receiver-side per-flow state, indexed by flow id. Flow ids are
@@ -230,29 +224,10 @@ pub struct Network {
     /// Flight recorder (shared with every switch MMU); the disabled
     /// tracer when no trace configuration is active.
     tracer: Tracer,
-    /// Node → partition map when this network is one partition of a split
-    /// run (see [`crate::par`]); empty in the ordinary serial case, which
-    /// is what the hot path branches on.
-    pub(crate) owner: Vec<u32>,
-    /// This instance's partition id (0 when serial).
-    pub(crate) part: u32,
-    /// Cross-partition departures buffered for the parallel driver: the
-    /// `Arrive` events whose destination node another partition owns.
-    /// The driver drains this at every window boundary and re-schedules
-    /// each event on the owning partition's calendar; capacity is
-    /// retained across windows so the steady-state packet path stays
-    /// allocation-free.
-    pub(crate) outbox: Vec<(Time, NetEvent)>,
-    /// Cross-partition arrivals staged *into* this partition: the
-    /// coordinator routes frames here at the window barrier and the
-    /// owning worker folds them into its own calendar at the start of the
-    /// next window — moving the per-event heap pushes off the serial
-    /// coordinator and onto the parallel workers.
-    pub(crate) inbox: Vec<(Time, NetEvent)>,
     /// Pause-causality observatory; `Some` only when
     /// `NetParams::observe` is set. Boxed so the disabled case costs one
     /// pointer-sized `Option` and a single branch on the pause path.
-    pub(crate) observe: Option<Box<ObserveState>>,
+    observe: Option<Box<ObserveState>>,
     /// Pending instant-closed sample label: the tick at `t` arms this and
     /// the first event *strictly after* `t` captures the sample (see
     /// [`crate::observe::MetricsSampler`]). `Time::MAX` when no sample is
@@ -265,17 +240,10 @@ pub struct Network {
 /// ~1 MiB while covering the steady-state churn window many times over.
 const FRAME_POOL_RETAIN: usize = 4096;
 
-/// Initial capacity of a partition's cross-partition outbox: generous
-/// enough that a lookahead window's worth of cut-link departures never
-/// grows it in steady state (the zero-allocs-per-packet contract).
-const OUTBOX_RESERVE: usize = 1024;
-
 impl Network {
     pub(crate) fn from_parts(params: NetParams, nodes: Vec<Node>, tracer: Tracer) -> Self {
         let rng = SimRng::new(params.seed);
-        // Pre-register locally-present switches so metrics sampling never
-        // allocates; in a split partition foreign nodes are placeholders
-        // and each switch registers with exactly one partition.
+        // Pre-register every switch so metrics sampling never allocates.
         let observe = params.observe.as_ref().map(|cfg| {
             let mut st = Box::new(ObserveState::new(cfg));
             for (i, n) in nodes.iter().enumerate() {
@@ -312,49 +280,8 @@ impl Network {
             recovery_nacks: 0,
             failed_flows: 0,
             tracer,
-            owner: Vec::new(),
-            part: 0,
-            outbox: Vec::new(),
-            inbox: Vec::new(),
             observe,
             metrics_capture_at: Time::MAX,
-        }
-    }
-
-    /// Whether `node` lives in this instance (always true for a serial,
-    /// unsplit network).
-    #[inline]
-    pub(crate) fn is_local(&self, node: NodeId) -> bool {
-        self.owner.is_empty() || self.owner[node.0] == self.part
-    }
-
-    /// Pre-fills the frame pool with `n` free boxes (see
-    /// [`dsh_simcore::Pool::prewarm`]); the parallel driver calls this per
-    /// partition at construction so the measured steady state starts with
-    /// its circulating box population already in place.
-    pub(crate) fn prewarm_frame_pool(&mut self, n: usize) {
-        self.pool.prewarm(n, || Frame::pfc(PfcScope::Port, false));
-    }
-
-    /// Detaches up to `n` free boxes from the frame pool into `out`.
-    ///
-    /// Cross-partition pool rebalancing: a frame migrating to another
-    /// partition takes its box along, so the coordinator counter-migrates
-    /// a free box per delivered frame. That keeps every partition's box
-    /// population flat — without it, a partition whose hosts net-export
-    /// frames drains its free list and allocates on the hot path forever.
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
-    pub(crate) fn lend_free_frames(&mut self, n: usize, out: &mut Vec<Box<Frame>>) {
-        self.pool.lend(n, out);
-    }
-
-    /// Returns boxes taken by [`Network::lend_free_frames`] to this pool.
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
-    #[allow(clippy::vec_box)] // boxes are the recycled resource (see Pool::lend)
-    pub(crate) fn adopt_free_frames(&mut self, from: &mut Vec<Box<Frame>>) {
-        for b in from.drain(..) {
-            self.pool.put(b);
         }
     }
 
@@ -462,15 +389,6 @@ impl Network {
         self.fault_plan.is_some()
     }
 
-    /// The installed plan's timed link events, for the parallel driver
-    /// (which executes faults at window barriers instead of in-calendar).
-    pub(crate) fn fault_schedule(&self) -> Vec<(Time, FaultKind)> {
-        self.fault_plan
-            .as_ref()
-            .map(|p| p.events().iter().map(|e| (e.at, e.kind)).collect())
-            .unwrap_or_default()
-    }
-
     /// Converts the network into a ready-to-run simulation: flow starts
     /// and the sampling tick are scheduled.
     #[must_use]
@@ -496,224 +414,25 @@ impl Network {
         }
         sim.schedule(Time::ZERO + tick, NetEvent::Sample);
         // Scheduled after Sample so a shared instant measures first, then
-        // snapshots — the partitioned driver follows the same order.
+        // snapshots.
         if let Some(mi) = metrics {
             sim.schedule(Time::ZERO + mi, NetEvent::MetricsTick);
         }
         sim
     }
 
-    /// Pre-run sizing shared by the serial and partitioned paths: one FCT
-    /// record per flow, reserved now so a completion mid-run never
-    /// reallocates the log (the packet hot path stays allocation-free;
-    /// see DESIGN.md §10). Likewise each host's flow-id → sender-slot
-    /// table is pre-sized here so a FlowStart firing after warmup never
-    /// grows it.
-    pub(crate) fn prepare(&mut self) {
+    /// Pre-run sizing: one FCT record per flow, reserved now so a
+    /// completion mid-run never reallocates the log (the packet hot path
+    /// stays allocation-free; see DESIGN.md §10). Likewise each host's
+    /// flow-id → sender-slot table is pre-sized here so a FlowStart
+    /// firing after warmup never grows it.
+    fn prepare(&mut self) {
         self.fct.reserve(self.flows.len());
         let nflows = self.flows.len();
         for n in &mut self.nodes {
             if let Node::Host(h) = n {
                 h.tx_index.resize(nflows, u32::MAX);
             }
-        }
-    }
-
-    // ---- partitioned execution (see crate::par) ---------------------------
-
-    /// Splits the network into `parts` per-partition networks according to
-    /// `owner` (node → partition). Each partition keeps the full-length
-    /// node vector with [`Node::Absent`] placeholders for foreign nodes,
-    /// its own frame pool, RNG stream, and cross-partition outbox; flows
-    /// are replicated (sender state lives with the source host, receiver
-    /// state is only ever touched by the destination's owner). Must be
-    /// called before any event has run.
-    pub(crate) fn split(mut self, owner: &[u32], parts: u32) -> Vec<Network> {
-        assert_eq!(owner.len(), self.nodes.len(), "owner map must cover every node");
-        assert!(self.fct.is_empty(), "split must happen before the run");
-        self.prepare();
-        let nflows = self.flows.len();
-        // Corruption streams follow the receiving endpoint's owner.
-        let mut corrupt: Vec<Vec<CorruptLink>> = (0..parts as usize).map(|_| Vec::new()).collect();
-        for c in self.corrupt.drain(..) {
-            corrupt[owner[c.node as usize] as usize].push(c);
-        }
-        let mut all_nodes = std::mem::take(&mut self.nodes);
-        let mut out = Vec::with_capacity(parts as usize);
-        for (k, corrupt) in corrupt.into_iter().enumerate() {
-            let nodes: Vec<Node> = all_nodes
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    if owner[i] == k as u32 {
-                        std::mem::replace(slot, Node::Absent)
-                    } else {
-                        Node::Absent
-                    }
-                })
-                .collect();
-            let mut net = Network::from_parts(self.params.clone(), nodes, self.tracer.clone());
-            net.flows = self
-                .flows
-                .iter()
-                .map(|f| FlowMeta { spec: f.spec, completed: f.completed, failed: f.failed })
-                .collect();
-            net.flow_rx = vec![0; nflows];
-            net.rx_flows = (0..nflows).map(|_| ReceiverFlow::new()).collect();
-            // Goodput monitors sample receiver-side byte counts, so each
-            // follows its flow's destination owner.
-            net.monitors = self
-                .monitors
-                .iter()
-                .filter(|m| owner[self.flows[m.flow.0].spec.dst.0] == k as u32)
-                .map(|m| FlowMonitor { flow: m.flow, last_bytes: 0, samples: Vec::new() })
-                .collect();
-            net.fct.reserve(nflows);
-            // Partitions draw from independent split streams (the serial
-            // global stream cannot be sliced across concurrent calendars).
-            // Partition count is a pure function of the topology, so runs
-            // stay bit-identical at any worker count.
-            net.rng = SimRng::new(split_seed(self.params.seed, k as u64 + 1));
-            net.fault_plan = self.fault_plan.clone();
-            net.corrupt = corrupt;
-            net.owner = owner.to_vec();
-            net.part = k as u32;
-            net.outbox = Vec::with_capacity(OUTBOX_RESERVE);
-            net.inbox = Vec::with_capacity(OUTBOX_RESERVE);
-            out.push(net);
-        }
-        out
-    }
-
-    /// Folds one partition's final state back into `self` (the merge side
-    /// of [`Network::split`]): nodes move home, counters sum, and per-flow
-    /// state is taken from the owning side.
-    pub(crate) fn absorb(&mut self, mut other: Network) {
-        assert_eq!(self.nodes.len(), other.nodes.len(), "absorb requires sibling partitions");
-        for (mine, theirs) in self.nodes.iter_mut().zip(other.nodes.iter_mut()) {
-            if !matches!(theirs, Node::Absent) {
-                debug_assert!(matches!(mine, Node::Absent), "node owned by two partitions");
-                *mine = std::mem::replace(theirs, Node::Absent);
-            }
-        }
-        for i in 0..self.flows.len() {
-            let spec = self.flows[i].spec;
-            if other.owner[spec.dst.0] == other.part {
-                self.flow_rx[i] = other.flow_rx[i];
-                self.rx_flows[i] = std::mem::take(&mut other.rx_flows[i]);
-                self.flows[i].completed |= other.flows[i].completed;
-            }
-            if other.owner[spec.src.0] == other.part {
-                self.flows[i].failed |= other.flows[i].failed;
-            }
-        }
-        self.fct.append(&mut other.fct);
-        self.monitors.append(&mut other.monitors);
-        self.corrupt.append(&mut other.corrupt);
-        self.data_drops += other.data_drops;
-        self.packets_delivered += other.packets_delivered;
-        self.watchdog_drops += other.watchdog_drops;
-        self.link_drops += other.link_drops;
-        self.retransmissions += other.retransmissions;
-        self.retransmitted_bytes += other.retransmitted_bytes;
-        self.nacks_sent += other.nacks_sent;
-        self.sr_retransmitted_bytes += other.sr_retransmitted_bytes;
-        self.recovery_timeouts += other.recovery_timeouts;
-        self.recovery_nacks += other.recovery_nacks;
-        self.failed_flows += other.failed_flows;
-        // Observability logs merge like outboxes: concatenate here,
-        // restore canonical order once in finish_merge.
-        if let (Some(mine), Some(theirs)) = (self.observe.as_deref_mut(), other.observe.take()) {
-            mine.absorb(*theirs);
-        }
-        // Deadlock onset is the earliest still-wedged port anywhere.
-        self.deadlock.onset = match (self.deadlock.onset, other.deadlock.onset) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
-    /// Final fix-ups after every partition has been absorbed: completed
-    /// flows sort into a canonical order (completion order is only
-    /// partition-local during a split run) and the partition markers are
-    /// cleared so the merged network reads as an ordinary serial one.
-    pub(crate) fn finish_merge(&mut self) {
-        self.fct.sort_unstable_by_key(|r| (r.finish, r.flow.0));
-        if let Some(obs) = self.observe.as_deref_mut() {
-            obs.finish_merge();
-        }
-        self.owner.clear();
-        self.part = 0;
-        assert!(self.outbox.is_empty(), "undelivered cross-partition frames at merge");
-    }
-
-    /// Accumulates this partition's live (link-up) adjacency into the
-    /// driver's full-topology buffers — the partitioned counterpart of
-    /// the gather in [`Network::recompute_routes`].
-    pub(crate) fn live_topology_into(
-        &self,
-        is_switch: &mut [bool],
-        adj: &mut [Vec<(usize, usize)>],
-    ) {
-        for (i, node) in self.nodes.iter().enumerate() {
-            let ports: &[EgressPort] = match node {
-                Node::Switch(s) => {
-                    is_switch[i] = true;
-                    &s.ports
-                }
-                Node::Host(h) => h.port.as_slice(),
-                Node::Absent => continue,
-            };
-            for (pi, p) in ports.iter().enumerate() {
-                if p.is_link_up() {
-                    adj[i].push((p.peer.0, pi));
-                }
-            }
-        }
-    }
-
-    /// Installs driver-recomputed route tables into this partition's
-    /// switches (foreign slots of `tables` are ignored).
-    pub(crate) fn install_routes(&mut self, tables: &[crate::routing::RouteTable]) {
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if let Node::Switch(s) = node {
-                s.routes = tables[i].clone();
-            }
-        }
-    }
-
-    /// One endpoint's share of a driver-executed link fault: `up == false`
-    /// kills this side's port (drain, MMU release, pause-ledger clear),
-    /// `up == true` restores it. Route recomputation is the driver's job.
-    pub(crate) fn fault_endpoint(
-        &mut self,
-        node: NodeId,
-        peer: NodeId,
-        up: bool,
-        sched: &mut Scheduler<'_, NetEvent>,
-    ) {
-        let port = self.find_port(node, peer);
-        if up {
-            self.port_mut(node, port).restore();
-        } else {
-            self.kill_port(node, port, sched.now(), sched);
-        }
-    }
-
-    /// Post-repair kick for one endpoint of a restored link (run after
-    /// routes are back in place, mirroring the serial
-    /// [`Network::link_up`] order).
-    pub(crate) fn fault_kick(
-        &mut self,
-        node: NodeId,
-        peer: NodeId,
-        sched: &mut Scheduler<'_, NetEvent>,
-    ) {
-        let port = self.find_port(node, peer);
-        if matches!(self.nodes[node.0], Node::Host(_)) {
-            self.host_try_send(node, sched);
-        } else {
-            self.try_transmit(node, port, sched);
         }
     }
 
@@ -827,12 +546,11 @@ impl Network {
 
     /// Every egress port in the network as `(node, port index, port)`, in
     /// node then port order.
-    pub(crate) fn all_ports(&self) -> impl Iterator<Item = (NodeId, usize, &EgressPort)> {
+    fn all_ports(&self) -> impl Iterator<Item = (NodeId, usize, &EgressPort)> {
         self.nodes.iter().enumerate().flat_map(|(i, n)| {
             let ports: &[EgressPort] = match n {
                 Node::Switch(s) => &s.ports,
                 Node::Host(h) => h.port.as_slice(),
-                Node::Absent => &[],
             };
             ports.iter().enumerate().map(move |(p, port)| (NodeId(i), p, port))
         })
@@ -1011,7 +729,7 @@ impl Network {
                 let f = &h.tx_flows[h.sender_slot(flow)?];
                 Some((f.cc.cwnd_bytes(), f.in_flight()))
             }
-            Node::Switch(_) | Node::Absent => None,
+            Node::Switch(_) => None,
         }
     }
 
@@ -1023,7 +741,7 @@ impl Network {
             .enumerate()
             .filter_map(|(i, n)| match n {
                 Node::Switch(s) => Some((i, s)),
-                Node::Host(_) | Node::Absent => None,
+                Node::Host(_) => None,
             })
             .flat_map(|(i, s)| {
                 s.ports.iter().enumerate().filter_map(move |(pi, p)| {
@@ -1076,7 +794,6 @@ impl Network {
         match &mut self.nodes[id.0] {
             Node::Host(h) => h,
             Node::Switch(_) => panic!("{id} is not a host"),
-            Node::Absent => panic!("{id} is owned by another partition"),
         }
     }
 
@@ -1084,7 +801,6 @@ impl Network {
         match &mut self.nodes[id.0] {
             Node::Switch(s) => s,
             Node::Host(_) => panic!("{id} is not a switch"),
-            Node::Absent => panic!("{id} is owned by another partition"),
         }
     }
 
@@ -1095,7 +811,6 @@ impl Network {
                 assert_eq!(port, 0, "hosts have a single uplink");
                 h.uplink_mut()
             }
-            Node::Absent => panic!("{id} is owned by another partition"),
         }
     }
 
@@ -1154,17 +869,10 @@ impl Network {
 
         let (frame, txd, prop, peer, peer_port) = tx;
         sched.at(now + txd, NetEvent::TxDone { node: node.0 as u32, port: port as u32 });
-        let arrive = NetEvent::Arrive { node: peer.0 as u32, in_port: peer_port as u32, frame };
-        if self.is_local(peer) {
-            sched.at(now + txd + prop, arrive);
-        } else {
-            // The peer belongs to another partition: hand the frame to
-            // the parallel driver instead of this calendar. The wire
-            // propagation delay of every cut link is at least the
-            // partitioning lookahead, so the delivery time always lands
-            // beyond the current window.
-            self.outbox.push((now + txd + prop, arrive));
-        }
+        sched.at(
+            now + txd + prop,
+            NetEvent::Arrive { node: peer.0 as u32, in_port: peer_port as u32, frame },
+        );
 
         self.drain_fc(node, fc, Some(port), sched);
     }
@@ -2031,7 +1739,6 @@ impl Network {
         let ports: &[EgressPort] = match &self.nodes[node.0] {
             Node::Switch(s) => &s.ports,
             Node::Host(h) => h.port.as_slice(),
-            Node::Absent => &[],
         };
         ports
             .iter()
@@ -2120,8 +1827,7 @@ impl Network {
             }
         }
         // The failure wipes the port's pause clocks, so any open cascade
-        // edges rooted here end now (both endpoints get a kill call, each
-        // in its owning partition).
+        // edges rooted here end now (both endpoints get a kill call).
         if let Some(obs) = self.observe.as_deref_mut() {
             obs.cascade.force_close_port(node, port, now);
         }
@@ -2192,7 +1898,6 @@ impl Network {
                     &s.ports
                 }
                 Node::Host(h) => h.port.as_slice(),
-                Node::Absent => &[],
             };
             for (pi, p) in ports.iter().enumerate() {
                 if p.is_link_up() {
@@ -2296,7 +2001,7 @@ impl Network {
             }
             let port_count = match &self.nodes[ni] {
                 Node::Switch(s) => s.ports.len(),
-                Node::Host(_) | Node::Absent => 0,
+                Node::Host(_) => 0,
             };
             for pi in 0..port_count {
                 for class in 0..crate::ids::NUM_DATA_CLASSES as u8 {
@@ -2435,11 +2140,11 @@ impl Network {
     ///
     /// Ticks never capture directly: a sample's state must reflect the
     /// *complete* set of events at instants `<= t`, and where the tick
-    /// lands inside the same-instant batch at `t` is an engine artifact
-    /// (the serial calendar and the link-partitioned driver order
-    /// same-instant ties differently).  Deferring the capture to the
-    /// first strictly-later event closes the instant first, which makes
-    /// the committed series byte-identical at any worker count.
+    /// lands inside the same-instant batch at `t` is a scheduling
+    /// artifact (it depends on when the tick was pushed relative to the
+    /// other events at `t`).  Deferring the capture to the first
+    /// strictly-later event closes the instant first, so a sample is
+    /// always the state after every event at `<= t`.
     fn handle_metrics_tick(&mut self, sched: &mut Scheduler<'_, NetEvent>) {
         let now = sched.now();
         // This tick is itself an event strictly after the previous pending
@@ -2457,9 +2162,9 @@ impl Network {
     }
 
     /// Captures the pending sample armed at `metrics_capture_at`:
-    /// snapshots every locally-owned switch's MMU occupancy and the
-    /// partition-global gauges into the observatory's staging slots (the
-    /// next tick commits them to the pre-allocated rings).  Called from
+    /// snapshots every switch's MMU occupancy and the global gauges
+    /// into the observatory's staging slots (the next tick commits them
+    /// to the pre-allocated rings).  Called from
     /// dispatch entry at the first event strictly after the sample
     /// instant, *before* that event mutates any state.
     #[cold]

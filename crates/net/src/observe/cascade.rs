@@ -46,16 +46,14 @@ impl PauseEdge {
         self.end == Time::MAX
     }
 
-    /// Canonical sort key: merged partition logs sorted by this key are
-    /// byte-identical regardless of worker count or merge order.
+    /// Canonical sort key of the cascade analysis: edges sorted by this
+    /// key give the same report whatever order they were logged in.
     fn key(&self) -> (Time, usize, usize, u8, usize, Time) {
         (self.start, self.up.0, self.up_port, self.class, self.down.0, self.end)
     }
 }
 
-/// Live edge log.  Each partition owns one tracker; `absorb` concatenates
-/// partition logs at the merge barrier and `sort_canonical` restores the
-/// engine-independent order.
+/// Live edge log, in the order pauses took effect.
 #[derive(Clone, Debug, Default)]
 pub struct CascadeTracker {
     edges: Vec<PauseEdge>,
@@ -135,21 +133,6 @@ impl CascadeTracker {
     #[must_use]
     pub fn edges(&self) -> &[PauseEdge] {
         &self.edges
-    }
-
-    /// Appends another partition's edge log.  Order is restored by
-    /// [`CascadeTracker::sort_canonical`] at the merge barrier.
-    pub(crate) fn absorb(&mut self, other: CascadeTracker) {
-        let base = self.edges.len();
-        self.open.extend(other.open.iter().map(|&i| i + base));
-        self.edges.extend(other.edges);
-    }
-
-    /// Sorts edges into the canonical order and rebuilds the open index.
-    pub(crate) fn sort_canonical(&mut self) {
-        self.edges.sort_unstable_by_key(PauseEdge::key);
-        self.open =
-            self.edges.iter().enumerate().filter(|(_, e)| e.is_open()).map(|(i, _)| i).collect();
     }
 }
 
@@ -235,9 +218,8 @@ pub fn analyze(
     // cycle still open at report time is a live buffer dependency loop.
     let cycles = find_cycles(edges.iter().filter(|e| e.is_open()));
 
-    // Clamp open edges to `now` and sort canonically so the analysis is
-    // identical whether the log came from the serial engine or from a
-    // partition merge.
+    // Clamp open edges to `now` and sort canonically so the analysis
+    // does not depend on the order edges were logged in.
     let mut es: Vec<PauseEdge> = edges.to_vec();
     for e in &mut es {
         if e.is_open() {
@@ -480,22 +462,6 @@ mod tests {
         tr.on_resume(NodeId(3), 1, 0, t(13));
         let r = analyze(tr.edges(), t(100), std::iter::empty());
         assert!(r.cycles.is_empty());
-    }
-
-    #[test]
-    fn absorb_then_sort_matches_serial_order() {
-        let mut a = CascadeTracker::new();
-        let mut b = CascadeTracker::new();
-        a.on_pause(NodeId(5), 0, 1, NodeId(6), 0, false, t(20));
-        b.on_pause(NodeId(1), 0, 1, NodeId(2), 0, false, t(10));
-        b.on_resume(NodeId(1), 0, 1, t(15));
-        a.absorb(b);
-        a.sort_canonical();
-        assert_eq!(a.edges()[0].up, NodeId(1));
-        assert_eq!(a.edges()[1].up, NodeId(5));
-        // Open index survives the sort.
-        a.on_resume(NodeId(5), 0, 1, t(30));
-        assert!(a.edges().iter().all(|e| !e.is_open()));
     }
 
     #[test]

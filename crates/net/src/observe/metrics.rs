@@ -2,11 +2,9 @@
 //!
 //! A calendar event (`NetEvent::MetricsTick`) fires at a configurable
 //! interval and snapshots per-switch MMU occupancy plus a handful of
-//! partition-global gauges into pre-allocated rings.  Every partition
-//! ticks at the same instants, so at the merge barrier per-switch series
-//! concatenate (each switch is owned by exactly one partition) and the
-//! global series sums pointwise — the exported `metrics.json` is
-//! byte-identical at any worker count.
+//! fabric-global gauges into pre-allocated rings.  Runs are serial and
+//! seeded, so the exported `metrics.json` is byte-identical at any
+//! `--threads` count.
 
 use crate::ids::NodeId;
 use dsh_simcore::{Delta, Json, Time};
@@ -30,8 +28,8 @@ pub struct SwitchSample {
     pub paused_ports: u32,
 }
 
-/// One partition-global sample.  Counter fields are cumulative at the
-/// sample instant; pointwise sums across partitions yield fabric totals.
+/// One fabric-global sample.  Counter fields are cumulative at the
+/// sample instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GlobalSample {
     /// Sample instant.
@@ -90,16 +88,15 @@ impl<T: Copy> Ring<T> {
     }
 }
 
-/// The sampler: one ring per owned switch plus one global ring.
+/// The sampler: one ring per switch plus one global ring.
 ///
 /// Samples are *instant-closed*: the network captures the sample labeled
 /// `t` at the first event strictly after `t` (staging it here via
 /// [`Self::stage_switch`]/[`Self::stage_global`]) and commits it on the
-/// next tick.  The set of events at instants `<= t` is identical in the
-/// serial and link-partitioned engines even though their intra-instant
-/// order is not, so committed samples are byte-identical at any worker
-/// count; the lone capture still staged when the run's deadline cuts the
-/// calendar off is deliberately dropped by both engines.
+/// next tick, so a sample is the state after every event at `<= t`
+/// whatever the order of the events inside instant `t`.  The lone
+/// capture still staged when the run's deadline cuts the calendar off is
+/// deliberately dropped.
 #[derive(Clone, Debug)]
 pub struct MetricsSampler {
     interval: Delta,
@@ -191,30 +188,6 @@ impl MetricsSampler {
     #[must_use]
     pub fn samples(&self) -> usize {
         self.global.buf.len()
-    }
-
-    /// Merges another partition's sampler.  Per-switch rings concatenate
-    /// (disjoint ownership); the global ring sums pointwise — both
-    /// partitions ticked at identical instants with identical capacity, so
-    /// the rings are index-aligned even after wrapping.
-    pub(crate) fn absorb(&mut self, other: MetricsSampler) {
-        self.switches.extend(other.switches);
-        debug_assert_eq!(self.global.buf.len(), other.global.buf.len());
-        debug_assert_eq!(self.global.head, other.global.head);
-        for (mine, theirs) in self.global.buf.iter_mut().zip(other.global.buf.iter()) {
-            debug_assert_eq!(mine.t, theirs.t);
-            mine.paused_ports += theirs.paused_ports;
-            mine.nacks_sent += theirs.nacks_sent;
-            mine.retransmitted_bytes += theirs.retransmitted_bytes;
-            mine.sr_retransmitted_bytes += theirs.sr_retransmitted_bytes;
-            mine.recovery_timeouts += theirs.recovery_timeouts;
-        }
-        self.global.dropped = self.global.dropped.max(other.global.dropped);
-    }
-
-    /// Restores the canonical (node-sorted) switch order after a merge.
-    pub(crate) fn sort_canonical(&mut self) {
-        self.switches.sort_unstable_by_key(|(n, _)| n.0);
     }
 
     /// Versioned JSON export: parallel arrays per series.
@@ -322,23 +295,6 @@ mod tests {
         let vals: Vec<u64> = r.iter().copied().collect();
         assert_eq!(vals, vec![2, 3, 4]);
         assert_eq!(r.last(), Some(&4));
-    }
-
-    #[test]
-    fn absorb_sums_global_pointwise_and_concats_switches() {
-        let mut a = MetricsSampler::new(Delta::from_us(10), 8);
-        let mut b = MetricsSampler::new(Delta::from_us(10), 8);
-        a.add_switch(NodeId(9));
-        b.add_switch(NodeId(2));
-        a.record_global(gs(10, 1, 5));
-        b.record_global(gs(10, 2, 7));
-        a.absorb(b);
-        a.sort_canonical();
-        assert_eq!(a.switches[0].0, NodeId(2));
-        assert_eq!(a.switches[1].0, NodeId(9));
-        let g: Vec<GlobalSample> = a.global.iter().copied().collect();
-        assert_eq!(g[0].paused_ports, 3);
-        assert_eq!(g[0].nacks_sent, 12);
     }
 
     #[test]

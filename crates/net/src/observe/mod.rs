@@ -8,12 +8,10 @@
 //! path — edges append to a pre-reserved log and samples land in
 //! fixed-capacity rings.
 //!
-//! Determinism contract: each partition records only events it owns
-//! (pauses applied at locally-owned ports, samples of locally-owned
-//! switches).  At the partition merge barrier the logs are concatenated
-//! and re-sorted into a canonical order — exactly the outbox rule — so
-//! `metrics.json` and the cascade report are byte-identical at any
-//! `--threads` / `--workers` count.
+//! Determinism contract: every run is serial and seeded, samples are
+//! instant-closed, and the cascade report sorts its edges canonically,
+//! so `metrics.json` and the cascade report are byte-identical at any
+//! `--threads` count.
 
 mod cascade;
 mod metrics;
@@ -68,18 +66,6 @@ impl ObserveState {
             cascade: CascadeTracker::new(),
             metrics: MetricsSampler::new(cfg.metrics_interval, cfg.series_capacity),
         }
-    }
-
-    /// Merges another partition's state at the merge barrier.
-    pub(crate) fn absorb(&mut self, other: ObserveState) {
-        self.cascade.absorb(other.cascade);
-        self.metrics.absorb(other.metrics);
-    }
-
-    /// Restores canonical (engine-independent) ordering after a merge.
-    pub(crate) fn finish_merge(&mut self) {
-        self.cascade.sort_canonical();
-        self.metrics.sort_canonical();
     }
 
     /// The recorded who-paused-whom edge log.

@@ -145,44 +145,6 @@ impl<M: Model> Simulation<M> {
         n
     }
 
-    /// Runs until the calendar is empty or the next event is at or after
-    /// `bound` (a half-open window `[now, bound)` — the conservative
-    /// parallel-DES lookahead primitive). Returns the number of events
-    /// processed during this call.
-    pub fn run_before(&mut self, bound: Time) -> u64 {
-        let mut n = 0;
-        while let Some((t, event)) = self.queue.pop_strictly_before(bound) {
-            debug_assert!(t >= self.now, "event calendar went backwards");
-            self.now = t;
-            let mut sched = Scheduler { now: t, queue: &mut self.queue, fused: 0 };
-            self.model.handle(event, &mut sched);
-            n += 1 + sched.fused;
-        }
-        self.processed += n;
-        n
-    }
-
-    /// Runs `f` with the model and a scheduler positioned at `at`,
-    /// advancing the clock there — the injection point for events that
-    /// live outside this calendar (a parallel driver's global flow-start,
-    /// fault, and sample instants).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current simulation time.
-    pub fn with_model_at<R>(
-        &mut self,
-        at: Time,
-        f: impl FnOnce(&mut M, &mut Scheduler<'_, M::Event>) -> R,
-    ) -> R {
-        assert!(at >= self.now, "cannot rewind the clock ({at:?} < {:?})", self.now);
-        self.now = at;
-        let mut sched = Scheduler { now: at, queue: &mut self.queue, fused: 0 };
-        let r = f(&mut self.model, &mut sched);
-        self.processed += sched.fused;
-        r
-    }
-
     /// Like [`Simulation::run_until`], but classifies every dispatched
     /// event through [`EventClass`] and accumulates per-class counts
     /// (and, with the `profile` feature, per-class wall time) into
@@ -315,18 +277,6 @@ mod tests {
         assert_eq!(sim.events_processed(), 101);
     }
 
-    #[test]
-    fn run_before_is_exclusive_and_resumable() {
-        let mut sim = Simulation::new(Recorder { log: vec![], chain: 100 });
-        sim.schedule(Time::ZERO, 0);
-        let n = sim.run_before(Time::from_ns(30));
-        assert_eq!(n, 3); // events at 0, 10, 20 — 30 stays pending
-        assert_eq!(sim.now(), Time::from_ns(20));
-        assert_eq!(sim.pending(), 1);
-        sim.run_before(Time::from_ns(31));
-        assert_eq!(sim.now(), Time::from_ns(30));
-    }
-
     /// Profiler classes of the test models' `u32` events.
     impl crate::profile::EventClass for u32 {
         const NAMES: &'static [&'static str] = &["even", "odd"];
@@ -377,23 +327,6 @@ mod tests {
         let rows: Vec<_> = profile.rows().map(|(name, count, _)| (name, count)).collect();
         assert_eq!(rows, [("even", 1), ("odd", 2)]);
         assert_eq!(profile.total_events(), profiled.events_processed());
-    }
-
-    #[test]
-    fn with_model_at_injects_at_a_future_instant() {
-        let mut sim = Simulation::new(Recorder { log: vec![], chain: 0 });
-        sim.schedule(Time::from_ns(10), 1);
-        sim.run();
-        sim.with_model_at(Time::from_ns(40), |m, sched| {
-            m.log.push((sched.now(), 99));
-            sched.after(Delta::from_ns(5), 7);
-        });
-        assert_eq!(sim.now(), Time::from_ns(40));
-        sim.run();
-        assert_eq!(
-            sim.model().log,
-            vec![(Time::from_ns(10), 1), (Time::from_ns(40), 99), (Time::from_ns(45), 7)]
-        );
     }
 
     #[test]

@@ -34,24 +34,6 @@ use std::sync::{Mutex, OnceLock};
 /// `0` or an unparsable value means "auto" (available parallelism).
 pub const THREADS_ENV: &str = "DSH_THREADS";
 
-/// Environment variable overriding the default intra-run worker count
-/// for partitioned (conservative parallel) simulations.
-///
-/// `0` or an unparsable value means "auto" (available parallelism);
-/// `1` forces the serial engine. This is deliberately separate from
-/// [`THREADS_ENV`]: sweeps parallelize *across* runs, workers
-/// parallelize *inside* one run, and a host has to split its cores
-/// between the two.
-pub const WORKERS_ENV: &str = "DSH_WORKERS";
-
-/// Interprets a `DSH_WORKERS`-style value exactly like [`threads_from`]:
-/// `None`, `"0"`, or garbage mean "auto"; any positive integer is taken
-/// literally.
-#[must_use]
-pub fn workers_from(value: Option<&str>) -> Option<usize> {
-    threads_from(value)
-}
-
 /// Environment variable enabling sweep progress lines: with
 /// `DSH_PROGRESS=1`, `par_map` reports completed/total points and
 /// elapsed wall time on stderr as a long sweep advances.

@@ -55,7 +55,6 @@ mod rng;
 mod time;
 pub mod trace;
 mod units;
-pub mod window;
 
 pub use engine::{Model, Scheduler, Simulation};
 pub use exec::Executor;
@@ -67,4 +66,3 @@ pub use rng::{split_seed, SimRng};
 pub use time::{Delta, Time};
 pub use trace::{FlightGuard, TraceConfig, TraceKey, TraceLog, TraceMask, Tracer};
 pub use units::{Bandwidth, ByteSize};
-pub use window::Lockstep;

@@ -52,35 +52,6 @@ impl<T> Pool<T> {
         }
     }
 
-    /// Fills the free list up to `n` boxes (capped at the pool capacity)
-    /// with freshly allocated placeholders.
-    ///
-    /// Partitioned runs pre-warm each partition's pool at construction:
-    /// unlike a serial run's single shared pool, a partition can only
-    /// recycle boxes its own events freed, so its circulating population
-    /// converges slowly — pre-warming moves that convergence out of the
-    /// measured (and allocation-asserted) steady state.
-    pub fn prewarm(&mut self, n: usize, mut init: impl FnMut() -> T) {
-        let target = n.min(self.capacity);
-        while self.free.len() < target {
-            self.free.push(Box::new(init()));
-        }
-    }
-
-    /// Moves up to `n` free boxes into `out` (newest first).
-    ///
-    /// This exists for pool rebalancing across cooperating simulations
-    /// (partitioned runs migrate boxed frames between pools); it never
-    /// allocates — `out` must carry its own capacity.
-    // The boxes themselves are the recycled resource — unboxing into a
-    // `Vec<T>` would allocate on re-boxing, which is the one thing a
-    // pool transfer must never do.
-    #[allow(clippy::vec_box)]
-    pub fn lend(&mut self, n: usize, out: &mut Vec<Box<T>>) {
-        let take = n.min(self.free.len());
-        out.extend(self.free.drain(self.free.len() - take..));
-    }
-
     /// Number of boxes currently retained on the free list.
     #[must_use]
     pub fn free_len(&self) -> usize {

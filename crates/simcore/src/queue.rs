@@ -390,19 +390,6 @@ impl<E> EventQueue<E> {
         self.pop_where(|t, _| t <= deadline)
     }
 
-    /// Removes and returns the earliest event if it fires strictly before
-    /// `bound`; leaves the calendar untouched otherwise.
-    ///
-    /// This is the conservative-window primitive: a lookahead window
-    /// `[start, stop)` is half-open, so the partition driver drains
-    /// events with `pop_strictly_before(stop)` and leaves everything at
-    /// `stop` itself for the next window (after cross-partition inboxes
-    /// for that instant have been merged).
-    #[inline(always)]
-    pub fn pop_strictly_before(&mut self, bound: Time) -> Option<(Time, E)> {
-        self.pop_where(|t, _| t < bound)
-    }
-
     /// Removes and returns the earliest event only if it fires at exactly
     /// `now` and satisfies `pred`; leaves the calendar untouched
     /// otherwise.
@@ -644,14 +631,14 @@ mod tests {
         q.push(Time::from_us(50), 1);
         assert_eq!(q.peek_time(), Some(Time::from_us(50)));
         assert_eq!(q.pop_before(Time::from_us(1)), None);
-        assert_eq!(q.pop_strictly_before(Time::from_us(50)), None);
+        assert_eq!(q.pop_where(|t, _| t < Time::from_us(50)), None);
         assert_eq!(q.pop_current_if(Time::from_us(50), |_| false), None);
         q.push(Time::from_us(2), 2);
         // The same with the front in the far heap.
         q.push(Time::from_ms(1), 3);
         assert_eq!(q.pop(), Some((Time::from_us(2), 2)));
         assert_eq!(q.pop(), Some((Time::from_us(50), 1)));
-        assert_eq!(q.pop_strictly_before(Time::from_ms(1)), None);
+        assert_eq!(q.pop_where(|t, _| t < Time::from_ms(1)), None);
         q.push(Time::from_us(60), 4);
         q.push(Time::from_us(500), 5);
         let rest: Vec<_> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
@@ -708,21 +695,6 @@ mod tests {
         assert_eq!(q.pop_before(Time::from_ms(9)), None);
         assert_eq!(q.pop_before(Time::MAX), Some((Time::from_ms(10), 3)));
         assert_eq!(q.pop_before(Time::MAX), None);
-    }
-
-    #[test]
-    fn pop_strictly_before_is_exclusive() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_ns(10), 1);
-        assert_eq!(q.pop_strictly_before(Time::from_ns(10)), None);
-        assert_eq!(q.pop_strictly_before(Time::from_ns(11)), Some((Time::from_ns(10), 1)));
-        q.push(Time::from_ns(10), 2);
-        assert_eq!(q.pop_strictly_before(Time::from_ns(10)), None);
-        assert_eq!(q.pop_strictly_before(Time::from_ns(11)), Some((Time::from_ns(10), 2)));
-        q.push(Time::from_ms(10), 3);
-        assert_eq!(q.pop_strictly_before(Time::from_ms(10)), None);
-        assert_eq!(q.pop_strictly_before(Time::MAX), Some((Time::from_ms(10), 3)));
-        assert_eq!(q.pop_strictly_before(Time::MAX), None);
     }
 
     #[test]
@@ -790,7 +762,7 @@ mod tests {
             self.next_id += 1;
         }
 
-        /// Pops through primitive `kind` (6-10, accepting or refusing as
+        /// Pops through primitive `kind` (6-9, accepting or refusing as
         /// `delta` decides) from both and checks they agree.
         fn pop(&mut self, kind: u8, delta: u64) {
             let now = self.now;
@@ -798,7 +770,6 @@ mod tests {
             let (a, b) = match kind {
                 6 | 7 => (self.q.pop(), self.oracle.pop()),
                 8 => (self.q.pop_before(bound), self.oracle.pop_where(|t, _| t <= bound)),
-                9 => (self.q.pop_strictly_before(bound), self.oracle.pop_where(|t, _| t < bound)),
                 _ => {
                     let accept = |&e: &u32| u64::from(e) % 2 == delta % 2;
                     (
@@ -837,12 +808,12 @@ mod tests {
         /// same trace from both implementations.
         #[test]
         fn prop_matches_pure_heap(
-            ops in proptest::collection::vec((0u8..12, 0u64..50), 1..400)
+            ops in proptest::collection::vec((0u8..11, 0u64..50), 1..400)
         ) {
             let mut p = Pair::new();
             for (kind, delta) in ops {
                 let now = p.now;
-                // kinds 0-5 push, 6-10 pop, 11 pushes a burst.
+                // kinds 0-5 push, 6-9 pop, 10 pushes a burst.
                 match kind {
                     0 => p.push(now),
                     1 => p.push(p.ahead(delta * 1_000)),
@@ -856,7 +827,7 @@ mod tests {
                         p.push(Time::from_ps(ps).max(now));
                     }
                     5 => p.push(Time::from_ps(u64::MAX - delta).max(now)),
-                    6..=10 => p.pop(kind, delta),
+                    6..=9 => p.pop(kind, delta),
                     _ => {
                         // A dense burst, the shape of a fabric's clustered
                         // arrivals: 50-491 pushes inside the 65.5 ns window
@@ -870,7 +841,7 @@ mod tests {
                             let offset = (n - 1 - i) / ties * ties * 65_535 / n;
                             p.push(Time::from_ps(window.saturating_add(offset)).max(p.now));
                             if i % 37 == 36 {
-                                p.pop(6 + (i / 37 % 5) as u8, delta);
+                                p.pop(6 + (i / 37 % 4) as u8, delta);
                             }
                         }
                     }

@@ -20,7 +20,7 @@
 //!   simulation built during the closure (on any thread — sweeps go
 //!   through `exec::par_map`) records into its own ring, and the rings
 //!   come back as [`TraceLog`]s sorted by [`TraceKey`] so the result is
-//!   bit-identical at any worker count.
+//!   bit-identical at any thread count.
 //! * [`chrome_trace`] converts logs to the Chrome `trace_event` JSON
 //!   format (load in `chrome://tracing` or Perfetto): PFC pause→resume
 //!   spans, flow lifetime spans with retransmission markers, occupancy

@@ -10,7 +10,7 @@
 use dsh_bench::fabric::{FctExperiment, Topo};
 use dsh_bench::fig14;
 use dsh_core::Scheme;
-use dsh_net::{FlowSpec, NetParams, NetworkBuilder, ParallelSim};
+use dsh_net::{FlowSpec, NetParams, NetworkBuilder};
 use dsh_simcore::{Bandwidth, Delta, Executor, Time};
 use dsh_transport::CcKind;
 
@@ -131,12 +131,9 @@ fn derived_seeds_match_across_pool_widths() {
 }
 
 /// A 4-switch chain with two hosts per switch, ECN off, staggered
-/// uncontrolled senders crossing every inter-switch link — the documented
-/// requirements for serial/partitioned bit-identity (no global-RNG ECN
-/// draws; distinct start/finish instants). Runs on the link-partitioned
-/// conservative engine at `workers` threads and returns the full
-/// telemetry JSON.
-fn chain_partitioned_telemetry(scheme: Scheme, workers: usize) -> String {
+/// uncontrolled senders crossing every inter-switch link. Returns the
+/// full telemetry JSON of a 1 ms run.
+fn chain_telemetry(scheme: Scheme) -> String {
     let mut b = NetworkBuilder::new(NetParams::tomahawk(scheme).without_ecn());
     let switches: Vec<_> = (0..4).map(|_| b.switch()).collect();
     let hosts: Vec<_> = (0..8).map(|_| b.host()).collect();
@@ -163,40 +160,6 @@ fn chain_partitioned_telemetry(scheme: Scheme, workers: usize) -> String {
             });
         }
     }
-    let mut par = ParallelSim::new(net, workers).expect("chain must partition");
-    let end = Time::from_ms(1);
-    par.run_until(end);
-    par.into_network().telemetry_report(end).to_json().to_string()
-}
-
-/// The serial calendar's telemetry for the same scenario — the
-/// single-worker degeneration baseline.
-fn chain_serial_telemetry(scheme: Scheme) -> String {
-    let mut b = NetworkBuilder::new(NetParams::tomahawk(scheme).without_ecn());
-    let switches: Vec<_> = (0..4).map(|_| b.switch()).collect();
-    let hosts: Vec<_> = (0..8).map(|_| b.host()).collect();
-    let bw = Bandwidth::from_gbps(100);
-    for (i, &h) in hosts.iter().enumerate() {
-        b.link(h, switches[i / 2], bw, Delta::from_us(1));
-    }
-    for w in switches.windows(2) {
-        b.link(w[0], w[1], bw, Delta::from_us(2));
-    }
-    let mut net = b.build();
-    for i in 0..4 {
-        for (j, (src, dst)) in
-            [(hosts[i], hosts[7 - i]), (hosts[7 - i], hosts[i])].into_iter().enumerate()
-        {
-            net.add_flow(FlowSpec {
-                src,
-                dst,
-                size: 150_000 + 30_000 * i as u64,
-                class: 0,
-                start: Time::from_us((2 * i + j) as u64 * 3),
-                cc: CcKind::Uncontrolled,
-            });
-        }
-    }
     let mut sim = net.into_sim();
     let end = Time::from_ms(1);
     sim.run_until(end);
@@ -204,27 +167,18 @@ fn chain_serial_telemetry(scheme: Scheme) -> String {
 }
 
 #[test]
-fn partitioned_telemetry_is_byte_identical_at_1_2_4_workers() {
-    let mut digests = Vec::new();
-    for scheme in [Scheme::Sih, Scheme::Dsh, Scheme::BShare] {
-        let one = chain_partitioned_telemetry(scheme, 1);
-        assert_eq!(one, chain_partitioned_telemetry(scheme, 2), "{scheme:?} drifted at 2 workers");
-        assert_eq!(one, chain_partitioned_telemetry(scheme, 4), "{scheme:?} drifted at 4 workers");
-        // ECN is off and no instant carries two cross-partition arrivals
-        // at one node, so this scenario must also degenerate to the
-        // serial calendar byte for byte.
-        assert_eq!(one, chain_serial_telemetry(scheme), "{scheme:?} differs from serial engine");
-        digests.push(fnv1a(&one));
-    }
-    // Golden digests (SIH, DSH, BShare): pin the partitioned engine's
-    // full telemetry across refactors at every worker count. Pinned at
-    // the engine's introduction, when the partitioned path reproduced
-    // the serial calendar exactly on this ECN-free scenario. (Last
-    // rebaselined for the per-class pause telemetry breakdown —
-    // serialization-only; the event stream is untouched.)
+fn chain_telemetry_matches_pinned_digests() {
+    let digests: Vec<u64> = [Scheme::Sih, Scheme::Dsh, Scheme::BShare]
+        .into_iter()
+        .map(|scheme| fnv1a(&chain_telemetry(scheme)))
+        .collect();
+    // Golden digests (SIH, DSH, BShare): pin the chain's full telemetry
+    // across refactors. (Last rebaselined for the per-class pause
+    // telemetry breakdown — serialization-only; the event stream is
+    // untouched.)
     assert_eq!(
         digests,
         vec![7_021_700_113_893_658_252, 15_562_023_392_353_366_219, 734_044_542_953_011_810,],
-        "partitioned telemetry drifted"
+        "chain telemetry drifted"
     );
 }

@@ -3,18 +3,13 @@
 //!
 //! The sampler's contract mirrors the telemetry contract next door in
 //! `determinism.rs`: `metrics.json` is a pure function of the experiment
-//! config.  The executor thread count may never move a byte, and on
-//! scenarios inside the engines' documented equivalence class (ECN off,
-//! distinct calendar instants, no same-instant cross-partition arrival
-//! pairs at one node) the link-partitioned engine at any worker count
-//! must reproduce the serial calendar's export byte for byte.  Samples
+//! config, and the executor thread count may never move a byte.  Samples
 //! are *instant-closed* (captured at the first event strictly after the
-//! sample instant), which is what makes the latter possible at all: the
-//! event set at instants `<= t` is engine-invariant even though the
-//! intra-instant order is not.
+//! sample instant), so a sample is the state after every event at
+//! instants `<= t`.
 
 use dsh_core::Scheme;
-use dsh_net::{FlowSpec, NetParams, NetworkBuilder, ObserveConfig, ParallelSim};
+use dsh_net::{FlowSpec, NetParams, NetworkBuilder, ObserveConfig};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, Executor, Json, Time};
 use dsh_transport::CcKind;
 use proptest::prelude::*;
@@ -31,8 +26,7 @@ fn fnv1a(s: &str) -> u64 {
 
 /// The 4-switch chain of `determinism.rs`, with the observatory armed:
 /// two hosts per switch, ECN off, staggered uncontrolled senders crossing
-/// every inter-switch link — the documented requirements for
-/// serial/partitioned bit-identity.
+/// every inter-switch link.
 fn chain_net(scheme: Scheme) -> dsh_net::Network {
     let params =
         NetParams::tomahawk(scheme).without_ecn().with_observability(ObserveConfig::default());
@@ -64,54 +58,27 @@ fn chain_net(scheme: Scheme) -> dsh_net::Network {
     net
 }
 
-/// Serial-calendar metrics export for the chain scenario.
-fn chain_serial_metrics(scheme: Scheme) -> String {
+/// Metrics export for the chain scenario.
+fn chain_metrics(scheme: Scheme) -> String {
     let mut sim = chain_net(scheme).into_sim();
     sim.run_until(Time::from_ms(1));
     sim.into_model().metrics_json().expect("observatory armed").to_string()
 }
 
-/// Link-partitioned metrics export for the same scenario.
-fn chain_partitioned_metrics(scheme: Scheme, workers: usize) -> String {
-    let mut par = ParallelSim::new(chain_net(scheme), workers).expect("chain must partition");
-    par.run_until(Time::from_ms(1));
-    par.into_network().metrics_json().expect("observatory armed").to_string()
-}
-
 /// Golden digests (SIH, DSH, BShare) of the chain scenario's
-/// `metrics.json` (schema version 2).  Shared by the thread- and
-/// worker-sweep tests below: one number covers every engine and every
-/// parallelism degree.
+/// `metrics.json` (schema version 2), checked at 1 and 4 threads.
 const CHAIN_METRICS_GOLDENS: [u64; 3] =
     [5_771_651_002_691_532_224, 4_685_503_019_571_799_165, 17_613_441_913_672_845_992];
 
 #[test]
 fn metrics_json_is_byte_identical_at_1_and_4_threads() {
     let schemes = vec![Scheme::Sih, Scheme::Dsh, Scheme::BShare];
-    let run =
-        |threads: usize| Executor::new(threads).par_map(schemes.clone(), chain_serial_metrics);
+    let run = |threads: usize| Executor::new(threads).par_map(schemes.clone(), chain_metrics);
     let serial = run(1);
     let four = run(4);
     assert_eq!(serial, four);
     let digests: Vec<u64> = serial.iter().map(|s| fnv1a(s)).collect();
     assert_eq!(digests, CHAIN_METRICS_GOLDENS, "metrics JSON drifted across thread counts");
-}
-
-#[test]
-fn metrics_json_is_byte_identical_at_1_2_4_workers_and_serial() {
-    for (scheme, golden) in
-        [Scheme::Sih, Scheme::Dsh, Scheme::BShare].into_iter().zip(CHAIN_METRICS_GOLDENS)
-    {
-        let serial = chain_serial_metrics(scheme);
-        for workers in [1, 2, 4] {
-            assert_eq!(
-                serial,
-                chain_partitioned_metrics(scheme, workers),
-                "{scheme:?} metrics drifted at {workers} workers"
-            );
-        }
-        assert_eq!(fnv1a(&serial), golden, "{scheme:?} metrics JSON drifted");
-    }
 }
 
 /// The fig. 18 acceptance scenario: a seeded 8-to-1 two-switch incast
