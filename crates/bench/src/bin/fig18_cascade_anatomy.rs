@@ -4,7 +4,7 @@
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig18_cascade_anatomy \
 //!     [--full] [--smoke] [--json] [--seed N] [--threads N] \
-//!     [--metrics out.json] [--metrics-interval NS] [--metrics-format json|prom]
+//!     [--metrics out.json]
 //! ```
 //!
 //! Sweeps incast degree × {SIH, DSH, BShare} on a two-tier fabric with
@@ -14,8 +14,9 @@
 //! runs the 8-to-1 DSH cell and hard-asserts the acceptance contract: at
 //! least one cascade of depth ≥ 2 whose victim-flow attribution is
 //! nonzero, clean audits, zero drops, no cycle findings. With
-//! `--metrics` the smoke run re-parses its own export before declaring
-//! success.
+//! `--metrics` the smoke cell (or, in a sweep, one extra run of the
+//! degree-8 cell) writes its `metrics.json`, sampled on the network's one
+//! 10 µs tick, and re-parses it before declaring success.
 
 use dsh_bench::fig18::{self, Fig18Experiment, Fig18Point, Fig18Result};
 use dsh_core::Scheme;
@@ -78,27 +79,17 @@ fn reparse_metrics(args: &dsh_bench::Args) {
     let Some(path) = args.metrics.as_deref() else { return };
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("metrics export {path} unreadable: {e}"));
-    match args.metrics_format {
-        dsh_bench::MetricsFormat::Json => {
-            let doc = Json::parse(&text)
-                .unwrap_or_else(|e| panic!("metrics export {path} is not valid JSON: {e}"));
-            let version = doc.get("version").and_then(Json::as_u64);
-            assert_eq!(version, Some(2), "metrics export {path} missing version 2");
-            let switches = doc.get("switches").and_then(Json::as_arr);
-            assert!(
-                switches.is_some_and(|s| !s.is_empty()),
-                "metrics export {path} has no per-switch series"
-            );
-            let samples = doc.get("samples").and_then(Json::as_u64).unwrap_or(0);
-            assert!(samples > 0, "metrics export {path} recorded no samples");
-        }
-        dsh_bench::MetricsFormat::Prom => {
-            assert!(
-                text.lines().any(|l| l.starts_with("dsh_switch_shared_bytes")),
-                "Prometheus export {path} has no gauge samples"
-            );
-        }
-    }
+    let doc = Json::parse(&text)
+        .unwrap_or_else(|e| panic!("metrics export {path} is not valid JSON: {e}"));
+    let version = doc.get("version").and_then(Json::as_u64);
+    assert_eq!(version, Some(2), "metrics export {path} missing version 2");
+    let switches = doc.get("switches").and_then(Json::as_arr);
+    assert!(
+        switches.is_some_and(|s| !s.is_empty()),
+        "metrics export {path} has no per-switch series"
+    );
+    let samples = doc.get("samples").and_then(Json::as_u64).unwrap_or(0);
+    assert!(samples > 0, "metrics export {path} recorded no samples");
     eprintln!("[dsh] metrics export re-parsed OK: {path}");
 }
 
@@ -108,9 +99,6 @@ fn run(args: &dsh_bench::Args) {
     if args.smoke {
         let mut base = fig18::smoke_base(Scheme::Dsh);
         base.seed = args.seed;
-        if let Some(cfg) = dsh_bench::observe_config(args) {
-            base.observe = cfg;
-        }
         let (r, net) = fig18::run_cell_net(&base);
         header();
         print_row(base.degree, base.scheme, &r);
@@ -129,9 +117,6 @@ fn run(args: &dsh_bench::Args) {
 
     let mut base = Fig18Experiment::small(Scheme::Dsh);
     base.seed = args.seed;
-    if let Some(cfg) = dsh_bench::observe_config(args) {
-        base.observe = cfg;
-    }
     let degrees: &[usize] = if args.full { &[4, 8, 16, 32] } else { &[4, 8, 16] };
 
     println!("Fig. 18 — cascade anatomy: pause propagation under N-to-1 incast");

@@ -43,9 +43,8 @@ pub struct Fig18Experiment {
     /// so the frozen `simbench` benchmark, which passes it to
     /// [`NetParams::with_fidelity`], compiles; drop the three together.
     pub fidelity: FidelityMode,
-    /// Observability configuration. Always armed here — the cascade
-    /// tracker *is* the measurement; [`crate::observe_config`] merely
-    /// overrides the sampling interval when `--metrics` asks for one.
+    /// Observability configuration. Always armed here: the cascade
+    /// tracker *is* the measurement.
     pub observe: ObserveConfig,
 }
 
@@ -63,7 +62,7 @@ impl Fig18Experiment {
             buffer: ByteSize::mib(2),
             seed: 1,
             fidelity: FidelityMode::Packet,
-            observe: ObserveConfig::default(),
+            observe: ObserveConfig,
         }
     }
 }

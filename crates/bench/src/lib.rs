@@ -40,22 +40,11 @@ pub mod theory;
 
 use dsh_net::{Network, ObserveConfig};
 use dsh_simcore::trace::{self, TraceConfig, TraceMask};
-use dsh_simcore::{exec, Delta, Executor, Json};
+use dsh_simcore::{exec, Executor, Json};
 use dsh_transport::Regime;
 
 /// Environment fallback for `--metrics` (an output PATH).
 pub const METRICS_ENV: &str = "DSH_METRICS";
-
-/// Export format for the `--metrics` sampler dump (see [`write_metrics`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricsFormat {
-    /// The versioned `metrics.json` document
-    /// ([`dsh_net::Network::metrics_json`]).
-    Json,
-    /// Prometheus text exposition
-    /// ([`dsh_net::Network::metrics_prometheus`]).
-    Prom,
-}
 
 /// Command-line options shared by the figure binaries, collected in a
 /// single pass over argv.
@@ -90,13 +79,6 @@ pub struct Args {
     /// [`write_metrics`]). `None` (the default) keeps the observability
     /// hooks masked off entirely.
     pub metrics: Option<String>,
-    /// `--metrics-interval NS`: sampling interval in nanoseconds
-    /// (default 10 000 ns = 10 µs). Only meaningful together with
-    /// `--metrics`; rejected without it.
-    pub metrics_interval: Delta,
-    /// `--metrics-format json|prom` (default `json`). Only meaningful
-    /// together with `--metrics`; rejected without it.
-    pub metrics_format: MetricsFormat,
 }
 
 /// Usage text printed (to stderr) when argument parsing fails.
@@ -114,14 +96,7 @@ usage: <figure-binary> [OPTIONS]
                   (rejected together with --regime)
   --metrics PATH  arm the pause-causality/metrics sampler for the
                   figure's representative run and write the export to
-                  PATH (DSH_METRICS fallback)
-  --metrics-interval NS
-                  sampling interval in nanoseconds (default 10000;
-                  must be positive; requires --metrics)
-  --metrics-format F
-                  metrics export format: json (default, versioned
-                  metrics.json) | prom (Prometheus text); requires
-                  --metrics";
+                  PATH (DSH_METRICS fallback)";
 
 impl Args {
     /// Parses the process argv, with `DSH_THREADS` as the `--threads`
@@ -173,13 +148,7 @@ impl Args {
             regime: None,
             no_recovery: false,
             metrics: env_metrics.map(str::to_string),
-            metrics_interval: Delta::from_ns(10_000),
-            metrics_format: MetricsFormat::Json,
         };
-        // `--metrics-interval`/`--metrics-format` without an export
-        // destination would silently configure nothing; track whether
-        // they were given so the cross-check below can reject that.
-        let (mut interval_given, mut format_given) = (false, false);
         let mut it = argv.into_iter();
         while let Some(tok) = it.next() {
             match tok.as_str() {
@@ -219,39 +188,8 @@ impl Args {
                     }
                     args.metrics = Some(path);
                 }
-                "--metrics-interval" => {
-                    let ns: u64 = parse_value(&tok, it.next())?;
-                    if ns == 0 {
-                        return Err(
-                            "invalid value for --metrics-interval: '0' (the sampling interval \
-                             must be positive)"
-                                .to_string(),
-                        );
-                    }
-                    args.metrics_interval = Delta::from_ns(ns);
-                    interval_given = true;
-                }
-                "--metrics-format" => {
-                    let f =
-                        it.next().ok_or_else(|| "--metrics-format requires a value".to_string())?;
-                    args.metrics_format = match f.as_str() {
-                        "json" => MetricsFormat::Json,
-                        "prom" => MetricsFormat::Prom,
-                        _ => {
-                            return Err(format!(
-                                "invalid value for --metrics-format: '{f}' (expected json or prom)"
-                            ))
-                        }
-                    };
-                    format_given = true;
-                }
                 other => return Err(format!("unknown argument '{other}'")),
             }
-        }
-        if args.metrics.is_none() && (interval_given || format_given) {
-            return Err("--metrics-interval/--metrics-format configure the --metrics export; \
-                 pass --metrics PATH (or set DSH_METRICS)"
-                .to_string());
         }
         if args.no_recovery && args.regime.is_some() {
             return Err("--no-recovery disables loss recovery, so --regime would have no effect; \
@@ -321,7 +259,7 @@ pub fn with_trace<R>(args: &Args, f: impl FnOnce() -> R) -> R {
 /// packet path).
 #[must_use]
 pub fn observe_config(args: &Args) -> Option<ObserveConfig> {
-    args.metrics.as_ref().map(|_| ObserveConfig::default().with_interval(args.metrics_interval))
+    args.metrics.as_ref().map(|_| ObserveConfig)
 }
 
 /// Writes the `--metrics` export for a finished run whose network was
@@ -335,11 +273,7 @@ pub fn observe_config(args: &Args) -> Option<ObserveConfig> {
 /// written.
 pub fn write_metrics(args: &Args, net: &Network) {
     let Some(path) = args.metrics.as_deref() else { return };
-    let rendered = match args.metrics_format {
-        MetricsFormat::Json => net.metrics_json().map(|doc| doc.to_string()),
-        MetricsFormat::Prom => net.metrics_prometheus(),
-    };
-    let Some(rendered) = rendered else {
+    let Some(rendered) = net.metrics_json().map(|doc| doc.to_string()) else {
         eprintln!("[dsh] --metrics run finished without the sampler armed (figure wiring bug)");
         std::process::exit(1);
     };
@@ -373,8 +307,6 @@ mod tests {
                 regime: None,
                 no_recovery: false,
                 metrics: None,
-                metrics_interval: Delta::from_ns(10_000),
-                metrics_format: MetricsFormat::Json,
             }
         );
     }
@@ -396,10 +328,6 @@ mod tests {
                 "sr",
                 "--metrics",
                 "m.json",
-                "--metrics-interval",
-                "2500",
-                "--metrics-format",
-                "prom",
             ]),
             None,
             None,
@@ -417,8 +345,6 @@ mod tests {
                 regime: Some(Regime::SelectiveRepeat),
                 no_recovery: false,
                 metrics: Some("m.json".to_string()),
-                metrics_interval: Delta::from_ns(2_500),
-                metrics_format: MetricsFormat::Prom,
             }
         );
     }
@@ -461,8 +387,14 @@ mod tests {
         let e = Args::from_iter(argv(&["full"]), None, None).unwrap_err();
         assert!(e.contains("unknown argument 'full'"), "{e}");
         // So is the flag of a removed feature: the hybrid engine's
-        // fidelity and the partitioned engine's worker count.
-        for (removed, value) in [("fidelity", "packet"), ("workers", "2")] {
+        // fidelity, the partitioned engine's worker count, and the
+        // metrics sampler's own interval and export format.
+        for (removed, value) in [
+            ("fidelity", "packet"),
+            ("workers", "2"),
+            ("metrics-interval", "500"),
+            ("metrics-format", "prom"),
+        ] {
             let flag = format!("--{removed}");
             let e = Args::from_iter(argv(&[&flag, value]), None, None).unwrap_err();
             assert!(e.contains(&format!("unknown argument '{flag}'")), "{e}");
@@ -507,8 +439,6 @@ mod tests {
             "--regime",
             "--no-recovery",
             "--metrics",
-            "--metrics-interval",
-            "--metrics-format",
         ] {
             assert!(USAGE.contains(flag), "usage must list {flag}");
         }
@@ -520,15 +450,6 @@ mod tests {
         assert_eq!(a.metrics.as_deref(), Some("env.json"));
         let a = Args::from_iter(argv(&["--metrics", "cli.json"]), None, Some("env")).unwrap();
         assert_eq!(a.metrics.as_deref(), Some("cli.json"));
-        // The env fallback also legitimizes the companion flags.
-        let a = Args::from_iter(
-            argv(&["--metrics-interval", "500", "--metrics-format", "prom"]),
-            None,
-            Some("env.json"),
-        )
-        .unwrap();
-        assert_eq!(a.metrics_interval, Delta::from_ns(500));
-        assert_eq!(a.metrics_format, MetricsFormat::Prom);
     }
 
     #[test]
@@ -538,42 +459,13 @@ mod tests {
         assert!(e.contains("--metrics requires a PATH"), "{e}");
         let e = Args::from_iter(argv(&["--metrics", "--json"]), None, None).unwrap_err();
         assert!(e.contains("--metrics requires a PATH"), "{e}");
-        let e = Args::from_iter(
-            argv(&["--metrics", "m.json", "--metrics-interval", "abc"]),
-            None,
-            None,
-        )
-        .unwrap_err();
-        assert!(e.contains("invalid value for --metrics-interval: 'abc'"), "{e}");
-        let e =
-            Args::from_iter(argv(&["--metrics", "m.json", "--metrics-interval", "0"]), None, None)
-                .unwrap_err();
-        assert!(e.contains("must be positive"), "{e}");
-        let e =
-            Args::from_iter(argv(&["--metrics", "m.json", "--metrics-format", "csv"]), None, None)
-                .unwrap_err();
-        assert!(e.contains("invalid value for --metrics-format: 'csv'"), "{e}");
-    }
-
-    #[test]
-    fn metrics_companions_without_destination_are_rejected() {
-        for toks in [&["--metrics-interval", "500"][..], &["--metrics-format", "prom"][..]] {
-            let e = Args::from_iter(argv(toks), None, None).unwrap_err();
-            assert!(e.contains("pass --metrics PATH"), "{e}");
-        }
     }
 
     #[test]
     fn observe_config_is_armed_only_with_metrics() {
         let off = Args::from_iter(argv(&[]), None, None).unwrap();
         assert!(observe_config(&off).is_none());
-        let on = Args::from_iter(
-            argv(&["--metrics", "m.json", "--metrics-interval", "500"]),
-            None,
-            None,
-        )
-        .unwrap();
-        let cfg = observe_config(&on).expect("--metrics arms the sampler");
-        assert_eq!(cfg.metrics_interval, Delta::from_ns(500));
+        let on = Args::from_iter(argv(&["--metrics", "m.json"]), None, None).unwrap();
+        assert!(observe_config(&on).is_some(), "--metrics arms the sampler");
     }
 }

@@ -48,7 +48,10 @@ pub struct NetParams {
     pub ecn: EcnConfig,
     /// Base RTT used to size PowerTCP windows.
     pub base_rtt: Delta,
-    /// Measurement tick.
+    /// Interval of the one periodic measurement tick: goodput monitors,
+    /// the PFC watchdog, the deadlock scan and (with
+    /// [`NetParams::observe`]) the metrics sampler. Also the window of
+    /// each switch's occupancy series. Must be positive.
     pub sample_interval: Delta,
     /// A port continuously blocked this long is declared deadlocked.
     pub deadlock_threshold: Delta,
@@ -65,9 +68,9 @@ pub struct NetParams {
     /// from `base_rtt` if this is still `None`.
     pub recovery: Option<RecoveryConfig>,
     /// Pause-causality observatory: `Some(cfg)` records who-paused-whom
-    /// cascade edges and samples per-switch occupancy at
-    /// `cfg.metrics_interval`. `None` (the default) keeps every existing
-    /// run byte-identical and costs one branch on the pause path.
+    /// cascade edges and samples per-switch occupancy every
+    /// [`NetParams::sample_interval`]. `None` (the default) keeps every
+    /// existing run byte-identical and costs one branch on the pause path.
     pub observe: Option<ObserveConfig>,
     /// RNG seed (ECN randomness).
     pub seed: u64,
@@ -444,12 +447,17 @@ impl NetParams {
     ///
     /// # Errors
     ///
+    /// * a zero [`NetParams::sample_interval`] (the tick would re-arm at
+    ///   the same instant forever);
     /// * the lossy scheme combined with a PFC watchdog (there is no PFC to
     ///   watch);
     /// * an invalid [`RecoveryConfig`] (see [`RecoveryConfig::validate`]);
     /// * the lossy scheme with recovery disabled (every drop would wedge
     ///   its flow forever).
     pub fn validate(&self) -> Result<(), String> {
+        if self.sample_interval == Delta::ZERO {
+            return Err("the sample interval must be positive".to_string());
+        }
         if self.scheme == Scheme::Lossy && self.pfc_watchdog.is_some() {
             return Err(
                 "the lossy scheme disables PFC, so a PFC watchdog cannot be armed".to_string()

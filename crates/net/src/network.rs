@@ -15,7 +15,7 @@ use crate::port::{EgressPort, IngressTag, QueuedFrame};
 use crate::switch::SwitchNode;
 use dsh_core::headroom::PFC_PROCESSING_BYTES;
 use dsh_core::{FcAction, FcActions};
-use dsh_simcore::trace::{TraceEvent, TraceLog, TraceMask, Tracer};
+use dsh_simcore::trace::{TraceEvent, TraceLog, Tracer};
 use dsh_simcore::{
     split_seed, trace_event, Delta, EventClass, FlightGuard, Model, Pool, Scheduler, SimRng,
     Simulation, Time,
@@ -119,12 +119,10 @@ pub enum NetEvent {
         /// Index into the installed [`FaultPlan`]'s event list.
         index: u32,
     },
-    /// Periodic measurement tick.
+    /// Periodic measurement tick (every [`NetParams::sample_interval`]):
+    /// the goodput monitors, the PFC watchdog, the deadlock scan and,
+    /// when `NetParams::observe` is set, the metrics sampler.
     Sample,
-    /// Periodic observability tick: snapshots switch occupancy and global
-    /// gauges into the metrics sampler (only scheduled when
-    /// `NetParams::observe` is set).
-    MetricsTick,
 }
 
 /// A node in the network.
@@ -228,7 +226,7 @@ pub struct Network {
     /// `NetParams::observe` is set. Boxed so the disabled case costs one
     /// pointer-sized `Option` and a single branch on the pause path.
     observe: Option<Box<ObserveState>>,
-    /// Pending instant-closed sample label: the tick at `t` arms this and
+    /// Pending instant-closed sample label: the `Sample` tick at `t` arms this and
     /// the first event *strictly after* `t` captures the sample (see
     /// [`crate::observe::MetricsSampler`]). `Time::MAX` when no sample is
     /// pending, so the masked-off dispatch cost is one compare-branch.
@@ -244,8 +242,8 @@ impl Network {
     pub(crate) fn from_parts(params: NetParams, nodes: Vec<Node>, tracer: Tracer) -> Self {
         let rng = SimRng::new(params.seed);
         // Pre-register every switch so metrics sampling never allocates.
-        let observe = params.observe.as_ref().map(|cfg| {
-            let mut st = Box::new(ObserveState::new(cfg));
+        let observe = params.observe.as_ref().map(|_| {
+            let mut st = Box::new(ObserveState::new(params.sample_interval));
             for (i, n) in nodes.iter().enumerate() {
                 if matches!(n, Node::Switch(_)) {
                     st.metrics.add_switch(NodeId(i));
@@ -404,7 +402,6 @@ impl Network {
             .map(|p| p.events().iter().enumerate().map(|(i, e)| (e.at, i as u32)).collect())
             .unwrap_or_default();
         let tick = self.params.sample_interval;
-        let metrics = self.params.observe.map(|o| o.metrics_interval);
         let mut sim = Simulation::new(self);
         for (t, flow) in starts {
             sim.schedule(t, NetEvent::FlowStart { flow: flow.0 as u32 });
@@ -413,11 +410,6 @@ impl Network {
             sim.schedule(t, NetEvent::Fault { index });
         }
         sim.schedule(Time::ZERO + tick, NetEvent::Sample);
-        // Scheduled after Sample so a shared instant measures first, then
-        // snapshots.
-        if let Some(mi) = metrics {
-            sim.schedule(Time::ZERO + mi, NetEvent::MetricsTick);
-        }
         sim
     }
 
@@ -698,13 +690,6 @@ impl Network {
                 None => doc,
             }
         })
-    }
-
-    /// Prometheus text exposition of the latest metrics samples; `None`
-    /// unless `NetParams::observe` is set.
-    #[must_use]
-    pub fn metrics_prometheus(&self) -> Option<String> {
-        self.observe.as_deref().map(|obs| obs.metrics.to_prometheus())
     }
 
     /// Run-intrinsic provenance: the inputs that determine this run
@@ -2061,6 +2046,13 @@ impl Network {
         }
     }
 
+    /// Handles the one periodic [`NetEvent::Sample`] tick. The goodput
+    /// monitors, the PFC watchdog and the deadlock scan run *inside*
+    /// instant `now`, wherever the tick lands in its same-instant batch.
+    /// The metrics sample labeled `now` is instead instant-closed: the
+    /// tick only arms it, and [`Self::capture_metrics`] takes it at the
+    /// first event strictly after `now`, so it is always the state after
+    /// every event at `<= now` (DESIGN.md §16).
     fn handle_sample(&mut self, sched: &mut Scheduler<'_, NetEvent>) {
         let now = sched.now();
         let dt = self.params.sample_interval;
@@ -2076,29 +2068,6 @@ impl Network {
         // mitigation, trading losslessness for liveness.
         if let Some(wd) = self.params.pfc_watchdog {
             self.run_watchdog(now, wd, sched);
-        }
-
-        // Occupancy counter tracks (one snapshot per switch per tick;
-        // the outer mask test keeps the snapshot loop off the untraced
-        // path entirely).
-        if self.tracer.wants(TraceMask::MMU) {
-            for (i, n) in self.nodes.iter().enumerate() {
-                if let Node::Switch(s) = n {
-                    let snap = s.mmu.occupancy_snapshot();
-                    trace_event!(self.tracer, TraceEvent::OccShared, {
-                        node: i as u32,
-                        payload: snap.shared,
-                    });
-                    trace_event!(self.tracer, TraceEvent::OccHeadroom, {
-                        node: i as u32,
-                        payload: snap.headroom + snap.insurance,
-                    });
-                    trace_event!(self.tracer, TraceEvent::OccThreshold, {
-                        node: i as u32,
-                        payload: snap.threshold,
-                    });
-                }
-            }
         }
 
         // Deadlock detection: a switch egress port continuously unable to
@@ -2130,41 +2099,26 @@ impl Network {
             }
         }
         self.deadlock.onset = onset;
-        sched.at(now + dt, NetEvent::Sample);
-    }
-
-    /// Handles a [`NetEvent::MetricsTick`]: commits the previous pending
-    /// sample (captured by [`Self::capture_metrics`] at the first event
-    /// after its instant), arms the sample labeled `now`, and re-arms the
-    /// tick. Only ever scheduled when `NetParams::observe` is set.
-    ///
-    /// Ticks never capture directly: a sample's state must reflect the
-    /// *complete* set of events at instants `<= t`, and where the tick
-    /// lands inside the same-instant batch at `t` is a scheduling
-    /// artifact (it depends on when the tick was pushed relative to the
-    /// other events at `t`).  Deferring the capture to the first
-    /// strictly-later event closes the instant first, so a sample is
-    /// always the state after every event at `<= t`.
-    fn handle_metrics_tick(&mut self, sched: &mut Scheduler<'_, NetEvent>) {
-        let now = sched.now();
-        // This tick is itself an event strictly after the previous pending
-        // instant, so the dispatch-entry check has already captured it.
+        // Metrics sampler: commit the previous pending sample (captured by
+        // `capture_metrics` at the first event after its instant) and arm
+        // the one labeled `now`. This tick is itself an event strictly
+        // after the previous instant, so dispatch entry has already
+        // captured it.
         if let Some(obs) = self.observe.as_deref_mut() {
-            let dt = obs.metrics.interval();
             debug_assert!(
                 obs.metrics.has_staged() || self.metrics_capture_at == Time::MAX,
                 "tick at {now:?} found an armed but uncaptured sample"
             );
             obs.metrics.commit_staged();
             self.metrics_capture_at = now;
-            sched.at(now + dt, NetEvent::MetricsTick);
         }
+        sched.at(now + dt, NetEvent::Sample);
     }
 
     /// Captures the pending sample armed at `metrics_capture_at`:
     /// snapshots every switch's MMU occupancy and the global gauges
-    /// into the observatory's staging slots (the next tick commits them
-    /// to the pre-allocated rings).  Called from
+    /// into the observatory's staging slots (the next `Sample` tick
+    /// commits them to the pre-allocated rings).  Called from
     /// dispatch entry at the first event strictly after the sample
     /// instant, *before* that event mutates any state.
     #[cold]
@@ -2174,7 +2128,8 @@ impl Network {
         // Detach the observatory for the duration of the capture so the
         // node/port scans below can borrow `self` freely.
         let Some(mut obs) = self.observe.take() else { return };
-        for (i, n) in self.nodes.iter().enumerate() {
+        // Node order is the sampler's registration order.
+        for n in &self.nodes {
             if let Node::Switch(s) = n {
                 let snap = s.mmu.occupancy_snapshot();
                 // The sampler must agree with the auditor at every sample
@@ -2185,16 +2140,13 @@ impl Network {
                     let audit = s.mmu.audit();
                     debug_assert_eq!(snap, audit.snapshot, "sampler/audit divergence at {t:?}");
                 }
-                obs.metrics.stage_switch(
-                    NodeId(i),
-                    SwitchSample {
-                        t,
-                        shared: snap.shared,
-                        headroom: snap.headroom + snap.insurance,
-                        paused_queues: snap.paused_queues as u32,
-                        paused_ports: snap.paused_ports as u32,
-                    },
-                );
+                obs.metrics.stage_switch(SwitchSample {
+                    t,
+                    shared: snap.shared,
+                    headroom: snap.headroom + snap.insurance,
+                    paused_queues: snap.paused_queues as u32,
+                    paused_ports: snap.paused_ports as u32,
+                });
             }
         }
         let paused_ports = self
@@ -2364,7 +2316,6 @@ impl Model for Network {
             }
             NetEvent::Fault { index } => self.handle_fault(index as usize, sched),
             NetEvent::Sample => self.handle_sample(sched),
-            NetEvent::MetricsTick => self.handle_metrics_tick(sched),
         }
     }
 }
@@ -2382,7 +2333,6 @@ impl EventClass for NetEvent {
         "rto_timer",
         "fault",
         "sample",
-        "metrics_tick",
     ];
 
     fn class(&self) -> usize {
@@ -2396,7 +2346,6 @@ impl EventClass for NetEvent {
             NetEvent::RtoTimer { .. } => 6,
             NetEvent::Fault { .. } => 7,
             NetEvent::Sample => 8,
-            NetEvent::MetricsTick => 9,
         }
     }
 }
@@ -2406,7 +2355,7 @@ mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
     use dsh_core::Scheme;
-    use dsh_simcore::{Bandwidth, Delta};
+    use dsh_simcore::{Bandwidth, Delta, Json};
 
     fn two_hosts_one_switch(scheme: Scheme) -> (Network, NodeId, NodeId) {
         let mut b = NetworkBuilder::new(NetParams::tomahawk(scheme).without_ecn());
@@ -2441,6 +2390,14 @@ mod tests {
     #[should_panic(expected = "HOP_CAPACITY")]
     fn build_rejects_a_path_deeper_than_the_hop_capacity() {
         let _ = switch_chain(dsh_transport::HOP_CAPACITY + 1).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "sample interval must be positive")]
+    fn build_rejects_a_zero_sample_interval() {
+        let mut params = NetParams::tomahawk(Scheme::Dsh);
+        params.sample_interval = Delta::ZERO;
+        let _ = NetworkBuilder::new(params).build();
     }
 
     #[test]
@@ -2487,6 +2444,45 @@ mod tests {
         // Steady-state samples run at ~line rate.
         let peak = series.iter().map(|s| s.gbps).fold(0.0, f64::max);
         assert!(peak > 90.0, "peak {peak} Gb/s");
+    }
+
+    #[test]
+    fn metrics_and_monitors_share_one_sampling_clock() {
+        let mut params = NetParams::tomahawk(Scheme::Dsh)
+            .without_ecn()
+            .with_observability(crate::observe::ObserveConfig);
+        // Off the 10 us default, so a second clock would show.
+        params.sample_interval = Delta::from_us(7);
+        let mut b = NetworkBuilder::new(params);
+        let (h0, h1, s) = (b.host(), b.host(), b.switch());
+        b.link(h0, s, Bandwidth::from_gbps(100), Delta::from_us(2));
+        b.link(h1, s, Bandwidth::from_gbps(100), Delta::from_us(2));
+        let mut net = b.build();
+        let f = net.add_flow(FlowSpec {
+            src: h0,
+            dst: h1,
+            size: 1_000_000,
+            class: 0,
+            start: Time::ZERO,
+            cc: CcKind::Uncontrolled,
+        });
+        net.monitor_flow(f);
+        let mut sim = net.into_sim();
+        sim.run_until(Time::from_us(100));
+        let net = sim.into_model();
+        let ticks: Vec<u64> = net.flow_throughput(f).iter().map(|s| s.time.as_ns()).collect();
+        let doc = net.metrics_json().expect("observatory armed");
+        assert_eq!(doc.get("interval_ns").and_then(Json::as_u64), Some(7_000));
+        let instants = |series: &Json| -> Vec<u64> {
+            let col = series.get("t_ns").and_then(Json::as_arr).expect("t_ns");
+            col.iter().map(|v| v.as_u64().expect("u64 instant")).collect()
+        };
+        let global = instants(doc.get("global").expect("global series"));
+        assert!(!global.is_empty(), "no metrics sample in 100 us");
+        assert!(global.iter().all(|t| ticks.contains(t)), "{global:?} vs ticks {ticks:?}");
+        for sw in doc.get("switches").and_then(Json::as_arr).expect("switches") {
+            assert_eq!(instants(sw), global);
+        }
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Ring-buffered time-series metrics sampler (DESIGN.md §16).
 //!
-//! A calendar event (`NetEvent::MetricsTick`) fires at a configurable
-//! interval and snapshots per-switch MMU occupancy plus a handful of
-//! fabric-global gauges into pre-allocated rings.  Runs are serial and
-//! seeded, so the exported `metrics.json` is byte-identical at any
-//! `--threads` count.
+//! The network's one periodic tick (`NetEvent::Sample`, every
+//! `NetParams::sample_interval`) arms a sample, and the first event
+//! after the tick's instant snapshots per-switch MMU occupancy plus a
+//! handful of fabric-global gauges into pre-allocated rings.  Runs are
+//! serial and seeded, so the exported `metrics.json` is byte-identical at
+//! any `--threads` count.
 
 use crate::ids::NodeId;
 use dsh_simcore::{Delta, Json, Time};
 
-/// Default ring capacity per series (samples retained before the oldest
-/// are overwritten).
-pub const DEFAULT_SERIES_CAPACITY: usize = 8192;
+/// Ring capacity per series (samples retained before the oldest are
+/// overwritten).
+const DEFAULT_SERIES_CAPACITY: usize = 8192;
 
 /// One per-switch occupancy sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,16 +77,6 @@ impl<T: Copy> Ring<T> {
     fn iter(&self) -> impl Iterator<Item = &T> {
         self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
     }
-
-    fn last(&self) -> Option<&T> {
-        if self.buf.is_empty() {
-            None
-        } else if self.head == 0 {
-            self.buf.last()
-        } else {
-            Some(&self.buf[self.head - 1])
-        }
-    }
 }
 
 /// The sampler: one ring per switch plus one global ring.
@@ -100,57 +91,46 @@ impl<T: Copy> Ring<T> {
 #[derive(Clone, Debug)]
 pub struct MetricsSampler {
     interval: Delta,
-    cap: usize,
     switches: Vec<(NodeId, Ring<SwitchSample>)>,
     global: Ring<GlobalSample>,
     /// Captured-but-uncommitted per-switch samples for the instant that
-    /// just closed, in registration order.  Sized at registration so
-    /// staging never allocates mid-run.
-    staged_switches: Vec<(NodeId, SwitchSample)>,
+    /// just closed, in registration order (so index `i` belongs to
+    /// `switches[i]`).  Sized at registration so staging never allocates
+    /// mid-run.
+    staged_switches: Vec<SwitchSample>,
     /// Captured-but-uncommitted global sample.
     staged_global: Option<GlobalSample>,
 }
 
 impl MetricsSampler {
-    pub(crate) fn new(interval: Delta, cap: usize) -> Self {
+    pub(crate) fn new(interval: Delta) -> Self {
         MetricsSampler {
             interval,
-            cap,
             switches: Vec::new(),
-            global: Ring::new(cap),
+            global: Ring::new(DEFAULT_SERIES_CAPACITY),
             staged_switches: Vec::new(),
             staged_global: None,
         }
     }
 
-    /// Pre-registers a locally-owned switch so sampling never allocates.
+    /// Pre-registers a switch so sampling never allocates.  Captures must
+    /// stage switches in this registration order.
     pub(crate) fn add_switch(&mut self, node: NodeId) {
-        self.switches.push((node, Ring::new(self.cap)));
+        self.switches.push((node, Ring::new(DEFAULT_SERIES_CAPACITY)));
         if self.staged_switches.capacity() < self.switches.len() {
             let grow = self.switches.len() - self.staged_switches.capacity();
             self.staged_switches.reserve_exact(grow);
         }
     }
 
-    pub(crate) fn interval(&self) -> Delta {
-        self.interval
-    }
-
-    /// Records one switch sample.  Switches are visited in node order each
-    /// tick, matching registration order, so the scan terminates early.
-    pub(crate) fn record_switch(&mut self, node: NodeId, s: SwitchSample) {
-        if let Some((_, ring)) = self.switches.iter_mut().find(|(n, _)| *n == node) {
-            ring.push(s);
-        }
-    }
-
-    pub(crate) fn record_global(&mut self, s: GlobalSample) {
-        self.global.push(s);
-    }
-
-    /// Stages one switch sample for the instant that just closed.
-    pub(crate) fn stage_switch(&mut self, node: NodeId, s: SwitchSample) {
-        self.staged_switches.push((node, s));
+    /// Stages the next switch's sample (in registration order) for the
+    /// instant that just closed.
+    pub(crate) fn stage_switch(&mut self, s: SwitchSample) {
+        debug_assert!(
+            self.staged_switches.len() < self.switches.len(),
+            "more switches staged than registered"
+        );
+        self.staged_switches.push(s);
     }
 
     /// Stages the global sample for the instant that just closed.
@@ -164,17 +144,17 @@ impl MetricsSampler {
         self.staged_global.is_some()
     }
 
-    /// Commits the staged capture (if any) into the rings.  Called by the
-    /// next tick, at which point every event of the staged instant has
-    /// long since been processed in both engines.
+    /// Commits the staged capture (if any) into the rings, the `i`-th
+    /// staged switch sample into the `i`-th registered switch's ring.
+    /// Called by the next tick, at which point every event of the staged
+    /// instant has long since been processed.
     pub(crate) fn commit_staged(&mut self) {
-        for i in 0..self.staged_switches.len() {
-            let (node, s) = self.staged_switches[i];
-            self.record_switch(node, s);
+        for ((_, ring), &s) in self.switches.iter_mut().zip(&self.staged_switches) {
+            ring.push(s);
         }
         self.staged_switches.clear();
         if let Some(g) = self.staged_global.take() {
-            self.record_global(g);
+            self.global.push(g);
         }
     }
 
@@ -224,46 +204,6 @@ impl MetricsSampler {
                     .with("recovery_timeouts", column(g.iter(), |s| s.recovery_timeouts)),
             )
     }
-
-    /// Prometheus text exposition: the most recent sample of every series
-    /// as gauges (counters keep their cumulative value).
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(1024);
-        out.push_str("# HELP dsh_switch_shared_bytes Shared-pool bytes in use.\n");
-        out.push_str("# TYPE dsh_switch_shared_bytes gauge\n");
-        out.push_str("# TYPE dsh_switch_headroom_bytes gauge\n");
-        out.push_str("# TYPE dsh_switch_paused_queues gauge\n");
-        out.push_str("# TYPE dsh_switch_paused_ports gauge\n");
-        for (node, ring) in &self.switches {
-            if let Some(s) = ring.last() {
-                let _ = writeln!(out, "dsh_switch_shared_bytes{{node=\"{node}\"}} {}", s.shared);
-                let _ =
-                    writeln!(out, "dsh_switch_headroom_bytes{{node=\"{node}\"}} {}", s.headroom);
-                let _ = writeln!(
-                    out,
-                    "dsh_switch_paused_queues{{node=\"{node}\"}} {}",
-                    s.paused_queues
-                );
-                let _ =
-                    writeln!(out, "dsh_switch_paused_ports{{node=\"{node}\"}} {}", s.paused_ports);
-            }
-        }
-        if let Some(s) = self.global.last() {
-            out.push_str("# TYPE dsh_paused_ports gauge\n");
-            let _ = writeln!(out, "dsh_paused_ports {}", s.paused_ports);
-            out.push_str("# TYPE dsh_nacks_sent_total counter\n");
-            let _ = writeln!(out, "dsh_nacks_sent_total {}", s.nacks_sent);
-            out.push_str("# TYPE dsh_retransmitted_bytes_total counter\n");
-            let _ = writeln!(out, "dsh_retransmitted_bytes_total {}", s.retransmitted_bytes);
-            out.push_str("# TYPE dsh_sr_retransmitted_bytes_total counter\n");
-            let _ = writeln!(out, "dsh_sr_retransmitted_bytes_total {}", s.sr_retransmitted_bytes);
-            out.push_str("# TYPE dsh_recovery_timeouts_total counter\n");
-            let _ = writeln!(out, "dsh_recovery_timeouts_total {}", s.recovery_timeouts);
-        }
-        out
-    }
 }
 
 fn column<'a, T: 'a>(iter: impl Iterator<Item = &'a T>, f: impl Fn(&T) -> u64) -> Json {
@@ -294,33 +234,39 @@ mod tests {
         assert_eq!(r.dropped, 2);
         let vals: Vec<u64> = r.iter().copied().collect();
         assert_eq!(vals, vec![2, 3, 4]);
-        assert_eq!(r.last(), Some(&4));
     }
 
     #[test]
     fn json_export_is_versioned_and_reparses() {
-        let mut m = MetricsSampler::new(Delta::from_us(10), 8);
+        let mut m = MetricsSampler::new(Delta::from_us(10));
         m.add_switch(NodeId(4));
-        m.record_switch(
-            NodeId(4),
-            SwitchSample {
-                t: Time::from_us(10),
-                shared: 4096,
-                headroom: 512,
-                paused_queues: 1,
-                paused_ports: 0,
-            },
-        );
-        m.record_global(gs(10, 1, 0));
+        m.add_switch(NodeId(6));
+        let sample = |shared| SwitchSample {
+            t: Time::from_us(10),
+            shared,
+            headroom: 512,
+            paused_queues: 1,
+            paused_ports: 0,
+        };
+        m.stage_switch(sample(4096));
+        m.stage_switch(sample(8192));
+        m.stage_global(gs(10, 1, 0));
+        assert!(m.has_staged());
+        m.commit_staged();
+        assert!(!m.has_staged());
         let doc = m.to_json();
         let round = Json::parse(&doc.to_string()).unwrap();
         assert_eq!(round.get("version").and_then(Json::as_u64), Some(2));
+        assert_eq!(round.get("interval_ns").and_then(Json::as_u64), Some(10_000));
         assert_eq!(round.get("samples").and_then(Json::as_u64), Some(1));
         let sw = round.get("switches").and_then(Json::as_arr).unwrap();
-        assert_eq!(sw.len(), 1);
-        assert_eq!(sw[0].get("shared_bytes").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
-        let prom = m.to_prometheus();
-        assert!(prom.contains("dsh_switch_shared_bytes{node=\"n4\"} 4096"));
-        assert!(prom.contains("dsh_paused_ports 1"));
+        assert_eq!(sw.len(), 2);
+        // Staging order is registration order: each sample lands in its
+        // own switch's series.
+        for (doc, (node, shared)) in sw.iter().zip([(4u64, 4096u64), (6, 8192)]) {
+            assert_eq!(doc.get("node").and_then(Json::as_u64), Some(node));
+            let col = doc.get("shared_bytes").and_then(Json::as_arr).unwrap();
+            assert_eq!(col, &[Json::from(shared)][..]);
+        }
     }
 }

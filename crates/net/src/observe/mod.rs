@@ -19,38 +19,15 @@ mod metrics;
 pub use cascade::{
     analyze, CascadeReport, CascadeTracker, FlowPauseAttribution, PauseEdge, PORT_SCOPE_CLASS,
 };
-pub use metrics::{GlobalSample, MetricsSampler, SwitchSample, DEFAULT_SERIES_CAPACITY};
+pub use metrics::{GlobalSample, MetricsSampler, SwitchSample};
 
 use dsh_simcore::Delta;
 
-/// Observability configuration carried by `NetParams::observe`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ObserveConfig {
-    /// Interval between metrics samples (`--metrics-interval`).
-    pub metrics_interval: Delta,
-    /// Ring capacity per series; the oldest samples are overwritten (and
-    /// counted) once a series exceeds this.
-    pub series_capacity: usize,
-}
-
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig {
-            metrics_interval: Delta::from_us(10),
-            series_capacity: DEFAULT_SERIES_CAPACITY,
-        }
-    }
-}
-
-impl ObserveConfig {
-    /// Overrides the sampling interval.
-    #[must_use]
-    pub fn with_interval(mut self, interval: Delta) -> Self {
-        assert!(interval > Delta::ZERO, "metrics interval must be positive");
-        self.metrics_interval = interval;
-        self
-    }
-}
+/// Observability configuration carried by `NetParams::observe`. Its
+/// presence arms the observatory; it has no settings of its own, since
+/// the sampler runs on `NetParams::sample_interval`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ObserveConfig;
 
 /// Live observability state attached to a `Network` when observability is
 /// enabled.  Boxed so the disabled case costs one pointer-sized `Option`.
@@ -61,11 +38,8 @@ pub struct ObserveState {
 }
 
 impl ObserveState {
-    pub(crate) fn new(cfg: &ObserveConfig) -> Self {
-        ObserveState {
-            cascade: CascadeTracker::new(),
-            metrics: MetricsSampler::new(cfg.metrics_interval, cfg.series_capacity),
-        }
+    pub(crate) fn new(interval: Delta) -> Self {
+        ObserveState { cascade: CascadeTracker::new(), metrics: MetricsSampler::new(interval) }
     }
 
     /// The recorded who-paused-whom edge log.

@@ -23,8 +23,8 @@
 //!   bit-identical at any thread count.
 //! * [`chrome_trace`] converts logs to the Chrome `trace_event` JSON
 //!   format (load in `chrome://tracing` or Perfetto): PFC pause→resume
-//!   spans, flow lifetime spans with retransmission markers, occupancy
-//!   counter tracks, and fault instants.
+//!   spans, flow lifetime spans with retransmission markers, and fault
+//!   instants.
 //! * A [`FlightGuard`] dumps the last records to stderr if its scope
 //!   unwinds (panic, failed assertion, MMU audit violation), naming the
 //!   label it was armed with.
@@ -68,8 +68,8 @@ impl TraceMask {
     pub const PFC: TraceMask = TraceMask(1);
     /// Flow lifecycle: start, completion, failure, retransmissions.
     pub const FLOW: TraceMask = TraceMask(1 << 1);
-    /// MMU decisions: pause/resume thresholds, headroom entry, occupancy
-    /// samples, audit violations, deadlock onset.
+    /// MMU decisions: pause/resume thresholds, headroom entry, audit
+    /// violations, deadlock onset.
     pub const MMU: TraceMask = TraceMask(1 << 2);
     /// Fault injection: link death/repair, frame corruption, drained and
     /// lost frames, released pauses.
@@ -162,12 +162,7 @@ pub enum TraceEvent {
     /// A frame was admitted into headroom (SIH static or DSH insurance);
     /// `payload` = the segment's occupancy after admission.
     HeadroomEnter = 21,
-    /// Occupancy sample: shared-pool bytes of one switch.
-    OccShared = 22,
-    /// Occupancy sample: headroom + insurance bytes of one switch.
-    OccHeadroom = 23,
-    /// Occupancy sample: the Dynamic Threshold `T(t)` of one switch.
-    OccThreshold = 24,
+    // Discriminants 22..=24 are retired and stay unassigned.
     /// An MMU audit invariant failed; `payload` = violation count.
     AuditFail = 25,
     /// The deadlock detector saw the first wedged port of the run.
@@ -240,9 +235,6 @@ impl TraceEvent {
             TraceEvent::MmuPortResume => "mmu_port_resume",
             TraceEvent::MmuDrop => "mmu_drop",
             TraceEvent::HeadroomEnter => "headroom_enter",
-            TraceEvent::OccShared => "occ_shared",
-            TraceEvent::OccHeadroom => "occ_headroom",
-            TraceEvent::OccThreshold => "occ_threshold",
             TraceEvent::AuditFail => "audit_fail",
             TraceEvent::DeadlockOnset => "deadlock_onset",
             TraceEvent::FlowStart => "flow_start",
@@ -275,9 +267,6 @@ impl TraceEvent {
             19 => TraceEvent::MmuPortResume,
             20 => TraceEvent::MmuDrop,
             21 => TraceEvent::HeadroomEnter,
-            22 => TraceEvent::OccShared,
-            23 => TraceEvent::OccHeadroom,
-            24 => TraceEvent::OccThreshold,
             25 => TraceEvent::AuditFail,
             26 => TraceEvent::DeadlockOnset,
             32 => TraceEvent::FlowStart,
@@ -792,8 +781,6 @@ fn span_end(open: &mut std::collections::BTreeMap<(u64, u64), u64>, pid: u64, ti
 ///   drops, audit failures and deadlock onset as instants;
 /// * **pid 3 "flows"** — one lifetime span per flow with retransmission
 ///   markers;
-/// * **pid 4 "occupancy"** — shared / headroom / threshold counters per
-///   switch;
 /// * **pid 5 "faults"** — link death/repair and corruption instants;
 /// * **pid 7 "recovery"** — RTO backoff spans and NACK/repair instants
 ///   per flow (only when such records exist).
@@ -912,17 +899,6 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
                         ),
                     );
                 }
-                TraceEvent::OccShared | TraceEvent::OccHeadroom | TraceEvent::OccThreshold => {
-                    let series = match kind {
-                        TraceEvent::OccShared => "shared",
-                        TraceEvent::OccHeadroom => "headroom",
-                        _ => "threshold",
-                    };
-                    events.push(
-                        ev(&format!("sw{node} {series}"), "C", ts, 4, node)
-                            .with("args", Json::object().with("bytes", rec.payload)),
-                    );
-                }
                 TraceEvent::LinkDown
                 | TraceEvent::LinkUp
                 | TraceEvent::FrameCorrupt
@@ -974,8 +950,7 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
     // Name the tracks (metadata events may appear anywhere in the array).
     // The recovery track appears only when matching records exist, so
     // exports without them stay byte-identical to older goldens.
-    let mut pids: Vec<(u64, &str)> =
-        vec![(1, "PFC wire"), (2, "MMU"), (3, "flows"), (4, "occupancy"), (5, "faults")];
+    let mut pids: Vec<(u64, &str)> = vec![(1, "PFC wire"), (2, "MMU"), (3, "flows"), (5, "faults")];
     if any_recovery {
         pids.push((7, "recovery"));
     }
@@ -1102,7 +1077,6 @@ mod tests {
         trace_event!(t, TraceEvent::Retransmit, { flow: 1, payload: (2 << 48) | 9000 });
         trace_event!(t, TraceEvent::PfcResume, { node: 2, port: 1, class: 0 });
         trace_event!(t, TraceEvent::LinkDown, { node: 4, payload: 6 });
-        trace_event!(t, TraceEvent::OccShared, { node: 2, payload: 123_456 });
         let log = t.log(TraceKey::default());
         let doc = chrome_trace(&[log], Json::object().with("seed", 1u64));
         let text = doc.to_string();
@@ -1114,7 +1088,6 @@ mod tests {
         assert!(ph("B") >= 2, "flow + pause spans must open");
         assert!(ph("E") >= 2, "every span must close (flow span force-closed at end)");
         assert!(ph("i") >= 2, "retransmit marker + fault instant");
-        assert_eq!(ph("C"), 1, "one occupancy counter sample");
     }
 
     #[test]

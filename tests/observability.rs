@@ -28,8 +28,7 @@ fn fnv1a(s: &str) -> u64 {
 /// two hosts per switch, ECN off, staggered uncontrolled senders crossing
 /// every inter-switch link.
 fn chain_net(scheme: Scheme) -> dsh_net::Network {
-    let params =
-        NetParams::tomahawk(scheme).without_ecn().with_observability(ObserveConfig::default());
+    let params = NetParams::tomahawk(scheme).without_ecn().with_observability(ObserveConfig);
     let mut b = NetworkBuilder::new(params);
     let switches: Vec<_> = (0..4).map(|_| b.switch()).collect();
     let hosts: Vec<_> = (0..8).map(|_| b.host()).collect();
@@ -98,8 +97,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random single-switch incasts with the observatory armed.  The
-    /// export must re-parse, sample instants must advance strictly
-    /// monotonically at the configured interval, and no switch sample may
+    /// export must re-parse, every switch series must sample the global
+    /// series' instants, those must advance strictly at the one
+    /// configured `NetParams::sample_interval`, and no switch sample may
     /// ever report more occupancy than the switch owns.  Debug builds
     /// additionally cross-check every capture against `Mmu::audit()`
     /// inside the sampler itself (a `debug_assert`, live in this test
@@ -120,12 +120,12 @@ proptest! {
             _ => Scheme::BShare,
         };
         let buffer = ByteSize::mib(2);
-        let cfg = ObserveConfig::default().with_interval(Delta::from_us(interval_us));
-        let params = NetParams::tomahawk(scheme)
+        let mut params = NetParams::tomahawk(scheme)
             .with_buffer(buffer)
             .with_seed(seed)
             .without_ecn()
-            .with_observability(cfg);
+            .with_observability(ObserveConfig);
+        params.sample_interval = Delta::from_us(interval_us);
         let mut b = NetworkBuilder::new(params);
         let hosts: Vec<_> = (0..=degree).map(|_| b.host()).collect();
         let sw = b.switch();
@@ -156,18 +156,23 @@ proptest! {
         );
         let samples = round.get("samples").and_then(Json::as_u64).unwrap_or(0);
         prop_assert!(samples > 0, "400us horizon at {interval_us}us recorded nothing");
+        let col = |series: &Json, k: &str| -> Vec<u64> {
+            series
+                .get(k)
+                .and_then(Json::as_arr)
+                .expect("column")
+                .iter()
+                .map(|v| v.as_u64().expect("u64 column"))
+                .collect()
+        };
+        let global_t = col(round.get("global").expect("global series"), "t_ns");
         let switches = round.get("switches").and_then(Json::as_arr).expect("switch series");
         prop_assert_eq!(switches.len(), 1);
         for sw in switches {
-            let col = |k: &str| -> Vec<u64> {
-                sw.get(k)
-                    .and_then(Json::as_arr)
-                    .expect("column")
-                    .iter()
-                    .map(|v| v.as_u64().expect("u64 column"))
-                    .collect()
-            };
+            let col = |k: &str| col(sw, k);
             let t = col("t_ns");
+            // One clock: every switch samples the global instants.
+            prop_assert_eq!(&t, &global_t);
             prop_assert!(t.windows(2).all(|w| w[1] == w[0] + interval_us * 1_000));
             let shared = col("shared_bytes");
             let headroom = col("headroom_bytes");
