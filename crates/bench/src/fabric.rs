@@ -210,7 +210,8 @@ pub fn export_fct_metrics(args: &crate::Args, base: &FctExperiment) {
 
 /// Builds the fabric and loads the background + fan-in flow mix;
 /// returns `(network, fan-in flow ids, registered flows)`.
-fn loaded(exp: &FctExperiment) -> (Network, Vec<FlowId>, usize) {
+#[must_use]
+pub fn loaded(exp: &FctExperiment) -> (Network, Vec<FlowId>, usize) {
     let (mut net, hosts) = build(exp);
     let mut rng = SimRng::new(exp.seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
     let horizon = Time::ZERO + exp.horizon;

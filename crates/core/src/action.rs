@@ -114,6 +114,7 @@ pub struct FcActions {
 impl FcActions {
     /// No actions.
     #[must_use]
+    #[inline]
     pub fn none() -> Self {
         FcActions::default()
     }
@@ -124,6 +125,7 @@ impl FcActions {
     ///
     /// Panics if more than two actions are pushed (impossible for a single
     /// MMU transition; indicates a logic bug).
+    #[inline]
     pub fn push(&mut self, action: FcAction) {
         assert!(self.len < 2, "an MMU transition emits at most two actions");
         self.items[self.len] = Some(action);
@@ -138,6 +140,7 @@ impl FcActions {
 
     /// Whether there are no actions.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -171,6 +174,7 @@ pub struct Outcome {
 impl Outcome {
     /// An outcome with a region and no actions.
     #[must_use]
+    #[inline]
     pub fn placed(region: Region) -> Self {
         Outcome { region: Some(region), drop_reason: None, actions: FcActions::none() }
     }

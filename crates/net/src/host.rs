@@ -26,6 +26,13 @@ pub struct SenderFlow {
     pub cc: Box<dyn Cc>,
     /// Generation counter invalidating stale CC timer events.
     pub timer_gen: u32,
+    /// Firing time of the live CC timer event on the calendar
+    /// (`Time::MAX` when none is live).
+    pub timer_at: Time,
+    /// Calendar place `(time, seq)` the timer is due at: the place of the
+    /// last arm's deadline, as if every arm pushed a fresh event. The live
+    /// event fires at or before it and moves itself there when early.
+    pub timer_due: (Time, u64),
     /// Go-back-N retransmission state (idle unless the network has
     /// recovery enabled; see `NetParams::recovery`).
     pub recovery: GoBackN,
@@ -72,6 +79,13 @@ impl SenderFlow {
     #[must_use]
     pub fn fully_sent(&self) -> bool {
         self.sent >= self.size
+    }
+
+    /// Invalidates the live CC timer event, if any: the next arm pushes a
+    /// fresh one.
+    pub fn park_cc_timer(&mut self) {
+        self.timer_gen += 1;
+        self.timer_at = Time::MAX;
     }
 }
 
@@ -219,6 +233,8 @@ mod tests {
             next_send: Time::ZERO,
             cc: Box::new(Uncontrolled::new(Bandwidth::from_gbps(100))),
             timer_gen: 0,
+            timer_at: Time::MAX,
+            timer_due: (Time::MAX, 0),
             recovery: GoBackN::new(RecoveryConfig::for_rtt(Delta::from_us(16))),
             rto_gen: 0,
             rto_deadline: Time::MAX,

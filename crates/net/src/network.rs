@@ -802,7 +802,8 @@ impl Network {
     // ---- transmission ------------------------------------------------------
 
     /// Starts a transmission on `(node, port)` if the serializer is idle
-    /// and a frame is eligible.
+    /// and a frame is eligible. On a busy serializer, books the wake-up at
+    /// the end of the frame on the wire if one is now owed.
     fn try_transmit(&mut self, node: NodeId, port: usize, sched: &mut Scheduler<'_, NetEvent>) {
         let now = sched.now();
         // One departure yields at most two flow-control actions, so they
@@ -811,16 +812,11 @@ impl Network {
 
         let tx = {
             let is_switch = matches!(self.nodes[node.0], Node::Switch(_));
-            // Pick under a scoped borrow.
-            let picked = {
-                let p = self.port_mut(node, port);
-                if p.is_busy() {
-                    None
-                } else {
-                    p.pick(now)
-                }
-            };
-            let Some(mut qf) = picked else {
+            if self.port_mut(node, port).is_busy(now, sched.current_seq()) {
+                self.book_wake(node, port, sched);
+                return;
+            }
+            let Some(mut qf) = self.port_mut(node, port).pick(now) else {
                 return;
             };
             // Release MMU accounting (into the segment the packet was
@@ -847,31 +843,52 @@ impl Network {
             let prop = p.prop_delay;
             let peer = p.peer;
             let peer_port = p.peer_port;
-            p.set_busy();
+            // The frame's end takes the calendar place a `TxDone` pushed
+            // now would take, ahead of the arrival it precedes.
+            p.start_tx(now + txd, sched.reserve_seq());
             p.note_tx(bytes);
             (qf.frame, txd, prop, peer, peer_port)
         };
 
         let (frame, txd, prop, peer, peer_port) = tx;
-        sched.at(now + txd, NetEvent::TxDone { node: node.0 as u32, port: port as u32 });
         sched.at(
             now + txd + prop,
             NetEvent::Arrive { node: peer.0 as u32, in_port: peer_port as u32, frame },
         );
+        self.book_wake(node, port, sched);
+        self.drain_fc(node, fc, sched);
+    }
 
-        self.drain_fc(node, fc, Some(port), sched);
+    /// Pushes the `TxDone` that ends the frame on `(node, port)`'s wire
+    /// into its reserved calendar place, once a wake-up is owed and not yet
+    /// booked. A wake-up is owed while a frame waits in any lane of the
+    /// port or, on a host, while a flow is active: the host's `TxDone`
+    /// refills the NIC queue and books the pacing wake-ups. Without one the
+    /// `TxDone` would find nothing to do, so it never reaches the calendar.
+    fn book_wake(&mut self, node: NodeId, port: usize, sched: &mut Scheduler<'_, NetEvent>) {
+        let (p, owed) = match &mut self.nodes[node.0] {
+            Node::Switch(s) => (&mut s.ports[port], false),
+            Node::Host(h) => {
+                let flows_active = !h.active.is_empty();
+                (h.uplink_mut(), flows_active)
+            }
+        };
+        if !(owed || p.has_waiting()) {
+            return;
+        }
+        if let Some((at, seq)) = p.book_wake() {
+            sched.push_reserved(
+                at,
+                seq,
+                NetEvent::TxDone { node: node.0 as u32, port: port as u32 },
+            );
+        }
     }
 
     /// Materializes PFC frames for `actions`, enqueues them toward the
-    /// offending upstreams, and kicks each port's serializer (except
-    /// `skip_port`, whose transmission is already in flight).
-    fn drain_fc(
-        &mut self,
-        node: NodeId,
-        actions: FcActions,
-        skip_port: Option<usize>,
-        sched: &mut Scheduler<'_, NetEvent>,
-    ) {
+    /// offending upstreams, and kicks each port's serializer (a busy one
+    /// books its wake-up instead).
+    fn drain_fc(&mut self, node: NodeId, actions: FcActions, sched: &mut Scheduler<'_, NetEvent>) {
         for a in actions {
             let (p, f) = SwitchNode::fc_frame(a);
             // A pause/resume owed to a dead upstream dies with the link
@@ -882,14 +899,12 @@ impl Network {
             }
             let frame = self.pool.get(|| f);
             self.port_mut(node, p).enqueue(QueuedFrame { frame, ingress: None });
-            if Some(p) != skip_port {
-                self.try_transmit(node, p, sched);
-            }
+            self.try_transmit(node, p, sched);
         }
     }
 
     fn handle_tx_done(&mut self, node: NodeId, port: usize, sched: &mut Scheduler<'_, NetEvent>) {
-        self.port_mut(node, port).set_idle();
+        self.port_mut(node, port).on_wake();
         if matches!(self.nodes[node.0], Node::Host(_)) {
             // Refill the NIC queue from flow state, then transmit.
             self.host_try_send(node, sched);
@@ -982,7 +997,7 @@ impl Network {
             // loss recovery repairs the gap end to end.
             self.data_drops += 1;
             self.pool.put(frame);
-            self.drain_fc(node, fc, None, sched);
+            self.drain_fc(node, fc, sched);
             return;
         };
 
@@ -998,7 +1013,7 @@ impl Network {
         }
 
         self.port_mut(node, out_port).enqueue(QueuedFrame { frame, ingress: tag });
-        self.drain_fc(node, fc, None, sched);
+        self.drain_fc(node, fc, sched);
         self.try_transmit(node, out_port, sched);
     }
 
@@ -1282,6 +1297,8 @@ impl Network {
             next_send: spec.start,
             cc,
             timer_gen: 0,
+            timer_at: Time::MAX,
+            timer_due: (Time::MAX, 0),
             recovery: GoBackN::new(rcfg),
             rto_gen: 0,
             rto_deadline: Time::MAX,
@@ -1477,11 +1494,13 @@ impl Network {
         self.try_transmit(node, 0, sched);
 
         // Pacing wake-up for flows waiting only on their send clock — but
-        // only from an idle serializer: while the uplink is busy, its
-        // TxDone re-enters this function and re-evaluates the clock, so a
-        // wake-up event here would just be calendar churn.
+        // only from an idle serializer: while the uplink is busy, the
+        // active flows have booked its TxDone, which re-enters this
+        // function and re-evaluates the clock, so a wake-up event here
+        // would just be calendar churn.
+        let seq = sched.current_seq();
         let host = self.host_mut(node);
-        if host.port.as_ref().is_some_and(|p| p.is_busy() || !p.is_link_up()) {
+        if host.port.as_ref().is_some_and(|p| p.is_busy(now, seq) || !p.is_link_up()) {
             return;
         }
         let next =
@@ -1494,21 +1513,32 @@ impl Network {
         }
     }
 
-    /// (Re)arms the CC timer event for a flow if its deadline moved.
+    /// Arms the flow's CC timer at the CC's next deadline, in the calendar
+    /// place a fresh push would take now, while keeping one live timer
+    /// event per flow. A new event is pushed only when the deadline is
+    /// earlier than the live one, or when none is live. Otherwise the live
+    /// event fires early and moves itself to the due place (the lazy
+    /// pattern of the RTO timer), so the timer's work runs in exactly that
+    /// place.
     fn arm_cc_timer(&mut self, node: NodeId, flow: FlowId, sched: &mut Scheduler<'_, NetEvent>) {
         let now = sched.now();
         let host = self.host_mut(node);
         let Some(f) = host.sender_mut(flow) else { return };
         if f.acked >= f.size {
             // Completed flows need no more transport timers.
-            f.timer_gen += 1;
+            f.park_cc_timer();
             return;
         }
-        if let Some(t) = f.cc.next_timer() {
+        let Some(t) = f.cc.next_timer().map(|t| t.max(now)) else { return };
+        let seq = sched.reserve_seq();
+        f.timer_due = (t, seq);
+        if t < f.timer_at {
             f.timer_gen += 1;
+            f.timer_at = t;
             let gen = f.timer_gen;
-            sched.at(
-                t.max(now),
+            sched.push_reserved(
+                t,
+                seq,
                 NetEvent::CcTimer { host: node.0 as u32, flow: flow.0 as u32, gen },
             );
         }
@@ -1522,12 +1552,27 @@ impl Network {
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let now = sched.now();
+        let place = (now, sched.current_seq());
         {
             let host = self.host_mut(node);
             let Some(f) = host.sender_mut(flow) else { return };
             if f.timer_gen != gen {
                 return; // stale
             }
+            if place < f.timer_due {
+                // Arms since this event was pushed moved the due place
+                // later: follow it.
+                let (t, seq) = f.timer_due;
+                f.timer_at = t;
+                sched.push_reserved(
+                    t,
+                    seq,
+                    NetEvent::CcTimer { host: node.0 as u32, flow: flow.0 as u32, gen },
+                );
+                return;
+            }
+            debug_assert_eq!(place, f.timer_due, "CC timer fired past its due place");
+            f.timer_at = Time::MAX;
             f.cc.on_timer(now);
         }
         self.arm_cc_timer(node, flow, sched);
@@ -1577,7 +1622,7 @@ impl Network {
                 match f.recovery.on_timeout() {
                     RtoOutcome::Failed => {
                         f.rto_armed = false;
-                        f.timer_gen += 1; // park CC timers too
+                        f.park_cc_timer();
                         Outcome::Failed
                     }
                     RtoOutcome::Retransmit => {

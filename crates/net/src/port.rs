@@ -76,6 +76,17 @@ impl PauseClock {
 }
 
 /// The egress side of one port.
+///
+/// The serializer keeps no event on the calendar for a frame that nothing
+/// waits behind. A transmission started at calendar place `(now, seq)`
+/// reserves the place its end would take, `(busy_until, tx_seq)`, and the
+/// port is busy for every event before that place. The `TxDone` wake-up
+/// that serves the next frame is pushed into the reserved place only once
+/// a wake-up is owed: when a frame waits in any lane (paused ones too,
+/// since serving the port also moves its deadlock clock), or, on a host,
+/// while a flow is active. A frame that ends with nothing waiting simply
+/// leaves the port idle from its reserved place on, as if its `TxDone` had
+/// run and found nothing to do.
 #[derive(Clone, Debug)]
 pub struct EgressPort {
     /// Peer node this port transmits toward.
@@ -103,8 +114,13 @@ pub struct EgressPort {
     active: VecDeque<usize>,
     in_active: [bool; NUM_CLASSES],
 
-    /// Serializer busy until further notice (a `TxDone` event is pending).
-    busy: bool,
+    /// End of the frame on the wire (or of the last one).
+    busy_until: Time,
+    /// Calendar place reserved at transmit start for the frame's end: the
+    /// port is busy for events before `(busy_until, tx_seq)`.
+    tx_seq: u64,
+    /// A `TxDone` for `(busy_until, tx_seq)` is on the calendar.
+    wake_pending: bool,
     /// PFC pause state per data class (set by frames from the peer).
     class_pause: [PauseClock; NUM_CLASSES],
     /// Port-level pause (DSH).
@@ -149,7 +165,9 @@ impl EgressPort {
             deficit: [0; NUM_CLASSES],
             active: VecDeque::with_capacity(NUM_CLASSES),
             in_active: [false; NUM_CLASSES],
-            busy: false,
+            busy_until: Time::ZERO,
+            tx_seq: 0,
+            wake_pending: false,
             class_pause: std::array::from_fn(|_| PauseClock::default()),
             port_pause: PauseClock::default(),
             blocked_since: None,
@@ -185,22 +203,50 @@ impl EgressPort {
         self.tx_frames
     }
 
-    /// Whether the serializer is mid-frame.
+    /// Whether the serializer is mid-frame for the event at calendar place
+    /// `(now, seq)`: a booked wake-up has not fired yet, or the place is
+    /// before the end of the frame on the wire.
     #[must_use]
-    pub fn is_busy(&self) -> bool {
-        self.busy
+    #[inline]
+    pub fn is_busy(&self, now: Time, seq: u64) -> bool {
+        self.wake_pending || (now, seq) < (self.busy_until, self.tx_seq)
     }
 
-    /// Marks the serializer busy (a frame transmission started).
-    pub fn set_busy(&mut self) {
-        debug_assert!(!self.busy, "transmission while busy");
-        self.busy = true;
+    /// Marks the serializer busy with a frame that ends at `until`, whose
+    /// wake-up would take the reserved calendar place `seq`.
+    #[inline]
+    pub fn start_tx(&mut self, until: Time, seq: u64) {
+        debug_assert!(!self.wake_pending, "transmission while a wake-up is pending");
+        self.busy_until = until;
+        self.tx_seq = seq;
     }
 
-    /// Marks the serializer idle (`TxDone`).
-    pub fn set_idle(&mut self) {
-        debug_assert!(self.busy, "TxDone while idle");
-        self.busy = false;
+    /// Whether a frame waits in any lane, paused or not (a class still on
+    /// the DWRR list counts: serving the port would retire it).
+    #[must_use]
+    #[inline]
+    pub fn has_waiting(&self) -> bool {
+        !self.pfc.is_empty()
+            || !self.queues[CONTROL_CLASS as usize].is_empty()
+            || !self.active.is_empty()
+    }
+
+    /// Books the wake-up at the end of the frame on the wire: returns its
+    /// calendar place the first time, `None` once it is booked.
+    #[inline]
+    pub fn book_wake(&mut self) -> Option<(Time, u64)> {
+        if self.wake_pending {
+            return None;
+        }
+        self.wake_pending = true;
+        Some((self.busy_until, self.tx_seq))
+    }
+
+    /// The booked wake-up fired: the serializer is idle.
+    #[inline]
+    pub fn on_wake(&mut self) {
+        debug_assert!(self.wake_pending, "TxDone without a booked wake-up");
+        self.wake_pending = false;
     }
 
     /// Whether `class` may transmit right now (control class is
@@ -452,8 +498,9 @@ impl EgressPort {
     /// clocks (the peer that asserted them is unreachable; the intervals
     /// close into the telemetry histograms), clears the deadlock marker,
     /// bumps the fault generation, and marks the link down. The caller
-    /// releases MMU accounting for the drained frames. The `busy` flag is
-    /// left alone: a pending `TxDone` event will clear it.
+    /// releases MMU accounting for the drained frames. The frame on the
+    /// wire still ends when it would have, and a booked wake-up still
+    /// fires.
     pub fn fail(&mut self, now: Time, out: &mut Vec<QueuedFrame>) {
         self.link_up = false;
         self.fault_gen = self.fault_gen.wrapping_add(1);
@@ -737,12 +784,39 @@ mod tests {
     }
 
     #[test]
-    fn busy_flag_transitions() {
+    fn busy_until_the_reserved_place_of_the_frame_end() {
         let mut p = port();
-        assert!(!p.is_busy());
-        p.set_busy();
-        assert!(p.is_busy());
-        p.set_idle();
-        assert!(!p.is_busy());
+        let end = Time::from_ns(120);
+        assert!(!p.is_busy(Time::ZERO, 1));
+        p.start_tx(end, 7);
+        assert!(p.is_busy(Time::ZERO, 8), "a later place at an earlier instant");
+        // At `busy_until` the reserved place splits the instant: events
+        // queued before it still see the frame on the wire.
+        assert!(p.is_busy(end, 6));
+        assert!(!p.is_busy(end, 7));
+        assert!(!p.is_busy(end, 8));
+        assert!(!p.is_busy(end + Delta::from_ps(1), 1));
+    }
+
+    #[test]
+    fn booked_wake_up_keeps_the_port_busy_until_it_fires() {
+        let mut p = port();
+        let end = Time::from_ns(120);
+        p.start_tx(end, 7);
+        assert!(!p.has_waiting());
+        p.enqueue(ack_frame());
+        assert!(p.has_waiting());
+        assert_eq!(p.book_wake(), Some((end, 7)));
+        assert_eq!(p.book_wake(), None, "booked once");
+        assert!(p.is_busy(end, 9), "busy until the TxDone runs");
+        p.on_wake();
+        assert!(!p.is_busy(end, 9));
+        // A class left on the DWRR list by a watchdog flush still counts.
+        let _ = p.pick(end);
+        p.enqueue(data_frame(2, 100));
+        p.apply_class_pause(2, true, end);
+        let mut out = Vec::new();
+        p.watchdog_flush_class(2, end, &mut out);
+        assert!(p.has_waiting());
     }
 }

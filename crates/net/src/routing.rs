@@ -46,9 +46,8 @@ impl RouteTable {
     /// a topology construction bug.
     #[must_use]
     pub fn pick(&self, host: usize, flow: FlowId, node: NodeId) -> usize {
-        let c = &self.routes[host];
-        assert!(!c.is_empty(), "no route from {node} to host {host}");
-        c[(ecmp_hash(flow.0 as u64, node.0 as u64) as usize) % c.len()]
+        self.try_pick(host, flow, node)
+            .unwrap_or_else(|| panic!("no route from {node} to host {host}"))
     }
 
     /// Picks the ECMP port for `flow` toward `host`, or `None` when the
@@ -56,12 +55,29 @@ impl RouteTable {
     /// partition the fabric, so under an active fault plan an empty
     /// candidate set is a drop, not a bug.
     #[must_use]
+    #[inline]
     pub fn try_pick(&self, host: usize, flow: FlowId, node: NodeId) -> Option<usize> {
         let c = &self.routes[host];
-        if c.is_empty() {
-            return None;
+        match c.len() {
+            0 => None,
+            // A sole candidate needs no hash.
+            1 => Some(c[0]),
+            n => Some(c[ecmp_index(ecmp_hash(flow.0 as u64, node.0 as u64), n)]),
         }
-        Some(c[(ecmp_hash(flow.0 as u64, node.0 as u64) as usize) % c.len()])
+    }
+}
+
+/// The candidate `hash` selects among `n`: `hash mod n`, taken as a mask
+/// when `n` is a power of two.
+#[inline]
+fn ecmp_index(hash: u64, n: usize) -> usize {
+    // Truncating to usize keeps the low bits, which is all a mask uses;
+    // on 64-bit targets nothing is truncated.
+    let h = hash as usize;
+    if n.is_power_of_two() {
+        h & (n - 1)
+    } else {
+        h % n
     }
 }
 
@@ -237,6 +253,16 @@ mod tests {
     fn unreachable_pick_panics() {
         let t = RouteTable::new(1);
         let _ = t.pick(0, FlowId(0), NodeId(0));
+    }
+
+    #[test]
+    fn ecmp_index_is_the_hash_modulo_the_candidate_count() {
+        for f in 0..500u64 {
+            let h = ecmp_hash(f, 3);
+            for n in 1..=9 {
+                assert_eq!(ecmp_index(h, n), (h as usize) % n, "flow {f}, {n} candidates");
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,32 @@ impl<E> Scheduler<'_, E> {
         self.queue.push(self.now + after, event);
     }
 
+    /// Sequence number of the event being handled: with [`Self::now`], its
+    /// place in the calendar's `(time, seq)` order.
+    #[must_use]
+    #[inline]
+    pub fn current_seq(&self) -> u64 {
+        self.queue.current_seq()
+    }
+
+    /// Reserves a calendar place for an event that may be scheduled later
+    /// with [`Self::push_reserved`] (see [`EventQueue::reserve_seq`]).
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve_seq()
+    }
+
+    /// Schedules `event` at `at` in the place `seq` reserved earlier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` was never reserved or `(at, seq)` is not after the
+    /// event being handled.
+    #[inline]
+    pub fn push_reserved(&mut self, at: Time, seq: u64, event: E) {
+        self.queue.push_reserved(at, seq, event);
+    }
+
     /// Takes the calendar's next event if it fires at exactly the current
     /// instant and satisfies `pred` — the fused-dispatch primitive.
     ///

@@ -15,7 +15,9 @@
 //! * [`Bandwidth`] converts between bytes and wire time exactly (bits/s).
 //! * [`EventQueue`] is a calendar ordered by `(time, insertion sequence)` so
 //!   that simultaneous events run in FIFO order — the whole simulator is
-//!   deterministic for a given seed. It is a bucketed calendar queue: a
+//!   deterministic for a given seed. A sequence number can also be
+//!   reserved and filled later, so an event scheduled late still runs in
+//!   the place an early push would have given it. It is a bucketed calendar queue: a
 //!   ring of 4.1 ns slots reaching 67 µs ahead, where a fabric's
 //!   serialization and propagation events land, makes push and pop O(1)
 //!   but for a short walk when a push lands before its slot's latest

@@ -13,6 +13,13 @@
 //! The common cases (a push into an empty slot or behind its latest event,
 //! a pop from the front slot) are inlined into the callers; an
 //! out-of-order push, slab growth and the far heap are out of line.
+//!
+//! Every event carries a sequence number, its place among the events of
+//! one instant. A push takes the next number; a caller may also reserve a
+//! number now and push the event for it later
+//! ([`EventQueue::reserve_seq`], [`EventQueue::push_reserved`]), so an
+//! event that turns out to be needed only after other pushes still pops
+//! where it would have popped had it been pushed at reservation time.
 
 use crate::time::Time;
 use std::cmp::Ordering;
@@ -89,6 +96,7 @@ impl<E> Ord for Entry<E> {
 /// A pending event in the ring: one node of its slot's list.
 struct Node<E> {
     time: Time,
+    seq: u64,
     /// Next node of the same slot (stale on the slot's tail), or of the
     /// free list.
     next: u32,
@@ -101,14 +109,15 @@ const LINKED: &str = "a linked node holds an event";
 
 /// A discrete-event calendar.
 ///
-/// Events pop in nondecreasing time order; events scheduled for the same
-/// instant pop in the order they were pushed, which makes whole-simulation
-/// runs reproducible.
+/// Events pop in `(time, seq)` order. A push takes the next sequence
+/// number, so events scheduled for the same instant pop in the order they
+/// were pushed, which makes whole-simulation runs reproducible; an event
+/// pushed into a reserved place pops where its sequence number puts it.
 ///
 /// Internally the calendar is a ring of 16,384 slots, each 4.1 ns wide,
 /// starting at the slot of the last popped event. Each slot keeps a list
-/// sorted by `(time, push order)`; a new event usually carries its slot's
-/// latest time and is appended at the tail. An occupancy bitmap finds the
+/// sorted by `(time, seq)`; a new event usually carries its slot's latest
+/// time and the largest sequence number and is appended at the tail. An occupancy bitmap finds the
 /// next non-empty slot and is the only record of which slots are empty.
 /// Events past the ring's 67 µs horizon wait in a binary heap keyed by
 /// `(time, seq)` and move into the ring, still in order, as pops advance
@@ -142,11 +151,16 @@ pub struct EventQueue<E> {
     ring_len: usize,
     /// Events at or past the horizon, `SLOTS` slots after the cursor's.
     far: BinaryHeap<Entry<E>>,
-    /// Push order of far events, which is their tie-break at one instant.
+    /// Next sequence number to hand out. Numbers start at 1, so the
+    /// current place `(0, 0)` of a calendar that has popped nothing is
+    /// before every event.
     next_seq: u64,
     /// Time of the most recently popped event. Only a pop that returns an
     /// event moves it, so a push is never behind the ring's first slot.
     cursor: Time,
+    /// Sequence number of the most recently popped event: with `cursor`,
+    /// the place of the event being handled.
+    current_seq: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -174,8 +188,9 @@ impl<E> EventQueue<E> {
             free: NIL,
             ring_len: 0,
             far: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
+            next_seq: 1,
             cursor: Time::ZERO,
+            current_seq: 0,
         }
     }
 
@@ -192,16 +207,65 @@ impl<E> EventQueue<E> {
             "cannot push an event before the last popped instant ({time:?} < {:?})",
             self.cursor
         );
+        let seq = self.reserve_seq();
+        self.place(time, seq, event);
+    }
+
+    /// Hands out the next sequence number without pushing an event: the
+    /// place an event pushed now at any time would take. Push the event
+    /// for it later with [`EventQueue::push_reserved`], or never.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dsh_simcore::{EventQueue, Time};
+    /// let mut q = EventQueue::new();
+    /// let early = q.reserve_seq();
+    /// q.push(Time::from_ns(5), 'b');
+    /// q.push_reserved(Time::from_ns(5), early, 'a');
+    /// assert_eq!(q.pop(), Some((Time::from_ns(5), 'a')));
+    /// ```
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at `time` in the place `seq` that
+    /// [`EventQueue::reserve_seq`] handed out: among the events of `time`
+    /// it pops as if it had been pushed when `seq` was reserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` was never handed out, or if `(time, seq)` is not
+    /// after the place of the most recently popped event.
+    #[inline]
+    pub fn push_reserved(&mut self, time: Time, seq: u64, event: E) {
+        assert!(seq != 0 && seq < self.next_seq, "sequence number {seq} was never reserved");
+        assert!(
+            (time, seq) > (self.cursor, self.current_seq),
+            "cannot push a reserved event before the current one ({time:?}, {seq}) <= ({:?}, {})",
+            self.cursor,
+            self.current_seq
+        );
+        self.place(time, seq, event);
+    }
+
+    /// Files `event` into the ring, or into the far heap if `time` is
+    /// past the ring's horizon.
+    #[inline(always)]
+    fn place(&mut self, time: Time, seq: u64, event: E) {
         if slot_of(time) < slot_of(self.cursor) + SLOTS as u64 {
-            self.insert(time, event);
+            self.insert(time, seq, event);
         } else {
-            self.push_far(time, event);
+            self.push_far(time, seq, event);
         }
     }
 
     /// Queues `event` in the far heap, past the ring's horizon.
     #[inline(never)]
-    fn push_far(&mut self, time: Time, event: E) {
+    fn push_far(&mut self, time: Time, seq: u64, event: E) {
         // A full tier grows to hold the whole calendar, so events moving
         // between the tiers (an RTO storm while the ring drains) only
         // reallocate once the calendar outgrows its population at that
@@ -209,15 +273,13 @@ impl<E> EventQueue<E> {
         if self.far.len() == self.far.capacity() {
             self.far.reserve(self.ring_len + 1);
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.far.push(Entry { time, seq, event });
     }
 
-    /// Files `event` into its ring slot, behind every event of the slot at
-    /// or before `time`.
+    /// Files `event` into its ring slot, behind every event of the slot
+    /// before `(time, seq)`.
     #[inline(always)]
-    fn insert(&mut self, time: Time, event: E) {
+    fn insert(&mut self, time: Time, seq: u64, event: E) {
         if self.free == NIL {
             self.grow();
         }
@@ -225,6 +287,7 @@ impl<E> EventQueue<E> {
         let node = &mut self.nodes[idx as usize];
         self.free = node.next;
         node.time = time;
+        node.seq = seq;
         node.event = Some(event);
         self.ring_len += 1;
         let pos = ring_pos(time);
@@ -237,11 +300,11 @@ impl<E> EventQueue<E> {
         }
         let tail = &mut self.slots[pos][1];
         let last = &mut self.nodes[*tail as usize];
-        if last.time <= time {
+        if (last.time, last.seq) < (time, seq) {
             last.next = idx;
             *tail = idx;
         } else {
-            self.link_out_of_order(pos, idx, time);
+            self.link_out_of_order(pos, idx, (time, seq));
         }
     }
 
@@ -257,25 +320,26 @@ impl<E> EventQueue<E> {
             .ok()
             .filter(|&i| i != NIL)
             .expect("ring holds fewer than 2^32 - 1 events");
-        self.nodes.push(Node { time: Time::ZERO, next: NIL, event: None });
+        self.nodes.push(Node { time: Time::ZERO, seq: 0, next: NIL, event: None });
     }
 
     /// Links node `idx` into the occupied slot at `pos`, whose latest event
-    /// is later than `time`.
+    /// is after `key`, the node's `(time, seq)`.
     #[inline(never)]
-    fn link_out_of_order(&mut self, pos: usize, idx: u32, time: Time) {
+    fn link_out_of_order(&mut self, pos: usize, idx: u32, key: (Time, u64)) {
+        let after = |n: &Node<E>| (n.time, n.seq) > key;
         let head = &mut self.slots[pos][0];
-        if self.nodes[*head as usize].time > time {
+        if after(&self.nodes[*head as usize]) {
             self.nodes[idx as usize].next = *head;
             *head = idx;
             return;
         }
-        // Walk to the last node at or before `time`; the tail is later, so
-        // the walk stops before the end of the list.
+        // Walk to the last node before `key`; the tail is after it, so the
+        // walk stops before the end of the list.
         let mut prev = *head as usize;
         loop {
             let next = self.nodes[prev].next as usize;
-            if self.nodes[next].time > time {
+            if after(&self.nodes[next]) {
                 break;
             }
             prev = next;
@@ -320,7 +384,7 @@ impl<E> EventQueue<E> {
         };
         let [head, tail] = self.slots[pos];
         let node = &mut self.nodes[head as usize];
-        let time = node.time;
+        let (time, seq) = (node.time, node.seq);
         if !take(time, node.event.as_ref().expect(LINKED)) {
             return None;
         }
@@ -333,7 +397,7 @@ impl<E> EventQueue<E> {
         node.next = self.free;
         self.free = head;
         self.ring_len -= 1;
-        self.advance(time);
+        self.advance(time, seq);
         Some((time, event))
     }
 
@@ -345,16 +409,17 @@ impl<E> EventQueue<E> {
         if !take(top.time, &top.event) {
             return None;
         }
-        let Entry { time, event, .. } = self.far.pop()?;
-        self.advance(time);
+        let Entry { time, seq, event } = self.far.pop()?;
+        self.advance(time, seq);
         Some((time, event))
     }
 
-    /// Moves the cursor to `time`, the instant just popped, and brings the
-    /// far events the horizon now reaches into the ring.
+    /// Moves the current place to `(time, seq)`, the event just popped,
+    /// and brings the far events the horizon now reaches into the ring.
     #[inline(always)]
-    fn advance(&mut self, time: Time) {
+    fn advance(&mut self, time: Time, seq: u64) {
         self.cursor = time;
+        self.current_seq = seq;
         if self.far.peek().is_some_and(|top| slot_of(top.time) < slot_of(time) + SLOTS as u64) {
             self.migrate();
         }
@@ -369,7 +434,7 @@ impl<E> EventQueue<E> {
         // are empty and the in-order far events are appended at their tails.
         while self.far.peek().is_some_and(|top| slot_of(top.time) < horizon) {
             let e = self.far.pop().expect("peeked far event");
-            self.insert(e.time, e.event);
+            self.insert(e.time, e.seq, e.event);
         }
     }
 
@@ -401,6 +466,14 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn pop_current_if(&mut self, now: Time, pred: impl FnOnce(&E) -> bool) -> Option<E> {
         self.pop_where(|t, e| t == now && pred(e)).map(|(_, e)| e)
+    }
+
+    /// Sequence number of the most recently popped event (0 before the
+    /// first pop): with its time, the place of the event being handled.
+    #[must_use]
+    #[inline]
+    pub fn current_seq(&self) -> u64 {
+        self.current_seq
     }
 
     /// Returns the firing time of the earliest pending event.
@@ -459,11 +532,18 @@ mod tests {
 
     impl<E> PureHeap<E> {
         fn new() -> Self {
-            PureHeap { heap: BinaryHeap::new(), next_seq: 0 }
+            PureHeap { heap: BinaryHeap::new(), next_seq: 1 }
         }
-        fn push(&mut self, time: Time, event: E) {
+        fn reserve(&mut self) -> u64 {
             let seq = self.next_seq;
             self.next_seq += 1;
+            seq
+        }
+        fn push(&mut self, time: Time, event: E) {
+            let seq = self.reserve();
+            self.push_at(time, seq, event);
+        }
+        fn push_at(&mut self, time: Time, seq: u64, event: E) {
             self.heap.push(Entry { time, seq, event });
         }
         fn peek_time(&self) -> Option<Time> {
@@ -683,6 +763,47 @@ mod tests {
     }
 
     #[test]
+    fn reserved_places_pop_in_sequence_order() {
+        let mut q = EventQueue::new();
+        q.push(Time::from_ns(10), "first");
+        let near = q.reserve_seq();
+        let far = q.reserve_seq();
+        // A reservation may stay unused.
+        q.reserve_seq();
+        q.push(Time::from_ns(20), "late-b");
+        q.push(Time::from_ms(1), "far-b");
+        assert_eq!(q.pop(), Some((Time::from_ns(10), "first")));
+        // Reserved before the pushes above, both pop ahead of them at
+        // their instants: in the ring and past the horizon.
+        q.push_reserved(Time::from_ms(1), far, "far-a");
+        q.push_reserved(Time::from_ns(20), near, "late-a");
+        let now = q.reserve_seq();
+        q.push(Time::from_ns(10), "now-b");
+        q.push_reserved(Time::from_ns(10), now, "now-a");
+        let order: Vec<_> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, ["now-a", "now-b", "late-a", "late-b", "far-a", "far-b"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the current one")]
+    fn reserved_push_before_the_current_event_panics() {
+        let mut q = EventQueue::new();
+        let early = q.reserve_seq();
+        q.push(Time::from_ns(10), 'a');
+        q.pop();
+        // The reservation predates 'a', which has already popped.
+        q.push_reserved(Time::from_ns(10), early, 'b');
+    }
+
+    #[test]
+    #[should_panic(expected = "was never reserved")]
+    fn push_with_an_unreserved_sequence_number_panics() {
+        let mut q = EventQueue::new();
+        q.push(Time::from_ns(10), 'a');
+        q.push_reserved(Time::from_ns(20), 5, 'b');
+    }
+
+    #[test]
     fn pop_before_respects_deadline() {
         let mut q = EventQueue::new();
         q.push(Time::from_ns(10), 1);
@@ -743,11 +864,46 @@ mod tests {
         oracle: PureHeap<u32>,
         now: Time,
         next_id: u32,
+        /// Reserved sequence numbers not pushed yet.
+        reserved: Vec<u64>,
     }
 
     impl Pair {
         fn new() -> Self {
-            Pair { q: EventQueue::new(), oracle: PureHeap::new(), now: Time::ZERO, next_id: 0 }
+            Pair {
+                q: EventQueue::new(),
+                oracle: PureHeap::new(),
+                now: Time::ZERO,
+                next_id: 0,
+                reserved: Vec::new(),
+            }
+        }
+
+        fn reserve(&mut self) {
+            let seq = self.q.reserve_seq();
+            assert_eq!(seq, self.oracle.reserve());
+            self.reserved.push(seq);
+        }
+
+        /// Pushes into one of the reserved places: at now, in the ring or
+        /// past the horizon as `delta` decides. A place the calendar has
+        /// already passed is given up unused.
+        fn push_reserved(&mut self, delta: u64) {
+            if self.reserved.is_empty() {
+                return;
+            }
+            let seq = self.reserved.swap_remove(delta as usize % self.reserved.len());
+            let at = match delta % 3 {
+                0 => self.now,
+                1 => self.ahead(1 + delta * 1_000),
+                _ => self.ahead(1 + delta * 3_000_000),
+            };
+            if (at, seq) <= (self.now, self.q.current_seq()) {
+                return;
+            }
+            self.q.push_reserved(at, seq, self.next_id);
+            self.oracle.push_at(at, seq, self.next_id);
+            self.next_id += 1;
         }
 
         /// `ps` picoseconds after now; once the clock reaches the
@@ -803,17 +959,19 @@ mod tests {
         /// Event-trace equivalence against the pure-heap oracle: an
         /// arbitrary interleaving of pushes (at now, within a slot, within
         /// the ring, past its 67 µs horizon, in the slots either side of
-        /// the horizon, at the end of time, and in dense bursts) and of
-        /// every pop primitive, accepting and refusing, produces the exact
-        /// same trace from both implementations.
+        /// the horizon, at the end of time, and in dense bursts), of
+        /// reservations and pushes into reserved places, and of every pop
+        /// primitive, accepting and refusing, produces the exact same
+        /// trace from both implementations.
         #[test]
         fn prop_matches_pure_heap(
-            ops in proptest::collection::vec((0u8..11, 0u64..50), 1..400)
+            ops in proptest::collection::vec((0u8..13, 0u64..50), 1..400)
         ) {
             let mut p = Pair::new();
             for (kind, delta) in ops {
                 let now = p.now;
-                // kinds 0-5 push, 6-9 pop, 10 pushes a burst.
+                // kinds 0-5 push, 6-9 pop, 10 pushes a burst, 11 reserves
+                // a place and 12 pushes into one.
                 match kind {
                     0 => p.push(now),
                     1 => p.push(p.ahead(delta * 1_000)),
@@ -828,6 +986,8 @@ mod tests {
                     }
                     5 => p.push(Time::from_ps(u64::MAX - delta).max(now)),
                     6..=9 => p.pop(kind, delta),
+                    11 => p.reserve(),
+                    12 => p.push_reserved(delta),
                     _ => {
                         // A dense burst, the shape of a fabric's clustered
                         // arrivals: 50-491 pushes inside the 65.5 ns window

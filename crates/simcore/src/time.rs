@@ -189,12 +189,14 @@ impl Delta {
 
 impl Add<Delta> for Time {
     type Output = Time;
+    #[inline]
     fn add(self, rhs: Delta) -> Time {
         Time(self.0.checked_add(rhs.0).expect("simulated time overflow"))
     }
 }
 
 impl AddAssign<Delta> for Time {
+    #[inline]
     fn add_assign(&mut self, rhs: Delta) {
         *self = *self + rhs;
     }
@@ -202,6 +204,7 @@ impl AddAssign<Delta> for Time {
 
 impl Sub<Delta> for Time {
     type Output = Time;
+    #[inline]
     fn sub(self, rhs: Delta) -> Time {
         Time(self.0.checked_sub(rhs.0).expect("simulated time underflow"))
     }
@@ -209,6 +212,7 @@ impl Sub<Delta> for Time {
 
 impl Sub<Time> for Time {
     type Output = Delta;
+    #[inline]
     fn sub(self, rhs: Time) -> Delta {
         Delta(self.0.checked_sub(rhs.0).expect("negative duration: rhs instant is later"))
     }
@@ -216,12 +220,14 @@ impl Sub<Time> for Time {
 
 impl Add for Delta {
     type Output = Delta;
+    #[inline]
     fn add(self, rhs: Delta) -> Delta {
         Delta(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
 
 impl AddAssign for Delta {
+    #[inline]
     fn add_assign(&mut self, rhs: Delta) {
         *self = *self + rhs;
     }
@@ -229,12 +235,14 @@ impl AddAssign for Delta {
 
 impl Sub for Delta {
     type Output = Delta;
+    #[inline]
     fn sub(self, rhs: Delta) -> Delta {
         Delta(self.0.checked_sub(rhs.0).expect("duration underflow"))
     }
 }
 
 impl SubAssign for Delta {
+    #[inline]
     fn sub_assign(&mut self, rhs: Delta) {
         *self = *self - rhs;
     }
@@ -242,6 +250,7 @@ impl SubAssign for Delta {
 
 impl Mul<u64> for Delta {
     type Output = Delta;
+    #[inline]
     fn mul(self, rhs: u64) -> Delta {
         Delta(self.0.checked_mul(rhs).expect("duration overflow"))
     }
@@ -249,6 +258,7 @@ impl Mul<u64> for Delta {
 
 impl Div<u64> for Delta {
     type Output = Delta;
+    #[inline]
     fn div(self, rhs: u64) -> Delta {
         Delta(self.0 / rhs)
     }

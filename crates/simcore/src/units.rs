@@ -66,12 +66,24 @@ impl Bandwidth {
     ///
     /// Panics if the bandwidth is zero.
     #[must_use]
+    #[inline]
     pub fn tx_delay(self, bytes: u64) -> Delta {
         assert!(self.0 > 0, "cannot transmit on a zero-bandwidth link");
-        // ps = bytes * 8 bits * 1e12 / bps, computed in u128 to avoid
-        // overflow for large transfers.
-        let num = (bytes as u128) * 8 * 1_000_000_000_000u128;
-        let ps = num.div_ceil(self.0 as u128);
+        // ps = bytes * 8 bits * 1e12 / bps: in u64 whenever the numerator
+        // fits (every frame up to ~2.3 MB), in u128 for larger transfers.
+        const PS_BITS_PER_BYTE: u64 = 8 * 1_000_000_000_000;
+        match bytes.checked_mul(PS_BITS_PER_BYTE) {
+            Some(num) => Delta::from_ps(num.div_ceil(self.0)),
+            None => Self::tx_delay_wide(bytes, self.0),
+        }
+    }
+
+    /// [`Bandwidth::tx_delay`] for transfers whose numerator overflows
+    /// `u64`.
+    #[inline(never)]
+    fn tx_delay_wide(bytes: u64, bps: u64) -> Delta {
+        let num = u128::from(bytes) * 8 * 1_000_000_000_000u128;
+        let ps = num.div_ceil(u128::from(bps));
         Delta::from_ps(u64::try_from(ps).expect("transmission delay overflow"))
     }
 
@@ -197,6 +209,22 @@ mod tests {
         assert_eq!(Bandwidth::from_gbps(100).tx_delay(64), Delta::from_ps(5120));
         // Zero bytes serialize instantly.
         assert_eq!(Bandwidth::from_gbps(100).tx_delay(0), Delta::ZERO);
+    }
+
+    #[test]
+    fn tx_delay_agrees_across_the_u64_boundary() {
+        // The largest byte count whose numerator fits u64, and the next
+        // one, which takes the u128 path: both round up exactly.
+        let edge = u64::MAX / 8_000_000_000_000;
+        for bps in [3, 1_000_000_007, 100_000_000_000, u64::MAX] {
+            let c = Bandwidth::from_bps(bps);
+            for bytes in [edge - 1, edge, edge + 1, edge * 1000] {
+                let exact = (u128::from(bytes) * 8_000_000_000_000).div_ceil(u128::from(bps));
+                if let Ok(ps) = u64::try_from(exact) {
+                    assert_eq!(c.tx_delay(bytes).as_ps(), ps, "{bytes} B at {bps} bps");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! running the same scaled-down sweeps at 1 and 4 threads and comparing
 //! serialized output byte for byte.
 
-use dsh_bench::fabric::{FctExperiment, Topo};
+use dsh_bench::fabric::{self, FctExperiment, Topo};
 use dsh_bench::fig14;
 use dsh_core::Scheme;
-use dsh_net::{FlowSpec, NetParams, NetworkBuilder};
-use dsh_simcore::{Bandwidth, Delta, Executor, Time};
+use dsh_net::{FlowSpec, NetEvent, NetParams, NetworkBuilder};
+use dsh_simcore::{Bandwidth, Delta, EngineProfile, Executor, Time};
 use dsh_transport::CcKind;
 
 /// FNV-1a over the rendered output, so a golden is one `u64` literal.
@@ -53,6 +53,37 @@ fn fig14_sweep_is_byte_identical_at_1_and_4_threads() {
     // wake-ups were elided while the uplink serializer is busy, which
     // re-orders same-instant calendar ties).
     assert_eq!(fnv1a(&rendered), 10_839_357_829_881_153_996, "fig14 micro sweep output drifted");
+}
+
+#[test]
+fn micro_cell_dispatch_counts_are_pinned() {
+    // The micro leaf-spine cell under DCQCN, dispatched event by event.
+    // Only wake-ups that do work reach the calendar: a `TxDone` is pushed
+    // only while a frame waits behind the one on the wire (or a host flow
+    // is active), and each flow keeps one live CC timer. The `arrive`
+    // count is the frame count, unchanged since every `TxDone` and every
+    // stale CC timer was dispatched; a dead wake-up that comes back raises
+    // `tx_done` or `cc_timer` and fails here.
+    let exp = micro_base();
+    let (net, _fan, _registered) = fabric::loaded(&exp);
+    let mut sim = net.into_sim();
+    let mut profile = EngineProfile::new::<NetEvent>();
+    sim.run_until_profiled(Time::ZERO + exp.run_until, &mut profile);
+    let counts: Vec<(&str, u64)> = profile.rows().map(|(name, count, _)| (name, count)).collect();
+    // Dispatching every wake-up, the same run counted 68,802 `tx_done`
+    // and 8,880 `cc_timer` events.
+    assert_eq!(
+        counts,
+        [
+            ("arrive", 80_588),
+            ("tx_done", 36_865),
+            ("flow_start", 133),
+            ("host_wake", 322),
+            ("cc_timer", 99),
+            ("sample", 400),
+        ],
+        "per-class dispatch counts drifted"
+    );
 }
 
 /// One micro 7:1 incast, returning the run's full telemetry JSON.
