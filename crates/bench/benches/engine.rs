@@ -320,13 +320,12 @@ fn lossy_sr_incast_sim(flow_bytes: u64) -> Simulation<Network> {
     net.into_sim()
 }
 
-/// Like [`packet_path_probe`] but for the lossy selective-repeat fixture:
-/// drop-tail drops are the point (not asserted zero), and the window must
-/// actually exercise the recovery machinery — NACKs and gap repairs — or
-/// the zero-allocation claim would be vacuous.
-fn sr_path_probe(label: &str, mut sim: Simulation<Network>) {
-    let warmup_end = Time::from_us(100);
-    let window_end = Time::from_us(400);
+/// Like [`packet_path_probe`] but for the lossy selective-repeat fixture
+/// and a caller-chosen `[warmup_end, window_end)` window: drop-tail drops
+/// are the point (not asserted zero), and the window must actually
+/// exercise the recovery machinery — NACKs and gap repairs — or the
+/// zero-allocation claim would be vacuous.
+fn sr_path_probe(label: &str, mut sim: Simulation<Network>, warmup_end: Time, window_end: Time) {
     if std::env::var("DSH_ALLOC_TRACE").is_ok() {
         sim.run_until(warmup_end);
         #[cfg(feature = "alloc-count")]
@@ -474,7 +473,22 @@ fn packet_path(c: &mut Criterion) {
             true,
         );
     }
-    sr_path_probe("packet_path/lossy_sr_incast_8_to_1", lossy_sr_incast_sim(4 * 1024 * 1024));
+    sr_path_probe(
+        "packet_path/lossy_sr_incast_8_to_1",
+        lossy_sr_incast_sim(4 * 1024 * 1024),
+        Time::from_us(100),
+        Time::from_us(400),
+    );
+    // A window far past warmup: any per-switch bookkeeping that grows
+    // with simulated time (rather than with the fabric) shows up here as
+    // a mid-run `Vec` regrowth. The lossy fixture charges no headroom, so
+    // Fig. 6's headroom-peak log never appends.
+    sr_path_probe(
+        "packet_path/lossy_sr_incast_8_to_1_late",
+        lossy_sr_incast_sim(40 * 1024 * 1024),
+        Time::from_ms(10),
+        Time::from_ms(20),
+    );
 }
 
 criterion_group!(

@@ -85,8 +85,8 @@ pub fn emit_json_to(path: &str) -> std::io::Result<()> {
     let records = RECORDS.lock().expect("bench records poisoned");
     let cores = std::thread::available_parallelism().map_or(0, usize::from);
     // The provenance records what the run was *configured* to use, not
-    // what the host could have offered: sweep threads resolve exactly
-    // like `Executor::from_env` (DSH_THREADS, else all cores).
+    // what the host could have offered: DSH_THREADS, else all cores,
+    // the same fallback the figure binaries' `--threads` uses.
     // `available_parallelism` stays alongside as the host context that
     // count should be read against.
     let threads = env_count("DSH_THREADS").unwrap_or(cores);

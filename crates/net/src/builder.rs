@@ -9,7 +9,7 @@ use crate::port::EgressPort;
 use crate::routing::compute_route_tables;
 use crate::switch::SwitchNode;
 use dsh_core::{headroom, Mmu, MmuConfig, Scheme};
-use dsh_simcore::trace::{TraceConfig, TraceKey, Tracer};
+use dsh_simcore::trace::{TraceKey, Tracer};
 use dsh_simcore::{Bandwidth, ByteSize, Delta};
 use dsh_transport::RecoveryConfig;
 
@@ -50,8 +50,7 @@ pub struct NetParams {
     pub base_rtt: Delta,
     /// Interval of the one periodic measurement tick: goodput monitors,
     /// the PFC watchdog, the deadlock scan and (with
-    /// [`NetParams::observe`]) the metrics sampler. Also the window of
-    /// each switch's occupancy series. Must be positive.
+    /// [`NetParams::observe`]) the metrics sampler. Must be positive.
     pub sample_interval: Delta,
     /// A port continuously blocked this long is declared deadlocked.
     pub deadlock_threshold: Delta,
@@ -74,11 +73,6 @@ pub struct NetParams {
     pub observe: Option<ObserveConfig>,
     /// RNG seed (ECN randomness).
     pub seed: u64,
-    /// Flight-recorder configuration. The default is off (zero
-    /// overhead); an active [`dsh_simcore::trace::capture`] session or
-    /// the `DSH_TRACE_MASK` environment variable can still enable
-    /// tracing at build time (see [`Tracer::for_simulation`]).
-    pub trace: TraceConfig,
 }
 
 impl NetParams {
@@ -103,7 +97,6 @@ impl NetParams {
             recovery: None,
             observe: None,
             seed: 1,
-            trace: TraceConfig::off(),
         }
     }
 }
@@ -213,7 +206,7 @@ impl NetworkBuilder {
         // with every switch MMU. The key makes multi-threaded capture
         // sessions sort deterministically: the seed separates sweep
         // points, the scheme tag separates the SIH/DSH pair of a point.
-        let tracer = Tracer::for_simulation(&self.params.trace, self.params.trace_key());
+        let tracer = Tracer::for_simulation(self.params.trace_key());
         let n = self.nodes.len();
         // Ports per node, in link insertion order.
         let mut ports: Vec<Vec<EgressPort>> = (0..n).map(|_| Vec::new()).collect();
@@ -316,9 +309,6 @@ impl NetworkBuilder {
                         ports: nports,
                         mmu,
                         routes: table,
-                        occupancy: crate::monitor::OccupancySeries::new(
-                            self.params.sample_interval,
-                        ),
                     }));
                 }
             }
@@ -380,13 +370,6 @@ impl NetParams {
     pub fn with_default_recovery(self) -> Self {
         let cfg = RecoveryConfig::for_rtt(self.base_rtt);
         self.with_recovery(cfg)
-    }
-
-    /// Returns a copy with the flight recorder configured explicitly.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
     }
 
     /// Returns a copy with a different per-port headroom formula.

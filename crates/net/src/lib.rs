@@ -76,9 +76,8 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkCorruption};
 pub use frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcFrame, PfcScope};
 pub use ids::{FlowId, NodeId, CONTROL_CLASS, NUM_CLASSES, NUM_DATA_CLASSES};
 pub use monitor::{
-    ClassPauseTelemetry, DeadlockReport, DurationHistogram, FctRecord, OccupancyPoint,
-    OccupancySeries, PauseLedger, PortPauseTelemetry, SwitchTelemetry, TelemetryReport,
-    ThroughputSample,
+    ClassPauseTelemetry, DeadlockReport, DurationHistogram, FctRecord, PauseLedger,
+    PortPauseTelemetry, SwitchTelemetry, TelemetryReport, ThroughputSample,
 };
 pub use network::{BlockedPort, ClassMask, FlowSpec, NetEvent, Network};
 pub use observe::{CascadeReport, FlowPauseAttribution, ObserveConfig, PauseEdge};

@@ -3,9 +3,10 @@
 //!
 //! [`TelemetryReport`] is the network's one-stop observability snapshot:
 //! per-switch MMU audits, drop attribution, per-port PFC pause durations
-//! with pause→resume latency histograms, and occupancy time series —
-//! all serializable to JSON via [`TelemetryReport::to_json`] so figure
-//! binaries and integration tests consume the same data.
+//! with pause→resume latency histograms — all serializable to JSON via
+//! [`TelemetryReport::to_json`] so figure binaries and integration tests
+//! consume the same data. Switch occupancy over time is the metrics
+//! sampler's record ([`crate::observe`]), not this report's.
 
 use crate::ids::{FlowId, NodeId};
 use dsh_core::{AuditReport, DropAttribution, MmuStats, PortDrops};
@@ -174,82 +175,6 @@ impl DurationHistogram {
     }
 }
 
-/// One point of a buffer-occupancy time series.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OccupancyPoint {
-    /// Start of the sampling window.
-    pub time: Time,
-    /// Peak buffered bytes observed during the window.
-    pub bytes: u64,
-}
-
-/// A switch's buffered-bytes time series, sampled on every arrival and
-/// departure and coalesced to one point (the window's peak) per
-/// `resolution` so long runs stay bounded in memory.
-#[derive(Clone, Debug)]
-pub struct OccupancySeries {
-    resolution: Delta,
-    current: u64,
-    points: Vec<OccupancyPoint>,
-    window: Option<OccupancyPoint>,
-}
-
-impl OccupancySeries {
-    /// An empty series coalescing at `resolution`.
-    ///
-    /// The point log is pre-reserved so pushing a coalesced window is
-    /// allocation-free for the first `1024` windows — on the packet hot
-    /// path every arrival/departure calls [`add`](Self::add)/[`sub`](Self::sub), and a mid-run
-    /// `Vec` regrowth would show up as a spurious allocation in the
-    /// alloc-counted benchmarks.
-    #[must_use]
-    pub fn new(resolution: Delta) -> Self {
-        OccupancySeries { resolution, current: 0, points: Vec::with_capacity(1024), window: None }
-    }
-
-    /// Records `bytes` entering the buffer at `now`.
-    pub fn add(&mut self, now: Time, bytes: u64) {
-        self.current += bytes;
-        self.observe(now);
-    }
-
-    /// Records `bytes` leaving the buffer at `now`.
-    pub fn sub(&mut self, now: Time, bytes: u64) {
-        self.current = self.current.saturating_sub(bytes);
-        self.observe(now);
-    }
-
-    fn observe(&mut self, now: Time) {
-        match &mut self.window {
-            Some(w) if now.saturating_since(w.time) < self.resolution => {
-                w.bytes = w.bytes.max(self.current);
-            }
-            _ => {
-                if let Some(w) = self.window.take() {
-                    self.points.push(w);
-                }
-                self.window = Some(OccupancyPoint { time: now, bytes: self.current });
-            }
-        }
-    }
-
-    /// Bytes currently buffered.
-    #[must_use]
-    pub fn current(&self) -> u64 {
-        self.current
-    }
-
-    /// The series so far, including the in-progress window.
-    #[must_use]
-    pub fn points(&self) -> Vec<OccupancyPoint> {
-        let mut out = self.points.clone();
-        if let Some(w) = self.window {
-            out.push(w);
-        }
-        out
-    }
-}
-
 /// Pause telemetry for one traffic class of one egress port.
 #[derive(Clone, Debug)]
 pub struct ClassPauseTelemetry {
@@ -327,8 +252,6 @@ pub struct SwitchTelemetry {
     pub attribution: DropAttribution,
     /// Drops by ingress port (index = port).
     pub port_drops: Vec<PortDrops>,
-    /// Buffered-bytes time series.
-    pub occupancy: Vec<OccupancyPoint>,
 }
 
 impl SwitchTelemetry {
@@ -343,11 +266,6 @@ impl SwitchTelemetry {
             .map(|(p, d)| {
                 Json::object().with("port", p).with("packets", d.packets).with("bytes", d.bytes)
             })
-            .collect();
-        let occupancy: Vec<Json> = self
-            .occupancy
-            .iter()
-            .map(|pt| Json::object().with("t_ns", pt.time.as_ns()).with("bytes", pt.bytes))
             .collect();
         Json::object()
             .with("node", self.node.0)
@@ -376,7 +294,6 @@ impl SwitchTelemetry {
                     .with("drop_tail", self.attribution.drop_tail),
             )
             .with("port_drops", Json::Arr(drops))
-            .with("occupancy", Json::Arr(occupancy))
     }
 }
 
@@ -530,20 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_series_coalesces_to_window_peaks() {
-        let mut s = OccupancySeries::new(Delta::from_us(10));
-        s.add(Time::from_us(0), 1000);
-        s.add(Time::from_us(2), 3000); // same window: peak 4000
-        s.sub(Time::from_us(4), 3500); // still same window
-        s.add(Time::from_us(15), 2000); // new window
-        assert_eq!(s.current(), 2500);
-        let pts = s.points();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0], OccupancyPoint { time: Time::from_us(0), bytes: 4000 });
-        assert_eq!(pts[1], OccupancyPoint { time: Time::from_us(15), bytes: 2500 });
-    }
-
-    #[test]
     fn lossless_violations_name_switch_and_port() {
         use dsh_core::{AuditViolation, PortDrops};
         let report = TelemetryReport {
@@ -572,7 +475,6 @@ mod tests {
                 stats: Default::default(),
                 attribution: Default::default(),
                 port_drops: vec![PortDrops::default(), PortDrops { packets: 2, bytes: 3000 }],
-                occupancy: vec![],
             }],
             ports: vec![],
             provenance: Json::object().with("seed", 1u64),

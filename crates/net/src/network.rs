@@ -17,8 +17,7 @@ use dsh_core::headroom::PFC_PROCESSING_BYTES;
 use dsh_core::{FcAction, FcActions};
 use dsh_simcore::trace::{TraceEvent, TraceLog, Tracer};
 use dsh_simcore::{
-    split_seed, trace_event, Delta, EventClass, FlightGuard, Model, Pool, Scheduler, SimRng,
-    Simulation, Time,
+    split_seed, trace_event, Delta, EventClass, Model, Pool, Scheduler, SimRng, Simulation, Time,
 };
 use dsh_transport::{
     new_cc, AckInfo, CcKind, GoBackN, HopList, RecoveryConfig, Regime, RtoOutcome, SackBuffer,
@@ -185,11 +184,12 @@ pub struct Network {
     /// and is reused for the next frame, so the steady-state packet path
     /// never touches the allocator.
     pool: Pool<Frame>,
-    /// Watchdog scratch: drained frames of one flush (capacity reused
-    /// across samples).
-    wd_flushed: Vec<QueuedFrame>,
-    /// Watchdog scratch: flow-control actions released by one flush.
-    wd_fc: Vec<FcAction>,
+    /// Scratch for [`Self::release_drained`]: the frames of one link
+    /// failure or watchdog flush (capacity reused across drains).
+    drained: Vec<QueuedFrame>,
+    /// Scratch for [`Self::release_drained`]: the flow-control actions
+    /// their release owes.
+    released: Vec<FcAction>,
     data_drops: u64,
     /// Data packets delivered to their destination host (denominator for
     /// the benches' allocations-per-packet metric).
@@ -261,8 +261,8 @@ impl Network {
             monitors: Vec::new(),
             rng,
             pool: Pool::bounded(FRAME_POOL_RETAIN),
-            wd_flushed: Vec::new(),
-            wd_fc: Vec::new(),
+            drained: Vec::new(),
+            released: Vec::new(),
             data_drops: 0,
             packets_delivered: 0,
             watchdog_drops: 0,
@@ -284,9 +284,8 @@ impl Network {
     }
 
     /// The flight-recorder tracer this network (and its switch MMUs)
-    /// records into. Disabled unless [`NetParams::trace`], a
-    /// [`dsh_simcore::trace::capture`] session, or `DSH_TRACE_MASK`
-    /// enabled it at build time.
+    /// records into. Disabled unless a [`dsh_simcore::trace::capture`]
+    /// session or `DSH_TRACE_MASK` enabled it at build time.
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -297,13 +296,6 @@ impl Network {
     #[must_use]
     pub fn trace_log(&self) -> TraceLog {
         self.tracer.log(self.params.trace_key())
-    }
-
-    /// Arms a [`FlightGuard`] over this network's recorder: if the
-    /// caller's scope unwinds, the last records are dumped under `label`.
-    #[must_use]
-    pub fn flight_guard(&self, label: impl Into<String>) -> FlightGuard {
-        FlightGuard::arm(&self.tracer, label)
     }
 
     /// Registers a flow; returns its id. All flows must be added before
@@ -598,9 +590,9 @@ impl Network {
         out
     }
 
-    /// A structured telemetry snapshot at `now`: per-switch MMU audits,
-    /// drop attribution, occupancy time series, and per-port PFC pause
-    /// durations with pause→resume latency histograms. Serialize with
+    /// A structured telemetry snapshot at `now`: per-switch MMU audits
+    /// and drop attribution, and per-port PFC pause durations with
+    /// pause→resume latency histograms. Serialize with
     /// [`TelemetryReport::to_json`].
     #[must_use]
     pub fn telemetry_report(&self, now: Time) -> TelemetryReport {
@@ -613,7 +605,6 @@ impl Network {
                     stats: s.mmu.stats(),
                     attribution: s.mmu.drop_attribution(),
                     port_drops: s.mmu.port_drops().to_vec(),
-                    occupancy: s.occupancy.points(),
                 });
             }
         }
@@ -824,7 +815,6 @@ impl Network {
             if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
                 let sw = self.switch_mut(node);
                 fc = sw.mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now);
-                sw.occupancy.sub(now, qf.frame.bytes);
             }
             // Stamp INT telemetry (switch egress only).
             let p = self.port_mut(node, port);
@@ -888,7 +878,12 @@ impl Network {
     /// Materializes PFC frames for `actions`, enqueues them toward the
     /// offending upstreams, and kicks each port's serializer (a busy one
     /// books its wake-up instead).
-    fn drain_fc(&mut self, node: NodeId, actions: FcActions, sched: &mut Scheduler<'_, NetEvent>) {
+    fn drain_fc(
+        &mut self,
+        node: NodeId,
+        actions: impl IntoIterator<Item = FcAction>,
+        sched: &mut Scheduler<'_, NetEvent>,
+    ) {
         for a in actions {
             let (p, f) = SwitchNode::fc_frame(a);
             // A pause/resume owed to a dead upstream dies with the link
@@ -979,13 +974,7 @@ impl Network {
                 let q = frame.class as usize;
                 let outcome = sw.mmu.on_arrival(in_port, q, frame.bytes, now);
                 fc = outcome.actions;
-                match outcome.region {
-                    Some(region) => {
-                        sw.occupancy.add(now, frame.bytes);
-                        Some(Some(IngressTag { in_port, in_queue: q, region }))
-                    }
-                    None => None,
-                }
+                outcome.region.map(|region| Some(IngressTag { in_port, in_queue: q, region }))
             } else {
                 Some(None)
             }
@@ -1861,9 +1850,7 @@ impl Network {
         if let Some(obs) = self.observe.as_deref_mut() {
             obs.cascade.force_close_port(node, port, now);
         }
-        // Cold path: faults are rare, so a fresh drain buffer per event is
-        // fine (the packet hot path stays allocation-free).
-        let mut drained = Vec::new();
+        let mut drained = std::mem::take(&mut self.drained);
         self.port_mut(node, port).fail(now, &mut drained);
         self.link_drops += drained.len() as u64;
         if !drained.is_empty() {
@@ -1873,25 +1860,33 @@ impl Network {
                 payload: drained.len() as u64,
             });
         }
-        let mut fc: Vec<FcAction> = Vec::new();
-        for qf in drained {
+        self.release_drained(node, drained, sched);
+    }
+
+    /// Releases the MMU accounting of `frames` drained off one of
+    /// `node`'s ports (a link failure or a watchdog flush), returns them
+    /// to the pool, then sends the PFC frames the releases owe — all
+    /// collected first, then emitted in order through [`Self::drain_fc`],
+    /// which drops those owed to an upstream whose link is down.
+    /// `frames` comes back empty as the next drain's scratch buffer.
+    fn release_drained(
+        &mut self,
+        node: NodeId,
+        mut frames: Vec<QueuedFrame>,
+        sched: &mut Scheduler<'_, NetEvent>,
+    ) {
+        let now = sched.now();
+        let mut released = std::mem::take(&mut self.released);
+        for qf in frames.drain(..) {
             if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
-                let Node::Switch(s) = &mut self.nodes[node.0] else { unreachable!() };
-                let actions = s.mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now);
-                s.occupancy.sub(now, qf.frame.bytes);
-                fc.extend(actions);
+                let mmu = &mut self.switch_mut(node).mmu;
+                released.extend(mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now));
             }
             self.pool.put(qf.frame);
         }
-        for a in fc {
-            let (p, f) = SwitchNode::fc_frame(a);
-            if !self.port_mut(node, p).is_link_up() {
-                continue; // a resume owed to a dead upstream dies with it
-            }
-            let frame = self.pool.get(|| f);
-            self.port_mut(node, p).enqueue(QueuedFrame { frame, ingress: None });
-            self.try_transmit(node, p, sched);
-        }
+        self.drain_fc(node, released.drain(..), sched);
+        self.drained = frames;
+        self.released = released;
     }
 
     fn link_up(&mut self, a: NodeId, b: NodeId, sched: &mut Scheduler<'_, NetEvent>) {
@@ -2046,13 +2041,7 @@ impl Network {
                     if !expired {
                         continue;
                     }
-                    // Flush into the reused scratch buffers (their
-                    // capacity persists across samples — no fresh `Vec`
-                    // per flush).
-                    let mut flushed = std::mem::take(&mut self.wd_flushed);
-                    let mut fc = std::mem::take(&mut self.wd_fc);
-                    flushed.clear();
-                    fc.clear();
+                    let mut flushed = std::mem::take(&mut self.drained);
                     {
                         let Node::Switch(s) = &mut self.nodes[ni] else { unreachable!() };
                         s.ports[pi].watchdog_flush_class(class, now, &mut flushed);
@@ -2066,24 +2055,7 @@ impl Network {
                     // Release the MMU accounting of the dropped frames and
                     // forward any resumes that releases.
                     self.watchdog_drops += flushed.len() as u64;
-                    for qf in flushed.drain(..) {
-                        if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
-                            let Node::Switch(s) = &mut self.nodes[ni] else { unreachable!() };
-                            let actions =
-                                s.mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now);
-                            s.occupancy.sub(now, qf.frame.bytes);
-                            fc.extend(actions);
-                        }
-                        self.pool.put(qf.frame);
-                    }
-                    for a in fc.drain(..) {
-                        let (p, f) = SwitchNode::fc_frame(a);
-                        let frame = self.pool.get(|| f);
-                        self.port_mut(NodeId(ni), p).enqueue(QueuedFrame { frame, ingress: None });
-                        self.try_transmit(NodeId(ni), p, sched);
-                    }
-                    self.wd_flushed = flushed;
-                    self.wd_fc = fc;
+                    self.release_drained(NodeId(ni), flushed, sched);
                     // The unpaused port may transmit again.
                     self.try_transmit(NodeId(ni), pi, sched);
                 }
@@ -2580,8 +2552,6 @@ mod tests {
         let sw = &report.switches[0];
         assert!(sw.audit.is_clean(), "{}", sw.audit);
         assert!(sw.stats.admitted_packets > 0);
-        assert!(!sw.occupancy.is_empty(), "occupancy series must be sampled");
-        assert!(sw.occupancy.iter().any(|p| p.bytes > 0));
         assert!(report.lossless_violations().is_empty());
         // The JSON export survives a print/parse round trip.
         let j = report.to_json();

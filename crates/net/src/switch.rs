@@ -2,7 +2,6 @@
 
 use crate::frame::{Frame, PfcScope};
 use crate::ids::NodeId;
-use crate::monitor::OccupancySeries;
 use crate::port::EgressPort;
 use crate::routing::RouteTable;
 use dsh_core::{FcAction, Mmu};
@@ -19,9 +18,6 @@ pub struct SwitchNode {
     pub mmu: Mmu,
     /// ECMP routes per destination node id.
     pub routes: RouteTable,
-    /// Buffered-bytes time series (telemetry), updated on every admitted
-    /// arrival and every departure.
-    pub occupancy: OccupancySeries,
 }
 
 impl SwitchNode {

@@ -11,9 +11,10 @@
 //!    order regardless of which worker finished first.
 //! 2. **Panic propagation**: a panicking closure panics the caller (after
 //!    all workers are joined), exactly like the serial loop it replaces.
-//! 3. **Seed independence**: [`par_map_seeded`] derives one seed per item
-//!    from the [`crate::split_seed`] SplitMix64 stream, keyed on the item
-//!    *index*, so results are bit-identical at any thread count.
+//! 3. **Seed independence**: [`Executor::par_map_seeded`] derives one
+//!    seed per item from the [`crate::split_seed`] SplitMix64 stream,
+//!    keyed on the item *index*, so results are bit-identical at any
+//!    thread count.
 //!
 //! # Example
 //!
@@ -29,9 +30,11 @@ use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Environment variable overriding the default worker count.
+/// Environment variable overriding the default worker count of the
+/// figure binaries (`dsh_bench::Args` parses it).
 ///
-/// `0` or an unparsable value means "auto" (available parallelism).
+/// `0` means "auto" (available parallelism); a malformed value is a
+/// usage error (exit 2).
 pub const THREADS_ENV: &str = "DSH_THREADS";
 
 /// Environment variable enabling sweep progress lines: with
@@ -43,13 +46,6 @@ pub const PROGRESS_ENV: &str = "DSH_PROGRESS";
 fn progress_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| std::env::var(PROGRESS_ENV).is_ok_and(|v| v == "1"))
-}
-
-/// Interprets a `DSH_THREADS`-style value: `None`, `"0"`, or garbage mean
-/// "auto"; any positive integer is taken literally.
-#[must_use]
-pub fn threads_from(value: Option<&str>) -> Option<usize> {
-    value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
 }
 
 /// The worker count used when nothing is configured: the machine's
@@ -79,13 +75,6 @@ impl Executor {
     #[must_use]
     pub fn serial() -> Self {
         Executor { threads: 1 }
-    }
-
-    /// Pool sized from `DSH_THREADS`, falling back to available
-    /// parallelism.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Executor::new(threads_from(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or(0))
     }
 
     /// Worker count.
@@ -217,33 +206,6 @@ impl Executor {
     }
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Executor::from_env()
-    }
-}
-
-/// [`Executor::par_map`] on the environment-configured pool
-/// (`DSH_THREADS`, else available parallelism).
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    Executor::from_env().par_map(items, f)
-}
-
-/// [`Executor::par_map_seeded`] on the environment-configured pool.
-pub fn par_map_seeded<T, R, F>(base_seed: u64, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T, u64) -> R + Sync,
-{
-    Executor::from_env().par_map_seeded(base_seed, items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,15 +252,6 @@ mod tests {
             assert!(i != 3, "point {i} exploded");
             i
         });
-    }
-
-    #[test]
-    fn threads_from_parses_auto_and_explicit() {
-        assert_eq!(threads_from(None), None);
-        assert_eq!(threads_from(Some("0")), None);
-        assert_eq!(threads_from(Some("nope")), None);
-        assert_eq!(threads_from(Some("3")), Some(3));
-        assert_eq!(threads_from(Some(" 12 ")), Some(12));
     }
 
     #[test]

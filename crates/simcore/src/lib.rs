@@ -27,7 +27,7 @@
 //!   SplitMix64) so results do not drift across `rand` versions or
 //!   platforms.
 //! * [`exec`] runs independent experiment points on a scoped worker pool
-//!   ([`exec::par_map`]), deriving per-point seeds with [`split_seed`] so
+//!   ([`exec::Executor::par_map`]), deriving per-point seeds with [`split_seed`] so
 //!   sweeps are bit-identical at any thread count.
 //!
 //! # Example
@@ -66,5 +66,5 @@ pub use profile::{EngineProfile, EventClass};
 pub use queue::EventQueue;
 pub use rng::{split_seed, SimRng};
 pub use time::{Delta, Time};
-pub use trace::{FlightGuard, TraceConfig, TraceKey, TraceLog, TraceMask, Tracer};
+pub use trace::{TraceConfig, TraceKey, TraceLog, TraceMask, Tracer};
 pub use units::{Bandwidth, ByteSize};

@@ -9,7 +9,7 @@
 ///
 /// Each index yields a statistically independent seed, and the mapping
 /// depends only on `(base, index)` — never on evaluation order — which is
-/// what lets [`crate::exec::par_map_seeded`] hand every experiment point
+/// what lets [`crate::exec::Executor::par_map_seeded`] hand every experiment point
 /// its own stream while staying bit-identical at any thread count.
 ///
 /// # Example

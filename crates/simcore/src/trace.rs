@@ -18,28 +18,27 @@
 //!   access to simulated time to emit records.
 //! * [`capture`] runs a closure with an ambient trace session: every
 //!   simulation built during the closure (on any thread — sweeps go
-//!   through `exec::par_map`) records into its own ring, and the rings
-//!   come back as [`TraceLog`]s sorted by [`TraceKey`] so the result is
-//!   bit-identical at any thread count.
+//!   through [`crate::exec::Executor::par_map`]) records into its own
+//!   ring, and the rings come back as [`TraceLog`]s sorted by
+//!   [`TraceKey`] so the result is bit-identical at any thread count.
 //! * [`chrome_trace`] converts logs to the Chrome `trace_event` JSON
 //!   format (load in `chrome://tracing` or Perfetto): PFC pause→resume
 //!   spans, flow lifetime spans with retransmission markers, and fault
 //!   instants.
-//! * A [`FlightGuard`] dumps the last records to stderr if its scope
-//!   unwinds (panic, failed assertion, MMU audit violation), naming the
-//!   label it was armed with.
+//! * [`Tracer::dump`] prints the last records to stderr — the MMU calls
+//!   it when an audit finds a violated invariant, naming the invariant.
 //!
-//! Configuration priority for a new simulation: an active [`capture`]
-//! session wins, then the explicit [`TraceConfig`] the caller passed,
-//! then the `DSH_TRACE_MASK` / `DSH_TRACE_CAP` environment variables.
+//! Configuration for a new simulation: an active [`capture`] session
+//! wins, else the `DSH_TRACE_MASK` / `DSH_TRACE_CAP` environment
+//! variables.
 
 use crate::json::Json;
 use crate::time::Time;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Environment variable selecting trace categories when no explicit
-/// configuration is given: a comma-separated list of category names
+/// Environment variable selecting trace categories outside a [`capture`]
+/// session: a comma-separated list of category names
 /// (`pfc,flow,mmu,fault`), `all`, or a numeric bit mask.
 pub const MASK_ENV: &str = "DSH_TRACE_MASK";
 
@@ -424,18 +423,6 @@ impl TraceConfig {
     /// Default ring capacity: 64 Ki records = 2 MiB per simulation.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
-    /// Tracing disabled.
-    #[must_use]
-    pub const fn off() -> TraceConfig {
-        TraceConfig { mask: TraceMask::NONE, capacity: Self::DEFAULT_CAPACITY }
-    }
-
-    /// Every category, default capacity.
-    #[must_use]
-    pub const fn all() -> TraceConfig {
-        TraceConfig { mask: TraceMask::ALL, capacity: Self::DEFAULT_CAPACITY }
-    }
-
     /// The environment-variable configuration (`DSH_TRACE_MASK`,
     /// `DSH_TRACE_CAP`), read once per process.
     #[must_use]
@@ -450,12 +437,6 @@ impl TraceConfig {
                 .unwrap_or(Self::DEFAULT_CAPACITY);
             TraceConfig { mask, capacity }
         })
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::off()
     }
 }
 
@@ -508,14 +489,14 @@ impl Tracer {
     }
 
     /// Resolves the tracer for a new simulation: an active [`capture`]
-    /// session wins (and collects this tracer's ring), then `cfg`, then
-    /// the process environment.
+    /// session wins (and collects this tracer's ring), else the process
+    /// environment.
     #[must_use]
-    pub fn for_simulation(cfg: &TraceConfig, key: TraceKey) -> Tracer {
+    pub fn for_simulation(key: TraceKey) -> Tracer {
         if let Some(tracer) = Session::register(key) {
             return tracer;
         }
-        let cfg = if cfg.mask.is_empty() { TraceConfig::from_env() } else { *cfg };
+        let cfg = TraceConfig::from_env();
         Tracer::new(cfg.mask, cfg.capacity)
     }
 
@@ -595,37 +576,6 @@ impl Tracer {
     }
 }
 
-/// Dumps the flight recorder if its scope unwinds.
-///
-/// Arm one around a fragile region (an experiment run, an audit); if a
-/// panic crosses it, the last records are printed with the guard's label
-/// so the failure names what the simulator was doing.
-#[derive(Debug)]
-pub struct FlightGuard {
-    tracer: Tracer,
-    label: String,
-    last: usize,
-}
-
-impl FlightGuard {
-    /// How many trailing records a dump shows by default.
-    pub const DEFAULT_LAST: usize = 64;
-
-    /// Arms a guard over `tracer` (no-op when the tracer is disabled).
-    #[must_use]
-    pub fn arm(tracer: &Tracer, label: impl Into<String>) -> FlightGuard {
-        FlightGuard { tracer: tracer.clone(), label: label.into(), last: Self::DEFAULT_LAST }
-    }
-}
-
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.tracer.dump(&self.label, self.last);
-        }
-    }
-}
-
 /// Emits one trace record through `$tracer` if the event's category is
 /// enabled. Arguments are **not evaluated** when the category is masked
 /// off; unset fields come from [`TraceRecord::BLANK`].
@@ -685,11 +635,11 @@ impl Drop for SessionClear {
 }
 
 /// Runs `f` with an ambient trace session: every simulation constructed
-/// while it runs — including inside `exec::par_map` workers — records
-/// `mask` events into its own ring of `capacity` records. Returns `f`'s
-/// result and one [`TraceLog`] per simulation, sorted by [`TraceKey`]
-/// (ties keep registration order), so the logs are byte-identical at any
-/// executor width as long as keys are unique.
+/// while it runs — including inside [`crate::exec::Executor::par_map`]
+/// workers — records `mask` events into its own ring of `capacity`
+/// records. Returns `f`'s result and one [`TraceLog`] per simulation,
+/// sorted by [`TraceKey`] (ties keep registration order), so the logs
+/// are byte-identical at any executor width as long as keys are unique.
 ///
 /// Sessions are process-global and serialized: concurrent captures queue
 /// up behind each other. Simulations built by *unrelated* threads during
@@ -1054,7 +1004,7 @@ mod tests {
     fn capture_collects_per_simulation_logs_sorted_by_key() {
         let ((), logs) = capture(TraceMask::FLOW, 16, || {
             for seed in [3u64, 1, 2] {
-                let t = Tracer::for_simulation(&TraceConfig::off(), TraceKey { seed, tag: 0 });
+                let t = Tracer::for_simulation(TraceKey { seed, tag: 0 });
                 assert!(!t.is_off(), "session must enable the tracer");
                 trace_event!(t, TraceEvent::FlowStart, { flow: seed as u32 });
             }
@@ -1062,9 +1012,8 @@ mod tests {
         let seeds: Vec<u64> = logs.iter().map(|l| l.key.seed).collect();
         assert_eq!(seeds, vec![1, 2, 3]);
         assert!(logs.iter().all(|l| l.records.len() == 1));
-        // Outside a session, an off config stays off (env permitting).
-        let t = Tracer::for_simulation(&TraceConfig::off(), TraceKey::default());
-        let _ = t; // mask depends on the environment; just must not panic
+        // Outside a session the environment decides; it just must not panic.
+        let _ = Tracer::for_simulation(TraceKey::default());
     }
 
     #[test]
@@ -1088,18 +1037,5 @@ mod tests {
         assert!(ph("B") >= 2, "flow + pause spans must open");
         assert!(ph("E") >= 2, "every span must close (flow span force-closed at end)");
         assert!(ph("i") >= 2, "retransmit marker + fault instant");
-    }
-
-    #[test]
-    fn flight_guard_dumps_only_on_panic() {
-        let t = Tracer::new(TraceMask::FLOW, 8);
-        trace_event!(t, TraceEvent::FlowStart, { flow: 1 });
-        let guard = FlightGuard::arm(&t, "calm");
-        drop(guard); // no panic: nothing printed, nothing to assert beyond "no crash"
-        let err = std::panic::catch_unwind(|| {
-            let _guard = FlightGuard::arm(&t, "stormy");
-            panic!("boom");
-        });
-        assert!(err.is_err());
     }
 }

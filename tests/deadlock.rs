@@ -29,8 +29,8 @@ fn dsh_survives_where_sih_deadlocks() {
     // than SIH, and SIH must actually wedge somewhere (otherwise the
     // scenario is not exercising the CBD at all).
     let seeds = 3;
-    let sih = run_many(Scheme::Sih, CcKind::Dcqcn, &cfg(), seeds, &Executor::from_env());
-    let dsh = run_many(Scheme::Dsh, CcKind::Dcqcn, &cfg(), seeds, &Executor::from_env());
+    let sih = run_many(Scheme::Sih, CcKind::Dcqcn, &cfg(), seeds, &Executor::new(0));
+    let dsh = run_many(Scheme::Dsh, CcKind::Dcqcn, &cfg(), seeds, &Executor::new(0));
     let sih_hits = sih.iter().filter(|r| r.onset.is_some()).count();
     let dsh_hits = dsh.iter().filter(|r| r.onset.is_some()).count();
     assert!(sih_hits >= 1, "SIH never deadlocked; scenario too gentle");
@@ -65,7 +65,7 @@ fn pfc_watchdog_breaks_the_deadlock_at_the_cost_of_drops() {
     // avoids needing in the first place.
     let mut c = cfg();
     // Pick a seed that deadlocks without the watchdog.
-    let base = run_many(Scheme::Sih, CcKind::Dcqcn, &c, 3, &Executor::from_env());
+    let base = run_many(Scheme::Sih, CcKind::Dcqcn, &c, 3, &Executor::new(0));
     let Some(wedged) = base.iter().find(|r| r.onset.is_some()) else {
         panic!("expected at least one SIH deadlock to mitigate");
     };

@@ -124,20 +124,21 @@ fn telemetry_json_is_byte_identical_at_1_and_4_threads() {
     // golden — the pooled hot path must reproduce the pre-pooling
     // telemetry JSON byte for byte. The SIH/DSH digests additionally pin
     // the MmuScheme-trait extraction as a pure refactor: the pre-trait
-    // values survive it unchanged. (Last rebaselined when per-port pause
-    // telemetry gained the per-class breakdown and the POFF-only latency
-    // histogram — serialization-only; the event stream is untouched.
+    // values survive it unchanged. (Last rebaselined when the per-switch
+    // `occupancy` series left the report: each new JSON equals the old
+    // one with every `switches[*].occupancy` array removed, byte for
+    // byte — serialization-only; the event stream is untouched.
     // Provenance deliberately excludes the thread count so reports stay
     // identical at any executor width.)
     let digests: Vec<u64> = serial.iter().map(|s| fnv1a(s)).collect();
     assert_eq!(
         digests,
         vec![
-            8_944_586_279_440_163_145,
-            844_803_653_957_588_568,
+            16_909_583_050_585_009_911,
+            8_086_776_354_910_173_622,
             BSHARE_TELEMETRY_GOLDEN,
-            8_944_586_279_440_163_145,
-            844_803_653_957_588_568,
+            16_909_583_050_585_009_911,
+            8_086_776_354_910_173_622,
             BSHARE_TELEMETRY_GOLDEN,
         ],
         "telemetry JSON drifted"
@@ -148,8 +149,8 @@ fn telemetry_json_is_byte_identical_at_1_and_4_threads() {
 /// this unpaced incast the drain-rate estimator tightens some pause
 /// thresholds, so the event stream legitimately differs from DSH's — but
 /// it must still be deterministic and stable across refactors. (Last
-/// rebaselined for the per-class pause telemetry breakdown.)
-const BSHARE_TELEMETRY_GOLDEN: u64 = 9_214_839_694_620_938_198;
+/// rebaselined when the per-switch `occupancy` series left the report.)
+const BSHARE_TELEMETRY_GOLDEN: u64 = 998_308_531_293_162_514;
 
 #[test]
 fn derived_seeds_match_across_pool_widths() {
@@ -204,12 +205,12 @@ fn chain_telemetry_matches_pinned_digests() {
         .map(|scheme| fnv1a(&chain_telemetry(scheme)))
         .collect();
     // Golden digests (SIH, DSH, BShare): pin the chain's full telemetry
-    // across refactors. (Last rebaselined for the per-class pause
-    // telemetry breakdown — serialization-only; the event stream is
+    // across refactors. (Last rebaselined when the per-switch `occupancy`
+    // series left the report — serialization-only; the event stream is
     // untouched.)
     assert_eq!(
         digests,
-        vec![7_021_700_113_893_658_252, 15_562_023_392_353_366_219, 734_044_542_953_011_810,],
+        vec![5_308_889_656_609_443_712, 8_842_707_525_712_227_079, 6_373_146_972_206_899_229],
         "chain telemetry drifted"
     );
 }

@@ -1,6 +1,8 @@
 //! End-to-end telemetry: a run's structured report must serialize to
-//! JSON, parse back, and carry the PFC/occupancy signals the figure
-//! binaries plot — the same export `--json` prints from `fig06`/`fig11`.
+//! JSON, parse back, and carry the PFC pause, drop and audit signals the
+//! figure binaries plot — the same export `--json` prints from
+//! `fig06`/`fig11`. Switch occupancy over time is the metrics sampler's
+//! record (`tests/observability.rs`), not this report's.
 
 mod common;
 
@@ -12,7 +14,7 @@ use dsh_transport::CcKind;
 const END: Time = Time::from_ms(50);
 
 /// An incast heavy enough to trigger PFC, so every telemetry channel has
-/// signal: pauses, latency histograms, occupancy, clean audits.
+/// signal: pauses, latency histograms, clean audits.
 fn pfc_heavy_run(scheme: Scheme) -> dsh_net::Network {
     let (mut net, hosts) = star(raw_params(scheme), 9);
     add_incast(&mut net, &hosts[..8], hosts[8], 1_000_000, 0, Time::ZERO, CcKind::Uncontrolled);
@@ -42,13 +44,8 @@ fn telemetry_json_roundtrips_and_is_consumable() {
     let attribution = sw.get("drop_attribution").expect("attribution object");
     assert_eq!(attribution.get("insurance_full").and_then(Json::as_u64), Some(0));
 
-    // ...the occupancy series must show the buffer filling up, and the
-    // audit snapshot must show it fully drained by run end (the series
-    // itself records window *peaks*, so its tail stays positive)...
-    let occupancy = sw.get("occupancy").and_then(Json::as_arr).expect("occupancy series");
-    assert!(occupancy.len() > 2, "series has {} points", occupancy.len());
-    let peak = occupancy.iter().filter_map(|p| p.get("bytes").and_then(Json::as_u64)).max();
-    assert!(peak.unwrap() > 100_000, "peak occupancy {peak:?}");
+    // ...the audit snapshot must show the buffer fully drained by run
+    // end...
     let snapshot = sw.get("audit").and_then(|a| a.get("occupancy")).expect("audit snapshot");
     for segment in ["shared", "private", "headroom", "insurance"] {
         assert_eq!(
