@@ -320,6 +320,113 @@ fn lossy_sr_incast_sim(flow_bytes: u64) -> Simulation<Network> {
     net.into_sim()
 }
 
+/// Warm-up end of [`late_pause_sim`]: its second incast starts 5 µs
+/// before.
+const LATE_PAUSE_WARMUP: Time = Time::from_us(300);
+
+/// The first-pause fixture. In warm-up, hosts 0-5 (class 0) and hosts 6
+/// and 7 (class 1) burst into host 8 and finish, pausing and resuming
+/// each sender's uplink in its class. Just before warm-up ends, hosts 6
+/// and 7 start a two-to-one incast into host 8 in class 0, so the first
+/// pause intervals of port-classes (host 6, class 0) and (host 7,
+/// class 0) close inside the counted window. The second phase buffers
+/// less than the first, so no queue grows past its warm-up size. The
+/// 6 MiB pool leaves SIH a shared pool small enough that both phases
+/// pause.
+fn late_pause_sim(scheme: Scheme) -> Simulation<Network> {
+    let params = NetParams::tomahawk(scheme).without_ecn().with_buffer(ByteSize::mib(6));
+    let mut bld = NetworkBuilder::new(params);
+    let hosts: Vec<_> = (0..9).map(|_| bld.host()).collect();
+    let sw = bld.switch();
+    for &h in &hosts {
+        bld.link(h, sw, Bandwidth::from_gbps(100), Delta::from_us(2));
+    }
+    let mut net = bld.build();
+    let second = LATE_PAUSE_WARMUP - Delta::from_us(5);
+    let flows = (0..8)
+        .map(|i| (i, u8::from(i >= 6), 400 * 1024, Time::ZERO))
+        .chain([6, 7].map(|i| (i, 0, 1024 * 1024, second)));
+    for (i, class, size, start) in flows {
+        net.add_flow(FlowSpec {
+            src: hosts[i],
+            dst: hosts[8],
+            size,
+            class,
+            start,
+            cc: CcKind::Uncontrolled,
+        });
+    }
+    net.into_sim()
+}
+
+/// Port-classes (queue- and port-level) that have closed a pause interval
+/// by `now`, read from the telemetry report.
+fn paused_port_classes(net: &Network, now: Time) -> usize {
+    let report = net.telemetry_report(now);
+    report
+        .ports
+        .iter()
+        .map(|p| {
+            p.classes.iter().filter(|c| c.latency.count() > 0).count()
+                + usize::from(p.port_latency.count() > 0)
+        })
+        .sum()
+}
+
+/// Like [`packet_path_probe`] on [`late_pause_sim`], asserting that the
+/// window closes the first pause interval of at least one port-class:
+/// the histogram a first close materializes must come from capacity
+/// reserved at build, not from the allocator.
+///
+/// The window is 70 µs: both schemes close their first new intervals by
+/// 60 µs in. Under SIH each pause cycle also appends to the Fig. 6
+/// headroom-peak log of hosts 6 and 7 (DESIGN.md §10's one log that
+/// grows with simulated time), which outgrows its warm-up capacity of
+/// four entries at 80 µs; DSH charges no headroom here.
+fn first_pause_probe(label: &str, mut sim: Simulation<Network>) {
+    let warmup_end = LATE_PAUSE_WARMUP;
+    let window_end = warmup_end + Delta::from_us(70);
+    if std::env::var("DSH_ALLOC_TRACE").is_ok() {
+        sim.run_until(warmup_end);
+        #[cfg(feature = "alloc-count")]
+        alloc_count::TRAP.store(true, std::sync::atomic::Ordering::Relaxed);
+        sim.run_until(window_end);
+        #[cfg(feature = "alloc-count")]
+        alloc_count::TRAP.store(false, std::sync::atomic::Ordering::Relaxed);
+        println!("{label} traced");
+        return;
+    }
+    sim.run_until(warmup_end);
+    let paused0 = paused_port_classes(sim.model(), sim.now());
+    let allocs0 = allocations();
+    let packets0 = sim.model().packets_delivered();
+    sim.run_until(window_end);
+    let allocs1 = allocations(); // Read before anything below allocates.
+    assert_eq!(sim.model().data_drops(), 0);
+    let paused1 = paused_port_classes(sim.model(), sim.now());
+    assert!(
+        paused1 > paused0,
+        "{label}: no port-class closed its first pause interval in the window \
+         ({paused0} before, {paused1} after)"
+    );
+    let packets = sim.model().packets_delivered() - packets0;
+    assert!(packets > 0, "{label}: measurement window saw no deliveries");
+    criterion::record_metric(
+        &format!("{label}/first_paused_port_classes"),
+        (paused1 - paused0) as f64,
+    );
+    if let (Some(a0), Some(a1)) = (allocs0, allocs1) {
+        let allocs = a1 - a0;
+        let per_packet = allocs as f64 / packets as f64;
+        criterion::record_metric(&format!("{label}/allocs_per_packet"), per_packet);
+        assert_eq!(
+            allocs, 0,
+            "{label}: {allocs} heap allocations in a window of first pauses \
+             ({per_packet:.4}/packet) — a first closed pause interval must not allocate"
+        );
+    }
+}
+
 /// Like [`packet_path_probe`] but for the lossy selective-repeat fixture
 /// and a caller-chosen `[warmup_end, window_end)` window: drop-tail drops
 /// are the point (not asserted zero), and the window must actually
@@ -472,6 +579,9 @@ fn packet_path(c: &mut Criterion) {
             forward_chain_sim(scheme),
             true,
         );
+    }
+    for scheme in [Scheme::Sih, Scheme::Dsh] {
+        first_pause_probe(&format!("packet_path/first_pauses_{scheme}"), late_pause_sim(scheme));
     }
     sr_path_probe(
         "packet_path/lossy_sr_incast_8_to_1",

@@ -135,7 +135,7 @@ impl Args {
         env_metrics: Option<&str>,
     ) -> Result<Args, String> {
         let threads = match env_threads {
-            Some(v) => parse_value(exec::THREADS_ENV, Some(v.to_string()))?,
+            Some(v) => exec::parse_threads(v)?,
             None => 0,
         };
         let mut args = Args {

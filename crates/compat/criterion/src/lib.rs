@@ -57,11 +57,30 @@ pub fn record_metric(name: &str, value: f64) {
 /// Environment variable naming the file [`emit_json_if_requested`] writes.
 pub const JSON_ENV: &str = "DSH_BENCH_JSON";
 
-/// Parses a positive thread count from an environment variable (the
-/// `DSH_THREADS` convention: unset, `0`, or garbage mean "not
-/// configured").
-fn env_count(var: &str) -> Option<usize> {
-    std::env::var(var).ok().and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
+/// The worker count a `DSH_THREADS` value configures on a host with
+/// `cores` cores: the count itself, else (unset or `0`) every core.
+///
+/// # Errors
+///
+/// A malformed value (see [`dsh_simcore::exec::parse_threads`]).
+fn threads_from(env: Option<&str>, cores: usize) -> Result<usize, String> {
+    match env.map(dsh_simcore::exec::parse_threads).transpose()? {
+        None | Some(0) => Ok(cores),
+        Some(n) => Ok(n),
+    }
+}
+
+/// The worker count `DSH_THREADS` configures, else every core. A
+/// malformed value prints the error and exits with status 2, as the
+/// figure binaries do; `criterion_main!` checks it before any bench runs.
+#[must_use]
+pub fn configured_threads() -> usize {
+    let env = std::env::var(dsh_simcore::exec::THREADS_ENV).ok();
+    let cores = std::thread::available_parallelism().map_or(0, usize::from);
+    threads_from(env.as_deref(), cores).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 fn json_escape(s: &str) -> String {
@@ -89,7 +108,7 @@ pub fn emit_json_to(path: &str) -> std::io::Result<()> {
     // the same fallback the figure binaries' `--threads` uses.
     // `available_parallelism` stays alongside as the host context that
     // count should be read against.
-    let threads = env_count("DSH_THREADS").unwrap_or(cores);
+    let threads = configured_threads();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
@@ -289,6 +308,7 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
+            let _ = $crate::configured_threads();
             $( $group(); )+
             $crate::emit_json_if_requested();
         }
@@ -298,6 +318,17 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn threads_env_fails_fast_on_malformed_values() {
+        assert_eq!(threads_from(None, 8), Ok(8));
+        assert_eq!(threads_from(Some("0"), 8), Ok(8), "0 means every core");
+        assert_eq!(threads_from(Some("2"), 8), Ok(2));
+        for bad in ["abc", "-1"] {
+            let e = threads_from(Some(bad), 8).unwrap_err();
+            assert!(e.contains(&format!("invalid value for DSH_THREADS: '{bad}'")), "{e}");
+        }
+    }
 
     #[test]
     fn bencher_counts_iterations() {

@@ -6,7 +6,7 @@ use crate::ids::{NodeId, NUM_DATA_CLASSES};
 use crate::network::{Network, Node};
 use crate::observe::ObserveConfig;
 use crate::port::EgressPort;
-use crate::routing::compute_route_tables;
+use crate::routing::compute_routes;
 use crate::switch::SwitchNode;
 use dsh_core::{headroom, Mmu, MmuConfig, Scheme};
 use dsh_simcore::trace::{TraceKey, Tracer};
@@ -208,15 +208,17 @@ impl NetworkBuilder {
         // points, the scheme tag separates the SIH/DSH pair of a point.
         let tracer = Tracer::for_simulation(self.params.trace_key());
         let n = self.nodes.len();
-        // Ports per node, in link insertion order.
+        // Ports per node, in link insertion order; each port's network-wide
+        // index is its creation order.
         let mut ports: Vec<Vec<EgressPort>> = (0..n).map(|_| Vec::new()).collect();
         // adjacency over all nodes: (neighbor, local port index)
         let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for &(a, b, bw, d) in &self.links {
+        for (i, &(a, b, bw, d)) in self.links.iter().enumerate() {
             let pa = ports[a.0].len();
             let pb = ports[b.0].len();
-            ports[a.0].push(EgressPort::new(b, pb, bw, d));
-            ports[b.0].push(EgressPort::new(a, pa, bw, d));
+            let index = u32::try_from(2 * i).expect("too many links");
+            ports[a.0].push(EgressPort::new(index, b, pb, bw, d));
+            ports[b.0].push(EgressPort::new(index + 1, a, pa, bw, d));
             adj[a.0].push((b.0, pa));
             adj[b.0].push((a.0, pb));
         }
@@ -234,14 +236,14 @@ impl NetworkBuilder {
             }
         }
 
-        // Routing: for each destination host, BFS from its ToR over the
-        // switch graph; each switch forwards to any neighbour strictly
-        // closer to the ToR (ECMP).
-        let tables = compute_route_tables(&is_switch, &adj);
+        // Routing: BFS from each ToR over the switch graph; each switch
+        // forwards toward a host to any neighbour strictly closer to the
+        // host's ToR (ECMP).
+        let routes = compute_routes(&is_switch, &adj);
         // The inline telemetry array budgets every frame's stamp count:
         // a topology deeper than HOP_CAPACITY must fail here, not panic
         // mid-simulation in HopList::push.
-        let diameter = crate::routing::max_route_hops(&is_switch, &adj);
+        let diameter = routes.max_hops;
         assert!(
             diameter <= dsh_transport::HOP_CAPACITY,
             "longest route crosses {diameter} switches but frames carry only \
@@ -253,9 +255,8 @@ impl NetworkBuilder {
 
         // Materialize nodes.
         let mut nodes = Vec::with_capacity(n);
-        let mut tables = tables.into_iter();
+        let mut tables = routes.tables.into_iter();
         for (i, (proto, nports)) in self.nodes.iter().zip(ports).enumerate() {
-            let table = tables.next().expect("one table per node");
             match proto {
                 ProtoNode::Host => {
                     let mut h = HostNode::new(NodeId(i));
@@ -308,7 +309,7 @@ impl NetworkBuilder {
                         id: NodeId(i),
                         ports: nports,
                         mmu,
-                        routes: table,
+                        routes: tables.next().expect("one table per switch"),
                     }));
                 }
             }

@@ -129,13 +129,9 @@ pub struct HostNode {
     pub id: NodeId,
     /// The single uplink (port 0).
     pub port: Option<EgressPort>,
-    /// Flows sourced at this host.
+    /// Flows sourced at this host, in start order (the network's flow
+    /// record holds each flow's position here).
     pub tx_flows: Vec<SenderFlow>,
-    /// Index from global flow id to `tx_flows` position (`u32::MAX` =
-    /// not sourced here). Flow ids are dense and small, so a flat table
-    /// beats hashing on the per-ACK lookup path; [`Network::into_sim`]
-    /// pre-sizes it so flow starts never grow it mid-run.
-    pub tx_index: Vec<u32>,
     /// Indices of `tx_flows` that still have data to hand to the wire
     /// (kept small so the NIC's per-packet scan is O(active), not
     /// O(all flows ever)).
@@ -154,7 +150,6 @@ impl HostNode {
             id,
             port: None,
             tx_flows: Vec::new(),
-            tx_index: Vec::new(),
             active: Vec::new(),
             rr_cursor: 0,
             wake_at: Time::MAX,
@@ -182,37 +177,17 @@ impl HostNode {
         self.port.as_mut().expect("host has no uplink; call NetworkBuilder::link")
     }
 
-    /// Registers a new sender flow (marked active).
+    /// Registers a new sender flow (marked active); returns its
+    /// `tx_flows` position.
     ///
     /// # Panics
     ///
     /// Panics if more than `u32::MAX` flows are registered at one host.
-    pub fn add_sender(&mut self, flow: SenderFlow) {
+    pub fn add_sender(&mut self, flow: SenderFlow) -> u32 {
         let idx = self.tx_flows.len();
-        if self.tx_index.len() <= flow.id.0 {
-            self.tx_index.resize(flow.id.0 + 1, u32::MAX);
-        }
-        self.tx_index[flow.id.0] = u32::try_from(idx).expect("too many flows at one host");
         self.tx_flows.push(flow);
         self.active.push(idx);
-    }
-
-    /// Looks up a sender flow by global id.
-    pub fn sender_mut(&mut self, id: FlowId) -> Option<&mut SenderFlow> {
-        let idx = *self.tx_index.get(id.0)?;
-        if idx == u32::MAX {
-            return None;
-        }
-        Some(&mut self.tx_flows[idx as usize])
-    }
-
-    /// Looks up a sender flow's `tx_flows` position by global id.
-    #[must_use]
-    pub fn sender_slot(&self, id: FlowId) -> Option<usize> {
-        match self.tx_index.get(id.0) {
-            Some(&idx) if idx != u32::MAX => Some(idx as usize),
-            _ => None,
-        }
+        u32::try_from(idx).expect("too many flows at one host")
     }
 }
 
@@ -259,10 +234,10 @@ mod tests {
     #[test]
     fn host_flow_registry() {
         let mut h = HostNode::new(NodeId(0));
-        h.add_sender(flow(5));
-        h.add_sender(flow(9));
-        assert_eq!(h.sender_mut(FlowId(9)).unwrap().id, FlowId(9));
-        assert!(h.sender_mut(FlowId(1)).is_none());
+        assert_eq!(h.add_sender(flow(5)), 0);
+        assert_eq!(h.add_sender(flow(9)), 1);
+        assert_eq!(h.tx_flows[1].id, FlowId(9));
+        assert_eq!(h.active, [0, 1]);
     }
 
     #[test]

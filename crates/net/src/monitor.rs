@@ -8,7 +8,7 @@
 //! consume the same data. Switch occupancy over time is the metrics
 //! sampler's record ([`crate::observe`]), not this report's.
 
-use crate::ids::{FlowId, NodeId};
+use crate::ids::{FlowId, NodeId, NUM_CLASSES};
 use dsh_core::{AuditReport, DropAttribution, MmuStats, PortDrops};
 use dsh_simcore::{Delta, EngineProfile, Json, Time};
 
@@ -172,6 +172,77 @@ impl DurationHistogram {
                         .collect(),
                 ),
             )
+    }
+}
+
+/// Pause scopes of one egress port: one per traffic class, then the
+/// port-level (POFF) scope at [`PORT_SCOPE`].
+pub(crate) const PAUSE_SCOPES: usize = NUM_CLASSES + 1;
+
+/// Scope index of the port-level pause.
+pub(crate) const PORT_SCOPE: usize = NUM_CLASSES;
+
+/// Slot-table marker of a port-class that has not closed a pause yet.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Closed pause→resume intervals of every egress port in a network: one
+/// [`DurationHistogram`] per port-class (port, scope) that has closed one.
+///
+/// Most port-classes never pause, so the 536-byte histograms live here
+/// rather than in the ports. A slot table maps each port-class to its
+/// histogram, and the histogram is materialized when the port-class's
+/// first interval closes. The histograms' vector reserves one slot per
+/// port-class when the network is built, so materializing one mid-run
+/// never allocates; slots a run never fills cost address space, not
+/// memory.
+#[derive(Clone, Debug)]
+pub(crate) struct PauseHistograms {
+    /// `slot[port * PAUSE_SCOPES + scope]` indexes `hists`, or `NO_SLOT`.
+    slot: Vec<u32>,
+    hists: Vec<DurationHistogram>,
+}
+
+impl PauseHistograms {
+    /// An empty store for `ports` egress ports (indices `0..ports`).
+    #[must_use]
+    pub(crate) fn new(ports: usize) -> Self {
+        let scopes = ports * PAUSE_SCOPES;
+        assert!(scopes < NO_SLOT as usize, "too many egress ports for the pause histograms");
+        PauseHistograms { slot: vec![NO_SLOT; scopes], hists: Vec::with_capacity(scopes) }
+    }
+
+    /// Records one closed pause interval of `scope` at port `port`.
+    pub(crate) fn record(&mut self, port: u32, scope: usize, d: Delta) {
+        let key = port as usize * PAUSE_SCOPES + scope;
+        if self.slot[key] == NO_SLOT {
+            debug_assert!(self.hists.len() < self.hists.capacity(), "reserved at build");
+            self.slot[key] = self.hists.len() as u32;
+            self.hists.push(DurationHistogram::new());
+        }
+        self.hists[self.slot[key] as usize].record(d);
+    }
+
+    /// The closed intervals of `scope` at port `port`; `None` until the
+    /// first one closes.
+    #[must_use]
+    pub(crate) fn get(&self, port: u32, scope: usize) -> Option<&DurationHistogram> {
+        match self.slot[port as usize * PAUSE_SCOPES + scope] {
+            NO_SLOT => None,
+            i => Some(&self.hists[i as usize]),
+        }
+    }
+
+    /// Every closed interval at port `port`, queue-level (all classes)
+    /// and port-level merged.
+    #[must_use]
+    pub(crate) fn merged(&self, port: u32) -> DurationHistogram {
+        let mut h = DurationHistogram::new();
+        for scope in 0..PAUSE_SCOPES {
+            if let Some(s) = self.get(port, scope) {
+                h.merge(s);
+            }
+        }
+        h
     }
 }
 
@@ -444,6 +515,27 @@ mod tests {
         let j = h.to_json();
         assert_eq!(j.get("count").unwrap().as_u64(), Some(4));
         assert_eq!(j.get("buckets").unwrap().as_arr().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn pause_histograms_materialize_on_first_close_within_the_reserve() {
+        let mut h = PauseHistograms::new(3);
+        let reserved = h.hists.capacity();
+        assert!(h.get(2, PORT_SCOPE).is_none());
+        // Every port-class of every port closes an interval, latest first.
+        for port in (0..3).rev() {
+            for scope in 0..PAUSE_SCOPES {
+                h.record(port, scope, Delta::from_ns(100 * (scope as u64 + 1)));
+            }
+        }
+        h.record(0, 2, Delta::from_us(1));
+        assert_eq!(h.hists.len(), 3 * PAUSE_SCOPES);
+        assert_eq!(h.hists.capacity(), reserved, "materializing must not grow the store");
+        assert_eq!(h.get(0, 2).map(DurationHistogram::count), Some(2));
+        assert_eq!(h.get(2, PORT_SCOPE).map(DurationHistogram::max), Some(Delta::from_ns(900)));
+        let merged = h.merged(0);
+        assert_eq!(merged.count(), PAUSE_SCOPES as u64 + 1);
+        assert_eq!(merged.max(), Delta::from_us(1));
     }
 
     #[test]

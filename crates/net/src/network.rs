@@ -7,11 +7,12 @@ use crate::frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcScope};
 use crate::host::{HostNode, ReceiverFlow, SenderFlow};
 use crate::ids::{FlowId, NodeId, NUM_DATA_CLASSES};
 use crate::monitor::{
-    ClassPauseTelemetry, DeadlockReport, FctRecord, PauseLedger, PortPauseTelemetry,
-    SwitchTelemetry, TelemetryReport, ThroughputSample,
+    ClassPauseTelemetry, DeadlockReport, FctRecord, PauseHistograms, PauseLedger,
+    PortPauseTelemetry, SwitchTelemetry, TelemetryReport, ThroughputSample, PORT_SCOPE,
 };
 use crate::observe::{GlobalSample, ObserveState, SwitchSample, PORT_SCOPE_CLASS};
 use crate::port::{EgressPort, IngressTag, QueuedFrame};
+use crate::routing::RouteTable;
 use crate::switch::SwitchNode;
 use dsh_core::headroom::PFC_PROCESSING_BYTES;
 use dsh_core::{FcAction, FcActions};
@@ -126,7 +127,7 @@ pub enum NetEvent {
 
 /// A node in the network.
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // a few hundred nodes at most; indirection buys nothing
+#[allow(clippy::large_enum_variant)] // built once per node; indirection buys nothing
 pub(crate) enum Node {
     /// A switch.
     Switch(SwitchNode),
@@ -137,11 +138,17 @@ pub(crate) enum Node {
 #[derive(Debug)]
 struct FlowMeta {
     spec: FlowSpec,
+    /// Position of the flow's sender state in its source host's
+    /// `tx_flows`; [`NO_SENDER`] until the flow starts.
+    sender: u32,
     completed: bool,
     /// Loss recovery gave up on this flow (go-back-N hit its retry cap);
     /// marked explicitly so a run can tell failed from wedged.
     failed: bool,
 }
+
+/// [`FlowMeta::sender`] of a flow that has not started.
+const NO_SENDER: u32 = u32::MAX;
 
 /// One direction of a corrupted link: frames arriving at `node` on
 /// `in_port` are dropped with `probability`, drawn from a dedicated RNG
@@ -178,6 +185,9 @@ pub struct Network {
     rx_flows: Vec<ReceiverFlow>,
     fct: Vec<FctRecord>,
     monitors: Vec<FlowMonitor>,
+    /// Closed pause→resume intervals of every egress port, keyed by
+    /// [`EgressPort::index`].
+    pauses: PauseHistograms,
     rng: SimRng,
     /// Recycled frame boxes: every consumed frame (ACK/CNP/PFC processed
     /// at its destination, dropped or watchdog-flushed data) returns here
@@ -251,6 +261,7 @@ impl Network {
             }
             st
         });
+        let ports = nodes.iter().map(|n| node_ports(n).len()).sum();
         Network {
             params,
             nodes,
@@ -259,6 +270,7 @@ impl Network {
             rx_flows: Vec::new(),
             fct: Vec::new(),
             monitors: Vec::new(),
+            pauses: PauseHistograms::new(ports),
             rng,
             pool: Pool::bounded(FRAME_POOL_RETAIN),
             drained: Vec::new(),
@@ -311,7 +323,7 @@ impl Network {
         assert!(matches!(self.nodes[spec.dst.0], Node::Host(_)), "dst must be a host");
         assert!(spec.size > 0, "flow size must be positive");
         let id = FlowId(self.flows.len());
-        self.flows.push(FlowMeta { spec, completed: false, failed: false });
+        self.flows.push(FlowMeta { spec, sender: NO_SENDER, completed: false, failed: false });
         self.flow_rx.push(0);
         self.rx_flows.push(ReceiverFlow::new());
         id
@@ -407,17 +419,9 @@ impl Network {
 
     /// Pre-run sizing: one FCT record per flow, reserved now so a
     /// completion mid-run never reallocates the log (the packet hot path
-    /// stays allocation-free; see DESIGN.md §10). Likewise each host's
-    /// flow-id → sender-slot table is pre-sized here so a FlowStart
-    /// firing after warmup never grows it.
+    /// stays allocation-free; see DESIGN.md §10).
     fn prepare(&mut self) {
         self.fct.reserve(self.flows.len());
-        let nflows = self.flows.len();
-        for n in &mut self.nodes {
-            if let Node::Host(h) = n {
-                h.tx_index.resize(nflows, u32::MAX);
-            }
-        }
     }
 
     // ---- measurement accessors -------------------------------------------
@@ -528,15 +532,33 @@ impl Network {
         self.flow_rx[flow.0]
     }
 
+    /// Number of nodes; node ids run `0..node_count()`.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// A node's egress ports: a switch's in port order, a host's uplink.
+    #[must_use]
+    pub fn ports(&self, node: NodeId) -> &[EgressPort] {
+        node_ports(&self.nodes[node.0])
+    }
+
+    /// A switch's ECMP routing table over the live topology; `None` for a
+    /// host, which routes nothing.
+    #[must_use]
+    pub fn route_table(&self, node: NodeId) -> Option<&RouteTable> {
+        match &self.nodes[node.0] {
+            Node::Switch(s) => Some(&s.routes),
+            Node::Host(_) => None,
+        }
+    }
+
     /// Every egress port in the network as `(node, port index, port)`, in
     /// node then port order.
     fn all_ports(&self) -> impl Iterator<Item = (NodeId, usize, &EgressPort)> {
         self.nodes.iter().enumerate().flat_map(|(i, n)| {
-            let ports: &[EgressPort] = match n {
-                Node::Switch(s) => &s.ports,
-                Node::Host(h) => h.port.as_slice(),
-            };
-            ports.iter().enumerate().map(move |(p, port)| (NodeId(i), p, port))
+            node_ports(n).iter().enumerate().map(move |(p, port)| (NodeId(i), p, port))
         })
     }
 
@@ -608,28 +630,30 @@ impl Network {
                 });
             }
         }
-        let ports =
-            self.all_ports()
-                .map(|(node, p, port)| PortPauseTelemetry {
-                    node,
-                    port: p,
-                    queue_level: (0..NUM_DATA_CLASSES)
-                        .map(|c| port.class_pause_total(c as u8, now))
-                        .sum(),
-                    port_level: port.port_pause_total(now),
-                    pause_latency: port.pause_latency_histogram(),
-                    classes: (0..crate::ids::NUM_CLASSES as u8)
-                        .filter_map(|c| {
-                            let pause = port.class_pause_total(c, now);
-                            let latency = port.class_pause_latency_histogram(c);
-                            (pause > Delta::ZERO || latency.count() > 0).then(|| {
-                                ClassPauseTelemetry { class: c, pause, latency: latency.clone() }
-                            })
-                        })
-                        .collect(),
-                    port_latency: port.port_pause_latency_histogram().clone(),
-                })
-                .collect();
+        let closed = |port: &EgressPort, scope: usize| {
+            self.pauses.get(port.index(), scope).cloned().unwrap_or_default()
+        };
+        let ports = self
+            .all_ports()
+            .map(|(node, p, port)| PortPauseTelemetry {
+                node,
+                port: p,
+                queue_level: (0..NUM_DATA_CLASSES)
+                    .map(|c| port.class_pause_total(c as u8, now))
+                    .sum(),
+                port_level: port.port_pause_total(now),
+                pause_latency: self.pauses.merged(port.index()),
+                classes: (0..crate::ids::NUM_CLASSES as u8)
+                    .filter_map(|c| {
+                        let pause = port.class_pause_total(c, now);
+                        let latency = closed(port, c as usize);
+                        (pause > Delta::ZERO || latency.count() > 0)
+                            .then_some(ClassPauseTelemetry { class: c, pause, latency })
+                    })
+                    .collect(),
+                port_latency: closed(port, PORT_SCOPE),
+            })
+            .collect();
         TelemetryReport {
             generated_at: now,
             data_drops: self.data_drops,
@@ -702,7 +726,7 @@ impl Network {
         let spec = self.flows.get(flow.0)?.spec;
         match &self.nodes[spec.src.0] {
             Node::Host(h) => {
-                let f = &h.tx_flows[h.sender_slot(flow)?];
+                let f = &h.tx_flows[self.sender_slot(flow)?];
                 Some((f.cc.cwnd_bytes(), f.in_flight()))
             }
             Node::Switch(_) => None,
@@ -773,6 +797,23 @@ impl Network {
         }
     }
 
+    /// Position of `flow`'s sender state in its source host's
+    /// `tx_flows`, once the flow has started.
+    fn sender_slot(&self, flow: FlowId) -> Option<usize> {
+        match self.flows[flow.0].sender {
+            NO_SENDER => None,
+            slot => Some(slot as usize),
+        }
+    }
+
+    /// The sender state of `flow` at its source host `node`, once the
+    /// flow has started.
+    fn sender_mut(&mut self, node: NodeId, flow: FlowId) -> Option<&mut SenderFlow> {
+        debug_assert_eq!(node, self.flows[flow.0].spec.src, "{flow:?} is not sourced at {node}");
+        let slot = self.sender_slot(flow)?;
+        Some(&mut self.host_mut(node).tx_flows[slot])
+    }
+
     fn switch_mut(&mut self, id: NodeId) -> &mut SwitchNode {
         match &mut self.nodes[id.0] {
             Node::Switch(s) => s,
@@ -780,14 +821,8 @@ impl Network {
         }
     }
 
-    fn port_mut(&mut self, id: NodeId, port: usize) -> &mut crate::port::EgressPort {
-        match &mut self.nodes[id.0] {
-            Node::Switch(s) => &mut s.ports[port],
-            Node::Host(h) => {
-                assert_eq!(port, 0, "hosts have a single uplink");
-                h.uplink_mut()
-            }
-        }
+    fn port_mut(&mut self, id: NodeId, port: usize) -> &mut EgressPort {
+        port_of(&mut self.nodes, id, port)
     }
 
     // ---- transmission ------------------------------------------------------
@@ -1041,8 +1076,7 @@ impl Network {
                 let recovery_on = self.params.recovery.is_some();
                 let mtu = self.params.mtu;
                 {
-                    let host = self.host_mut(node);
-                    if let Some(f) = host.sender_mut(flow) {
+                    if let Some(f) = self.sender_mut(node, flow) {
                         // ACKs are cumulative: the receiver echoes its
                         // in-order high-water mark, so duplicates and
                         // reordering collapse to `delta == 0`.
@@ -1096,9 +1130,10 @@ impl Network {
                 let hops = HopList::new();
                 let mut episode = false;
                 {
+                    let slot = self.sender_slot(flow);
                     let host = self.host_mut(node);
                     let mut reactivate = false;
-                    if let Some(f) = host.sender_mut(flow) {
+                    if let Some(f) = slot.map(|i| &mut host.tx_flows[i]) {
                         // The NACK's cumulative mark doubles as an ACK:
                         // count any progress first. NACKs carry no INT
                         // telemetry, so the echo is an empty hop list —
@@ -1133,11 +1168,9 @@ impl Network {
                     }
                     // A fully-sent flow left the active list; pending gap
                     // repairs put it back so the NIC scan finds it.
-                    if reactivate {
-                        if let Some(slot) = host.sender_slot(flow) {
-                            if !host.active.contains(&slot) {
-                                host.active.push(slot);
-                            }
+                    if let Some(slot) = slot.filter(|_| reactivate) {
+                        if !host.active.contains(&slot) {
+                            host.active.push(slot);
                         }
                     }
                 }
@@ -1150,11 +1183,8 @@ impl Network {
             }
             FrameKind::Cnp { flow, .. } => {
                 let flow = *flow;
-                {
-                    let host = self.host_mut(node);
-                    if let Some(f) = host.sender_mut(flow) {
-                        f.cc.on_cnp(now);
-                    }
+                if let Some(f) = self.sender_mut(node, flow) {
+                    f.cc.on_cnp(now);
                 }
                 self.pool.put(frame);
                 self.arm_cc_timer(node, flow, sched);
@@ -1276,7 +1306,7 @@ impl Network {
         let cc = new_cc(spec.cc, bw, base_rtt);
         let rcfg = self.params.recovery.unwrap_or_else(|| RecoveryConfig::for_rtt(base_rtt));
         let host = self.host_mut(spec.src);
-        host.add_sender(SenderFlow {
+        self.flows[flow.0].sender = host.add_sender(SenderFlow {
             id: flow,
             dst: spec.dst,
             class: spec.class,
@@ -1511,8 +1541,7 @@ impl Network {
     /// place.
     fn arm_cc_timer(&mut self, node: NodeId, flow: FlowId, sched: &mut Scheduler<'_, NetEvent>) {
         let now = sched.now();
-        let host = self.host_mut(node);
-        let Some(f) = host.sender_mut(flow) else { return };
+        let Some(f) = self.sender_mut(node, flow) else { return };
         if f.acked >= f.size {
             // Completed flows need no more transport timers.
             f.park_cc_timer();
@@ -1543,8 +1572,7 @@ impl Network {
         let now = sched.now();
         let place = (now, sched.current_seq());
         {
-            let host = self.host_mut(node);
-            let Some(f) = host.sender_mut(flow) else { return };
+            let Some(f) = self.sender_mut(node, flow) else { return };
             if f.timer_gen != gen {
                 return; // stale
             }
@@ -1593,8 +1621,7 @@ impl Network {
         }
         let now = sched.now();
         let outcome = {
-            let host = self.host_mut(node);
-            let Some(f) = host.sender_mut(flow) else { return };
+            let Some(f) = self.sender_mut(node, flow) else { return };
             if f.rto_gen != gen || !f.rto_armed {
                 Outcome::Done // stale generation
             } else if f.acked >= f.size || f.recovery.failed() {
@@ -1646,8 +1673,9 @@ impl Network {
             node: node.0 as u32,
             payload: self.flow_rx[flow.0],
         });
+        let slot = self.sender_slot(flow);
         let host = self.host_mut(node);
-        if let Some(slot) = host.sender_slot(flow) {
+        if let Some(slot) = slot {
             if let Some(pos) = host.active.iter().position(|&i| i == slot) {
                 host.active.swap_remove(pos);
                 if host.rr_cursor >= host.active.len() {
@@ -1666,8 +1694,8 @@ impl Network {
         self.retransmissions += 1;
         self.recovery_timeouts += 1;
         let (deadline, gen, rto_word) = {
+            let slot = self.sender_slot(flow).expect("RTO for unregistered flow");
             let host = self.host_mut(node);
-            let slot = host.sender_slot(flow).expect("RTO for unregistered flow");
             let f = &mut host.tx_flows[slot];
             f.cc.on_loss(now);
             f.sent = f.acked;
@@ -1714,8 +1742,8 @@ impl Network {
         self.retransmissions += 1;
         self.recovery_timeouts += 1;
         let (deadline, gen, rto_word) = {
+            let slot = self.sender_slot(flow).expect("RTO for unregistered flow");
             let host = self.host_mut(node);
-            let slot = host.sender_slot(flow).expect("RTO for unregistered flow");
             let f = &mut host.tx_flows[slot];
             f.cc.on_loss(now);
             f.sack.rearm_on_timeout(f.acked, mtu);
@@ -1755,11 +1783,7 @@ impl Network {
     /// Panics if no such link exists (fault plans are validated at install
     /// time, so this only fires on internal inconsistencies).
     fn find_port(&self, node: NodeId, peer: NodeId) -> usize {
-        let ports: &[EgressPort] = match &self.nodes[node.0] {
-            Node::Switch(s) => &s.ports,
-            Node::Host(h) => h.port.as_slice(),
-        };
-        ports
+        node_ports(&self.nodes[node.0])
             .iter()
             .position(|p| p.peer == peer)
             .unwrap_or_else(|| panic!("no link between {node} and {peer}"))
@@ -1851,7 +1875,7 @@ impl Network {
             obs.cascade.force_close_port(node, port, now);
         }
         let mut drained = std::mem::take(&mut self.drained);
-        self.port_mut(node, port).fail(now, &mut drained);
+        port_of(&mut self.nodes, node, port).fail(now, &mut drained, &mut self.pauses);
         self.link_drops += drained.len() as u64;
         if !drained.is_empty() {
             trace_event!(self.tracer, TraceEvent::LinkDrain, {
@@ -1913,38 +1937,37 @@ impl Network {
     /// Rebuilds every switch's ECMP table from the live (link-up)
     /// adjacency — the same rule the builder uses at construction time.
     fn recompute_routes(&mut self) {
-        let n = self.nodes.len();
-        let mut is_switch = vec![false; n];
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            let ports: &[EgressPort] = match node {
-                Node::Switch(s) => {
-                    is_switch[i] = true;
-                    &s.ports
-                }
-                Node::Host(h) => h.port.as_slice(),
-            };
-            for (pi, p) in ports.iter().enumerate() {
-                if p.is_link_up() {
-                    adj[i].push((p.peer.0, pi));
-                }
-            }
-        }
-        let tables = crate::routing::compute_route_tables(&is_switch, &adj);
+        let is_switch: Vec<bool> =
+            self.nodes.iter().map(|n| matches!(n, Node::Switch(_))).collect();
+        let adj: Vec<Vec<(usize, usize)>> = self
+            .nodes
+            .iter()
+            .map(|n| {
+                node_ports(n)
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| p.is_link_up())
+                    .map(|(pi, p)| (p.peer.0, pi))
+                    .collect()
+            })
+            .collect();
+        let routes = crate::routing::compute_routes(&is_switch, &adj);
         // Fault detours can lengthen routes past the build-time diameter;
         // re-validate the stamp budget on every recompute so an overlong
         // detour fails at reroute time, not mid-flight in HopList::push.
-        let diameter = crate::routing::max_route_hops(&is_switch, &adj);
+        let diameter = routes.max_hops;
         assert!(
             diameter <= dsh_transport::HOP_CAPACITY,
             "post-fault reroute produced a {diameter}-switch path but frames \
              carry only HOP_CAPACITY ({}) inline telemetry stamps",
             dsh_transport::HOP_CAPACITY
         );
-        for (node, table) in self.nodes.iter_mut().zip(tables) {
-            if let Node::Switch(s) = node {
-                s.routes = table;
-            }
+        let switches = self.nodes.iter_mut().filter_map(|n| match n {
+            Node::Switch(s) => Some(s),
+            Node::Host(_) => None,
+        });
+        for (s, table) in switches.zip(routes.tables) {
+            s.routes = table;
         }
     }
 
@@ -1959,7 +1982,7 @@ impl Network {
     ) {
         let now = sched.now();
         let (peer, peer_port) = {
-            let p = self.port_mut(node, port);
+            let p = port_of(&mut self.nodes, node, port);
             if p.fault_gen() != gen {
                 // The link died while this PFC frame's processing delay
                 // elapsed: its pause state was force-cleared and (for a
@@ -1967,8 +1990,8 @@ impl Network {
                 return;
             }
             match scope {
-                PfcScope::Queue(c) => p.apply_class_pause(c, pause, now),
-                PfcScope::Port => p.apply_port_pause(pause, now),
+                PfcScope::Queue(c) => p.apply_class_pause(c, pause, now, &mut self.pauses),
+                PfcScope::Port => p.apply_port_pause(pause, now, &mut self.pauses),
             }
             (p.peer, p.peer_port)
         };
@@ -2044,7 +2067,12 @@ impl Network {
                     let mut flushed = std::mem::take(&mut self.drained);
                     {
                         let Node::Switch(s) = &mut self.nodes[ni] else { unreachable!() };
-                        s.ports[pi].watchdog_flush_class(class, now, &mut flushed);
+                        s.ports[pi].watchdog_flush_class(
+                            class,
+                            now,
+                            &mut flushed,
+                            &mut self.pauses,
+                        );
                     }
                     // The flush force-cleared both the class pause and any
                     // port-scope pause: end the matching cascade edges.
@@ -2184,6 +2212,26 @@ impl Network {
     }
 }
 
+/// A node's egress ports: a switch's in port order, a host's uplink.
+fn node_ports(node: &Node) -> &[EgressPort] {
+    match node {
+        Node::Switch(s) => &s.ports,
+        Node::Host(h) => h.port.as_slice(),
+    }
+}
+
+/// Egress port `port` of node `id`, borrowed from the node list alone so
+/// the caller keeps the rest of the network.
+fn port_of(nodes: &mut [Node], id: NodeId, port: usize) -> &mut EgressPort {
+    match &mut nodes[id.0] {
+        Node::Switch(s) => &mut s.ports[port],
+        Node::Host(h) => {
+            assert_eq!(port, 0, "hosts have a single uplink");
+            h.uplink_mut()
+        }
+    }
+}
+
 /// One blocked switch egress port (see [`Network::blocked_ports`]).
 #[derive(Clone, Copy, Debug)]
 pub struct BlockedPort {
@@ -2250,6 +2298,12 @@ dsh_simcore::const_assert_size!(QueuedFrame, 40);
 // TelemetryHop stamps); keep it cache-friendly. Raising HOP_CAPACITY moves
 // this — recertify deliberately, don't just bump the number.
 dsh_simcore::const_assert_size!(Frame, 352);
+// Fabric state contracts: ports and nodes are built by the thousand at
+// paper scale, so per-port telemetry (the pause histograms) lives in the
+// network's stores, not inline. The host variant, which holds its uplink
+// inline, sizes `Node`.
+dsh_simcore::const_assert_size!(EgressPort, 1024);
+dsh_simcore::const_assert_size!(Node, 1024);
 
 impl Model for Network {
     type Event = NetEvent;
@@ -2263,9 +2317,7 @@ impl Model for Network {
         // the event *set* at instants `<= t` is engine-invariant even
         // though the intra-instant order is not. `metrics_capture_at` is
         // `Time::MAX` unless a tick armed it, so the masked-off cost is
-        // this one compare-branch. (The chased same-instant `TxDone`
-        // below bypasses this entry, which is safe: it shares the instant
-        // of the `Arrive` that already ran the check.)
+        // this one compare-branch.
         if sched.now() > self.metrics_capture_at {
             self.capture_metrics();
         }
@@ -2287,23 +2339,6 @@ impl Model for Network {
                     self.switch_arrive(node, in_port, frame, sched);
                 } else {
                     self.host_arrive(node, in_port, frame, sched);
-                }
-                // The profiled hot pair: in a saturated store-and-forward
-                // pipeline the next frame lands exactly as the previous
-                // one finishes serializing, so an `Arrive` is chased by a
-                // same-instant `TxDone` on the same node. When that
-                // `TxDone` is genuinely next in the calendar, dispatch it
-                // inline and save a pop/dispatch round trip — it was next
-                // anyway, so the event order (and every golden) is
-                // unchanged.
-                let chased = sched.take_next_if(
-                    |e| matches!(e, NetEvent::TxDone { node: n, .. } if *n as usize == node.0),
-                );
-                if let Some(e) = chased {
-                    let NetEvent::TxDone { node, port } = e else {
-                        unreachable!("predicate admits only TxDone")
-                    };
-                    self.handle_tx_done(NodeId(node as usize), port as usize, sched);
                 }
             }
             NetEvent::TxDone { node, port } => {

@@ -3,7 +3,7 @@
 
 use crate::frame::{Frame, FrameKind};
 use crate::ids::{NodeId, CONTROL_CLASS, NUM_CLASSES};
-use crate::monitor::DurationHistogram;
+use crate::monitor::{PauseHistograms, PAUSE_SCOPES, PORT_SCOPE};
 use dsh_core::Region;
 use dsh_simcore::{Bandwidth, Delta, Time};
 use std::collections::VecDeque;
@@ -38,15 +38,14 @@ pub struct QueuedFrame {
     pub ingress: Option<IngressTag>,
 }
 
-/// Per-class pause bookkeeping: total paused wall-clock (Fig. 11's
-/// metric), the currently open pause interval, and the distribution of
-/// closed pause→resume intervals (telemetry).
-#[derive(Clone, Debug, Default)]
+/// Pause bookkeeping of one scope (a class, or the whole port): total
+/// paused wall-clock (Fig. 11's metric) and the currently open pause
+/// interval. Closed intervals go to the network's [`PauseHistograms`].
+#[derive(Clone, Copy, Debug, Default)]
 struct PauseClock {
     paused: bool,
     since: Time,
     total: Delta,
-    closed: DurationHistogram,
 }
 
 impl PauseClock {
@@ -54,7 +53,8 @@ impl PauseClock {
         self.paused.then_some(self.since)
     }
 
-    fn set(&mut self, pause: bool, now: Time) {
+    /// Asserts or lifts the pause; returns the interval a lift closes.
+    fn set(&mut self, pause: bool, now: Time) -> Option<Delta> {
         if pause && !self.paused {
             self.paused = true;
             self.since = now;
@@ -62,8 +62,9 @@ impl PauseClock {
             self.paused = false;
             let d = now - self.since;
             self.total += d;
-            self.closed.record(d);
+            return Some(d);
         }
+        None
     }
 
     fn total_at(&self, now: Time) -> Delta {
@@ -89,6 +90,9 @@ impl PauseClock {
 /// run and found nothing to do.
 #[derive(Clone, Debug)]
 pub struct EgressPort {
+    /// Network-wide index of this port: keys its closed pause intervals
+    /// in the network's [`PauseHistograms`].
+    index: u32,
     /// Peer node this port transmits toward.
     pub peer: NodeId,
     /// Port index on the peer that receives our frames.
@@ -121,10 +125,9 @@ pub struct EgressPort {
     tx_seq: u64,
     /// A `TxDone` for `(busy_until, tx_seq)` is on the calendar.
     wake_pending: bool,
-    /// PFC pause state per data class (set by frames from the peer).
-    class_pause: [PauseClock; NUM_CLASSES],
-    /// Port-level pause (DSH).
-    port_pause: PauseClock,
+    /// PFC pause state per class, then the port-level (DSH) pause at
+    /// [`PORT_SCOPE`] (set by frames from the peer).
+    pause: [PauseClock; PAUSE_SCOPES],
     /// First instant since which the port continuously had queued data but
     /// could transmit nothing (deadlock detection).
     blocked_since: Option<Time>,
@@ -143,10 +146,18 @@ pub struct EgressPort {
 }
 
 impl EgressPort {
-    /// Creates an idle egress port toward `peer`.
+    /// Creates an idle egress port toward `peer`, the network's port
+    /// number `index`.
     #[must_use]
-    pub fn new(peer: NodeId, peer_port: usize, bandwidth: Bandwidth, prop_delay: Delta) -> Self {
+    pub(crate) fn new(
+        index: u32,
+        peer: NodeId,
+        peer_port: usize,
+        bandwidth: Bandwidth,
+        prop_delay: Delta,
+    ) -> Self {
         EgressPort {
+            index,
             peer,
             peer_port,
             bandwidth,
@@ -168,8 +179,7 @@ impl EgressPort {
             busy_until: Time::ZERO,
             tx_seq: 0,
             wake_pending: false,
-            class_pause: std::array::from_fn(|_| PauseClock::default()),
-            port_pause: PauseClock::default(),
+            pause: [PauseClock::default(); PAUSE_SCOPES],
             blocked_since: None,
             link_up: true,
             fault_gen: 0,
@@ -189,6 +199,12 @@ impl EgressPort {
     #[must_use]
     pub fn total_queued_bytes(&self) -> u64 {
         self.qbytes.iter().sum::<u64>() + self.pfc_bytes
+    }
+
+    /// Network-wide index of this port (keys its pause histograms).
+    #[must_use]
+    pub(crate) fn index(&self) -> u32 {
+        self.index
     }
 
     /// Cumulative transmitted bytes.
@@ -256,29 +272,49 @@ impl EgressPort {
         if class == CONTROL_CLASS {
             return true;
         }
-        !self.class_pause[class as usize].paused && !self.port_pause.paused
+        !self.pause[class as usize].paused && !self.pause[PORT_SCOPE].paused
     }
 
-    /// Applies a queue-level PFC pause/resume received from the peer.
-    pub fn apply_class_pause(&mut self, class: u8, pause: bool, now: Time) {
-        self.class_pause[class as usize].set(pause, now);
+    /// Sets the pause of `scope`, recording the interval a lift closes.
+    fn set_pause(&mut self, scope: usize, pause: bool, now: Time, closed: &mut PauseHistograms) {
+        if let Some(d) = self.pause[scope].set(pause, now) {
+            closed.record(self.index, scope, d);
+        }
     }
 
-    /// Applies a port-level PFC pause/resume received from the peer.
-    pub fn apply_port_pause(&mut self, pause: bool, now: Time) {
-        self.port_pause.set(pause, now);
+    /// Applies a queue-level PFC pause/resume received from the peer; a
+    /// resume closes its interval into `closed`.
+    pub(crate) fn apply_class_pause(
+        &mut self,
+        class: u8,
+        pause: bool,
+        now: Time,
+        closed: &mut PauseHistograms,
+    ) {
+        self.set_pause(class as usize, pause, now, closed);
+    }
+
+    /// Applies a port-level PFC pause/resume received from the peer; a
+    /// resume closes its interval into `closed`.
+    pub(crate) fn apply_port_pause(
+        &mut self,
+        pause: bool,
+        now: Time,
+        closed: &mut PauseHistograms,
+    ) {
+        self.set_pause(PORT_SCOPE, pause, now, closed);
     }
 
     /// Whether a queue-level pause is asserted for `class`.
     #[must_use]
     pub fn class_paused(&self, class: u8) -> bool {
-        self.class_pause[class as usize].paused
+        self.pause[class as usize].paused
     }
 
     /// Whether the port-level pause is asserted.
     #[must_use]
     pub fn port_paused(&self) -> bool {
-        self.port_pause.paused
+        self.pause[PORT_SCOPE].paused
     }
 
     /// Total time `class` has spent paused up to `now` (includes the
@@ -286,38 +322,13 @@ impl EgressPort {
     /// separately via [`EgressPort::port_pause_total`].
     #[must_use]
     pub fn class_pause_total(&self, class: u8, now: Time) -> Delta {
-        self.class_pause[class as usize].total_at(now)
+        self.pause[class as usize].total_at(now)
     }
 
     /// Total time the port-level pause has been asserted up to `now`.
     #[must_use]
     pub fn port_pause_total(&self, now: Time) -> Delta {
-        self.port_pause.total_at(now)
-    }
-
-    /// Distribution of every *closed* pause→resume interval observed at
-    /// this port, queue-level (all classes) and port-level merged.
-    #[must_use]
-    pub fn pause_latency_histogram(&self) -> DurationHistogram {
-        let mut h = self.port_pause.closed.clone();
-        for c in &self.class_pause {
-            h.merge(&c.closed);
-        }
-        h
-    }
-
-    /// Distribution of closed pause→resume intervals for one traffic
-    /// class only — multi-class runs read this to keep control-class and
-    /// data-class pauses apart.
-    #[must_use]
-    pub fn class_pause_latency_histogram(&self, class: u8) -> &DurationHistogram {
-        &self.class_pause[class as usize].closed
-    }
-
-    /// Distribution of closed *port-level* (POFF) pause intervals only.
-    #[must_use]
-    pub fn port_pause_latency_histogram(&self) -> &DurationHistogram {
-        &self.port_pause.closed
+        self.pause[PORT_SCOPE].total_at(now)
     }
 
     /// Enqueues a frame for transmission. PFC frames go to their own
@@ -472,13 +483,13 @@ impl EgressPort {
     /// Start of the current queue-level pause for `class`, if asserted.
     #[must_use]
     pub fn class_paused_since(&self, class: u8) -> Option<Time> {
-        self.class_pause[class as usize].paused_since()
+        self.pause[class as usize].paused_since()
     }
 
     /// Start of the current port-level pause, if asserted.
     #[must_use]
     pub fn port_paused_since(&self) -> Option<Time> {
-        self.port_pause.paused_since()
+        self.pause[PORT_SCOPE].paused_since()
     }
 
     /// Whether the attached link is alive.
@@ -496,12 +507,17 @@ impl EgressPort {
     /// Link failure: drains every queue (including the PFC lane) into
     /// `out`, zeroes the byte/deficit accounting, force-closes all pause
     /// clocks (the peer that asserted them is unreachable; the intervals
-    /// close into the telemetry histograms), clears the deadlock marker,
+    /// close into `closed`), clears the deadlock marker,
     /// bumps the fault generation, and marks the link down. The caller
     /// releases MMU accounting for the drained frames. The frame on the
     /// wire still ends when it would have, and a booked wake-up still
     /// fires.
-    pub fn fail(&mut self, now: Time, out: &mut Vec<QueuedFrame>) {
+    pub(crate) fn fail(
+        &mut self,
+        now: Time,
+        out: &mut Vec<QueuedFrame>,
+        closed: &mut PauseHistograms,
+    ) {
         self.link_up = false;
         self.fault_gen = self.fault_gen.wrapping_add(1);
         for c in 0..NUM_CLASSES {
@@ -513,10 +529,9 @@ impl EgressPort {
         self.active.clear();
         self.pfc_bytes = 0;
         out.extend(self.pfc.drain(..));
-        for c in &mut self.class_pause {
-            c.set(false, now);
+        for scope in 0..PAUSE_SCOPES {
+            self.set_pause(scope, false, now, closed);
         }
-        self.port_pause.set(false, now);
         self.blocked_since = None;
     }
 
@@ -528,12 +543,19 @@ impl EgressPort {
     }
 
     /// PFC watchdog action: forcibly clears the pause state of `class`
+    /// (and the port-level pause), closing their intervals into `closed`,
     /// and drains its queued frames (which the watchdog drops) into `out`,
     /// so the caller can release MMU accounting. Appends to `out` without
     /// clearing it, reusing its capacity across flushes.
-    pub fn watchdog_flush_class(&mut self, class: u8, now: Time, out: &mut Vec<QueuedFrame>) {
-        self.class_pause[class as usize].set(false, now);
-        self.port_pause.set(false, now);
+    pub(crate) fn watchdog_flush_class(
+        &mut self,
+        class: u8,
+        now: Time,
+        out: &mut Vec<QueuedFrame>,
+        closed: &mut PauseHistograms,
+    ) {
+        self.set_pause(class as usize, false, now, closed);
+        self.set_pause(PORT_SCOPE, false, now, closed);
         let c = class as usize;
         self.qbytes[c] = 0;
         self.blocked_since = None;
@@ -583,7 +605,12 @@ mod tests {
     }
 
     fn port() -> EgressPort {
-        EgressPort::new(NodeId(1), 0, Bandwidth::from_gbps(100), Delta::from_us(2))
+        EgressPort::new(0, NodeId(1), 0, Bandwidth::from_gbps(100), Delta::from_us(2))
+    }
+
+    /// The pause-histogram store of a one-port network.
+    fn hists() -> PauseHistograms {
+        PauseHistograms::new(1)
     }
 
     #[test]
@@ -638,14 +665,15 @@ mod tests {
     #[test]
     fn paused_class_is_skipped_and_resumes() {
         let mut p = port();
+        let mut h = hists();
         p.enqueue(data_frame(0, 1500));
         p.enqueue(data_frame(1, 1500));
-        p.apply_class_pause(0, true, Time::ZERO);
+        p.apply_class_pause(0, true, Time::ZERO, &mut h);
         let qf = p.pick(Time::ZERO).unwrap();
         assert_eq!(qf.frame.class, 1);
         assert!(p.pick(Time::ZERO).is_none(), "class 0 paused");
         assert!(p.blocked_since().is_some());
-        p.apply_class_pause(0, false, Time::from_us(5));
+        p.apply_class_pause(0, false, Time::from_us(5), &mut h);
         let qf = p.pick(Time::from_us(5)).unwrap();
         assert_eq!(qf.frame.class, 0);
         assert!(p.blocked_since().is_none());
@@ -654,9 +682,10 @@ mod tests {
     #[test]
     fn port_pause_blocks_all_data_but_not_control() {
         let mut p = port();
+        let mut h = hists();
         p.enqueue(data_frame(0, 1500));
         p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(0), false));
-        p.apply_port_pause(true, Time::ZERO);
+        p.apply_port_pause(true, Time::ZERO, &mut h);
         let qf = p.pick(Time::ZERO).unwrap();
         assert_eq!(qf.frame.class, CONTROL_CLASS, "control is pause-exempt");
         assert!(p.pick(Time::ZERO).is_none());
@@ -665,31 +694,36 @@ mod tests {
     #[test]
     fn pause_duration_accounting() {
         let mut p = port();
-        p.apply_class_pause(2, true, Time::from_us(10));
-        p.apply_class_pause(2, false, Time::from_us(35));
-        p.apply_class_pause(2, true, Time::from_us(50));
+        let mut h = hists();
+        p.apply_class_pause(2, true, Time::from_us(10), &mut h);
+        p.apply_class_pause(2, false, Time::from_us(35), &mut h);
+        p.apply_class_pause(2, true, Time::from_us(50), &mut h);
         // Closed interval 25 us + open interval 10 us at t=60.
         assert_eq!(p.class_pause_total(2, Time::from_us(60)), Delta::from_us(35));
         // Double-pause is idempotent.
-        p.apply_class_pause(2, true, Time::from_us(70));
+        p.apply_class_pause(2, true, Time::from_us(70), &mut h);
         assert_eq!(p.class_pause_total(2, Time::from_us(80)), Delta::from_us(55));
         // Only the closed interval is in the latency histogram.
-        let h = p.pause_latency_histogram();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.total(), Delta::from_us(25));
+        let closed = h.get(0, 2).expect("one interval closed");
+        assert_eq!(closed.count(), 1);
+        assert_eq!(closed.total(), Delta::from_us(25));
+        assert!(h.get(0, 3).is_none(), "a class that never paused has no histogram");
     }
 
     #[test]
     fn pause_latency_histogram_merges_queue_and_port_level() {
         let mut p = port();
-        p.apply_class_pause(0, true, Time::from_us(0));
-        p.apply_class_pause(0, false, Time::from_us(5));
-        p.apply_port_pause(true, Time::from_us(10));
-        p.apply_port_pause(false, Time::from_us(40));
-        let h = p.pause_latency_histogram();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.total(), Delta::from_us(35));
-        assert_eq!(h.max(), Delta::from_us(30));
+        let mut h = hists();
+        p.apply_class_pause(0, true, Time::from_us(0), &mut h);
+        p.apply_class_pause(0, false, Time::from_us(5), &mut h);
+        p.apply_port_pause(true, Time::from_us(10), &mut h);
+        p.apply_port_pause(false, Time::from_us(40), &mut h);
+        let merged = h.merged(0);
+        assert_eq!(merged.count(), 2);
+        assert_eq!(merged.total(), Delta::from_us(35));
+        assert_eq!(merged.max(), Delta::from_us(30));
+        let port_level = h.get(0, PORT_SCOPE).expect("port-level interval closed");
+        assert_eq!(port_level.total(), Delta::from_us(30));
     }
 
     #[test]
@@ -737,33 +771,35 @@ mod tests {
     #[test]
     fn watchdog_flush_reuses_caller_buffer() {
         let mut p = port();
+        let mut h = hists();
         p.enqueue(data_frame(2, 1500));
         p.enqueue(data_frame(2, 500));
-        p.apply_class_pause(2, true, Time::ZERO);
+        p.apply_class_pause(2, true, Time::ZERO, &mut h);
         let mut out = Vec::new();
-        p.watchdog_flush_class(2, Time::from_us(5), &mut out);
+        p.watchdog_flush_class(2, Time::from_us(5), &mut out, &mut h);
         assert_eq!(out.len(), 2);
         assert_eq!(p.queue_bytes(2), 0);
         assert!(!p.class_paused(2));
         // A second flush appends without clearing.
         p.enqueue(data_frame(2, 100));
-        p.watchdog_flush_class(2, Time::from_us(6), &mut out);
+        p.watchdog_flush_class(2, Time::from_us(6), &mut out, &mut h);
         assert_eq!(out.len(), 3);
     }
 
     #[test]
     fn fail_drains_everything_and_clears_pause_state() {
         let mut p = port();
+        let mut h = hists();
         p.enqueue(data_frame(0, 1500));
         p.enqueue(data_frame(2, 500));
         p.enqueue(ack_frame());
         p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(0), true));
-        p.apply_class_pause(0, true, Time::ZERO);
-        p.apply_port_pause(true, Time::ZERO);
+        p.apply_class_pause(0, true, Time::ZERO, &mut h);
+        p.apply_port_pause(true, Time::ZERO, &mut h);
         let gen0 = p.fault_gen();
 
         let mut out = Vec::new();
-        p.fail(Time::from_us(10), &mut out);
+        p.fail(Time::from_us(10), &mut out, &mut h);
         assert_eq!(out.len(), 4, "all queues including the PFC lane drain");
         assert_eq!(p.total_queued_bytes(), 0);
         assert!(!p.is_link_up());
@@ -801,6 +837,7 @@ mod tests {
     #[test]
     fn booked_wake_up_keeps_the_port_busy_until_it_fires() {
         let mut p = port();
+        let mut h = hists();
         let end = Time::from_ns(120);
         p.start_tx(end, 7);
         assert!(!p.has_waiting());
@@ -814,9 +851,9 @@ mod tests {
         // A class left on the DWRR list by a watchdog flush still counts.
         let _ = p.pick(end);
         p.enqueue(data_frame(2, 100));
-        p.apply_class_pause(2, true, end);
+        p.apply_class_pause(2, true, end, &mut h);
         let mut out = Vec::new();
-        p.watchdog_flush_class(2, end, &mut out);
+        p.watchdog_flush_class(2, end, &mut out, &mut h);
         assert!(p.has_waiting());
     }
 }

@@ -16,7 +16,7 @@ pub struct SwitchNode {
     pub ports: Vec<EgressPort>,
     /// The lossless-pool MMU (SIH or DSH).
     pub mmu: Mmu,
-    /// ECMP routes per destination node id.
+    /// ECMP candidates toward every destination node.
     pub routes: RouteTable,
 }
 

@@ -14,10 +14,6 @@ use crate::time::{Delta, Time};
 pub struct Scheduler<'a, E> {
     now: Time,
     queue: &'a mut EventQueue<E>,
-    /// Events the model pulled out of the calendar itself via
-    /// [`Scheduler::take_next_if`]; folded into the run loop's processed
-    /// count so `events_processed` still counts every handled event.
-    fused: u64,
 }
 
 impl<E> Scheduler<'_, E> {
@@ -69,23 +65,6 @@ impl<E> Scheduler<'_, E> {
     #[inline]
     pub fn push_reserved(&mut self, at: Time, seq: u64, event: E) {
         self.queue.push_reserved(at, seq, event);
-    }
-
-    /// Takes the calendar's next event if it fires at exactly the current
-    /// instant and satisfies `pred` — the fused-dispatch primitive.
-    ///
-    /// The event returned is precisely the one the run loop would have
-    /// popped next (full `(time, seq)` order), so handling it inline is
-    /// observationally identical to returning to the loop; it merely
-    /// skips one dispatch round-trip. Fused events still count toward
-    /// [`Simulation::events_processed`].
-    #[inline]
-    pub fn take_next_if(&mut self, pred: impl FnOnce(&E) -> bool) -> Option<E> {
-        let taken = self.queue.pop_current_if(self.now, pred);
-        if taken.is_some() {
-            self.fused += 1;
-        }
-        taken
     }
 }
 
@@ -163,9 +142,9 @@ impl<M: Model> Simulation<M> {
         while let Some((t, event)) = self.queue.pop_before(deadline) {
             debug_assert!(t >= self.now, "event calendar went backwards");
             self.now = t;
-            let mut sched = Scheduler { now: t, queue: &mut self.queue, fused: 0 };
+            let mut sched = Scheduler { now: t, queue: &mut self.queue };
             self.model.handle(event, &mut sched);
-            n += 1 + sched.fused;
+            n += 1;
         }
         self.processed += n;
         n
@@ -191,18 +170,14 @@ impl<M: Model> Simulation<M> {
             let class = event.class();
             #[cfg(feature = "profile")]
             let started = std::time::Instant::now();
-            let mut sched = Scheduler { now: t, queue: &mut self.queue, fused: 0 };
+            let mut sched = Scheduler { now: t, queue: &mut self.queue };
             self.model.handle(event, &mut sched);
             #[cfg(feature = "profile")]
             let spent = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             #[cfg(not(feature = "profile"))]
             let spent = 0;
-            // A fused follow-up's time stays with the class that absorbed
-            // it, where it was spent; its count goes to the profile's
-            // fused total, not to a class row.
             profile.record(class, spent);
-            profile.record_fused(sched.fused);
-            n += 1 + sched.fused;
+            n += 1;
         }
         self.processed += n;
         n
@@ -312,46 +287,35 @@ mod tests {
     }
 
     #[test]
-    fn take_next_if_fuses_only_the_adjacent_same_instant_event() {
-        struct Fuser {
+    fn profiled_run_counts_every_dispatch_in_its_class() {
+        struct Logger {
             log: Vec<u32>,
         }
-        impl Model for Fuser {
+        impl Model for Logger {
             type Event = u32;
-            fn handle(&mut self, ev: u32, sched: &mut Scheduler<'_, u32>) {
+            fn handle(&mut self, ev: u32, _: &mut Scheduler<'_, u32>) {
                 self.log.push(ev);
-                // Fuse an even follow-up at the same instant, if adjacent.
-                while let Some(next) = sched.take_next_if(|&e| e % 2 == 0) {
-                    self.log.push(next);
-                }
             }
         }
         let seeded = || {
-            let mut sim = Simulation::new(Fuser { log: vec![] });
-            sim.schedule(Time::from_ns(5), 1);
-            sim.schedule(Time::from_ns(5), 2);
-            sim.schedule(Time::from_ns(5), 3);
-            sim.schedule(Time::from_ns(5), 4);
+            let mut sim = Simulation::new(Logger { log: vec![] });
+            for ev in [1, 2, 3, 4] {
+                sim.schedule(Time::from_ns(5), ev);
+            }
             sim.schedule(Time::from_ns(9), 6);
             sim
         };
         let mut sim = seeded();
         sim.run();
-        // 1 fuses 2, stops at odd 3; 3 fuses 4; 6 is at a later instant
-        // and dispatches on its own.
-        assert_eq!(sim.model().log, vec![1, 2, 3, 4, 6]);
-        assert_eq!(sim.events_processed(), 5, "fused events still count");
-
-        // The profiled loop fuses and counts the same way, and its profile
-        // accounts for every processed event.
         let mut profiled = seeded();
         let mut profile = crate::profile::EngineProfile::new::<u32>();
         profiled.run_until_profiled(Time::MAX, &mut profile);
+        // The same order as the plain loop, and a profile that accounts
+        // for every processed event.
         assert_eq!(profiled.model().log, sim.model().log);
-        assert_eq!(profiled.events_processed(), sim.events_processed());
-        assert_eq!(profile.to_json().get("fused").and_then(crate::Json::as_u64), Some(2));
+        assert_eq!(profiled.events_processed(), 5);
         let rows: Vec<_> = profile.rows().map(|(name, count, _)| (name, count)).collect();
-        assert_eq!(rows, [("even", 1), ("odd", 2)]);
+        assert_eq!(rows, [("even", 3), ("odd", 2)]);
         assert_eq!(profile.total_events(), profiled.events_processed());
     }
 

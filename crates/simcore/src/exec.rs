@@ -31,11 +31,26 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Environment variable overriding the default worker count of the
-/// figure binaries (`dsh_bench::Args` parses it).
+/// figure binaries and the benches (both read it through
+/// [`parse_threads`]).
 ///
 /// `0` means "auto" (available parallelism); a malformed value is a
 /// usage error (exit 2).
 pub const THREADS_ENV: &str = "DSH_THREADS";
+
+/// Parses a [`THREADS_ENV`] value: an unsigned worker count, `0` meaning
+/// auto.
+///
+/// # Errors
+///
+/// Returns the usage message when `value` is not an unsigned integer
+/// (`abc`, `-1`, an empty string): a typo must fail, not run on every
+/// core.
+pub fn parse_threads(value: &str) -> Result<usize, String> {
+    value.parse().map_err(|_| {
+        format!("invalid value for {THREADS_ENV}: '{value}' (expected unsigned integer)")
+    })
+}
 
 /// Environment variable enabling sweep progress lines: with
 /// `DSH_PROGRESS=1`, `par_map` reports completed/total points and
@@ -209,6 +224,16 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn threads_env_values_parse_or_fail_fast() {
+        assert_eq!(parse_threads("0"), Ok(0), "0 means auto");
+        assert_eq!(parse_threads("3"), Ok(3));
+        for bad in ["abc", "-1", "", " 2"] {
+            let e = parse_threads(bad).unwrap_err();
+            assert!(e.contains(&format!("invalid value for DSH_THREADS: '{bad}'")), "{e}");
+        }
+    }
 
     #[test]
     fn preserves_input_order() {

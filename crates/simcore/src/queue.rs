@@ -455,19 +455,6 @@ impl<E> EventQueue<E> {
         self.pop_where(|t, _| t <= deadline)
     }
 
-    /// Removes and returns the earliest event only if it fires at exactly
-    /// `now` and satisfies `pred`; leaves the calendar untouched
-    /// otherwise.
-    ///
-    /// This honors the full `(time, seq)` order — it pops the event that
-    /// an ordinary [`EventQueue::pop`] would pop next, never one behind
-    /// it — so a dispatcher can fuse an adjacent same-instant pair
-    /// without perturbing the event order.
-    #[inline]
-    pub fn pop_current_if(&mut self, now: Time, pred: impl FnOnce(&E) -> bool) -> Option<E> {
-        self.pop_where(|t, e| t == now && pred(e)).map(|(_, e)| e)
-    }
-
     /// Sequence number of the most recently popped event (0 before the
     /// first pop): with its time, the place of the event being handled.
     #[must_use]
@@ -712,7 +699,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Time::from_us(50)));
         assert_eq!(q.pop_before(Time::from_us(1)), None);
         assert_eq!(q.pop_where(|t, _| t < Time::from_us(50)), None);
-        assert_eq!(q.pop_current_if(Time::from_us(50), |_| false), None);
         q.push(Time::from_us(2), 2);
         // The same with the front in the far heap.
         q.push(Time::from_ms(1), 3);
@@ -818,24 +804,6 @@ mod tests {
         assert_eq!(q.pop_before(Time::MAX), None);
     }
 
-    #[test]
-    fn pop_current_if_only_takes_the_true_next_event() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_ns(10), 1);
-        q.push(Time::from_ns(10), 2);
-        assert_eq!(q.pop(), Some((Time::from_ns(10), 1)));
-        // Next is 2; a predicate rejecting it must not skip ahead.
-        assert_eq!(q.pop_current_if(Time::from_ns(10), |&e| e == 3), None);
-        assert_eq!(q.pop_current_if(Time::from_ns(10), |&e| e == 2), Some(2));
-        q.push(Time::from_ns(10), 4);
-        assert_eq!(q.pop_current_if(Time::from_ns(9), |_| true), None, "wrong instant");
-        assert_eq!(q.pop_current_if(Time::from_ns(10), |&e| e == 4), Some(4));
-        // Future events never match the current instant.
-        q.push(Time::from_ns(20), 5);
-        assert_eq!(q.pop_current_if(Time::from_ns(10), |_| true), None);
-        assert_eq!(q.pop(), Some((Time::from_ns(20), 5)));
-    }
-
     proptest! {
         /// Popping always yields a nondecreasing time sequence, and events
         /// with equal times preserve insertion order.
@@ -929,7 +897,7 @@ mod tests {
                 _ => {
                     let accept = |&e: &u32| u64::from(e) % 2 == delta % 2;
                     (
-                        self.q.pop_current_if(now, accept).map(|e| (now, e)),
+                        self.q.pop_where(|t, e| t == now && accept(e)),
                         self.oracle.pop_where(|t, e| t == now && accept(e)),
                     )
                 }
