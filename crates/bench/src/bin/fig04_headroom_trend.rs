@@ -1,23 +1,32 @@
 //! Fig. 4: trends of buffer in Broadcom's switching chips.
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig04_headroom_trend [--trace out.json]
+//! cargo run --release -p dsh-bench --bin fig04_headroom_trend [--smoke] [--trace out.json]
 //! ```
+//!
+//! `--smoke` prints the trend's two endpoint chips and asserts the
+//! figure's claim between them: buffer per unit of capacity fell while
+//! the headroom share of the buffer rose.
 
 fn main() {
     let args = dsh_bench::Args::parse();
     // No simulation runs here (the figure is a table of chip specs), so
     // `--trace` writes a valid but empty Chrome trace.
-    dsh_bench::with_trace(&args, run);
+    dsh_bench::with_trace(&args, || run(args.smoke));
 }
 
-fn run() {
+fn run(smoke: bool) {
     println!("Fig. 4 — Trends of buffer in Broadcom switching chips");
     println!(
         "{:<12} {:>6} {:>10} {:>12} {:>12} {:>14} {:>10}",
         "chip", "year", "capacity", "buffer(MiB)", "hdrm(MiB)", "buf/cap(us)", "hdrm frac"
     );
-    for r in dsh_bench::fig04::rows() {
+    let mut rows = dsh_bench::fig04::rows();
+    if smoke {
+        let last = rows.len() - 1;
+        rows = vec![rows[0], rows[last]];
+    }
+    for r in &rows {
         println!(
             "{:<12} {:>6} {:>7}G {:>12.1} {:>12.2} {:>14.1} {:>9.1}%",
             r.chip.name,
@@ -31,4 +40,10 @@ fn run() {
     }
     println!();
     println!("paper: buffer/capacity fell 157us -> 37us (4x); headroom fraction rose 43% -> 67%");
+    if smoke {
+        let (old, new) = (&rows[0], &rows[1]);
+        assert!(new.us_per_capacity < old.us_per_capacity, "buffer per capacity must fall");
+        assert!(new.headroom_fraction > old.headroom_fraction, "headroom share must rise");
+        println!("smoke OK");
+    }
 }

@@ -3,8 +3,12 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig05_fct_vs_buffer \
-//!     [--full] [--json] [--seed N] [--threads N]
+//!     [--full] [--json] [--smoke] [--seed N] [--threads N]
 //! ```
+//!
+//! `--smoke` runs the sweep's two end buffers (14 and 30 MiB) with flows
+//! starting in the first 400 µs, and asserts that every cell completes
+//! flows and reports a finite average FCT.
 
 use dsh_bench::fabric::{FctExperiment, Topo};
 use dsh_bench::fig05;
@@ -26,8 +30,17 @@ fn run(args: &dsh_bench::Args) {
         base.horizon = Delta::from_ms(10);
         base.run_until = Delta::from_ms(30);
     }
-    let buffers: Vec<u64> =
-        if full { (14..=30).step_by(2).collect() } else { vec![14, 18, 22, 26, 30] };
+    if args.smoke {
+        base.horizon = Delta::from_us(400);
+        base.run_until = Delta::from_ms(2);
+    }
+    let buffers: Vec<u64> = if args.smoke {
+        vec![14, 30]
+    } else if full {
+        (14..=30).step_by(2).collect()
+    } else {
+        vec![14, 18, 22, 26, 30]
+    };
     println!("Fig. 5 — average FCT vs buffer size (PowerTCP, web search @0.9)");
     let curves = fig05::sweep_schemes(&buffers, &base, &args.executor());
     let mut docs: Vec<Json> = Vec::new();
@@ -49,6 +62,15 @@ fn run(args: &dsh_bench::Args) {
     }
     println!();
     println!("paper: FCT with 14MB is 78.1% worse than with 30MB (SIH)");
+    if args.smoke {
+        for (scheme, points) in &curves {
+            for p in points {
+                assert!(p.completed > 0, "{scheme} at {} MiB completed no flows", p.buffer_mib);
+                assert!(p.avg_fct_ms.is_finite(), "{scheme} at {} MiB has no FCT", p.buffer_mib);
+            }
+        }
+        println!("smoke OK");
+    }
     if args.json {
         let doc = Json::object()
             .with("provenance", dsh_bench::provenance(args))

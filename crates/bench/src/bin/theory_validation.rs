@@ -1,8 +1,12 @@
 //! Theorems 1 & 2: closed-form burst-absorption bounds vs the fluid model.
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin theory_validation [--trace out.json]
+//! cargo run --release -p dsh-bench --bin theory_validation [--smoke] [--trace out.json]
 //! ```
+//!
+//! `--smoke` checks one load at the smallest and largest queue counts and
+//! asserts the remark the table shows: the fluid model meets both closed
+//! forms, DSH's bound does not depend on `N_q`, and SIH's shrinks with it.
 
 use dsh_bench::theory;
 use dsh_core::headroom::{eta, sonic_headroom};
@@ -12,16 +16,21 @@ fn main() {
     let args = dsh_bench::Args::parse();
     // The fluid model runs outside the event engine, so `--trace` writes
     // a valid but empty Chrome trace.
-    dsh_bench::with_trace(&args, run);
+    dsh_bench::with_trace(&args, || run(args.smoke));
 }
 
-fn run() {
+fn run(smoke: bool) {
     println!("Theorems 1-2 — burst absorption bounds (normalized time units)");
     println!(
         "{:>6} {:>4} {:>14} {:>14} {:>14} {:>14} {:>10}",
         "R", "Nq", "DSH closed", "DSH fluid", "SIH closed", "SIH fluid", "DSH/SIH"
     );
-    for row in theory::validate(&[1.5, 2.0, 4.0, 8.0], &[2, 4, 7]) {
+    let rows = if smoke {
+        theory::validate(&[2.0], &[2, 7])
+    } else {
+        theory::validate(&[1.5, 2.0, 4.0, 8.0], &[2, 4, 7])
+    };
+    for row in &rows {
         println!(
             "{:>6.1} {:>4} {:>14.1} {:>14.1} {:>14.1} {:>14.1} {:>10.2}",
             row.r,
@@ -35,6 +44,16 @@ fn run() {
     }
     println!();
     println!("remark check: DSH columns are constant in Nq; SIH shrinks as Nq grows");
+    if smoke {
+        let near = |fluid: f64, closed: f64| (fluid - closed).abs() <= 0.01 * closed;
+        for row in &rows {
+            assert!(near(row.dsh_fluid, row.dsh_closed), "DSH fluid misses Theorem 1: {row:?}");
+            assert!(near(row.sih_fluid, row.sih_closed), "SIH fluid misses Theorem 2: {row:?}");
+        }
+        let (few, many) = (&rows[0], &rows[1]);
+        assert_eq!(few.dsh_closed, many.dsh_closed, "DSH bound must not depend on Nq");
+        assert!(many.sih_closed < few.sih_closed, "SIH bound must shrink as Nq grows");
+    }
 
     // Headroom-source cross-check: SONiC's per-port formula
     // 2·C·D_cable + 2·MTU + C·t_peer equals the paper's Eq. 1 exactly when
@@ -47,4 +66,7 @@ fn run() {
     let sonic = sonic_headroom(cap, cable, mtu, Delta::from_ps(307_200));
     println!("  Eq. 1: {paper}   SONiC(t_peer=307.2ns): {sonic}");
     assert_eq!(paper, sonic, "SONiC headroom must reduce to Eq. 1 at t_peer = 3840B/C");
+    if smoke {
+        println!("smoke OK");
+    }
 }

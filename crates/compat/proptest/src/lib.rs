@@ -338,7 +338,7 @@ mod tests {
         #[test]
         fn macro_roundtrip(xs in crate::collection::vec(0u64..100, 0..10), k in 1usize..4) {
             prop_assert!(xs.len() < 10);
-            prop_assert!(k >= 1 && k < 4);
+            prop_assert!((1..4).contains(&k));
         }
 
         #[test]

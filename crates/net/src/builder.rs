@@ -275,7 +275,7 @@ impl NetworkBuilder {
                         .map(|p| {
                             self.params.eta_override.unwrap_or_else(|| {
                                 self.params.headroom_source.eta(
-                                    p.bandwidth,
+                                    p.bandwidth(),
                                     p.prop_delay,
                                     self.params.mtu,
                                 )

@@ -7,10 +7,6 @@ use dsh_transport::HopList;
 pub const CONTROL_FRAME_BYTES: u64 = 64;
 
 /// A data segment of a flow.
-///
-/// Frames are plain `Copy` data: the INT hop records live inline in a
-/// fixed-capacity [`HopList`], so building, forwarding and echoing a frame
-/// never touches the heap.
 #[derive(Clone, Copy, Debug)]
 pub struct DataFrame {
     /// The flow this segment belongs to.
@@ -25,11 +21,14 @@ pub struct DataFrame {
     pub payload: u64,
     /// ECN Congestion Experienced mark.
     pub ecn: bool,
-    /// In-band telemetry appended hop by hop (PowerTCP).
-    pub hops: HopList,
+    /// INT request: switch egresses stamp a [`Frame::hops`] record only
+    /// into frames that carry it. The sender sets it exactly when the
+    /// flow's transport reads INT (PowerTCP).
+    pub int: bool,
 }
 
-/// An acknowledgment for one data segment, echoing ECN and telemetry.
+/// An acknowledgment for one data segment, echoing ECN; the data frame's
+/// INT hops ride along in [`Frame::hops`].
 #[derive(Clone, Copy, Debug)]
 pub struct AckFrame {
     /// The acknowledged flow.
@@ -40,9 +39,6 @@ pub struct AckFrame {
     pub acked: u64,
     /// Echo of the data packet's ECN mark.
     pub ecn_echo: bool,
-    /// Echo of the data packet's INT telemetry (an inline copy, not a
-    /// heap clone).
-    pub hops: HopList,
 }
 
 /// A selective-repeat NACK: the receiver's cumulative in-order mark plus
@@ -110,7 +106,15 @@ pub enum FrameKind {
 }
 
 /// A frame on the wire.
+///
+/// Frames are plain `Copy` data: the INT hop records live inline in a
+/// fixed-capacity [`HopList`], so building, forwarding and echoing a frame
+/// never touches the heap. The header comes first and the hop list (its
+/// length first) last, so a hop reads and a recycled box is refilled
+/// within the frame's first 72 bytes; the compiler's own order puts the
+/// 256 bytes of hop slots between `bytes` and `kind`.
 #[derive(Clone, Copy, Debug)]
+#[repr(C)]
 pub struct Frame {
     /// Wire size in bytes (serialization time = `bytes / C`).
     pub bytes: u64,
@@ -118,46 +122,67 @@ pub struct Frame {
     pub class: u8,
     /// The payload.
     pub kind: FrameKind,
+    /// In-band telemetry stamped hop by hop into a data frame that
+    /// requested it ([`DataFrame::int`]), and echoed back in its ACK.
+    /// Empty on every other frame.
+    pub hops: HopList,
 }
 
 impl Frame {
+    /// Builds a frame with no INT hops.
+    #[must_use]
+    pub const fn new(bytes: u64, class: u8, kind: FrameKind) -> Frame {
+        Frame { bytes, class, kind, hops: HopList::new() }
+    }
+
+    /// Rewrites a recycled frame in place into `Frame::new(bytes, class,
+    /// kind)`: the header is replaced and the hop list emptied, without
+    /// rewriting its slots.
+    pub fn refill(&mut self, bytes: u64, class: u8, kind: FrameKind) {
+        self.bytes = bytes;
+        self.class = class;
+        self.kind = kind;
+        self.hops.clear();
+    }
+
+    /// Turns a received data frame into its ACK in place: only the
+    /// header is rewritten, so the hops the data frame collected echo in
+    /// path order without a copy.
+    pub fn echo_as_ack(&mut self, a: AckFrame) {
+        self.bytes = CONTROL_FRAME_BYTES;
+        self.class = CONTROL_CLASS;
+        self.kind = FrameKind::Ack(a);
+    }
+
     /// Builds a data frame in the given class.
     #[must_use]
     pub fn data(d: DataFrame, class: u8) -> Frame {
-        Frame { bytes: d.payload, class, kind: FrameKind::Data(d) }
+        Frame::new(d.payload, class, FrameKind::Data(d))
     }
 
     /// Builds an ACK control frame.
     #[must_use]
     pub fn ack(a: AckFrame) -> Frame {
-        Frame { bytes: CONTROL_FRAME_BYTES, class: CONTROL_CLASS, kind: FrameKind::Ack(a) }
+        Frame::new(CONTROL_FRAME_BYTES, CONTROL_CLASS, FrameKind::Ack(a))
     }
 
     /// Builds a NACK control frame (rides the control class like ACKs, so
     /// it is never blocked by data-class PFC).
     #[must_use]
     pub fn nack(n: NackFrame) -> Frame {
-        Frame { bytes: CONTROL_FRAME_BYTES, class: CONTROL_CLASS, kind: FrameKind::Nack(n) }
+        Frame::new(CONTROL_FRAME_BYTES, CONTROL_CLASS, FrameKind::Nack(n))
     }
 
     /// Builds a CNP control frame.
     #[must_use]
     pub fn cnp(flow: FlowId, dst: NodeId) -> Frame {
-        Frame {
-            bytes: CONTROL_FRAME_BYTES,
-            class: CONTROL_CLASS,
-            kind: FrameKind::Cnp { flow, dst },
-        }
+        Frame::new(CONTROL_FRAME_BYTES, CONTROL_CLASS, FrameKind::Cnp { flow, dst })
     }
 
     /// Builds a PFC control frame.
     #[must_use]
     pub fn pfc(scope: PfcScope, pause: bool) -> Frame {
-        Frame {
-            bytes: CONTROL_FRAME_BYTES,
-            class: CONTROL_CLASS,
-            kind: FrameKind::Pfc(PfcFrame { scope, pause }),
-        }
+        Frame::new(CONTROL_FRAME_BYTES, CONTROL_CLASS, FrameKind::Pfc(PfcFrame { scope, pause }))
     }
 
     /// Routing destination, if the frame is forwardable (PFC frames are
@@ -183,6 +208,8 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsh_simcore::{Bandwidth, Time};
+    use dsh_transport::TelemetryHop;
 
     #[test]
     fn constructors_set_class_and_size() {
@@ -194,7 +221,7 @@ mod tests {
                 seq: 0,
                 payload: 1500,
                 ecn: false,
-                hops: HopList::new(),
+                int: false,
             },
             3,
         );
@@ -203,13 +230,8 @@ mod tests {
         assert!(d.is_data());
         assert_eq!(d.dst(), Some(NodeId(2)));
 
-        let a = Frame::ack(AckFrame {
-            flow: FlowId(1),
-            dst: NodeId(0),
-            acked: 1500,
-            ecn_echo: true,
-            hops: HopList::new(),
-        });
+        let a =
+            Frame::ack(AckFrame { flow: FlowId(1), dst: NodeId(0), acked: 1500, ecn_echo: true });
         assert_eq!(a.bytes, CONTROL_FRAME_BYTES);
         assert_eq!(a.class, CONTROL_CLASS);
         assert_eq!(a.dst(), Some(NodeId(0)));
@@ -229,5 +251,62 @@ mod tests {
         assert_eq!(n.class, CONTROL_CLASS);
         assert_eq!(n.dst(), Some(NodeId(0)));
         assert!(!n.is_data());
+    }
+
+    fn hop(n: u64) -> TelemetryHop {
+        TelemetryHop {
+            qlen_bytes: n,
+            tx_bytes: 100 * n,
+            timestamp: Time::from_ns(n),
+            bandwidth: Bandwidth::from_gbps(100),
+        }
+    }
+
+    fn stamped_data(hops: u64) -> Frame {
+        let mut f = Frame::data(
+            DataFrame {
+                flow: FlowId(4),
+                src: NodeId(0),
+                dst: NodeId(9),
+                seq: 3000,
+                payload: 1000,
+                ecn: true,
+                int: true,
+            },
+            2,
+        );
+        for n in 1..=hops {
+            f.hops.push(hop(n));
+        }
+        f
+    }
+
+    #[test]
+    fn ack_rewrite_keeps_the_stamped_hops_in_path_order() {
+        let mut f = stamped_data(5);
+        let ack = AckFrame { flow: FlowId(4), dst: NodeId(0), acked: 4000, ecn_echo: true };
+        f.echo_as_ack(ack);
+        assert_eq!(f.hops.as_slice(), &[hop(1), hop(2), hop(3), hop(4), hop(5)]);
+        // The rewrite is the ACK `Frame::ack` would build, plus the echo.
+        let mut built = Frame::ack(ack);
+        for n in 1..=5 {
+            built.hops.push(hop(n));
+        }
+        assert_eq!((f.bytes, f.class, f.hops), (built.bytes, built.class, built.hops));
+        assert!(matches!(f.kind, FrameKind::Ack(a) if a.acked == 4000 && a.ecn_echo));
+    }
+
+    #[test]
+    fn refill_matches_a_fresh_frame() {
+        let mut f = stamped_data(8);
+        f.refill(
+            CONTROL_FRAME_BYTES,
+            CONTROL_CLASS,
+            FrameKind::Cnp { flow: FlowId(1), dst: NodeId(2) },
+        );
+        let fresh = Frame::cnp(FlowId(1), NodeId(2));
+        assert_eq!((f.bytes, f.class, f.hops), (fresh.bytes, fresh.class, fresh.hops));
+        assert!(f.hops.is_empty(), "the stale stamps are past the live prefix");
+        assert_eq!(f.dst(), fresh.dst());
     }
 }

@@ -4,7 +4,7 @@
 use crate::ids::{FlowId, NodeId};
 use crate::port::EgressPort;
 use dsh_simcore::Time;
-use dsh_transport::{Cc, CnpPolicy, GoBackN, SackBuffer, SackState};
+use dsh_transport::{AnyCc, CnpPolicy, GoBackN, SackBuffer, SackState};
 
 /// Sender-side state of one flow (an RDMA queue pair).
 pub struct SenderFlow {
@@ -22,8 +22,9 @@ pub struct SenderFlow {
     pub acked: u64,
     /// Pacing: earliest time the next segment may be sent.
     pub next_send: Time,
-    /// Congestion control state machine.
-    pub cc: Box<dyn Cc>,
+    /// Congestion control state machine, held inline: per-packet calls
+    /// dispatch with a static `match`, and a flow costs no extra box.
+    pub cc: AnyCc,
     /// Generation counter invalidating stale CC timer events.
     pub timer_gen: u32,
     /// Firing time of the live CC timer event on the calendar
@@ -132,6 +133,10 @@ pub struct HostNode {
     /// Flows sourced at this host, in start order (the network's flow
     /// record holds each flow's position here).
     pub tx_flows: Vec<SenderFlow>,
+    /// Flows registered with this host as their source: the first
+    /// [`HostNode::add_sender`] sizes `tx_flows` to it, so a host's
+    /// sender table holds its own flows and no spare slots.
+    pub sourced: usize,
     /// Indices of `tx_flows` that still have data to hand to the wire
     /// (kept small so the NIC's per-packet scan is O(active), not
     /// O(all flows ever)).
@@ -150,6 +155,7 @@ impl HostNode {
             id,
             port: None,
             tx_flows: Vec::new(),
+            sourced: 0,
             active: Vec::new(),
             rr_cursor: 0,
             wake_at: Time::MAX,
@@ -184,6 +190,9 @@ impl HostNode {
     ///
     /// Panics if more than `u32::MAX` flows are registered at one host.
     pub fn add_sender(&mut self, flow: SenderFlow) -> u32 {
+        if self.tx_flows.capacity() == 0 {
+            self.tx_flows.reserve_exact(self.sourced);
+        }
         let idx = self.tx_flows.len();
         self.tx_flows.push(flow);
         self.active.push(idx);
@@ -206,7 +215,7 @@ mod tests {
             sent: 0,
             acked: 0,
             next_send: Time::ZERO,
-            cc: Box::new(Uncontrolled::new(Bandwidth::from_gbps(100))),
+            cc: AnyCc::Uncontrolled(Uncontrolled::new(Bandwidth::from_gbps(100))),
             timer_gen: 0,
             timer_at: Time::MAX,
             timer_due: (Time::MAX, 0),
@@ -234,10 +243,12 @@ mod tests {
     #[test]
     fn host_flow_registry() {
         let mut h = HostNode::new(NodeId(0));
+        h.sourced = 3;
         assert_eq!(h.add_sender(flow(5)), 0);
         assert_eq!(h.add_sender(flow(9)), 1);
         assert_eq!(h.tx_flows[1].id, FlowId(9));
         assert_eq!(h.active, [0, 1]);
+        assert_eq!(h.tx_flows.capacity(), 3, "sized to the flows it sources");
     }
 
     #[test]

@@ -3,9 +3,11 @@
 
 use crate::builder::NetParams;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcScope};
+use crate::frame::{
+    AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcScope, CONTROL_FRAME_BYTES,
+};
 use crate::host::{HostNode, ReceiverFlow, SenderFlow};
-use crate::ids::{FlowId, NodeId, NUM_DATA_CLASSES};
+use crate::ids::{FlowId, NodeId, CONTROL_CLASS, NUM_DATA_CLASSES};
 use crate::monitor::{
     ClassPauseTelemetry, DeadlockReport, FctRecord, PauseHistograms, PauseLedger,
     PortPauseTelemetry, SwitchTelemetry, TelemetryReport, ThroughputSample, PORT_SCOPE,
@@ -21,7 +23,7 @@ use dsh_simcore::{
     split_seed, trace_event, Delta, EventClass, Model, Pool, Scheduler, SimRng, Simulation, Time,
 };
 use dsh_transport::{
-    new_cc, AckInfo, CcKind, GoBackN, HopList, RecoveryConfig, Regime, RtoOutcome, SackBuffer,
+    new_cc, AckInfo, Cc, CcKind, GoBackN, RecoveryConfig, Regime, RtoOutcome, SackBuffer,
     SackState, TelemetryHop,
 };
 
@@ -322,6 +324,7 @@ impl Network {
         assert!(matches!(self.nodes[spec.src.0], Node::Host(_)), "src must be a host");
         assert!(matches!(self.nodes[spec.dst.0], Node::Host(_)), "dst must be a host");
         assert!(spec.size > 0, "flow size must be positive");
+        self.host_mut(spec.src).sourced += 1;
         let id = FlowId(self.flows.len());
         self.flows.push(FlowMeta { spec, sender: NO_SENDER, completed: false, failed: false });
         self.flow_rx.push(0);
@@ -832,56 +835,88 @@ impl Network {
     /// the end of the frame on the wire if one is now owed.
     fn try_transmit(&mut self, node: NodeId, port: usize, sched: &mut Scheduler<'_, NetEvent>) {
         let now = sched.now();
+        let p = self.port_mut(node, port);
+        if p.is_busy(now, sched.current_seq()) {
+            self.book_wake(node, port, sched);
+            return;
+        }
+        if let Some(qf) = p.pick(now) {
+            self.transmit(node, port, qf, sched);
+        }
+    }
+
+    /// Offers `qf` to `(node, port)`: straight onto the wire when the port
+    /// is [idle for it](EgressPort::idle_for), where queueing it and
+    /// picking again would hand back the same frame and leave the
+    /// scheduler as it was; through the queue otherwise.
+    fn send_or_enqueue(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        qf: QueuedFrame,
+        sched: &mut Scheduler<'_, NetEvent>,
+    ) {
+        let p = self.port_mut(node, port);
+        if p.idle_for(qf.frame.class, sched.now(), sched.current_seq()) {
+            self.transmit(node, port, qf, sched);
+        } else {
+            p.enqueue(qf);
+            self.try_transmit(node, port, sched);
+        }
+    }
+
+    /// Puts `qf`, the frame the idle serializer of `(node, port)` serves
+    /// next, on the wire: releases its MMU accounting, stamps INT if it
+    /// asked for it, schedules its arrival at the peer and books the
+    /// wake-up its end owes.
+    fn transmit(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        mut qf: QueuedFrame,
+        sched: &mut Scheduler<'_, NetEvent>,
+    ) {
+        let now = sched.now();
         // One departure yields at most two flow-control actions, so they
         // ride inline in an `FcActions` — no scratch buffer needed.
         let mut fc = FcActions::none();
-
-        let tx = {
-            let is_switch = matches!(self.nodes[node.0], Node::Switch(_));
-            if self.port_mut(node, port).is_busy(now, sched.current_seq()) {
-                self.book_wake(node, port, sched);
-                return;
-            }
-            let Some(mut qf) = self.port_mut(node, port).pick(now) else {
-                return;
-            };
-            // Release MMU accounting (into the segment the packet was
-            // admitted to) and collect PFC actions.
-            if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
-                let sw = self.switch_mut(node);
-                fc = sw.mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now);
-            }
-            // Stamp INT telemetry (switch egress only).
-            let p = self.port_mut(node, port);
-            if is_switch {
-                if let FrameKind::Data(d) = &mut qf.frame.kind {
-                    d.hops.push(TelemetryHop {
-                        qlen_bytes: p.queue_bytes(qf.frame.class),
-                        tx_bytes: p.tx_bytes(),
-                        timestamp: now,
-                        bandwidth: p.bandwidth,
-                    });
+        let is_switch = match &mut self.nodes[node.0] {
+            Node::Switch(sw) => {
+                // Release MMU accounting (into the segment the packet was
+                // admitted to) and collect PFC actions.
+                if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
+                    fc = sw.mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now);
                 }
+                true
             }
-            let bytes = qf.frame.bytes;
-            let txd = p.bandwidth.tx_delay(bytes);
-            let prop = p.prop_delay;
-            let peer = p.peer;
-            let peer_port = p.peer_port;
-            // The frame's end takes the calendar place a `TxDone` pushed
-            // now would take, ahead of the arrival it precedes.
-            p.start_tx(now + txd, sched.reserve_seq());
-            p.note_tx(bytes);
-            (qf.frame, txd, prop, peer, peer_port)
+            Node::Host(_) => false,
         };
-
-        let (frame, txd, prop, peer, peer_port) = tx;
+        let p = self.port_mut(node, port);
+        // Stamp INT telemetry at switch egress, into data frames whose
+        // sender asked for it.
+        if is_switch && matches!(qf.frame.kind, FrameKind::Data(DataFrame { int: true, .. })) {
+            qf.frame.hops.push(TelemetryHop {
+                qlen_bytes: p.queue_bytes(qf.frame.class),
+                tx_bytes: p.tx_bytes(),
+                timestamp: now,
+                bandwidth: p.bandwidth(),
+            });
+        }
+        let bytes = qf.frame.bytes;
+        let txd = p.tx_delay(bytes);
+        // The frame's end takes the calendar place a `TxDone` pushed now
+        // would take, ahead of the arrival it precedes.
+        p.start_tx(now + txd, sched.reserve_seq());
+        p.note_tx(bytes);
+        let (peer, peer_port) = (p.peer.0 as u32, p.peer_port as u32);
         sched.at(
-            now + txd + prop,
-            NetEvent::Arrive { node: peer.0 as u32, in_port: peer_port as u32, frame },
+            now + txd + p.prop_delay,
+            NetEvent::Arrive { node: peer, in_port: peer_port, frame: qf.frame },
         );
         self.book_wake(node, port, sched);
-        self.drain_fc(node, fc, sched);
+        if !fc.is_empty() {
+            self.drain_fc(node, fc, sched);
+        }
     }
 
     /// Pushes the `TxDone` that ends the frame on `(node, port)`'s wire
@@ -927,10 +962,17 @@ impl Network {
             if !self.port_mut(node, p).is_link_up() {
                 continue;
             }
-            let frame = self.pool.get(|| f);
+            let frame = self.pooled(f.bytes, f.class, f.kind);
             self.port_mut(node, p).enqueue(QueuedFrame { frame, ingress: None });
             self.try_transmit(node, p, sched);
         }
+    }
+
+    /// A pooled box holding `Frame::new(bytes, class, kind)`. A recycled
+    /// box gets only its header rewritten and its hop list emptied; the
+    /// hop slots, most of the frame, are left as they are.
+    fn pooled(&mut self, bytes: u64, class: u8, kind: FrameKind) -> Box<Frame> {
+        self.pool.get_in_place(|| Frame::new(bytes, class, kind), |f| f.refill(bytes, class, kind))
     }
 
     fn handle_tx_done(&mut self, node: NodeId, port: usize, sched: &mut Scheduler<'_, NetEvent>) {
@@ -957,7 +999,7 @@ impl Network {
         // `in_port` after the standard processing delay.
         if let FrameKind::Pfc(p) = frame.kind {
             let port = self.port_mut(node, in_port);
-            let bw = port.bandwidth;
+            let bw = port.bandwidth();
             let gen = port.fault_gen();
             let delay = bw.tx_delay(PFC_PROCESSING_BYTES);
             sched.at(
@@ -1036,9 +1078,13 @@ impl Network {
             }
         }
 
-        self.port_mut(node, out_port).enqueue(QueuedFrame { frame, ingress: tag });
-        self.drain_fc(node, fc, sched);
-        self.try_transmit(node, out_port, sched);
+        // This arrival's own flow-control frames go first. Drained before
+        // the data is offered, they find its egress as they would with the
+        // data queued behind them: the PFC lane is served ahead of it.
+        if !fc.is_empty() {
+            self.drain_fc(node, fc, sched);
+        }
+        self.send_or_enqueue(node, out_port, QueuedFrame { frame, ingress: tag }, sched);
     }
 
     // ---- host dataplane -------------------------------------------------------
@@ -1055,7 +1101,7 @@ impl Network {
             FrameKind::Pfc(p) => {
                 let (scope, pause) = (p.scope, p.pause);
                 let port = self.port_mut(node, in_port);
-                let bw = port.bandwidth;
+                let bw = port.bandwidth();
                 let gen = port.fault_gen();
                 let delay = bw.tx_delay(PFC_PROCESSING_BYTES);
                 sched.at(
@@ -1089,8 +1135,11 @@ impl Network {
                             // proves they were sent, so pull the cursor
                             // back up rather than leave `sent < acked`.
                             f.sent = f.sent.max(f.acked);
-                            let info =
-                                AckInfo { acked_bytes: delta, ecn_echo: a.ecn_echo, hops: &a.hops };
+                            let info = AckInfo {
+                                acked_bytes: delta,
+                                ecn_echo: a.ecn_echo,
+                                hops: &frame.hops,
+                            };
                             f.cc.on_ack(now, &info);
                             if recovery_on {
                                 // RTT probe: only fresh, never-retransmitted
@@ -1127,7 +1176,6 @@ impl Network {
             FrameKind::Nack(n) => {
                 let (flow, expected, bitmap, ecn_echo) = (n.flow, n.expected, n.bitmap, n.ecn_echo);
                 let mtu = self.params.mtu;
-                let hops = HopList::new();
                 let mut episode = false;
                 {
                     let slot = self.sender_slot(flow);
@@ -1146,7 +1194,7 @@ impl Network {
                             f.acked = new_acked;
                             // Same stale-ACK rewind guard as the ACK arm.
                             f.sent = f.sent.max(f.acked);
-                            let info = AckInfo { acked_bytes: delta, ecn_echo, hops: &hops };
+                            let info = AckInfo { acked_bytes: delta, ecn_echo, hops: &[] };
                             f.cc.on_ack(now, &info);
                             f.sack.on_cum_advance(delta, new_acked, mtu);
                         }
@@ -1201,7 +1249,7 @@ impl Network {
         let FrameKind::Data(d) = &frame.kind else {
             unreachable!("host_receive_data requires a data frame")
         };
-        let (flow, src, seq, payload, ecn, hops) = (d.flow, d.src, d.seq, d.payload, d.ecn, d.hops);
+        let (flow, src, seq, payload, ecn) = (d.flow, d.src, d.seq, d.payload, d.ecn);
         self.packets_delivered += 1;
         let now = sched.now();
         let meta_size = self.flows[flow.0].spec.size;
@@ -1264,16 +1312,20 @@ impl Network {
 
         // Reply path: ACK (or NACK on an out-of-order arrival under
         // selective repeat) + CNP (DCQCN NP policy). The data frame's box
-        // is rewritten in place — the telemetry echo is an inline copy,
-        // not a heap clone.
+        // is rewritten in place; an ACK keeps the hops the data collected,
+        // so the telemetry echoes without a copy.
         if nack {
-            *frame = Frame::nack(NackFrame {
-                flow,
-                dst: src,
-                expected: cum_acked,
-                bitmap,
-                ecn_echo: ecn,
-            });
+            frame.refill(
+                CONTROL_FRAME_BYTES,
+                CONTROL_CLASS,
+                FrameKind::Nack(NackFrame {
+                    flow,
+                    dst: src,
+                    expected: cum_acked,
+                    bitmap,
+                    ecn_echo: ecn,
+                }),
+            );
             self.nacks_sent += 1;
             trace_event!(self.tracer, TraceEvent::RecoveryNack, {
                 flow: flow.0 as u32,
@@ -1281,14 +1333,19 @@ impl Network {
                 payload: cum_acked,
             });
         } else {
-            *frame = Frame::ack(AckFrame { flow, dst: src, acked: cum_acked, ecn_echo: ecn, hops });
+            frame.echo_as_ack(AckFrame { flow, dst: src, acked: cum_acked, ecn_echo: ecn });
         }
-        self.host_mut(node).uplink_mut().enqueue(QueuedFrame { frame, ingress: None });
+        let reply = QueuedFrame { frame, ingress: None };
         if send_cnp {
-            let cnp = self.pool.get(|| Frame::cnp(flow, src));
-            self.host_mut(node).uplink_mut().enqueue(QueuedFrame { frame: cnp, ingress: None });
+            let cnp =
+                self.pooled(CONTROL_FRAME_BYTES, CONTROL_CLASS, FrameKind::Cnp { flow, dst: src });
+            let uplink = self.host_mut(node).uplink_mut();
+            uplink.enqueue(reply);
+            uplink.enqueue(QueuedFrame { frame: cnp, ingress: None });
+            self.try_transmit(node, 0, sched);
+        } else {
+            self.send_or_enqueue(node, 0, reply, sched);
         }
-        self.try_transmit(node, 0, sched);
     }
 
     fn handle_flow_start(&mut self, flow: FlowId, sched: &mut Scheduler<'_, NetEvent>) {
@@ -1301,7 +1358,7 @@ impl Network {
         });
         let (bw, base_rtt) = {
             let host = self.host_mut(spec.src);
-            (host.uplink().bandwidth, self.params.base_rtt)
+            (host.uplink().bandwidth(), self.params.base_rtt)
         };
         let cc = new_cc(spec.cc, bw, base_rtt);
         let rcfg = self.params.recovery.unwrap_or_else(|| RecoveryConfig::for_rtt(base_rtt));
@@ -1446,7 +1503,7 @@ impl Network {
                 seq,
                 payload: seg,
                 ecn: false,
-                hops: HopList::new(),
+                int: f.cc.kind().reads_int(),
             };
             let class = f.class;
             if !is_repair {
@@ -1506,7 +1563,7 @@ impl Network {
                     NetEvent::RtoTimer { host: node.0 as u32, flow: flow_id.0 as u32, gen },
                 );
             }
-            let frame = self.pool.get(|| Frame::data(df, class));
+            let frame = self.pooled(seg, class, FrameKind::Data(df));
             self.host_mut(node).uplink_mut().enqueue(QueuedFrame { frame, ingress: None });
             self.arm_cc_timer(node, flow_id, sched);
         }
@@ -2431,6 +2488,79 @@ mod tests {
         }
         b.link(switches[depth - 1], h1, Bandwidth::from_gbps(100), Delta::from_us(2));
         b
+    }
+
+    /// A network under watch: records, before the network handles it, the
+    /// INT request and hops of every data frame and the hops of every ACK
+    /// that reach a host.
+    struct FrameSpy {
+        net: Network,
+        data: Vec<(bool, dsh_transport::HopList)>,
+        acks: Vec<dsh_transport::HopList>,
+    }
+
+    impl Model for FrameSpy {
+        type Event = NetEvent;
+
+        fn handle(&mut self, event: NetEvent, sched: &mut Scheduler<'_, NetEvent>) {
+            if let NetEvent::Arrive { node, frame, .. } = &event {
+                if matches!(self.net.nodes[*node as usize], Node::Host(_)) {
+                    match frame.kind {
+                        FrameKind::Data(d) => self.data.push((d.int, frame.hops)),
+                        FrameKind::Ack(_) => self.acks.push(frame.hops),
+                        _ => {}
+                    }
+                }
+            }
+            self.net.handle(event, sched);
+        }
+    }
+
+    /// One 30 kB flow of `cc` across a chain of `depth` switches, watched.
+    fn spy_on_chain(cc: CcKind, depth: usize) -> FrameSpy {
+        let mut net = switch_chain(depth).build();
+        net.add_flow(FlowSpec {
+            src: NodeId(0),
+            dst: NodeId(1),
+            size: 30_000,
+            class: 0,
+            start: Time::ZERO,
+            cc,
+        });
+        net.prepare();
+        let tick = net.params.sample_interval;
+        let mut sim = Simulation::new(FrameSpy { net, data: Vec::new(), acks: Vec::new() });
+        sim.schedule(Time::ZERO, NetEvent::FlowStart { flow: 0 });
+        sim.schedule(Time::ZERO + tick, NetEvent::Sample);
+        sim.run_until(Time::from_ms(1));
+        let spy = sim.into_model();
+        assert_eq!(spy.net.fct_records().len(), 1, "{cc} flow completes");
+        assert!(!spy.data.is_empty());
+        spy
+    }
+
+    #[test]
+    fn frames_of_transports_that_ignore_int_carry_no_hops() {
+        for cc in [CcKind::Dcqcn, CcKind::Uncontrolled] {
+            let spy = spy_on_chain(cc, 3);
+            assert!(spy.data.iter().all(|(int, hops)| !int && hops.is_empty()), "{cc} data");
+            assert!(spy.acks.iter().all(|hops| hops.is_empty()), "{cc} ACKs");
+        }
+    }
+
+    #[test]
+    fn powertcp_acks_echo_every_hop_in_path_order() {
+        // Five switches: the chain of the engine bench's PowerTCP probe.
+        let spy = spy_on_chain(CcKind::PowerTcp, 5);
+        for (int, hops) in &spy.data {
+            assert!(int, "PowerTCP data requests INT");
+            assert_eq!(hops.len(), 5, "one stamp per switch egress");
+            assert!(hops.windows(2).all(|w| w[0].timestamp < w[1].timestamp), "path order");
+        }
+        // One path, FIFO queues: the k-th ACK answers the k-th data frame
+        // and echoes exactly its hops.
+        let data_hops: Vec<_> = spy.data.iter().map(|(_, hops)| *hops).collect();
+        assert_eq!(spy.acks, data_hops);
     }
 
     #[test]

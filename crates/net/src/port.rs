@@ -97,10 +97,13 @@ pub struct EgressPort {
     pub peer: NodeId,
     /// Port index on the peer that receives our frames.
     pub peer_port: usize,
-    /// Link bandwidth.
-    pub bandwidth: Bandwidth,
+    /// Link bandwidth (fixed at build: `ps_per_byte` is derived from it).
+    bandwidth: Bandwidth,
     /// Link propagation delay.
     pub prop_delay: Delta,
+    /// [`Bandwidth::exact_ps_per_byte`] of the link, 0 when there is none:
+    /// [`EgressPort::tx_delay`] multiplies by it instead of dividing.
+    ps_per_byte: u64,
 
     queues: [VecDeque<QueuedFrame>; NUM_CLASSES],
     /// Link-local PFC frames: a dedicated lane served ahead of everything,
@@ -162,6 +165,7 @@ impl EgressPort {
             peer_port,
             bandwidth,
             prop_delay,
+            ps_per_byte: bandwidth.exact_ps_per_byte().unwrap_or(0),
             // The per-class tables live inline (ports are built by the
             // hundred per experiment; five heap round-trips per port was
             // measurable in the end-to-end benches). The ring buffers
@@ -217,6 +221,45 @@ impl EgressPort {
     #[must_use]
     pub fn tx_frames(&self) -> u64 {
         self.tx_frames
+    }
+
+    /// Link bandwidth.
+    #[must_use]
+    pub fn bandwidth(&self) -> Bandwidth {
+        self.bandwidth
+    }
+
+    /// Serialization time of a `bytes`-byte frame on this link: exactly
+    /// [`Bandwidth::tx_delay`], without its division at the rates where one
+    /// byte takes a whole number of picoseconds.
+    #[must_use]
+    #[inline]
+    pub fn tx_delay(&self, bytes: u64) -> Delta {
+        match bytes.checked_mul(self.ps_per_byte) {
+            Some(ps) if self.ps_per_byte != 0 => Delta::from_ps(ps),
+            _ => self.bandwidth.tx_delay(bytes),
+        }
+    }
+
+    /// Whether a frame of `class` offered at calendar place `(now, seq)`
+    /// would be the next one on the wire: the serializer is idle, no frame
+    /// waits in any lane, the link is up and the class may send. On such a
+    /// port [`EgressPort::enqueue`] followed by [`EgressPort::pick`] hands
+    /// the frame straight back and leaves the queues, the byte counts, the
+    /// DWRR list and its deficits as they were, so the caller may transmit
+    /// the frame without queueing it.
+    #[must_use]
+    #[inline]
+    pub fn idle_for(&self, class: u8, now: Time, seq: u64) -> bool {
+        let idle = !self.is_busy(now, seq)
+            && !self.has_waiting()
+            && self.link_up
+            && self.class_sendable(class);
+        // Only queued data can mark a port blocked, and every path that
+        // empties the queues clears the mark: skipping `pick` skips no
+        // deadlock-clock update.
+        debug_assert!(!idle || self.blocked_since.is_none(), "empty port marked blocked");
+        idle
     }
 
     /// Whether the serializer is mid-frame for the event at calendar place
@@ -579,7 +622,7 @@ mod tests {
                     seq: 0,
                     payload: bytes,
                     ecn: false,
-                    hops: dsh_transport::HopList::new(),
+                    int: false,
                 },
                 class,
             )),
@@ -598,7 +641,6 @@ mod tests {
                 dst: NodeId(0),
                 acked: 1500,
                 ecn_echo: false,
-                hops: dsh_transport::HopList::new(),
             })),
             ingress: None,
         }
@@ -817,6 +859,82 @@ mod tests {
         assert!(p.is_link_up());
         let qf = p.pick(Time::from_us(12)).expect("restored port transmits");
         assert_eq!(qf.frame.class, 1);
+    }
+
+    /// Every piece of scheduler state `enqueue` and `pick` touch.
+    fn scheduler_state(
+        p: &EgressPort,
+    ) -> (bool, [u64; NUM_CLASSES], [u64; NUM_CLASSES], usize, u64) {
+        (p.has_waiting(), p.deficit, p.qbytes, p.active.len(), p.total_queued_bytes())
+    }
+
+    #[test]
+    fn direct_path_is_enqueue_then_pick_on_an_idle_port() {
+        let mut p = port();
+        // Leave DWRR history behind: a mixed backlog served to empty.
+        for c in [0, 3, 0, 5] {
+            p.enqueue(data_frame(c, 700));
+        }
+        p.enqueue(ack_frame());
+        while p.pick(Time::ZERO).is_some() {}
+        let idle = scheduler_state(&p);
+        assert_eq!(idle, (false, [0; NUM_CLASSES], [0; NUM_CLASSES], 0, 0));
+        for qf in [data_frame(0, 1500), data_frame(3, 64), ack_frame()] {
+            assert!(p.idle_for(qf.frame.class, Time::ZERO, 1));
+            let sent: *const Frame = &*qf.frame;
+            p.enqueue(qf);
+            let got = p.pick(Time::ZERO).expect("the offered frame");
+            assert!(std::ptr::eq(&*got.frame, sent), "pick returns the offered frame");
+            assert_eq!(scheduler_state(&p), idle, "state as the direct path leaves it");
+            assert!(p.blocked_since().is_none());
+        }
+    }
+
+    #[test]
+    fn direct_path_needs_an_idle_port() {
+        let mut h = hists();
+        let idle = |p: &EgressPort, class: u8| p.idle_for(class, Time::ZERO, 1);
+        assert!(idle(&port(), 0) && idle(&port(), CONTROL_CLASS));
+
+        let mut p = port();
+        p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(0), true));
+        assert!(!idle(&p, 0) && !idle(&p, CONTROL_CLASS), "a queued PFC frame goes first");
+
+        let mut p = port();
+        p.enqueue(ack_frame());
+        assert!(!idle(&p, 0) && !idle(&p, CONTROL_CLASS), "a queued control frame goes first");
+
+        let mut p = port();
+        p.apply_class_pause(2, true, Time::ZERO, &mut h);
+        assert!(!idle(&p, 2), "a paused class may not send");
+        assert!(idle(&p, 0) && idle(&p, CONTROL_CLASS), "other classes may");
+
+        let mut p = port();
+        p.apply_port_pause(true, Time::ZERO, &mut h);
+        assert!(!idle(&p, 0) && !idle(&p, 6), "a port-level pause stops every data class");
+        assert!(idle(&p, CONTROL_CLASS), "control is pause-exempt");
+
+        let mut p = port();
+        p.fail(Time::ZERO, &mut Vec::new(), &mut h);
+        assert!(!idle(&p, 0) && !idle(&p, CONTROL_CLASS), "a dead link sends nothing");
+
+        let mut p = port();
+        p.start_tx(Time::from_ns(120), 7);
+        assert!(!p.idle_for(0, Time::ZERO, 8), "the serializer is busy");
+        assert!(p.idle_for(0, Time::from_ns(120), 7), "idle from the frame end's place on");
+    }
+
+    #[test]
+    fn cached_tx_delay_matches_the_division() {
+        for bps in
+            [100_000_000_000, 25_000_000_000, 40_000_000_000, 400_000_000_000, 3, 1_000_000_007]
+        {
+            let bw = Bandwidth::from_bps(bps);
+            let p = EgressPort::new(0, NodeId(1), 0, bw, Delta::from_us(1));
+            for bytes in [0, 1, 64, 1500, 9000, 2_000_000] {
+                assert_eq!(p.tx_delay(bytes), bw.tx_delay(bytes), "{bytes} B at {bps} b/s");
+            }
+        }
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! packet objects; allocating and freeing each one dominates the per-event
 //! cost once the calendar itself is cheap (ns-3 solves this the same way
 //! with its pooled `Packet` buffers). [`Pool`] keeps returned boxes on a
-//! free list and hands them back overwritten-in-place, so a steady-state
+//! free list and hands them back refilled in place, so a steady-state
 //! simulation performs zero heap allocations per packet.
 
 /// A bounded recycling pool of `Box<T>`.
 ///
-/// [`Pool::get`] pops a recycled box (overwriting its contents) or
+/// [`Pool::get_in_place`] pops a recycled box (refilling its contents) or
 /// allocates when the free list is empty; [`Pool::put`] returns a box to
 /// the free list, dropping it instead once `capacity` boxes are already
 /// retained — so a burst cannot pin memory forever.
@@ -30,15 +30,22 @@ impl<T> Pool<T> {
         Pool { free: Vec::with_capacity(capacity), capacity }
     }
 
-    /// Takes a box from the pool, initialized to `init()`.
+    /// Takes a box from the pool: a recycled box is refilled in place by
+    /// `refill`, and a fresh one is allocated holding `init()` only when
+    /// the free list is empty, so warm steady state never touches the
+    /// allocator.
     ///
-    /// Recycles a free box (a plain in-place overwrite) when one is
-    /// available and heap-allocates otherwise, so warm steady state never
-    /// touches the allocator.
-    pub fn get(&mut self, init: impl FnOnce() -> T) -> Box<T> {
+    /// For a large `T`, `refill` can rewrite just the fields that carry
+    /// meaning instead of overwriting the whole value; it must leave the
+    /// box observably equal to `init()`.
+    pub fn get_in_place(
+        &mut self,
+        init: impl FnOnce() -> T,
+        refill: impl FnOnce(&mut T),
+    ) -> Box<T> {
         match self.free.pop() {
             Some(mut b) => {
-                *b = init();
+                refill(&mut b);
                 b
             }
             None => Box::new(init()),
@@ -92,22 +99,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pool_recycles_boxes() {
-        let mut p: Pool<u64> = Pool::bounded(4);
-        let a = p.get(|| 1);
-        assert_eq!(*a, 1);
-        p.put(a);
-        assert_eq!(p.free_len(), 1);
-        let b = p.get(|| 2);
-        assert_eq!(*b, 2, "recycled box must be re-initialized");
+    fn pool_refills_recycled_boxes_in_place() {
+        let mut p: Pool<[u64; 4]> = Pool::bounded(4);
+        let fresh = p.get_in_place(|| [1, 0, 0, 0], |_| unreachable!("nothing to recycle"));
+        assert_eq!(*fresh, [1, 0, 0, 0]);
+        let mut used = fresh;
+        used[3] = 9;
+        p.put(used);
+        // The refill sees the recycled contents and rewrites what it must.
+        let b = p.get_in_place(|| unreachable!("a box is free"), |a| a[0] = 2);
+        assert_eq!(*b, [2, 0, 0, 9]);
         assert_eq!(p.free_len(), 0);
         p.put(b);
+        assert_eq!(p.free_len(), 1);
     }
 
     #[test]
     fn pool_is_bounded() {
         let mut p: Pool<u64> = Pool::bounded(2);
-        let boxes: Vec<_> = (0..5).map(|i| p.get(move || i)).collect();
+        let boxes: Vec<_> = (0..5).map(|i| p.get_in_place(move || i, |b| *b = i)).collect();
         for b in boxes {
             p.put(b);
         }

@@ -22,6 +22,10 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Bandwidth(u64);
 
+/// Bits per byte times picoseconds per second: the numerator of every
+/// serialization time.
+const PS_BITS_PER_BYTE: u64 = 8 * 1_000_000_000_000;
+
 impl Bandwidth {
     /// Creates a bandwidth from raw bits per second.
     #[must_use]
@@ -71,10 +75,21 @@ impl Bandwidth {
         assert!(self.0 > 0, "cannot transmit on a zero-bandwidth link");
         // ps = bytes * 8 bits * 1e12 / bps: in u64 whenever the numerator
         // fits (every frame up to ~2.3 MB), in u128 for larger transfers.
-        const PS_BITS_PER_BYTE: u64 = 8 * 1_000_000_000_000;
         match bytes.checked_mul(PS_BITS_PER_BYTE) {
             Some(num) => Delta::from_ps(num.div_ceil(self.0)),
             None => Self::tx_delay_wide(bytes, self.0),
+        }
+    }
+
+    /// The serialization time of one byte in picoseconds, when that is a
+    /// whole number (8·10¹² is a multiple of the rate: 80 ps at 100 Gb/s,
+    /// 320 ps at 25 Gb/s). `tx_delay(n)` is then exactly `n` times it.
+    #[must_use]
+    pub const fn exact_ps_per_byte(self) -> Option<u64> {
+        if self.0 != 0 && PS_BITS_PER_BYTE.is_multiple_of(self.0) {
+            Some(PS_BITS_PER_BYTE / self.0)
+        } else {
+            None
         }
     }
 
@@ -223,6 +238,20 @@ mod tests {
                 if let Ok(ps) = u64::try_from(exact) {
                     assert_eq!(c.tx_delay(bytes).as_ps(), ps, "{bytes} B at {bps} bps");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_ps_per_byte_only_for_whole_picoseconds() {
+        assert_eq!(Bandwidth::from_gbps(100).exact_ps_per_byte(), Some(80));
+        assert_eq!(Bandwidth::from_gbps(25).exact_ps_per_byte(), Some(320));
+        assert_eq!(Bandwidth::from_bps(3).exact_ps_per_byte(), None);
+        assert_eq!(Bandwidth::from_bps(0).exact_ps_per_byte(), None);
+        for bps in [40_000_000_000, 400_000_000_000, 1_000_000_007] {
+            let c = Bandwidth::from_bps(bps);
+            if let Some(ps) = c.exact_ps_per_byte() {
+                assert_eq!(c.tx_delay(1500).as_ps(), 1500 * ps);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! The congestion-control abstraction shared by all transports.
 
 use crate::telemetry::TelemetryHop;
+use crate::{Dcqcn, PowerTcp};
 use dsh_simcore::{Bandwidth, Time};
 use std::fmt;
 
@@ -14,6 +15,16 @@ pub enum CcKind {
     Dcqcn,
     /// PowerTCP (NSDI 2022).
     PowerTcp,
+}
+
+impl CcKind {
+    /// Whether the transport reads in-band telemetry. A sender asks the
+    /// switches on its path to stamp INT hops exactly when this holds, so
+    /// the frames of every other transport cross the fabric unstamped.
+    #[must_use]
+    pub fn reads_int(self) -> bool {
+        matches!(self, CcKind::PowerTcp)
+    }
 }
 
 impl fmt::Display for CcKind {
@@ -115,6 +126,86 @@ impl Cc for Uncontrolled {
     fn on_timer(&mut self, _now: Time) {}
 }
 
+/// One flow's transport, whichever [`CcKind`] it is.
+///
+/// Held inline in the NIC's per-flow state, so every per-packet call is a
+/// static `match` instead of a virtual call through a per-flow box. Each
+/// variant implements [`Cc`]; this enum forwards to it.
+#[derive(Clone, Debug)]
+pub enum AnyCc {
+    /// Line-rate sender.
+    Uncontrolled(Uncontrolled),
+    /// DCQCN.
+    Dcqcn(Dcqcn),
+    /// PowerTCP.
+    PowerTcp(PowerTcp),
+}
+
+impl AnyCc {
+    /// The transport's kind.
+    #[must_use]
+    pub fn kind(&self) -> CcKind {
+        match self {
+            AnyCc::Uncontrolled(_) => CcKind::Uncontrolled,
+            AnyCc::Dcqcn(_) => CcKind::Dcqcn,
+            AnyCc::PowerTcp(_) => CcKind::PowerTcp,
+        }
+    }
+}
+
+/// Forwards one [`Cc`] method to the variant.
+macro_rules! dispatch {
+    ($self:ident, $cc:ident => $call:expr) => {
+        match $self {
+            AnyCc::Uncontrolled($cc) => $call,
+            AnyCc::Dcqcn($cc) => $call,
+            AnyCc::PowerTcp($cc) => $call,
+        }
+    };
+}
+
+impl Cc for AnyCc {
+    #[inline]
+    fn on_ack(&mut self, now: Time, info: &AckInfo<'_>) {
+        dispatch!(self, cc => cc.on_ack(now, info));
+    }
+
+    #[inline]
+    fn on_cnp(&mut self, now: Time) {
+        dispatch!(self, cc => cc.on_cnp(now));
+    }
+
+    #[inline]
+    fn on_loss(&mut self, now: Time) {
+        dispatch!(self, cc => cc.on_loss(now));
+    }
+
+    #[inline]
+    fn on_sent(&mut self, now: Time, bytes: u64) {
+        dispatch!(self, cc => cc.on_sent(now, bytes));
+    }
+
+    #[inline]
+    fn rate(&self) -> Bandwidth {
+        dispatch!(self, cc => cc.rate())
+    }
+
+    #[inline]
+    fn cwnd_bytes(&self) -> u64 {
+        dispatch!(self, cc => cc.cwnd_bytes())
+    }
+
+    #[inline]
+    fn next_timer(&self) -> Option<Time> {
+        dispatch!(self, cc => cc.next_timer())
+    }
+
+    #[inline]
+    fn on_timer(&mut self, now: Time) {
+        dispatch!(self, cc => cc.on_timer(now));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +218,24 @@ mod tests {
         assert_eq!(cc.rate(), Bandwidth::from_gbps(100));
         assert_eq!(cc.cwnd_bytes(), u64::MAX);
         assert_eq!(cc.next_timer(), None);
+    }
+
+    #[test]
+    fn any_cc_forwards_to_its_transport() {
+        use crate::new_cc;
+        use dsh_simcore::Delta;
+        let link = Bandwidth::from_gbps(100);
+        for kind in [CcKind::Uncontrolled, CcKind::Dcqcn, CcKind::PowerTcp] {
+            let mut cc = new_cc(kind, link, Delta::from_us(8));
+            assert_eq!(cc.kind(), kind);
+            assert_eq!(cc.rate(), link, "{kind} starts at line rate");
+            cc.on_cnp(Time::from_us(1));
+            let cut = cc.rate() < link;
+            assert_eq!(cut, kind == CcKind::Dcqcn, "only DCQCN reacts to a CNP");
+        }
+        assert!(CcKind::PowerTcp.reads_int());
+        assert!(!CcKind::Dcqcn.reads_int());
+        assert!(!CcKind::Uncontrolled.reads_int());
     }
 
     #[test]

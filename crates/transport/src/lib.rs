@@ -12,10 +12,11 @@
 //!   bursts are uncontrollable by any end-to-end scheme within the first
 //!   RTT, which is the paper's §III point).
 //!
-//! All transports implement the object-safe [`Cc`] trait, consumed by the
-//! NIC model in `dsh-net`. A transport never touches the simulator
-//! directly: the NIC forwards ACK/CNP/timer events and queries the
-//! current pacing [`rate`](Cc::rate) and [`cwnd`](Cc::cwnd_bytes).
+//! All transports implement the [`Cc`] trait; the NIC model in `dsh-net`
+//! holds each flow's transport inline as an [`AnyCc`], which forwards to
+//! the variant with a static `match`. A transport never touches the
+//! simulator directly: the NIC forwards ACK/CNP/timer events and queries
+//! the current pacing [`rate`](Cc::rate) and [`cwnd`](Cc::cwnd_bytes).
 //!
 //! # Example
 //!
@@ -39,7 +40,7 @@ mod receiver;
 mod recovery;
 mod telemetry;
 
-pub use cc::{AckInfo, Cc, CcKind, Uncontrolled};
+pub use cc::{AckInfo, AnyCc, Cc, CcKind, Uncontrolled};
 pub use dcqcn::{Dcqcn, DcqcnConfig};
 pub use powertcp::{PowerTcp, PowerTcpConfig};
 pub use receiver::{CnpPolicy, SackBuffer};
@@ -51,10 +52,12 @@ use dsh_simcore::{Bandwidth, Delta};
 /// Constructs a transport instance of the given kind for a sender attached
 /// to a `link` with the given base round-trip time.
 #[must_use]
-pub fn new_cc(kind: CcKind, link: Bandwidth, base_rtt: Delta) -> Box<dyn Cc> {
+pub fn new_cc(kind: CcKind, link: Bandwidth, base_rtt: Delta) -> AnyCc {
     match kind {
-        CcKind::Uncontrolled => Box::new(Uncontrolled::new(link)),
-        CcKind::Dcqcn => Box::new(Dcqcn::new(DcqcnConfig::for_link(link))),
-        CcKind::PowerTcp => Box::new(PowerTcp::new(PowerTcpConfig::for_link(link, base_rtt))),
+        CcKind::Uncontrolled => AnyCc::Uncontrolled(Uncontrolled::new(link)),
+        CcKind::Dcqcn => AnyCc::Dcqcn(Dcqcn::new(DcqcnConfig::for_link(link))),
+        CcKind::PowerTcp => {
+            AnyCc::PowerTcp(PowerTcp::new(PowerTcpConfig::for_link(link, base_rtt)))
+        }
     }
 }

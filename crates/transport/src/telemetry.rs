@@ -57,22 +57,26 @@ const ZERO_HOP: TelemetryHop = TelemetryHop {
 
 /// A fixed-capacity, inline list of [`TelemetryHop`]s.
 ///
-/// Replaces the old `Vec<TelemetryHop>` inside data/ACK frames: the storage
-/// lives inline in the frame (no per-packet heap allocation, and echoing
-/// the hops into an ACK is a plain `memcpy`). Push order is preserved and
-/// unused slots are zeroed, so equality and hashing only consider the live
-/// prefix.
+/// Replaces the old `Vec<TelemetryHop>` inside frames: the storage lives
+/// inline in the frame (no per-packet heap allocation, and a data frame
+/// turned into its ACK in place echoes the hops without a copy). Push
+/// order is preserved. Slots past the live prefix may hold stale stamps
+/// ([`HopList::clear`] only resets the length), so equality, iteration and
+/// `Debug` only ever look at the live prefix.
 #[derive(Clone, Copy)]
+#[repr(C)]
 pub struct HopList {
-    hops: [TelemetryHop; HOP_CAPACITY],
+    /// First, so it shares a cache line with the header of the frame
+    /// that holds the list.
     len: u8,
+    hops: [TelemetryHop; HOP_CAPACITY],
 }
 
 impl HopList {
     /// An empty list.
     #[must_use]
     pub const fn new() -> Self {
-        HopList { hops: [ZERO_HOP; HOP_CAPACITY], len: 0 }
+        HopList { len: 0, hops: [ZERO_HOP; HOP_CAPACITY] }
     }
 
     /// Appends a hop record.
@@ -114,10 +118,10 @@ impl HopList {
         self.as_slice().iter()
     }
 
-    /// Removes all hops (slots are re-zeroed so equality stays prefix-only
-    /// by construction).
+    /// Removes all hops. Only the length is reset: the slots keep their
+    /// stale stamps, which nothing reads past the live prefix, so a
+    /// recycled frame is emptied without rewriting its 256 bytes of slots.
     pub fn clear(&mut self) {
-        self.hops = [ZERO_HOP; HOP_CAPACITY];
         self.len = 0;
     }
 

@@ -6,7 +6,9 @@
 //! (the topology-diameter contract), the list must observe exactly like
 //! the Vec did — same order, same length, same slice, same iteration —
 //! and a push past capacity must panic rather than silently drop
-//! telemetry.
+//! telemetry. [`HopList::clear`] only resets the length, so a list
+//! refilled after a clear sits on top of stale stamps: no observer may
+//! ever see them.
 
 use dsh_simcore::{Bandwidth, Time};
 use dsh_transport::{HopList, TelemetryHop, HOP_CAPACITY};
@@ -57,6 +59,31 @@ proptest! {
         }
         // Round-tripping the final state through a slice is lossless.
         prop_assert_eq!(HopList::from_slice(&model), list);
+    }
+
+    #[test]
+    fn stale_slots_after_clear_are_never_observed(
+        ops in proptest::collection::vec((0u64..3, 1u64..1000), 1..96),
+    ) {
+        let mut list = HopList::new();
+        let mut model: Vec<TelemetryHop> = Vec::new();
+        for &(op, tag) in &ops {
+            // A third of the ops clear, so most pushes land on a slot a
+            // longer list stamped before the clear.
+            step(if op == 0 { 0 } else { tag }, &mut list, &mut model);
+            prop_assert_eq!(list.len(), model.len());
+            prop_assert_eq!(list.is_empty(), model.is_empty());
+            prop_assert_eq!(list.as_slice(), model.as_slice());
+            prop_assert!(list.iter().eq(model.iter()));
+            prop_assert!((&list).into_iter().eq(model.iter()));
+            let via_deref: &[TelemetryHop] = &list;
+            prop_assert_eq!(via_deref, model.as_slice());
+            // Equality against a list whose unused slots are all zero.
+            prop_assert_eq!(list, HopList::from_slice(&model));
+            prop_assert_eq!(format!("{list:?}"), format!("{model:?}"));
+            let copied = list;
+            prop_assert_eq!(copied.as_slice(), model.as_slice());
+        }
     }
 
     #[test]
