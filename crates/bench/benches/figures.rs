@@ -66,7 +66,6 @@ fn bench_fig12(c: &mut Criterion) {
     cfg.fan_in = 6;
     cfg.horizon = Delta::from_us(800);
     cfg.duration = Delta::from_ms(1);
-    cfg.detect_threshold = Delta::from_us(400);
     for scheme in [Scheme::Sih, Scheme::Dsh] {
         g.bench_function(format!("{scheme}"), |b| {
             b.iter(|| fig12::run_once(scheme, CcKind::Dcqcn, &cfg, 1).onset.is_some());

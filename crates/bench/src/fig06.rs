@@ -82,9 +82,10 @@ pub fn run(
         });
     }
 
+    // The report is taken at the end of the run, not at the last event.
+    let end = Time::ZERO + horizon + Delta::from_ms(2);
     let mut sim = net.into_sim();
-    sim.run_until(Time::ZERO + horizon + Delta::from_ms(2));
-    let end = sim.now();
+    sim.run_until(end);
     let mut net = sim.into_model();
     let telemetry = net.telemetry_report(end).to_json();
 

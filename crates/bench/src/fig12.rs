@@ -1,27 +1,37 @@
 //! Fig. 12: deadlock onset-time CDF in a leaf–spine fabric with two link
 //! failures (S0–L3, S1–L0) that create the cyclic buffer dependency
 //! S0→L1→S1→L2→S0 under the four rack-to-rack fan-in patterns.
+//!
+//! A run is deadlocked when a who-paused-whom cycle is still open at its
+//! end (DESIGN.md §5). Its onset is the instant the cycle closed.
 
 use dsh_core::Scheme;
+use dsh_net::observe::{ObserveConfig, PauseCycle};
 use dsh_net::topology::{leaf_spine, LeafSpineShape};
 use dsh_net::{EcnConfig, FlowSpec, NetParams};
 use dsh_simcore::{Delta, Executor, SimRng, Time};
 use dsh_transport::CcKind;
 use dsh_workloads::{fan_in_bursts, FlowSizeDist, PatternConfig, Workload};
 
+/// PFC watchdog timeout of the watchdog extension at the default scale.
+pub const WATCHDOG_TIMEOUT: Delta = Delta::from_ms(2);
+
+/// PFC watchdog timeout of the watchdog extension at paper scale.
+pub const WATCHDOG_TIMEOUT_FULL: Delta = Delta::from_ms(5);
+
 /// One run's outcome.
 #[derive(Clone, Debug)]
 pub struct DeadlockRun {
     /// Seed used.
     pub seed: u64,
-    /// Deadlock onset, if one occurred.
+    /// Deadlock onset, if one occurred: the earliest closing instant of
+    /// [`DeadlockRun::cycles`].
     pub onset: Option<Time>,
     /// Frames dropped by the PFC watchdog (0 when not armed).
     pub watchdog_drops: u64,
-    /// One line per egress port still wedged at run end, naming the
-    /// switch, port, pause state and queued bytes — the deadlock
+    /// The pause cycles that wedge the fabric at run end — the deadlock
     /// diagnostic a failing test should print.
-    pub blocked: Vec<String>,
+    pub cycles: Vec<PauseCycle>,
 }
 
 /// Parameters of the Fig. 12 experiment.
@@ -35,8 +45,6 @@ pub struct Fig12Config {
     pub horizon: Delta,
     /// Simulation length (paper: 100 ms).
     pub duration: Delta,
-    /// Continuous-blockage threshold for declaring deadlock.
-    pub detect_threshold: Delta,
     /// Jitter window for fan-in group members (the paper's flows arrive
     /// by a Poisson process, not in lockstep).
     pub arrival_jitter: Delta,
@@ -50,7 +58,7 @@ pub struct Fig12Config {
 }
 
 impl Fig12Config {
-    /// Scaled-down defaults (12-way fan-in, 12 ms of traffic, 15 ms run).
+    /// Scaled-down defaults (8-way fan-in, 12 ms of traffic, 15 ms run).
     #[must_use]
     pub fn small() -> Self {
         Fig12Config {
@@ -58,14 +66,13 @@ impl Fig12Config {
             load: 0.5,
             horizon: Delta::from_ms(12),
             duration: Delta::from_ms(15),
-            detect_threshold: Delta::from_ms(2),
             arrival_jitter: Delta::from_us(100),
             fail_links: true,
             watchdog: None,
         }
     }
 
-    /// Paper-scale (100 ms, 5 ms threshold).
+    /// Paper-scale (15-way fan-in, 90 ms of traffic, 100 ms run).
     #[must_use]
     pub fn full() -> Self {
         Fig12Config {
@@ -73,7 +80,6 @@ impl Fig12Config {
             load: 0.5,
             horizon: Delta::from_ms(90),
             duration: Delta::from_ms(100),
-            detect_threshold: Delta::from_ms(5),
             arrival_jitter: Delta::from_us(100),
             fail_links: true,
             watchdog: None,
@@ -81,13 +87,20 @@ impl Fig12Config {
     }
 }
 
-/// Runs the Fig. 12 scenario once.
+/// Runs the Fig. 12 scenario once, with the pause-causality observatory
+/// armed, and reads the pause cycles still open at the end.
+///
+/// With the watchdog armed, a cycle that closed less than one watchdog
+/// timeout plus one sampling tick before the end has not yet had its turn
+/// at the watchdog, so it does not count: a working watchdog leaves no
+/// deadlock.
 #[must_use]
 pub fn run_once(scheme: Scheme, cc: CcKind, cfg: &Fig12Config, seed: u64) -> DeadlockRun {
     let mut params = NetParams::tomahawk(scheme);
     params.seed = seed;
-    params.deadlock_threshold = cfg.detect_threshold;
     params.pfc_watchdog = cfg.watchdog;
+    params.observe = Some(ObserveConfig);
+    let grace = cfg.watchdog.map_or(Delta::ZERO, |wd| wd + params.sample_interval);
     params.ecn =
         if cc == CcKind::Uncontrolled { EcnConfig::disabled() } else { EcnConfig::for_100g() };
 
@@ -129,24 +142,21 @@ pub fn run_once(scheme: Scheme, cc: CcKind, cfg: &Fig12Config, seed: u64) -> Dea
         }
     }
 
+    let end = Time::ZERO + cfg.duration;
     let mut sim = net.into_sim();
-    sim.run_until(Time::ZERO + cfg.duration);
+    sim.run_until(end);
     let net = sim.into_model();
-    let blocked = net
-        .blocked_ports()
-        .map(|b| {
-            format!(
-                "switch {} port {}: blocked since {} (port_paused={}, paused_classes={:?}, \
-                 {} B queued)",
-                b.node, b.port, b.since, b.port_paused, b.paused_classes, b.queued_bytes
-            )
-        })
+    let cycles: Vec<PauseCycle> = net
+        .open_pause_cycles()
+        .expect("observatory armed")
+        .into_iter()
+        .filter(|c| end.saturating_since(c.onset) >= grace)
         .collect();
     DeadlockRun {
         seed,
-        onset: net.deadlock_report().onset,
+        onset: cycles.iter().map(|c| c.onset).min(),
         watchdog_drops: net.watchdog_drops(),
-        blocked,
+        cycles,
     }
 }
 

@@ -49,11 +49,9 @@ pub struct NetParams {
     /// Base RTT used to size PowerTCP windows.
     pub base_rtt: Delta,
     /// Interval of the one periodic measurement tick: goodput monitors,
-    /// the PFC watchdog, the deadlock scan and (with
-    /// [`NetParams::observe`]) the metrics sampler. Must be positive.
+    /// the PFC watchdog and (with [`NetParams::observe`]) the metrics
+    /// sampler. Must be positive.
     pub sample_interval: Delta,
-    /// A port continuously blocked this long is declared deadlocked.
-    pub deadlock_threshold: Delta,
     /// PFC watchdog: if `Some(d)`, a class paused continuously for `d`
     /// is forcibly resumed and its queued frames are dropped (the
     /// industry's deadlock-mitigation feature; breaks losslessness by
@@ -92,7 +90,6 @@ impl NetParams {
             ecn: EcnConfig::for_100g(),
             base_rtt: Delta::from_us(16),
             sample_interval: Delta::from_us(10),
-            deadlock_threshold: Delta::from_ms(5),
             pfc_watchdog: None,
             recovery: None,
             observe: None,

@@ -76,10 +76,10 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkCorruption};
 pub use frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcFrame, PfcScope};
 pub use ids::{FlowId, NodeId, CONTROL_CLASS, NUM_CLASSES, NUM_DATA_CLASSES};
 pub use monitor::{
-    ClassPauseTelemetry, DeadlockReport, DurationHistogram, FctRecord, PauseLedger,
-    PortPauseTelemetry, SwitchTelemetry, TelemetryReport, ThroughputSample,
+    ClassPauseTelemetry, DurationHistogram, FctRecord, PauseLedger, PortPauseTelemetry,
+    SwitchTelemetry, TelemetryReport, ThroughputSample,
 };
-pub use network::{BlockedPort, ClassMask, FlowSpec, NetEvent, Network};
+pub use network::{FlowSpec, NetEvent, Network};
 pub use observe::{CascadeReport, FlowPauseAttribution, ObserveConfig, PauseEdge};
 pub use port::{EgressPort, IngressTag, QueuedFrame, DWRR_QUANTUM};
 pub use routing::{ecmp_hash, RouteTable};

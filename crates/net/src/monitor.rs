@@ -1,5 +1,5 @@
-//! Measurement plumbing: FCT records, throughput samples, pause ledgers,
-//! deadlock reports and the structured telemetry export.
+//! Measurement plumbing: FCT records, throughput samples, pause ledgers
+//! and the structured telemetry export.
 //!
 //! [`TelemetryReport`] is the network's one-stop observability snapshot:
 //! per-switch MMU audits, drop attribution, per-port PFC pause durations
@@ -468,15 +468,6 @@ impl TelemetryReport {
             None => doc,
         }
     }
-}
-
-/// Result of deadlock detection over a run (Fig. 12).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct DeadlockReport {
-    /// First time at which some egress port had been continuously blocked
-    /// (non-empty, all non-empty data classes paused) beyond the detection
-    /// threshold — the *onset* is the start of that blocked interval.
-    pub onset: Option<Time>,
 }
 
 #[cfg(test)]

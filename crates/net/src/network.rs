@@ -9,10 +9,10 @@ use crate::frame::{
 use crate::host::{HostNode, ReceiverFlow, SenderFlow};
 use crate::ids::{FlowId, NodeId, CONTROL_CLASS, NUM_DATA_CLASSES};
 use crate::monitor::{
-    ClassPauseTelemetry, DeadlockReport, FctRecord, PauseHistograms, PauseLedger,
-    PortPauseTelemetry, SwitchTelemetry, TelemetryReport, ThroughputSample, PORT_SCOPE,
+    ClassPauseTelemetry, FctRecord, PauseHistograms, PauseLedger, PortPauseTelemetry,
+    SwitchTelemetry, TelemetryReport, ThroughputSample, PORT_SCOPE,
 };
-use crate::observe::{GlobalSample, ObserveState, SwitchSample, PORT_SCOPE_CLASS};
+use crate::observe::{GlobalSample, ObserveState, PauseCycle, SwitchSample, PORT_SCOPE_CLASS};
 use crate::port::{EgressPort, IngressTag, QueuedFrame};
 use crate::routing::RouteTable;
 use crate::switch::SwitchNode;
@@ -122,8 +122,9 @@ pub enum NetEvent {
         index: u32,
     },
     /// Periodic measurement tick (every [`NetParams::sample_interval`]):
-    /// the goodput monitors, the PFC watchdog, the deadlock scan and,
-    /// when `NetParams::observe` is set, the metrics sampler.
+    /// the goodput monitors, the PFC watchdog and, when
+    /// `NetParams::observe` is set, the metrics sampler. Scheduled only
+    /// when one of them exists.
     Sample,
 }
 
@@ -207,7 +208,6 @@ pub struct Network {
     /// the benches' allocations-per-packet metric).
     packets_delivered: u64,
     watchdog_drops: u64,
-    deadlock: DeadlockReport,
     /// Installed fault schedule, if any (see [`Network::set_fault_plan`]).
     fault_plan: Option<FaultPlan>,
     /// Per-direction corruption state derived from the plan.
@@ -280,7 +280,6 @@ impl Network {
             data_drops: 0,
             packets_delivered: 0,
             watchdog_drops: 0,
-            deadlock: DeadlockReport::default(),
             fault_plan: None,
             corrupt: Vec::new(),
             link_drops: 0,
@@ -395,7 +394,8 @@ impl Network {
     }
 
     /// Converts the network into a ready-to-run simulation: flow starts
-    /// and the sampling tick are scheduled.
+    /// are scheduled, and the sampling tick when something reads it (a
+    /// flow monitor, the PFC watchdog or the observatory).
     #[must_use]
     pub fn into_sim(mut self) -> Simulation<Network> {
         self.prepare();
@@ -408,7 +408,10 @@ impl Network {
             .as_ref()
             .map(|p| p.events().iter().enumerate().map(|(i, e)| (e.at, i as u32)).collect())
             .unwrap_or_default();
-        let tick = self.params.sample_interval;
+        let tick = (!self.monitors.is_empty()
+            || self.params.pfc_watchdog.is_some()
+            || self.observe.is_some())
+        .then_some(self.params.sample_interval);
         let mut sim = Simulation::new(self);
         for (t, flow) in starts {
             sim.schedule(t, NetEvent::FlowStart { flow: flow.0 as u32 });
@@ -416,7 +419,9 @@ impl Network {
         for (t, index) in faults {
             sim.schedule(t, NetEvent::Fault { index });
         }
-        sim.schedule(Time::ZERO + tick, NetEvent::Sample);
+        if let Some(tick) = tick {
+            sim.schedule(Time::ZERO + tick, NetEvent::Sample);
+        }
         sim
     }
 
@@ -446,12 +451,6 @@ impl Network {
     #[must_use]
     pub fn packets_delivered(&self) -> u64 {
         self.packets_delivered
-    }
-
-    /// Deadlock detection result.
-    #[must_use]
-    pub fn deadlock_report(&self) -> DeadlockReport {
-        self.deadlock
     }
 
     /// Frames dropped by the PFC watchdog (0 unless
@@ -697,6 +696,15 @@ impl Network {
         })
     }
 
+    /// The pause cycles still open — the cyclic buffer dependencies that
+    /// wedge the fabric, each with the instant it closed (see
+    /// [`crate::observe::find_cycles`]); `None` unless the observatory is
+    /// enabled via `NetParams::observe`.
+    #[must_use]
+    pub fn open_pause_cycles(&self) -> Option<Vec<PauseCycle>> {
+        self.observe.as_deref().map(|obs| crate::observe::find_cycles(obs.cascade.edges()))
+    }
+
     /// The observatory's versioned metrics export (`metrics.json`);
     /// `None` unless `NetParams::observe` is set.
     #[must_use]
@@ -734,30 +742,6 @@ impl Network {
             }
             Node::Switch(_) => None,
         }
-    }
-
-    /// Diagnostic: every currently-blocked switch egress port, lazily (no
-    /// intermediate `Vec`s; the paused classes are an inline bitmask).
-    pub fn blocked_ports(&self) -> impl Iterator<Item = BlockedPort> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| match n {
-                Node::Switch(s) => Some((i, s)),
-                Node::Host(_) => None,
-            })
-            .flat_map(|(i, s)| {
-                s.ports.iter().enumerate().filter_map(move |(pi, p)| {
-                    p.blocked_since().map(|b| BlockedPort {
-                        node: NodeId(i),
-                        port: pi,
-                        since: b,
-                        port_paused: p.port_paused(),
-                        paused_classes: ClassMask::paused_of(p),
-                        queued_bytes: p.total_queued_bytes(),
-                    })
-                })
-            })
     }
 
     /// Sum of MMU pause/drop counters over all switches.
@@ -840,7 +824,7 @@ impl Network {
             self.book_wake(node, port, sched);
             return;
         }
-        if let Some(qf) = p.pick(now) {
+        if let Some(qf) = p.pick() {
             self.transmit(node, port, qf, sched);
         }
     }
@@ -2149,8 +2133,8 @@ impl Network {
     }
 
     /// Handles the one periodic [`NetEvent::Sample`] tick. The goodput
-    /// monitors, the PFC watchdog and the deadlock scan run *inside*
-    /// instant `now`, wherever the tick lands in its same-instant batch.
+    /// monitors and the PFC watchdog run *inside* instant `now`, wherever
+    /// the tick lands in its same-instant batch.
     /// The metrics sample labeled `now` is instead instant-closed: the
     /// tick only arms it, and [`Self::capture_metrics`] takes it at the
     /// first event strictly after `now`, so it is always the state after
@@ -2171,36 +2155,6 @@ impl Network {
         if let Some(wd) = self.params.pfc_watchdog {
             self.run_watchdog(now, wd, sched);
         }
-
-        // Deadlock detection: a switch egress port continuously unable to
-        // serve queued data for longer than the threshold. Recomputed on
-        // every sample — transient congestion that eventually resolves
-        // clears the report, so at the end of a run `onset` is set only if
-        // the network is *still* wedged (a true deadlock never unblocks).
-        let thresh = self.params.deadlock_threshold;
-        let mut onset: Option<Time> = None;
-        let mut onset_node = u32::MAX;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Node::Switch(s) = n {
-                for p in &s.ports {
-                    if let Some(b) = p.blocked_since() {
-                        if now.saturating_since(b) >= thresh && onset.is_none_or(|o| b < o) {
-                            onset = Some(b);
-                            onset_node = i as u32;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(b) = onset {
-            if self.deadlock.onset.is_none() {
-                trace_event!(self.tracer, TraceEvent::DeadlockOnset, {
-                    node: onset_node,
-                    payload: b.as_ps(),
-                });
-            }
-        }
-        self.deadlock.onset = onset;
         // Metrics sampler: commit the previous pending sample (captured by
         // `capture_metrics` at the first event after its instant) and arm
         // the one labeled `now`. This tick is itself an event strictly
@@ -2286,64 +2240,6 @@ fn port_of(nodes: &mut [Node], id: NodeId, port: usize) -> &mut EgressPort {
             assert_eq!(port, 0, "hosts have a single uplink");
             h.uplink_mut()
         }
-    }
-}
-
-/// One blocked switch egress port (see [`Network::blocked_ports`]).
-#[derive(Clone, Copy, Debug)]
-pub struct BlockedPort {
-    /// The switch.
-    pub node: NodeId,
-    /// Egress port index.
-    pub port: usize,
-    /// Instant since which the port has continuously been unable to serve
-    /// queued data.
-    pub since: Time,
-    /// Whether a port-level (DSH) pause is asserted.
-    pub port_paused: bool,
-    /// Which data classes are queue-level paused.
-    pub paused_classes: ClassMask,
-    /// Bytes waiting across all its queues.
-    pub queued_bytes: u64,
-}
-
-/// An inline bitmask over the data classes (replaces the former
-/// `Vec<u8>` of paused class indices — no allocation per query).
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClassMask(u8);
-
-impl ClassMask {
-    fn paused_of(p: &EgressPort) -> Self {
-        let mut mask = 0u8;
-        for c in 0..NUM_DATA_CLASSES as u8 {
-            if p.class_paused(c) {
-                mask |= 1 << c;
-            }
-        }
-        ClassMask(mask)
-    }
-
-    /// Whether `class` is in the set.
-    #[must_use]
-    pub fn contains(self, class: u8) -> bool {
-        (class as usize) < NUM_DATA_CLASSES && self.0 & (1 << class) != 0
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The classes in the set, ascending.
-    pub fn iter(self) -> impl Iterator<Item = u8> {
-        (0..NUM_DATA_CLASSES as u8).filter(move |&c| self.0 & (1 << c) != 0)
-    }
-}
-
-impl std::fmt::Debug for ClassMask {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -2528,10 +2424,8 @@ mod tests {
             cc,
         });
         net.prepare();
-        let tick = net.params.sample_interval;
         let mut sim = Simulation::new(FrameSpy { net, data: Vec::new(), acks: Vec::new() });
         sim.schedule(Time::ZERO, NetEvent::FlowStart { flow: 0 });
-        sim.schedule(Time::ZERO + tick, NetEvent::Sample);
         sim.run_until(Time::from_ms(1));
         let spy = sim.into_model();
         assert_eq!(spy.net.fct_records().len(), 1, "{cc} flow completes");

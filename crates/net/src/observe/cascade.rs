@@ -12,7 +12,7 @@
 
 use crate::ids::{FlowId, NodeId};
 use dsh_simcore::{Delta, Json, Time};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Class value recorded for port-scope (POFF/PON) pauses, which are not
 /// tied to any single traffic class.
@@ -216,7 +216,7 @@ pub fn analyze(
     // Cycle detection runs over the *open* edges only: a cycle that has
     // already resolved is ordinary (if unlucky) congestion spreading; a
     // cycle still open at report time is a live buffer dependency loop.
-    let cycles = find_cycles(edges.iter().filter(|e| e.is_open()));
+    let cycles = find_cycles(edges).into_iter().map(|c| c.name).collect();
 
     // Clamp open edges to `now` and sort canonically so the analysis
     // does not depend on the order edges were logged in.
@@ -314,28 +314,64 @@ pub fn analyze(
     }
 }
 
-/// Finds cyclic buffer dependencies among the given edges.  Each edge
-/// contributes an arc `down -> up` (congestion at `down` throttles `up`);
-/// a cycle means every switch on the loop is waiting for buffer the next
-/// one cannot drain — the PFC deadlock shape the watchdog exists to
-/// break.  Findings are canonicalised (rotation starting at the smallest
-/// node id), deduplicated, and reported sorted.
-fn find_cycles<'a>(edges: impl Iterator<Item = &'a PauseEdge>) -> Vec<String> {
-    let mut adj: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for e in edges {
-        adj.entry(e.down.0).or_default().insert(e.up.0);
+/// An open cyclic buffer dependency: every arc of the loop holds at
+/// least one open pause edge (see [`find_cycles`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PauseCycle {
+    /// Named finding, rotated to start at the smallest node id, e.g.
+    /// `"cascade-cycle: n2 -> n3 -> n2"`.
+    pub name: String,
+    /// The instant the cycle closed: each arc is held from the earliest
+    /// start among its open edges, and the cycle from the latest of those.
+    pub onset: Time,
+    /// Whether any open edge on the cycle is a port-scope pause
+    /// ([`PORT_SCOPE_CLASS`]).
+    pub port_scope: bool,
+}
+
+impl std::fmt::Display for PauseCycle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let port = if self.port_scope { "yes" } else { "no" };
+        write!(
+            f,
+            "{} (closed {:.3} ms, port-scope pause: {port})",
+            self.name,
+            self.onset.as_ms_f64()
+        )
     }
-    let mut findings = BTreeSet::new();
+}
+
+/// Finds cyclic buffer dependencies among the *open* edges of `edges`.
+/// Each open edge contributes an arc `down -> up` (congestion at `down`
+/// throttles `up`); a cycle means every switch on the loop is waiting for
+/// buffer the next one cannot drain — the PFC deadlock shape the watchdog
+/// exists to break.  A closed edge breaks its arc, so a cycle that
+/// re-forms dates from its re-forming.  The depth-first search reports
+/// one cycle per back edge it meets: at least one in every strongly
+/// connected group of open arcs, not every elementary cycle.  Findings
+/// are canonicalised, deduplicated, and sorted by name.
+#[must_use]
+pub fn find_cycles(edges: &[PauseEdge]) -> Vec<PauseCycle> {
+    // Per arc: earliest open-edge start, and whether a port-scope pause
+    // holds it.
+    let mut adj: BTreeMap<usize, BTreeMap<usize, (Time, bool)>> = BTreeMap::new();
+    for e in edges.iter().filter(|e| e.is_open()) {
+        let arc = adj.entry(e.down.0).or_default().entry(e.up.0).or_insert((e.start, false));
+        arc.0 = arc.0.min(e.start);
+        arc.1 |= e.class == PORT_SCOPE_CLASS;
+    }
+    let successors = |n: usize| -> Vec<usize> {
+        adj.get(&n).map(|s| s.keys().copied().collect()).unwrap_or_default()
+    };
+    let mut findings: BTreeMap<String, PauseCycle> = BTreeMap::new();
     let mut state: BTreeMap<usize, u8> = BTreeMap::new(); // 1 = on stack, 2 = done
-    let nodes: Vec<usize> = adj.keys().copied().collect();
     let mut stack: Vec<usize> = Vec::new();
-    for &root in &nodes {
+    for &root in adj.keys() {
         if state.contains_key(&root) {
             continue;
         }
         // Iterative DFS with an explicit path stack.
-        let mut work: Vec<(usize, Vec<usize>)> =
-            vec![(root, adj.get(&root).map(|s| s.iter().copied().collect()).unwrap_or_default())];
+        let mut work: Vec<(usize, Vec<usize>)> = vec![(root, successors(root))];
         state.insert(root, 1);
         stack.push(root);
         while let Some((node, succ)) = work.last_mut() {
@@ -346,6 +382,13 @@ fn find_cycles<'a>(edges: impl Iterator<Item = &'a PauseEdge>) -> Vec<String> {
                         // `next` to the top.
                         let pos = stack.iter().position(|&v| v == next).unwrap();
                         let cycle = &stack[pos..];
+                        let (mut onset, mut port_scope) = (Time::ZERO, false);
+                        for (i, &down) in cycle.iter().enumerate() {
+                            let up = cycle[(i + 1) % cycle.len()];
+                            let (start, port) = adj[&down][&up];
+                            onset = onset.max(start);
+                            port_scope |= port;
+                        }
                         let min_pos = cycle
                             .iter()
                             .enumerate()
@@ -358,15 +401,14 @@ fn find_cycles<'a>(edges: impl Iterator<Item = &'a PauseEdge>) -> Vec<String> {
                             .chain(std::iter::once(&cycle[min_pos]))
                             .map(|&v| NodeId(v).to_string())
                             .collect();
-                        findings.insert(format!("cascade-cycle: {}", rotated.join(" -> ")));
+                        let name = format!("cascade-cycle: {}", rotated.join(" -> "));
+                        findings.insert(name.clone(), PauseCycle { name, onset, port_scope });
                     }
                     Some(2) => {}
-                    Some(_) | None => {
+                    _ => {
                         state.insert(next, 1);
                         stack.push(next);
-                        let succ =
-                            adj.get(&next).map(|s| s.iter().copied().collect()).unwrap_or_default();
-                        work.push((next, succ));
+                        work.push((next, successors(next)));
                     }
                 }
             } else {
@@ -376,7 +418,7 @@ fn find_cycles<'a>(edges: impl Iterator<Item = &'a PauseEdge>) -> Vec<String> {
             }
         }
     }
-    findings.into_iter().collect()
+    findings.into_values().collect()
 }
 
 #[cfg(test)]
@@ -462,6 +504,60 @@ mod tests {
         tr.on_resume(NodeId(3), 1, 0, t(13));
         let r = analyze(tr.edges(), t(100), std::iter::empty());
         assert!(r.cycles.is_empty());
+    }
+
+    #[test]
+    fn cycle_onset_is_the_closing_instant() {
+        let mut tr = CascadeTracker::new();
+        tr.on_pause(NodeId(2), 0, 0, NodeId(3), 0, false, t(10));
+        tr.on_pause(NodeId(3), 1, 0, NodeId(4), 0, false, t(11));
+        tr.on_pause(NodeId(4), 1, 0, NodeId(2), 1, false, t(12));
+        let cycles = find_cycles(tr.edges());
+        assert_eq!(
+            cycles,
+            vec![PauseCycle {
+                name: "cascade-cycle: n2 -> n4 -> n3 -> n2".to_string(),
+                onset: t(12),
+                port_scope: false,
+            }]
+        );
+    }
+
+    #[test]
+    fn parallel_open_edges_hold_an_arc_from_the_earliest_start() {
+        let mut tr = CascadeTracker::new();
+        // Arc n3 -> n2 held by two ports of n2, from 10 and from 20.
+        tr.on_pause(NodeId(2), 0, 0, NodeId(3), 0, false, t(10));
+        tr.on_pause(NodeId(3), 1, 0, NodeId(2), 1, false, t(15));
+        tr.on_pause(NodeId(2), 2, PORT_SCOPE_CLASS, NodeId(3), 2, false, t(20));
+        let c = &find_cycles(tr.edges())[0];
+        assert_eq!(c.onset, t(15), "closed when n2 -> n3 joined the arc open since 10");
+        assert!(c.port_scope);
+        // The earlier edge closes; the arc is now held only from 20.
+        tr.on_resume(NodeId(2), 0, 0, t(30));
+        assert_eq!(find_cycles(tr.edges())[0].onset, t(20));
+    }
+
+    #[test]
+    fn a_closed_edge_breaks_the_cycle() {
+        let mut tr = CascadeTracker::new();
+        tr.on_pause(NodeId(2), 0, 0, NodeId(3), 0, false, t(10));
+        tr.on_pause(NodeId(3), 1, 0, NodeId(4), 0, false, t(11));
+        tr.on_pause(NodeId(4), 1, 0, NodeId(2), 1, false, t(12));
+        tr.on_resume(NodeId(3), 1, 0, t(13));
+        assert!(find_cycles(tr.edges()).is_empty());
+    }
+
+    #[test]
+    fn a_reformed_cycle_counts_from_its_reforming() {
+        let mut tr = CascadeTracker::new();
+        tr.on_pause(NodeId(2), 0, 0, NodeId(3), 0, false, t(10));
+        tr.on_pause(NodeId(3), 1, 0, NodeId(2), 1, false, t(11));
+        tr.on_resume(NodeId(3), 1, 0, t(20));
+        tr.on_pause(NodeId(3), 1, 0, NodeId(2), 1, false, t(30));
+        let cycles = find_cycles(tr.edges());
+        assert_eq!(cycles.len(), 1);
+        assert_eq!(cycles[0].onset, t(30));
     }
 
     #[test]

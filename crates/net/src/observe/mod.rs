@@ -17,7 +17,8 @@ mod cascade;
 mod metrics;
 
 pub use cascade::{
-    analyze, CascadeReport, CascadeTracker, FlowPauseAttribution, PauseEdge, PORT_SCOPE_CLASS,
+    analyze, find_cycles, CascadeReport, CascadeTracker, FlowPauseAttribution, PauseCycle,
+    PauseEdge, PORT_SCOPE_CLASS,
 };
 pub use metrics::{GlobalSample, MetricsSampler, SwitchSample};
 

@@ -83,9 +83,10 @@ impl PauseClock {
 /// reserves the place its end would take, `(busy_until, tx_seq)`, and the
 /// port is busy for every event before that place. The `TxDone` wake-up
 /// that serves the next frame is pushed into the reserved place only once
-/// a wake-up is owed: when a frame waits in any lane (paused ones too,
-/// since serving the port also moves its deadlock clock), or, on a host,
-/// while a flow is active. A frame that ends with nothing waiting simply
+/// a wake-up is owed: when a frame waits in any lane, or, on a host,
+/// while a flow is active. Paused frames count too, although a wake-up
+/// with only paused frames waiting finds nothing to send: it stays so
+/// that the pinned `tx_done` dispatch counts hold. A frame that ends with nothing waiting simply
 /// leaves the port idle from its reserved place on, as if its `TxDone` had
 /// run and found nothing to do.
 #[derive(Clone, Debug)]
@@ -131,9 +132,6 @@ pub struct EgressPort {
     /// PFC pause state per class, then the port-level (DSH) pause at
     /// [`PORT_SCOPE`] (set by frames from the peer).
     pause: [PauseClock; PAUSE_SCOPES],
-    /// First instant since which the port continuously had queued data but
-    /// could transmit nothing (deadlock detection).
-    blocked_since: Option<Time>,
     /// Whether the attached link is alive. Both endpoints of a link share
     /// one up/down state; fault injection flips both sides together.
     link_up: bool,
@@ -184,7 +182,6 @@ impl EgressPort {
             tx_seq: 0,
             wake_pending: false,
             pause: [PauseClock::default(); PAUSE_SCOPES],
-            blocked_since: None,
             link_up: true,
             fault_gen: 0,
             tx_bytes: 0,
@@ -251,15 +248,7 @@ impl EgressPort {
     #[must_use]
     #[inline]
     pub fn idle_for(&self, class: u8, now: Time, seq: u64) -> bool {
-        let idle = !self.is_busy(now, seq)
-            && !self.has_waiting()
-            && self.link_up
-            && self.class_sendable(class);
-        // Only queued data can mark a port blocked, and every path that
-        // empties the queues clears the mark: skipping `pick` skips no
-        // deadlock-clock update.
-        debug_assert!(!idle || self.blocked_since.is_none(), "empty port marked blocked");
-        idle
+        !self.is_busy(now, seq) && !self.has_waiting() && self.link_up && self.class_sendable(class)
     }
 
     /// Whether the serializer is mid-frame for the event at calendar place
@@ -401,12 +390,11 @@ impl EgressPort {
     /// Picks the next frame to transmit, honouring strict priority for the
     /// control class, DWRR among data classes, and PFC pause state.
     ///
-    /// Returns `None` when nothing is eligible. Updates the blocked-since
-    /// marker used by deadlock detection.
-    pub fn pick(&mut self, now: Time) -> Option<QueuedFrame> {
+    /// Returns `None` when nothing is eligible.
+    pub fn pick(&mut self) -> Option<QueuedFrame> {
         // A dead link transmits nothing. `fail` drained the queues, so
         // this only guards frames enqueued while the link is down (they
-        // wait for `restore`); a dead port is never deadlock-blocked.
+        // wait for `restore`).
         if !self.link_up {
             return None;
         }
@@ -415,14 +403,12 @@ impl EgressPort {
         // frames bypass even queued control traffic).
         if let Some(qf) = self.pfc.pop_front() {
             self.pfc_bytes -= qf.frame.bytes;
-            self.note_service();
             return Some(qf);
         }
 
         // Control queue: strict priority, never paused.
         if let Some(qf) = self.queues[CONTROL_CLASS as usize].pop_front() {
             self.qbytes[CONTROL_CLASS as usize] -= qf.frame.bytes;
-            self.note_service();
             return Some(qf);
         }
 
@@ -446,7 +432,6 @@ impl EgressPort {
                         self.in_active[c] = false;
                         self.deficit[c] = 0;
                     }
-                    self.note_service();
                     return Some(qf);
                 }
             }
@@ -481,7 +466,6 @@ impl EgressPort {
                                 self.in_active[c] = false;
                                 self.deficit[c] = 0;
                             }
-                            self.note_service();
                             return Some(qf);
                         }
                         // Not enough deficit yet: top up and move on.
@@ -498,11 +482,6 @@ impl EgressPort {
                 break;
             }
         }
-
-        // Data is queued but nothing may send: the port is blocked.
-        if self.total_queued_bytes() > 0 && self.blocked_since.is_none() {
-            self.blocked_since = Some(now);
-        }
         None
     }
 
@@ -510,17 +489,6 @@ impl EgressPort {
     pub fn note_tx(&mut self, bytes: u64) {
         self.tx_bytes += bytes;
         self.tx_frames += 1;
-    }
-
-    fn note_service(&mut self) {
-        self.blocked_since = None;
-    }
-
-    /// How long the port has continuously been unable to serve queued data
-    /// (deadlock detector input).
-    #[must_use]
-    pub fn blocked_since(&self) -> Option<Time> {
-        self.blocked_since
     }
 
     /// Start of the current queue-level pause for `class`, if asserted.
@@ -550,8 +518,8 @@ impl EgressPort {
     /// Link failure: drains every queue (including the PFC lane) into
     /// `out`, zeroes the byte/deficit accounting, force-closes all pause
     /// clocks (the peer that asserted them is unreachable; the intervals
-    /// close into `closed`), clears the deadlock marker,
-    /// bumps the fault generation, and marks the link down. The caller
+    /// close into `closed`), bumps the fault generation, and marks the
+    /// link down. The caller
     /// releases MMU accounting for the drained frames. The frame on the
     /// wire still ends when it would have, and a booked wake-up still
     /// fires.
@@ -575,7 +543,6 @@ impl EgressPort {
         for scope in 0..PAUSE_SCOPES {
             self.set_pause(scope, false, now, closed);
         }
-        self.blocked_since = None;
     }
 
     /// Link repair: the port may transmit again. Pause state starts clean
@@ -601,7 +568,6 @@ impl EgressPort {
         self.set_pause(PORT_SCOPE, false, now, closed);
         let c = class as usize;
         self.qbytes[c] = 0;
-        self.blocked_since = None;
         out.extend(self.queues[c].drain(..));
     }
 }
@@ -660,11 +626,11 @@ mod tests {
         let mut p = port();
         p.enqueue(data_frame(0, 1500));
         p.enqueue(pfc_frame(crate::frame::PfcScope::Port, true));
-        let first = p.pick(Time::ZERO).unwrap();
+        let first = p.pick().unwrap();
         assert_eq!(first.frame.class, CONTROL_CLASS);
-        let second = p.pick(Time::ZERO).unwrap();
+        let second = p.pick().unwrap();
         assert_eq!(second.frame.class, 0);
-        assert!(p.pick(Time::ZERO).is_none());
+        assert!(p.pick().is_none());
     }
 
     #[test]
@@ -676,7 +642,7 @@ mod tests {
         }
         let mut counts = [0usize; 2];
         for _ in 0..100 {
-            let qf = p.pick(Time::ZERO).unwrap();
+            let qf = p.pick().unwrap();
             counts[qf.frame.class as usize] += 1;
         }
         let diff = counts[0].abs_diff(counts[1]);
@@ -697,7 +663,7 @@ mod tests {
         }
         let mut bytes = [0u64; 2];
         for _ in 0..400 {
-            let qf = p.pick(Time::ZERO).unwrap();
+            let qf = p.pick().unwrap();
             bytes[qf.frame.class as usize] += qf.frame.bytes;
         }
         let ratio = bytes[0] as f64 / bytes[1] as f64;
@@ -711,14 +677,12 @@ mod tests {
         p.enqueue(data_frame(0, 1500));
         p.enqueue(data_frame(1, 1500));
         p.apply_class_pause(0, true, Time::ZERO, &mut h);
-        let qf = p.pick(Time::ZERO).unwrap();
+        let qf = p.pick().unwrap();
         assert_eq!(qf.frame.class, 1);
-        assert!(p.pick(Time::ZERO).is_none(), "class 0 paused");
-        assert!(p.blocked_since().is_some());
+        assert!(p.pick().is_none(), "class 0 paused");
         p.apply_class_pause(0, false, Time::from_us(5), &mut h);
-        let qf = p.pick(Time::from_us(5)).unwrap();
+        let qf = p.pick().unwrap();
         assert_eq!(qf.frame.class, 0);
-        assert!(p.blocked_since().is_none());
     }
 
     #[test]
@@ -728,9 +692,9 @@ mod tests {
         p.enqueue(data_frame(0, 1500));
         p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(0), false));
         p.apply_port_pause(true, Time::ZERO, &mut h);
-        let qf = p.pick(Time::ZERO).unwrap();
+        let qf = p.pick().unwrap();
         assert_eq!(qf.frame.class, CONTROL_CLASS, "control is pause-exempt");
-        assert!(p.pick(Time::ZERO).is_none());
+        assert!(p.pick().is_none());
     }
 
     #[test]
@@ -774,7 +738,7 @@ mod tests {
         p.enqueue(data_frame(3, 1000));
         p.enqueue(data_frame(3, 500));
         assert_eq!(p.queue_bytes(3), 1500);
-        let _ = p.pick(Time::ZERO).unwrap();
+        let _ = p.pick().unwrap();
         assert_eq!(p.queue_bytes(3), 500);
         assert_eq!(p.total_queued_bytes(), 500);
     }
@@ -791,7 +755,7 @@ mod tests {
         }
         p.enqueue(data_frame(0, 1500));
         p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(0), true));
-        let first = p.pick(Time::ZERO).unwrap();
+        let first = p.pick().unwrap();
         assert!(matches!(first.frame.kind, FrameKind::Pfc(_)), "PFC must bypass the ACK backlog");
     }
 
@@ -800,8 +764,8 @@ mod tests {
         let mut p = port();
         p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(3), true));
         p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(3), false));
-        let first = p.pick(Time::ZERO).unwrap();
-        let second = p.pick(Time::ZERO).unwrap();
+        let first = p.pick().unwrap();
+        let second = p.pick().unwrap();
         match (&first.frame.kind, &second.frame.kind) {
             (FrameKind::Pfc(a), FrameKind::Pfc(b)) => {
                 assert!(a.pause && !b.pause, "pause must precede its resume");
@@ -848,16 +812,14 @@ mod tests {
         assert_eq!(p.fault_gen(), gen0 + 1);
         assert!(!p.class_paused(0), "pause clocks force-close on failure");
         assert!(!p.port_paused());
-        assert!(p.blocked_since().is_none());
 
         // Frames enqueued while down wait; a dead port transmits nothing.
         p.enqueue(data_frame(1, 100));
-        assert!(p.pick(Time::from_us(11)).is_none());
-        assert!(p.blocked_since().is_none(), "a dead port is not deadlocked");
+        assert!(p.pick().is_none());
 
         p.restore();
         assert!(p.is_link_up());
-        let qf = p.pick(Time::from_us(12)).expect("restored port transmits");
+        let qf = p.pick().expect("restored port transmits");
         assert_eq!(qf.frame.class, 1);
     }
 
@@ -876,17 +838,16 @@ mod tests {
             p.enqueue(data_frame(c, 700));
         }
         p.enqueue(ack_frame());
-        while p.pick(Time::ZERO).is_some() {}
+        while p.pick().is_some() {}
         let idle = scheduler_state(&p);
         assert_eq!(idle, (false, [0; NUM_CLASSES], [0; NUM_CLASSES], 0, 0));
         for qf in [data_frame(0, 1500), data_frame(3, 64), ack_frame()] {
             assert!(p.idle_for(qf.frame.class, Time::ZERO, 1));
             let sent: *const Frame = &*qf.frame;
             p.enqueue(qf);
-            let got = p.pick(Time::ZERO).expect("the offered frame");
+            let got = p.pick().expect("the offered frame");
             assert!(std::ptr::eq(&*got.frame, sent), "pick returns the offered frame");
             assert_eq!(scheduler_state(&p), idle, "state as the direct path leaves it");
-            assert!(p.blocked_since().is_none());
         }
     }
 
@@ -967,7 +928,7 @@ mod tests {
         p.on_wake();
         assert!(!p.is_busy(end, 9));
         // A class left on the DWRR list by a watchdog flush still counts.
-        let _ = p.pick(end);
+        let _ = p.pick();
         p.enqueue(data_frame(2, 100));
         p.apply_class_pause(2, true, end, &mut h);
         let mut out = Vec::new();

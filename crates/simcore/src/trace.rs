@@ -68,7 +68,7 @@ impl TraceMask {
     /// Flow lifecycle: start, completion, failure, retransmissions.
     pub const FLOW: TraceMask = TraceMask(1 << 1);
     /// MMU decisions: pause/resume thresholds, headroom entry, audit
-    /// violations, deadlock onset.
+    /// violations.
     pub const MMU: TraceMask = TraceMask(1 << 2);
     /// Fault injection: link death/repair, frame corruption, drained and
     /// lost frames, released pauses.
@@ -164,9 +164,9 @@ pub enum TraceEvent {
     // Discriminants 22..=24 are retired and stay unassigned.
     /// An MMU audit invariant failed; `payload` = violation count.
     AuditFail = 25,
-    /// The deadlock detector saw the first wedged port of the run.
-    DeadlockOnset = 26,
-
+    // Discriminant 26 (the per-tick deadlock scan's onset) is retired and
+    // stays unassigned: a deadlock is an open pause cycle, read from the
+    // cascade tracker at the end of the run.
     /// A flow started; `payload` = flow size in bytes.
     FlowStart = 32,
     /// A flow delivered every byte; `payload` = its FCT in picoseconds.
@@ -235,7 +235,6 @@ impl TraceEvent {
             TraceEvent::MmuDrop => "mmu_drop",
             TraceEvent::HeadroomEnter => "headroom_enter",
             TraceEvent::AuditFail => "audit_fail",
-            TraceEvent::DeadlockOnset => "deadlock_onset",
             TraceEvent::FlowStart => "flow_start",
             TraceEvent::FlowComplete => "flow_complete",
             TraceEvent::FlowFailed => "flow_failed",
@@ -267,7 +266,6 @@ impl TraceEvent {
             20 => TraceEvent::MmuDrop,
             21 => TraceEvent::HeadroomEnter,
             25 => TraceEvent::AuditFail,
-            26 => TraceEvent::DeadlockOnset,
             32 => TraceEvent::FlowStart,
             33 => TraceEvent::FlowComplete,
             34 => TraceEvent::FlowFailed,
@@ -728,7 +726,7 @@ fn span_end(open: &mut std::collections::BTreeMap<(u64, u64), u64>, pid: u64, ti
 /// Tracks:
 /// * **pid 1 "PFC wire"** — pause→resume spans per `(node, port, class)`;
 /// * **pid 2 "MMU"** — pause decisions as spans, headroom entries,
-///   drops, audit failures and deadlock onset as instants;
+///   drops and audit failures as instants;
 /// * **pid 3 "flows"** — one lifetime span per flow with retransmission
 ///   markers;
 /// * **pid 5 "faults"** — link death/repair and corruption instants;
@@ -812,7 +810,7 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
                             .with("args", Json::object().with("bytes", rec.payload)),
                     );
                 }
-                TraceEvent::AuditFail | TraceEvent::DeadlockOnset => {
+                TraceEvent::AuditFail => {
                     events.push(
                         ev(kind.name(), "i", ts, 2, node << 16)
                             .with("s", "p")

@@ -2,79 +2,47 @@
 //! leaf–spine fabric with two failed links, bounce-path routing, and
 //! rack-to-rack fan-in traffic form a cyclic buffer dependency. SIH
 //! wedges; DSH (usually) does not; the PFC watchdog (extension) breaks
-//! the wedge by dropping.
+//! the wedge by dropping. The scenario, the deadlock definition (a
+//! who-paused-whom cycle still open at the end) and the watchdog rule are
+//! those of the Fig. 12 experiment (`dsh_bench::fig12`).
 //!
 //! ```bash
 //! cargo run --release --example deadlock_cbd
 //! ```
 
+use dsh_bench::fig12::{self, Fig12Config};
 use dsh_core::Scheme;
-use dsh_net::topology::{leaf_spine, LeafSpineShape};
-use dsh_net::{EcnConfig, FlowSpec, NetParams};
-use dsh_simcore::{Delta, SimRng, Time};
+use dsh_simcore::Delta;
 use dsh_transport::CcKind;
-use dsh_workloads::{fan_in_bursts, FlowSizeDist, PatternConfig, Workload};
-
-fn run(scheme: Scheme, watchdog: Option<Delta>, seed: u64) -> (Option<Time>, u64, usize) {
-    let mut params = NetParams::tomahawk(scheme);
-    params.seed = seed;
-    params.deadlock_threshold = Delta::from_ms(2);
-    params.pfc_watchdog = watchdog;
-    params.ecn = EcnConfig::for_100g();
-
-    let mut ls = leaf_spine(params, LeafSpineShape::paper_deadlock());
-    let (s0, s1) = (ls.spines[0], ls.spines[1]);
-    let (l0, l3) = (ls.leaves[0], ls.leaves[3]);
-    ls.builder.remove_link(s0, l3);
-    ls.builder.remove_link(s1, l0);
-    let hosts = ls.hosts.clone();
-    let mut net = ls.builder.build();
-
-    let mut rng = SimRng::new(seed * 7919 + 17);
-    let dist = FlowSizeDist::from_workload(Workload::Hadoop);
-    let pc = PatternConfig {
-        hosts: 16,
-        host_bytes_per_sec: 12.5e9,
-        load: 0.5,
-        horizon: Time::from_ms(8),
-    };
-    for &(a, b) in &[(0usize, 3usize), (3, 0), (1, 2), (2, 1)] {
-        for f in fan_in_bursts(&pc, 8, dist.mean() as u64, 0, &mut rng) {
-            let size = dist.sample(&mut rng).max(1);
-            let jitter = Delta::from_ns(rng.gen_range(100_000));
-            net.add_flow(FlowSpec {
-                src: hosts[a][f.src],
-                dst: hosts[b][f.dst],
-                size,
-                class: 0,
-                start: f.start + jitter,
-                cc: CcKind::Dcqcn,
-            });
-        }
-    }
-    let mut sim = net.into_sim();
-    sim.run_until(Time::from_ms(10));
-    let net = sim.into_model();
-    (net.deadlock_report().onset, net.watchdog_drops(), net.fct_records().len())
-}
 
 fn main() {
     println!("Fig. 12 walkthrough — cyclic buffer dependency after two link failures\n");
+    let cfg = Fig12Config {
+        horizon: Delta::from_ms(8),
+        duration: Delta::from_ms(10),
+        ..Fig12Config::small()
+    };
+    let wd = Fig12Config { watchdog: Some(fig12::WATCHDOG_TIMEOUT), ..cfg };
     for seed in 1..=2 {
-        for (label, scheme, wd) in [
-            ("SIH            ", Scheme::Sih, None),
-            ("SIH + watchdog ", Scheme::Sih, Some(Delta::from_ms(2))),
-            ("DSH            ", Scheme::Dsh, None),
+        for (label, scheme, cfg) in [
+            ("SIH            ", Scheme::Sih, &cfg),
+            ("SIH + watchdog ", Scheme::Sih, &wd),
+            ("DSH            ", Scheme::Dsh, &cfg),
         ] {
-            let (onset, drops, done) = run(scheme, wd, seed);
-            match onset {
+            let r = fig12::run_once(scheme, CcKind::Dcqcn, cfg, seed);
+            match r.onset {
                 Some(t) => println!(
-                    "seed {seed} {label}: DEADLOCK at {:>7.2} ms (flows done {done}, watchdog drops {drops})",
-                    t.as_ms_f64()
+                    "seed {seed} {label}: DEADLOCK at {:>7.2} ms (watchdog drops {})",
+                    t.as_ms_f64(),
+                    r.watchdog_drops
                 ),
                 None => println!(
-                    "seed {seed} {label}: no deadlock        (flows done {done}, watchdog drops {drops})"
+                    "seed {seed} {label}: no deadlock        (watchdog drops {})",
+                    r.watchdog_drops
                 ),
+            }
+            for c in &r.cycles {
+                println!("    {c}");
             }
         }
         println!();
