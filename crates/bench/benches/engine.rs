@@ -479,10 +479,12 @@ fn sr_path_probe(label: &str, mut sim: Simulation<Network>, warmup_end: Time, wi
     }
 }
 
-/// A 5-switch linear chain (the nominal fat-tree diameter) with PowerTCP,
-/// so every data packet is INT-stamped at five hops and every ACK echoes a
-/// near-full inline `HopList` back through the reverse path.
-fn forward_chain_sim(scheme: Scheme) -> Simulation<Network> {
+/// A 5-switch linear chain (the nominal fat-tree diameter) with one 4 MiB
+/// flow per `(transport, start)` in `flows`. A PowerTCP flow's data
+/// packets are INT-stamped at five hops and its ACKs echo them back
+/// through the reverse path; flows of different transports on the chain
+/// take over one another's frame-arena ids.
+fn forward_chain_sim(scheme: Scheme, flows: &[(CcKind, Time)]) -> Simulation<Network> {
     let mut bld = NetworkBuilder::new(NetParams::tomahawk(scheme).without_ecn());
     let src = bld.host();
     let dst = bld.host();
@@ -493,18 +495,22 @@ fn forward_chain_sim(scheme: Scheme) -> Simulation<Network> {
     }
     bld.link(switches[4], dst, Bandwidth::from_gbps(100), Delta::from_us(2));
     let mut net = bld.build();
-    net.add_flow(FlowSpec {
-        src,
-        dst,
-        size: 4 * 1024 * 1024,
-        class: 0,
-        start: Time::ZERO,
-        cc: CcKind::PowerTcp,
-    });
+    for &(cc, start) in flows {
+        net.add_flow(FlowSpec { src, dst, size: 4 * 1024 * 1024, class: 0, start, cc });
+    }
     net.into_sim()
 }
 
-/// Runs `sim` through a warmup (pools fill, queues and buffers reach
+/// The PowerTCP chain of the packet-path probes.
+const POWERTCP_CHAIN: [(CcKind, Time); 1] = [(CcKind::PowerTcp, Time::ZERO)];
+
+/// The mixed chain: a DCQCN flow joins the PowerTCP flow once the first
+/// ACKs are back (one round trip is 24 us), so its plain frames reuse
+/// arena ids that carried hop slots.
+const MIXED_CHAIN: [(CcKind, Time); 2] =
+    [(CcKind::PowerTcp, Time::ZERO), (CcKind::Dcqcn, Time::from_us(30))];
+
+/// Runs `sim` through a warmup (the frame arena, queues and buffers reach
 /// their steady capacity) and then a measurement window, recording
 /// events/second and — with the counting allocator — heap allocations per
 /// delivered packet, which must be zero on the incast.
@@ -559,7 +565,7 @@ fn packet_path(c: &mut Criterion) {
     for scheme in [Scheme::Sih, Scheme::Dsh] {
         g.bench_function(format!("forward_chain_5sw_{scheme}"), |b| {
             b.iter(|| {
-                let mut sim = forward_chain_sim(scheme);
+                let mut sim = forward_chain_sim(scheme, &POWERTCP_CHAIN);
                 sim.run_until(Time::from_us(500));
                 assert_eq!(sim.model().data_drops(), 0);
                 sim.events_processed()
@@ -576,7 +582,12 @@ fn packet_path(c: &mut Criterion) {
         );
         packet_path_probe(
             &format!("packet_path/forward_chain_5sw_{scheme}"),
-            forward_chain_sim(scheme),
+            forward_chain_sim(scheme, &POWERTCP_CHAIN),
+            true,
+        );
+        packet_path_probe(
+            &format!("packet_path/forward_chain_5sw_mixed_{scheme}"),
+            forward_chain_sim(scheme, &MIXED_CHAIN),
             true,
         );
     }

@@ -219,6 +219,10 @@ impl NetworkBuilder {
             adj[a.0].push((b.0, pa));
             adj[b.0].push((a.0, pb));
         }
+        // Queued frames tag their switch ingress port as a `u16`.
+        if let Some((i, p)) = ports.iter().enumerate().find(|(_, p)| p.len() > 1 << 16) {
+            panic!("node n{i} has {} ports; a switch indexes at most 65536", p.len());
+        }
 
         // Validate host attachment (routing itself is shared with the
         // runtime fault handler, which recomputes after link events).
@@ -237,16 +241,16 @@ impl NetworkBuilder {
         // forwards toward a host to any neighbour strictly closer to the
         // host's ToR (ECMP).
         let routes = compute_routes(&is_switch, &adj);
-        // The inline telemetry array budgets every frame's stamp count:
-        // a topology deeper than HOP_CAPACITY must fail here, not panic
+        // A hop-slab slot budgets every INT frame's stamp count: a
+        // topology deeper than HOP_CAPACITY must fail here, not panic
         // mid-simulation in HopList::push.
         let diameter = routes.max_hops;
         assert!(
             diameter <= dsh_transport::HOP_CAPACITY,
-            "longest route crosses {diameter} switches but frames carry only \
-             HOP_CAPACITY ({}) inline telemetry stamps; raise \
-             dsh_transport::HOP_CAPACITY (and recertify the Frame size \
-             contract) for this topology",
+            "longest route crosses {diameter} switches but a hop-slab slot holds \
+             only HOP_CAPACITY ({}) telemetry stamps; raise \
+             dsh_transport::HOP_CAPACITY for this topology (each slot of the \
+             frame arena's hop slab grows with it)",
             dsh_transport::HOP_CAPACITY
         );
 

@@ -1,7 +1,7 @@
 //! Wire frames: data packets, ACKs, NACKs, CNPs and PFC control frames.
 
+use crate::arena::NO_HOPS;
 use crate::ids::{FlowId, NodeId, CONTROL_CLASS};
-use dsh_transport::HopList;
 
 /// Wire size of an ACK/CNP/PFC control frame (minimum Ethernet frame).
 pub const CONTROL_FRAME_BYTES: u64 = 64;
@@ -21,14 +21,14 @@ pub struct DataFrame {
     pub payload: u64,
     /// ECN Congestion Experienced mark.
     pub ecn: bool,
-    /// INT request: switch egresses stamp a [`Frame::hops`] record only
-    /// into frames that carry it. The sender sets it exactly when the
+    /// INT request: switch egresses stamp a hop record only into frames
+    /// that carry it (into the frame's slot of the arena's hop slab). The sender sets it exactly when the
     /// flow's transport reads INT (PowerTCP).
     pub int: bool,
 }
 
 /// An acknowledgment for one data segment, echoing ECN; the data frame's
-/// INT hops ride along in [`Frame::hops`].
+/// INT hop slot rides along with the frame.
 #[derive(Clone, Copy, Debug)]
 pub struct AckFrame {
     /// The acknowledged flow.
@@ -105,16 +105,14 @@ pub enum FrameKind {
     Pfc(PfcFrame),
 }
 
-/// A frame on the wire.
+/// A frame on the wire: its header and payload, at most 72 bytes.
 ///
-/// Frames are plain `Copy` data: the INT hop records live inline in a
-/// fixed-capacity [`HopList`], so building, forwarding and echoing a frame
-/// never touches the heap. The header comes first and the hop list (its
-/// length first) last, so a hop reads and a recycled box is refilled
-/// within the frame's first 72 bytes; the compiler's own order puts the
-/// 256 bytes of hop slots between `bytes` and `kind`.
+/// Frames live in the network's frame arena and travel as a
+/// [`FrameId`](crate::FrameId) in calendar events and port queues. INT hop
+/// records are not part of the frame: a frame that requested INT
+/// ([`DataFrame::int`]) holds a handle to a slot of the arena's hop slab,
+/// which its ACK keeps when the receiver rewrites the data frame in place.
 #[derive(Clone, Copy, Debug)]
-#[repr(C)]
 pub struct Frame {
     /// Wire size in bytes (serialization time = `bytes / C`).
     pub bytes: u64,
@@ -122,36 +120,32 @@ pub struct Frame {
     pub class: u8,
     /// The payload.
     pub kind: FrameKind,
-    /// In-band telemetry stamped hop by hop into a data frame that
-    /// requested it ([`DataFrame::int`]), and echoed back in its ACK.
-    /// Empty on every other frame.
-    pub hops: HopList,
+    /// The frame's slot in the arena's hop slab, or `NO_HOPS`; set only
+    /// by the arena.
+    pub(crate) hops: u32,
 }
 
 impl Frame {
     /// Builds a frame with no INT hops.
     #[must_use]
     pub const fn new(bytes: u64, class: u8, kind: FrameKind) -> Frame {
-        Frame { bytes, class, kind, hops: HopList::new() }
-    }
-
-    /// Rewrites a recycled frame in place into `Frame::new(bytes, class,
-    /// kind)`: the header is replaced and the hop list emptied, without
-    /// rewriting its slots.
-    pub fn refill(&mut self, bytes: u64, class: u8, kind: FrameKind) {
-        self.bytes = bytes;
-        self.class = class;
-        self.kind = kind;
-        self.hops.clear();
+        Frame { bytes, class, kind, hops: NO_HOPS }
     }
 
     /// Turns a received data frame into its ACK in place: only the
-    /// header is rewritten, so the hops the data frame collected echo in
-    /// path order without a copy.
+    /// header is rewritten, so the hop slot the data frame filled echoes
+    /// its stamps in path order without a copy.
     pub fn echo_as_ack(&mut self, a: AckFrame) {
         self.bytes = CONTROL_FRAME_BYTES;
         self.class = CONTROL_CLASS;
         self.kind = FrameKind::Ack(a);
+    }
+
+    /// Whether this is a data frame whose sender asked the switches for
+    /// INT stamps.
+    #[must_use]
+    pub fn requests_int(&self) -> bool {
+        matches!(self.kind, FrameKind::Data(DataFrame { int: true, .. }))
     }
 
     /// Builds a data frame in the given class.
@@ -208,8 +202,6 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsh_simcore::{Bandwidth, Time};
-    use dsh_transport::TelemetryHop;
 
     #[test]
     fn constructors_set_class_and_size() {
@@ -251,62 +243,5 @@ mod tests {
         assert_eq!(n.class, CONTROL_CLASS);
         assert_eq!(n.dst(), Some(NodeId(0)));
         assert!(!n.is_data());
-    }
-
-    fn hop(n: u64) -> TelemetryHop {
-        TelemetryHop {
-            qlen_bytes: n,
-            tx_bytes: 100 * n,
-            timestamp: Time::from_ns(n),
-            bandwidth: Bandwidth::from_gbps(100),
-        }
-    }
-
-    fn stamped_data(hops: u64) -> Frame {
-        let mut f = Frame::data(
-            DataFrame {
-                flow: FlowId(4),
-                src: NodeId(0),
-                dst: NodeId(9),
-                seq: 3000,
-                payload: 1000,
-                ecn: true,
-                int: true,
-            },
-            2,
-        );
-        for n in 1..=hops {
-            f.hops.push(hop(n));
-        }
-        f
-    }
-
-    #[test]
-    fn ack_rewrite_keeps_the_stamped_hops_in_path_order() {
-        let mut f = stamped_data(5);
-        let ack = AckFrame { flow: FlowId(4), dst: NodeId(0), acked: 4000, ecn_echo: true };
-        f.echo_as_ack(ack);
-        assert_eq!(f.hops.as_slice(), &[hop(1), hop(2), hop(3), hop(4), hop(5)]);
-        // The rewrite is the ACK `Frame::ack` would build, plus the echo.
-        let mut built = Frame::ack(ack);
-        for n in 1..=5 {
-            built.hops.push(hop(n));
-        }
-        assert_eq!((f.bytes, f.class, f.hops), (built.bytes, built.class, built.hops));
-        assert!(matches!(f.kind, FrameKind::Ack(a) if a.acked == 4000 && a.ecn_echo));
-    }
-
-    #[test]
-    fn refill_matches_a_fresh_frame() {
-        let mut f = stamped_data(8);
-        f.refill(
-            CONTROL_FRAME_BYTES,
-            CONTROL_CLASS,
-            FrameKind::Cnp { flow: FlowId(1), dst: NodeId(2) },
-        );
-        let fresh = Frame::cnp(FlowId(1), NodeId(2));
-        assert_eq!((f.bytes, f.class, f.hops), (fresh.bytes, fresh.class, fresh.hops));
-        assert!(f.hops.is_empty(), "the stale stamps are past the live prefix");
-        assert_eq!(f.dst(), fresh.dst());
     }
 }

@@ -56,6 +56,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 mod builder;
 mod ecn;
 mod fault;
@@ -70,6 +71,7 @@ mod routing;
 mod switch;
 pub mod topology;
 
+pub use arena::FrameId;
 pub use builder::{FidelityMode, HeadroomSource, NetParams, NetworkBuilder};
 pub use ecn::EcnConfig;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkCorruption};

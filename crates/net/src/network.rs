@@ -1,13 +1,12 @@
 //! The network model: event dispatch, switching, host NIC logic and
 //! measurement.
 
+use crate::arena::{FrameArena, FrameId};
 use crate::builder::NetParams;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::frame::{
-    AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcScope, CONTROL_FRAME_BYTES,
-};
+use crate::frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcScope};
 use crate::host::{HostNode, ReceiverFlow, SenderFlow};
-use crate::ids::{FlowId, NodeId, CONTROL_CLASS, NUM_DATA_CLASSES};
+use crate::ids::{FlowId, NodeId, NUM_DATA_CLASSES};
 use crate::monitor::{
     ClassPauseTelemetry, FctRecord, PauseHistograms, PauseLedger, PortPauseTelemetry,
     SwitchTelemetry, TelemetryReport, ThroughputSample, PORT_SCOPE,
@@ -20,7 +19,7 @@ use dsh_core::headroom::PFC_PROCESSING_BYTES;
 use dsh_core::{FcAction, FcActions};
 use dsh_simcore::trace::{TraceEvent, TraceLog, Tracer};
 use dsh_simcore::{
-    split_seed, trace_event, Delta, EventClass, Model, Pool, Scheduler, SimRng, Simulation, Time,
+    split_seed, trace_event, Delta, EventClass, Model, Scheduler, SimRng, Simulation, Time,
 };
 use dsh_transport::{
     new_cc, AckInfo, Cc, CcKind, GoBackN, RecoveryConfig, Regime, RtoOutcome, SackBuffer,
@@ -49,7 +48,7 @@ pub struct FlowSpec {
 /// Node, port, and flow indices are stored as `u32` rather than the
 /// `usize`-backed id types used everywhere else: every event is copied
 /// into and out of the calendar's node slab, and the narrower fields keep
-/// the whole event at 24 bytes (asserted below). The builder guarantees
+/// the whole event at 16 bytes (asserted below). The builder guarantees
 /// the counts fit; [`Network::handle`] widens them back into typed ids.
 #[derive(Clone, Debug)]
 pub enum NetEvent {
@@ -59,9 +58,9 @@ pub enum NetEvent {
         node: u32,
         /// Ingress port index at the receiving node.
         in_port: u32,
-        /// The frame (boxed and pool-recycled so events stay pointer-sized
-        /// even though frames carry their INT hops inline).
-        frame: Box<Frame>,
+        /// The frame, by its id in the network's frame arena (the arriving
+        /// node frees or forwards it).
+        frame: FrameId,
     },
     /// `node`'s egress `port` finished serializing its current frame.
     TxDone {
@@ -192,11 +191,11 @@ pub struct Network {
     /// [`EgressPort::index`].
     pauses: PauseHistograms,
     rng: SimRng,
-    /// Recycled frame boxes: every consumed frame (ACK/CNP/PFC processed
-    /// at its destination, dropped or watchdog-flushed data) returns here
-    /// and is reused for the next frame, so the steady-state packet path
+    /// Every queued and in-flight frame, by [`FrameId`]: a consumed frame
+    /// (ACK/CNP/PFC processed at its destination, dropped or flushed data)
+    /// frees its slot for the next one, so the steady-state packet path
     /// never touches the allocator.
-    pool: Pool<Frame>,
+    frames: FrameArena,
     /// Scratch for [`Self::release_drained`]: the frames of one link
     /// failure or watchdog flush (capacity reused across drains).
     drained: Vec<QueuedFrame>,
@@ -245,11 +244,6 @@ pub struct Network {
     metrics_capture_at: Time,
 }
 
-/// Number of free frame boxes the pool retains (beyond this, returned
-/// boxes are simply freed): bounds retained memory after a burst at
-/// ~1 MiB while covering the steady-state churn window many times over.
-const FRAME_POOL_RETAIN: usize = 4096;
-
 impl Network {
     pub(crate) fn from_parts(params: NetParams, nodes: Vec<Node>, tracer: Tracer) -> Self {
         let rng = SimRng::new(params.seed);
@@ -274,7 +268,7 @@ impl Network {
             monitors: Vec::new(),
             pauses: PauseHistograms::new(ports),
             rng,
-            pool: Pool::bounded(FRAME_POOL_RETAIN),
+            frames: FrameArena::default(),
             drained: Vec::new(),
             released: Vec::new(),
             data_drops: 0,
@@ -451,6 +445,14 @@ impl Network {
     #[must_use]
     pub fn packets_delivered(&self) -> u64 {
         self.packets_delivered
+    }
+
+    /// Frames currently held in the frame arena: queued at a port or in
+    /// flight on a link. Every consumed, dropped or flushed frame is freed,
+    /// so a network with no frame left to deliver holds none.
+    #[must_use]
+    pub fn live_frames(&self) -> usize {
+        self.frames.live()
     }
 
     /// Frames dropped by the PFC watchdog (0 unless
@@ -841,7 +843,7 @@ impl Network {
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let p = self.port_mut(node, port);
-        if p.idle_for(qf.frame.class, sched.now(), sched.current_seq()) {
+        if p.idle_for(qf.class, sched.now(), sched.current_seq()) {
             self.transmit(node, port, qf, sched);
         } else {
             p.enqueue(qf);
@@ -857,7 +859,7 @@ impl Network {
         &mut self,
         node: NodeId,
         port: usize,
-        mut qf: QueuedFrame,
+        qf: QueuedFrame,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let now = sched.now();
@@ -869,24 +871,28 @@ impl Network {
                 // Release MMU accounting (into the segment the packet was
                 // admitted to) and collect PFC actions.
                 if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
-                    fc = sw.mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now);
+                    let (port, queue) = (usize::from(in_port), usize::from(in_queue));
+                    fc = sw.mmu.on_departure(port, queue, qf.bytes(), region, now);
                 }
                 true
             }
             Node::Host(_) => false,
         };
-        let p = self.port_mut(node, port);
+        let p = port_of(&mut self.nodes, node, port);
         // Stamp INT telemetry at switch egress, into data frames whose
         // sender asked for it.
-        if is_switch && matches!(qf.frame.kind, FrameKind::Data(DataFrame { int: true, .. })) {
-            qf.frame.hops.push(TelemetryHop {
-                qlen_bytes: p.queue_bytes(qf.frame.class),
-                tx_bytes: p.tx_bytes(),
-                timestamp: now,
-                bandwidth: p.bandwidth(),
-            });
+        if is_switch && qf.int {
+            self.frames.push_hop(
+                qf.frame,
+                TelemetryHop {
+                    qlen_bytes: p.queue_bytes(qf.class),
+                    tx_bytes: p.tx_bytes(),
+                    timestamp: now,
+                    bandwidth: p.bandwidth(),
+                },
+            );
         }
-        let bytes = qf.frame.bytes;
+        let bytes = qf.bytes();
         let txd = p.tx_delay(bytes);
         // The frame's end takes the calendar place a `TxDone` pushed now
         // would take, ahead of the arrival it precedes.
@@ -946,17 +952,16 @@ impl Network {
             if !self.port_mut(node, p).is_link_up() {
                 continue;
             }
-            let frame = self.pooled(f.bytes, f.class, f.kind);
-            self.port_mut(node, p).enqueue(QueuedFrame { frame, ingress: None });
+            let qf = self.alloc_queued(f);
+            self.port_mut(node, p).enqueue(qf);
             self.try_transmit(node, p, sched);
         }
     }
 
-    /// A pooled box holding `Frame::new(bytes, class, kind)`. A recycled
-    /// box gets only its header rewritten and its hop list emptied; the
-    /// hop slots, most of the frame, are left as they are.
-    fn pooled(&mut self, bytes: u64, class: u8, kind: FrameKind) -> Box<Frame> {
-        self.pool.get_in_place(|| Frame::new(bytes, class, kind), |f| f.refill(bytes, class, kind))
+    /// Stores a frame a node originates in the arena and returns its queue
+    /// entry.
+    fn alloc_queued(&mut self, frame: Frame) -> QueuedFrame {
+        QueuedFrame::new(self.frames.alloc(frame), &frame, None)
     }
 
     fn handle_tx_done(&mut self, node: NodeId, port: usize, sched: &mut Scheduler<'_, NetEvent>) {
@@ -975,10 +980,11 @@ impl Network {
         &mut self,
         node: NodeId,
         in_port: usize,
-        mut frame: Box<Frame>,
+        id: FrameId,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let now = sched.now();
+        let frame = *self.frames.get(id);
         // PFC frames are link-local: they pause this node's egress side of
         // `in_port` after the standard processing delay.
         if let FrameKind::Pfc(p) = frame.kind {
@@ -996,7 +1002,7 @@ impl Network {
                     gen,
                 },
             );
-            self.pool.put(frame);
+            self.frames.free(id);
             return;
         }
 
@@ -1024,7 +1030,7 @@ impl Network {
                 port: in_port as u16,
                 payload: frame.bytes,
             });
-            self.pool.put(frame);
+            self.frames.free(id);
             return;
         };
 
@@ -1035,7 +1041,11 @@ impl Network {
                 let q = frame.class as usize;
                 let outcome = sw.mmu.on_arrival(in_port, q, frame.bytes, now);
                 fc = outcome.actions;
-                outcome.region.map(|region| Some(IngressTag { in_port, in_queue: q, region }))
+                outcome.region.map(|region| {
+                    // The builder keeps switch ports within `u16`, and
+                    // classes are below 8.
+                    Some(IngressTag { in_port: in_port as u16, in_queue: q as u8, region })
+                })
             } else {
                 Some(None)
             }
@@ -1046,7 +1056,7 @@ impl Network {
             // it by design once the shared pool rejects (drop-tail), and
             // loss recovery repairs the gap end to end.
             self.data_drops += 1;
-            self.pool.put(frame);
+            self.frames.free(id);
             self.drain_fc(node, fc, sched);
             return;
         };
@@ -1056,7 +1066,7 @@ impl Network {
             let qlen = self.port_mut(node, out_port).queue_bytes(frame.class);
             let mark = self.params.ecn.mark(qlen, &mut self.rng);
             if mark {
-                if let FrameKind::Data(d) = &mut frame.kind {
+                if let FrameKind::Data(d) = &mut self.frames.get_mut(id).kind {
                     d.ecn = true;
                 }
             }
@@ -1068,7 +1078,7 @@ impl Network {
         if !fc.is_empty() {
             self.drain_fc(node, fc, sched);
         }
-        self.send_or_enqueue(node, out_port, QueuedFrame { frame, ingress: tag }, sched);
+        self.send_or_enqueue(node, out_port, QueuedFrame::new(id, &frame, tag), sched);
     }
 
     // ---- host dataplane -------------------------------------------------------
@@ -1077,11 +1087,11 @@ impl Network {
         &mut self,
         node: NodeId,
         in_port: usize,
-        frame: Box<Frame>,
+        id: FrameId,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let now = sched.now();
-        match &frame.kind {
+        match &self.frames.get(id).kind {
             FrameKind::Pfc(p) => {
                 let (scope, pause) = (p.scope, p.pause);
                 let port = self.port_mut(node, in_port);
@@ -1098,15 +1108,22 @@ impl Network {
                         gen,
                     },
                 );
-                self.pool.put(frame);
+                self.frames.free(id);
             }
-            FrameKind::Data(_) => self.host_receive_data(node, frame, sched),
-            FrameKind::Ack(a) => {
+            FrameKind::Data(_) => self.host_receive_data(node, id, sched),
+            &FrameKind::Ack(a) => {
                 let flow = a.flow;
                 let recovery_on = self.params.recovery.is_some();
                 let mtu = self.params.mtu;
                 {
-                    if let Some(f) = self.sender_mut(node, flow) {
+                    debug_assert_eq!(node, self.flows[flow.0].spec.src, "{flow:?} ACK at {node}");
+                    let slot = self.sender_slot(flow);
+                    // The sender's state and the ACK's echoed hops, borrowed
+                    // side by side.
+                    let Node::Host(host) = &mut self.nodes[node.0] else {
+                        unreachable!("{node} is not a host")
+                    };
+                    if let Some(f) = slot.map(|i| &mut host.tx_flows[i]) {
                         // ACKs are cumulative: the receiver echoes its
                         // in-order high-water mark, so duplicates and
                         // reordering collapse to `delta == 0`.
@@ -1122,7 +1139,7 @@ impl Network {
                             let info = AckInfo {
                                 acked_bytes: delta,
                                 ecn_echo: a.ecn_echo,
-                                hops: &frame.hops,
+                                hops: self.frames.hops(id),
                             };
                             f.cc.on_ack(now, &info);
                             if recovery_on {
@@ -1152,12 +1169,12 @@ impl Network {
                         }
                     }
                 }
-                self.pool.put(frame);
+                self.frames.free(id);
                 self.arm_cc_timer(node, flow, sched);
                 // Window space may have opened.
                 self.host_try_send(node, sched);
             }
-            FrameKind::Nack(n) => {
+            &FrameKind::Nack(n) => {
                 let (flow, expected, bitmap, ecn_echo) = (n.flow, n.expected, n.bitmap, n.ecn_echo);
                 let mtu = self.params.mtu;
                 let mut episode = false;
@@ -1209,16 +1226,15 @@ impl Network {
                 if episode {
                     self.recovery_nacks += 1;
                 }
-                self.pool.put(frame);
+                self.frames.free(id);
                 self.arm_cc_timer(node, flow, sched);
                 self.host_try_send(node, sched);
             }
-            FrameKind::Cnp { flow, .. } => {
-                let flow = *flow;
+            &FrameKind::Cnp { flow, .. } => {
                 if let Some(f) = self.sender_mut(node, flow) {
                     f.cc.on_cnp(now);
                 }
-                self.pool.put(frame);
+                self.frames.free(id);
                 self.arm_cc_timer(node, flow, sched);
             }
         }
@@ -1227,10 +1243,10 @@ impl Network {
     fn host_receive_data(
         &mut self,
         node: NodeId,
-        mut frame: Box<Frame>,
+        id: FrameId,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
-        let FrameKind::Data(d) = &frame.kind else {
+        let FrameKind::Data(d) = &self.frames.get(id).kind else {
             unreachable!("host_receive_data requires a data frame")
         };
         let (flow, src, seq, payload, ecn) = (d.flow, d.src, d.seq, d.payload, d.ecn);
@@ -1295,14 +1311,13 @@ impl Network {
         }
 
         // Reply path: ACK (or NACK on an out-of-order arrival under
-        // selective repeat) + CNP (DCQCN NP policy). The data frame's box
-        // is rewritten in place; an ACK keeps the hops the data collected,
-        // so the telemetry echoes without a copy.
+        // selective repeat) + CNP (DCQCN NP policy). The data frame is
+        // rewritten in place; an ACK keeps the hop slot the data filled, so
+        // the telemetry echoes without a copy, and a NACK releases it.
         if nack {
-            frame.refill(
-                CONTROL_FRAME_BYTES,
-                CONTROL_CLASS,
-                FrameKind::Nack(NackFrame {
+            self.frames.refill(
+                id,
+                Frame::nack(NackFrame {
                     flow,
                     dst: src,
                     expected: cum_acked,
@@ -1317,15 +1332,15 @@ impl Network {
                 payload: cum_acked,
             });
         } else {
-            frame.echo_as_ack(AckFrame { flow, dst: src, acked: cum_acked, ecn_echo: ecn });
+            let ack = AckFrame { flow, dst: src, acked: cum_acked, ecn_echo: ecn };
+            self.frames.get_mut(id).echo_as_ack(ack);
         }
-        let reply = QueuedFrame { frame, ingress: None };
+        let reply = QueuedFrame::new(id, self.frames.get(id), None);
         if send_cnp {
-            let cnp =
-                self.pooled(CONTROL_FRAME_BYTES, CONTROL_CLASS, FrameKind::Cnp { flow, dst: src });
+            let cnp = self.alloc_queued(Frame::cnp(flow, src));
             let uplink = self.host_mut(node).uplink_mut();
             uplink.enqueue(reply);
-            uplink.enqueue(QueuedFrame { frame: cnp, ingress: None });
+            uplink.enqueue(cnp);
             self.try_transmit(node, 0, sched);
         } else {
             self.send_or_enqueue(node, 0, reply, sched);
@@ -1547,8 +1562,8 @@ impl Network {
                     NetEvent::RtoTimer { host: node.0 as u32, flow: flow_id.0 as u32, gen },
                 );
             }
-            let frame = self.pooled(seg, class, FrameKind::Data(df));
-            self.host_mut(node).uplink_mut().enqueue(QueuedFrame { frame, ingress: None });
+            let qf = self.alloc_queued(Frame::data(df, class));
+            self.host_mut(node).uplink_mut().enqueue(qf);
             self.arm_cc_timer(node, flow_id, sched);
         }
         self.try_transmit(node, 0, sched);
@@ -1836,10 +1851,11 @@ impl Network {
     /// corruption draw eats it. Only data frames are ever corrupted —
     /// PFC is link-local control whose loss the protocol cannot recover
     /// from (see the `fault` module docs).
-    fn arrival_lost(&mut self, node: NodeId, in_port: usize, frame: &Frame) -> bool {
+    fn arrival_lost(&mut self, node: NodeId, in_port: usize, id: FrameId) -> bool {
         if self.fault_plan.is_none() {
             return false;
         }
+        let frame = *self.frames.get(id);
         if !self.port_mut(node, in_port).is_link_up() {
             trace_event!(self.tracer, TraceEvent::FaultDrop, {
                 node: node.0 as u32,
@@ -1929,8 +1945,8 @@ impl Network {
     }
 
     /// Releases the MMU accounting of `frames` drained off one of
-    /// `node`'s ports (a link failure or a watchdog flush), returns them
-    /// to the pool, then sends the PFC frames the releases owe — all
+    /// `node`'s ports (a link failure or a watchdog flush), frees them,
+    /// then sends the PFC frames the releases owe — all
     /// collected first, then emitted in order through [`Self::drain_fc`],
     /// which drops those owed to an upstream whose link is down.
     /// `frames` comes back empty as the next drain's scratch buffer.
@@ -1944,10 +1960,11 @@ impl Network {
         let mut released = std::mem::take(&mut self.released);
         for qf in frames.drain(..) {
             if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
+                let (port, queue) = (usize::from(in_port), usize::from(in_queue));
                 let mmu = &mut self.switch_mut(node).mmu;
-                released.extend(mmu.on_departure(in_port, in_queue, qf.frame.bytes, region, now));
+                released.extend(mmu.on_departure(port, queue, qf.bytes(), region, now));
             }
-            self.pool.put(qf.frame);
+            self.frames.free(qf.frame);
         }
         self.drain_fc(node, released.drain(..), sched);
         self.drained = frames;
@@ -1999,8 +2016,8 @@ impl Network {
         let diameter = routes.max_hops;
         assert!(
             diameter <= dsh_transport::HOP_CAPACITY,
-            "post-fault reroute produced a {diameter}-switch path but frames \
-             carry only HOP_CAPACITY ({}) inline telemetry stamps",
+            "post-fault reroute produced a {diameter}-switch path but a hop-slab \
+             slot holds only HOP_CAPACITY ({}) telemetry stamps",
             dsh_transport::HOP_CAPACITY
         );
         let switches = self.nodes.iter_mut().filter_map(|n| match n {
@@ -2244,13 +2261,13 @@ fn port_of(nodes: &mut [Node], id: NodeId, port: usize) -> &mut EgressPort {
 }
 
 // Hot-path size contracts: calendar entries and queue slots are memcpy'd
-// constantly, so the large frame payload must stay behind a pointer.
-dsh_simcore::const_assert_size!(NetEvent, 24);
-dsh_simcore::const_assert_size!(QueuedFrame, 40);
-// The boxed frame itself carries the inline HopList (HOP_CAPACITY × 32-byte
-// TelemetryHop stamps); keep it cache-friendly. Raising HOP_CAPACITY moves
-// this — recertify deliberately, don't just bump the number.
-dsh_simcore::const_assert_size!(Frame, 352);
+// constantly, so they carry a frame as its 4-byte arena id, and a queue
+// slot inlines just the fields the egress reads.
+dsh_simcore::const_assert_size!(NetEvent, 16);
+dsh_simcore::const_assert_size!(QueuedFrame, 16);
+// A frame is its header and payload; INT hop records live in the arena's
+// hop slab, so HOP_CAPACITY sizes a slab slot and never the frame.
+dsh_simcore::const_assert_size!(Frame, 72);
 // Fabric state contracts: ports and nodes are built by the thousand at
 // paper scale, so per-port telemetry (the pause histograms) lives in the
 // network's stores, not inline. The host variant, which holds its uplink
@@ -2283,9 +2300,9 @@ impl Model for Network {
                 // In-flight frames cannot be retracted from the calendar,
                 // so link cuts (and corruption draws) take effect here, at
                 // delivery time.
-                if self.arrival_lost(node, in_port, &frame) {
+                if self.arrival_lost(node, in_port, frame) {
                     self.link_drops += 1;
-                    self.pool.put(frame);
+                    self.frames.free(frame);
                     return;
                 }
                 if matches!(self.nodes[node.0], Node::Switch(_)) {
@@ -2386,75 +2403,151 @@ mod tests {
         b
     }
 
-    /// A network under watch: records, before the network handles it, the
-    /// INT request and hops of every data frame and the hops of every ACK
-    /// that reach a host.
+    /// A data frame or ACK as it reached a host.
+    struct Arrival {
+        id: FrameId,
+        flow: FlowId,
+        ack: bool,
+        /// The data frame's INT request (`false` for ACKs).
+        int: bool,
+        hops: dsh_transport::HopList,
+    }
+
+    /// A network under watch: records, before the network handles it,
+    /// every data frame and ACK that reaches a host.
     struct FrameSpy {
         net: Network,
-        data: Vec<(bool, dsh_transport::HopList)>,
-        acks: Vec<dsh_transport::HopList>,
+        arrivals: Vec<Arrival>,
+    }
+
+    impl FrameSpy {
+        /// The INT request and hops of `flow`'s data frames, in arrival order.
+        fn data_of(&self, flow: FlowId) -> Vec<(bool, dsh_transport::HopList)> {
+            let data = self.arrivals.iter().filter(|a| a.flow == flow && !a.ack);
+            data.map(|a| (a.int, a.hops)).collect()
+        }
+
+        /// The hops of `flow`'s ACKs, in arrival order.
+        fn acks_of(&self, flow: FlowId) -> Vec<dsh_transport::HopList> {
+            self.arrivals.iter().filter(|a| a.flow == flow && a.ack).map(|a| a.hops).collect()
+        }
+
+        /// The watched network as a simulation with its flow starts
+        /// scheduled.
+        fn into_sim_watched(mut self) -> Simulation<FrameSpy> {
+            self.net.prepare();
+            let starts: Vec<_> = self.net.flows.iter().map(|f| f.spec.start).collect();
+            let mut sim = Simulation::new(self);
+            for (flow, at) in starts.into_iter().enumerate() {
+                sim.schedule(at, NetEvent::FlowStart { flow: flow as u32 });
+            }
+            sim
+        }
+
+        /// How many times an arena id that carried a frame of `from` next
+        /// carried one of `to`.
+        fn handoffs(&self, from: FlowId, to: FlowId) -> usize {
+            let mut last = std::collections::HashMap::new();
+            let mut n = 0;
+            for a in &self.arrivals {
+                if last.insert(a.id, a.flow) == Some(from) && a.flow == to {
+                    n += 1;
+                }
+            }
+            n
+        }
     }
 
     impl Model for FrameSpy {
         type Event = NetEvent;
 
         fn handle(&mut self, event: NetEvent, sched: &mut Scheduler<'_, NetEvent>) {
-            if let NetEvent::Arrive { node, frame, .. } = &event {
-                if matches!(self.net.nodes[*node as usize], Node::Host(_)) {
-                    match frame.kind {
-                        FrameKind::Data(d) => self.data.push((d.int, frame.hops)),
-                        FrameKind::Ack(_) => self.acks.push(frame.hops),
-                        _ => {}
-                    }
+            if let NetEvent::Arrive { node, frame: id, .. } = event {
+                if matches!(self.net.nodes[node as usize], Node::Host(_)) {
+                    let hops = dsh_transport::HopList::from_slice(self.net.frames.hops(id));
+                    let (flow, ack, int) = match self.net.frames.get(id).kind {
+                        FrameKind::Data(d) => (d.flow, false, d.int),
+                        FrameKind::Ack(a) => (a.flow, true, false),
+                        _ => unreachable!("the chain runs without ECN or loss"),
+                    };
+                    self.arrivals.push(Arrival { id, flow, ack, int, hops });
                 }
             }
             self.net.handle(event, sched);
         }
     }
 
-    /// One 30 kB flow of `cc` across a chain of `depth` switches, watched.
-    fn spy_on_chain(cc: CcKind, depth: usize) -> FrameSpy {
+    /// One flow per `(transport, bytes, start)` in `flows`, all from host
+    /// 0 to host 1 across a chain of `depth` switches, watched.
+    fn spy_on_chain(flows: &[(CcKind, u64, Time)], depth: usize) -> FrameSpy {
         let mut net = switch_chain(depth).build();
-        net.add_flow(FlowSpec {
-            src: NodeId(0),
-            dst: NodeId(1),
-            size: 30_000,
-            class: 0,
-            start: Time::ZERO,
-            cc,
-        });
-        net.prepare();
-        let mut sim = Simulation::new(FrameSpy { net, data: Vec::new(), acks: Vec::new() });
-        sim.schedule(Time::ZERO, NetEvent::FlowStart { flow: 0 });
+        for &(cc, size, start) in flows {
+            net.add_flow(FlowSpec { src: NodeId(0), dst: NodeId(1), size, class: 0, start, cc });
+        }
+        let mut sim = FrameSpy { net, arrivals: Vec::new() }.into_sim_watched();
         sim.run_until(Time::from_ms(1));
         let spy = sim.into_model();
-        assert_eq!(spy.net.fct_records().len(), 1, "{cc} flow completes");
-        assert!(!spy.data.is_empty());
+        assert_eq!(spy.net.fct_records().len(), flows.len(), "{flows:?} complete");
+        assert_eq!(spy.net.live_frames(), 0, "every frame was freed");
+        for flow in 0..flows.len() {
+            assert!(!spy.data_of(FlowId(flow)).is_empty());
+        }
         spy
+    }
+
+    /// Asserts that every data frame of `flow` requested INT and carries
+    /// one stamp per switch of a `depth`-switch path, in path order, and
+    /// that the k-th ACK (one path, FIFO queues: the answer to the k-th
+    /// data frame) echoes exactly its hops.
+    fn assert_int_echoed(spy: &FrameSpy, flow: FlowId, depth: usize) {
+        let data = spy.data_of(flow);
+        for (int, hops) in &data {
+            assert!(int, "PowerTCP data requests INT");
+            assert_eq!(hops.len(), depth, "one stamp per switch egress");
+            assert!(hops.windows(2).all(|w| w[0].timestamp < w[1].timestamp), "path order");
+        }
+        let data_hops: Vec<_> = data.iter().map(|(_, hops)| *hops).collect();
+        assert_eq!(spy.acks_of(flow), data_hops);
+    }
+
+    /// Asserts that no data frame or ACK of `flow` carries a hop.
+    fn assert_no_hops(spy: &FrameSpy, flow: FlowId) {
+        assert!(spy.data_of(flow).iter().all(|(int, hops)| !int && hops.is_empty()), "data");
+        assert!(spy.acks_of(flow).iter().all(|hops| hops.is_empty()), "ACKs");
     }
 
     #[test]
     fn frames_of_transports_that_ignore_int_carry_no_hops() {
         for cc in [CcKind::Dcqcn, CcKind::Uncontrolled] {
-            let spy = spy_on_chain(cc, 3);
-            assert!(spy.data.iter().all(|(int, hops)| !int && hops.is_empty()), "{cc} data");
-            assert!(spy.acks.iter().all(|hops| hops.is_empty()), "{cc} ACKs");
+            assert_no_hops(&spy_on_chain(&[(cc, 30_000, Time::ZERO)], 3), FlowId(0));
         }
     }
 
     #[test]
     fn powertcp_acks_echo_every_hop_in_path_order() {
         // Five switches: the chain of the engine bench's PowerTCP probe.
-        let spy = spy_on_chain(CcKind::PowerTcp, 5);
-        for (int, hops) in &spy.data {
-            assert!(int, "PowerTCP data requests INT");
-            assert_eq!(hops.len(), 5, "one stamp per switch egress");
-            assert!(hops.windows(2).all(|w| w[0].timestamp < w[1].timestamp), "path order");
+        let spy = spy_on_chain(&[(CcKind::PowerTcp, 30_000, Time::ZERO)], 5);
+        assert_int_echoed(&spy, FlowId(0), 5);
+    }
+
+    #[test]
+    fn int_and_plain_frames_share_arena_ids_without_sharing_hops() {
+        // Both flows on one class of one path. The second starts once the
+        // first one's ACKs free arena ids (one round trip is 24 us) and
+        // takes them over: from INT frames to plain ones, then the other
+        // way round.
+        for (int_start, plain_start) in [(0, 30), (30, 0)] {
+            let flows = [
+                (CcKind::PowerTcp, 300_000, Time::from_us(int_start)),
+                (CcKind::Dcqcn, 300_000, Time::from_us(plain_start)),
+            ];
+            let spy = spy_on_chain(&flows, 5);
+            assert_int_echoed(&spy, FlowId(0), 5);
+            assert_no_hops(&spy, FlowId(1));
+            let (first, second) =
+                if int_start == 0 { (FlowId(0), FlowId(1)) } else { (FlowId(1), FlowId(0)) };
+            assert!(spy.handoffs(first, second) > 0, "{flows:?}: no id changed hands");
         }
-        // One path, FIFO queues: the k-th ACK answers the k-th data frame
-        // and echoes exactly its hops.
-        let data_hops: Vec<_> = spy.data.iter().map(|(_, hops)| *hops).collect();
-        assert_eq!(spy.acks, data_hops);
     }
 
     #[test]

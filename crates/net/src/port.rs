@@ -1,6 +1,7 @@
 //! The egress side of a full-duplex port: 8 priority queues, DWRR
 //! scheduling, PFC pause state, and transmission bookkeeping.
 
+use crate::arena::FrameId;
 use crate::frame::{Frame, FrameKind};
 use crate::ids::{NodeId, CONTROL_CLASS, NUM_CLASSES};
 use crate::monitor::{PauseHistograms, PAUSE_SCOPES, PORT_SCOPE};
@@ -15,27 +16,59 @@ pub const DWRR_QUANTUM: u64 = 1600;
 /// MMU accounting when it departs.
 #[derive(Clone, Copy, Debug)]
 pub struct IngressTag {
-    /// Ingress port index the frame arrived on.
-    pub in_port: usize,
+    /// Ingress port index the frame arrived on (the builder asserts that
+    /// every switch's ports fit a `u16`).
+    pub in_port: u16,
     /// MMU queue (lossless class) it was accounted under.
-    pub in_queue: usize,
+    pub in_queue: u8,
     /// Buffer segment it was admitted into (the per-packet pool tag a real
     /// MMU keeps; released exactly on departure).
     pub region: Region,
 }
 
-/// A frame waiting in an egress queue.
-///
-/// The frame itself is boxed: queue entries and calendar events stay a few
-/// pointers wide even though the frame carries its INT hop records inline,
-/// and the box is recycled through the network's frame pool instead of
-/// being freed when the frame is consumed.
-#[derive(Clone, Debug)]
+/// A frame waiting in an egress queue: its arena id plus every field the
+/// egress reads, so enqueueing, DWRR, the PFC lane and the INT check never
+/// look the frame up in the arena.
+#[derive(Clone, Copy, Debug)]
 pub struct QueuedFrame {
     /// The frame.
-    pub frame: Box<Frame>,
+    pub frame: FrameId,
+    /// Wire size in bytes.
+    pub bytes: u32,
+    /// Priority class.
+    pub class: u8,
+    /// A PFC frame: served from the port's PFC lane.
+    pub pfc: bool,
+    /// A data frame that requested INT: stamped at switch egress.
+    pub int: bool,
     /// MMU accounting tag (switch ingress only; `None` on hosts).
     pub ingress: Option<IngressTag>,
+}
+
+impl QueuedFrame {
+    /// The queue entry of `frame`, stored in the arena as `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is larger than a `u32` counts.
+    #[must_use]
+    pub(crate) fn new(id: FrameId, frame: &Frame, ingress: Option<IngressTag>) -> QueuedFrame {
+        QueuedFrame {
+            frame: id,
+            bytes: u32::try_from(frame.bytes).expect("frame size exceeds u32"),
+            class: frame.class,
+            pfc: matches!(frame.kind, FrameKind::Pfc(_)),
+            int: frame.requests_int(),
+            ingress,
+        }
+    }
+
+    /// Wire size in bytes.
+    #[must_use]
+    #[inline]
+    pub(crate) fn bytes(&self) -> u64 {
+        u64::from(self.bytes)
+    }
 }
 
 /// Pause bookkeeping of one scope (a class, or the whole port): total
@@ -367,13 +400,13 @@ impl EgressPort {
     /// highest-priority lane (FIFO among themselves, so a PAUSE can never
     /// overtake its matching RESUME).
     pub fn enqueue(&mut self, qf: QueuedFrame) {
-        if matches!(qf.frame.kind, FrameKind::Pfc(_)) {
-            self.pfc_bytes += qf.frame.bytes;
+        if qf.pfc {
+            self.pfc_bytes += qf.bytes();
             self.pfc.push_back(qf);
             return;
         }
-        let c = qf.frame.class as usize;
-        self.qbytes[c] += qf.frame.bytes;
+        let c = qf.class as usize;
+        self.qbytes[c] += qf.bytes();
         // First touch sizes the ring for a burst in one step; untouched
         // classes stay unallocated (see `EgressPort::new`), and growing
         // 0→4→8→… would memcpy the queue several times on the way up.
@@ -402,13 +435,13 @@ impl EgressPort {
         // PFC lane: ahead of everything, never paused (802.1Qbb pause
         // frames bypass even queued control traffic).
         if let Some(qf) = self.pfc.pop_front() {
-            self.pfc_bytes -= qf.frame.bytes;
+            self.pfc_bytes -= qf.bytes();
             return Some(qf);
         }
 
         // Control queue: strict priority, never paused.
         if let Some(qf) = self.queues[CONTROL_CLASS as usize].pop_front() {
-            self.qbytes[CONTROL_CLASS as usize] -= qf.frame.bytes;
+            self.qbytes[CONTROL_CLASS as usize] -= qf.bytes();
             return Some(qf);
         }
 
@@ -419,7 +452,7 @@ impl EgressPort {
         if self.active.len() == 1 {
             let c = *self.active.front().expect("len checked");
             if self.class_sendable(c as u8) {
-                if let Some(sz) = self.queues[c].front().map(|h| h.frame.bytes) {
+                if let Some(sz) = self.queues[c].front().map(QueuedFrame::bytes) {
                     if self.deficit[c] < sz {
                         let need = sz - self.deficit[c];
                         self.deficit[c] += need.div_ceil(DWRR_QUANTUM) * DWRR_QUANTUM;
@@ -447,7 +480,7 @@ impl EgressPort {
             for _ in 0..rounds {
                 let Some(&c) = self.active.front() else { break };
                 let sendable = self.class_sendable(c as u8);
-                let head_bytes = self.queues[c].front().map(|f| f.frame.bytes);
+                let head_bytes = self.queues[c].front().map(QueuedFrame::bytes);
                 match head_bytes {
                     None => {
                         // Queue drained: drop from the active list.
@@ -575,41 +608,41 @@ impl EgressPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{DataFrame, Frame};
+    use crate::frame::{DataFrame, PfcScope};
     use crate::ids::FlowId;
 
+    /// A queue entry for `frame` (the port never looks a frame up, so
+    /// one id serves every entry unless a test tells them apart).
+    fn queued(frame: Frame) -> QueuedFrame {
+        QueuedFrame::new(FrameId(0), &frame, None)
+    }
+
     fn data_frame(class: u8, bytes: u64) -> QueuedFrame {
-        QueuedFrame {
-            frame: Box::new(Frame::data(
-                DataFrame {
-                    flow: FlowId(0),
-                    src: NodeId(0),
-                    dst: NodeId(1),
-                    seq: 0,
-                    payload: bytes,
-                    ecn: false,
-                    int: false,
-                },
-                class,
-            )),
-            ingress: None,
-        }
+        queued(Frame::data(
+            DataFrame {
+                flow: FlowId(0),
+                src: NodeId(0),
+                dst: NodeId(1),
+                seq: 0,
+                payload: bytes,
+                ecn: false,
+                int: false,
+            },
+            class,
+        ))
     }
 
     fn pfc_frame(scope: crate::frame::PfcScope, pause: bool) -> QueuedFrame {
-        QueuedFrame { frame: Box::new(Frame::pfc(scope, pause)), ingress: None }
+        queued(Frame::pfc(scope, pause))
     }
 
     fn ack_frame() -> QueuedFrame {
-        QueuedFrame {
-            frame: Box::new(Frame::ack(crate::frame::AckFrame {
-                flow: FlowId(0),
-                dst: NodeId(0),
-                acked: 1500,
-                ecn_echo: false,
-            })),
-            ingress: None,
-        }
+        queued(Frame::ack(crate::frame::AckFrame {
+            flow: FlowId(0),
+            dst: NodeId(0),
+            acked: 1500,
+            ecn_echo: false,
+        }))
     }
 
     fn port() -> EgressPort {
@@ -627,9 +660,9 @@ mod tests {
         p.enqueue(data_frame(0, 1500));
         p.enqueue(pfc_frame(crate::frame::PfcScope::Port, true));
         let first = p.pick().unwrap();
-        assert_eq!(first.frame.class, CONTROL_CLASS);
+        assert_eq!(first.class, CONTROL_CLASS);
         let second = p.pick().unwrap();
-        assert_eq!(second.frame.class, 0);
+        assert_eq!(second.class, 0);
         assert!(p.pick().is_none());
     }
 
@@ -643,7 +676,7 @@ mod tests {
         let mut counts = [0usize; 2];
         for _ in 0..100 {
             let qf = p.pick().unwrap();
-            counts[qf.frame.class as usize] += 1;
+            counts[qf.class as usize] += 1;
         }
         let diff = counts[0].abs_diff(counts[1]);
         assert!(diff <= 2, "{counts:?}");
@@ -664,7 +697,7 @@ mod tests {
         let mut bytes = [0u64; 2];
         for _ in 0..400 {
             let qf = p.pick().unwrap();
-            bytes[qf.frame.class as usize] += qf.frame.bytes;
+            bytes[qf.class as usize] += qf.bytes();
         }
         let ratio = bytes[0] as f64 / bytes[1] as f64;
         assert!((ratio - 1.0).abs() < 0.1, "byte split {bytes:?}");
@@ -678,11 +711,11 @@ mod tests {
         p.enqueue(data_frame(1, 1500));
         p.apply_class_pause(0, true, Time::ZERO, &mut h);
         let qf = p.pick().unwrap();
-        assert_eq!(qf.frame.class, 1);
+        assert_eq!(qf.class, 1);
         assert!(p.pick().is_none(), "class 0 paused");
         p.apply_class_pause(0, false, Time::from_us(5), &mut h);
         let qf = p.pick().unwrap();
-        assert_eq!(qf.frame.class, 0);
+        assert_eq!(qf.class, 0);
     }
 
     #[test]
@@ -693,7 +726,7 @@ mod tests {
         p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(0), false));
         p.apply_port_pause(true, Time::ZERO, &mut h);
         let qf = p.pick().unwrap();
-        assert_eq!(qf.frame.class, CONTROL_CLASS, "control is pause-exempt");
+        assert_eq!(qf.class, CONTROL_CLASS, "control is pause-exempt");
         assert!(p.pick().is_none());
     }
 
@@ -756,22 +789,20 @@ mod tests {
         p.enqueue(data_frame(0, 1500));
         p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(0), true));
         let first = p.pick().unwrap();
-        assert!(matches!(first.frame.kind, FrameKind::Pfc(_)), "PFC must bypass the ACK backlog");
+        assert!(first.pfc, "PFC must bypass the ACK backlog");
     }
 
     #[test]
     fn pfc_lane_is_fifo_so_resume_cannot_overtake_pause() {
         let mut p = port();
-        p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(3), true));
-        p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(3), false));
+        let pause = QueuedFrame { frame: FrameId(1), ..pfc_frame(PfcScope::Queue(3), true) };
+        let resume = QueuedFrame { frame: FrameId(2), ..pfc_frame(PfcScope::Queue(3), false) };
+        p.enqueue(pause);
+        p.enqueue(resume);
         let first = p.pick().unwrap();
         let second = p.pick().unwrap();
-        match (&first.frame.kind, &second.frame.kind) {
-            (FrameKind::Pfc(a), FrameKind::Pfc(b)) => {
-                assert!(a.pause && !b.pause, "pause must precede its resume");
-            }
-            other => panic!("expected two PFC frames, got {other:?}"),
-        }
+        assert!(first.pfc && second.pfc);
+        assert_eq!((first.frame, second.frame), (pause.frame, resume.frame), "pause first");
     }
 
     #[test]
@@ -820,7 +851,7 @@ mod tests {
         p.restore();
         assert!(p.is_link_up());
         let qf = p.pick().expect("restored port transmits");
-        assert_eq!(qf.frame.class, 1);
+        assert_eq!(qf.class, 1);
     }
 
     /// Every piece of scheduler state `enqueue` and `pick` touch.
@@ -841,12 +872,13 @@ mod tests {
         while p.pick().is_some() {}
         let idle = scheduler_state(&p);
         assert_eq!(idle, (false, [0; NUM_CLASSES], [0; NUM_CLASSES], 0, 0));
-        for qf in [data_frame(0, 1500), data_frame(3, 64), ack_frame()] {
-            assert!(p.idle_for(qf.frame.class, Time::ZERO, 1));
-            let sent: *const Frame = &*qf.frame;
+        for (k, qf) in [data_frame(0, 1500), data_frame(3, 64), ack_frame()].into_iter().enumerate()
+        {
+            let qf = QueuedFrame { frame: FrameId(k as u32 + 1), ..qf };
+            assert!(p.idle_for(qf.class, Time::ZERO, 1));
             p.enqueue(qf);
             let got = p.pick().expect("the offered frame");
-            assert!(std::ptr::eq(&*got.frame, sent), "pick returns the offered frame");
+            assert_eq!(got.frame, qf.frame, "pick returns the offered frame");
             assert_eq!(scheduler_state(&p), idle, "state as the direct path leaves it");
         }
     }

@@ -50,7 +50,6 @@
 mod engine;
 pub mod exec;
 pub mod json;
-mod pool;
 pub mod profile;
 mod queue;
 mod rng;
@@ -61,10 +60,33 @@ mod units;
 pub use engine::{Model, Scheduler, Simulation};
 pub use exec::Executor;
 pub use json::Json;
-pub use pool::Pool;
 pub use profile::{EngineProfile, EventClass};
 pub use queue::EventQueue;
 pub use rng::{split_seed, SimRng};
 pub use time::{Delta, Time};
 pub use trace::{TraceConfig, TraceKey, TraceLog, TraceMask, Tracer};
 pub use units::{Bandwidth, ByteSize};
+
+/// Asserts at compile time that a type fits a size ceiling.
+///
+/// Hot-path types (events, queued frames) are memcpy'd into and out of the
+/// calendar and the port queues, so their size is a performance contract:
+/// this macro turns an accidental regression (e.g. un-boxing a large
+/// variant) into a compile error instead of a silent slowdown.
+#[macro_export]
+macro_rules! const_assert_size {
+    ($ty:ty, $max:expr) => {
+        const _: () = assert!(
+            std::mem::size_of::<$ty>() <= $max,
+            concat!(
+                "size_of::<",
+                stringify!($ty),
+                ">() exceeds the ",
+                stringify!($max),
+                "-byte hot-path ceiling; box the large variant"
+            )
+        );
+    };
+}
+
+const_assert_size!(u64, 8);

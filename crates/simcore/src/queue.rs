@@ -22,6 +22,7 @@
 //! where it would have popped had it been pushed at reservation time.
 
 use crate::time::Time;
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -107,6 +108,63 @@ struct Node<E> {
 /// Why a node reached through a slot's list holds an event.
 const LINKED: &str = "a linked node holds an event";
 
+/// The ring's `[head, tail]` per slot, on the heap.
+///
+/// A dropped calendar parks its table in a thread-local, freeing the one
+/// parked before. Dropping a simulation frees everything it allocated.
+/// With glibc, once that leaves more than the trim threshold free at the
+/// top of the heap (twice the largest mapped block freed so far), `free`
+/// returns those pages to the kernel and the next simulation's set-up
+/// faults them in again: simbench's fig18_cascade set-up took 40 µs
+/// instead of 17 once frames stopped living in individual boxes, some of
+/// which glibc had kept cached at the top of the heap. The parked table,
+/// allocated at the end of the last set-up, stays live above that set-up's
+/// buffers, so the heap keeps their pages. It is never read again.
+struct SlotTable(Option<Box<[[u32; 2]; SLOTS]>>);
+
+thread_local! {
+    /// The table of the calendar this thread dropped last.
+    static PARKED: Cell<Option<Box<[[u32; 2]; SLOTS]>>> = const { Cell::new(None) };
+}
+
+impl SlotTable {
+    /// A table of zero heads and tails, built on the heap (a zeroed
+    /// allocation) rather than staged on the stack.
+    fn new() -> Self {
+        let table = vec![[0; 2]; SLOTS]
+            .into_boxed_slice()
+            .try_into()
+            .expect("a vector of SLOTS slots fits the array");
+        SlotTable(Some(table))
+    }
+}
+
+/// Why a live calendar's table is there: only `Drop` takes it.
+const TABLE: &str = "a live calendar holds its slot table";
+
+impl std::ops::Index<usize> for SlotTable {
+    type Output = [u32; 2];
+
+    #[inline]
+    fn index(&self, pos: usize) -> &[u32; 2] {
+        &self.0.as_deref().expect(TABLE)[pos]
+    }
+}
+
+impl std::ops::IndexMut<usize> for SlotTable {
+    #[inline]
+    fn index_mut(&mut self, pos: usize) -> &mut [u32; 2] {
+        &mut self.0.as_deref_mut().expect(TABLE)[pos]
+    }
+}
+
+impl Drop for SlotTable {
+    fn drop(&mut self) {
+        // Past thread-local teardown the table is simply freed.
+        let _ = PARKED.try_with(|parked| parked.set(self.0.take()));
+    }
+}
+
 /// A discrete-event calendar.
 ///
 /// Events pop in `(time, seq)` order. A push takes the next sequence
@@ -139,7 +197,7 @@ const LINKED: &str = "a linked node holds an event";
 pub struct EventQueue<E> {
     /// First and last node of each slot's list, as `[head, tail]`; stale
     /// unless the slot's `occupied` bit is set.
-    slots: Box<[[u32; 2]; SLOTS]>,
+    slots: SlotTable,
     /// One bit per non-empty slot.
     occupied: [u64; WORDS],
     /// Storage of every ring event; freed nodes are reused before the slab
@@ -174,15 +232,10 @@ impl<E> EventQueue<E> {
     /// before it reallocates.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        // Built on the heap (a zeroed allocation) rather than staged on
-        // the stack; the zero heads and tails are never read before the
-        // occupancy bitmap marks their slot.
-        let slots = vec![[0; 2]; SLOTS]
-            .into_boxed_slice()
-            .try_into()
-            .expect("a vector of SLOTS slots fits the array");
+        // The zero heads and tails are never read before the occupancy
+        // bitmap marks their slot.
         EventQueue {
-            slots,
+            slots: SlotTable::new(),
             occupied: [0; WORDS],
             nodes: Vec::with_capacity(capacity),
             free: NIL,
@@ -550,6 +603,25 @@ mod tests {
 
     fn drain<E>(q: &mut EventQueue<E>) -> Vec<(Time, E)> {
         std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    #[test]
+    fn a_dropped_calendar_parks_its_slot_table_until_the_next_drop() {
+        let addr = |t: Option<&[[u32; 2]; SLOTS]>| t.map(|t| t.as_ptr() as usize);
+        let parked = || {
+            PARKED.with(|p| {
+                let t = p.take();
+                let at = addr(t.as_deref());
+                p.set(t);
+                at
+            })
+        };
+        let (a, b) = (EventQueue::<u8>::new(), EventQueue::<u8>::new());
+        let (ta, tb) = (addr(a.slots.0.as_deref()), addr(b.slots.0.as_deref()));
+        drop(a);
+        assert_eq!(parked(), ta);
+        drop(b);
+        assert_eq!(parked(), tb, "the last drop replaces it");
     }
 
     #[test]

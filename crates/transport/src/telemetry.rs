@@ -32,7 +32,7 @@ impl TelemetryHop {
 }
 
 /// Maximum number of switch hops a packet can traverse, and therefore the
-/// inline capacity of a [`HopList`].
+/// capacity of a [`HopList`].
 ///
 /// The nominal data-path diameter of the supported fabrics is 5 egress
 /// stamps: a k-ary fat-tree crosses edge→agg→core→agg→edge, and the
@@ -40,9 +40,8 @@ impl TelemetryHop {
 /// leaf→spine→leaf→spine→leaf. Fault reroutes can lengthen a path past the
 /// nominal diameter (a recomputed fat-tree route may detour through an
 /// extra agg/core pair), so the capacity carries 3 hops of slack above it.
-/// Every frame carries this array inline, so the constant is also a memcpy
-/// budget — the `Frame` size contract (`const_assert_size!` in
-/// `dsh-net::network`) recertifies the frame footprint whenever it moves.
+/// It sizes one slot of the frame arena's hop slab (`dsh-net`), which
+/// only frames that request INT hold, and never the frame itself.
 /// `NetworkBuilder::build` checks the longest computed route against this
 /// capacity at build time, and [`HopList::push`] past capacity panics
 /// rather than silently dropping telemetry.
@@ -55,19 +54,17 @@ const ZERO_HOP: TelemetryHop = TelemetryHop {
     bandwidth: Bandwidth::from_bps(0),
 };
 
-/// A fixed-capacity, inline list of [`TelemetryHop`]s.
+/// A fixed-capacity list of [`TelemetryHop`]s: one slot of the frame
+/// arena's hop slab in `dsh-net`.
 ///
-/// Replaces the old `Vec<TelemetryHop>` inside frames: the storage lives
-/// inline in the frame (no per-packet heap allocation, and a data frame
-/// turned into its ACK in place echoes the hops without a copy). Push
-/// order is preserved. Slots past the live prefix may hold stale stamps
-/// ([`HopList::clear`] only resets the length), so equality, iteration and
-/// `Debug` only ever look at the live prefix.
+/// A data frame that requests INT takes a slot when it is built, and its
+/// ACK, rewritten from it in place, echoes the hops without a copy; the
+/// slot returns to the slab with the frame, so no stamp ever allocates.
+/// Push order is preserved. Slots past the live prefix may hold stale
+/// stamps ([`HopList::clear`] only resets the length), so equality,
+/// iteration and `Debug` only ever look at the live prefix.
 #[derive(Clone, Copy)]
-#[repr(C)]
 pub struct HopList {
-    /// First, so it shares a cache line with the header of the frame
-    /// that holds the list.
     len: u8,
     hops: [TelemetryHop; HOP_CAPACITY],
 }
@@ -84,7 +81,7 @@ impl HopList {
     /// # Panics
     ///
     /// Panics if the packet already carries [`HOP_CAPACITY`] stamps — the
-    /// topology's diameter exceeds the inline capacity contract.
+    /// topology's diameter exceeds the capacity contract.
     pub fn push(&mut self, hop: TelemetryHop) {
         assert!(
             (self.len as usize) < HOP_CAPACITY,
@@ -119,8 +116,8 @@ impl HopList {
     }
 
     /// Removes all hops. Only the length is reset: the slots keep their
-    /// stale stamps, which nothing reads past the live prefix, so a
-    /// recycled frame is emptied without rewriting its 256 bytes of slots.
+    /// stale stamps, which nothing reads past the live prefix, so a reused
+    /// slab slot is emptied without rewriting its 256 bytes of stamps.
     pub fn clear(&mut self) {
         self.len = 0;
     }
