@@ -60,7 +60,7 @@ fn insurance_necessity(c: &mut Criterion) {
             let mut drops = 0u64;
             'outer: for _ in 0..10_000 {
                 for p in 0..32 {
-                    let out = mmu.on_arrival(p, 0, 1500, dsh_simcore::Time::ZERO);
+                    let out = mmu.on_arrival(p, 0, 1500);
                     if !out.is_admitted() {
                         drops += 1;
                         break 'outer;

@@ -146,20 +146,6 @@ fn bench_fig13x(c: &mut Criterion) {
             );
         }
     }
-    // BShare trajectory point (BENCH_PR6.json): same flap schedule under
-    // the queueing-delay-driven scheme, so its pause-threshold math
-    // leaking onto the packet path would show as an event-rate gap
-    // against the DSH number above.
-    let mut bshare_exp = fig13x::smoke_base(Scheme::BShare);
-    bshare_exp.flap_period = Some(Delta::from_us(300));
-    let mut bshare_rate = 0.0f64;
-    for _ in 0..3 {
-        let wall = std::time::Instant::now();
-        let r = fig13x::run_flap(&bshare_exp);
-        assert_eq!(r.wedged, 0);
-        bshare_rate = bshare_rate.max(r.events as f64 / wall.elapsed().as_secs_f64());
-    }
-    criterion::record_metric("fig13x_link_flap/bshare_events_per_sec", bshare_rate);
     // Engine profiler breakdown (BENCH_PR5.json): per-event-type dispatch
     // counts, plus per-class wall time under `--features profile`.
     let (_, prof) = fig13x::run_flap_profiled(&exp);

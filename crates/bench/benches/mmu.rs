@@ -14,10 +14,9 @@ fn mmu_roundtrip(c: &mut Criterion) {
                     // 16 ports cycling arrivals then departures.
                     for round in 0..64u64 {
                         let port = (round % 16) as usize;
-                        let o = mmu.on_arrival(port, 0, 1500, dsh_simcore::Time::ZERO);
+                        let o = mmu.on_arrival(port, 0, 1500);
                         if let Some(region) = o.region {
-                            let _ =
-                                mmu.on_departure(port, 0, 1500, region, dsh_simcore::Time::ZERO);
+                            let _ = mmu.on_departure(port, 0, 1500, region);
                         }
                     }
                 },
@@ -37,7 +36,7 @@ fn mmu_burst_to_pause(c: &mut Criterion) {
                 |mmu| {
                     'outer: for _ in 0..100_000 {
                         for port in 0..16 {
-                            let o = mmu.on_arrival(port, 0, 1500, dsh_simcore::Time::ZERO);
+                            let o = mmu.on_arrival(port, 0, 1500);
                             if !o.actions.is_empty() {
                                 break 'outer;
                             }

@@ -33,7 +33,7 @@ fn adversarial(cfg: MmuConfig) -> (u64, u64) {
                 }
                 active = true;
                 let bytes = 1500.min(budget[i]);
-                let out = mmu.on_arrival(p, q, bytes, dsh_simcore::Time::ZERO);
+                let out = mmu.on_arrival(p, q, bytes);
                 if budget[i] != u64::MAX {
                     budget[i] = budget[i].saturating_sub(bytes);
                 }

@@ -1,5 +1,5 @@
 //! Fig. 5: average FCT vs switch buffer size (PowerTCP, web search, 0.9),
-//! swept for every scheme (SIH/DSH/BShare).
+//! swept for both schemes (SIH and DSH).
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig05_fct_vs_buffer \

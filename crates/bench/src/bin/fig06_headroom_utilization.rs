@@ -1,5 +1,5 @@
 //! Fig. 6: CDF of headroom utilization at local-maximum points, for every
-//! scheme (SIH static headroom; DSH/BShare insurance headroom).
+//! scheme (SIH static headroom; DSH insurance headroom).
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig06_headroom_utilization [--full] [--seed N] [--json]

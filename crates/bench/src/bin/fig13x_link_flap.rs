@@ -5,7 +5,7 @@
 //!     [--full] [--smoke] [--json] [--seed N] [--threads N] [--trace out.json]
 //! ```
 //!
-//! `--smoke` runs one CI-sized flapped run per scheme (SIH/DSH/BShare)
+//! `--smoke` runs one CI-sized flapped run per scheme (SIH and DSH)
 //! and asserts the recovery invariants (no wedged flow, faults actually
 //! dropped frames, MMU audit clean — the audit is checked inside the run
 //! itself). With `--trace` the smoke run additionally parses the Chrome

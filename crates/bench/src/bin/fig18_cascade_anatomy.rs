@@ -7,7 +7,7 @@
 //!     [--metrics out.json]
 //! ```
 //!
-//! Sweeps incast degree × {SIH, DSH, BShare} on a two-tier fabric with
+//! Sweeps incast degree × {SIH, DSH} on a two-tier fabric with
 //! an oversubscribed receiver and prints, per cell, the cascade forest's
 //! anatomy: cascade count, max depth/fan-out, p50/p99 edge duration,
 //! host-NIC reach, and the victim-vs-self pause attribution. `--smoke`

@@ -65,11 +65,6 @@ pub struct FctExperiment {
     pub buffer: ByteSize,
     /// Seed.
     pub seed: u64,
-    /// DT `α` override (`None` keeps the chip default).
-    pub alpha: Option<f64>,
-    /// BShare per-packet delay-target override (`None` keeps the chip
-    /// default; ignored by SIH/DSH).
-    pub bshare_delay_target: Option<Delta>,
     /// Pause-causality / metrics-sampler configuration (`None`, the
     /// default, keeps the observability hooks masked off).
     pub observe: Option<ObserveConfig>,
@@ -91,8 +86,6 @@ impl FctExperiment {
             run_until: Delta::from_ms(8),
             buffer: ByteSize::mib(16),
             seed: 1,
-            alpha: None,
-            bshare_delay_target: None,
             observe: None,
         }
     }
@@ -147,12 +140,6 @@ fn build(exp: &FctExperiment) -> (Network, Vec<NodeId>) {
     let mut params = NetParams::tomahawk(exp.scheme).with_buffer(exp.buffer).with_seed(exp.seed);
     if exp.cc == CcKind::Uncontrolled {
         params = params.without_ecn();
-    }
-    if let Some(alpha) = exp.alpha {
-        params.alpha = alpha;
-    }
-    if let Some(target) = exp.bshare_delay_target {
-        params.bshare_delay_target = target;
     }
     if let Some(cfg) = exp.observe {
         params = params.with_observability(cfg);

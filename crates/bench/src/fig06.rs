@@ -1,9 +1,8 @@
 //! Fig. 6: CDF of headroom utilization at local-maximum points, under
 //! DCQCN at high load (motivation §III-B: "75% of headroom keeps unused
 //! 99% of the time"). The paper measures SIH's static headroom; the same
-//! pipeline also measures DSH/BShare insurance-headroom utilization, so
-//! the three schemes' reserved-but-idle fractions are directly
-//! comparable.
+//! pipeline also measures DSH's insurance-headroom utilization, so the
+//! two schemes' reserved-but-idle fractions are directly comparable.
 
 use crate::fabric::FAN_IN_CLASS;
 use dsh_analysis::stats::Cdf;
@@ -27,7 +26,7 @@ pub struct Fig6Result {
 /// Runs the headroom-utilization experiment on a leaf–spine under DCQCN;
 /// `hosts_per_leaf`/`leaves` and `horizon` control scale. Utilization is
 /// measured against the scheme's own reservation: `N_q·η` per port for
-/// SIH, the insurance `η` per port for DSH/BShare.
+/// SIH, the insurance `η` per port for DSH.
 #[must_use]
 pub fn run(
     scheme: Scheme,
@@ -91,11 +90,11 @@ pub fn run(
 
     // Utilization of a port's headroom at each local maximum: occupancy
     // divided by the port's reservation — N_q · η for SIH's static
-    // headroom, η for DSH/BShare's per-port insurance.
+    // headroom, η for DSH's per-port insurance.
     let alloc = match scheme {
         // All ports here are 100G/2us: eta = 56840, 7 lossless queues.
         Scheme::Sih => 7.0 * 56_840.0,
-        Scheme::Dsh | Scheme::BShare => 56_840.0,
+        Scheme::Dsh => 56_840.0,
         // Lossy mode reserves no headroom at all, so a headroom
         // utilization figure is meaningless for it.
         Scheme::Lossy => panic!("fig06 measures headroom utilization; the lossy scheme has none"),

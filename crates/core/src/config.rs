@@ -11,11 +11,6 @@ pub enum Scheme {
     Sih,
     /// Dynamic and Shared Headroom — the paper's contribution (§IV).
     Dsh,
-    /// BShare's queueing-delay-driven sharing (arxiv 2605.24178): DSH's
-    /// admission and insurance machinery, with the queue pause threshold
-    /// additionally capped at `drain_rate × delay_target` so slow-draining
-    /// queues pause before they build deep standing queues.
-    BShare,
     /// Lossy (no-PFC) mode — the IRN-style counterfactual: zero bytes
     /// reserved as headroom, drop-tail admission against the DT-governed
     /// shared pool, and **no flow-control actions ever** (a frame past
@@ -30,7 +25,7 @@ impl Scheme {
     /// is deliberately excluded: the paper's figure sweeps compare PFC
     /// headroom schemes, and the lossy counterfactual gets its own figure
     /// (fig17).
-    pub const ALL: [Scheme; 3] = [Scheme::Sih, Scheme::Dsh, Scheme::BShare];
+    pub const ALL: [Scheme; 2] = [Scheme::Sih, Scheme::Dsh];
 
     /// Whether this scheme guarantees losslessness via PFC. `false` only
     /// for [`Scheme::Lossy`].
@@ -45,7 +40,6 @@ impl std::fmt::Display for Scheme {
         f.write_str(match self {
             Scheme::Sih => "SIH",
             Scheme::Dsh => "DSH",
-            Scheme::BShare => "BShare",
             Scheme::Lossy => "Lossy",
         })
     }
@@ -89,10 +83,6 @@ pub struct MmuConfig {
     /// `T(t) − η`. **Not lossless** — exists to demonstrate why the
     /// insurance headroom is necessary (DESIGN.md ablations).
     pub dsh_port_fc: bool,
-    /// BShare only: target per-packet queueing delay. The queue pause
-    /// threshold is capped at `drain_rate × bshare_delay_target`; SIH and
-    /// DSH ignore this field.
-    pub bshare_delay_target: Delta,
 }
 
 impl MmuConfig {
@@ -141,8 +131,8 @@ impl MmuConfig {
         let per_port_sum: u64 = (0..self.num_ports).map(|p| self.eta_for(p).as_u64()).sum();
         match self.scheme {
             Scheme::Sih => ByteSize::bytes(self.queues_per_port as u64 * per_port_sum),
-            Scheme::Dsh | Scheme::BShare if self.dsh_port_fc => ByteSize::bytes(per_port_sum),
-            Scheme::Dsh | Scheme::BShare => ByteSize::ZERO,
+            Scheme::Dsh if self.dsh_port_fc => ByteSize::bytes(per_port_sum),
+            Scheme::Dsh => ByteSize::ZERO,
             // The whole point: a lossy switch holds not one byte hostage.
             Scheme::Lossy => ByteSize::ZERO,
         }
@@ -199,9 +189,6 @@ impl MmuConfig {
                 return Err("per-port eta must be positive".into());
             }
         }
-        if self.scheme == Scheme::BShare && self.bshare_delay_target.as_ns() == 0 {
-            return Err("BShare requires a positive bshare_delay_target".into());
-        }
         if self.shared_size().as_u64() == 0 {
             return Err(format!(
                 "no shared buffer left: total={} private={} reserved headroom={}",
@@ -228,7 +215,6 @@ pub struct MmuConfigBuilder {
     resume_delta_queue: ByteSize,
     resume_delta_port: ByteSize,
     dsh_port_fc: bool,
-    bshare_delay_target: Delta,
 }
 
 impl Default for MmuConfigBuilder {
@@ -245,7 +231,6 @@ impl Default for MmuConfigBuilder {
             resume_delta_queue: ByteSize::ZERO,
             resume_delta_port: ByteSize::ZERO,
             dsh_port_fc: true,
-            bshare_delay_target: Delta::from_us(20),
         }
     }
 }
@@ -330,13 +315,6 @@ impl MmuConfigBuilder {
         self
     }
 
-    /// Sets BShare's target per-packet queueing delay (ignored by SIH and
-    /// DSH).
-    pub fn bshare_delay_target(&mut self, d: Delta) -> &mut Self {
-        self.bshare_delay_target = d;
-        self
-    }
-
     /// Finalizes the configuration.
     ///
     /// # Panics
@@ -367,7 +345,6 @@ impl MmuConfigBuilder {
             resume_delta_queue: self.resume_delta_queue,
             resume_delta_port: self.resume_delta_port,
             dsh_port_fc: self.dsh_port_fc,
-            bshare_delay_target: self.bshare_delay_target,
         };
         cfg.validate()?;
         Ok(cfg)
@@ -428,16 +405,6 @@ mod tests {
     fn scheme_display() {
         assert_eq!(Scheme::Sih.to_string(), "SIH");
         assert_eq!(Scheme::Dsh.to_string(), "DSH");
-        assert_eq!(Scheme::BShare.to_string(), "BShare");
-    }
-
-    #[test]
-    fn bshare_shares_dsh_buffer_partitioning() {
-        let dsh = MmuConfig::tomahawk(Scheme::Dsh);
-        let bsh = MmuConfig::tomahawk(Scheme::BShare);
-        assert_eq!(bsh.reserved_headroom(), dsh.reserved_headroom());
-        assert_eq!(bsh.shared_size(), dsh.shared_size());
-        assert_eq!(bsh.bshare_delay_target, Delta::from_us(20));
     }
 
     #[test]
@@ -449,14 +416,5 @@ mod tests {
         assert!(!Scheme::Lossy.is_lossless());
         assert!(Scheme::ALL.iter().all(|s| s.is_lossless()), "ALL lists PFC schemes only");
         assert_eq!(Scheme::Lossy.to_string(), "Lossy");
-    }
-
-    #[test]
-    fn bshare_requires_positive_delay_target() {
-        assert!(MmuConfig::builder()
-            .scheme(Scheme::BShare)
-            .bshare_delay_target(Delta::from_ns(0))
-            .try_build()
-            .is_err());
     }
 }

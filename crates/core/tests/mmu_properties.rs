@@ -2,7 +2,7 @@
 //! invariants, driven by randomized arrival/departure traces.
 
 use dsh_core::{FcAction, Mmu, MmuConfig, Region, Scheme};
-use dsh_simcore::{ByteSize, Time};
+use dsh_simcore::ByteSize;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -53,13 +53,13 @@ fn check_trace(scheme: Scheme, port_fc: bool, ops: &[Op]) {
     for &op in ops {
         match op {
             Op::Arrive { port, queue, bytes } => {
-                let out = mmu.on_arrival(port, queue, bytes, Time::ZERO);
+                let out = mmu.on_arrival(port, queue, bytes);
                 if let Some(region) = out.region {
-                    // SIH never uses insurance; DSH/BShare never use
-                    // static headroom.
+                    // SIH never uses insurance; DSH never uses static
+                    // headroom.
                     match scheme {
                         Scheme::Sih => assert_ne!(region, Region::Insurance),
-                        Scheme::Dsh | Scheme::BShare => assert_ne!(region, Region::Headroom),
+                        Scheme::Dsh => assert_ne!(region, Region::Headroom),
                         Scheme::Lossy => assert!(
                             matches!(region, Region::Private | Region::Shared),
                             "lossy admits only to private/shared, got {region}"
@@ -72,13 +72,11 @@ fn check_trace(scheme: Scheme, port_fc: bool, ops: &[Op]) {
                     // last-resort segment lacks room for this very packet.
                     let slack = match scheme {
                         Scheme::Sih => eta - mmu.headroom_occupancy(port, queue),
-                        Scheme::Dsh | Scheme::BShare if port_fc => {
-                            eta - mmu.insurance_occupancy(port)
-                        }
+                        Scheme::Dsh if port_fc => eta - mmu.insurance_occupancy(port),
                         // Ablated DSH has no last-resort segment; drops are
                         // expected (that is the ablation's point). Lossy
                         // drops by design once the shared pool rejects.
-                        Scheme::Dsh | Scheme::BShare | Scheme::Lossy => bytes,
+                        Scheme::Dsh | Scheme::Lossy => bytes,
                     };
                     assert!(
                         slack < bytes,
@@ -89,7 +87,7 @@ fn check_trace(scheme: Scheme, port_fc: bool, ops: &[Op]) {
             }
             Op::Depart { port, queue } => {
                 if let Some((bytes, region)) = fifos[port * queues + queue].pop_front() {
-                    let _ = mmu.on_departure(port, queue, bytes, region, Time::ZERO);
+                    let _ = mmu.on_departure(port, queue, bytes, region);
                     buffered -= bytes;
                 }
             }
@@ -118,7 +116,7 @@ fn check_trace(scheme: Scheme, port_fc: bool, ops: &[Op]) {
     for p in 0..ports {
         for q in 0..queues {
             while let Some((bytes, region)) = fifos[p * queues + q].pop_front() {
-                let _ = mmu.on_departure(p, q, bytes, region, Time::ZERO);
+                let _ = mmu.on_departure(p, q, bytes, region);
             }
         }
     }
@@ -157,11 +155,6 @@ proptest! {
     }
 
     #[test]
-    fn bshare_invariants_hold(ops in proptest::collection::vec(op_strategy(3, 2), 1..400)) {
-        check_trace(Scheme::BShare, true, &ops);
-    }
-
-    #[test]
     fn lossy_invariants_hold(ops in proptest::collection::vec(op_strategy(3, 2), 1..400)) {
         check_trace(Scheme::Lossy, true, &ops);
     }
@@ -188,7 +181,7 @@ proptest! {
                     break;
                 }
                 let bytes = 1500.min(port_budget[port]);
-                let out = mmu.on_arrival(port, queue, bytes, Time::ZERO);
+                let out = mmu.on_arrival(port, queue, bytes);
                 prop_assert!(out.region.is_some(), "drop for a pause-respecting upstream");
                 fifo[port * 2 + queue].push_back((bytes, out.region.unwrap()));
                 for a in out.actions {
@@ -205,7 +198,7 @@ proptest! {
                 let p = rng.gen_index(3);
                 let q = rng.gen_index(2);
                 if let Some((b, r)) = fifo[p * 2 + q].pop_front() {
-                    for a in mmu.on_departure(p, q, b, r, Time::ZERO) {
+                    for a in mmu.on_departure(p, q, b, r) {
                         if let FcAction::PortResume { port } = a {
                             port_budget[port] = u64::MAX;
                         }

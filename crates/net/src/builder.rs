@@ -40,8 +40,6 @@ pub struct NetParams {
     /// Formula used to derive per-port `η` from link parameters when no
     /// [`NetParams::eta_override`] is set.
     pub headroom_source: HeadroomSource,
-    /// BShare's target per-packet queueing delay (ignored by SIH/DSH).
-    pub bshare_delay_target: Delta,
     /// MTU (payload bytes per data frame).
     pub mtu: u64,
     /// ECN marking profile.
@@ -85,7 +83,6 @@ impl NetParams {
             private_per_queue: ByteSize::kib(3),
             eta_override: None,
             headroom_source: HeadroomSource::PaperEq1,
-            bshare_delay_target: Delta::from_us(20),
             mtu: 1500,
             ecn: EcnConfig::for_100g(),
             base_rtt: Delta::from_us(16),
@@ -298,8 +295,7 @@ impl NetworkBuilder {
                         .lossless_queues(NUM_DATA_CLASSES)
                         .private_per_queue(self.params.private_per_queue)
                         .eta(default_eta)
-                        .alpha(self.params.alpha)
-                        .bshare_delay_target(self.params.bshare_delay_target);
+                        .alpha(self.params.alpha);
                     if !port_etas.is_empty() {
                         builder.port_etas(port_etas);
                     }
@@ -381,13 +377,6 @@ impl NetParams {
         self
     }
 
-    /// Returns a copy with a different BShare queueing-delay target.
-    #[must_use]
-    pub fn with_bshare_delay_target(mut self, d: Delta) -> Self {
-        self.bshare_delay_target = d;
-        self
-    }
-
     /// Returns a copy with a different DT `α`.
     #[must_use]
     pub fn with_alpha(mut self, alpha: f64) -> Self {
@@ -420,7 +409,6 @@ impl NetParams {
             tag: match self.scheme {
                 Scheme::Sih => 0,
                 Scheme::Dsh => 1,
-                Scheme::BShare => 2,
                 Scheme::Lossy => 3,
             },
         }

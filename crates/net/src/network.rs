@@ -578,7 +578,7 @@ impl Network {
     }
 
     /// Total buffer statically reserved as headroom across every switch
-    /// (SIH: `Σ N_q·η`; DSH/BShare: insurance `Σ η`; Lossy: exactly 0 —
+    /// (SIH: `Σ N_q·η`; DSH: insurance `Σ η`; Lossy: exactly 0 —
     /// fig17's "buffer held hostage" axis).
     #[must_use]
     pub fn reserved_headroom_bytes(&self) -> u64 {
@@ -872,7 +872,7 @@ impl Network {
                 // admitted to) and collect PFC actions.
                 if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
                     let (port, queue) = (usize::from(in_port), usize::from(in_queue));
-                    fc = sw.mmu.on_departure(port, queue, qf.bytes(), region, now);
+                    fc = sw.mmu.on_departure(port, queue, qf.bytes(), region);
                 }
                 true
             }
@@ -1039,7 +1039,7 @@ impl Network {
             let sw = self.switch_mut(node);
             if frame.is_data() {
                 let q = frame.class as usize;
-                let outcome = sw.mmu.on_arrival(in_port, q, frame.bytes, now);
+                let outcome = sw.mmu.on_arrival(in_port, q, frame.bytes);
                 fc = outcome.actions;
                 outcome.region.map(|region| {
                     // The builder keeps switch ports within `u16`, and
@@ -1956,13 +1956,12 @@ impl Network {
         mut frames: Vec<QueuedFrame>,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
-        let now = sched.now();
         let mut released = std::mem::take(&mut self.released);
         for qf in frames.drain(..) {
             if let Some(IngressTag { in_port, in_queue, region }) = qf.ingress {
                 let (port, queue) = (usize::from(in_port), usize::from(in_queue));
                 let mmu = &mut self.switch_mut(node).mmu;
-                released.extend(mmu.on_departure(port, queue, qf.bytes(), region, now));
+                released.extend(mmu.on_departure(port, queue, qf.bytes(), region));
             }
             self.frames.free(qf.frame);
         }

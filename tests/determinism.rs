@@ -116,18 +116,16 @@ fn incast_telemetry(scheme: Scheme) -> String {
 
 #[test]
 fn telemetry_json_is_byte_identical_at_1_and_4_threads() {
-    let schemes =
-        vec![Scheme::Sih, Scheme::Dsh, Scheme::BShare, Scheme::Sih, Scheme::Dsh, Scheme::BShare];
+    let schemes = vec![Scheme::Sih, Scheme::Dsh, Scheme::Sih, Scheme::Dsh];
     let run = |threads: usize| Executor::new(threads).par_map(schemes.clone(), incast_telemetry);
     let serial = run(1);
     let four = run(4);
     assert_eq!(serial, four);
     assert!(serial[0].contains("\"switches\"") || !serial[0].is_empty());
-    // Golden digests (SIH, DSH, BShare): same contract as the fig14
-    // golden — the pooled hot path must reproduce the pre-pooling
-    // telemetry JSON byte for byte. The SIH/DSH digests additionally pin
-    // the MmuScheme-trait extraction as a pure refactor: the pre-trait
-    // values survive it unchanged. (Last rebaselined when the per-switch
+    // Golden digests (SIH, DSH): same contract as the fig14 golden —
+    // the pooled hot path must reproduce the pre-pooling telemetry JSON
+    // byte for byte, and any refactor of the scheme policies must leave
+    // them unchanged. (Last rebaselined when the per-switch
     // `occupancy` series left the report: each new JSON equals the old
     // one with every `switches[*].occupancy` array removed, byte for
     // byte — serialization-only; the event stream is untouched.
@@ -139,21 +137,12 @@ fn telemetry_json_is_byte_identical_at_1_and_4_threads() {
         vec![
             16_909_583_050_585_009_911,
             8_086_776_354_910_173_622,
-            BSHARE_TELEMETRY_GOLDEN,
             16_909_583_050_585_009_911,
             8_086_776_354_910_173_622,
-            BSHARE_TELEMETRY_GOLDEN,
         ],
         "telemetry JSON drifted"
     );
 }
-
-/// BShare's incast telemetry digest, pinned when the scheme landed. In
-/// this unpaced incast the drain-rate estimator tightens some pause
-/// thresholds, so the event stream legitimately differs from DSH's — but
-/// it must still be deterministic and stable across refactors. (Last
-/// rebaselined when the per-switch `occupancy` series left the report.)
-const BSHARE_TELEMETRY_GOLDEN: u64 = 998_308_531_293_162_514;
 
 #[test]
 fn derived_seeds_match_across_pool_widths() {
@@ -203,17 +192,15 @@ fn chain_telemetry(scheme: Scheme) -> String {
 
 #[test]
 fn chain_telemetry_matches_pinned_digests() {
-    let digests: Vec<u64> = [Scheme::Sih, Scheme::Dsh, Scheme::BShare]
-        .into_iter()
-        .map(|scheme| fnv1a(&chain_telemetry(scheme)))
-        .collect();
-    // Golden digests (SIH, DSH, BShare): pin the chain's full telemetry
+    let digests: Vec<u64> =
+        Scheme::ALL.into_iter().map(|scheme| fnv1a(&chain_telemetry(scheme))).collect();
+    // Golden digests (SIH, DSH): pin the chain's full telemetry
     // across refactors. (Last rebaselined when the per-switch `occupancy`
     // series left the report — serialization-only; the event stream is
     // untouched.)
     assert_eq!(
         digests,
-        vec![5_308_889_656_609_443_712, 8_842_707_525_712_227_079, 6_373_146_972_206_899_229],
+        vec![5_308_889_656_609_443_712, 8_842_707_525_712_227_079],
         "chain telemetry drifted"
     );
 }
