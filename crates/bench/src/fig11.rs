@@ -5,6 +5,7 @@
 //! flows from ports 0 and 1 to port 31; at `t₁` sixteen fan-in flows from
 //! ports 2–17 burst toward port 30.
 
+use crate::par_grid;
 use dsh_core::Scheme;
 use dsh_net::{FlowSpec, NetParams, NetworkBuilder, NodeId};
 use dsh_simcore::{Bandwidth, Delta, Executor, Time};
@@ -99,18 +100,10 @@ pub fn sweep_schemes_with_telemetry(
     points: &[f64],
     ex: &Executor,
 ) -> Vec<Vec<(Scheme, Fig11Point, dsh_simcore::Json)>> {
-    let grid: Vec<(Scheme, f64)> =
-        points.iter().flat_map(|&p| Scheme::ALL.map(|scheme| (scheme, p))).collect();
-    let mut runs = ex
-        .par_map(grid, |(scheme, p)| {
-            let (point, tel) = pause_duration_with_telemetry(scheme, p);
-            (scheme, point, tel)
-        })
-        .into_iter();
-    points
-        .iter()
-        .map(|_| Scheme::ALL.iter().map(|_| runs.next().expect("full grid")).collect())
-        .collect()
+    par_grid(ex, points, &Scheme::ALL, |p, scheme| {
+        let (point, tel) = pause_duration_with_telemetry(scheme, p);
+        (scheme, point, tel)
+    })
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! pay in pauses and reserved buffer, lossy fabrics pay in drops and
 //! retransmissions, and selective repeat pays far less than go-back-N.
 
+use crate::par_grid;
 use dsh_analysis::fct::FctSummary;
 use dsh_core::Scheme;
 use dsh_net::topology::{leaf_spine, LeafSpineShape};
@@ -329,35 +330,29 @@ pub struct Fig17Point {
     /// Total offered load.
     pub load: f64,
     /// Outcomes keyed by [`Cell::ALL`].
-    pub cells: [Fig17Result; 4],
+    pub cells: [Fig17Result; Cell::ALL.len()],
 }
 
 impl Fig17Point {
     /// The point's outcomes keyed by cell.
     #[must_use]
-    pub fn per_cell(&self) -> [(Cell, &Fig17Result); 4] {
-        [
-            (Cell::ALL[0], &self.cells[0]),
-            (Cell::ALL[1], &self.cells[1]),
-            (Cell::ALL[2], &self.cells[2]),
-            (Cell::ALL[3], &self.cells[3]),
-        ]
+    pub fn per_cell(&self) -> [(Cell, &Fig17Result); Cell::ALL.len()] {
+        std::array::from_fn(|i| (Cell::ALL[i], &self.cells[i]))
     }
 }
 
 /// Sweeps loads × [`Cell::ALL`] on the pool.
 #[must_use]
 pub fn sweep(loads: &[f64], base: &Fig17Experiment, ex: &Executor) -> Vec<Fig17Point> {
-    let grid: Vec<Fig17Experiment> = loads
-        .iter()
-        .flat_map(|&load| Cell::ALL.map(|cell| Fig17Experiment { cell, load, ..*base }))
-        .collect();
-    let mut results = ex.par_map(grid, |exp| run_cell(&exp)).into_iter();
+    let rows = par_grid(ex, loads, &Cell::ALL, |load, cell| {
+        run_cell(&Fig17Experiment { cell, load, ..*base })
+    });
     loads
         .iter()
-        .map(|&load| {
-            let mut next = || results.next().expect("one result per cell per load");
-            Fig17Point { load, cells: [next(), next(), next(), next()] }
+        .zip(rows)
+        .map(|(&load, cells)| {
+            let cells = cells.try_into().expect("one result per cell");
+            Fig17Point { load, cells }
         })
         .collect()
 }
