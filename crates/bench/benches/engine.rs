@@ -3,7 +3,7 @@
 //! clustered arrivals of the figure workloads), end-to-end
 //! events/second on a small incast, allocation-accounted packet-path
 //! probes, and the parallel fig. 14 sweep — run with
-//! `DSH_BENCH_JSON=BENCH_PRn.json` to record a perf-trajectory point.
+//! `DSH_BENCH_JSON=out.json` to write the timings and metrics as JSON.
 //!
 //! With `--features alloc-count` the process allocator is replaced by a
 //! counting wrapper and the packet-path benches additionally report (and

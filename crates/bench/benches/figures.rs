@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsh_bench::fabric::FctExperiment;
-use dsh_bench::{fig04, fig05, fig06, fig11, fig12, fig13, fig13x, fig14, fig15, fig18, theory};
+use dsh_bench::{fig04, fig05, fig06, fig11, fig12, fig13, fig14, fig15, fig18, theory};
 use dsh_core::Scheme;
 use dsh_simcore::Delta;
 use dsh_transport::CcKind;
@@ -85,96 +85,6 @@ fn bench_fig13(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_fig13x(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig13x_link_flap");
-    g.sample_size(10);
-    let mut exp = fig13x::smoke_base(Scheme::Dsh);
-    exp.flap_period = Some(Delta::from_us(300));
-    g.bench_function("dsh_flap300us", |b| {
-        b.iter(|| {
-            let r = fig13x::run_flap(&exp);
-            assert_eq!(r.wedged, 0);
-            r.link_drops
-        });
-    });
-    g.finish();
-    // Perf-trajectory point (BENCH_PR4.json): steady-state event rate of
-    // the fault-injected run, so flap handling showing up on the packet
-    // path would be caught as an events/sec regression. Trace points are
-    // compiled into this run but masked off — the rate doubles as the
-    // tracing overhead guard against the PR4 baseline. Best of three
-    // runs: throughput is capability, and the min/median carry scheduler
-    // noise that would drown a 2% contract.
-    let mut rate = 0.0f64;
-    let mut last = None;
-    for _ in 0..3 {
-        let wall = std::time::Instant::now();
-        let r = fig13x::run_flap(&exp);
-        rate = rate.max(r.events as f64 / wall.elapsed().as_secs_f64());
-        last = Some(r);
-    }
-    let r = last.expect("three timed runs");
-    criterion::record_metric("fig13x_link_flap/events_per_sec", rate);
-    criterion::record_metric("fig13x_link_flap/link_drops", r.link_drops as f64);
-    criterion::record_metric("fig13x_link_flap/retransmissions", r.retransmissions as f64);
-    if let Some(baseline) = committed_events_per_sec("BENCH_PR4.json") {
-        let ratio = rate / baseline;
-        criterion::record_metric("fig13x_link_flap/events_per_sec_vs_pr4", ratio);
-        // Wall-clock rates are machine-dependent; the ±2% contract is only
-        // asserted when the caller opts in on a quiet, comparable host.
-        if std::env::var("DSH_BENCH_STRICT").as_deref() == Ok("1") {
-            assert!(
-                ratio >= 0.98,
-                "masked-off tracing slowed the fault run by more than 2%: \
-                 {rate:.0} events/s vs PR4 baseline {baseline:.0} (ratio {ratio:.4})"
-            );
-        }
-    }
-    // Observability-overhead guard (BENCH_PR10.json): the same masked-off
-    // run measured against the PR9 baseline. The pause-causality tracker
-    // and the instant-closed metrics-capture entry branch are compiled in
-    // but disarmed here, so this ratio is exactly their masked-off cost —
-    // the "≤ one branch on the hot path" contract as an event rate.
-    if let Some(baseline) = committed_events_per_sec("BENCH_PR9.json") {
-        let ratio = rate / baseline;
-        criterion::record_metric("fig13x_link_flap/events_per_sec_vs_pr9", ratio);
-        if std::env::var("DSH_BENCH_STRICT").as_deref() == Ok("1") {
-            assert!(
-                ratio >= 0.98,
-                "masked-off observability slowed the fault run by more than 2%: \
-                 {rate:.0} events/s vs PR9 baseline {baseline:.0} (ratio {ratio:.4})"
-            );
-        }
-    }
-    // Engine profiler breakdown (BENCH_PR5.json): per-event-type dispatch
-    // counts, plus per-class wall time under `--features profile`.
-    let (_, prof) = fig13x::run_flap_profiled(&exp);
-    for (name, events, nanos) in prof.rows() {
-        criterion::record_metric(&format!("engine_profile/{name}/events"), events as f64);
-        if dsh_simcore::EngineProfile::timing_enabled() {
-            criterion::record_metric(&format!("engine_profile/{name}/nanos"), nanos as f64);
-        }
-    }
-}
-
-/// The `fig13x_link_flap/events_per_sec` metric committed in a prior
-/// PR's baseline file at the repo root (`BENCH_PR4.json` is the
-/// pre-tracing baseline, `BENCH_PR9.json` the pre-observability one), or
-/// `None` when the file is missing or unparsable.
-fn committed_events_per_sec(file: &str) -> Option<f64> {
-    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-    let doc = dsh_simcore::Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
-    doc.get("metrics")?
-        .as_arr()?
-        .iter()
-        .find(|m| {
-            m.get("name").and_then(dsh_simcore::Json::as_str)
-                == Some("fig13x_link_flap/events_per_sec")
-        })?
-        .get("value")?
-        .as_f64()
-}
-
 fn bench_fig14(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig14_fct_vs_load");
     g.sample_size(10);
@@ -204,9 +114,8 @@ fn bench_fig18(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig18_cascade_anatomy");
     g.sample_size(10);
     // Observe-armed on purpose: this is the only figure whose measured
-    // run carries the cascade tracker and metrics sampler, so its event
-    // rate tracks the *armed* observability cost (the masked-off cost is
-    // the fig13x ratio above).
+    // run carries the cascade tracker and metrics sampler, so its time
+    // tracks the *armed* observability cost.
     let exp = fig18::smoke_base(Scheme::Dsh);
     g.bench_function("dsh_incast8_observed", |b| {
         b.iter(|| {
@@ -232,7 +141,6 @@ criterion_group!(
     bench_fig11,
     bench_fig12,
     bench_fig13,
-    bench_fig13x,
     bench_fig14,
     bench_fig15,
     bench_fig18,

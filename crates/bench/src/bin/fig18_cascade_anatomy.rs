@@ -4,7 +4,7 @@
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig18_cascade_anatomy \
 //!     [--full] [--smoke] [--json] [--seed N] [--threads N] \
-//!     [--metrics out.json]
+//!     [--metrics out.json] [--trace out.json]
 //! ```
 //!
 //! Sweeps incast degree × {SIH, DSH} on a two-tier fabric with
@@ -16,7 +16,10 @@
 //! nonzero, clean audits, zero drops, no cycle findings. With
 //! `--metrics` the smoke cell (or, in a sweep, one extra run of the
 //! degree-8 cell) writes its `metrics.json`, sampled on the network's one
-//! 10 µs tick, and re-parses it before declaring success.
+//! 10 µs tick, and re-parses it before declaring success. With `--trace`
+//! the smoke run also re-parses the Chrome trace it wrote and asserts it
+//! holds at least one PFC pause span, so one command checks the tracing
+//! pipeline end to end.
 
 use dsh_bench::fig18::{self, Fig18Experiment, Fig18Point, Fig18Result};
 use dsh_core::Scheme;
@@ -25,6 +28,30 @@ use dsh_simcore::Json;
 fn main() {
     let args = dsh_bench::Args::parse();
     dsh_bench::with_trace(&args, || run(&args));
+    if args.smoke {
+        if let Some(path) = args.trace.as_deref() {
+            validate_trace(path);
+        }
+    }
+}
+
+/// Smoke-mode self-check: the emitted Chrome trace must parse and must
+/// contain at least one PFC pause span, which the smoke incast cannot run
+/// without.
+fn validate_trace(path: &str) {
+    let text = std::fs::read_to_string(path).expect("trace file just written must be readable");
+    let doc = Json::parse(&text).expect("emitted trace must be valid JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
+    // pid 1 is the PFC wire track: one B span per applied pause.
+    let pause_spans = events
+        .iter()
+        .filter(|e| {
+            e.get("ph").and_then(Json::as_str) == Some("B")
+                && e.get("pid").and_then(Json::as_u64) == Some(1)
+        })
+        .count();
+    assert!(pause_spans >= 1, "traced smoke run produced no PFC pause span");
+    println!("[smoke] trace OK: {pause_spans} PFC pause spans");
 }
 
 fn header() {

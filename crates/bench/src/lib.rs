@@ -13,7 +13,6 @@
 //! | [`fig11`] | PFC avoidance (pause duration vs burst size) |
 //! | [`fig12`] | Deadlock onset CDF |
 //! | [`fig13`] | Collateral damage (victim throughput) |
-//! | [`fig13x`] | Link-flap robustness (extension, not in the paper) |
 //! | [`fig14`] | FCT vs background load (web search, leaf–spine) |
 //! | [`fig15`] | FCT across workloads and fat-tree |
 //! | [`fig17`] | Lossless-vs-lossy trade-off (extension, not in the paper) |
@@ -29,7 +28,6 @@ pub mod fig06;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;
-pub mod fig13x;
 pub mod fig14;
 pub mod fig15;
 pub mod fig17;
@@ -98,17 +96,21 @@ usage: <figure-binary> [OPTIONS]
 
 impl Args {
     /// Parses the process argv, with `DSH_THREADS` as the `--threads`
-    /// fallback. Invalid arguments, and a set `DSH_THREADS` that is not
-    /// an unsigned integer, print the error and [`USAGE`] to stderr and
-    /// exit with status 2 — a typo'd flag or value must never silently
-    /// run with defaults.
+    /// fallback. Invalid arguments, a set `DSH_THREADS` that is not an
+    /// unsigned integer, and a `DSH_TRACE_MASK` naming an unknown
+    /// category print the error and [`USAGE`] to stderr and exit with
+    /// status 2 — a typo'd flag or value must never silently run with
+    /// defaults.
     #[must_use]
     pub fn parse() -> Args {
-        let parsed = Args::from_iter(
-            std::env::args().skip(1),
-            std::env::var(exec::THREADS_ENV).ok().as_deref(),
-            std::env::var(METRICS_ENV).ok().as_deref(),
-        );
+        let parsed =
+            check_trace_mask(std::env::var(trace::MASK_ENV).ok().as_deref()).and_then(|()| {
+                Args::from_iter(
+                    std::env::args().skip(1),
+                    std::env::var(exec::THREADS_ENV).ok().as_deref(),
+                    std::env::var(METRICS_ENV).ok().as_deref(),
+                )
+            });
         match parsed {
             Ok(args) => args,
             Err(e) => {
@@ -201,6 +203,16 @@ impl Args {
     #[must_use]
     pub fn executor(&self) -> Executor {
         Executor::new(self.threads)
+    }
+}
+
+/// Checks a set `DSH_TRACE_MASK` value before any simulation reads it.
+fn check_trace_mask(value: Option<&str>) -> Result<(), String> {
+    match value {
+        Some(v) => TraceMask::parse(v)
+            .map(drop)
+            .map_err(|e| format!("invalid value for {}: {e}", trace::MASK_ENV)),
+        None => Ok(()),
     }
 }
 
@@ -435,6 +447,17 @@ mod tests {
         // A malformed DSH_THREADS fails too instead of meaning "auto".
         let e = Args::from_iter(argv(&[]), Some("abc"), None).unwrap_err();
         assert!(e.contains("invalid value for DSH_THREADS: 'abc'"), "{e}");
+    }
+
+    #[test]
+    fn unknown_trace_categories_are_rejected() {
+        assert_eq!(check_trace_mask(None), Ok(()));
+        assert_eq!(check_trace_mask(Some("pfc,recovery")), Ok(()));
+        assert_eq!(check_trace_mask(Some("8")), Ok(()), "a retired bit masks to nothing");
+        // The retired fault category fails instead of recording nothing.
+        let e = check_trace_mask(Some("pfc,fault")).unwrap_err();
+        assert!(e.contains("invalid value for DSH_TRACE_MASK"), "{e}");
+        assert!(e.contains("unknown trace category 'fault'"), "{e}");
     }
 
     #[test]

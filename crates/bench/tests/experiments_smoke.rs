@@ -2,9 +2,9 @@
 //! micro scale, completes flows, and never drops packets.
 
 use dsh_bench::fabric::{run_fct, FctExperiment, Topo};
-use dsh_bench::{fig04, fig05, fig06, fig11, fig13x, fig14, fig15, fig18};
+use dsh_bench::{fig04, fig05, fig06, fig11, fig14, fig15, fig18};
 use dsh_core::Scheme;
-use dsh_simcore::{ByteSize, Delta, Executor};
+use dsh_simcore::{Delta, Executor};
 use dsh_transport::CcKind;
 use dsh_workloads::Workload;
 
@@ -139,28 +139,6 @@ fn scheme_sweeps_regroup_each_cell_in_order() {
         }
     }
     assert_distinct(&cells, "fig11");
-
-    // A 3 MiB buffer pushes the rerouted traffic over the PFC thresholds.
-    let flap = fig13x::FlapExperiment {
-        buffer: Some(ByteSize::mib(3)),
-        ..fig13x::smoke_base(Scheme::Sih)
-    };
-    let periods = [None, Some(Delta::from_us(300))];
-    let points = fig13x::sweep(&periods, &flap, &ex);
-    assert_eq!(points.len(), periods.len());
-    let mut cells = Vec::new();
-    for (point, &period) in points.iter().zip(&periods) {
-        assert_eq!(point.period, period);
-        let pairs = point.per_scheme();
-        assert_eq!(pairs.map(|(s, _)| s), Scheme::ALL);
-        for (scheme, r) in pairs {
-            let exp = fig13x::FlapExperiment { scheme, flap_period: period, ..flap };
-            let alone = format!("{:?}", fig13x::run_flap(&exp));
-            assert_eq!(format!("{r:?}"), alone, "fig13x {scheme} {period:?}");
-            cells.push(alone);
-        }
-    }
-    assert_distinct(&cells, "fig13x");
 
     // Host wall time is the one field that differs between two runs of
     // the same cell; blank it before comparing.

@@ -661,42 +661,6 @@ impl Mmu {
         actions
     }
 
-    /// Forcibly clears the QOFF/POFF state of one ingress `port` after its
-    /// link died: the upstream that the pending RESUME frames would have
-    /// gone to is gone, so the paused flags would otherwise outlive the
-    /// link and leak into its next incarnation. The clears are counted as
-    /// resumes, keeping the `*-resumes-within-pauses` audit invariants
-    /// exact; no [`FcAction`]s are emitted because there is no live peer
-    /// to send them to. Returns how many pause states were cleared.
-    ///
-    /// Occupancy (shared/headroom/insurance bytes of frames still queued
-    /// toward *other* egress ports) is untouched — those frames drain
-    /// normally and re-trigger pause logic from scratch if the link
-    /// returns.
-    pub fn release_port_pauses(&mut self, port: usize) -> usize {
-        let core = &mut self.core;
-        let mut cleared = 0;
-        for queue in 0..core.cfg.queues_per_port {
-            let idx = core.qidx(port, queue);
-            if core.queues[idx].paused {
-                core.queues[idx].paused = false;
-                core.stats.queue_resumes += 1;
-                cleared += 1;
-            }
-        }
-        if core.ports[port].paused {
-            core.ports[port].paused = false;
-            core.stats.port_resumes += 1;
-            cleared += 1;
-        }
-        #[cfg(debug_assertions)]
-        {
-            let report = self.audit();
-            debug_assert!(report.is_clean(), "MMU invariant violated:\n{report}");
-        }
-        cleared
-    }
-
     /// Audits every accounting invariant and returns a structured report.
     ///
     /// This is the release-build promotion of the old debug-only
@@ -850,28 +814,6 @@ mod tests {
     /// returning outcomes.
     fn blast(mmu: &mut Mmu, port: usize, queue: usize, n: usize, sz: u64) -> Vec<Outcome> {
         (0..n).map(|_| mmu.on_arrival(port, queue, sz)).collect()
-    }
-
-    #[test]
-    fn release_port_pauses_clears_state_and_counts_resumes() {
-        for scheme in Scheme::ALL {
-            let mut mmu = Mmu::new(small_cfg(scheme));
-            // Congest both queues of port 0 (and, under DSH, the port).
-            blast(&mut mmu, 0, 0, 2000, 1500);
-            blast(&mut mmu, 0, 1, 2000, 1500);
-            assert!(mmu.queue_paused(0, 0), "{scheme}: queue must be paused");
-            let cleared = mmu.release_port_pauses(0);
-            assert!(cleared > 0, "{scheme}");
-            assert!(!mmu.queue_paused(0, 0), "{scheme}");
-            assert!(!mmu.queue_paused(0, 1), "{scheme}");
-            assert!(!mmu.port_paused(0), "{scheme}");
-            let st = mmu.stats();
-            assert!(st.queue_resumes <= st.queue_pauses, "{scheme}");
-            assert!(st.port_resumes <= st.port_pauses, "{scheme}");
-            assert!(mmu.audit().is_clean(), "{scheme}: {}", mmu.audit());
-            // Idempotent: a second clear finds nothing.
-            assert_eq!(mmu.release_port_pauses(0), 0, "{scheme}");
-        }
     }
 
     #[test]

@@ -58,9 +58,7 @@ pub struct NetParams {
     /// Go-back-N loss recovery at the NICs: `Some(cfg)` arms a per-flow
     /// retransmission timer. `None` (the default) keeps the historical
     /// lossless-fabric behaviour — no RTO events exist at all, so existing
-    /// experiments are bit-identical. Installing a
-    /// [`FaultPlan`](crate::FaultPlan) enables a default config derived
-    /// from `base_rtt` if this is still `None`.
+    /// experiments are bit-identical.
     pub recovery: Option<RecoveryConfig>,
     /// Pause-causality observatory: `Some(cfg)` records who-paused-whom
     /// cascade edges and samples per-switch occupancy every
@@ -221,8 +219,7 @@ impl NetworkBuilder {
             panic!("node n{i} has {} ports; a switch indexes at most 65536", p.len());
         }
 
-        // Validate host attachment (routing itself is shared with the
-        // runtime fault handler, which recomputes after link events).
+        // Validate host attachment.
         let is_switch: Vec<bool> =
             self.nodes.iter().map(|p| matches!(p, ProtoNode::Switch)).collect();
         for u in 0..n {

@@ -5,8 +5,8 @@
 //! (`dsh-core`), DWRR-scheduled priority queues, real in-band PFC
 //! PAUSE/RESUME frames with standard processing delays, ECN marking, host
 //! NICs driven by the transports in `dsh-transport`, and topology/routing
-//! builders (leaf–spine, fat-tree, ECMP with local reroute around failed
-//! links).
+//! builders (leaf–spine, fat-tree, ECMP with local reroute around links
+//! removed before the build).
 //!
 //! # Model summary
 //!
@@ -59,7 +59,6 @@
 mod arena;
 mod builder;
 mod ecn;
-mod fault;
 mod frame;
 mod host;
 mod ids;
@@ -74,7 +73,6 @@ pub mod topology;
 pub use arena::FrameId;
 pub use builder::{FidelityMode, HeadroomSource, NetParams, NetworkBuilder};
 pub use ecn::EcnConfig;
-pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkCorruption};
 pub use frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcFrame, PfcScope};
 pub use ids::{FlowId, NodeId, CONTROL_CLASS, NUM_CLASSES, NUM_DATA_CLASSES};
 pub use monitor::{

@@ -378,9 +378,6 @@ pub struct TelemetryReport {
     pub data_drops: u64,
     /// Frames dropped by the PFC watchdog.
     pub watchdog_drops: u64,
-    /// Frames lost to injected link faults (drained on `LinkDown`, cut in
-    /// flight, or corrupted) — disjoint from `data_drops`.
-    pub link_drops: u64,
     /// Timeout retransmission episodes across all flows (both regimes).
     pub retransmissions: u64,
     /// Selective-repeat NACK frames sent by receivers.
@@ -448,7 +445,6 @@ impl TelemetryReport {
             .with("provenance", self.provenance.clone())
             .with("data_drops", self.data_drops)
             .with("watchdog_drops", self.watchdog_drops)
-            .with("link_drops", self.link_drops)
             .with("retransmissions", self.retransmissions)
             .with("nacks_sent", self.nacks_sent)
             .with("sr_retransmitted_bytes", self.sr_retransmitted_bytes)
@@ -536,7 +532,6 @@ mod tests {
             generated_at: Time::ZERO,
             data_drops: 2,
             watchdog_drops: 0,
-            link_drops: 0,
             retransmissions: 0,
             nacks_sent: 0,
             sr_retransmitted_bytes: 0,

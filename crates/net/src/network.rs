@@ -3,7 +3,6 @@
 
 use crate::arena::{FrameArena, FrameId};
 use crate::builder::NetParams;
-use crate::fault::{FaultKind, FaultPlan};
 use crate::frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, PfcScope};
 use crate::host::{HostNode, ReceiverFlow, SenderFlow};
 use crate::ids::{FlowId, NodeId, NUM_DATA_CLASSES};
@@ -18,9 +17,7 @@ use crate::switch::SwitchNode;
 use dsh_core::headroom::PFC_PROCESSING_BYTES;
 use dsh_core::{FcAction, FcActions};
 use dsh_simcore::trace::{TraceEvent, TraceLog, Tracer};
-use dsh_simcore::{
-    split_seed, trace_event, Delta, EventClass, Model, Scheduler, SimRng, Simulation, Time,
-};
+use dsh_simcore::{trace_event, Delta, EventClass, Model, Scheduler, SimRng, Simulation, Time};
 use dsh_transport::{
     new_cc, AckInfo, Cc, CcKind, GoBackN, RecoveryConfig, Regime, RtoOutcome, SackBuffer,
     SackState, TelemetryHop,
@@ -80,10 +77,6 @@ pub enum NetEvent {
         scope: PfcScope,
         /// `true` = pause.
         pause: bool,
-        /// Port fault generation at issue time: if the link flapped while
-        /// the processing delay elapsed, the event is stale (a PAUSE whose
-        /// RESUME died with the link must not wedge the port).
-        gen: u32,
     },
     /// A flow becomes active at its source host.
     FlowStart {
@@ -114,11 +107,6 @@ pub enum NetEvent {
         flow: u32,
         /// Generation guard (stale timers are ignored).
         gen: u32,
-    },
-    /// A scheduled fault takes effect.
-    Fault {
-        /// Index into the installed [`FaultPlan`]'s event list.
-        index: u32,
     },
     /// Periodic measurement tick (every [`NetParams::sample_interval`]):
     /// the goodput monitors, the PFC watchdog and, when
@@ -151,17 +139,6 @@ struct FlowMeta {
 
 /// [`FlowMeta::sender`] of a flow that has not started.
 const NO_SENDER: u32 = u32::MAX;
-
-/// One direction of a corrupted link: frames arriving at `node` on
-/// `in_port` are dropped with `probability`, drawn from a dedicated RNG
-/// stream split from the fault plan's seed.
-#[derive(Debug)]
-struct CorruptLink {
-    node: u32,
-    in_port: u32,
-    probability: f64,
-    rng: SimRng,
-}
 
 #[derive(Debug)]
 struct FlowMonitor {
@@ -196,8 +173,8 @@ pub struct Network {
     /// frees its slot for the next one, so the steady-state packet path
     /// never touches the allocator.
     frames: FrameArena,
-    /// Scratch for [`Self::release_drained`]: the frames of one link
-    /// failure or watchdog flush (capacity reused across drains).
+    /// Scratch for [`Self::release_drained`]: the frames of one watchdog
+    /// flush (capacity reused across flushes).
     drained: Vec<QueuedFrame>,
     /// Scratch for [`Self::release_drained`]: the flow-control actions
     /// their release owes.
@@ -207,14 +184,6 @@ pub struct Network {
     /// the benches' allocations-per-packet metric).
     packets_delivered: u64,
     watchdog_drops: u64,
-    /// Installed fault schedule, if any (see [`Network::set_fault_plan`]).
-    fault_plan: Option<FaultPlan>,
-    /// Per-direction corruption state derived from the plan.
-    corrupt: Vec<CorruptLink>,
-    /// Frames lost to injected faults: drained on `LinkDown`, dropped
-    /// mid-flight on a dead link, corrupted, or black-holed by a
-    /// partition. Disjoint from `data_drops` (MMU admission losses).
-    link_drops: u64,
     /// Go-back-N rewind episodes (RTO firings that retransmitted).
     retransmissions: u64,
     /// Bytes re-sent below a flow's high-water mark.
@@ -274,9 +243,6 @@ impl Network {
             data_drops: 0,
             packets_delivered: 0,
             watchdog_drops: 0,
-            fault_plan: None,
-            corrupt: Vec::new(),
-            link_drops: 0,
             retransmissions: 0,
             retransmitted_bytes: 0,
             nacks_sent: 0,
@@ -331,62 +297,6 @@ impl Network {
         self.monitors.push(FlowMonitor { flow, last_bytes: 0, samples: Vec::new() });
     }
 
-    /// Installs a fault schedule. Must be called before
-    /// [`Network::into_sim`]; each entry becomes an ordinary calendar
-    /// event, so fault runs stay bit-identical at any thread count.
-    ///
-    /// Faults imply loss, so if [`NetParams::recovery`] is still `None`
-    /// this enables go-back-N recovery at the default configuration for
-    /// the network's base RTT (otherwise a single dropped frame would
-    /// wedge its flow forever).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a plan is already installed, or if a plan entry names a
-    /// link that does not exist in the topology.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(self.fault_plan.is_none(), "fault plan already installed");
-        if self.params.recovery.is_none() {
-            self.params.recovery = Some(RecoveryConfig::for_rtt(self.params.base_rtt));
-        }
-        // Validate link events eagerly: a typo'd node pair should fail at
-        // install time, not halfway through a run.
-        for ev in plan.events() {
-            let (FaultKind::LinkDown { a, b } | FaultKind::LinkUp { a, b }) = ev.kind;
-            let _ = self.find_port(a, b);
-            let _ = self.find_port(b, a);
-        }
-        for (i, c) in plan.corruption().iter().enumerate() {
-            let pa = self.find_port(c.a, c.b);
-            let pb = self.find_port(c.b, c.a);
-            // One independent RNG stream per direction, split from the
-            // plan seed: adding a corrupted link never perturbs the draws
-            // of another. Frames from `a` toward `b` arrive at `b` on
-            // `b`'s port facing `a`.
-            let idx = i as u64 * 2;
-            self.corrupt.push(CorruptLink {
-                node: c.b.0 as u32,
-                in_port: pb as u32,
-                probability: c.probability,
-                rng: SimRng::new(split_seed(plan.seed(), idx)),
-            });
-            self.corrupt.push(CorruptLink {
-                node: c.a.0 as u32,
-                in_port: pa as u32,
-                probability: c.probability,
-                rng: SimRng::new(split_seed(plan.seed(), idx + 1)),
-            });
-        }
-        self.fault_plan = Some(plan);
-    }
-
-    /// Whether a fault plan is installed (fault-aware assertions use this
-    /// to decide if `link_drops` are legitimate).
-    #[must_use]
-    pub fn fault_plan_active(&self) -> bool {
-        self.fault_plan.is_some()
-    }
-
     /// Converts the network into a ready-to-run simulation: flow starts
     /// are scheduled, and the sampling tick when something reads it (a
     /// flow monitor, the PFC watchdog or the observatory).
@@ -395,13 +305,6 @@ impl Network {
         self.prepare();
         let starts: Vec<(Time, FlowId)> =
             self.flows.iter().enumerate().map(|(i, f)| (f.spec.start, FlowId(i))).collect();
-        // Fault events ride the ordinary calendar; scheduled after the
-        // flow starts so same-instant ties resolve flows-first.
-        let faults: Vec<(Time, u32)> = self
-            .fault_plan
-            .as_ref()
-            .map(|p| p.events().iter().enumerate().map(|(i, e)| (e.at, i as u32)).collect())
-            .unwrap_or_default();
         let tick = (!self.monitors.is_empty()
             || self.params.pfc_watchdog.is_some()
             || self.observe.is_some())
@@ -409,9 +312,6 @@ impl Network {
         let mut sim = Simulation::new(self);
         for (t, flow) in starts {
             sim.schedule(t, NetEvent::FlowStart { flow: flow.0 as u32 });
-        }
-        for (t, index) in faults {
-            sim.schedule(t, NetEvent::Fault { index });
         }
         if let Some(tick) = tick {
             sim.schedule(Time::ZERO + tick, NetEvent::Sample);
@@ -460,16 +360,6 @@ impl Network {
     #[must_use]
     pub fn watchdog_drops(&self) -> u64 {
         self.watchdog_drops
-    }
-
-    /// Frames lost to injected faults (0 unless a [`FaultPlan`] is
-    /// installed): drained from a failing port, caught mid-flight on a
-    /// dead link, corrupted, or black-holed by a partition. Kept apart
-    /// from [`Network::data_drops`] so lossless assertions still bite on
-    /// MMU admission failures during fault runs.
-    #[must_use]
-    pub fn link_drops(&self) -> u64 {
-        self.link_drops
     }
 
     /// Go-back-N rewind episodes (RTO firings that retransmitted).
@@ -548,7 +438,7 @@ impl Network {
         node_ports(&self.nodes[node.0])
     }
 
-    /// A switch's ECMP routing table over the live topology; `None` for a
+    /// A switch's ECMP routing table, computed at build; `None` for a
     /// host, which routes nothing.
     #[must_use]
     pub fn route_table(&self, node: NodeId) -> Option<&RouteTable> {
@@ -662,7 +552,6 @@ impl Network {
             generated_at: now,
             data_drops: self.data_drops,
             watchdog_drops: self.watchdog_drops,
-            link_drops: self.link_drops,
             retransmissions: self.retransmissions,
             nacks_sent: self.nacks_sent,
             sr_retransmitted_bytes: self.sr_retransmitted_bytes,
@@ -946,12 +835,6 @@ impl Network {
     ) {
         for a in actions {
             let (p, f) = SwitchNode::fc_frame(a);
-            // A pause/resume owed to a dead upstream dies with the link
-            // (the failure handler already force-cleared that peer's
-            // state; queueing it would replay a stale pause on repair).
-            if !self.port_mut(node, p).is_link_up() {
-                continue;
-            }
             let qf = self.alloc_queued(f);
             self.port_mut(node, p).enqueue(qf);
             self.try_transmit(node, p, sched);
@@ -988,10 +871,7 @@ impl Network {
         // PFC frames are link-local: they pause this node's egress side of
         // `in_port` after the standard processing delay.
         if let FrameKind::Pfc(p) = frame.kind {
-            let port = self.port_mut(node, in_port);
-            let bw = port.bandwidth();
-            let gen = port.fault_gen();
-            let delay = bw.tx_delay(PFC_PROCESSING_BYTES);
+            let delay = self.port_mut(node, in_port).bandwidth().tx_delay(PFC_PROCESSING_BYTES);
             sched.at(
                 now + delay,
                 NetEvent::ApplyPause {
@@ -999,7 +879,6 @@ impl Network {
                     port: in_port as u32,
                     scope: p.scope,
                     pause: p.pause,
-                    gen,
                 },
             );
             self.frames.free(id);
@@ -1015,23 +894,9 @@ impl Network {
             FrameKind::Pfc(_) => unreachable!(),
         };
 
-        let routed = {
+        let out_port = {
             let sw = self.switch_mut(node);
-            sw.routes.try_pick(dst.0, flow, sw.id)
-        };
-        let Some(out_port) = routed else {
-            // Unreachable destination. Without injected faults this is a
-            // topology construction bug (the historical panic); under an
-            // active plan a partition legitimately black-holes traffic.
-            assert!(self.fault_plan.is_some(), "no route from {node} to host {}", dst.0);
-            self.link_drops += 1;
-            trace_event!(self.tracer, TraceEvent::FaultDrop, {
-                node: node.0 as u32,
-                port: in_port as u16,
-                payload: frame.bytes,
-            });
-            self.frames.free(id);
-            return;
+            sw.routes.pick(dst.0, flow, sw.id)
         };
 
         let mut fc = FcActions::none();
@@ -1094,10 +959,7 @@ impl Network {
         match &self.frames.get(id).kind {
             FrameKind::Pfc(p) => {
                 let (scope, pause) = (p.scope, p.pause);
-                let port = self.port_mut(node, in_port);
-                let bw = port.bandwidth();
-                let gen = port.fault_gen();
-                let delay = bw.tx_delay(PFC_PROCESSING_BYTES);
+                let delay = self.port_mut(node, in_port).bandwidth().tx_delay(PFC_PROCESSING_BYTES);
                 sched.at(
                     now + delay,
                     NetEvent::ApplyPause {
@@ -1105,7 +967,6 @@ impl Network {
                         port: in_port as u32,
                         scope,
                         pause,
-                        gen,
                     },
                 );
                 self.frames.free(id);
@@ -1398,12 +1259,6 @@ impl Network {
             if n == 0 || host.port.is_none() {
                 break;
             }
-            // A dead uplink accepts no new frames: flows wait for the
-            // `LinkUp` kick (or their RTO) instead of filling the NIC
-            // queue with traffic that would replay stale on repair.
-            if !host.uplink().is_link_up() {
-                break;
-            }
             let mut chosen = None;
             let mut stale = None;
             for k in 0..n {
@@ -1575,7 +1430,7 @@ impl Network {
         // would just be calendar churn.
         let seq = sched.current_seq();
         let host = self.host_mut(node);
-        if host.port.as_ref().is_some_and(|p| p.is_busy(now, seq) || !p.is_link_up()) {
+        if host.port.as_ref().is_some_and(|p| p.is_busy(now, seq)) {
             return;
         }
         let next =
@@ -1684,8 +1539,7 @@ impl Network {
                 f.rto_armed = false;
                 Outcome::Done
             } else if f.in_flight() == 0 {
-                // Nothing outstanding (e.g. rewound while the uplink was
-                // down): disarm; the next send re-arms.
+                // Nothing outstanding: disarm; the next send re-arms.
                 f.rto_armed = false;
                 Outcome::Done
             } else if now < f.rto_deadline {
@@ -1830,126 +1684,11 @@ impl Network {
         self.host_try_send(node, sched);
     }
 
-    // ---- fault injection --------------------------------------------------
-
-    /// Resolves the port index on `node` facing `peer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no such link exists (fault plans are validated at install
-    /// time, so this only fires on internal inconsistencies).
-    fn find_port(&self, node: NodeId, peer: NodeId) -> usize {
-        node_ports(&self.nodes[node.0])
-            .iter()
-            .position(|p| p.peer == peer)
-            .unwrap_or_else(|| panic!("no link between {node} and {peer}"))
-    }
-
-    /// Whether a frame completing its arrival is lost to a fault: the
-    /// ingress link died while it was in flight (the calendar cannot
-    /// retract `Arrive` events, so the cut happens at delivery), or a
-    /// corruption draw eats it. Only data frames are ever corrupted —
-    /// PFC is link-local control whose loss the protocol cannot recover
-    /// from (see the `fault` module docs).
-    fn arrival_lost(&mut self, node: NodeId, in_port: usize, id: FrameId) -> bool {
-        if self.fault_plan.is_none() {
-            return false;
-        }
-        let frame = *self.frames.get(id);
-        if !self.port_mut(node, in_port).is_link_up() {
-            trace_event!(self.tracer, TraceEvent::FaultDrop, {
-                node: node.0 as u32,
-                port: in_port as u16,
-                payload: frame.bytes,
-            });
-            return true;
-        }
-        if frame.is_data() && !self.corrupt.is_empty() {
-            let key = (node.0 as u32, in_port as u32);
-            if let Some(c) = self.corrupt.iter_mut().find(|c| (c.node, c.in_port) == key) {
-                if c.rng.gen_bool(c.probability) {
-                    trace_event!(self.tracer, TraceEvent::FrameCorrupt, {
-                        node: node.0 as u32,
-                        port: in_port as u16,
-                        payload: frame.bytes,
-                    });
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    fn handle_fault(&mut self, index: usize, sched: &mut Scheduler<'_, NetEvent>) {
-        let ev = self.fault_plan.as_ref().expect("Fault event without a plan").events()[index];
-        match ev.kind {
-            FaultKind::LinkDown { a, b } => self.link_down(a, b, sched),
-            FaultKind::LinkUp { a, b } => self.link_up(a, b, sched),
-        }
-    }
-
-    fn link_down(&mut self, a: NodeId, b: NodeId, sched: &mut Scheduler<'_, NetEvent>) {
-        let now = sched.now();
-        trace_event!(self.tracer, TraceEvent::LinkDown, {
-            node: a.0 as u32,
-            payload: b.0 as u64,
-        });
-        let pa = self.find_port(a, b);
-        let pb = self.find_port(b, a);
-        for (node, port) in [(a, pa), (b, pb)] {
-            self.kill_port(node, port, now, sched);
-        }
-        self.recompute_routes();
-    }
-
-    /// One endpoint's share of a link failure: force-clear the MMU pause
-    /// ledger for the dead ingress, drain the egress queues, release MMU
-    /// accounting for every drained frame, and forward any resumes that
-    /// releases toward still-alive upstreams.
-    fn kill_port(
-        &mut self,
-        node: NodeId,
-        port: usize,
-        now: Time,
-        sched: &mut Scheduler<'_, NetEvent>,
-    ) {
-        // Pause state first: the upstream that asserted it is gone, and
-        // the drain's departures must already find the port unpaused so
-        // no resume is emitted toward the dead peer.
-        if let Node::Switch(s) = &mut self.nodes[node.0] {
-            let cleared = s.mmu.release_port_pauses(port);
-            if cleared > 0 {
-                trace_event!(self.tracer, TraceEvent::PauseRelease, {
-                    node: node.0 as u32,
-                    port: port as u16,
-                    payload: cleared as u64,
-                });
-            }
-        }
-        // The failure wipes the port's pause clocks, so any open cascade
-        // edges rooted here end now (both endpoints get a kill call).
-        if let Some(obs) = self.observe.as_deref_mut() {
-            obs.cascade.force_close_port(node, port, now);
-        }
-        let mut drained = std::mem::take(&mut self.drained);
-        port_of(&mut self.nodes, node, port).fail(now, &mut drained, &mut self.pauses);
-        self.link_drops += drained.len() as u64;
-        if !drained.is_empty() {
-            trace_event!(self.tracer, TraceEvent::LinkDrain, {
-                node: node.0 as u32,
-                port: port as u16,
-                payload: drained.len() as u64,
-            });
-        }
-        self.release_drained(node, drained, sched);
-    }
-
-    /// Releases the MMU accounting of `frames` drained off one of
-    /// `node`'s ports (a link failure or a watchdog flush), frees them,
-    /// then sends the PFC frames the releases owe — all
-    /// collected first, then emitted in order through [`Self::drain_fc`],
-    /// which drops those owed to an upstream whose link is down.
-    /// `frames` comes back empty as the next drain's scratch buffer.
+    /// Releases the MMU accounting of `frames` that a watchdog flush
+    /// drained off one of `node`'s ports, frees them, then sends the PFC
+    /// frames the releases owe — all collected first, then emitted in
+    /// order through [`Self::drain_fc`]. `frames` comes back empty as the
+    /// next flush's scratch buffer.
     fn release_drained(
         &mut self,
         node: NodeId,
@@ -1970,82 +1709,17 @@ impl Network {
         self.released = released;
     }
 
-    fn link_up(&mut self, a: NodeId, b: NodeId, sched: &mut Scheduler<'_, NetEvent>) {
-        trace_event!(self.tracer, TraceEvent::LinkUp, {
-            node: a.0 as u32,
-            payload: b.0 as u64,
-        });
-        let pa = self.find_port(a, b);
-        let pb = self.find_port(b, a);
-        self.port_mut(a, pa).restore();
-        self.port_mut(b, pb).restore();
-        self.recompute_routes();
-        // Kick both ends: hosts may have flows parked on the dead uplink,
-        // switches may have frames enqueued while the port was down.
-        for (node, port) in [(a, pa), (b, pb)] {
-            if matches!(self.nodes[node.0], Node::Host(_)) {
-                self.host_try_send(node, sched);
-            } else {
-                self.try_transmit(node, port, sched);
-            }
-        }
-    }
-
-    /// Rebuilds every switch's ECMP table from the live (link-up)
-    /// adjacency — the same rule the builder uses at construction time.
-    fn recompute_routes(&mut self) {
-        let is_switch: Vec<bool> =
-            self.nodes.iter().map(|n| matches!(n, Node::Switch(_))).collect();
-        let adj: Vec<Vec<(usize, usize)>> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                node_ports(n)
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.is_link_up())
-                    .map(|(pi, p)| (p.peer.0, pi))
-                    .collect()
-            })
-            .collect();
-        let routes = crate::routing::compute_routes(&is_switch, &adj);
-        // Fault detours can lengthen routes past the build-time diameter;
-        // re-validate the stamp budget on every recompute so an overlong
-        // detour fails at reroute time, not mid-flight in HopList::push.
-        let diameter = routes.max_hops;
-        assert!(
-            diameter <= dsh_transport::HOP_CAPACITY,
-            "post-fault reroute produced a {diameter}-switch path but a hop-slab \
-             slot holds only HOP_CAPACITY ({}) telemetry stamps",
-            dsh_transport::HOP_CAPACITY
-        );
-        let switches = self.nodes.iter_mut().filter_map(|n| match n {
-            Node::Switch(s) => Some(s),
-            Node::Host(_) => None,
-        });
-        for (s, table) in switches.zip(routes.tables) {
-            s.routes = table;
-        }
-    }
-
     fn handle_apply_pause(
         &mut self,
         node: NodeId,
         port: usize,
         scope: PfcScope,
         pause: bool,
-        gen: u32,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let now = sched.now();
         let (peer, peer_port) = {
             let p = port_of(&mut self.nodes, node, port);
-            if p.fault_gen() != gen {
-                // The link died while this PFC frame's processing delay
-                // elapsed: its pause state was force-cleared and (for a
-                // PAUSE) the matching RESUME is gone. Ignore it.
-                return;
-            }
             match scope {
                 PfcScope::Queue(c) => p.apply_class_pause(c, pause, now, &mut self.pauses),
                 PfcScope::Port => p.apply_port_pause(pause, now, &mut self.pauses),
@@ -2296,14 +1970,6 @@ impl Model for Network {
             NetEvent::Arrive { node, in_port, frame } => {
                 let node = NodeId(node as usize);
                 let in_port = in_port as usize;
-                // In-flight frames cannot be retracted from the calendar,
-                // so link cuts (and corruption draws) take effect here, at
-                // delivery time.
-                if self.arrival_lost(node, in_port, frame) {
-                    self.link_drops += 1;
-                    self.frames.free(frame);
-                    return;
-                }
                 if matches!(self.nodes[node.0], Node::Switch(_)) {
                     self.switch_arrive(node, in_port, frame, sched);
                 } else {
@@ -2313,15 +1979,8 @@ impl Model for Network {
             NetEvent::TxDone { node, port } => {
                 self.handle_tx_done(NodeId(node as usize), port as usize, sched);
             }
-            NetEvent::ApplyPause { node, port, scope, pause, gen } => {
-                self.handle_apply_pause(
-                    NodeId(node as usize),
-                    port as usize,
-                    scope,
-                    pause,
-                    gen,
-                    sched,
-                );
+            NetEvent::ApplyPause { node, port, scope, pause } => {
+                self.handle_apply_pause(NodeId(node as usize), port as usize, scope, pause, sched);
             }
             NetEvent::FlowStart { flow } => self.handle_flow_start(FlowId(flow as usize), sched),
             NetEvent::HostWake { host } => {
@@ -2335,7 +1994,6 @@ impl Model for Network {
             NetEvent::RtoTimer { host, flow, gen } => {
                 self.handle_rto_timer(NodeId(host as usize), FlowId(flow as usize), gen, sched);
             }
-            NetEvent::Fault { index } => self.handle_fault(index as usize, sched),
             NetEvent::Sample => self.handle_sample(sched),
         }
     }
@@ -2352,7 +2010,6 @@ impl EventClass for NetEvent {
         "host_wake",
         "cc_timer",
         "rto_timer",
-        "fault",
         "sample",
     ];
 
@@ -2365,8 +2022,7 @@ impl EventClass for NetEvent {
             NetEvent::HostWake { .. } => 4,
             NetEvent::CcTimer { .. } => 5,
             NetEvent::RtoTimer { .. } => 6,
-            NetEvent::Fault { .. } => 7,
-            NetEvent::Sample => 8,
+            NetEvent::Sample => 7,
         }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Every PFC pause the network applies opens an *edge* linking the paused
 //! upstream port to the congested downstream switch that requested the
-//! pause.  Edges close on resume (or when a watchdog / link failure forces
-//! the pause clear).  At report time the edge set is sorted into a
+//! pause.  Edges close on resume (or when the PFC watchdog forces the
+//! pause clear).  At report time the edge set is sorted into a
 //! canonical order and parents are resolved, turning the flat edge log
 //! into a forest of cascade trees: a depth-1 edge is a root congestion
 //! point pausing its neighbour, a depth-2 edge is that neighbour pausing
@@ -106,21 +106,6 @@ impl CascadeTracker {
         self.open.retain(|&i| {
             let e = &mut edges[i];
             if e.up == up && e.up_port == up_port && e.class == class {
-                e.end = now;
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Closes every open edge on `(up, up_port)` — used when a link
-    /// failure wipes the port's pause state wholesale.
-    pub(crate) fn force_close_port(&mut self, up: NodeId, up_port: usize, now: Time) {
-        let edges = &mut self.edges;
-        self.open.retain(|&i| {
-            let e = &mut edges[i];
-            if e.up == up && e.up_port == up_port {
                 e.end = now;
                 false
             } else {
@@ -558,17 +543,5 @@ mod tests {
         let cycles = find_cycles(tr.edges());
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].onset, t(30));
-    }
-
-    #[test]
-    fn force_close_port_closes_all_classes() {
-        let mut tr = CascadeTracker::new();
-        tr.on_pause(NodeId(1), 2, 0, NodeId(3), 0, false, t(10));
-        tr.on_pause(NodeId(1), 2, PORT_SCOPE_CLASS, NodeId(3), 0, false, t(11));
-        tr.on_pause(NodeId(1), 3, 0, NodeId(4), 0, false, t(11));
-        tr.force_close_port(NodeId(1), 2, t(12));
-        let open: Vec<_> = tr.edges().iter().filter(|e| e.is_open()).collect();
-        assert_eq!(open.len(), 1);
-        assert_eq!(open[0].up_port, 3);
     }
 }

@@ -83,7 +83,7 @@ impl<T: Copy> Ring<T> {
 ///
 /// Samples are *instant-closed*: the network captures the sample labeled
 /// `t` at the first event strictly after `t` (staging it here via
-/// [`Self::stage_switch`]/[`Self::stage_global`]) and commits it on the
+/// `stage_switch`/`stage_global`) and commits it on the
 /// next tick, so a sample is the state after every event at `<= t`
 /// whatever the order of the events inside instant `t`.  The lone
 /// capture still staged when the run's deadline cuts the calendar off is

@@ -165,14 +165,6 @@ pub struct EgressPort {
     /// PFC pause state per class, then the port-level (DSH) pause at
     /// [`PORT_SCOPE`] (set by frames from the peer).
     pause: [PauseClock; PAUSE_SCOPES],
-    /// Whether the attached link is alive. Both endpoints of a link share
-    /// one up/down state; fault injection flips both sides together.
-    link_up: bool,
-    /// Bumped on every [`EgressPort::fail`]. In-flight `ApplyPause` events
-    /// carry the generation they were issued under and are discarded on
-    /// mismatch: a PAUSE crossing a link that then dies must not wedge the
-    /// port, because its matching RESUME died with the link.
-    fault_gen: u32,
     /// Cumulative bytes transmitted (INT telemetry λ source).
     tx_bytes: u64,
     /// Frames transmitted.
@@ -215,8 +207,6 @@ impl EgressPort {
             tx_seq: 0,
             wake_pending: false,
             pause: [PauseClock::default(); PAUSE_SCOPES],
-            link_up: true,
-            fault_gen: 0,
             tx_bytes: 0,
             tx_frames: 0,
         }
@@ -273,7 +263,7 @@ impl EgressPort {
 
     /// Whether a frame of `class` offered at calendar place `(now, seq)`
     /// would be the next one on the wire: the serializer is idle, no frame
-    /// waits in any lane, the link is up and the class may send. On such a
+    /// waits in any lane and the class may send. On such a
     /// port [`EgressPort::enqueue`] followed by [`EgressPort::pick`] hands
     /// the frame straight back and leaves the queues, the byte counts, the
     /// DWRR list and its deficits as they were, so the caller may transmit
@@ -281,7 +271,7 @@ impl EgressPort {
     #[must_use]
     #[inline]
     pub fn idle_for(&self, class: u8, now: Time, seq: u64) -> bool {
-        !self.is_busy(now, seq) && !self.has_waiting() && self.link_up && self.class_sendable(class)
+        !self.is_busy(now, seq) && !self.has_waiting() && self.class_sendable(class)
     }
 
     /// Whether the serializer is mid-frame for the event at calendar place
@@ -425,13 +415,6 @@ impl EgressPort {
     ///
     /// Returns `None` when nothing is eligible.
     pub fn pick(&mut self) -> Option<QueuedFrame> {
-        // A dead link transmits nothing. `fail` drained the queues, so
-        // this only guards frames enqueued while the link is down (they
-        // wait for `restore`).
-        if !self.link_up {
-            return None;
-        }
-
         // PFC lane: ahead of everything, never paused (802.1Qbb pause
         // frames bypass even queued control traffic).
         if let Some(qf) = self.pfc.pop_front() {
@@ -534,55 +517,6 @@ impl EgressPort {
     #[must_use]
     pub fn port_paused_since(&self) -> Option<Time> {
         self.pause[PORT_SCOPE].paused_since()
-    }
-
-    /// Whether the attached link is alive.
-    #[must_use]
-    pub fn is_link_up(&self) -> bool {
-        self.link_up
-    }
-
-    /// Fault generation this port is currently in (see the field docs).
-    #[must_use]
-    pub fn fault_gen(&self) -> u32 {
-        self.fault_gen
-    }
-
-    /// Link failure: drains every queue (including the PFC lane) into
-    /// `out`, zeroes the byte/deficit accounting, force-closes all pause
-    /// clocks (the peer that asserted them is unreachable; the intervals
-    /// close into `closed`), bumps the fault generation, and marks the
-    /// link down. The caller
-    /// releases MMU accounting for the drained frames. The frame on the
-    /// wire still ends when it would have, and a booked wake-up still
-    /// fires.
-    pub(crate) fn fail(
-        &mut self,
-        now: Time,
-        out: &mut Vec<QueuedFrame>,
-        closed: &mut PauseHistograms,
-    ) {
-        self.link_up = false;
-        self.fault_gen = self.fault_gen.wrapping_add(1);
-        for c in 0..NUM_CLASSES {
-            self.qbytes[c] = 0;
-            self.deficit[c] = 0;
-            self.in_active[c] = false;
-            out.extend(self.queues[c].drain(..));
-        }
-        self.active.clear();
-        self.pfc_bytes = 0;
-        out.extend(self.pfc.drain(..));
-        for scope in 0..PAUSE_SCOPES {
-            self.set_pause(scope, false, now, closed);
-        }
-    }
-
-    /// Link repair: the port may transmit again. Pause state starts clean
-    /// (cleared by [`EgressPort::fail`]); the peer re-asserts any pause it
-    /// still needs through ordinary PFC frames.
-    pub fn restore(&mut self) {
-        self.link_up = true;
     }
 
     /// PFC watchdog action: forcibly clears the pause state of `class`
@@ -823,37 +757,6 @@ mod tests {
         assert_eq!(out.len(), 3);
     }
 
-    #[test]
-    fn fail_drains_everything_and_clears_pause_state() {
-        let mut p = port();
-        let mut h = hists();
-        p.enqueue(data_frame(0, 1500));
-        p.enqueue(data_frame(2, 500));
-        p.enqueue(ack_frame());
-        p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(0), true));
-        p.apply_class_pause(0, true, Time::ZERO, &mut h);
-        p.apply_port_pause(true, Time::ZERO, &mut h);
-        let gen0 = p.fault_gen();
-
-        let mut out = Vec::new();
-        p.fail(Time::from_us(10), &mut out, &mut h);
-        assert_eq!(out.len(), 4, "all queues including the PFC lane drain");
-        assert_eq!(p.total_queued_bytes(), 0);
-        assert!(!p.is_link_up());
-        assert_eq!(p.fault_gen(), gen0 + 1);
-        assert!(!p.class_paused(0), "pause clocks force-close on failure");
-        assert!(!p.port_paused());
-
-        // Frames enqueued while down wait; a dead port transmits nothing.
-        p.enqueue(data_frame(1, 100));
-        assert!(p.pick().is_none());
-
-        p.restore();
-        assert!(p.is_link_up());
-        let qf = p.pick().expect("restored port transmits");
-        assert_eq!(qf.class, 1);
-    }
-
     /// Every piece of scheduler state `enqueue` and `pick` touch.
     fn scheduler_state(
         p: &EgressPort,
@@ -906,10 +809,6 @@ mod tests {
         p.apply_port_pause(true, Time::ZERO, &mut h);
         assert!(!idle(&p, 0) && !idle(&p, 6), "a port-level pause stops every data class");
         assert!(idle(&p, CONTROL_CLASS), "control is pause-exempt");
-
-        let mut p = port();
-        p.fail(Time::ZERO, &mut Vec::new(), &mut h);
-        assert!(!idle(&p, 0) && !idle(&p, CONTROL_CLASS), "a dead link sends nothing");
 
         let mut p = port();
         p.start_tx(Time::from_ns(120), 7);

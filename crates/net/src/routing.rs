@@ -1,15 +1,15 @@
 //! Shortest-path ECMP routing over the switch graph.
 //!
-//! For every destination ToR we run a BFS over the (possibly degraded)
-//! switch topology; each switch's next hops toward a host are the
-//! neighbours strictly closer to the host's ToR. ECMP selection hashes the
-//! flow id so a flow stays on one path (per-flow ECMP, as in the paper's
-//! setup).
+//! For every destination ToR we run a BFS over the switch topology, with
+//! any links removed before the build left out; each switch's next hops
+//! toward a host are the neighbours strictly closer to the host's ToR.
+//! ECMP selection hashes the flow id so a flow stays on one path (per-flow
+//! ECMP, as in the paper's setup).
 //!
-//! After link failures this "local shortest path" rule produces detour
+//! With links removed this "local shortest path" rule produces detour
 //! (leaf-bounce) paths — e.g. the paper's Fig. 12 scenario, where two
-//! failures force `S0→L1→S1` style bounces and create the cyclic buffer
-//! dependency that deadlocks SIH.
+//! failed links force `S0→L1→S1` style bounces and create the cyclic
+//! buffer dependency that deadlocks SIH.
 
 use crate::ids::{FlowId, NodeId};
 
@@ -17,7 +17,7 @@ use crate::ids::{FlowId, NodeId};
 /// every destination node, in one flat array.
 ///
 /// The candidates toward node `d` are `ports[offsets[d]..offsets[d + 1]]`,
-/// in port order ([`RouteTable::try_pick`] indexes into that order). A
+/// in port order ([`RouteTable::pick`] indexes into that order). A
 /// destination that is a switch, or a host the switch cannot reach, has
 /// none.
 #[derive(Clone, Debug, Default)]
@@ -38,21 +38,23 @@ impl RouteTable {
         self.slice(dst).iter().map(|&p| usize::from(p))
     }
 
-    /// Picks the ECMP port for `flow` toward node `dst`, or `None` when the
-    /// destination is unreachable. Runtime link failures legitimately
-    /// partition the fabric, so under an active fault plan an empty
-    /// candidate set is a drop, not a bug.
+    /// Picks the ECMP port of switch `node` for `flow` toward node `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is unreachable from `node`: the topology was built
+    /// without a path the traffic needs.
     #[must_use]
     #[inline]
-    pub fn try_pick(&self, dst: usize, flow: FlowId, node: NodeId) -> Option<usize> {
+    pub fn pick(&self, dst: usize, flow: FlowId, node: NodeId) -> usize {
         let c = self.slice(dst);
         let port = match c.len() {
-            0 => return None,
+            0 => panic!("no route from {node} to host {dst}"),
             // A sole candidate needs no hash.
             1 => c[0],
             n => c[ecmp_index(ecmp_hash(flow.0 as u64, node.0 as u64), n)],
         };
-        Some(usize::from(port))
+        usize::from(port)
     }
 }
 
@@ -70,7 +72,7 @@ fn ecmp_index(hash: u64, n: usize) -> usize {
     }
 }
 
-/// Every switch's routes over a live topology.
+/// Every switch's routes over a built topology.
 #[derive(Debug)]
 pub(crate) struct Routes {
     /// One table per switch, in node order.
@@ -86,27 +88,23 @@ pub(crate) struct Routes {
 /// Marks a switch the BFS did not reach.
 const UNREACHED: u32 = u32::MAX;
 
-/// Computes every switch's routes from the *live* topology.
+/// Computes every switch's routes once, when the topology is built.
 ///
-/// `adj[n]` lists `(neighbour, egress port index)` pairs for each alive
-/// link out of node `n` (insertion order = port order); `is_switch[n]`
-/// marks switches. A host whose access link is down (no live adjacency
-/// into a switch) is simply unreachable: every switch's candidate set
-/// toward it stays empty until the link returns.
+/// `adj[n]` lists `(neighbour, egress port index)` pairs for each link
+/// out of node `n` (insertion order = port order); `is_switch[n]` marks
+/// switches. A host with no link into a switch is simply unreachable:
+/// every switch's candidate set toward it stays empty.
 ///
-/// One BFS runs per ToR (a switch with a live host behind it), and its
+/// One BFS runs per ToR (a switch with a host behind it), and its
 /// distances serve every host behind that ToR and the longest-route
-/// bound alike. Shared by the topology builder (full adjacency at build
-/// time) and the runtime fault handler (recompute after each
-/// `LinkDown`/`LinkUp`), so build-time and post-repair routes are
-/// computed by one rule.
+/// bound alike.
 ///
 /// # Panics
 ///
 /// Panics if a switch has more ports than a `u16` indexes.
 pub(crate) fn compute_routes(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> Routes {
     let n = is_switch.len();
-    // The ToR of every host with a live access link (hosts are
+    // The ToR of every host with an access link (hosts are
     // single-homed).
     let tor: Vec<Option<usize>> = (0..n)
         .map(|h| {
@@ -160,9 +158,9 @@ pub(crate) fn compute_routes(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) ->
                     Some(t) => {
                         let row = dist_to(t);
                         if row[s] != UNREACHED {
-                            // The reachability guard matters at runtime: a
-                            // severed neighbour is UNREACHED, and `+ 1`
-                            // would overflow.
+                            // The reachability guard matters on a split
+                            // fabric: a cut-off neighbour is UNREACHED, and
+                            // `+ 1` would overflow.
                             ports.extend(
                                 adj[s]
                                     .iter()
@@ -274,18 +272,24 @@ mod tests {
     }
 
     #[test]
-    fn try_pick_is_stable_per_flow_and_none_when_unreachable() {
-        let (is_switch, mut adj) = leaf_spine_adj();
+    fn pick_is_stable_per_flow() {
+        let (is_switch, adj) = leaf_spine_adj();
         let routes = compute_routes(&is_switch, &adj);
         let tor = &routes.tables[0];
-        let p1 = tor.try_pick(1, FlowId(42), NodeId(2));
-        assert_eq!(p1, tor.try_pick(1, FlowId(42), NodeId(2)));
-        assert!(tor.candidates(1).any(|p| Some(p) == p1));
-        assert_eq!(tor.try_pick(0, FlowId(42), NodeId(2)), Some(0), "sole candidate");
+        let p1 = tor.pick(1, FlowId(42), NodeId(2));
+        assert_eq!(p1, tor.pick(1, FlowId(42), NodeId(2)));
+        assert!(tor.candidates(1).any(|p| p == p1));
+        assert_eq!(tor.pick(0, FlowId(42), NodeId(2)), 0, "sole candidate");
+    }
+
+    #[test]
+    #[should_panic(expected = "no route from n2 to host 1")]
+    fn pick_panics_when_unreachable() {
+        let (is_switch, mut adj) = leaf_spine_adj();
         adj[1].clear();
         adj[3].retain(|&(v, _)| v != 1);
         let routes = compute_routes(&is_switch, &adj);
-        assert_eq!(routes.tables[0].try_pick(1, FlowId(0), NodeId(2)), None);
+        let _ = routes.tables[0].pick(1, FlowId(0), NodeId(2));
     }
 
     #[test]
@@ -301,9 +305,9 @@ mod tests {
     }
 
     #[test]
-    fn compute_routes_reroutes_around_dead_spine_link() {
+    fn compute_routes_reroutes_around_a_removed_spine_link() {
         let (is_switch, mut adj) = leaf_spine_adj();
-        // Kill ToR 2 <-> spine 4 (both directions).
+        // Remove ToR 2 <-> spine 4 (both directions).
         adj[2].retain(|&(v, _)| v != 4);
         adj[4].retain(|&(v, _)| v != 2);
         let routes = compute_routes(&is_switch, &adj);
@@ -322,38 +326,13 @@ mod tests {
     }
 
     #[test]
-    fn max_hops_grows_on_reroute_lengthened_path() {
-        // Hosts 0/1 behind ToRs 2/3; the ToRs are joined directly and via
-        // a three-switch detour (4-5-6): a ring in miniature.
-        let is_switch = vec![false, false, true, true, true, true, true];
-        let mut adj = vec![
-            vec![(2, 0)],                 // h0 -> ToR 2
-            vec![(3, 0)],                 // h1 -> ToR 3
-            vec![(0, 0), (3, 1), (4, 2)], // ToR 2
-            vec![(1, 0), (2, 1), (6, 2)], // ToR 3
-            vec![(2, 0), (5, 1)],         // detour
-            vec![(4, 0), (6, 1)],
-            vec![(5, 0), (3, 1)],
-        ];
-        // Direct ToR-ToR link up: two stamps.
-        assert_eq!(compute_routes(&is_switch, &adj).max_hops, 2);
-        // Kill the direct link; the reroute goes 2-4-5-6-3: five stamps,
-        // still within the inline HopList capacity.
-        adj[2].retain(|&(v, _)| v != 3);
-        adj[3].retain(|&(v, _)| v != 2);
-        let lengthened = compute_routes(&is_switch, &adj).max_hops;
-        assert_eq!(lengthened, 5);
-        assert!(lengthened <= dsh_transport::HOP_CAPACITY);
-    }
-
-    #[test]
-    fn compute_routes_tolerates_dead_access_link() {
+    fn compute_routes_tolerates_a_host_without_a_link() {
         let (is_switch, mut adj) = leaf_spine_adj();
         adj[0].clear();
         adj[2].retain(|&(v, _)| v != 0);
         let routes = compute_routes(&is_switch, &adj);
         for t in &routes.tables {
-            assert_eq!(t.candidates(0).len(), 0, "severed host must be unreachable");
+            assert_eq!(t.candidates(0).len(), 0, "an unattached host is unreachable");
         }
         // The rest of the fabric still routes.
         assert_eq!(cands(&routes, &is_switch, 2, 1), [1, 2]);

@@ -151,9 +151,9 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Like [`Simulation::run_until`], but classifies every dispatched
-    /// event through [`EventClass`] and accumulates per-class counts
-    /// (and, with the `profile` feature, per-class wall time) into
-    /// `profile`.
+    /// event through [`EventClass`](crate::EventClass) and accumulates
+    /// per-class counts (and, with the `profile` feature, per-class wall
+    /// time) into `profile`.
     pub fn run_until_profiled(
         &mut self,
         deadline: Time,

@@ -8,10 +8,10 @@
 //!   [`TraceRecord`]s — the **flight recorder**. The ring is allocated
 //!   once at construction, so recording never allocates on the packet hot
 //!   path; when full it overwrites the oldest record and counts the loss.
-//! * Trace points go through [`trace_event!`], which compiles to a single
-//!   mask test before evaluating any argument: with the mask empty (the
-//!   default), tracing costs one predictable branch per trace point and
-//!   nothing else.
+//! * Trace points go through [`trace_event!`](crate::trace_event), which
+//!   compiles to a single mask test before evaluating any argument: with
+//!   the mask empty (the default), tracing costs one predictable branch
+//!   per trace point and nothing else.
 //! * The clock is stamped once per dispatched event via [`Tracer::tick`]
 //!   (the network model does this at the top of its `handle`), so
 //!   components below the event loop — the MMU in particular — need no
@@ -23,8 +23,8 @@
 //!   [`TraceKey`] so the result is bit-identical at any thread count.
 //! * [`chrome_trace`] converts logs to the Chrome `trace_event` JSON
 //!   format (load in `chrome://tracing` or Perfetto): PFC pause→resume
-//!   spans, flow lifetime spans with retransmission markers, and fault
-//!   instants.
+//!   spans, MMU pause decisions, flow lifetime spans with retransmission
+//!   markers, and loss-recovery spans.
 //! * [`Tracer::dump`] prints the last records to stderr — the MMU calls
 //!   it when an audit finds a violated invariant, naming the invariant.
 //!
@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Environment variable selecting trace categories outside a [`capture`]
 /// session: a comma-separated list of category names
-/// (`pfc,flow,mmu,fault`), `all`, or a numeric bit mask.
+/// (`pfc,flow,mmu,recovery`), `all`, or a numeric bit mask.
 pub const MASK_ENV: &str = "DSH_TRACE_MASK";
 
 /// Environment variable overriding the flight-recorder capacity
@@ -70,17 +70,14 @@ impl TraceMask {
     /// MMU decisions: pause/resume thresholds, headroom entry, audit
     /// violations.
     pub const MMU: TraceMask = TraceMask(1 << 2);
-    /// Fault injection: link death/repair, frame corruption, drained and
-    /// lost frames, released pauses.
-    pub const FAULT: TraceMask = TraceMask(1 << 3);
-    // Bit 4 is retired: it named a category that no longer exists and
-    // stays unassigned.
+    // Bits 3 and 4 are retired: they named categories that no longer
+    // exist and stay unassigned.
     /// Loss recovery: NACK emission, selective-repeat hole repairs, and
     /// RTO fires (the backoff window renders as a span in the Chrome
     /// export).
     pub const RECOVERY: TraceMask = TraceMask(1 << 5);
     /// Every category.
-    pub const ALL: TraceMask = TraceMask(0b10_1111);
+    pub const ALL: TraceMask = TraceMask(0b10_0111);
 
     /// True when no category is enabled.
     #[must_use]
@@ -108,13 +105,20 @@ impl TraceMask {
     }
 
     /// Parses a `DSH_TRACE_MASK`-style value: a comma-separated list of
-    /// category names, `all`, or a plain number. Unknown names are
-    /// ignored (so the variable can never break a run).
-    #[must_use]
-    pub fn parse(text: &str) -> TraceMask {
+    /// category names, `all`, or a plain number. An empty value enables
+    /// nothing; a number keeps only the bits of live categories.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a name that is no category, naming it: a typo'd or
+    /// retired category must not silently record nothing.
+    pub fn parse(text: &str) -> Result<TraceMask, String> {
         let text = text.trim();
+        if text.is_empty() {
+            return Ok(TraceMask::NONE);
+        }
         if let Ok(bits) = text.parse::<u32>() {
-            return TraceMask(bits & Self::ALL.0);
+            return Ok(TraceMask(bits & Self::ALL.0));
         }
         let mut mask = TraceMask::NONE;
         for name in text.split(',') {
@@ -122,13 +126,17 @@ impl TraceMask {
                 "pfc" => Self::PFC,
                 "flow" => Self::FLOW,
                 "mmu" => Self::MMU,
-                "fault" => Self::FAULT,
                 "recovery" => Self::RECOVERY,
                 "all" => Self::ALL,
-                _ => Self::NONE,
+                other => {
+                    return Err(format!(
+                        "unknown trace category '{other}' (expected pfc, flow, mmu, \
+                         recovery, all or a number)"
+                    ))
+                }
             });
         }
-        mask
+        Ok(mask)
     }
 }
 
@@ -177,23 +185,7 @@ pub enum TraceEvent {
     /// count and current RTO (see `dsh-transport`).
     Retransmit = 35,
 
-    /// A link died; `node` = one endpoint, `payload` = the other.
-    LinkDown = 48,
-    /// A link recovered; `node` = one endpoint, `payload` = the other.
-    LinkUp = 49,
-    /// A data frame was corrupted in flight; `payload` = frame bytes.
-    FrameCorrupt = 50,
-    /// Frames drained by a dying link; `payload` = how many.
-    LinkDrain = 51,
-    /// A frame was lost to a fault as it arrived: its ingress link was
-    /// dead, or a partition left no route onward; `port` = the ingress
-    /// port, `payload` = frame bytes.
-    FaultDrop = 52,
-    /// A dying link released the pauses its peer had asserted on it;
-    /// `port` = the failed port, `payload` = ledger entries cleared.
-    PauseRelease = 53,
-
-    // Discriminants 64..=79 are retired and stay unassigned.
+    // Discriminants 48..=79 are retired and stay unassigned.
     /// A receiver emitted a selective-repeat NACK; `payload` = the
     /// receiver's in-order mark (the cumulative-ACK byte the NACK
     /// carries).
@@ -212,11 +204,10 @@ impl TraceEvent {
     #[must_use]
     pub const fn mask(self) -> TraceMask {
         match self as u8 {
-            80..=95 => TraceMask::RECOVERY,
             1..=15 => TraceMask::PFC,
             16..=31 => TraceMask::MMU,
             32..=47 => TraceMask::FLOW,
-            _ => TraceMask::FAULT,
+            _ => TraceMask::RECOVERY,
         }
     }
 
@@ -239,12 +230,6 @@ impl TraceEvent {
             TraceEvent::FlowComplete => "flow_complete",
             TraceEvent::FlowFailed => "flow_failed",
             TraceEvent::Retransmit => "retransmit",
-            TraceEvent::LinkDown => "link_down",
-            TraceEvent::LinkUp => "link_up",
-            TraceEvent::FrameCorrupt => "frame_corrupt",
-            TraceEvent::LinkDrain => "link_drain",
-            TraceEvent::FaultDrop => "fault_drop",
-            TraceEvent::PauseRelease => "pause_release",
             TraceEvent::RecoveryNack => "recovery_nack",
             TraceEvent::RecoveryRepair => "recovery_repair",
             TraceEvent::RecoveryRto => "recovery_rto",
@@ -270,12 +255,6 @@ impl TraceEvent {
             33 => TraceEvent::FlowComplete,
             34 => TraceEvent::FlowFailed,
             35 => TraceEvent::Retransmit,
-            48 => TraceEvent::LinkDown,
-            49 => TraceEvent::LinkUp,
-            50 => TraceEvent::FrameCorrupt,
-            51 => TraceEvent::LinkDrain,
-            52 => TraceEvent::FaultDrop,
-            53 => TraceEvent::PauseRelease,
             80 => TraceEvent::RecoveryNack,
             81 => TraceEvent::RecoveryRepair,
             82 => TraceEvent::RecoveryRto,
@@ -427,7 +406,9 @@ impl TraceConfig {
     pub fn from_env() -> TraceConfig {
         static ENV: OnceLock<TraceConfig> = OnceLock::new();
         *ENV.get_or_init(|| {
-            let mask = std::env::var(MASK_ENV).map_or(TraceMask::NONE, |v| TraceMask::parse(&v));
+            let mask = std::env::var(MASK_ENV).map_or(TraceMask::NONE, |v| {
+                TraceMask::parse(&v).unwrap_or_else(|e| panic!("invalid {MASK_ENV}: {e}"))
+            });
             let capacity = std::env::var(CAP_ENV)
                 .ok()
                 .and_then(|v| v.trim().parse::<usize>().ok())
@@ -528,8 +509,8 @@ impl Tracer {
     }
 
     /// Stores one record, stamping it with the current clock. Call sites
-    /// must be guarded by [`Tracer::wants`] (the [`trace_event!`] macro
-    /// does this).
+    /// must be guarded by [`Tracer::wants`] (the
+    /// [`trace_event!`](crate::trace_event) macro does this).
     pub fn push(&self, mut rec: TraceRecord) {
         if let Some(shared) = &self.shared {
             let mut state = lock(shared);
@@ -729,7 +710,6 @@ fn span_end(open: &mut std::collections::BTreeMap<(u64, u64), u64>, pid: u64, ti
 ///   drops and audit failures as instants;
 /// * **pid 3 "flows"** — one lifetime span per flow with retransmission
 ///   markers;
-/// * **pid 5 "faults"** — link death/repair and corruption instants;
 /// * **pid 7 "recovery"** — RTO backoff spans and NACK/repair instants
 ///   per flow (only when such records exist).
 ///
@@ -847,17 +827,6 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
                         ),
                     );
                 }
-                TraceEvent::LinkDown
-                | TraceEvent::LinkUp
-                | TraceEvent::FrameCorrupt
-                | TraceEvent::LinkDrain
-                | TraceEvent::FaultDrop
-                | TraceEvent::PauseRelease => {
-                    events.push(ev(kind.name(), "i", ts, 5, node).with("s", "p").with(
-                        "args",
-                        Json::object().with("node", node).with("payload", rec.payload),
-                    ));
-                }
                 TraceEvent::RecoveryRto => {
                     // The RTO fire renders as a complete span covering the
                     // backed-off timeout window it arms, so stacked
@@ -897,7 +866,9 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
 
     // Name the tracks (metadata events may appear anywhere in the array).
     // The recovery track appears only when matching records exist, so
-    // exports without them stay byte-identical to older goldens.
+    // exports without them stay byte-identical to older goldens. Pid 5
+    // named the retired fault track; it keeps its name for the same
+    // reason and never holds an event.
     let mut pids: Vec<(u64, &str)> = vec![(1, "PFC wire"), (2, "MMU"), (3, "flows"), (5, "faults")];
     if any_recovery {
         pids.push((7, "recovery"));
@@ -937,18 +908,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mask_parsing_accepts_names_numbers_and_garbage() {
-        assert_eq!(TraceMask::parse("all"), TraceMask::ALL);
-        assert_eq!(TraceMask::parse("pfc,flow"), TraceMask::PFC.union(TraceMask::FLOW));
-        assert_eq!(TraceMask::parse(" mmu , nope "), TraceMask::MMU);
-        assert_eq!(TraceMask::parse("63"), TraceMask::ALL);
-        assert_eq!(
-            TraceMask::parse("15"),
-            TraceMask::PFC.union(TraceMask::FLOW).union(TraceMask::MMU).union(TraceMask::FAULT)
-        );
-        assert_eq!(TraceMask::parse("16"), TraceMask::NONE, "bit 4 is retired");
-        assert_eq!(TraceMask::parse("recovery"), TraceMask::RECOVERY);
-        assert_eq!(TraceMask::parse(""), TraceMask::NONE);
+    fn mask_parsing_accepts_names_and_numbers() {
+        let parse = |text| TraceMask::parse(text).unwrap();
+        assert_eq!(parse("all"), TraceMask::ALL);
+        assert_eq!(parse("pfc,flow"), TraceMask::PFC.union(TraceMask::FLOW));
+        assert_eq!(parse(" MMU , recovery "), TraceMask::MMU.union(TraceMask::RECOVERY));
+        assert_eq!(parse("63"), TraceMask::ALL);
+        assert_eq!(parse("15"), TraceMask::PFC.union(TraceMask::FLOW).union(TraceMask::MMU));
+        assert_eq!(parse("8"), TraceMask::NONE, "bit 3 is retired");
+        assert_eq!(parse("16"), TraceMask::NONE, "bit 4 is retired");
+        assert_eq!(parse(""), TraceMask::NONE);
+    }
+
+    #[test]
+    fn mask_parsing_rejects_unknown_names() {
+        for (text, name) in [("fault", "fault"), ("pfc,nope", "nope"), ("pfc,", "")] {
+            let e = TraceMask::parse(text).unwrap_err();
+            assert!(e.contains(&format!("unknown trace category '{name}'")), "{text}: {e}");
+        }
     }
 
     #[test]
@@ -1023,7 +1000,7 @@ mod tests {
         t.tick(Time::from_us(3));
         trace_event!(t, TraceEvent::Retransmit, { flow: 1, payload: (2 << 48) | 9000 });
         trace_event!(t, TraceEvent::PfcResume, { node: 2, port: 1, class: 0 });
-        trace_event!(t, TraceEvent::LinkDown, { node: 4, payload: 6 });
+        trace_event!(t, TraceEvent::MmuDrop, { node: 4, port: 0, class: 0, payload: 1500 });
         let log = t.log(TraceKey::default());
         let doc = chrome_trace(&[log], Json::object().with("seed", 1u64));
         let text = doc.to_string();
@@ -1034,6 +1011,6 @@ mod tests {
         };
         assert!(ph("B") >= 2, "flow + pause spans must open");
         assert!(ph("E") >= 2, "every span must close (flow span force-closed at end)");
-        assert!(ph("i") >= 2, "retransmit marker + fault instant");
+        assert!(ph("i") >= 2, "retransmit marker + drop instant");
     }
 }

@@ -1,8 +1,8 @@
 //! Loss recovery (RoCEv2-style): go-back-N and IRN-style selective repeat.
 //!
-//! RoCEv2 NICs assume a lossless fabric, but links still die: a frame lost
-//! to a link failure would wedge the flow forever without a retransmission
-//! path. Commercial NICs recover with *go-back-N* — the receiver only
+//! RoCEv2 NICs assume a lossless fabric, but frames are still lost: to a
+//! drop-tail switch on a lossy fabric, or to the PFC watchdog's flush. A
+//! lost frame would wedge its flow forever without a retransmission path. Commercial NICs recover with *go-back-N* — the receiver only
 //! accepts the next in-order byte and acknowledges cumulatively; when the
 //! sender's retransmission timeout (RTO) fires it rewinds to the last
 //! cumulatively acknowledged byte and resends everything from there.

@@ -34,18 +34,17 @@ impl TelemetryHop {
 /// Maximum number of switch hops a packet can traverse, and therefore the
 /// capacity of a [`HopList`].
 ///
-/// The nominal data-path diameter of the supported fabrics is 5 egress
-/// stamps: a k-ary fat-tree crosses edge→agg→core→agg→edge, and the
-/// failure-rerouted leaf–spine paths of the CBD experiment (fig. 12) cross
-/// leaf→spine→leaf→spine→leaf. Fault reroutes can lengthen a path past the
-/// nominal diameter (a recomputed fat-tree route may detour through an
-/// extra agg/core pair), so the capacity carries 3 hops of slack above it.
+/// The capacity is the data-path diameter of the supported fabrics, 5
+/// egress stamps: a k-ary fat-tree crosses edge→agg→core→agg→edge, and the
+/// leaf–spine bounce paths of the CBD experiment (fig. 12, two links
+/// removed before the run) cross leaf→spine→leaf→spine→leaf. Routes are
+/// computed once at build time, so no path grows past that diameter.
 /// It sizes one slot of the frame arena's hop slab (`dsh-net`), which
 /// only frames that request INT hold, and never the frame itself.
 /// `NetworkBuilder::build` checks the longest computed route against this
 /// capacity at build time, and [`HopList::push`] past capacity panics
 /// rather than silently dropping telemetry.
-pub const HOP_CAPACITY: usize = 8;
+pub const HOP_CAPACITY: usize = 5;
 
 const ZERO_HOP: TelemetryHop = TelemetryHop {
     qlen_bytes: 0,

@@ -1,15 +1,14 @@
 //! Frame arena accounting end to end: every frame a run creates is freed
 //! on exactly one path (consumed at its destination, dropped at
-//! admission, lost to a fault, drained off a failed link or flushed by
-//! the PFC watchdog), so a network with nothing left to deliver holds no
-//! live frame.
+//! admission or flushed by the PFC watchdog), so a network with nothing
+//! left to deliver holds no live frame.
 
 mod common;
 
 use common::{add_incast, raw_params, star};
 use dsh_core::Scheme;
 use dsh_net::topology::{leaf_spine, LeafSpineShape};
-use dsh_net::{FaultPlan, FlowSpec, NetParams, Network};
+use dsh_net::{FlowSpec, NetParams, Network};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, Time};
 use dsh_transport::{CcKind, RecoveryConfig};
 
@@ -60,13 +59,14 @@ fn lossy_selective_repeat_incast_frees_dropped_and_nacked_frames() {
 }
 
 #[test]
-fn link_flaps_and_the_watchdog_free_what_they_drop() {
+fn the_watchdog_frees_what_it_drops() {
     // An unpaced cross-rack 4:1 incast on a 2×2 leaf–spine whose 4 MiB
-    // switches pause, with a PFC watchdog quick enough to flush paused queues and two
-    // flaps of a loaded uplink: frames are drained off the failed ports,
-    // lost in flight on the dead link, and flushed by the watchdog.
-    let params =
-        raw_params(Scheme::Sih).with_buffer(ByteSize::mib(4)).with_pfc_watchdog(Delta::from_us(5));
+    // switches pause, with a PFC watchdog quick enough to flush paused
+    // queues; go-back-N resends what the flushes drop.
+    let params = raw_params(Scheme::Sih)
+        .with_buffer(ByteSize::mib(4))
+        .with_pfc_watchdog(Delta::from_us(5))
+        .with_default_recovery();
     let ls = leaf_spine(
         params,
         LeafSpineShape {
@@ -78,7 +78,6 @@ fn link_flaps_and_the_watchdog_free_what_they_drop() {
             link_delay: Delta::from_us(2),
         },
     );
-    let (leaf0, spine0) = (ls.leaves[0], ls.spines[0]);
     let hosts = ls.hosts.clone();
     let mut net = ls.builder.build();
     for (i, &src) in hosts[0].iter().enumerate() {
@@ -91,14 +90,6 @@ fn link_flaps_and_the_watchdog_free_what_they_drop() {
             cc: CcKind::Uncontrolled,
         });
     }
-    net.set_fault_plan(
-        FaultPlan::new(7).flap(leaf0, spine0, Time::from_us(20), Time::from_us(120)).flap(
-            leaf0,
-            spine0,
-            Time::from_us(300),
-            Time::from_us(400),
-        ),
-    );
     let flows = net.flow_count();
     // The sampling tick that drives the watchdog keeps the calendar busy,
     // so the run ends well after the last flow instead.
@@ -106,7 +97,6 @@ fn link_flaps_and_the_watchdog_free_what_they_drop() {
     sim.run_until(Time::from_ms(20));
     let net = sim.into_model();
     assert_eq!(net.fct_records().len(), flows, "every flow completes");
-    assert!(net.link_drops() > 0, "the flaps lost no frame");
     assert!(net.watchdog_drops() > 0, "the watchdog flushed no frame");
     assert_eq!(net.live_frames(), 0, "a frame outlived the run");
 }

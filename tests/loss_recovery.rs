@@ -6,10 +6,10 @@
 
 mod common;
 
-use common::{add_incast, assert_bounded_loss, assert_lossless, raw_params, run, star};
+use common::{add_incast, assert_bounded_loss, raw_params, run, star};
 use dsh_core::Scheme;
 use dsh_net::topology::{leaf_spine, LeafSpine, LeafSpineShape};
-use dsh_net::{FaultPlan, FlowSpec, NetParams, Network};
+use dsh_net::{FlowSpec, NetParams, Network};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, Executor, Time};
 use dsh_transport::{CcKind, RecoveryConfig};
 use proptest::prelude::*;
@@ -44,9 +44,50 @@ fn cross_rack_incast(hosts: &[Vec<dsh_net::NodeId>], net: &mut Network, size: u6
     }
 }
 
+/// Go-back-N recovery config for a fabric with the given base RTT.
+fn gbn_for(params: &NetParams) -> RecoveryConfig {
+    RecoveryConfig::for_rtt(params.base_rtt)
+}
+
 /// Selective-repeat recovery config for a fabric with the given base RTT.
 fn sr_for(params: &NetParams) -> RecoveryConfig {
     RecoveryConfig::for_rtt(params.base_rtt).selective_repeat()
+}
+
+/// A recovery config for a fabric, from its parameters.
+type RecoveryFor = fn(&NetParams) -> RecoveryConfig;
+
+/// Both recovery regimes, by name.
+const REGIMES: [(&str, RecoveryFor); 2] = [("gbn", gbn_for), ("sr", sr_for)];
+
+/// The instant every lossy incast run ends at.
+const LOSSY_END: Time = Time::from_ms(10);
+
+/// A lossy DCQCN cross-rack incast: `fan_in` rack-0 hosts each send
+/// `size` bytes to one rack-1 host through no-PFC switches of `buffer`
+/// bytes, with `recovery` at the NICs. Returns the network finished at
+/// [`LOSSY_END`] and its registered flow count.
+fn run_lossy_incast(
+    buffer: ByteSize,
+    fan_in: usize,
+    size: u64,
+    seed: u64,
+    recovery: RecoveryFor,
+) -> (Network, usize) {
+    let base = NetParams::tomahawk(Scheme::Lossy).with_buffer(buffer).with_seed(seed);
+    let params = base.clone().with_recovery(recovery(&base));
+    let ls = fabric(params, fan_in);
+    let hosts = ls.hosts.clone();
+    let mut net = ls.builder.build();
+    cross_rack_incast(&hosts, &mut net, size, CcKind::Dcqcn);
+    let registered = net.flow_count();
+    (run(net, LOSSY_END), registered)
+}
+
+/// The fixed 4:1 lossy incast the two regimes are compared on: 256 KiB
+/// flows into 600 KiB switches.
+fn fixed_lossy_incast(recovery: RecoveryFor) -> (Network, usize) {
+    run_lossy_incast(ByteSize::kib(600), 4, 256 * 1024, 1, recovery)
 }
 
 /// The lossy switch mode's defining behavior: an overloaded no-PFC switch
@@ -68,173 +109,69 @@ fn lossy_incast_drops_instead_of_pausing() {
     assert_bounded_loss(&net, end, net.packets_delivered());
 }
 
-/// Selective repeat on a corrupted spine link: receivers buffer
+/// Selective repeat against drop-tail losses: receivers buffer
 /// out-of-order arrivals and NACK the gaps, the sender repairs exactly
 /// the holes, and every flow completes.
 #[test]
-fn selective_repeat_recovers_corruption() {
-    let params = NetParams::tomahawk(Scheme::Dsh);
-    let params = params.clone().with_recovery(sr_for(&params));
-    let ls = fabric(params, 2);
-    let (leaf0, spine0) = (ls.leaves[0], ls.spines[0]);
-    let hosts = ls.hosts.clone();
-    let mut net = ls.builder.build();
-    cross_rack_incast(&hosts, &mut net, 256 * 1024, CcKind::Dcqcn);
-    net.set_fault_plan(FaultPlan::new(11).corrupt_link(leaf0, spine0, 0.02));
-    let registered = net.flow_count();
-    let end = Time::from_ms(8);
-    let net = run(net, end);
-
-    assert_eq!(net.fct_records().len(), registered, "corruption wedged a flow under SR");
+fn selective_repeat_recovers_drop_tail_losses() {
+    let (net, registered) = fixed_lossy_incast(sr_for);
+    assert_eq!(net.fct_records().len(), registered, "a drop wedged a flow under SR");
     assert_eq!(net.failed_flow_count(), 0);
-    assert!(net.link_drops() > 0, "2% corruption on a loaded link lost nothing");
+    assert!(net.data_drops() > 0, "the lossy incast dropped nothing");
     assert!(net.nacks_sent() > 0, "losses recovered without a single NACK");
     assert!(net.sr_retransmitted_bytes() > 0, "NACKs flowed but no gap repair was sent");
     assert!(net.recovery_nacks() > 0, "no loss episode was attributed to a NACK");
-    assert_lossless(&net, end);
+    assert_bounded_loss(&net, LOSSY_END, net.packets_delivered());
 }
 
-/// The headline claim for selective repeat: at the same drop rate (the
-/// fig13x-style flap + corruption plan), SR completes every flow while
-/// retransmitting strictly fewer bytes than go-back-N, whose rewind
-/// replays the whole window behind one lost segment.
+/// The headline claim for selective repeat: on the same lossy incast,
+/// SR completes every flow while retransmitting strictly fewer bytes
+/// than go-back-N, whose rewind replays the whole window behind one lost
+/// segment.
 #[test]
 fn sr_retransmits_fewer_bytes_than_gbn() {
-    let run_regime = |cfg: fn(&NetParams) -> RecoveryConfig| {
-        let base = NetParams::tomahawk(Scheme::Dsh);
-        let params = base.clone().with_recovery(cfg(&base));
-        let ls = fabric(params, 2);
-        let (leaf0, spine0) = (ls.leaves[0], ls.spines[0]);
-        let hosts = ls.hosts.clone();
-        let mut net = ls.builder.build();
-        cross_rack_incast(&hosts, &mut net, 256 * 1024, CcKind::Dcqcn);
-        net.set_fault_plan(
-            FaultPlan::new(7)
-                .flap(leaf0, spine0, Time::from_us(20), Time::from_us(120))
-                .corrupt_link(leaf0, spine0, 0.01),
-        );
-        let registered = net.flow_count();
-        let end = Time::from_ms(10);
-        let net = run(net, end);
+    let run_regime = |cfg: RecoveryFor| {
+        let (net, registered) = fixed_lossy_incast(cfg);
         assert_eq!(net.fct_records().len(), registered, "a flow wedged");
-        assert_eq!(net.failed_flow_count(), 0, "a survivable fault failed a flow");
-        assert!(net.link_drops() > 0, "the plan lost nothing");
-        assert_lossless(&net, end);
+        assert_eq!(net.failed_flow_count(), 0, "recoverable congestion loss failed a flow");
+        assert!(net.data_drops() > 0, "the lossy incast dropped nothing");
         net.retransmitted_bytes()
     };
-    let gbn = run_regime(|p| RecoveryConfig::for_rtt(p.base_rtt));
-    let sr = run_regime(sr_for);
-    assert!(gbn > 0, "go-back-N never retransmitted under the flap plan");
+    let [gbn, sr] = REGIMES.map(|(_, cfg)| run_regime(cfg));
+    assert!(gbn > 0, "go-back-N never retransmitted");
     assert!(
         sr < gbn,
         "selective repeat retransmitted {sr} bytes, go-back-N {gbn}: SR should repair less"
     );
 }
 
-/// One randomized fault scenario: flap schedule (non-overlapping, always
-/// repaired) on a chosen uplink plus optional corruption.
-#[derive(Clone, Copy, Debug)]
-struct RandomFaults {
-    uplink: usize,
-    /// (gap before this flap, outage length) in µs; accumulated in order.
-    flaps: [(u64, u64); 3],
-    corruption: f64,
-    seed: u64,
-}
-
-fn fault_strategy() -> impl Strategy<Value = RandomFaults> {
-    (0usize..4, proptest::collection::vec((5u64..120, 5u64..70), 3..4), 0.0f64..0.02, 0u64..1000)
-        .prop_map(|(uplink, flaps, corruption, seed)| RandomFaults {
-            uplink,
-            flaps: [flaps[0], flaps[1], flaps[2]],
-            corruption,
-            seed,
-        })
-}
-
-/// The three regimes under test: lossless PFC with go-back-N, and the
-/// lossy switch mode with each recovery regime.
-#[derive(Clone, Copy, Debug)]
-enum RegimeCell {
-    PfcGbn,
-    LossyGbn,
-    LossySr,
-}
-
-impl RegimeCell {
-    const ALL: [RegimeCell; 3] = [RegimeCell::PfcGbn, RegimeCell::LossyGbn, RegimeCell::LossySr];
-
-    fn params(self, seed: u64) -> NetParams {
-        let (scheme, sr) = match self {
-            RegimeCell::PfcGbn => (Scheme::Dsh, false),
-            RegimeCell::LossyGbn => (Scheme::Lossy, false),
-            RegimeCell::LossySr => (Scheme::Lossy, true),
-        };
-        let base = NetParams::tomahawk(scheme).with_seed(seed);
-        let cfg = if sr { sr_for(&base) } else { RecoveryConfig::for_rtt(base.base_rtt) };
-        base.with_recovery(cfg)
-    }
-}
-
-/// Builds, loads and runs the property fabric under one random scenario,
-/// returning the finished network plus its registered flow count.
-fn run_random(cell: RegimeCell, f: &RandomFaults) -> (Network, usize) {
-    let ls = fabric(cell.params(f.seed), 2);
-    let (leaf, spine) = (ls.leaves[f.uplink / 2], ls.spines[f.uplink % 2]);
-    let hosts = ls.hosts.clone();
-    let mut net = ls.builder.build();
-    cross_rack_incast(&hosts, &mut net, 128 * 1024, CcKind::Dcqcn);
-
-    let mut plan = FaultPlan::new(f.seed);
-    let mut t = Delta::from_us(10);
-    for &(gap, outage) in &f.flaps {
-        let down = t + Delta::from_us(gap);
-        let up = down + Delta::from_us(outage);
-        plan = plan.flap(leaf, spine, Time::ZERO + down, Time::ZERO + up);
-        t = up;
-    }
-    if f.corruption > 0.0 {
-        plan = plan.corrupt_link(leaf, spine, f.corruption);
-    }
-    net.set_fault_plan(plan);
-    let registered = net.flow_count();
-    (run(net, Time::from_ms(10)), registered)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Under *any* always-repaired fault plan, in all three regimes
-    /// (PFC+GBN, lossy+GBN, lossy+SR): every flow completes (none wedged,
-    /// none failed — the plan always repairs), the MMU audit is clean,
-    /// lossy cells never pause, and the run is byte-identical at 1 and 4
-    /// executor threads.
+    /// Under any lossy incast (random switch buffer, fan-in and seed),
+    /// under go-back-N and selective repeat alike: every flow completes
+    /// and none fails, the MMU audits are clean, the lossy switches never
+    /// pause, and the run is byte-identical at 1 and 4 executor threads.
     #[test]
-    fn all_regimes_recover_random_fault_plans(f in fault_strategy()) {
-        for cell in RegimeCell::ALL {
+    fn both_regimes_recover_random_lossy_incasts(
+        buffer_kib in 300u64..1200,
+        fan_in in 2usize..7,
+        seed in 0u64..1000,
+    ) {
+        let buffer = ByteSize::kib(buffer_kib);
+        for (name, recovery) in REGIMES {
             let [serial, four] = [Executor::new(1), Executor::new(4)].map(|ex| {
-                ex.par_map(vec![f, f], move |rf| {
-                    let (net, registered) = run_random(cell, &rf);
-                    let end = Time::from_ms(10);
-                    let done = net.fct_records().len() as u64 + net.failed_flow_count();
-                    assert_eq!(done, registered as u64, "wedged flow under {cell:?} {rf:?}");
-                    match cell {
-                        RegimeCell::PfcGbn => assert_lossless(&net, end),
-                        RegimeCell::LossyGbn | RegimeCell::LossySr => {
-                            assert_bounded_loss(&net, end, net.packets_delivered());
-                        }
-                    }
-                    for (id, audit) in net.audit_all() {
-                        assert!(
-                            audit.is_clean(),
-                            "dirty audit at {id} under {cell:?} {rf:?}: {:?}",
-                            audit.violations
-                        );
-                    }
-                    net.telemetry_report(end).to_json().to_string()
+                ex.par_map(vec![seed, seed], move |seed| {
+                    let (net, registered) =
+                        run_lossy_incast(buffer, fan_in, 128 * 1024, seed, recovery);
+                    let what = format!("{name}, {buffer_kib} KiB, fan-in {fan_in}, seed {seed}");
+                    assert_eq!(net.fct_records().len(), registered, "wedged flow under {what}");
+                    assert_eq!(net.failed_flow_count(), 0, "failed flow under {what}");
+                    assert_bounded_loss(&net, LOSSY_END, net.packets_delivered());
+                    net.telemetry_report(LOSSY_END).to_json().to_string()
                 })
             });
-            prop_assert_eq!(serial, four, "thread count changed a {:?} fault run", cell);
+            prop_assert_eq!(serial, four, "thread count changed a {} lossy run", name);
         }
     }
 }

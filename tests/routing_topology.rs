@@ -1,5 +1,5 @@
-//! Routing and topology behaviour: ECMP spreading, reroute around failed
-//! links, fat-tree reachability.
+//! Routing and topology behaviour: ECMP spreading, reroute around links
+//! removed before the build, fat-tree reachability.
 
 mod common;
 
@@ -8,7 +8,7 @@ use dsh_bench::fabric::{self, FctExperiment};
 use dsh_bench::fig17::{self, Cell, Fig17Experiment};
 use dsh_core::Scheme;
 use dsh_net::topology::{fat_tree, leaf_spine, LeafSpineShape};
-use dsh_net::{FaultPlan, FlowSpec, Network, NodeId};
+use dsh_net::{FlowSpec, Network, NodeId};
 use dsh_simcore::{Bandwidth, Delta, Time};
 use dsh_transport::CcKind;
 use std::collections::VecDeque;
@@ -171,22 +171,22 @@ fn intra_pod_and_intra_rack_paths_work() {
 }
 
 /// The reference routing rule, one BFS per destination host: switch `s`
-/// forwards toward host `h` on every live port whose switch neighbour is
-/// one hop closer to `h`'s ToR, in port order, and the ToR delivers on
-/// the access port. An unreachable host has no candidates.
+/// forwards toward host `h` on every port whose switch neighbour is one
+/// hop closer to `h`'s ToR, in port order, and the ToR delivers on the
+/// access port. A host without a link has no candidates.
 fn reference_candidates(net: &Network, s: NodeId, h: NodeId) -> Vec<usize> {
     let is_switch = |n: NodeId| net.route_table(n).is_some();
-    let live = |n: NodeId| net.ports(n).iter().enumerate().filter(|(_, p)| p.is_link_up());
-    let Some((_, up)) = live(h).next() else { return Vec::new() };
+    let ports = |n: NodeId| net.ports(n).iter().enumerate();
+    let Some((_, up)) = ports(h).next() else { return Vec::new() };
     let tor = up.peer;
     if s == tor {
-        return live(s).filter(|(_, p)| p.peer == h).map(|(i, _)| i).take(1).collect();
+        return ports(s).filter(|(_, p)| p.peer == h).map(|(i, _)| i).take(1).collect();
     }
     let mut dist = vec![usize::MAX; net.node_count()];
     dist[tor.0] = 0;
     let mut queue = VecDeque::from([tor]);
     while let Some(u) = queue.pop_front() {
-        for (_, p) in live(u) {
+        for (_, p) in ports(u) {
             if is_switch(p.peer) && dist[p.peer.0] == usize::MAX {
                 dist[p.peer.0] = dist[u.0] + 1;
                 queue.push_back(p.peer);
@@ -196,14 +196,14 @@ fn reference_candidates(net: &Network, s: NodeId, h: NodeId) -> Vec<usize> {
     if dist[s.0] == usize::MAX {
         return Vec::new();
     }
-    live(s)
+    ports(s)
         .filter(|(_, p)| is_switch(p.peer) && dist[p.peer.0].checked_add(1) == Some(dist[s.0]))
         .map(|(i, _)| i)
         .collect()
 }
 
-/// Checks every (switch, destination host) pair of the live topology
-/// against the reference rule; returns how many pairs have a route.
+/// Checks every (switch, destination host) pair of the topology against
+/// the reference rule; returns how many pairs have a route.
 fn assert_routes_match_reference(net: &Network, what: &str) -> usize {
     let nodes: Vec<NodeId> = (0..net.node_count()).map(NodeId).collect();
     let hosts: Vec<NodeId> =
@@ -229,41 +229,20 @@ fn flat_route_tables_match_a_per_host_bfs() {
     assert!(assert_routes_match_reference(&fig17, "fig17 leaf-spine") > 0);
     let ft = fat_tree(raw_params(Scheme::Dsh), 4, Bandwidth::from_gbps(100), Delta::from_us(2));
     assert!(assert_routes_match_reference(&ft.builder.build(), "k=4 fat-tree") > 0);
-    // The fig. 12 fabric with its two links removed at build time.
-    let mut ls = leaf_spine(raw_params(Scheme::Dsh), LeafSpineShape::paper_deadlock());
-    let (s0, s1, l0, l3) = (ls.spines[0], ls.spines[1], ls.leaves[0], ls.leaves[3]);
-    ls.builder.remove_link(s0, l3);
-    ls.builder.remove_link(s1, l0);
-    assert!(assert_routes_match_reference(&ls.builder.build(), "fig12 as built") > 0);
-}
-
-#[test]
-fn flat_route_tables_match_a_per_host_bfs_after_every_fault() {
-    // Fig. 12's two failures injected at run time, one host access link
-    // cut (an unreachable destination), then every link repaired.
-    let ls = leaf_spine(raw_params(Scheme::Dsh), LeafSpineShape::paper_deadlock());
-    let (s0, s1, l0, l3) = (ls.spines[0], ls.spines[1], ls.leaves[0], ls.leaves[3]);
-    let host = ls.hosts[3][5];
-    let mut net = ls.builder.build();
-    let us = Time::from_us;
-    let plan = FaultPlan::new(1)
-        .link_down(us(10), s0, l3)
-        .link_down(us(20), s1, l0)
-        .link_down(us(30), host, l3)
-        .link_up(us(40), s0, l3)
-        .link_up(us(50), host, l3)
-        .link_up(us(60), s1, l0);
-    let times: Vec<Time> = plan.events().iter().map(|e| e.at).collect();
-    net.set_fault_plan(plan);
-    let mut sim = net.into_sim();
-    let full = assert_routes_match_reference(sim.model(), "before the faults");
-    let mut routed = Vec::new();
-    for t in times {
-        sim.run_until(t);
-        routed.push(assert_routes_match_reference(sim.model(), &format!("after the fault at {t}")));
-    }
-    // The access cut removes one destination from every switch; every
-    // repair restores the full table.
-    assert_eq!(routed[2], routed[1] - 6, "{routed:?}");
-    assert_eq!(routed[5], full, "{routed:?}");
+    // The fig. 12 fabric with its two links removed at build time, then
+    // once more with a host's access link removed too: the host becomes
+    // an unreachable destination on every one of the six switches.
+    let fig12 = || {
+        let mut ls = leaf_spine(raw_params(Scheme::Dsh), LeafSpineShape::paper_deadlock());
+        let (s0, s1, l0, l3) = (ls.spines[0], ls.spines[1], ls.leaves[0], ls.leaves[3]);
+        ls.builder.remove_link(s0, l3);
+        ls.builder.remove_link(s1, l0);
+        ls
+    };
+    let built = assert_routes_match_reference(&fig12().builder.build(), "fig12 as built");
+    let mut ls = fig12();
+    let (host, l3) = (ls.hosts[3][5], ls.leaves[3]);
+    ls.builder.remove_link(host, l3);
+    let cut = assert_routes_match_reference(&ls.builder.build(), "fig12 with a host cut off");
+    assert_eq!(cut, built - 6, "the cut-off host is still routed to");
 }
