@@ -1,200 +1,153 @@
-//! Runtime fault injection and loss recovery, end to end: link flaps on a
-//! loaded fabric must cost only retransmissions — every flow completes (or
-//! is explicitly failed), the MMU stays audit-clean, and runs remain
+//! Link failures under load, end to end. A failure is a link removed
+//! before the build, as in the paper's Fig. 12: whatever set of uplinks
+//! fails, as long as the fabric stays connected, traffic must take the
+//! surviving (possibly bounce) paths losslessly, every flow must
+//! complete, the MMU must stay audit-clean, and runs must remain
 //! bit-identical at any executor width.
 
 mod common;
 
-use common::{add_incast, assert_lossless, raw_params, run, star};
+use common::{assert_lossless, run};
 use dsh_core::Scheme;
-use dsh_net::topology::{leaf_spine, LeafSpine, LeafSpineShape};
-use dsh_net::{FaultPlan, FlowSpec, NetParams, Network};
-use dsh_simcore::{Bandwidth, ByteSize, Delta, Executor, Time};
+use dsh_net::topology::{leaf_spine, LeafSpineShape};
+use dsh_net::{FlowSpec, NetParams, Network};
+use dsh_simcore::{Bandwidth, Delta, Executor, Time};
 use dsh_transport::CcKind;
 use proptest::prelude::*;
 
-/// A 2×2 leaf–spine with `hosts_per_leaf` per rack, 100 Gb/s everywhere.
-fn fabric(params: NetParams, hosts_per_leaf: usize) -> LeafSpine {
-    leaf_spine(
-        params,
-        LeafSpineShape {
-            leaves: 2,
-            spines: 2,
-            hosts_per_leaf,
-            downlink: Bandwidth::from_gbps(100),
-            uplink: Bandwidth::from_gbps(100),
-            link_delay: Delta::from_us(2),
-        },
-    )
-}
+/// Leaves of the property fabric. With two spines, the longest surviving
+/// leaf-to-leaf path is a bounce (leaf, spine, leaf, spine, leaf), which
+/// stays within the fabric's route-length limit.
+const LEAVES: usize = 3;
+/// Spines of the property fabric.
+const SPINES: usize = 2;
 
-/// Cross-rack incast: every rack-0 host sends `size` bytes to the first
-/// rack-1 host, so all flows transit the spine layer. (`hosts` is cloned
-/// out of the [`LeafSpine`] before `build()` consumes its builder.)
-fn cross_rack_incast(hosts: &[Vec<dsh_net::NodeId>], net: &mut Network, size: u64, cc: CcKind) {
-    for (i, &src) in hosts[0].iter().enumerate() {
-        net.add_flow(FlowSpec {
-            src,
-            dst: hosts[1][0],
-            size,
-            class: 0,
-            start: Time::ZERO + Delta::from_us(i as u64),
-            cc,
-        });
-    }
-}
-
-/// The acceptance scenario: a mid-run down/up flap of a leaf–spine uplink
-/// under cross-rack load. Every flow must complete via retransmission —
-/// none wedged, none failed — with frames demonstrably lost and the MMU
-/// audit clean afterwards.
-#[test]
-fn mid_run_flap_recovers_every_flow() {
-    for scheme in [Scheme::Sih, Scheme::Dsh] {
-        let ls = fabric(NetParams::tomahawk(scheme), 4);
-        let (leaf0, spine0) = (ls.leaves[0], ls.spines[0]);
-        let hosts = ls.hosts.clone();
-        let mut net = ls.builder.build();
-        cross_rack_incast(&hosts, &mut net, 512 * 1024, CcKind::Dcqcn);
-        net.set_fault_plan(FaultPlan::new(7).flap(
-            leaf0,
-            spine0,
-            Time::from_us(20),
-            Time::from_us(120),
-        ));
-        let registered = net.flow_count();
-        let end = Time::from_ms(4);
-        let net = run(net, end);
-
-        assert_eq!(net.fct_records().len(), registered, "{scheme}: a flow wedged or failed");
-        assert_eq!(net.failed_flow_count(), 0, "{scheme}: survivable flap failed a flow");
-        assert!(net.link_drops() > 0, "{scheme}: the flap lost no frames");
-        assert!(net.retransmissions() > 0, "{scheme}: recovery never kicked in");
-        assert_lossless(&net, end);
-        for (id, audit) in net.audit_all() {
-            assert!(audit.is_clean(), "{scheme}: dirty audit at {id}: {:?}", audit.violations);
-        }
-    }
-}
-
-/// Regression (PR 4 satellite): killing a link whose switch port holds an
-/// active PFC pause ledger must clear the ledger so the surviving peers
-/// unblock. A small-buffer incast guarantees the switch has paused its
-/// ingress ports when one sender's access link dies mid-burst; the other
-/// senders must still complete, and the dead sender's flow must finish
-/// after the repair instead of inheriting a stale pause.
-#[test]
-fn link_down_clears_active_pause_ledger() {
-    let params = raw_params(Scheme::Dsh).with_buffer(ByteSize::kib(600)).with_default_recovery();
-    let (mut net, hosts) = star(params, 4);
-    add_incast(&mut net, &hosts[..3], hosts[3], 512 * 1024, 0, Time::ZERO, CcKind::Uncontrolled);
-    // 3:1 at full rate overflows the shared pool immediately, so ingress
-    // ports are paused when the link dies at 20 us.
-    let switch = dsh_net::NodeId(hosts.len()); // star() adds the hub last
-    net.set_fault_plan(FaultPlan::new(3).flap(
-        hosts[0],
-        switch,
-        Time::from_us(20),
-        Time::from_us(200),
-    ));
-    let registered = net.flow_count();
-    let end = Time::from_ms(6);
-    let net = run(net, end);
-
-    let report = net.telemetry_report(end);
-    let paused_ns: u64 = report.ports.iter().map(|p| p.queue_level.as_ns()).sum();
-    assert!(paused_ns > 0, "incast never triggered PFC — the regression is untested");
-    assert_eq!(net.fct_records().len(), registered, "a peer stayed blocked on a stale ledger");
-    assert_eq!(net.failed_flow_count(), 0);
-    assert!(net.link_drops() > 0);
-    assert_lossless(&net, end);
-    for (id, audit) in net.audit_all() {
-        assert!(audit.is_clean(), "leaked pause/headroom at {id}: {:?}", audit.violations);
-    }
-}
-
-/// Random frame corruption on a spine link: lossy, but go-back-N still
-/// delivers every flow.
-#[test]
-fn corruption_is_recovered_by_go_back_n() {
-    let ls = fabric(NetParams::tomahawk(Scheme::Dsh), 2);
-    let (leaf0, spine0) = (ls.leaves[0], ls.spines[0]);
-    let hosts = ls.hosts.clone();
-    let mut net = ls.builder.build();
-    cross_rack_incast(&hosts, &mut net, 256 * 1024, CcKind::Dcqcn);
-    net.set_fault_plan(FaultPlan::new(11).corrupt_link(leaf0, spine0, 0.02));
-    let registered = net.flow_count();
-    let end = Time::from_ms(8);
-    let net = run(net, end);
-
-    assert_eq!(net.fct_records().len(), registered, "corruption wedged a flow");
-    assert!(net.link_drops() > 0, "2% corruption on a loaded link lost nothing");
-    assert!(net.retransmissions() > 0);
-    assert_lossless(&net, end);
-}
-
-/// One randomized fault scenario: flap schedule (non-overlapping, always
-/// repaired) on a chosen uplink plus optional corruption.
+/// One randomized failure scenario on the 2-spine, 3-leaf fabric.
 #[derive(Clone, Copy, Debug)]
 struct RandomFaults {
-    uplink: usize,
-    /// (gap before this flap, outage length) in µs; accumulated in order.
-    flaps: [(u64, u64); 3],
-    corruption: f64,
+    /// Bit `leaf * SPINES + spine` asks for that uplink to fail.
+    uplinks: u64,
+    /// The rack whose hosts send.
+    src_rack: usize,
+    /// The receiving rack, as an offset from `src_rack` (never 0).
+    dst_offset: usize,
     seed: u64,
 }
 
 fn fault_strategy() -> impl Strategy<Value = RandomFaults> {
-    (0usize..4, proptest::collection::vec((5u64..120, 5u64..70), 3..4), 0.0f64..0.02, 0u64..1000)
-        .prop_map(|(uplink, flaps, corruption, seed)| RandomFaults {
-            uplink,
-            flaps: [flaps[0], flaps[1], flaps[2]],
-            corruption,
+    (0u64..1 << (LEAVES * SPINES), 0usize..LEAVES, 1usize..LEAVES, 0u64..1000).prop_map(
+        |(uplinks, src_rack, dst_offset, seed)| RandomFaults {
+            uplinks,
+            src_rack,
+            dst_offset,
             seed,
-        })
+        },
+    )
 }
 
-/// Builds, loads and runs the property fabric under one random scenario,
-/// returning the finished network plus its registered flow count.
-fn run_random(scheme: Scheme, f: &RandomFaults) -> (Network, usize) {
-    let ls = fabric(NetParams::tomahawk(scheme).with_seed(f.seed), 2);
-    let (leaf, spine) = (ls.leaves[f.uplink / 2], ls.spines[f.uplink % 2]);
-    let hosts = ls.hosts.clone();
-    let mut net = ls.builder.build();
-    cross_rack_incast(&hosts, &mut net, 128 * 1024, CcKind::Dcqcn);
+/// True when every switch reaches every other over the surviving uplinks
+/// (`up[leaf][spine]`).
+fn fabric_connected(up: &[[bool; SPINES]; LEAVES]) -> bool {
+    let mut leaf_seen = [false; LEAVES];
+    let mut spine_seen = [false; SPINES];
+    leaf_seen[0] = true;
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for (l, row) in up.iter().enumerate() {
+            for (s, &alive) in row.iter().enumerate() {
+                if alive && leaf_seen[l] != spine_seen[s] {
+                    leaf_seen[l] = true;
+                    spine_seen[s] = true;
+                    grew = true;
+                }
+            }
+        }
+    }
+    leaf_seen.iter().chain(&spine_seen).all(|&seen| seen)
+}
 
-    let mut plan = FaultPlan::new(f.seed);
-    let mut t = Delta::from_us(10);
-    for &(gap, outage) in &f.flaps {
-        let down = t + Delta::from_us(gap);
-        let up = down + Delta::from_us(outage);
-        plan = plan.flap(leaf, spine, Time::ZERO + down, Time::ZERO + up);
-        t = up;
+/// The uplinks the scenario fails: each requested one, in bit order, that
+/// leaves the fabric connected once it is gone.
+fn failed_uplinks(f: &RandomFaults) -> Vec<(usize, usize)> {
+    let mut up = [[true; SPINES]; LEAVES];
+    let mut failed = Vec::new();
+    for bit in 0..LEAVES * SPINES {
+        let (l, s) = (bit / SPINES, bit % SPINES);
+        if f.uplinks & (1 << bit) == 0 {
+            continue;
+        }
+        up[l][s] = false;
+        if fabric_connected(&up) {
+            failed.push((l, s));
+        } else {
+            up[l][s] = true;
+        }
     }
-    if f.corruption > 0.0 {
-        plan = plan.corrupt_link(leaf, spine, f.corruption);
+    failed
+}
+
+/// Builds the fabric with the scenario's uplinks removed, loads a DCQCN
+/// incast from every host of the source rack to the first host of the
+/// receiving rack, and runs it to `end`. Returns the finished network
+/// and its registered flow count.
+fn run_random(scheme: Scheme, f: &RandomFaults, end: Time) -> (Network, usize) {
+    let shape = LeafSpineShape {
+        leaves: LEAVES,
+        spines: SPINES,
+        hosts_per_leaf: 2,
+        downlink: Bandwidth::from_gbps(100),
+        uplink: Bandwidth::from_gbps(100),
+        link_delay: Delta::from_us(2),
+    };
+    let mut ls = leaf_spine(NetParams::tomahawk(scheme).with_seed(f.seed), shape);
+    for (l, s) in failed_uplinks(f) {
+        ls.builder.remove_link(ls.leaves[l], ls.spines[s]);
     }
-    net.set_fault_plan(plan);
+    let dst = ls.hosts[(f.src_rack + f.dst_offset) % LEAVES][0];
+    let srcs = ls.hosts[f.src_rack].clone();
+    let mut net = ls.builder.build();
+    for (i, &src) in srcs.iter().enumerate() {
+        net.add_flow(FlowSpec {
+            src,
+            dst,
+            size: 128 * 1024,
+            class: 0,
+            start: Time::ZERO + Delta::from_us(i as u64),
+            cc: CcKind::Dcqcn,
+        });
+    }
     let registered = net.flow_count();
-    (run(net, Time::from_ms(10)), registered)
+    (run(net, end), registered)
+}
+
+#[test]
+fn failure_plans_keep_the_fabric_connected_and_can_bounce() {
+    let plan = |uplinks| RandomFaults { uplinks, src_rack: 0, dst_offset: 1, seed: 0 };
+    assert!(failed_uplinks(&plan(0)).is_empty());
+    // Asking for every uplink to fail still leaves a spanning tree.
+    let spanning = failed_uplinks(&plan((1 << (LEAVES * SPINES)) - 1));
+    assert_eq!(spanning.len(), LEAVES * SPINES - (LEAVES + SPINES - 1), "{spanning:?}");
+    // Fig. 12's pattern: L0-S1 and L2-S0 fail, so L0 reaches L2 only
+    // over the bounce path L0, S0, L1, S1, L2.
+    assert_eq!(failed_uplinks(&plan(1 << 1 | 1 << 4)), [(0, 1), (2, 0)]);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Under *any* always-repaired fault plan: no flow wedges (each
-    /// completes or is explicitly failed), the MMU audit is clean, no
-    /// admission drop ever happens, and the run is byte-identical at 1
-    /// and 4 executor threads.
+    /// Under *any* connected set of failed uplinks, SIH and DSH alike: no
+    /// flow wedges or fails, the run is lossless with clean MMU audits,
+    /// and it is byte-identical at 1 and 4 executor threads.
     #[test]
     fn random_fault_plans_never_wedge_or_leak(f in fault_strategy()) {
+        let end = Time::from_ms(10);
         for scheme in [Scheme::Sih, Scheme::Dsh] {
             let [serial, four] = [Executor::new(1), Executor::new(4)].map(|ex| {
                 ex.par_map(vec![f, f], move |rf| {
-                    let (net, registered) = run_random(scheme, &rf);
-                    let end = Time::from_ms(10);
-                    let done = net.fct_records().len() as u64 + net.failed_flow_count();
-                    assert_eq!(done, registered as u64, "wedged flow under {rf:?}");
+                    let (net, registered) = run_random(scheme, &rf, end);
+                    assert_eq!(net.fct_records().len(), registered, "wedged flow under {rf:?}");
+                    assert_eq!(net.failed_flow_count(), 0, "failed flow under {rf:?}");
                     assert_lossless(&net, end);
                     for (id, audit) in net.audit_all() {
                         assert!(
@@ -206,7 +159,7 @@ proptest! {
                     net.telemetry_report(end).to_json().to_string()
                 })
             });
-            prop_assert_eq!(serial, four, "thread count changed a fault run");
+            prop_assert_eq!(serial, four, "thread count changed a link-failure run");
         }
     }
 }

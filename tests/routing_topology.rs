@@ -229,20 +229,56 @@ fn flat_route_tables_match_a_per_host_bfs() {
     assert!(assert_routes_match_reference(&fig17, "fig17 leaf-spine") > 0);
     let ft = fat_tree(raw_params(Scheme::Dsh), 4, Bandwidth::from_gbps(100), Delta::from_us(2));
     assert!(assert_routes_match_reference(&ft.builder.build(), "k=4 fat-tree") > 0);
-    // The fig. 12 fabric with its two links removed at build time, then
-    // once more with a host's access link removed too: the host becomes
-    // an unreachable destination on every one of the six switches.
-    let fig12 = || {
-        let mut ls = leaf_spine(raw_params(Scheme::Dsh), LeafSpineShape::paper_deadlock());
-        let (s0, s1, l0, l3) = (ls.spines[0], ls.spines[1], ls.leaves[0], ls.leaves[3]);
-        ls.builder.remove_link(s0, l3);
-        ls.builder.remove_link(s1, l0);
-        ls
-    };
-    let built = assert_routes_match_reference(&fig12().builder.build(), "fig12 as built");
-    let mut ls = fig12();
-    let (host, l3) = (ls.hosts[3][5], ls.leaves[3]);
-    ls.builder.remove_link(host, l3);
-    let cut = assert_routes_match_reference(&ls.builder.build(), "fig12 with a host cut off");
-    assert_eq!(cut, built - 6, "the cut-off host is still routed to");
+    // The fig. 12 fabric with its two links removed at build time.
+    let mut ls = leaf_spine(raw_params(Scheme::Dsh), LeafSpineShape::paper_deadlock());
+    let (s0, s1, l0, l3) = (ls.spines[0], ls.spines[1], ls.leaves[0], ls.leaves[3]);
+    ls.builder.remove_link(s0, l3);
+    ls.builder.remove_link(s1, l0);
+    assert!(assert_routes_match_reference(&ls.builder.build(), "fig12 as built") > 0);
+}
+
+#[test]
+fn flat_route_tables_match_a_per_host_bfs_after_every_fault() {
+    // Link failures are links removed before the build. First fig. 12's
+    // two failures and then one host access link cut (an unreachable
+    // destination), applied cumulatively.
+    let fig12 = || leaf_spine(raw_params(Scheme::Dsh), LeafSpineShape::paper_deadlock());
+    let ls = fig12();
+    let (s0, s1, l0, l3) = (ls.spines[0], ls.spines[1], ls.leaves[0], ls.leaves[3]);
+    let faults = [(s0, l3), (s1, l0), (ls.hosts[3][5], l3)];
+    let routed: Vec<usize> = (0..=faults.len())
+        .map(|n| {
+            let mut ls = fig12();
+            for &(a, b) in &faults[..n] {
+                ls.builder.remove_link(a, b);
+            }
+            assert_routes_match_reference(&ls.builder.build(), &format!("after {n} faults"))
+        })
+        .collect();
+    // Bounce paths keep every host reachable after the two fabric
+    // failures; the access cut removes one destination from each of the
+    // six switches.
+    let full = routed[0];
+    assert_eq!(routed, [full, full, full, full - 6]);
+
+    // Then every single link of the fabric failing on its own: an uplink
+    // failure leaves every host routed, an access link failure cuts off
+    // exactly its host.
+    let intact = ls.builder.build();
+    let is_switch = |n: NodeId| intact.route_table(n).is_some();
+    let mut links = Vec::new();
+    for a in (0..intact.node_count()).map(NodeId).filter(|&a| is_switch(a)) {
+        for p in intact.ports(a) {
+            if a.0 < p.peer.0 || !is_switch(p.peer) {
+                links.push((a, p.peer));
+            }
+        }
+    }
+    for (a, b) in links {
+        let mut ls = fig12();
+        ls.builder.remove_link(a, b);
+        let cut = 6 * usize::from(!is_switch(a) || !is_switch(b));
+        let what = format!("with link {a}-{b} failed");
+        assert_eq!(assert_routes_match_reference(&ls.builder.build(), &what), full - cut, "{what}");
+    }
 }
