@@ -1,6 +1,7 @@
 //! Microbenchmarks of the simulation substrate: event-calendar throughput
 //! (scattered, same-instant and mixed pushes, and the pending-set shape and
-//! clustered arrivals of the figure workloads), end-to-end
+//! clustered arrivals of the figure workloads, the latter also at fat-tree
+//! k=16 density with its walk steps per push asserted), end-to-end
 //! events/second on a small incast, allocation-accounted packet-path
 //! probes, and the parallel fig. 14 sweep — run with
 //! `DSH_BENCH_JSON=out.json` to write the timings and metrics as JSON.
@@ -92,8 +93,8 @@ fn allocations() -> Option<u64> {
 }
 
 fn event_queue_throughput(c: &mut Criterion) {
-    // Scattered: pushes land all over the first 100 µs, many past the
-    // calendar ring's 67 µs horizon, never at "now".
+    // Scattered: pushes land all over the first 100 µs, never at "now";
+    // the ring grows from its smallest size as they arrive.
     c.bench_function("event_queue_push_pop_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
@@ -185,33 +186,55 @@ fn event_queue_throughput(c: &mut Criterion) {
         });
     });
     // Fig. 14's clustered arrivals: 40 ports serializing back to back on
-    // one 82 ns quantum (a 1 KB frame at 100 Gb/s), phases spread over the
-    // quantum. Each `TxDone` schedules the port's next `TxDone` 82 ns on
-    // and an `Arrive` 2.08 µs on, over links up to 10 ns apart in length,
-    // so arrivals from different ports land nanoseconds apart and reach
-    // the calendar out of time order.
+    // one 82 ns quantum, about 1,000 events in flight.
     c.bench_function("event_queue_fabric_clustered", |b| {
-        const PORTS: u64 = 40;
-        const QUANTUM_PS: u64 = 82_000;
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(2_048);
-            for port in 0..PORTS {
-                q.push(Time::from_ps(port * QUANTUM_PS / PORTS), (port, true));
-            }
-            let mut sum = 0u64;
-            let mut handled = 0u64;
-            while let Some((t, (port, tx_done))) = q.pop() {
-                sum = sum.wrapping_add(port);
-                handled += 1;
-                if tx_done && handled < 100_000 {
-                    let skew_ps = (port * 17 % PORTS) * 250;
-                    q.push(t + Delta::from_ps(QUANTUM_PS), (port, true));
-                    q.push(t + Delta::from_ps(2_080_000 + skew_ps), (port, false));
-                }
-            }
-            sum
-        });
+        b.iter(|| fabric_clustered(40, 100_000).0);
     });
+    // The same at fat-tree k=16 density: 1,024 ports keep about 27,000
+    // events in flight within 2.1 µs.
+    c.bench_function("event_queue_fabric_clustered_k16", |b| {
+        b.iter(|| fabric_clustered(1_024, 400_000).0);
+    });
+    // Walk steps are a cost the host cannot perturb: the nodes the
+    // calendar's out-of-order pushes compared, per push. The ring sizes
+    // itself so that stays at most about one at any density.
+    for (label, ports, handled) in [
+        ("event_queue_fabric_clustered", 40, 100_000),
+        ("event_queue_fabric_clustered_k16", 1_024, 400_000),
+    ] {
+        let (_, walk_steps, pushes) = fabric_clustered(ports, handled);
+        let per_push = walk_steps as f64 / pushes as f64;
+        criterion::record_metric(&format!("{label}/walk_steps_per_push"), per_push);
+        assert!(per_push <= 1.0, "{label}: {per_push:.2} walk steps per push");
+    }
+}
+
+/// Fig. 14's clustered arrivals: `ports` ports serializing back to back
+/// on one 82 ns quantum (a 1 KB frame at 100 Gb/s), phases spread over
+/// the quantum. Each `TxDone` schedules the port's next `TxDone` 82 ns on
+/// and an `Arrive` 2.08 µs on, over links up to 10 ns apart in length, so
+/// arrivals from different ports land picoseconds to nanoseconds apart
+/// and reach the calendar out of time order. Runs until `handled` events
+/// have been handled and the calendar drained; returns a checksum, the
+/// calendar's walk steps and its pushes.
+fn fabric_clustered(ports: u64, handled: u64) -> (u64, u64, u64) {
+    const QUANTUM_PS: u64 = 82_000;
+    let mut q = EventQueue::with_capacity(2_048);
+    for port in 0..ports {
+        q.push(Time::from_ps(port * QUANTUM_PS / ports), (port, true));
+    }
+    let (mut sum, mut popped, mut pushes) = (0u64, 0u64, ports);
+    while let Some((t, (port, tx_done))) = q.pop() {
+        sum = sum.wrapping_add(port);
+        popped += 1;
+        if tx_done && popped < handled {
+            let skew_ps = (port * 17 % ports) * 10_000 / ports;
+            q.push(t + Delta::from_ps(QUANTUM_PS), (port, true));
+            q.push(t + Delta::from_ps(2_080_000 + skew_ps), (port, false));
+            pushes += 2;
+        }
+    }
+    (sum, q.walk_steps(), pushes)
 }
 
 /// Scaled-down fig. 14 sweep, end to end, at 1 worker and at 4 — the

@@ -119,9 +119,9 @@ impl PauseClock {
 /// a wake-up is owed: when a frame waits in any lane, or, on a host,
 /// while a flow is active. Paused frames count too, although a wake-up
 /// with only paused frames waiting finds nothing to send: it stays so
-/// that the pinned `tx_done` dispatch counts hold. A frame that ends with nothing waiting simply
-/// leaves the port idle from its reserved place on, as if its `TxDone` had
-/// run and found nothing to do.
+/// that the pinned `tx_done` dispatch counts hold. A frame that ends with
+/// nothing waiting simply leaves the port idle from its reserved place
+/// on, as if its `TxDone` had run and found nothing to do.
 #[derive(Clone, Debug)]
 pub struct EgressPort {
     /// Network-wide index of this port: keys its closed pause intervals

@@ -153,7 +153,7 @@ impl<M: Model> Simulation<M> {
     /// Like [`Simulation::run_until`], but classifies every dispatched
     /// event through [`EventClass`](crate::EventClass) and accumulates
     /// per-class counts (and, with the `profile` feature, per-class wall
-    /// time) into `profile`.
+    /// time) and the calendar's walk steps into `profile`.
     pub fn run_until_profiled(
         &mut self,
         deadline: Time,
@@ -163,6 +163,7 @@ impl<M: Model> Simulation<M> {
         M::Event: crate::profile::EventClass,
     {
         use crate::profile::EventClass as _;
+        let walk_steps = self.queue.walk_steps();
         let mut n = 0;
         while let Some((t, event)) = self.queue.pop_before(deadline) {
             debug_assert!(t >= self.now, "event calendar went backwards");
@@ -179,6 +180,7 @@ impl<M: Model> Simulation<M> {
             profile.record(class, spent);
             n += 1;
         }
+        profile.record_walk_steps(self.queue.walk_steps() - walk_steps);
         self.processed += n;
         n
     }

@@ -17,12 +17,12 @@
 //!   that simultaneous events run in FIFO order — the whole simulator is
 //!   deterministic for a given seed. A sequence number can also be
 //!   reserved and filled later, so an event scheduled late still runs in
-//!   the place an early push would have given it. It is a bucketed calendar queue: a
-//!   ring of 4.1 ns slots reaching 67 µs ahead, where a fabric's
-//!   serialization and propagation events land, makes push and pop O(1)
-//!   but for a short walk when a push lands before its slot's latest
-//!   event; the rare later event waits in a heap until the ring reaches
-//!   it.
+//!   the place an early push would have given it. It is a calendar queue
+//!   that sizes itself: a ring with a few slots per pending event, each
+//!   about half their spacing wide, makes push and pop O(1) but for a
+//!   short walk when a push lands before its slot's latest event, at any
+//!   fabric size; an event past the ring's horizon waits in a heap until
+//!   the ring reaches it.
 //! * [`SimRng`] is a self-contained xoshiro256** generator (seeded via
 //!   SplitMix64) so results do not drift across `rand` versions or
 //!   platforms.

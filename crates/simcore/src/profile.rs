@@ -1,4 +1,5 @@
-//! Engine profiling: per-event-type dispatch counts and wall time.
+//! Engine profiling: per-event-type dispatch counts and wall time, and the
+//! calendar's walk steps.
 //!
 //! [`Simulation::run_until_profiled`](crate::Simulation::run_until_profiled)
 //! classifies every dispatched event through the model's [`EventClass`]
@@ -7,6 +8,13 @@
 //! stamped when the `profile` cargo feature is enabled, because two
 //! `Instant::now` calls per event are measurable at tens of millions of
 //! events per second. The run-loop used everywhere else is untouched.
+//!
+//! The profile also carries the calendar's **walk steps**, the nodes its
+//! out-of-order pushes compared ([`EventQueue::walk_steps`]): a cost that
+//! depends only on the simulation, not on the host. The calendar counts
+//! them whatever the features, since its resizing reads the count.
+//!
+//! [`EventQueue::walk_steps`]: crate::EventQueue::walk_steps
 
 use crate::json::Json;
 
@@ -26,6 +34,7 @@ pub struct EngineProfile {
     names: &'static [&'static str],
     counts: Vec<u64>,
     nanos: Vec<u64>,
+    walk_steps: u64,
 }
 
 impl EngineProfile {
@@ -36,6 +45,7 @@ impl EngineProfile {
             names: E::NAMES,
             counts: vec![0; E::NAMES.len()],
             nanos: vec![0; E::NAMES.len()],
+            walk_steps: 0,
         }
     }
 
@@ -51,6 +61,19 @@ impl EngineProfile {
     pub fn record(&mut self, class: usize, nanos: u64) {
         self.counts[class] += 1;
         self.nanos[class] += nanos;
+    }
+
+    /// Records `steps` calendar walk steps.
+    #[inline]
+    pub(crate) fn record_walk_steps(&mut self, steps: u64) {
+        self.walk_steps += steps;
+    }
+
+    /// Nodes the calendar's out-of-order pushes compared during the
+    /// profiled runs.
+    #[must_use]
+    pub fn walk_steps(&self) -> u64 {
+        self.walk_steps
     }
 
     /// Total events dispatched, which is what
@@ -78,8 +101,8 @@ impl EngineProfile {
             .map(|(&name, (&c, &ns))| (name, c, ns))
     }
 
-    /// The profile as a JSON document: total counts and one row per
-    /// dispatched event class.
+    /// The profile as a JSON document: total counts, calendar walk steps
+    /// and one row per dispatched event class.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let rows: Vec<Json> = self
@@ -92,6 +115,7 @@ impl EngineProfile {
             .with("events", self.total_events())
             .with("nanos", self.total_nanos())
             .with("timed", Self::timing_enabled())
+            .with("walk_steps", self.walk_steps)
             .with("per_event", rows)
     }
 }
@@ -131,8 +155,10 @@ mod tests {
     fn json_reports_all_dispatched_classes() {
         let mut p = EngineProfile::new::<Toy>();
         p.record(0, 0);
+        p.record_walk_steps(3);
         let doc = p.to_json();
         assert_eq!(doc.get("events").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("walk_steps").and_then(Json::as_u64), Some(3));
         assert_eq!(doc.get("per_event").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
     }
 }
