@@ -284,10 +284,7 @@ fn incast_sim(scheme: Scheme, flow_bytes: u64) -> Simulation<Network> {
         bld.link(h, sw, Bandwidth::from_gbps(100), Delta::from_us(2));
     }
     let mut net = bld.build();
-    assert!(
-        !net.tracer().wants(dsh_simcore::trace::TraceMask::ALL),
-        "packet-path benches must run with tracing masked off (unset DSH_TRACE_MASK)"
-    );
+    assert!(!net.tracer().is_on(), "packet-path benches must run with tracing off");
     assert!(
         net.metrics_json().is_none(),
         "packet-path benches must run with the observatory masked off \
@@ -321,10 +318,7 @@ fn lossy_sr_incast_sim(flow_bytes: u64) -> Simulation<Network> {
         bld.link(h, sw, Bandwidth::from_gbps(100), Delta::from_us(2));
     }
     let mut net = bld.build();
-    assert!(
-        !net.tracer().wants(dsh_simcore::trace::TraceMask::ALL),
-        "packet-path benches must run with tracing masked off (unset DSH_TRACE_MASK)"
-    );
+    assert!(!net.tracer().is_on(), "packet-path benches must run with tracing off");
     assert!(
         net.metrics_json().is_none(),
         "packet-path benches must run with the observatory masked off \

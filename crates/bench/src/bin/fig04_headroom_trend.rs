@@ -1,21 +1,23 @@
 //! Fig. 4: trends of buffer in Broadcom's switching chips.
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig04_headroom_trend [--smoke] [--trace out.json]
+//! cargo run --release -p dsh-bench --bin fig04_headroom_trend [--smoke] [--record out.json]
 //! ```
 //!
 //! `--smoke` prints the trend's two endpoint chips and asserts the
 //! figure's claim between them: buffer per unit of capacity fell while
 //! the headroom share of the buffer rose.
 
+use dsh_bench::{Flag, Sections};
+
 fn main() {
-    let args = dsh_bench::Args::parse();
+    let args = dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[Flag::Smoke]);
     // No simulation runs here (the figure is a table of chip specs), so
-    // `--trace` writes a valid but empty Chrome trace.
-    dsh_bench::with_trace(&args, || run(args.smoke));
+    // the record's trace is empty.
+    dsh_bench::record(&args, || run(args.smoke));
 }
 
-fn run(smoke: bool) {
+fn run(smoke: bool) -> Sections {
     println!("Fig. 4 — Trends of buffer in Broadcom switching chips");
     println!(
         "{:<12} {:>6} {:>10} {:>12} {:>12} {:>14} {:>10}",
@@ -46,4 +48,5 @@ fn run(smoke: bool) {
         assert!(new.headroom_fraction > old.headroom_fraction, "headroom share must rise");
         println!("smoke OK");
     }
+    Sections::default()
 }

@@ -3,25 +3,28 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig05_fct_vs_buffer \
-//!     [--full] [--json] [--smoke] [--seed N] [--threads N]
+//!     [--full] [--smoke] [--seed N] [--threads N] [--record out.json]
 //! ```
 //!
 //! `--smoke` runs the sweep's two end buffers (14 and 30 MiB) with flows
 //! starting in the first 400 µs, and asserts that every cell completes
-//! flows and reports a finite average FCT.
+//! flows and reports a finite average FCT. The record's metrics come from
+//! one observe-armed run of the SIH base cell.
 
-use dsh_bench::fabric::{FctExperiment, Topo};
-use dsh_bench::fig05;
+use dsh_bench::fabric::{self, FctExperiment, Topo};
+use dsh_bench::{fig05, Flag, Sections};
 use dsh_core::Scheme;
+use dsh_net::ObserveConfig;
 use dsh_simcore::{Delta, Json};
 use dsh_transport::CcKind;
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || run(&args));
+    let args =
+        dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[Flag::Full, Flag::Smoke, Flag::Seed]);
+    dsh_bench::record(&args, || run(&args));
 }
 
-fn run(args: &dsh_bench::Args) {
+fn run(args: &dsh_bench::Args) -> Sections {
     let (full, seed) = (args.full, args.seed);
     let mut base = FctExperiment::small(Scheme::Sih, CcKind::PowerTcp);
     base.seed = seed;
@@ -49,15 +52,13 @@ fn run(args: &dsh_bench::Args) {
         println!("{:>12} {:>14} {:>10}", "buffer(MiB)", "avg FCT(ms)", "flows");
         for p in points {
             println!("{:>12} {:>14.3} {:>10}", p.buffer_mib, p.avg_fct_ms, p.completed);
-            if args.json {
-                docs.push(
-                    Json::object()
-                        .with("scheme", scheme.to_string())
-                        .with("buffer_mib", p.buffer_mib)
-                        .with("avg_fct_ms", p.avg_fct_ms)
-                        .with("completed", p.completed as u64),
-                );
-            }
+            docs.push(
+                Json::object()
+                    .with("scheme", scheme.to_string())
+                    .with("buffer_mib", p.buffer_mib)
+                    .with("avg_fct_ms", p.avg_fct_ms)
+                    .with("completed", p.completed as u64),
+            );
         }
     }
     println!();
@@ -71,13 +72,9 @@ fn run(args: &dsh_bench::Args) {
         }
         println!("smoke OK");
     }
-    if args.json {
-        let doc = Json::object()
-            .with("provenance", dsh_bench::provenance(args))
-            .with("points", Json::Arr(docs));
-        println!("{doc}");
-    }
-    // Representative observe-armed run for the --metrics export (no-op
-    // without --metrics / DSH_METRICS).
-    dsh_bench::fabric::export_fct_metrics(args, &base);
+    let metrics = args.record.is_some().then(|| {
+        let exp = FctExperiment { observe: Some(ObserveConfig), ..base };
+        dsh_bench::metrics_run(fabric::loaded(&exp).0, exp.run_until)
+    });
+    Sections { figure: Some(Json::object().with("points", docs)), metrics }
 }

@@ -2,22 +2,24 @@
 //! scheme (SIH static headroom; DSH insurance headroom).
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig06_headroom_utilization [--full] [--seed N] [--json]
+//! cargo run --release -p dsh-bench --bin fig06_headroom_utilization \
+//!     [--full] [--seed N] [--record out.json]
 //! ```
 //!
-//! `--json` additionally prints, per scheme, one JSON document with the
-//! run's network telemetry (per-switch MMU audit, drop attribution,
-//! occupancy series, per-port pause durations).
+//! The record's figure section holds, per scheme, the run's network
+//! telemetry (per-switch MMU audit, drop attribution, per-port pause
+//! durations).
 
+use dsh_bench::{Flag, Sections};
 use dsh_core::Scheme;
 use dsh_simcore::{Delta, Json};
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || run(&args));
+    let args = dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[Flag::Full, Flag::Seed]);
+    dsh_bench::record(&args, || run(&args));
 }
 
-fn run(args: &dsh_bench::Args) {
+fn run(args: &dsh_bench::Args) -> Sections {
     let (full, seed) = (args.full, args.seed);
     let (leaves, hosts, horizon) =
         if full { (16, 16, Delta::from_ms(10)) } else { (4, 8, Delta::from_ms(3)) };
@@ -38,18 +40,9 @@ fn run(args: &dsh_bench::Args) {
             "  fraction of peaks using <25% of headroom: {:.1}%",
             cdf.fraction_at(0.25) * 100.0
         );
-        if args.json {
-            docs.push(
-                Json::object().with("scheme", scheme.to_string()).with("telemetry", r.telemetry),
-            );
-        }
+        docs.push(Json::object().with("scheme", scheme.to_string()).with("telemetry", r.telemetry));
     }
     println!();
     println!("paper: SIH median utilization 4.96%, p99 25.33% — headroom is mostly idle");
-    if args.json {
-        let doc = Json::object()
-            .with("provenance", dsh_bench::provenance(args))
-            .with("schemes", Json::Arr(docs));
-        println!("{doc}");
-    }
+    Sections { figure: Some(Json::object().with("schemes", docs)), metrics: None }
 }

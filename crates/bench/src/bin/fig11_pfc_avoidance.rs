@@ -1,17 +1,18 @@
 //! Fig. 11: total PFC pause duration of fan-in flows vs burst size.
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig11_pfc_avoidance [--full] [--json] [--smoke] [--threads N]
+//! cargo run --release -p dsh-bench --bin fig11_pfc_avoidance \
+//!     [--full] [--smoke] [--threads N] [--record out.json]
 //! ```
 //!
 //! `--smoke` runs two burst sizes, 5 % and 30 % of the buffer, and asserts
 //! the figure's claim at the larger one: DSH absorbs it without a pause
 //! where SIH pauses.
 //!
-//! `--json` additionally prints, per measured point, one JSON document
-//! with the run's network telemetry embedded.
+//! The record's figure section holds, per measured point and scheme, the
+//! run's network telemetry.
 
-use dsh_bench::fig11;
+use dsh_bench::{fig11, Flag, Sections};
 use dsh_core::Scheme;
 use dsh_simcore::Json;
 
@@ -20,11 +21,11 @@ use dsh_simcore::Json;
 const SMOKE_BURST: f64 = 0.30;
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || run(&args));
+    let args = dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[Flag::Full, Flag::Smoke]);
+    dsh_bench::record(&args, || run(&args));
 }
 
-fn run(args: &dsh_bench::Args) {
+fn run(args: &dsh_bench::Args) -> Sections {
     let points: Vec<f64> = if args.smoke {
         vec![0.05, SMOKE_BURST]
     } else if args.full {
@@ -50,16 +51,14 @@ fn run(args: &dsh_bench::Args) {
             smoke_pauses =
                 runs.iter().map(|(scheme, point, _)| (*scheme, point.pause_ms)).collect();
         }
-        if args.json {
-            for (scheme, point, tel) in runs {
-                docs.push(
-                    Json::object()
-                        .with("scheme", scheme.to_string().to_ascii_lowercase())
-                        .with("burst_pct", point.burst_pct)
-                        .with("pause_ms", point.pause_ms)
-                        .with("telemetry", tel),
-                );
-            }
+        for (scheme, point, tel) in runs {
+            docs.push(
+                Json::object()
+                    .with("scheme", scheme.to_string().to_ascii_lowercase())
+                    .with("burst_pct", point.burst_pct)
+                    .with("pause_ms", point.pause_ms)
+                    .with("telemetry", tel),
+            );
         }
     }
     println!();
@@ -71,10 +70,5 @@ fn run(args: &dsh_bench::Args) {
         assert!(sih.is_some_and(|ms| ms > 0.0), "SIH must pause on the smoke burst: {sih:?}");
         println!("smoke OK");
     }
-    if args.json {
-        let doc = Json::object()
-            .with("provenance", dsh_bench::provenance(args))
-            .with("points", Json::Arr(docs));
-        println!("{doc}");
-    }
+    Sections { figure: Some(Json::object().with("points", docs)), metrics: None }
 }

@@ -1,7 +1,8 @@
 //! Fig. 12: deadlock onset-time CDF with cyclic buffer dependencies.
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig12_deadlock [--full] [--smoke] [--threads N]
+//! cargo run --release -p dsh-bench --bin fig12_deadlock \
+//!     [--full] [--smoke] [--threads N] [--record out.json]
 //! ```
 //!
 //! A run is deadlocked when a who-paused-whom cycle is still open at its
@@ -12,6 +13,7 @@
 //! and skips the watchdog extension.
 
 use dsh_bench::fig12::{self, DeadlockRun, Fig12Config};
+use dsh_bench::{Flag, Sections};
 use dsh_core::Scheme;
 use dsh_simcore::Executor;
 use dsh_transport::CcKind;
@@ -20,8 +22,15 @@ use dsh_transport::CcKind;
 const SMOKE_SEEDS: u64 = 4;
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || if args.smoke { smoke(&args.executor()) } else { run(&args) });
+    let args = dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[Flag::Full, Flag::Smoke]);
+    dsh_bench::record(&args, || {
+        if args.smoke {
+            smoke(&args.executor());
+        } else {
+            run(&args);
+        }
+        Sections::default()
+    });
 }
 
 /// Prints the cycles of a deadlocked run, one line each.

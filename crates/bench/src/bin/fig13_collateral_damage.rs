@@ -1,18 +1,18 @@
 //! Fig. 13: throughput of the innocent flow F0 under a 24:1 fan-in burst.
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig13_collateral_damage [--threads N]
+//! cargo run --release -p dsh-bench --bin fig13_collateral_damage [--threads N] [--record out.json]
 //! ```
 
-use dsh_bench::fig13;
+use dsh_bench::{fig13, Sections};
 use dsh_transport::CcKind;
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || run(&args));
+    let args = dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[]);
+    dsh_bench::record(&args, || run(&args));
 }
 
-fn run(args: &dsh_bench::Args) {
+fn run(args: &dsh_bench::Args) -> Sections {
     println!("Fig. 13 — collateral damage mitigation (victim flow F0 goodput)");
     let triples =
         fig13::sweep(&[CcKind::Uncontrolled, CcKind::Dcqcn, CcKind::PowerTcp], &args.executor());
@@ -31,4 +31,5 @@ fn run(args: &dsh_bench::Args) {
     println!(
         "\npaper: SIH drags F0 to ~0; DSH keeps it near 50 Gb/s; CC alone cannot help within 1 RTT"
     );
+    Sections::default()
 }

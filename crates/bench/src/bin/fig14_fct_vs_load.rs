@@ -1,21 +1,23 @@
 //! Fig. 14: normalized average FCT vs background load (DCQCN & PowerTCP).
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig14_fct_vs_load [--full] [--seed N] [--threads N]
+//! cargo run --release -p dsh-bench --bin fig14_fct_vs_load \
+//!     [--full] [--seed N] [--threads N] [--record out.json]
 //! ```
 
-use dsh_bench::fabric::{FctExperiment, Topo};
-use dsh_bench::fig14;
+use dsh_bench::fabric::{self, FctExperiment, Topo};
+use dsh_bench::{fig14, Flag, Sections};
 use dsh_core::Scheme;
+use dsh_net::ObserveConfig;
 use dsh_simcore::Delta;
 use dsh_transport::CcKind;
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || run(&args));
+    let args = dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[Flag::Full, Flag::Seed]);
+    dsh_bench::record(&args, || run(&args));
 }
 
-fn run(args: &dsh_bench::Args) {
+fn run(args: &dsh_bench::Args) -> Sections {
     let (full, seed) = (args.full, args.seed);
     let ex = args.executor();
     let mut base = FctExperiment::small(Scheme::Sih, CcKind::Dcqcn);
@@ -47,7 +49,9 @@ fn run(args: &dsh_bench::Args) {
     println!();
     println!("paper: DSH cuts fan-in FCT up to 43.3% (DCQCN) / 57.7% (PowerTCP),");
     println!("       background FCT up to 10.1% (DCQCN) / 31.1% (PowerTCP)");
-    // Representative observe-armed run for the --metrics export (no-op
-    // without --metrics / DSH_METRICS).
-    dsh_bench::fabric::export_fct_metrics(args, &base);
+    let metrics = args.record.is_some().then(|| {
+        let exp = FctExperiment { observe: Some(ObserveConfig), ..base };
+        dsh_bench::metrics_run(fabric::loaded(&exp).0, exp.run_until)
+    });
+    Sections { figure: None, metrics }
 }

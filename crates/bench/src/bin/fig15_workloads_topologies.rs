@@ -2,21 +2,23 @@
 //! (DCQCN).
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin fig15_workloads_topologies [--full] [--seed N] [--threads N]
+//! cargo run --release -p dsh-bench --bin fig15_workloads_topologies \
+//!     [--full] [--seed N] [--threads N] [--record out.json]
 //! ```
 
-use dsh_bench::fabric::{FctExperiment, Topo};
-use dsh_bench::fig15;
+use dsh_bench::fabric::{self, FctExperiment, Topo};
+use dsh_bench::{fig15, Flag, Sections};
 use dsh_core::Scheme;
+use dsh_net::ObserveConfig;
 use dsh_simcore::Delta;
 use dsh_transport::CcKind;
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || run(&args));
+    let args = dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[Flag::Full, Flag::Seed]);
+    dsh_bench::record(&args, || run(&args));
 }
 
-fn run(args: &dsh_bench::Args) {
+fn run(args: &dsh_bench::Args) -> Sections {
     let (full, seed) = (args.full, args.seed);
     let mut base = FctExperiment::small(Scheme::Sih, CcKind::Dcqcn);
     base.seed = seed;
@@ -50,7 +52,9 @@ fn run(args: &dsh_bench::Args) {
     }
     println!();
     println!("paper: DSH improves FCT across all four workload/topology panels");
-    // Representative observe-armed run for the --metrics export (no-op
-    // without --metrics / DSH_METRICS).
-    dsh_bench::fabric::export_fct_metrics(args, &base);
+    let metrics = args.record.is_some().then(|| {
+        let exp = FctExperiment { observe: Some(ObserveConfig), ..base };
+        dsh_bench::metrics_run(fabric::loaded(&exp).0, exp.run_until)
+    });
+    Sections { figure: None, metrics }
 }

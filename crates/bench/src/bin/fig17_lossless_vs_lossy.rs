@@ -2,8 +2,8 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig17_lossless_vs_lossy \
-//!     [--full] [--smoke] [--json] [--seed N] [--threads N] \
-//!     [--regime gbn|sr] [--no-recovery]
+//!     [--full] [--smoke] [--seed N] [--threads N] \
+//!     [--regime gbn|sr] [--no-recovery] [--record out.json]
 //! ```
 //!
 //! Sweeps load over the four-cell regime matrix {PFC+SIH, PFC+DSH,
@@ -15,13 +15,18 @@
 //! cells and hard-asserts the regime contracts: lossless cells drop
 //! nothing, lossy cells report exactly zero pause wall-clock and zero
 //! headroom bytes, and selective repeat retransmits less than go-back-N.
+//! The record's metrics come from one observe-armed run of the PFC+SIH
+//! base cell at the base load.
 
 use dsh_bench::fig17::{self, Cell, Fig17Experiment, Fig17Point, Fig17Result};
+use dsh_bench::{Flag, Sections};
+use dsh_net::ObserveConfig;
 use dsh_simcore::Json;
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || run(&args));
+    let reads = &[Flag::Full, Flag::Smoke, Flag::Seed, Flag::Regime, Flag::NoRecovery];
+    let args = dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), reads);
+    dsh_bench::record(&args, || run(&args));
 }
 
 /// One table row for a cell's result.
@@ -66,7 +71,6 @@ fn json_row(load: f64, cell: Cell, r: &Fig17Result) -> Json {
         .with("completed", r.completed as u64)
         .with("failed", r.failed)
         .with("events", r.events)
-        .with("events_per_sec", r.events_per_sec())
 }
 
 fn header() {
@@ -76,7 +80,15 @@ fn header() {
     );
 }
 
-fn run(args: &dsh_bench::Args) {
+/// The record's metrics: one observe-armed run of `base`.
+fn metrics(args: &dsh_bench::Args, base: Fig17Experiment) -> Option<Json> {
+    args.record.is_some().then(|| {
+        let exp = Fig17Experiment { observe: Some(ObserveConfig), ..base };
+        dsh_bench::metrics_run(fig17::loaded(&exp).0, exp.run_until)
+    })
+}
+
+fn run(args: &dsh_bench::Args) -> Sections {
     let ex = args.executor();
 
     if args.smoke {
@@ -87,8 +99,10 @@ fn run(args: &dsh_bench::Args) {
         let points = fig17::sweep(&[base.load], &base, &ex);
         let p = &points[0];
         header();
+        let mut docs: Vec<Json> = Vec::new();
         for (cell, r) in p.per_cell() {
             print_row(p.load, cell, r);
+            docs.push(json_row(p.load, cell, r));
         }
         check_point(p);
         let by = |c: Cell| p.per_cell().into_iter().find(|(k, _)| *k == c).expect("all cells").1;
@@ -102,8 +116,10 @@ fn run(args: &dsh_bench::Args) {
             gbn.retransmitted_bytes
         );
         println!("smoke OK");
-        fig17::export_metrics(args, &base);
-        return;
+        return Sections {
+            figure: Some(Json::object().with("points", docs)),
+            metrics: metrics(args, base),
+        };
     }
 
     let mut base = Fig17Experiment::small(Cell::Sih);
@@ -125,21 +141,11 @@ fn run(args: &dsh_bench::Args) {
         check_point(p);
         for (cell, r) in p.per_cell() {
             print_row(p.load, cell, r);
-            if args.json {
-                docs.push(json_row(p.load, cell, r));
-            }
+            docs.push(json_row(p.load, cell, r));
         }
     }
     println!();
     println!("pause_us = PFC pause wall-clock summed over ports (0 by construction when lossy);");
     println!("hdrm_B = buffer statically reserved as headroom; retx_B includes GBN rewinds.");
-    if args.json {
-        let doc = Json::object()
-            .with("provenance", dsh_bench::provenance(args))
-            .with("points", Json::Arr(docs));
-        println!("{doc}");
-    }
-    // Representative observe-armed run (the base cell at the base load)
-    // for the --metrics export (no-op without --metrics / DSH_METRICS).
-    fig17::export_metrics(args, &base);
+    Sections { figure: Some(Json::object().with("points", docs)), metrics: metrics(args, base) }
 }

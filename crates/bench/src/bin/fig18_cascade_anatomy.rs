@@ -3,8 +3,7 @@
 //!
 //! ```bash
 //! cargo run --release -p dsh-bench --bin fig18_cascade_anatomy \
-//!     [--full] [--smoke] [--json] [--seed N] [--threads N] \
-//!     [--metrics out.json] [--trace out.json]
+//!     [--full] [--smoke] [--seed N] [--threads N] [--record out.json]
 //! ```
 //!
 //! Sweeps incast degree × {SIH, DSH} on a two-tier fabric with
@@ -13,34 +12,35 @@
 //! host-NIC reach, and the victim-vs-self pause attribution. `--smoke`
 //! runs the 8-to-1 DSH cell and hard-asserts the acceptance contract: at
 //! least one cascade of depth ≥ 2 whose victim-flow attribution is
-//! nonzero, clean audits, zero drops, no cycle findings. With
-//! `--metrics` the smoke cell (or, in a sweep, one extra run of the
-//! degree-8 cell) writes its `metrics.json`, sampled on the network's one
-//! 10 µs tick, and re-parses it before declaring success. With `--trace`
-//! the smoke run also re-parses the Chrome trace it wrote and asserts it
-//! holds at least one PFC pause span, so one command checks the tracing
-//! pipeline end to end.
+//! nonzero, clean audits, zero drops, no cycle findings. The record's
+//! metrics come from the smoke cell (or, in a sweep, one extra run of the
+//! degree-8 DSH cell), sampled on the network's one 10 µs tick. With
+//! `--record` the binary re-parses the record it wrote and asserts that
+//! it holds at least one PFC pause span and a non-empty metrics series,
+//! so one command checks the record pipeline end to end.
 
 use dsh_bench::fig18::{self, Fig18Experiment, Fig18Point, Fig18Result};
+use dsh_bench::{Flag, Sections};
 use dsh_core::Scheme;
 use dsh_simcore::Json;
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    dsh_bench::with_trace(&args, || run(&args));
-    if args.smoke {
-        if let Some(path) = args.trace.as_deref() {
-            validate_trace(path);
-        }
+    let args =
+        dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[Flag::Full, Flag::Smoke, Flag::Seed]);
+    dsh_bench::record(&args, || run(&args));
+    if let Some(path) = args.record.as_deref() {
+        check_record(path);
     }
 }
 
-/// Smoke-mode self-check: the emitted Chrome trace must parse and must
-/// contain at least one PFC pause span, which the smoke incast cannot run
-/// without.
-fn validate_trace(path: &str) {
-    let text = std::fs::read_to_string(path).expect("trace file just written must be readable");
-    let doc = Json::parse(&text).expect("emitted trace must be valid JSON");
+/// Re-parses the record just written: it must hold at least one PFC
+/// pause span, which the incast cannot run without, and a version-2
+/// metrics export with a non-empty per-switch series and samples.
+fn check_record(path: &str) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("run record {path} unreadable: {e}"));
+    let doc =
+        Json::parse(&text).unwrap_or_else(|e| panic!("run record {path} is not valid JSON: {e}"));
     let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
     // pid 1 is the PFC wire track: one B span per applied pause.
     let pause_spans = events
@@ -50,8 +50,14 @@ fn validate_trace(path: &str) {
                 && e.get("pid").and_then(Json::as_u64) == Some(1)
         })
         .count();
-    assert!(pause_spans >= 1, "traced smoke run produced no PFC pause span");
-    println!("[smoke] trace OK: {pause_spans} PFC pause spans");
+    assert!(pause_spans >= 1, "run record {path} holds no PFC pause span");
+    let metrics = doc.get("metrics").expect("run record has a metrics section");
+    assert_eq!(metrics.get("version").and_then(Json::as_u64), Some(2), "metrics not version 2");
+    let switches = metrics.get("switches").and_then(Json::as_arr);
+    assert!(switches.is_some_and(|s| !s.is_empty()), "metrics hold no per-switch series");
+    let samples = metrics.get("samples").and_then(Json::as_u64).unwrap_or(0);
+    assert!(samples > 0, "metrics recorded no samples");
+    println!("[record] OK: {pause_spans} PFC pause spans, {samples} metrics samples");
 }
 
 fn header() {
@@ -99,28 +105,7 @@ fn json_row(degree: usize, scheme: Scheme, r: &Fig18Result) -> Json {
         .with("events", r.events)
 }
 
-/// Re-parses a freshly written `--metrics` export and sanity-checks the
-/// document shape, so a malformed export fails the run instead of
-/// shipping to a dashboard.
-fn reparse_metrics(args: &dsh_bench::Args) {
-    let Some(path) = args.metrics.as_deref() else { return };
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("metrics export {path} unreadable: {e}"));
-    let doc = Json::parse(&text)
-        .unwrap_or_else(|e| panic!("metrics export {path} is not valid JSON: {e}"));
-    let version = doc.get("version").and_then(Json::as_u64);
-    assert_eq!(version, Some(2), "metrics export {path} missing version 2");
-    let switches = doc.get("switches").and_then(Json::as_arr);
-    assert!(
-        switches.is_some_and(|s| !s.is_empty()),
-        "metrics export {path} has no per-switch series"
-    );
-    let samples = doc.get("samples").and_then(Json::as_u64).unwrap_or(0);
-    assert!(samples > 0, "metrics export {path} recorded no samples");
-    eprintln!("[dsh] metrics export re-parsed OK: {path}");
-}
-
-fn run(args: &dsh_bench::Args) {
+fn run(args: &dsh_bench::Args) -> Sections {
     let ex = args.executor();
 
     if args.smoke {
@@ -136,10 +121,13 @@ fn run(args: &dsh_bench::Args) {
         assert!(r.victim_ns > 0, "smoke run attributed no victim pause time");
         assert!(c.cycles.is_empty(), "cycle finding on an acyclic topology: {:?}", c.cycles);
         assert_eq!(r.completed, r.registered, "smoke incast flows wedged");
-        dsh_bench::write_metrics(args, &net);
-        reparse_metrics(args);
         println!("smoke OK");
-        return;
+        return Sections {
+            figure: Some(
+                Json::object().with("points", vec![json_row(base.degree, base.scheme, &r)]),
+            ),
+            metrics: net.metrics_json(),
+        };
     }
 
     let mut base = Fig18Experiment::small(Scheme::Dsh);
@@ -153,26 +141,15 @@ fn run(args: &dsh_bench::Args) {
     for p in &points {
         for (scheme, r) in p.per_scheme() {
             print_row(p.degree, scheme, r);
-            if args.json {
-                docs.push(json_row(p.degree, scheme, r));
-            }
+            docs.push(json_row(p.degree, scheme, r));
         }
     }
     println!();
     println!("depth = deepest who-paused-whom chain (1 = pause stayed at the root switch);");
     println!("victim_us = flow pause exposure from depth>=2 edges (congestion cascaded back");
     println!("to an innocent NIC); self_us = exposure where the flow's own root congested.");
-    if args.json {
-        let doc = Json::object()
-            .with("provenance", dsh_bench::provenance(args))
-            .with("points", Json::Arr(docs));
-        println!("{doc}");
-    }
-    // The export samples the representative (degree-8) cell of the base
+    // The metrics sample the representative (degree-8) cell of the base
     // scheme rather than the whole sweep: one network, one time series.
-    if args.metrics.is_some() {
-        let (_r, net) = fig18::run_cell_net(&base);
-        dsh_bench::write_metrics(args, &net);
-        reparse_metrics(args);
-    }
+    let metrics = args.record.is_some().then(|| fig18::run_cell_net(&base).1.metrics_json());
+    Sections { figure: Some(Json::object().with("points", docs)), metrics: metrics.flatten() }
 }

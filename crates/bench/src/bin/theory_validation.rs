@@ -1,25 +1,25 @@
 //! Theorems 1 & 2: closed-form burst-absorption bounds vs the fluid model.
 //!
 //! ```bash
-//! cargo run --release -p dsh-bench --bin theory_validation [--smoke] [--trace out.json]
+//! cargo run --release -p dsh-bench --bin theory_validation [--smoke] [--record out.json]
 //! ```
 //!
 //! `--smoke` checks one load at the smallest and largest queue counts and
 //! asserts the remark the table shows: the fluid model meets both closed
 //! forms, DSH's bound does not depend on `N_q`, and SIH's shrinks with it.
 
-use dsh_bench::theory;
+use dsh_bench::{theory, Flag, Sections};
 use dsh_core::headroom::{eta, sonic_headroom};
 use dsh_simcore::{Bandwidth, Delta};
 
 fn main() {
-    let args = dsh_bench::Args::parse();
-    // The fluid model runs outside the event engine, so `--trace` writes
-    // a valid but empty Chrome trace.
-    dsh_bench::with_trace(&args, || run(args.smoke));
+    let args = dsh_bench::Args::parse(env!("CARGO_BIN_NAME"), &[Flag::Smoke]);
+    // The fluid model runs outside the event engine, so the record's
+    // trace is empty.
+    dsh_bench::record(&args, || run(args.smoke));
 }
 
-fn run(smoke: bool) {
+fn run(smoke: bool) -> Sections {
     println!("Theorems 1-2 — burst absorption bounds (normalized time units)");
     println!(
         "{:>6} {:>4} {:>14} {:>14} {:>14} {:>14} {:>10}",
@@ -69,4 +69,5 @@ fn run(smoke: bool) {
     if smoke {
         println!("smoke OK");
     }
+    Sections::default()
 }

@@ -181,20 +181,6 @@ pub fn run_fct(exp: &FctExperiment) -> FctResult {
     summarize(&net, &fan_ids, registered)
 }
 
-/// When `--metrics`/`DSH_METRICS` asked for an export, re-runs one
-/// representative experiment of the figure (`base`, exactly as the
-/// figure configured it) with the pause-causality tracker and metrics
-/// sampler armed, and writes the export ([`crate::write_metrics`]).
-/// Without the flag this is a no-op — the sweep itself always runs with
-/// the hooks masked off, so its goldens and timings are untouched.
-pub fn export_fct_metrics(args: &crate::Args, base: &FctExperiment) {
-    let Some(cfg) = crate::observe_config(args) else { return };
-    let exp = FctExperiment { observe: Some(cfg), ..*base };
-    let (net, _fan_ids, _registered) = loaded(&exp);
-    let (net, _events) = run_net(net, Time::ZERO + exp.run_until);
-    crate::write_metrics(args, &net);
-}
-
 /// Builds the fabric and loads the background + fan-in flow mix;
 /// returns `(network, fan-in flow ids, registered flows)`.
 #[must_use]

@@ -117,8 +117,8 @@ pub struct Fig17Experiment {
     pub no_recovery: bool,
     /// Arms the pause-causality observatory and metrics sampler for this
     /// run.  `None` (the default) keeps the observability hooks masked
-    /// off, preserving the sweep's measured hot path; the `--metrics`
-    /// representative run sets it.
+    /// off, preserving the sweep's measured hot path; the run record's
+    /// metrics run sets it.
     pub observe: Option<ObserveConfig>,
 }
 
@@ -178,16 +178,6 @@ pub struct Fig17Result {
     pub nacks_sent: u64,
     /// Calendar events processed.
     pub events: u64,
-    /// Host wall time of the simulation run (build and loading excluded).
-    pub wall: std::time::Duration,
-}
-
-impl Fig17Result {
-    /// Calendar events per wall-clock second (perf-trajectory metric).
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
 }
 
 /// Runs one cell at one load.
@@ -201,9 +191,7 @@ impl Fig17Result {
 pub fn run_cell(exp: &Fig17Experiment) -> Fig17Result {
     let (net, registered) = loaded(exp);
     let deadline = Time::ZERO + exp.run_until;
-    let wall = std::time::Instant::now();
     let (mut net, events) = crate::fabric::run_net(net, deadline);
-    let wall = wall.elapsed();
 
     let pause_wall_ns: u64 =
         net.pause_ledgers(deadline).map(|l| l.queue_level.as_ns() + l.port_level.as_ns()).sum();
@@ -248,7 +236,6 @@ pub fn run_cell(exp: &Fig17Experiment) -> Fig17Result {
         sr_retransmitted_bytes: net.sr_retransmitted_bytes(),
         nacks_sent: net.nacks_sent(),
         events,
-        wall,
     }
 }
 
@@ -355,18 +342,6 @@ pub fn sweep(loads: &[f64], base: &Fig17Experiment, ex: &Executor) -> Vec<Fig17P
             Fig17Point { load, cells }
         })
         .collect()
-}
-
-/// Runs one observe-armed representative cell of `base` and writes the
-/// `--metrics` export (a no-op without `--metrics`/`DSH_METRICS`).  The
-/// sweep itself always runs with the hooks masked off; the export is a
-/// dedicated extra run so the time series describes exactly one network.
-pub fn export_metrics(args: &crate::Args, base: &Fig17Experiment) {
-    let Some(cfg) = crate::observe_config(args) else { return };
-    let exp = Fig17Experiment { observe: Some(cfg), ..*base };
-    let (net, _registered) = loaded(&exp);
-    let (net, _events) = crate::fabric::run_net(net, Time::ZERO + exp.run_until);
-    crate::write_metrics(args, &net);
 }
 
 /// Cuts the scale down for smoke/bench runs (CI wall-clock).

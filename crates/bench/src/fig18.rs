@@ -89,8 +89,6 @@ pub struct Fig18Result {
     pub registered: usize,
     /// Calendar events processed.
     pub events: u64,
-    /// Host wall time of the simulation run.
-    pub wall: std::time::Duration,
 }
 
 /// Builds the loaded two-tier incast fabric; returns `(network,
@@ -131,8 +129,8 @@ pub fn loaded(exp: &Fig18Experiment) -> (Network, usize) {
     (net, registered)
 }
 
-/// Runs one cell and keeps the measured network (for `--metrics`
-/// exports); [`run_cell`] discards it.
+/// Runs one cell and keeps the measured network (for the run record's
+/// metrics); [`run_cell`] discards it.
 ///
 /// # Panics
 ///
@@ -143,9 +141,7 @@ pub fn loaded(exp: &Fig18Experiment) -> (Network, usize) {
 pub fn run_cell_net(exp: &Fig18Experiment) -> (Fig18Result, Network) {
     let (net, registered) = loaded(exp);
     let deadline = Time::ZERO + exp.run_until;
-    let wall = std::time::Instant::now();
     let (net, events) = run_net(net, deadline);
-    let wall = wall.elapsed();
 
     for (id, audit) in net.audit_all() {
         assert!(
@@ -169,16 +165,8 @@ pub fn run_cell_net(exp: &Fig18Experiment) -> (Fig18Result, Network) {
     let pause_wall_ns: u64 =
         net.pause_ledgers(deadline).map(|l| l.queue_level.as_ns() + l.port_level.as_ns()).sum();
     let completed = net.fct_records().len();
-    let result = Fig18Result {
-        cascades,
-        victim_ns,
-        self_ns,
-        pause_wall_ns,
-        completed,
-        registered,
-        events,
-        wall,
-    };
+    let result =
+        Fig18Result { cascades, victim_ns, self_ns, pause_wall_ns, completed, registered, events };
     (result, net)
 }
 

@@ -2,8 +2,9 @@
 //! (ICDCS 2023).
 //!
 //! Each module builds the exact scenario of one paper figure and returns
-//! the measured series; the binaries in `src/bin/` print them as tables,
-//! and the Criterion benches in `benches/` time scaled-down variants.
+//! the measured series; the binaries in `src/bin/` print them as tables
+//! and, with `--record PATH`, write one run record ([`record`]), and the
+//! Criterion benches in `benches/` time scaled-down variants.
 //!
 //! | module | paper figure |
 //! |--------|--------------|
@@ -34,34 +35,86 @@ pub mod fig17;
 pub mod fig18;
 pub mod theory;
 
-use dsh_net::{Network, ObserveConfig};
-use dsh_simcore::trace::{self, TraceConfig, TraceMask};
-use dsh_simcore::{exec, Executor, Json};
+use dsh_net::Network;
+use dsh_simcore::{exec, trace, Delta, Executor, Json, Time};
 use dsh_transport::Regime;
 
-/// Environment fallback for `--metrics` (an output PATH).
-pub const METRICS_ENV: &str = "DSH_METRICS";
+/// A flag that only some figure binaries read. Every binary reads
+/// `--threads` and `--record`; each names the rest it reads in
+/// [`Args::parse`] and rejects the others.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// `--full`: run at paper scale instead of the laptop-scale default.
+    Full,
+    /// `--smoke`: CI-sized run with hard assertions (exits non-zero on a
+    /// violation).
+    Smoke,
+    /// `--seed N` (default 1).
+    Seed,
+    /// `--regime gbn|sr`: loss-recovery regime where a figure exercises
+    /// recovery.
+    Regime,
+    /// `--no-recovery`: run without loss recovery where the figure
+    /// allows it.
+    NoRecovery,
+}
 
-/// Command-line options shared by the figure binaries, collected in a
-/// single pass over argv.
+impl Flag {
+    const ALL: [Flag; 5] = [Flag::Full, Flag::Smoke, Flag::Seed, Flag::Regime, Flag::NoRecovery];
+
+    /// The flag's usage line.
+    const fn usage(self) -> &'static str {
+        match self {
+            Flag::Full => {
+                "  --full          run at paper scale instead of the laptop-scale default"
+            }
+            Flag::Smoke => "  --smoke         CI-sized run with hard assertions",
+            Flag::Seed => "  --seed N        RNG seed (unsigned integer, default 1)",
+            Flag::Regime => {
+                "  --regime R      loss-recovery regime: gbn (go-back-N) | sr (selective repeat)"
+            }
+            Flag::NoRecovery => {
+                "  --no-recovery   disable loss recovery (rejected together with --regime)"
+            }
+        }
+    }
+
+    /// The command-line token.
+    const fn token(self) -> &'static str {
+        match self {
+            Flag::Full => "--full",
+            Flag::Smoke => "--smoke",
+            Flag::Seed => "--seed",
+            Flag::Regime => "--regime",
+            Flag::NoRecovery => "--no-recovery",
+        }
+    }
+}
+
+/// Environment variables of the retired exporters. A set one fails the
+/// run instead of silently doing nothing.
+const RETIRED_ENV: [&str; 3] = ["DSH_METRICS", "DSH_TRACE_MASK", "DSH_TRACE_CAP"];
+
+/// Version of the run record's layout (see [`record`]).
+pub const RECORD_VERSION: u64 = 1;
+
+/// Command-line options of one figure binary, collected in a single pass
+/// over argv.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Args {
+    /// The binary's name, stamped into the run record's provenance.
+    pub binary: &'static str,
+    /// The optional flags this binary reads; any other is rejected.
+    pub reads: &'static [Flag],
     /// `--full`: run at paper scale instead of the laptop-scale default.
     pub full: bool,
-    /// `--json`: also print structured telemetry as one JSON document.
-    pub json: bool,
-    /// `--smoke`: CI-sized single-point run with hard assertions instead
-    /// of a sweep (exits non-zero on violation).
+    /// `--smoke`: CI-sized run with hard assertions.
     pub smoke: bool,
     /// `--seed N` (default 1).
     pub seed: u64,
     /// `--threads N`, falling back to `DSH_THREADS`; 0 means "auto"
     /// (available parallelism). Resolve through [`Args::executor`].
     pub threads: usize,
-    /// `--trace PATH`: record flight-recorder traces for every
-    /// simulation of the run and write a Chrome `trace_event` JSON
-    /// document to PATH (see [`with_trace`]).
-    pub trace: Option<String>,
     /// `--regime gbn|sr`: loss-recovery regime for figures that exercise
     /// recovery (fig17). `None` = flag not given, figure defaults apply.
     pub regime: Option<Regime>,
@@ -69,101 +122,100 @@ pub struct Args {
     /// it (lossy cells always need recovery; combining with `--regime`
     /// is a usage error — the regime would silently have no effect).
     pub no_recovery: bool,
-    /// `--metrics PATH`, falling back to `DSH_METRICS`: arm the
-    /// pause-causality tracker and metrics sampler for the figure's
-    /// representative run and write the export to PATH (see
-    /// [`write_metrics`]). `None` (the default) keeps the observability
-    /// hooks masked off entirely.
-    pub metrics: Option<String>,
+    /// `--record PATH`: write the run record to PATH (see [`record`]).
+    pub record: Option<String>,
 }
 
-/// Usage text printed (to stderr) when argument parsing fails.
-pub const USAGE: &str = "\
-usage: <figure-binary> [OPTIONS]
-  --full          run at paper scale instead of the laptop-scale default
-  --json          also print structured telemetry as one JSON document
-  --smoke         CI-sized single-point run with hard assertions
-  --seed N        RNG seed (unsigned integer, default 1)
+/// The usage text of a binary that reads `reads`, printed (to stderr)
+/// when argument parsing fails.
+fn usage(binary: &str, reads: &[Flag]) -> String {
+    let mut text = format!(
+        "usage: {binary} [OPTIONS]
   --threads N     worker pool width (0 = auto; DSH_THREADS fallback)
-  --trace PATH    write a Chrome trace_event JSON document to PATH
-  --regime R      loss-recovery regime where a figure exercises recovery:
-                  gbn (go-back-N) | sr (selective repeat)
-  --no-recovery   disable loss recovery where the figure allows it
-                  (rejected together with --regime)
-  --metrics PATH  arm the pause-causality/metrics sampler for the
-                  figure's representative run and write the export to
-                  PATH (DSH_METRICS fallback)";
+  --record PATH   write the run record to PATH: provenance, the figure's
+                  rows, its metrics run and the Chrome trace of every
+                  simulation, as one JSON document"
+    );
+    for flag in reads {
+        text.push('\n');
+        text.push_str(flag.usage());
+    }
+    text
+}
 
 impl Args {
-    /// Parses the process argv, with `DSH_THREADS` as the `--threads`
-    /// fallback. Invalid arguments, a set `DSH_THREADS` that is not an
-    /// unsigned integer, and a `DSH_TRACE_MASK` naming an unknown
-    /// category print the error and [`USAGE`] to stderr and exit with
-    /// status 2 — a typo'd flag or value must never silently run with
-    /// defaults.
+    /// Parses the process argv for the binary `binary`, which reads the
+    /// optional flags `reads`, with `DSH_THREADS` as the `--threads`
+    /// fallback. An unknown flag, a flag the binary does not read, a
+    /// malformed value or a set `DSH_THREADS` that is not an unsigned
+    /// integer print the error and the usage to stderr and exit with
+    /// status 2 — a typo'd or ignored flag must never silently run with
+    /// defaults. So does a set environment variable of a retired
+    /// exporter (`DSH_METRICS`, `DSH_TRACE_MASK`, `DSH_TRACE_CAP`).
     #[must_use]
-    pub fn parse() -> Args {
-        let parsed =
-            check_trace_mask(std::env::var(trace::MASK_ENV).ok().as_deref()).and_then(|()| {
-                Args::from_iter(
-                    std::env::args().skip(1),
-                    std::env::var(exec::THREADS_ENV).ok().as_deref(),
-                    std::env::var(METRICS_ENV).ok().as_deref(),
-                )
-            });
-        match parsed {
+    pub fn parse(binary: &'static str, reads: &'static [Flag]) -> Args {
+        let env = |name: &str| std::env::var(name).ok();
+        match Args::from_iter(binary, reads, std::env::args().skip(1), env) {
             Ok(args) => args,
             Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
+                eprintln!("error: {e}\n{}", usage(binary, reads));
                 std::process::exit(2);
             }
         }
     }
 
-    /// Parses an explicit token stream (testable core of [`Args::parse`]).
+    /// Parses an explicit token stream and environment (testable core of
+    /// [`Args::parse`]).
     ///
     /// # Errors
     ///
-    /// Fails fast on unknown tokens, missing operands (`--seed`,
-    /// `--threads`, `--trace` all take one) and unparseable values,
-    /// including a malformed `DSH_THREADS` value (`env_threads`) —
-    /// the old scanner silently kept defaults, so `--seed abc` ran with
-    /// seed 1 and `--trace` as the last token produced no trace at all.
+    /// Fails fast on unknown tokens, flags the binary does not read,
+    /// missing operands (`--seed`, `--threads`, `--regime`, `--record`
+    /// all take one) and unparseable values, including a malformed
+    /// `DSH_THREADS` value and a set retired variable.
     fn from_iter<I: IntoIterator<Item = String>>(
+        binary: &'static str,
+        reads: &'static [Flag],
         argv: I,
-        env_threads: Option<&str>,
-        env_metrics: Option<&str>,
+        env: impl Fn(&str) -> Option<String>,
     ) -> Result<Args, String> {
-        let threads = match env_threads {
-            Some(v) => exec::parse_threads(v)?,
+        if let Some(name) = RETIRED_ENV.into_iter().find(|name| env(name).is_some()) {
+            return Err(format!(
+                "{name} is retired: --record PATH writes the metrics and the trace of every run"
+            ));
+        }
+        let threads = match env(exec::THREADS_ENV) {
+            Some(v) => exec::parse_threads(&v)?,
             None => 0,
         };
         let mut args = Args {
+            binary,
+            reads,
             full: false,
-            json: false,
             smoke: false,
             seed: 1,
             threads,
-            trace: None,
             regime: None,
             no_recovery: false,
-            metrics: env_metrics.map(str::to_string),
+            record: None,
         };
         let mut it = argv.into_iter();
         while let Some(tok) = it.next() {
+            if Flag::ALL.iter().any(|f| f.token() == tok && !reads.contains(f)) {
+                return Err(format!("{binary} does not read {tok}"));
+            }
             match tok.as_str() {
                 "--full" => args.full = true,
-                "--json" => args.json = true,
                 "--smoke" => args.smoke = true,
                 "--seed" => args.seed = parse_value(&tok, it.next())?,
                 "--threads" => args.threads = parse_value(&tok, it.next())?,
-                "--trace" => {
+                "--record" => {
                     let path =
-                        it.next().ok_or_else(|| "--trace requires a PATH operand".to_string())?;
+                        it.next().ok_or_else(|| "--record requires a PATH operand".to_string())?;
                     if path.starts_with("--") {
-                        return Err(format!("--trace requires a PATH operand, got flag '{path}'"));
+                        return Err(format!("--record requires a PATH operand, got flag '{path}'"));
                     }
-                    args.trace = Some(path);
+                    args.record = Some(path);
                 }
                 "--regime" => {
                     let r = it.next().ok_or_else(|| "--regime requires a value".to_string())?;
@@ -178,16 +230,6 @@ impl Args {
                     });
                 }
                 "--no-recovery" => args.no_recovery = true,
-                "--metrics" => {
-                    let path =
-                        it.next().ok_or_else(|| "--metrics requires a PATH operand".to_string())?;
-                    if path.starts_with("--") {
-                        return Err(format!(
-                            "--metrics requires a PATH operand, got flag '{path}'"
-                        ));
-                    }
-                    args.metrics = Some(path);
-                }
                 other => return Err(format!("unknown argument '{other}'")),
             }
         }
@@ -204,15 +246,23 @@ impl Args {
     pub fn executor(&self) -> Executor {
         Executor::new(self.threads)
     }
-}
 
-/// Checks a set `DSH_TRACE_MASK` value before any simulation reads it.
-fn check_trace_mask(value: Option<&str>) -> Result<(), String> {
-    match value {
-        Some(v) => TraceMask::parse(v)
-            .map(drop)
-            .map_err(|e| format!("invalid value for {}: {e}", trace::MASK_ENV)),
-        None => Ok(()),
+    /// The run record's provenance header: the binary, the value of every
+    /// optional flag it reads and the package version. It names no thread
+    /// or core count, so the record is byte-identical at any `--threads`.
+    #[must_use]
+    pub fn provenance(&self) -> Json {
+        let header =
+            Json::object().with("binary", self.binary).with("version", env!("CARGO_PKG_VERSION"));
+        self.reads.iter().fold(header, |header, flag| match flag {
+            Flag::Full => header.with("full", self.full),
+            Flag::Smoke => header.with("smoke", self.smoke),
+            Flag::Seed => header.with("seed", self.seed),
+            Flag::Regime => {
+                header.with("regime", self.regime.map_or(Json::Null, |r| r.as_str().into()))
+            }
+            Flag::NoRecovery => header.with("no_recovery", self.no_recovery),
+        })
     }
 }
 
@@ -223,75 +273,61 @@ fn parse_value<T: std::str::FromStr>(flag: &str, operand: Option<String>) -> Res
     v.parse().map_err(|_| format!("invalid value for {flag}: '{v}' (expected unsigned integer)"))
 }
 
-/// The provenance header embedded in every JSON artifact the harness
-/// emits (Chrome traces, structured dumps, bench metrics): the run's
-/// inputs, the sweep threads actually in force (not just what the host
-/// could offer), and the host's available parallelism for context,
-/// stamped with the package version. Per-scheme artifacts add their own
-/// `scheme` field; trace logs carry the scheme in their
-/// [`dsh_simcore::trace::TraceKey`] tag instead.
-#[must_use]
-pub fn provenance(args: &Args) -> Json {
-    Json::object()
-        .with("seed", args.seed)
-        .with("threads", args.executor().threads() as u64)
-        .with("available_parallelism", exec::default_threads() as u64)
-        .with("version", env!("CARGO_PKG_VERSION"))
+/// What a figure adds to its run record beyond provenance and trace.
+#[derive(Debug, Default)]
+pub struct Sections {
+    /// The figure's rows, for the binaries that build them.
+    pub figure: Option<Json>,
+    /// The metrics export of the figure's representative observe-armed
+    /// run (see [`metrics_run`]), for the binaries that have one.
+    pub metrics: Option<Json>,
 }
 
-/// Runs `f` under a flight-recorder capture session when `--trace PATH`
-/// was given, then writes the Chrome `trace_event` JSON document (see
-/// [`dsh_simcore::trace::chrome_trace`]) to PATH. Without the flag `f`
-/// runs directly — no session, no recording, zero overhead.
-///
-/// The category mask honours `DSH_TRACE_MASK` when set and defaults to
-/// every category; the per-simulation ring capacity honours
-/// `DSH_TRACE_CAP`.
-pub fn with_trace<R>(args: &Args, f: impl FnOnce() -> R) -> R {
-    let Some(path) = args.trace.as_deref() else { return f() };
-    let env = TraceConfig::from_env();
-    let mask = if env.mask.is_empty() { TraceMask::ALL } else { env.mask };
-    let (result, logs) = trace::capture(mask, env.capacity, f);
-    let records: usize = logs.iter().map(|l| l.records.len()).sum();
-    let doc = trace::chrome_trace(&logs, provenance(args));
-    if let Err(e) = std::fs::write(path, doc.to_string()) {
-        eprintln!("[dsh] failed to write trace to {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("[dsh] wrote Chrome trace: {} simulations, {records} records -> {path}", logs.len());
-    result
-}
-
-/// The observability configuration a figure's representative run should
-/// arm: `Some` exactly when `--metrics`/`DSH_METRICS` asked for an
-/// export. Every other run keeps the hooks masked off (`params.observe`
-/// stays `None`, one `Option` branch on the pause paths, nothing on the
-/// packet path).
-#[must_use]
-pub fn observe_config(args: &Args) -> Option<ObserveConfig> {
-    args.metrics.as_ref().map(|_| ObserveConfig)
-}
-
-/// Writes the `--metrics` export for a finished run whose network was
-/// armed with [`observe_config`]. A no-op without `--metrics`. The JSON
-/// document embeds the network's run-intrinsic provenance (seed, scheme,
-/// version — deliberately not thread/worker counts, so the export stays
-/// byte-identical at any parallelism).
-///
-/// Exits non-zero when the run was not armed (a figure wiring bug — the
-/// flag must never silently produce nothing) or the file cannot be
-/// written.
-pub fn write_metrics(args: &Args, net: &Network) {
-    let Some(path) = args.metrics.as_deref() else { return };
-    let Some(rendered) = net.metrics_json().map(|doc| doc.to_string()) else {
-        eprintln!("[dsh] --metrics run finished without the sampler armed (figure wiring bug)");
-        std::process::exit(1);
+/// Runs a figure. With `--record PATH` the run executes inside a trace
+/// capture session and then writes its record to PATH: one JSON document
+/// holding `schema_version` ([`RECORD_VERSION`]), the
+/// [`Args::provenance`] header, the figure's [`Sections`], and the
+/// Chrome export of every simulation's flight recorder
+/// ([`dsh_simcore::trace::chrome_trace`]: `traceEvents`,
+/// `displayTimeUnit`, `otherData`), so the record loads in
+/// `chrome://tracing` and Perfetto. Without the flag `run` executes
+/// directly: no session, every tracer off.
+pub fn record(args: &Args, run: impl FnOnce() -> Sections) {
+    let Some(path) = args.record.as_deref() else {
+        run();
+        return;
     };
-    if let Err(e) = std::fs::write(path, &rendered) {
-        eprintln!("[dsh] failed to write metrics to {path}: {e}");
+    let (sections, logs) = trace::capture(run);
+    let mut doc = trace::chrome_trace(&logs)
+        .with("schema_version", RECORD_VERSION)
+        .with("provenance", args.provenance());
+    if let Some(figure) = sections.figure {
+        doc = doc.with("figure", figure);
+    }
+    if let Some(metrics) = sections.metrics {
+        doc = doc.with("metrics", metrics);
+    }
+    let text = doc.to_string();
+    if let Err(e) = std::fs::write(path, &text) {
+        eprintln!("[dsh] failed to write the run record to {path}: {e}");
         std::process::exit(1);
     }
-    eprintln!("[dsh] wrote metrics export ({} bytes) -> {path}", rendered.len());
+    eprintln!("[dsh] wrote run record: {} simulations, {} bytes -> {path}", logs.len(), text.len());
+}
+
+/// The `metrics` section of a run record: runs `net`, built with the
+/// observatory armed, to `until` and returns its metrics export. The
+/// figure's sweep keeps the hooks off; this one extra run describes
+/// exactly one network.
+///
+/// # Panics
+///
+/// Panics if `net` was built without the observatory (a figure wiring
+/// bug).
+#[must_use]
+pub fn metrics_run(net: Network, until: Delta) -> Json {
+    let (net, _events) = fabric::run_net(net, Time::ZERO + until);
+    net.metrics_json().expect("the metrics run is built with the observatory armed")
 }
 
 /// Runs `run` on every `(row, col)` cell of `rows × cols` as one
@@ -329,191 +365,200 @@ mod tests {
         tokens.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Parses `tokens` for a binary that reads every flag, with no
+    /// environment.
+    fn parse(tokens: &[&str]) -> Result<Args, String> {
+        Args::from_iter("fig", &Flag::ALL, argv(tokens), |_| None)
+    }
+
+    /// Parses `tokens` for a binary that reads every flag, with one
+    /// environment variable set.
+    fn parse_env(tokens: &[&str], var: &str, value: &str) -> Result<Args, String> {
+        Args::from_iter("fig", &Flag::ALL, argv(tokens), |name| {
+            (name == var).then(|| value.to_string())
+        })
+    }
+
     #[test]
     fn defaults_when_no_flags() {
-        let a = Args::from_iter(argv(&[]), None, None).unwrap();
         assert_eq!(
-            a,
+            parse(&[]).unwrap(),
             Args {
+                binary: "fig",
+                reads: &Flag::ALL,
                 full: false,
-                json: false,
                 smoke: false,
                 seed: 1,
                 threads: 0,
-                trace: None,
                 regime: None,
                 no_recovery: false,
-                metrics: None,
+                record: None,
             }
         );
     }
 
     #[test]
     fn parses_all_flags_in_one_pass() {
-        let a = Args::from_iter(
-            argv(&[
-                "--full",
-                "--seed",
-                "9",
-                "--json",
-                "--smoke",
-                "--threads",
-                "3",
-                "--trace",
-                "t.json",
-                "--regime",
-                "sr",
-                "--metrics",
-                "m.json",
-            ]),
-            None,
-            None,
-        )
+        let a = parse(&[
+            "--full",
+            "--seed",
+            "9",
+            "--smoke",
+            "--threads",
+            "3",
+            "--regime",
+            "sr",
+            "--record",
+            "r.json",
+        ])
         .unwrap();
         assert_eq!(
             a,
             Args {
+                binary: "fig",
+                reads: &Flag::ALL,
                 full: true,
-                json: true,
                 smoke: true,
                 seed: 9,
                 threads: 3,
-                trace: Some("t.json".to_string()),
                 regime: Some(Regime::SelectiveRepeat),
                 no_recovery: false,
-                metrics: Some("m.json".to_string()),
+                record: Some("r.json".to_string()),
             }
         );
     }
 
     #[test]
     fn regime_values_parse_and_reject() {
-        let a = Args::from_iter(argv(&["--regime", "gbn"]), None, None).unwrap();
-        assert_eq!(a.regime, Some(Regime::GoBackN));
-        let a = Args::from_iter(argv(&["--no-recovery"]), None, None).unwrap();
+        assert_eq!(parse(&["--regime", "gbn"]).unwrap().regime, Some(Regime::GoBackN));
+        let a = parse(&["--no-recovery"]).unwrap();
         assert!(a.no_recovery && a.regime.is_none());
-        let e = Args::from_iter(argv(&["--regime", "tcp"]), None, None).unwrap_err();
+        let e = parse(&["--regime", "tcp"]).unwrap_err();
         assert!(e.contains("invalid value for --regime: 'tcp'"), "{e}");
-        let e = Args::from_iter(argv(&["--regime"]), None, None).unwrap_err();
+        let e = parse(&["--regime"]).unwrap_err();
         assert!(e.contains("--regime requires a value"), "{e}");
     }
 
     #[test]
     fn no_recovery_with_regime_is_a_usage_error() {
-        let e =
-            Args::from_iter(argv(&["--no-recovery", "--regime", "sr"]), None, None).unwrap_err();
+        let e = parse(&["--no-recovery", "--regime", "sr"]).unwrap_err();
         assert!(e.contains("--no-recovery"), "{e}");
         assert!(e.contains("--regime"), "{e}");
     }
 
     #[test]
     fn threads_flag_overrides_env_fallback() {
-        assert_eq!(Args::from_iter(argv(&[]), Some("2"), None).unwrap().threads, 2);
-        assert_eq!(Args::from_iter(argv(&["--threads", "5"]), Some("2"), None).unwrap().threads, 5);
+        assert_eq!(parse_env(&[], "DSH_THREADS", "2").unwrap().threads, 2);
+        assert_eq!(parse_env(&["--threads", "5"], "DSH_THREADS", "2").unwrap().threads, 5);
         // 0 still means auto.
-        assert_eq!(Args::from_iter(argv(&[]), Some("0"), None).unwrap().threads, 0);
+        assert_eq!(parse_env(&[], "DSH_THREADS", "0").unwrap().threads, 0);
     }
 
     #[test]
     fn typod_flags_are_rejected() {
-        let e = Args::from_iter(argv(&["--sed", "9"]), None, None).unwrap_err();
+        let e = parse(&["--sed", "9"]).unwrap_err();
         assert!(e.contains("unknown argument '--sed'"), "{e}");
-        let e = Args::from_iter(argv(&["--bogus"]), None, None).unwrap_err();
+        let e = parse(&["--bogus"]).unwrap_err();
         assert!(e.contains("--bogus"), "{e}");
         // Bare operands are unknown tokens too.
-        let e = Args::from_iter(argv(&["full"]), None, None).unwrap_err();
+        let e = parse(&["full"]).unwrap_err();
         assert!(e.contains("unknown argument 'full'"), "{e}");
         // So is the flag of a removed feature: the hybrid engine's
-        // fidelity, the partitioned engine's worker count, and the
-        // metrics sampler's own interval and export format.
+        // fidelity, the partitioned engine's worker count, the metrics
+        // sampler's own interval and export format, and the three
+        // exporters the run record replaced.
         for (removed, value) in [
             ("fidelity", "packet"),
             ("workers", "2"),
             ("metrics-interval", "500"),
             ("metrics-format", "prom"),
+            ("trace", "t.json"),
+            ("metrics", "m.json"),
         ] {
             let flag = format!("--{removed}");
-            let e = Args::from_iter(argv(&[&flag, value]), None, None).unwrap_err();
+            let e = parse(&[&flag, value]).unwrap_err();
             assert!(e.contains(&format!("unknown argument '{flag}'")), "{e}");
         }
+        let e = parse(&["--json"]).unwrap_err();
+        assert!(e.contains("unknown argument '--json'"), "{e}");
+    }
+
+    #[test]
+    fn flags_a_binary_does_not_read_are_rejected() {
+        const READS: &[Flag] = &[Flag::Full, Flag::Seed];
+        let parse = |tokens: &[&str]| Args::from_iter("fig14", READS, argv(tokens), |_| None);
+        let a = parse(&["--full", "--seed", "3", "--threads", "2", "--record", "r.json"]).unwrap();
+        assert!(a.full && a.seed == 3 && a.threads == 2);
+        for (flag, rest) in [("--smoke", None), ("--regime", Some("sr")), ("--no-recovery", None)] {
+            let tokens: Vec<&str> = std::iter::once(flag).chain(rest).collect();
+            let e = parse(&tokens).unwrap_err();
+            assert_eq!(e, format!("fig14 does not read {flag}"));
+        }
+        // A binary that reads no optional flag still reads the two
+        // every binary takes.
+        let a = Args::from_iter("fig13", &[], argv(&["--threads", "2", "--record", "r"]), |_| None);
+        assert_eq!(a.unwrap().record.as_deref(), Some("r"));
+        let e = Args::from_iter("fig13", &[], argv(&["--seed", "2"]), |_| None).unwrap_err();
+        assert_eq!(e, "fig13 does not read --seed");
+    }
+
+    #[test]
+    fn retired_exporter_variables_are_rejected() {
+        for var in RETIRED_ENV {
+            let e = parse_env(&[], var, "x").unwrap_err();
+            assert!(e.starts_with(&format!("{var} is retired")), "{e}");
+            assert!(e.contains("--record"), "{e}");
+        }
+        // An unrelated variable changes nothing.
+        assert!(parse_env(&[], "DSH_PROGRESS", "1").is_ok());
     }
 
     #[test]
     fn malformed_values_are_rejected() {
-        let e = Args::from_iter(argv(&["--seed", "abc"]), None, None).unwrap_err();
+        let e = parse(&["--seed", "abc"]).unwrap_err();
         assert!(e.contains("invalid value for --seed: 'abc'"), "{e}");
-        let e = Args::from_iter(argv(&["--threads", "-1"]), None, None).unwrap_err();
+        let e = parse(&["--threads", "-1"]).unwrap_err();
         assert!(e.contains("invalid value for --threads"), "{e}");
         // A malformed DSH_THREADS fails too instead of meaning "auto".
-        let e = Args::from_iter(argv(&[]), Some("abc"), None).unwrap_err();
+        let e = parse_env(&[], "DSH_THREADS", "abc").unwrap_err();
         assert!(e.contains("invalid value for DSH_THREADS: 'abc'"), "{e}");
     }
 
     #[test]
-    fn unknown_trace_categories_are_rejected() {
-        assert_eq!(check_trace_mask(None), Ok(()));
-        assert_eq!(check_trace_mask(Some("pfc,recovery")), Ok(()));
-        assert_eq!(check_trace_mask(Some("8")), Ok(()), "a retired bit masks to nothing");
-        // The retired fault category fails instead of recording nothing.
-        let e = check_trace_mask(Some("pfc,fault")).unwrap_err();
-        assert!(e.contains("invalid value for DSH_TRACE_MASK"), "{e}");
-        assert!(e.contains("unknown trace category 'fault'"), "{e}");
-    }
-
-    #[test]
     fn missing_operands_are_rejected() {
-        let e = Args::from_iter(argv(&["--seed"]), None, None).unwrap_err();
+        let e = parse(&["--seed"]).unwrap_err();
         assert!(e.contains("--seed requires a value"), "{e}");
-        let e = Args::from_iter(argv(&["--threads"]), None, None).unwrap_err();
+        let e = parse(&["--threads"]).unwrap_err();
         assert!(e.contains("--threads requires a value"), "{e}");
-        // The original bug: `--trace` as the last token silently produced
-        // an untraced run.
-        let e = Args::from_iter(argv(&["--trace"]), None, None).unwrap_err();
-        assert!(e.contains("--trace requires a PATH"), "{e}");
-        // A following flag is not a PATH either.
-        let e = Args::from_iter(argv(&["--trace", "--json"]), None, None).unwrap_err();
-        assert!(e.contains("--trace requires a PATH"), "{e}");
+        // `--record` as the last token must not silently skip the record,
+        // and a following flag is not a PATH either.
+        let e = parse(&["--record"]).unwrap_err();
+        assert!(e.contains("--record requires a PATH"), "{e}");
+        let e = parse(&["--record", "--smoke"]).unwrap_err();
+        assert!(e.contains("--record requires a PATH"), "{e}");
     }
 
     #[test]
-    fn usage_names_every_flag() {
-        for flag in [
-            "--full",
-            "--json",
-            "--smoke",
-            "--seed",
-            "--threads",
-            "--trace",
-            "--regime",
-            "--no-recovery",
-            "--metrics",
-        ] {
-            assert!(USAGE.contains(flag), "usage must list {flag}");
+    fn usage_names_the_flags_the_binary_reads() {
+        let text = usage("fig", &Flag::ALL);
+        for flag in ["--threads", "--record"].into_iter().chain(Flag::ALL.map(Flag::token)) {
+            assert!(text.contains(flag), "usage must list {flag}");
         }
+        let text = usage("fig13", &[]);
+        assert!(text.contains("--record") && !text.contains("--seed"), "{text}");
     }
 
     #[test]
-    fn metrics_env_fallback_and_flag_override() {
-        let a = Args::from_iter(argv(&[]), None, Some("env.json")).unwrap();
-        assert_eq!(a.metrics.as_deref(), Some("env.json"));
-        let a = Args::from_iter(argv(&["--metrics", "cli.json"]), None, Some("env")).unwrap();
-        assert_eq!(a.metrics.as_deref(), Some("cli.json"));
-    }
-
-    #[test]
-    fn metrics_operand_errors_fail_fast() {
-        // `--metrics` as the last token must not silently skip the export.
-        let e = Args::from_iter(argv(&["--metrics"]), None, None).unwrap_err();
-        assert!(e.contains("--metrics requires a PATH"), "{e}");
-        let e = Args::from_iter(argv(&["--metrics", "--json"]), None, None).unwrap_err();
-        assert!(e.contains("--metrics requires a PATH"), "{e}");
-    }
-
-    #[test]
-    fn observe_config_is_armed_only_with_metrics() {
-        let off = Args::from_iter(argv(&[]), None, None).unwrap();
-        assert!(observe_config(&off).is_none());
-        let on = Args::from_iter(argv(&["--metrics", "m.json"]), None, None).unwrap();
-        assert!(observe_config(&on).is_some(), "--metrics arms the sampler");
+    fn provenance_names_only_what_the_binary_reads() {
+        let a = Args::from_iter("fig04", &[Flag::Smoke], argv(&["--smoke"]), |_| None).unwrap();
+        let p = a.provenance();
+        assert_eq!(p.get("binary").and_then(Json::as_str), Some("fig04"));
+        assert_eq!(p.get("smoke"), Some(&Json::from(true)));
+        assert!(p.get("seed").is_none() && p.get("threads").is_none(), "{p}");
+        let a = parse(&["--threads", "3"]).unwrap();
+        let p = a.provenance();
+        assert_eq!(p.get("seed").and_then(Json::as_u64), Some(1));
+        assert_eq!(p.get("regime"), Some(&Json::Null));
+        assert_eq!(p, parse(&["--threads", "1"]).unwrap().provenance(), "threads never show");
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::ids::{FlowId, NodeId, NUM_CLASSES};
 use dsh_core::{AuditReport, DropAttribution, MmuStats, PortDrops};
-use dsh_simcore::{Delta, EngineProfile, Json, Time};
+use dsh_simcore::{Delta, Json, Time};
 
 /// Completion record of one flow (taken when the receiver gets the last
 /// payload byte).
@@ -393,13 +393,6 @@ pub struct TelemetryReport {
     pub switches: Vec<SwitchTelemetry>,
     /// Per-egress-port pause telemetry (every node, hosts included).
     pub ports: Vec<PortPauseTelemetry>,
-    /// Run-intrinsic provenance (seed, scheme, package version) — the
-    /// inputs that determine the run, not the machine it ran on, so the
-    /// report stays byte-identical at any thread count.
-    pub provenance: Json,
-    /// Engine dispatch profile, if the harness ran the simulation through
-    /// [`dsh_simcore::Simulation::run_until_profiled`] and attached it.
-    pub engine_profile: Option<EngineProfile>,
     /// Pause-cascade summary and victim-flow attribution; present only
     /// when the pause-causality observatory is enabled
     /// (`NetParams::observe`), so ordinary reports are unchanged.
@@ -429,20 +422,11 @@ impl TelemetryReport {
         out
     }
 
-    /// Attaches an engine dispatch profile (builder-style, for harnesses
-    /// that run profiled).
-    #[must_use]
-    pub fn with_engine_profile(mut self, profile: EngineProfile) -> Self {
-        self.engine_profile = Some(profile);
-        self
-    }
-
     /// JSON form of the whole report.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let doc = Json::object()
             .with("generated_at_ns", self.generated_at.as_ns())
-            .with("provenance", self.provenance.clone())
             .with("data_drops", self.data_drops)
             .with("watchdog_drops", self.watchdog_drops)
             .with("retransmissions", self.retransmissions)
@@ -455,10 +439,6 @@ impl TelemetryReport {
                 Json::Arr(self.switches.iter().map(SwitchTelemetry::to_json).collect()),
             )
             .with("ports", Json::Arr(self.ports.iter().map(PortPauseTelemetry::to_json).collect()));
-        let doc = match &self.engine_profile {
-            Some(p) => doc.with("engine_profile", p.to_json()),
-            None => doc,
-        };
         match &self.pause_cascades {
             Some(c) => doc.with("pause_cascades", c.to_json()),
             None => doc,
@@ -555,26 +535,15 @@ mod tests {
                 port_drops: vec![PortDrops::default(), PortDrops { packets: 2, bytes: 3000 }],
             }],
             ports: vec![],
-            provenance: Json::object().with("seed", 1u64),
-            engine_profile: None,
             pause_cascades: None,
         };
         let v = report.lossless_violations();
         assert_eq!(v.len(), 2);
         assert!(v[0].contains("port 1") && v[0].contains("2 packets"), "{}", v[0]);
         assert!(v[1].contains("total-shared-consistent"), "{}", v[1]);
-        // The JSON export round-trips through text, carries the
-        // provenance header, and omits the profile when absent.
+        // The JSON export round-trips through text.
         let j = report.to_json();
         assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
-        assert!(j.get("provenance").is_some());
-        assert!(j.get("engine_profile").is_none());
-        // Attaching a profile adds the per-event-type breakdown.
-        let mut profile = EngineProfile::new::<crate::NetEvent>();
-        profile.record(0, 120);
-        let j = report.with_engine_profile(profile).to_json();
-        let prof = j.get("engine_profile").expect("profile must serialize");
-        assert!(prof.to_string().contains("arrive"), "{prof}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::routing::RouteTable;
 use crate::switch::SwitchNode;
 use dsh_core::headroom::PFC_PROCESSING_BYTES;
 use dsh_core::{FcAction, FcActions};
-use dsh_simcore::trace::{TraceEvent, TraceLog, Tracer};
+use dsh_simcore::trace::{TraceEvent, Tracer};
 use dsh_simcore::{trace_event, Delta, EventClass, Model, Scheduler, SimRng, Simulation, Time};
 use dsh_transport::{
     new_cc, AckInfo, Cc, CcKind, GoBackN, RecoveryConfig, Regime, RtoOutcome, SackBuffer,
@@ -257,18 +257,11 @@ impl Network {
     }
 
     /// The flight-recorder tracer this network (and its switch MMUs)
-    /// records into. Disabled unless a [`dsh_simcore::trace::capture`]
-    /// session or `DSH_TRACE_MASK` enabled it at build time.
+    /// records into. Off unless the network was built inside a
+    /// [`dsh_simcore::trace::capture`] session.
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Snapshot of the flight recorder, keyed for deterministic export
-    /// (empty when tracing is off).
-    #[must_use]
-    pub fn trace_log(&self) -> TraceLog {
-        self.tracer.log(self.params.trace_key())
     }
 
     /// Registers a flow; returns its id. All flows must be added before
@@ -559,8 +552,6 @@ impl Network {
             recovery_nacks: self.recovery_nacks,
             switches,
             ports,
-            provenance: self.provenance(),
-            engine_profile: None,
             pause_cascades: self.cascade_report(now),
         }
     }
@@ -601,24 +592,12 @@ impl Network {
     #[must_use]
     pub fn metrics_json(&self) -> Option<dsh_simcore::Json> {
         self.observe.as_deref().map(|obs| {
-            let doc = obs.metrics.to_json().with("provenance", self.provenance());
+            let doc = obs.metrics.to_json();
             match &self.params.recovery {
                 Some(rc) => doc.with("recovery_regime", rc.regime.as_str()),
                 None => doc,
             }
         })
-    }
-
-    /// Run-intrinsic provenance: the inputs that determine this run
-    /// (seed, scheme, package version). Machine facts — thread count in
-    /// particular — are deliberately excluded so reports stay
-    /// byte-identical at any executor width.
-    #[must_use]
-    pub fn provenance(&self) -> dsh_simcore::Json {
-        dsh_simcore::Json::object()
-            .with("seed", self.params.seed)
-            .with("scheme", self.params.scheme.to_string())
-            .with("version", env!("CARGO_PKG_VERSION"))
     }
 
     /// Diagnostic: a sender flow's current congestion window and pacing

@@ -26,6 +26,7 @@
 //! ```
 
 use crate::rng::split_seed;
+use crate::trace;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -112,6 +113,10 @@ impl Executor {
         F: Fn(T) -> R + Sync,
     {
         let n = items.len();
+        // Items run at their place in the serial order, so trace captures
+        // sort the simulations they build the same at any width.
+        let fork = trace::next_position();
+        let fork = fork.as_slice();
         if self.threads <= 1 || n <= 1 {
             let progress = progress_enabled() && n > 1;
             let started = std::time::Instant::now();
@@ -119,7 +124,7 @@ impl Executor {
                 .into_iter()
                 .enumerate()
                 .map(|(i, item)| {
-                    let r = f(item);
+                    let r = trace::in_item(fork, i, || f(item));
                     if progress {
                         eprintln!(
                             "[dsh] {}/{n} points, {:.1}s elapsed",
@@ -170,7 +175,7 @@ impl Executor {
                             let claimed = work.lock().expect("work queue poisoned").next();
                             match claimed {
                                 Some((i, item)) => {
-                                    done.push((i, f(item)));
+                                    done.push((i, trace::in_item(fork, i, || f(item))));
                                     completed.fetch_add(1, Ordering::Relaxed);
                                 }
                                 None => return done,

@@ -64,7 +64,7 @@ pub use profile::{EngineProfile, EventClass};
 pub use queue::EventQueue;
 pub use rng::{split_seed, SimRng};
 pub use time::{Delta, Time};
-pub use trace::{TraceConfig, TraceKey, TraceLog, TraceMask, Tracer};
+pub use trace::{TraceKey, TraceLog, Tracer};
 pub use units::{Bandwidth, ByteSize};
 
 /// Asserts at compile time that a type fits a size ceiling.

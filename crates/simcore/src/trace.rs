@@ -1,17 +1,17 @@
-//! Flight-recorder tracing: bounded binary event recording with
-//! zero overhead when disabled, plus a Chrome `trace_event` exporter.
+//! Flight-recorder tracing: bounded event recording with zero overhead
+//! when disabled, plus a Chrome `trace_event` exporter.
 //!
 //! # Design
 //!
-//! * A [`Tracer`] is a per-simulation handle: a [`TraceMask`] of enabled
-//!   categories plus (when enabled) a shared bounded ring of fixed-size
-//!   [`TraceRecord`]s — the **flight recorder**. The ring is allocated
-//!   once at construction, so recording never allocates on the packet hot
-//!   path; when full it overwrites the oldest record and counts the loss.
+//! * A [`Tracer`] is a per-simulation handle that is either off or holds
+//!   a shared bounded ring of fixed-size [`TraceRecord`]s — the **flight
+//!   recorder**. The ring is allocated once at construction, so recording
+//!   never allocates on the packet hot path; when full it overwrites the
+//!   oldest record and counts the loss.
 //! * Trace points go through [`trace_event!`](crate::trace_event), which
-//!   compiles to a single mask test before evaluating any argument: with
-//!   the mask empty (the default), tracing costs one predictable branch
-//!   per trace point and nothing else.
+//!   compiles to a single on/off test before evaluating any argument:
+//!   with tracing off (the default), a trace point costs one predictable
+//!   branch and nothing else.
 //! * The clock is stamped once per dispatched event via [`Tracer::tick`]
 //!   (the network model does this at the top of its `handle`), so
 //!   components below the event loop — the MMU in particular — need no
@@ -19,32 +19,25 @@
 //! * [`capture`] runs a closure with an ambient trace session: every
 //!   simulation built during the closure (on any thread — sweeps go
 //!   through [`crate::exec::Executor::par_map`]) records into its own
-//!   ring, and the rings come back as [`TraceLog`]s sorted by
-//!   [`TraceKey`] so the result is bit-identical at any thread count.
+//!   ring of [`CAPACITY`] records, and the rings come back as
+//!   [`TraceLog`]s sorted by [`TraceKey`] so the result is identical at
+//!   any thread count. Outside a session every tracer is off.
 //! * [`chrome_trace`] converts logs to the Chrome `trace_event` JSON
 //!   format (load in `chrome://tracing` or Perfetto): PFC pause→resume
 //!   spans, MMU pause decisions, flow lifetime spans with retransmission
 //!   markers, and loss-recovery spans.
 //! * [`Tracer::dump`] prints the last records to stderr — the MMU calls
 //!   it when an audit finds a violated invariant, naming the invariant.
-//!
-//! Configuration for a new simulation: an active [`capture`] session
-//! wins, else the `DSH_TRACE_MASK` / `DSH_TRACE_CAP` environment
-//! variables.
 
 use crate::json::Json;
 use crate::time::Time;
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Environment variable selecting trace categories outside a [`capture`]
-/// session: a comma-separated list of category names
-/// (`pfc,flow,mmu,recovery`), `all`, or a numeric bit mask.
-pub const MASK_ENV: &str = "DSH_TRACE_MASK";
-
-/// Environment variable overriding the flight-recorder capacity
-/// (records per simulation; default [`TraceConfig::DEFAULT_CAPACITY`]).
-pub const CAP_ENV: &str = "DSH_TRACE_CAP";
+/// Flight-recorder capacity of every simulation in a [`capture`]
+/// session: 64 Ki records = 2 MiB per simulation.
+pub const CAPACITY: usize = 65_536;
 
 /// Locks a mutex, ignoring poison: the flight recorder must stay usable
 /// while a panic is unwinding — that is exactly when it gets dumped.
@@ -53,164 +46,60 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// Categories and events
+// Events
 // ---------------------------------------------------------------------------
 
-/// A bit mask of enabled trace categories.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct TraceMask(u32);
-
-impl TraceMask {
-    /// Nothing enabled (the zero-overhead default).
-    pub const NONE: TraceMask = TraceMask(0);
-    /// Wire-level PFC pause/resume applied at ports.
-    pub const PFC: TraceMask = TraceMask(1);
-    /// Flow lifecycle: start, completion, failure, retransmissions.
-    pub const FLOW: TraceMask = TraceMask(1 << 1);
-    /// MMU decisions: pause/resume thresholds, headroom entry, audit
-    /// violations.
-    pub const MMU: TraceMask = TraceMask(1 << 2);
-    // Bits 3 and 4 are retired: they named categories that no longer
-    // exist and stay unassigned.
-    /// Loss recovery: NACK emission, selective-repeat hole repairs, and
-    /// RTO fires (the backoff window renders as a span in the Chrome
-    /// export).
-    pub const RECOVERY: TraceMask = TraceMask(1 << 5);
-    /// Every category.
-    pub const ALL: TraceMask = TraceMask(0b10_0111);
-
-    /// True when no category is enabled.
-    #[must_use]
-    pub const fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// True when any category of `other` is enabled here.
-    #[inline]
-    #[must_use]
-    pub const fn intersects(self, other: TraceMask) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// The union of two masks.
-    #[must_use]
-    pub const fn union(self, other: TraceMask) -> TraceMask {
-        TraceMask(self.0 | other.0)
-    }
-
-    /// The raw bits.
-    #[must_use]
-    pub const fn bits(self) -> u32 {
-        self.0
-    }
-
-    /// Parses a `DSH_TRACE_MASK`-style value: a comma-separated list of
-    /// category names, `all`, or a plain number. An empty value enables
-    /// nothing; a number keeps only the bits of live categories.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a name that is no category, naming it: a typo'd or
-    /// retired category must not silently record nothing.
-    pub fn parse(text: &str) -> Result<TraceMask, String> {
-        let text = text.trim();
-        if text.is_empty() {
-            return Ok(TraceMask::NONE);
-        }
-        if let Ok(bits) = text.parse::<u32>() {
-            return Ok(TraceMask(bits & Self::ALL.0));
-        }
-        let mut mask = TraceMask::NONE;
-        for name in text.split(',') {
-            mask = mask.union(match name.trim().to_ascii_lowercase().as_str() {
-                "pfc" => Self::PFC,
-                "flow" => Self::FLOW,
-                "mmu" => Self::MMU,
-                "recovery" => Self::RECOVERY,
-                "all" => Self::ALL,
-                other => {
-                    return Err(format!(
-                        "unknown trace category '{other}' (expected pfc, flow, mmu, \
-                         recovery, all or a number)"
-                    ))
-                }
-            });
-        }
-        Ok(mask)
-    }
-}
-
-/// What one trace record describes. Discriminants are stable: they are
-/// the on-disk encoding (see [`TraceLog::encode`]).
+/// What one trace record describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum TraceEvent {
     /// PFC PAUSE taking effect at an upstream port for one class
     /// (`class`); `payload` = pause quanta ticks unused, kept 0.
-    PfcPause = 1,
+    PfcPause,
     /// The matching class-scope RESUME.
-    PfcResume = 2,
+    PfcResume,
     /// DSH port-scope PAUSE taking effect at an upstream port.
-    PfcPortPause = 3,
+    PfcPortPause,
     /// The matching port-scope RESUME.
-    PfcPortResume = 4,
-
+    PfcPortResume,
     /// MMU decided to pause an ingress queue; `payload` = its shared
     /// occupancy in bytes.
-    MmuQueuePause = 16,
+    MmuQueuePause,
     /// MMU resumed an ingress queue; `payload` = its shared occupancy.
-    MmuQueueResume = 17,
+    MmuQueueResume,
     /// MMU paused a whole ingress port (DSH); `payload` = port occupancy.
-    MmuPortPause = 18,
+    MmuPortPause,
     /// MMU resumed a whole ingress port; `payload` = port occupancy.
-    MmuPortResume = 19,
+    MmuPortResume,
     /// MMU refused admission (lossy drop); `payload` = frame bytes.
-    MmuDrop = 20,
+    MmuDrop,
     /// A frame was admitted into headroom (SIH static or DSH insurance);
     /// `payload` = the segment's occupancy after admission.
-    HeadroomEnter = 21,
-    // Discriminants 22..=24 are retired and stay unassigned.
+    HeadroomEnter,
     /// An MMU audit invariant failed; `payload` = violation count.
-    AuditFail = 25,
-    // Discriminant 26 (the per-tick deadlock scan's onset) is retired and
-    // stays unassigned: a deadlock is an open pause cycle, read from the
-    // cascade tracker at the end of the run.
+    AuditFail,
     /// A flow started; `payload` = flow size in bytes.
-    FlowStart = 32,
+    FlowStart,
     /// A flow delivered every byte; `payload` = its FCT in picoseconds.
-    FlowComplete = 33,
+    FlowComplete,
     /// A flow exhausted its retry budget; `payload` = bytes delivered.
-    FlowFailed = 34,
+    FlowFailed,
     /// Go-back-N timeout retransmission; `payload` encodes the retry
     /// count and current RTO (see `dsh-transport`).
-    Retransmit = 35,
-
-    // Discriminants 48..=79 are retired and stay unassigned.
+    Retransmit,
     /// A receiver emitted a selective-repeat NACK; `payload` = the
     /// receiver's in-order mark (the cumulative-ACK byte the NACK
     /// carries).
-    RecoveryNack = 80,
+    RecoveryNack,
     /// A sender retransmitted one selective-repeat hole; `payload` =
     /// repaired bytes.
-    RecoveryRepair = 81,
+    RecoveryRepair,
     /// A retransmission timeout fired (go-back-N rewind or
     /// selective-repeat re-arm); `payload` encodes the retry count and
     /// the backed-off RTO exactly like [`TraceEvent::Retransmit`].
-    RecoveryRto = 82,
+    RecoveryRto,
 }
 
 impl TraceEvent {
-    /// The category this event belongs to.
-    #[must_use]
-    pub const fn mask(self) -> TraceMask {
-        match self as u8 {
-            1..=15 => TraceMask::PFC,
-            16..=31 => TraceMask::MMU,
-            32..=47 => TraceMask::FLOW,
-            _ => TraceMask::RECOVERY,
-        }
-    }
-
     /// Stable lower-case name (used in dumps and the Chrome export).
     #[must_use]
     pub const fn name(self) -> &'static str {
@@ -235,32 +124,6 @@ impl TraceEvent {
             TraceEvent::RecoveryRto => "recovery_rto",
         }
     }
-
-    /// Decodes a stored discriminant.
-    #[must_use]
-    pub const fn from_u8(code: u8) -> Option<TraceEvent> {
-        Some(match code {
-            1 => TraceEvent::PfcPause,
-            2 => TraceEvent::PfcResume,
-            3 => TraceEvent::PfcPortPause,
-            4 => TraceEvent::PfcPortResume,
-            16 => TraceEvent::MmuQueuePause,
-            17 => TraceEvent::MmuQueueResume,
-            18 => TraceEvent::MmuPortPause,
-            19 => TraceEvent::MmuPortResume,
-            20 => TraceEvent::MmuDrop,
-            21 => TraceEvent::HeadroomEnter,
-            25 => TraceEvent::AuditFail,
-            32 => TraceEvent::FlowStart,
-            33 => TraceEvent::FlowComplete,
-            34 => TraceEvent::FlowFailed,
-            35 => TraceEvent::Retransmit,
-            80 => TraceEvent::RecoveryNack,
-            81 => TraceEvent::RecoveryRepair,
-            82 => TraceEvent::RecoveryRto,
-            _ => return None,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +134,7 @@ impl TraceEvent {
 ///
 /// `at` is stamped by the tracer from its per-event clock (see
 /// [`Tracer::tick`]); trace points fill only the fields that apply and
-/// take the rest from [`TraceRecord::BLANK`] via struct-update syntax.
+/// take the rest from [`TraceRecord::blank`] via struct-update syntax.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Simulated time of the record.
@@ -286,47 +149,32 @@ pub struct TraceRecord {
     pub port: u16,
     /// Priority class / queue involved (`u8::MAX` = none).
     pub class: u8,
-    /// The [`TraceEvent`] discriminant.
-    pub event: u8,
+    /// What the record describes.
+    pub event: TraceEvent,
 }
 
 /// The in-memory record must stay one cache-line-quarter: 32 bytes.
 const _: () = assert!(std::mem::size_of::<TraceRecord>() == 32);
 
 impl TraceRecord {
-    /// The all-unset template trace points build on.
-    pub const BLANK: TraceRecord = TraceRecord {
-        at: Time::ZERO,
-        payload: 0,
-        node: u32::MAX,
-        flow: u32::MAX,
-        port: u16::MAX,
-        class: u8::MAX,
-        event: 0,
-    };
-
-    /// The decoded event, if the discriminant is known.
+    /// An `event` record with every other field unset: the template
+    /// trace points build on.
     #[must_use]
-    pub fn kind(&self) -> Option<TraceEvent> {
-        TraceEvent::from_u8(self.event)
-    }
-
-    /// Appends the 32-byte little-endian wire encoding to `out`.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.at.as_ps().to_le_bytes());
-        out.extend_from_slice(&self.payload.to_le_bytes());
-        out.extend_from_slice(&self.node.to_le_bytes());
-        out.extend_from_slice(&self.flow.to_le_bytes());
-        out.extend_from_slice(&self.port.to_le_bytes());
-        out.push(self.class);
-        out.push(self.event);
-        out.extend_from_slice(&[0u8; 4]); // reserved, keeps records 32 B
+    pub const fn blank(event: TraceEvent) -> TraceRecord {
+        TraceRecord {
+            at: Time::ZERO,
+            payload: 0,
+            node: u32::MAX,
+            flow: u32::MAX,
+            port: u16::MAX,
+            class: u8::MAX,
+            event,
+        }
     }
 
     /// One human-readable dump line.
     fn render(&self) -> String {
-        let name = self.kind().map_or("unknown", TraceEvent::name);
-        let mut line = format!("{:>12} ns  {name:<16}", self.at.as_ns());
+        let mut line = format!("{:>12} ns  {:<16}", self.at.as_ns(), self.event.name());
         if self.node != u32::MAX {
             line.push_str(&format!(" node={}", self.node));
         }
@@ -387,38 +235,6 @@ impl RingState {
 // Tracer
 // ---------------------------------------------------------------------------
 
-/// Static configuration for a simulation's tracer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Enabled categories ([`TraceMask::NONE`] = tracing off).
-    pub mask: TraceMask,
-    /// Flight-recorder capacity in records.
-    pub capacity: usize,
-}
-
-impl TraceConfig {
-    /// Default ring capacity: 64 Ki records = 2 MiB per simulation.
-    pub const DEFAULT_CAPACITY: usize = 65_536;
-
-    /// The environment-variable configuration (`DSH_TRACE_MASK`,
-    /// `DSH_TRACE_CAP`), read once per process.
-    #[must_use]
-    pub fn from_env() -> TraceConfig {
-        static ENV: OnceLock<TraceConfig> = OnceLock::new();
-        *ENV.get_or_init(|| {
-            let mask = std::env::var(MASK_ENV).map_or(TraceMask::NONE, |v| {
-                TraceMask::parse(&v).unwrap_or_else(|e| panic!("invalid {MASK_ENV}: {e}"))
-            });
-            let capacity = std::env::var(CAP_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&c| c > 0)
-                .unwrap_or(Self::DEFAULT_CAPACITY);
-            TraceConfig { mask, capacity }
-        })
-    }
-}
-
 /// Sort key identifying one simulation's log within a [`capture`]
 /// session, so multi-threaded sweeps export in a deterministic order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -429,74 +245,50 @@ pub struct TraceKey {
     pub tag: u32,
 }
 
-/// A per-simulation tracing handle: a category mask and, when any
-/// category is enabled, a shared flight-recorder ring.
+/// A per-simulation tracing handle: off, or a shared flight-recorder
+/// ring.
 ///
 /// Cloning shares the ring — the network model and every MMU of a
-/// simulation hold clones of one tracer. With the mask empty there is no
-/// ring at all and every trace point reduces to one branch.
+/// simulation hold clones of one tracer. An off tracer holds no ring at
+/// all and every trace point reduces to one branch.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    mask: TraceMask,
     shared: Option<Arc<Mutex<RingState>>>,
 }
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tracer")
-            .field("mask", &self.mask)
-            .field("enabled", &self.shared.is_some())
-            .finish()
+        f.debug_struct("Tracer").field("on", &self.is_on()).finish()
     }
 }
 
 impl Tracer {
-    /// The no-op tracer (mask empty, no ring).
+    /// The no-op tracer (no ring).
     #[must_use]
     pub fn disabled() -> Tracer {
         Tracer::default()
     }
 
     /// A recording tracer with its own ring of `capacity` records.
-    /// An empty `mask` yields the disabled tracer.
     #[must_use]
-    pub fn new(mask: TraceMask, capacity: usize) -> Tracer {
-        if mask.is_empty() {
-            return Tracer::disabled();
-        }
-        Tracer { mask, shared: Some(Arc::new(Mutex::new(RingState::new(capacity)))) }
+    pub fn new(capacity: usize) -> Tracer {
+        Tracer { shared: Some(Arc::new(Mutex::new(RingState::new(capacity)))) }
     }
 
-    /// Resolves the tracer for a new simulation: an active [`capture`]
-    /// session wins (and collects this tracer's ring), else the process
-    /// environment.
+    /// Resolves the tracer for a new simulation: recording into the
+    /// active [`capture`] session (which collects this tracer's ring),
+    /// else off.
     #[must_use]
     pub fn for_simulation(key: TraceKey) -> Tracer {
-        if let Some(tracer) = Session::register(key) {
-            return tracer;
-        }
-        let cfg = TraceConfig::from_env();
-        Tracer::new(cfg.mask, cfg.capacity)
+        Session::register(key).unwrap_or_default()
     }
 
-    /// True when no category is enabled.
-    #[must_use]
-    pub fn is_off(&self) -> bool {
-        self.mask.is_empty()
-    }
-
-    /// The enabled categories.
-    #[must_use]
-    pub fn mask(&self) -> TraceMask {
-        self.mask
-    }
-
-    /// Whether records in `cat` should be produced. This is the one test
-    /// on the hot path; keep call sites behind it.
+    /// Whether records should be produced. This is the one test on the
+    /// hot path; keep call sites behind it.
     #[inline]
     #[must_use]
-    pub fn wants(&self, cat: TraceMask) -> bool {
-        self.mask.intersects(cat)
+    pub fn is_on(&self) -> bool {
+        self.shared.is_some()
     }
 
     /// Advances the record clock to `now`. Called once per dispatched
@@ -509,7 +301,7 @@ impl Tracer {
     }
 
     /// Stores one record, stamping it with the current clock. Call sites
-    /// must be guarded by [`Tracer::wants`] (the
+    /// must be guarded by [`Tracer::is_on`] (the
     /// [`trace_event!`](crate::trace_event) macro does this).
     pub fn push(&self, mut rec: TraceRecord) {
         if let Some(shared) = &self.shared {
@@ -519,7 +311,7 @@ impl Tracer {
         }
     }
 
-    /// Snapshots the recorder into a [`TraceLog`] (empty when disabled).
+    /// Snapshots the recorder into a [`TraceLog`] (empty when off).
     #[must_use]
     pub fn log(&self, key: TraceKey) -> TraceLog {
         match &self.shared {
@@ -532,7 +324,7 @@ impl Tracer {
     }
 
     /// Dumps the last `last` records to stderr under `label` — the
-    /// flight-recorder crash dump. No-op when disabled.
+    /// flight-recorder crash dump. No-op when off.
     pub fn dump(&self, label: &str, last: usize) {
         let Some(shared) = &self.shared else { return };
         let (records, dropped) = {
@@ -555,26 +347,25 @@ impl Tracer {
     }
 }
 
-/// Emits one trace record through `$tracer` if the event's category is
-/// enabled. Arguments are **not evaluated** when the category is masked
-/// off; unset fields come from [`TraceRecord::BLANK`].
+/// Emits one trace record through `$tracer` if it is on. Arguments are
+/// **not evaluated** when it is off; unset fields come from
+/// [`TraceRecord::blank`].
 ///
 /// ```
-/// use dsh_simcore::trace::{TraceEvent, TraceMask, Tracer};
+/// use dsh_simcore::trace::{TraceEvent, Tracer};
 /// use dsh_simcore::trace_event;
 ///
-/// let tracer = Tracer::new(TraceMask::FLOW, 128);
+/// let tracer = Tracer::new(128);
 /// trace_event!(tracer, TraceEvent::FlowStart, { flow: 7, payload: 1_000_000 });
 /// assert_eq!(tracer.log(Default::default()).records.len(), 1);
 /// ```
 #[macro_export]
 macro_rules! trace_event {
     ($tracer:expr, $event:expr, { $($field:ident : $value:expr),* $(,)? }) => {
-        if $tracer.wants($event.mask()) {
+        if $tracer.is_on() {
             $tracer.push($crate::trace::TraceRecord {
-                event: $event as u8,
                 $($field: $value,)*
-                ..$crate::trace::TraceRecord::BLANK
+                ..$crate::trace::TraceRecord::blank($event)
             });
         }
     };
@@ -585,9 +376,7 @@ macro_rules! trace_event {
 // ---------------------------------------------------------------------------
 
 struct Session {
-    mask: TraceMask,
-    capacity: usize,
-    entries: Vec<(TraceKey, Tracer)>,
+    entries: Vec<(TraceKey, Vec<u32>, Tracer)>,
 }
 
 static SESSION: Mutex<Option<Session>> = Mutex::new(None);
@@ -599,10 +388,53 @@ impl Session {
     fn register(key: TraceKey) -> Option<Tracer> {
         let mut slot = lock(&SESSION);
         let session = slot.as_mut()?;
-        let tracer = Tracer::new(session.mask, session.capacity);
-        session.entries.push((key, tracer.clone()));
+        let tracer = Tracer::new(CAPACITY);
+        session.entries.push((key, next_position(), tracer.clone()));
         Some(tracer)
     }
+}
+
+/// Where a thread stands in the run's serial order: the path of
+/// [`crate::exec::Executor::par_map`] items above it and the next slot at
+/// that level. A registration takes one slot, and a `par_map` call one
+/// for all its items, so positions compare in the order a one-thread run
+/// reaches them, at any thread count.
+#[derive(Default)]
+struct Place {
+    path: Vec<u32>,
+    next: u32,
+}
+
+thread_local! {
+    static PLACE: RefCell<Place> = RefCell::new(Place::default());
+}
+
+/// Takes the next slot of the current thread's place: the position of a
+/// registration, or of one `par_map` call whose items run under it
+/// through [`in_item`].
+pub(crate) fn next_position() -> Vec<u32> {
+    PLACE.with(|place| {
+        let mut place = place.borrow_mut();
+        let mut position = place.path.clone();
+        position.push(place.next);
+        place.next += 1;
+        position
+    })
+}
+
+/// Runs item `index` of the `par_map` call at `fork`, then restores the
+/// thread's place (also when `f` unwinds).
+pub(crate) fn in_item<R>(fork: &[u32], index: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Place);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PLACE.with(|place| place.replace(std::mem::take(&mut self.0)));
+        }
+    }
+    let mut path = fork.to_vec();
+    path.push(u32::try_from(index).unwrap_or(u32::MAX));
+    let _restore = Restore(PLACE.with(|place| place.replace(Place { path, next: 0 })));
+    f()
 }
 
 /// Clears the session even if the captured closure panics.
@@ -615,34 +447,30 @@ impl Drop for SessionClear {
 
 /// Runs `f` with an ambient trace session: every simulation constructed
 /// while it runs — including inside [`crate::exec::Executor::par_map`]
-/// workers — records `mask` events into its own ring of `capacity`
-/// records. Returns `f`'s result and one [`TraceLog`] per simulation,
-/// sorted by [`TraceKey`] (ties keep registration order), so the logs
-/// are byte-identical at any executor width as long as keys are unique.
+/// workers — records into its own ring of [`CAPACITY`] records. Returns
+/// `f`'s result and one [`TraceLog`] per simulation, sorted by
+/// [`TraceKey`] and, among equal keys, in the order a one-thread run
+/// builds the simulations, so the logs are identical at any executor
+/// width.
 ///
 /// Sessions are process-global and serialized: concurrent captures queue
 /// up behind each other. Simulations built by *unrelated* threads during
 /// a capture join it — keep captures scoped to code you control.
-pub fn capture<R>(mask: TraceMask, capacity: usize, f: impl FnOnce() -> R) -> (R, Vec<TraceLog>) {
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceLog>) {
     let _gate = lock(&CAPTURE_GATE);
-    *lock(&SESSION) = Some(Session { mask, capacity, entries: Vec::new() });
+    *lock(&SESSION) = Some(Session { entries: Vec::new() });
     let clear = SessionClear;
     let result = f();
     let session = lock(&SESSION).take().expect("capture session vanished mid-run");
     drop(clear);
-    let mut entries: Vec<(usize, TraceKey, Tracer)> = session
-        .entries
-        .into_iter()
-        .enumerate()
-        .map(|(serial, (key, tracer))| (serial, key, tracer))
-        .collect();
-    entries.sort_by_key(|&(serial, key, _)| (key, serial));
-    let logs = entries.into_iter().map(|(_, key, tracer)| tracer.log(key)).collect();
+    let mut entries = session.entries;
+    entries.sort_by(|(a, a_at, _), (b, b_at, _)| (a, a_at).cmp(&(b, b_at)));
+    let logs = entries.into_iter().map(|(key, _, tracer)| tracer.log(key)).collect();
     (result, logs)
 }
 
 // ---------------------------------------------------------------------------
-// Logs: binary encoding, rendering, Chrome export
+// Logs and the Chrome export
 // ---------------------------------------------------------------------------
 
 /// The snapshot of one simulation's flight recorder.
@@ -654,36 +482,6 @@ pub struct TraceLog {
     pub records: Vec<TraceRecord>,
     /// Records overwritten because the ring was full.
     pub dropped: u64,
-}
-
-impl TraceLog {
-    /// The binary dump: a 32-byte header (`DSHT`, version, key, counts)
-    /// followed by the 32-byte little-endian records.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + 32 * self.records.len());
-        out.extend_from_slice(b"DSHT");
-        out.extend_from_slice(&1u32.to_le_bytes()); // format version
-        out.extend_from_slice(&self.key.seed.to_le_bytes());
-        out.extend_from_slice(&self.key.tag.to_le_bytes());
-        out.extend_from_slice(&u32::try_from(self.records.len()).unwrap_or(u32::MAX).to_le_bytes());
-        out.extend_from_slice(&self.dropped.to_le_bytes());
-        for rec in &self.records {
-            rec.encode_into(&mut out);
-        }
-        out
-    }
-
-    /// Human-readable rendering, one line per record.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for rec in &self.records {
-            out.push_str(&rec.render());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Open B-span bookkeeping for the Chrome export.
@@ -713,10 +511,10 @@ fn span_end(open: &mut std::collections::BTreeMap<(u64, u64), u64>, pid: u64, ti
 /// * **pid 7 "recovery"** — RTO backoff spans and NACK/repair instants
 ///   per flow (only when such records exist).
 ///
-/// `provenance` is embedded under `otherData.provenance`; pass a fixed
-/// value when byte-stable output matters across runs.
+/// `otherData` counts the simulations, their records and the records
+/// their rings overwrote.
 #[must_use]
-pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
+pub fn chrome_trace(logs: &[TraceLog]) -> Json {
     use std::collections::BTreeMap;
 
     let mut events: Vec<Json> = Vec::new();
@@ -738,7 +536,7 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
     for log in logs {
         dropped_total += log.dropped;
         for rec in &log.records {
-            let Some(kind) = rec.kind() else { continue };
+            let kind = rec.event;
             let ts = rec.at.as_ps() as f64 / 1e6; // ps → µs
             end_ts = end_ts.max(ts);
             let node = u64::from(rec.node);
@@ -896,7 +694,6 @@ pub fn chrome_trace(logs: &[TraceLog], provenance: Json) -> Json {
     Json::object().with("traceEvents", events).with("displayTimeUnit", "ns").with(
         "otherData",
         Json::object()
-            .with("provenance", provenance)
             .with("simulations", logs.len())
             .with("records", logs.iter().map(|l| l.records.len()).sum::<usize>())
             .with("dropped_records", dropped_total),
@@ -908,37 +705,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mask_parsing_accepts_names_and_numbers() {
-        let parse = |text| TraceMask::parse(text).unwrap();
-        assert_eq!(parse("all"), TraceMask::ALL);
-        assert_eq!(parse("pfc,flow"), TraceMask::PFC.union(TraceMask::FLOW));
-        assert_eq!(parse(" MMU , recovery "), TraceMask::MMU.union(TraceMask::RECOVERY));
-        assert_eq!(parse("63"), TraceMask::ALL);
-        assert_eq!(parse("15"), TraceMask::PFC.union(TraceMask::FLOW).union(TraceMask::MMU));
-        assert_eq!(parse("8"), TraceMask::NONE, "bit 3 is retired");
-        assert_eq!(parse("16"), TraceMask::NONE, "bit 4 is retired");
-        assert_eq!(parse(""), TraceMask::NONE);
-    }
-
-    #[test]
-    fn mask_parsing_rejects_unknown_names() {
-        for (text, name) in [("fault", "fault"), ("pfc,nope", "nope"), ("pfc,", "")] {
-            let e = TraceMask::parse(text).unwrap_err();
-            assert!(e.contains(&format!("unknown trace category '{name}'")), "{text}: {e}");
-        }
-    }
-
-    #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::disabled();
-        assert!(t.is_off());
+        assert!(!t.is_on());
         trace_event!(t, TraceEvent::FlowStart, { flow: 1 });
         assert!(t.log(TraceKey::default()).records.is_empty());
     }
 
     #[test]
-    fn masked_category_does_not_evaluate_arguments() {
-        let t = Tracer::new(TraceMask::PFC, 16);
+    fn disabled_tracer_does_not_evaluate_arguments() {
+        let t = Tracer::disabled();
         let mut evaluated = false;
         trace_event!(t, TraceEvent::FlowStart, {
             flow: {
@@ -946,13 +722,12 @@ mod tests {
                 1
             }
         });
-        assert!(!evaluated, "masked-off trace point evaluated its arguments");
-        assert!(t.log(TraceKey::default()).records.is_empty());
+        assert!(!evaluated, "an off trace point evaluated its arguments");
     }
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let t = Tracer::new(TraceMask::FLOW, 4);
+        let t = Tracer::new(4);
         for i in 0..10u32 {
             t.tick(Time::from_ns(u64::from(i)));
             trace_event!(t, TraceEvent::FlowStart, { flow: i });
@@ -966,34 +741,54 @@ mod tests {
     }
 
     #[test]
-    fn encode_is_32_bytes_per_record_plus_header() {
-        let t = Tracer::new(TraceMask::FLOW, 8);
-        trace_event!(t, TraceEvent::FlowStart, { flow: 3, payload: 99 });
-        let log = t.log(TraceKey { seed: 7, tag: 1 });
-        let bytes = log.encode();
-        assert_eq!(bytes.len(), 32 + 32);
-        assert_eq!(&bytes[..4], b"DSHT");
-    }
-
-    #[test]
     fn capture_collects_per_simulation_logs_sorted_by_key() {
-        let ((), logs) = capture(TraceMask::FLOW, 16, || {
+        let ((), logs) = capture(|| {
             for seed in [3u64, 1, 2] {
                 let t = Tracer::for_simulation(TraceKey { seed, tag: 0 });
-                assert!(!t.is_off(), "session must enable the tracer");
+                assert!(t.is_on(), "session must enable the tracer");
                 trace_event!(t, TraceEvent::FlowStart, { flow: seed as u32 });
             }
         });
         let seeds: Vec<u64> = logs.iter().map(|l| l.key.seed).collect();
         assert_eq!(seeds, vec![1, 2, 3]);
         assert!(logs.iter().all(|l| l.records.len() == 1));
-        // Outside a session the environment decides; it just must not panic.
-        let _ = Tracer::for_simulation(TraceKey::default());
+        assert!(!Tracer::for_simulation(TraceKey::default()).is_on(), "off outside a session");
+    }
+
+    #[test]
+    fn equal_keys_export_in_one_thread_order_at_any_width() {
+        let order = |threads: usize| {
+            let ex = crate::Executor::new(threads);
+            let barrier = std::sync::Barrier::new(2);
+            let build = |flow: u32| {
+                let t = Tracer::for_simulation(TraceKey::default());
+                trace_event!(t, TraceEvent::FlowStart, { flow: flow });
+            };
+            let ((), logs) = capture(|| {
+                build(0);
+                ex.par_map(vec![1, 2], |i: u32| {
+                    // On two workers, item 2 builds all it builds, nested
+                    // forks included, before item 1 builds anything.
+                    if i == 1 && threads > 1 {
+                        barrier.wait();
+                    }
+                    build(10 * i);
+                    ex.par_map(vec![1, 2], |j| build(10 * i + j));
+                    if i == 2 && threads > 1 {
+                        barrier.wait();
+                    }
+                });
+                build(99);
+            });
+            logs.iter().map(|l| l.records[0].flow).collect::<Vec<_>>()
+        };
+        assert_eq!(order(1), [0, 10, 11, 12, 20, 21, 22, 99]);
+        assert_eq!(order(4), order(1));
     }
 
     #[test]
     fn chrome_export_round_trips_through_json_parse() {
-        let t = Tracer::new(TraceMask::ALL, 64);
+        let t = Tracer::new(64);
         t.tick(Time::from_us(1));
         trace_event!(t, TraceEvent::FlowStart, { flow: 1, node: 0, payload: 4096 });
         trace_event!(t, TraceEvent::PfcPause, { node: 2, port: 1, class: 0 });
@@ -1002,7 +797,7 @@ mod tests {
         trace_event!(t, TraceEvent::PfcResume, { node: 2, port: 1, class: 0 });
         trace_event!(t, TraceEvent::MmuDrop, { node: 4, port: 0, class: 0, payload: 1500 });
         let log = t.log(TraceKey::default());
-        let doc = chrome_trace(&[log], Json::object().with("seed", 1u64));
+        let doc = chrome_trace(&[log]);
         let text = doc.to_string();
         let parsed = Json::parse(&text).expect("chrome trace must be valid JSON");
         let events = parsed.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");

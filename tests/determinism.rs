@@ -125,20 +125,18 @@ fn telemetry_json_is_byte_identical_at_1_and_4_threads() {
     // Golden digests (SIH, DSH): same contract as the fig14 golden —
     // the pooled hot path must reproduce the pre-pooling telemetry JSON
     // byte for byte, and any refactor of the scheme policies must leave
-    // them unchanged. (Last rebaselined when runtime fault injection
-    // left the simulator: each new JSON equals the old one with its
-    // always-zero fault-drop counter field removed, byte for byte —
-    // serialization-only; the event stream is untouched. Provenance
-    // deliberately excludes the thread count so reports stay identical at
-    // any executor width.)
+    // them unchanged. (Last rebaselined when the report lost its
+    // `provenance` key to the run record's one header: each new JSON
+    // equals the old one with that key removed, byte for byte —
+    // serialization-only; the event stream is untouched.)
     let digests: Vec<u64> = serial.iter().map(|s| fnv1a(s)).collect();
     assert_eq!(
         digests,
         vec![
-            9_473_473_404_024_005_178,
-            2_450_159_678_512_166_949,
-            9_473_473_404_024_005_178,
-            2_450_159_678_512_166_949,
+            3_621_566_315_648_000_521,
+            12_447_832_946_351_097_893,
+            3_621_566_315_648_000_521,
+            12_447_832_946_351_097_893,
         ],
         "telemetry JSON drifted"
     );
@@ -195,13 +193,13 @@ fn chain_telemetry_matches_pinned_digests() {
     let digests: Vec<u64> =
         Scheme::ALL.into_iter().map(|scheme| fnv1a(&chain_telemetry(scheme))).collect();
     // Golden digests (SIH, DSH): pin the chain's full telemetry
-    // across refactors. (Last rebaselined when runtime fault injection
-    // left the simulator: each new JSON equals the old one with its
-    // always-zero fault-drop counter field removed, byte for byte —
-    // serialization-only; the event stream is untouched.)
+    // across refactors. (Last rebaselined when the report lost its
+    // `provenance` key: each new JSON equals the old one with that key
+    // removed, byte for byte — serialization-only; the event stream is
+    // untouched.)
     assert_eq!(
         digests,
-        vec![7_360_921_980_116_013_217, 3_844_678_069_628_642_250],
+        vec![16_942_443_017_475_603_664, 4_579_083_960_029_137_656],
         "chain telemetry drifted"
     );
 }

@@ -65,8 +65,12 @@ fn chain_metrics(scheme: Scheme) -> String {
 }
 
 /// Golden digests (SIH, DSH) of the chain scenario's `metrics.json`
-/// (schema version 2), checked at 1 and 4 threads.
-const CHAIN_METRICS_GOLDENS: [u64; 2] = [5_771_651_002_691_532_224, 4_685_503_019_571_799_165];
+/// (schema version 2), checked at 1 and 4 threads. Rebaselined once when
+/// the export lost its `provenance` key: each new document equals the
+/// old one with that key removed, byte for byte. The two schemes' series
+/// are equal on this chain, so the digests are too; only the scheme name
+/// in that key told them apart.
+const CHAIN_METRICS_GOLDENS: [u64; 2] = [14_018_135_287_611_255_243, 14_018_135_287_611_255_243];
 
 #[test]
 fn metrics_json_is_byte_identical_at_1_and_4_threads() {

@@ -1,7 +1,7 @@
 //! End-to-end telemetry: a run's structured report must serialize to
 //! JSON, parse back, and carry the PFC pause, drop and audit signals the
-//! figure binaries plot — the same export `--json` prints from
-//! `fig06`/`fig11`. Switch occupancy over time is the metrics sampler's
+//! figure binaries plot — the same export `fig06`/`fig11` put in their
+//! run record. Switch occupancy over time is the metrics sampler's
 //! record (`tests/observability.rs`), not this report's.
 
 mod common;

@@ -1,14 +1,16 @@
-//! Tracing end-to-end regressions: the flight recorder and the Chrome
-//! export must be deterministic (byte-identical at any executor width),
-//! and a dirty MMU audit must leave an `AuditFail` record in the ring.
+//! Tracing end-to-end regressions: the flight recorder, the Chrome export
+//! and the run record must be deterministic (byte-identical at any
+//! executor width), and a dirty MMU audit must leave an `AuditFail`
+//! record in the ring.
 //!
 //! Determinism matters because the trace is a debugging artifact: a diff
 //! between two traces must mean the *simulation* differed, never that
 //! the executor interleaved differently.
 
 use dsh_bench::fabric::{self, FctExperiment, Topo};
+use dsh_bench::{fig14, fig18, Args, Flag, Sections};
 use dsh_core::{Mmu, MmuConfig, Scheme};
-use dsh_simcore::trace::{self, TraceEvent, TraceMask, Tracer};
+use dsh_simcore::trace::{self, TraceEvent, TraceLog, Tracer};
 use dsh_simcore::{ByteSize, Delta, Executor, Json};
 use dsh_transport::CcKind;
 
@@ -40,37 +42,90 @@ fn traced_grid() -> Vec<FctExperiment> {
 }
 
 /// Runs the traced micro sweep at `threads` workers and returns the
-/// concatenated binary dumps and the Chrome JSON (fixed provenance, so
-/// the export itself cannot differ by construction parameters).
-fn traced_sweep(threads: usize) -> (Vec<u8>, String) {
-    let (_, logs) = trace::capture(TraceMask::ALL, 16_384, || {
-        Executor::new(threads).par_map(traced_grid(), |e| fabric::run_fct(&e))
-    });
+/// captured flight-recorder logs and their Chrome JSON.
+fn traced_sweep(threads: usize) -> (Vec<TraceLog>, String) {
+    let (_, logs) =
+        trace::capture(|| Executor::new(threads).par_map(traced_grid(), |e| fabric::run_fct(&e)));
     assert_eq!(logs.len(), 4, "one flight recorder per simulation");
     assert!(logs.iter().all(|l| !l.records.is_empty()), "traced sims must record events");
-    let mut binary = Vec::new();
-    for log in &logs {
-        binary.extend_from_slice(&log.encode());
-    }
-    let provenance = Json::object().with("fixture", "fig14-micro").with("seed", 1u64);
-    let chrome = trace::chrome_trace(&logs, provenance).to_string();
-    (binary, chrome)
+    let chrome = trace::chrome_trace(&logs).to_string();
+    (logs, chrome)
 }
 
 #[test]
 fn trace_capture_is_byte_identical_at_1_and_4_threads() {
-    let (bin1, chrome1) = traced_sweep(1);
-    let (bin4, chrome4) = traced_sweep(4);
-    assert_eq!(bin1, bin4, "binary flight-recorder dumps differ by executor width");
+    let (logs1, chrome1) = traced_sweep(1);
+    let (logs4, chrome4) = traced_sweep(4);
+    assert_eq!(logs1, logs4, "flight-recorder logs differ by executor width");
     assert_eq!(chrome1, chrome4, "Chrome trace JSON differs by executor width");
-    // Golden digests: pin the record stream and the export byte-for-byte
-    // across refactors, same contract as the fig14 golden in
-    // `determinism.rs`. Rebaseline only with a deliberate
-    // behavior-changing fix. Rebaselined once when the per-tick
-    // occupancy counter records (discriminants 22-24) were retired: every
-    // other record is unchanged.
-    assert_eq!(fnv1a(&bin1), 6_315_235_265_186_383_399, "binary trace dump drifted");
-    assert_eq!(fnv1a(chrome1.as_bytes()), 13_103_085_325_271_807_699, "Chrome trace drifted");
+    // Golden digest: pins the export byte-for-byte across refactors, same
+    // contract as the fig14 golden in `determinism.rs`. Rebaseline only
+    // with a deliberate behavior-changing fix. Rebaselined once when the
+    // per-tick occupancy counter records (discriminants 22-24) were
+    // retired, and once when the export's `otherData` lost its
+    // `provenance` key: the run record carries the provenance instead.
+    assert_eq!(fnv1a(chrome1.as_bytes()), 10_361_560_633_144_433_443, "Chrome trace drifted");
+}
+
+/// The micro fig14 base of `determinism.rs`, at a shorter run.
+fn micro_fig14_base() -> FctExperiment {
+    let mut base = FctExperiment::small(Scheme::Sih, CcKind::Dcqcn);
+    base.topo = Topo::LeafSpine { leaves: 2, spines: 2, hosts_per_leaf: 4 };
+    base.horizon = Delta::from_us(300);
+    base.run_until = Delta::from_ms(2);
+    base
+}
+
+/// Writes the run record of a micro fig14 sweep plus the fig18 smoke
+/// cell at `threads` workers and returns its text.
+fn recorded_run(threads: usize) -> String {
+    let path =
+        std::env::temp_dir().join(format!("dsh-record-{}-{threads}.json", std::process::id()));
+    let args = Args {
+        binary: "record-test",
+        reads: &[Flag::Seed],
+        full: false,
+        smoke: false,
+        seed: 1,
+        threads,
+        regime: None,
+        no_recovery: false,
+        record: Some(path.to_string_lossy().into_owned()),
+    };
+    dsh_bench::record(&args, || {
+        let points =
+            fig14::sweep(CcKind::Dcqcn, &[0.3, 0.7], &micro_fig14_base(), &args.executor());
+        let rows: Vec<Json> = points
+            .iter()
+            .map(|p| {
+                Json::object()
+                    .with("bg_load", p.bg_load)
+                    .with("norm_fan", p.norm_fan().unwrap_or(f64::NAN))
+                    .with("norm_bg", p.norm_bg().unwrap_or(f64::NAN))
+            })
+            .collect();
+        let (_, net) = fig18::run_cell_net(&fig18::smoke_base(Scheme::Dsh));
+        Sections { figure: Some(Json::object().with("points", rows)), metrics: net.metrics_json() }
+    });
+    let text = std::fs::read_to_string(&path).expect("the record was written");
+    std::fs::remove_file(&path).expect("the record can be removed");
+    text
+}
+
+#[test]
+fn run_record_is_byte_identical_at_1_and_4_threads() {
+    let one = recorded_run(1);
+    let four = recorded_run(4);
+    assert_eq!(one, four, "the run record differs by executor width");
+    let doc = Json::parse(&one).expect("the record parses");
+    for key in ["schema_version", "provenance", "figure", "metrics", "traceEvents"] {
+        assert!(doc.get(key).is_some(), "the record lacks {key}");
+    }
+    let sims = doc.get("otherData").and_then(|o| o.get("simulations")).and_then(Json::as_u64);
+    assert_eq!(sims, Some(5), "four fig14 cells and the fig18 cell");
+    // Golden digest of the whole record; same contract as the Chrome
+    // golden above.
+    assert_eq!(fnv1a(one.as_bytes()), 2_098_047_243_594_783_523, "run record drifted");
 }
 
 #[test]
@@ -85,7 +140,7 @@ fn dirty_mmu_audit_records_and_dumps_the_failure() {
         .alpha(0.5)
         .build();
     let mut mmu = Mmu::new(cfg);
-    let tracer = Tracer::new(TraceMask::ALL, 256);
+    let tracer = Tracer::new(256);
     mmu.set_tracer(tracer.clone(), 7);
     assert!(mmu.audit().is_clean(), "fresh MMU must audit clean");
     mmu.corrupt_port_shared_sum_for_test(0, 500);
@@ -100,7 +155,7 @@ fn dirty_mmu_audit_records_and_dumps_the_failure() {
     let fail = log
         .records
         .iter()
-        .find(|r| r.event == TraceEvent::AuditFail as u8)
+        .find(|r| r.event == TraceEvent::AuditFail)
         .expect("dirty audit must record AuditFail");
     assert_eq!(fail.node, 7, "AuditFail must name the failing MMU's node");
     assert_eq!(fail.payload, 1, "payload carries the violation count");
