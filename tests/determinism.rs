@@ -10,9 +10,10 @@
 use dsh_bench::fabric::{self, FctExperiment, Topo};
 use dsh_bench::fig14;
 use dsh_core::Scheme;
-use dsh_net::{FlowSpec, NetEvent, NetParams, NetworkBuilder};
-use dsh_simcore::{Bandwidth, Delta, EngineProfile, Executor, Time};
-use dsh_transport::CcKind;
+use dsh_net::topology::{leaf_spine, LeafSpineShape};
+use dsh_net::{FlowSpec, NetEvent, NetParams, Network, NetworkBuilder};
+use dsh_simcore::{Bandwidth, ByteSize, Delta, EngineProfile, Executor, Time};
+use dsh_transport::{CcKind, RecoveryConfig};
 
 /// FNV-1a over the rendered output, so a golden is one `u64` literal.
 fn fnv1a(s: &str) -> u64 {
@@ -202,4 +203,102 @@ fn chain_telemetry_matches_pinned_digests() {
         vec![16_942_443_017_475_603_664, 4_579_083_960_029_137_656],
         "chain telemetry drifted"
     );
+}
+
+/// Runs `net` to `end` through the engine profiler. Returns the per-class
+/// dispatch counts, an FNV digest of the completion records (flow, size,
+/// start and finish, in completion order) and the finished network.
+fn profiled_run(net: Network, end: Time) -> (Vec<(&'static str, u64)>, u64, Network) {
+    let mut sim = net.into_sim();
+    let mut profile = EngineProfile::new::<NetEvent>();
+    sim.run_until_profiled(end, &mut profile);
+    let net = sim.into_model();
+    let counts = profile.rows().map(|(name, count, _)| (name, count)).collect();
+    let records: String = net
+        .fct_records()
+        .iter()
+        .map(|r| format!("{} {} {} {}\n", r.flow.0, r.size, r.start.as_ps(), r.finish.as_ps()))
+        .collect();
+    (counts, fnv1a(&records), net)
+}
+
+#[test]
+fn lossy_selective_repeat_cell_is_pinned() {
+    // The fixed lossy incast of `loss_recovery.rs`: four rack-0 hosts send
+    // 256 KiB each to one rack-1 host through 600 KiB no-PFC switches of a
+    // 2x2 leaf-spine, under DCQCN with selective repeat at the NICs. It
+    // drives drop-tail admission, NACKs, hole repair and RTOs.
+    let base = NetParams::tomahawk(Scheme::Lossy).with_buffer(ByteSize::kib(600)).with_seed(1);
+    let params =
+        base.clone().with_recovery(RecoveryConfig::for_rtt(base.base_rtt).selective_repeat());
+    let ls = leaf_spine(
+        params,
+        LeafSpineShape {
+            leaves: 2,
+            spines: 2,
+            hosts_per_leaf: 4,
+            downlink: Bandwidth::from_gbps(100),
+            uplink: Bandwidth::from_gbps(100),
+            link_delay: Delta::from_us(2),
+        },
+    );
+    let mut net = ls.builder.build();
+    for (i, &src) in ls.hosts[0].iter().enumerate() {
+        net.add_flow(FlowSpec {
+            src,
+            dst: ls.hosts[1][0],
+            size: 256 * 1024,
+            class: 0,
+            start: Time::ZERO + Delta::from_us(i as u64),
+            cc: CcKind::Dcqcn,
+        });
+    }
+    let (counts, digest, net) = profiled_run(net, Time::from_ms(10));
+    assert_eq!(net.fct_records().len(), 4, "every flow completes");
+    let recovery = [
+        net.data_drops(),
+        net.nacks_sent(),
+        net.recovery_nacks(),
+        net.recovery_timeouts(),
+        net.retransmitted_bytes(),
+        net.sr_retransmitted_bytes(),
+    ];
+    assert!(
+        recovery.iter().all(|&n| n > 0),
+        "the cell exercises every recovery path: {recovery:?}"
+    );
+    assert_eq!(
+        counts,
+        [
+            ("arrive", 6_050),
+            ("tx_done", 2_523),
+            ("flow_start", 4),
+            ("host_wake", 481),
+            ("cc_timer", 16),
+            ("rto_timer", 16),
+        ],
+        "per-class dispatch counts drifted"
+    );
+    assert_eq!(recovery, [176, 270, 8, 3, 263_644, 263_644], "recovery counters drifted");
+    assert_eq!(digest, 14_358_812_033_470_666_761, "completion records drifted");
+}
+
+#[test]
+fn powertcp_cell_is_pinned() {
+    // The micro leaf-spine cell of `micro_cell_dispatch_counts_are_pinned`
+    // under PowerTCP and DSH: every data frame asks for INT, each switch
+    // egress stamps it, and every ACK echoes the stamps to the sender.
+    let mut exp = micro_base();
+    exp.scheme = Scheme::Dsh;
+    exp.cc = CcKind::PowerTcp;
+    let (net, _fan, registered) = fabric::loaded(&exp);
+    let (counts, digest, net) = profiled_run(net, Time::ZERO + exp.run_until);
+    assert!(net.fct_records().len() * 2 > registered, "most flows complete");
+    assert_eq!(net.data_drops(), 0);
+    assert_eq!(
+        counts,
+        [("arrive", 80_570), ("tx_done", 42_700), ("flow_start", 133)],
+        "per-class dispatch counts drifted"
+    );
+    assert_eq!(digest, 16_030_945_064_028_447_237, "completion records drifted");
 }
