@@ -1,5 +1,6 @@
 //! Network construction: parameters, nodes, links and routing setup.
 
+use crate::dataplane::SwitchNode;
 use crate::ecn::EcnConfig;
 use crate::host::HostNode;
 use crate::ids::{NodeId, NUM_DATA_CLASSES};
@@ -7,7 +8,6 @@ use crate::network::{Network, Node};
 use crate::observe::ObserveConfig;
 use crate::port::EgressPort;
 use crate::routing::compute_routes;
-use crate::switch::SwitchNode;
 use dsh_core::{headroom, Mmu, MmuConfig, Scheme};
 use dsh_simcore::trace::{TraceKey, Tracer};
 use dsh_simcore::{Bandwidth, ByteSize, Delta};

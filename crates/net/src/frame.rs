@@ -192,6 +192,19 @@ impl Frame {
         }
     }
 
+    /// The flow the frame belongs to, if it is forwardable (PFC frames
+    /// are link-local and belong to none).
+    #[must_use]
+    pub fn flow(&self) -> Option<FlowId> {
+        match &self.kind {
+            FrameKind::Data(d) => Some(d.flow),
+            FrameKind::Ack(a) => Some(a.flow),
+            FrameKind::Nack(n) => Some(n.flow),
+            FrameKind::Cnp { flow, .. } => Some(*flow),
+            FrameKind::Pfc(_) => None,
+        }
+    }
+
     /// Whether this is a data frame (subject to MMU admission and PFC).
     #[must_use]
     pub fn is_data(&self) -> bool {

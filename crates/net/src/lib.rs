@@ -58,7 +58,9 @@
 
 mod arena;
 mod builder;
+mod dataplane;
 mod ecn;
+mod flow_control;
 mod frame;
 mod host;
 mod ids;
@@ -67,7 +69,6 @@ mod network;
 pub mod observe;
 mod port;
 mod routing;
-mod switch;
 pub mod topology;
 
 pub use arena::FrameId;

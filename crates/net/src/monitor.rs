@@ -272,15 +272,9 @@ impl ClassPauseTelemetry {
 /// and the distribution of closed pause→resume intervals.
 #[derive(Clone, Debug)]
 pub struct PortPauseTelemetry {
-    /// Node owning the egress port.
-    pub node: NodeId,
-    /// Port index.
-    pub port: usize,
-    /// Total queue-level (QOFF) pause time, summed over classes,
-    /// including any still-open interval.
-    pub queue_level: Delta,
-    /// Total port-level (POFF) pause time, including any open interval.
-    pub port_level: Delta,
+    /// The port and its QOFF/POFF pause wall-clock, open intervals
+    /// included.
+    pub ledger: PauseLedger,
     /// Pause→resume latency of every *closed* pause interval (queue- and
     /// port-level merged) — the historical aggregate view.
     pub pause_latency: DurationHistogram,
@@ -297,10 +291,10 @@ impl PortPauseTelemetry {
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::object()
-            .with("node", self.node.0)
-            .with("port", self.port)
-            .with("queue_pause_ns", self.queue_level.as_ns())
-            .with("port_pause_ns", self.port_level.as_ns())
+            .with("node", self.ledger.node.0)
+            .with("port", self.ledger.port)
+            .with("queue_pause_ns", self.ledger.queue_level.as_ns())
+            .with("port_pause_ns", self.ledger.port_level.as_ns())
             .with("pause_latency", self.pause_latency.to_json())
             .with(
                 "classes",

@@ -2,8 +2,8 @@
 //! scheduling, PFC pause state, and transmission bookkeeping.
 
 use crate::arena::FrameId;
-use crate::frame::{Frame, FrameKind};
-use crate::ids::{NodeId, CONTROL_CLASS, NUM_CLASSES};
+use crate::frame::{Frame, FrameKind, PfcScope};
+use crate::ids::{NodeId, CONTROL_CLASS, NUM_CLASSES, NUM_DATA_CLASSES};
 use crate::monitor::{PauseHistograms, PAUSE_SCOPES, PORT_SCOPE};
 use dsh_core::Region;
 use dsh_simcore::{Bandwidth, Delta, Time};
@@ -330,34 +330,22 @@ impl EgressPort {
         !self.pause[class as usize].paused && !self.pause[PORT_SCOPE].paused
     }
 
-    /// Sets the pause of `scope`, recording the interval a lift closes.
-    fn set_pause(&mut self, scope: usize, pause: bool, now: Time, closed: &mut PauseHistograms) {
+    /// Applies a queue- or port-level PFC pause/resume received from the
+    /// peer; a resume closes its interval into `closed`.
+    pub(crate) fn apply_pause(
+        &mut self,
+        scope: PfcScope,
+        pause: bool,
+        now: Time,
+        closed: &mut PauseHistograms,
+    ) {
+        let scope = match scope {
+            PfcScope::Queue(c) => usize::from(c),
+            PfcScope::Port => PORT_SCOPE,
+        };
         if let Some(d) = self.pause[scope].set(pause, now) {
             closed.record(self.index, scope, d);
         }
-    }
-
-    /// Applies a queue-level PFC pause/resume received from the peer; a
-    /// resume closes its interval into `closed`.
-    pub(crate) fn apply_class_pause(
-        &mut self,
-        class: u8,
-        pause: bool,
-        now: Time,
-        closed: &mut PauseHistograms,
-    ) {
-        self.set_pause(class as usize, pause, now, closed);
-    }
-
-    /// Applies a port-level PFC pause/resume received from the peer; a
-    /// resume closes its interval into `closed`.
-    pub(crate) fn apply_port_pause(
-        &mut self,
-        pause: bool,
-        now: Time,
-        closed: &mut PauseHistograms,
-    ) {
-        self.set_pause(PORT_SCOPE, pause, now, closed);
     }
 
     /// Whether a queue-level pause is asserted for `class`.
@@ -370,6 +358,12 @@ impl EgressPort {
     #[must_use]
     pub fn port_paused(&self) -> bool {
         self.pause[PORT_SCOPE].paused
+    }
+
+    /// Whether the port-level pause or any data class's pause is
+    /// asserted.
+    pub(crate) fn pause_asserted(&self) -> bool {
+        self.port_paused() || (0..NUM_DATA_CLASSES as u8).any(|c| self.class_paused(c))
     }
 
     /// Total time `class` has spent paused up to `now` (includes the
@@ -531,8 +525,8 @@ impl EgressPort {
         out: &mut Vec<QueuedFrame>,
         closed: &mut PauseHistograms,
     ) {
-        self.set_pause(class as usize, false, now, closed);
-        self.set_pause(PORT_SCOPE, false, now, closed);
+        self.apply_pause(PfcScope::Queue(class), false, now, closed);
+        self.apply_pause(PfcScope::Port, false, now, closed);
         let c = class as usize;
         self.qbytes[c] = 0;
         out.extend(self.queues[c].drain(..));
@@ -542,7 +536,7 @@ impl EgressPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{DataFrame, PfcScope};
+    use crate::frame::DataFrame;
     use crate::ids::FlowId;
 
     /// A queue entry for `frame` (the port never looks a frame up, so
@@ -643,11 +637,11 @@ mod tests {
         let mut h = hists();
         p.enqueue(data_frame(0, 1500));
         p.enqueue(data_frame(1, 1500));
-        p.apply_class_pause(0, true, Time::ZERO, &mut h);
+        p.apply_pause(PfcScope::Queue(0), true, Time::ZERO, &mut h);
         let qf = p.pick().unwrap();
         assert_eq!(qf.class, 1);
         assert!(p.pick().is_none(), "class 0 paused");
-        p.apply_class_pause(0, false, Time::from_us(5), &mut h);
+        p.apply_pause(PfcScope::Queue(0), false, Time::from_us(5), &mut h);
         let qf = p.pick().unwrap();
         assert_eq!(qf.class, 0);
     }
@@ -658,7 +652,7 @@ mod tests {
         let mut h = hists();
         p.enqueue(data_frame(0, 1500));
         p.enqueue(pfc_frame(crate::frame::PfcScope::Queue(0), false));
-        p.apply_port_pause(true, Time::ZERO, &mut h);
+        p.apply_pause(PfcScope::Port, true, Time::ZERO, &mut h);
         let qf = p.pick().unwrap();
         assert_eq!(qf.class, CONTROL_CLASS, "control is pause-exempt");
         assert!(p.pick().is_none());
@@ -668,13 +662,13 @@ mod tests {
     fn pause_duration_accounting() {
         let mut p = port();
         let mut h = hists();
-        p.apply_class_pause(2, true, Time::from_us(10), &mut h);
-        p.apply_class_pause(2, false, Time::from_us(35), &mut h);
-        p.apply_class_pause(2, true, Time::from_us(50), &mut h);
+        p.apply_pause(PfcScope::Queue(2), true, Time::from_us(10), &mut h);
+        p.apply_pause(PfcScope::Queue(2), false, Time::from_us(35), &mut h);
+        p.apply_pause(PfcScope::Queue(2), true, Time::from_us(50), &mut h);
         // Closed interval 25 us + open interval 10 us at t=60.
         assert_eq!(p.class_pause_total(2, Time::from_us(60)), Delta::from_us(35));
         // Double-pause is idempotent.
-        p.apply_class_pause(2, true, Time::from_us(70), &mut h);
+        p.apply_pause(PfcScope::Queue(2), true, Time::from_us(70), &mut h);
         assert_eq!(p.class_pause_total(2, Time::from_us(80)), Delta::from_us(55));
         // Only the closed interval is in the latency histogram.
         let closed = h.get(0, 2).expect("one interval closed");
@@ -687,10 +681,10 @@ mod tests {
     fn pause_latency_histogram_merges_queue_and_port_level() {
         let mut p = port();
         let mut h = hists();
-        p.apply_class_pause(0, true, Time::from_us(0), &mut h);
-        p.apply_class_pause(0, false, Time::from_us(5), &mut h);
-        p.apply_port_pause(true, Time::from_us(10), &mut h);
-        p.apply_port_pause(false, Time::from_us(40), &mut h);
+        p.apply_pause(PfcScope::Queue(0), true, Time::from_us(0), &mut h);
+        p.apply_pause(PfcScope::Queue(0), false, Time::from_us(5), &mut h);
+        p.apply_pause(PfcScope::Port, true, Time::from_us(10), &mut h);
+        p.apply_pause(PfcScope::Port, false, Time::from_us(40), &mut h);
         let merged = h.merged(0);
         assert_eq!(merged.count(), 2);
         assert_eq!(merged.total(), Delta::from_us(35));
@@ -745,7 +739,7 @@ mod tests {
         let mut h = hists();
         p.enqueue(data_frame(2, 1500));
         p.enqueue(data_frame(2, 500));
-        p.apply_class_pause(2, true, Time::ZERO, &mut h);
+        p.apply_pause(PfcScope::Queue(2), true, Time::ZERO, &mut h);
         let mut out = Vec::new();
         p.watchdog_flush_class(2, Time::from_us(5), &mut out, &mut h);
         assert_eq!(out.len(), 2);
@@ -801,12 +795,12 @@ mod tests {
         assert!(!idle(&p, 0) && !idle(&p, CONTROL_CLASS), "a queued control frame goes first");
 
         let mut p = port();
-        p.apply_class_pause(2, true, Time::ZERO, &mut h);
+        p.apply_pause(PfcScope::Queue(2), true, Time::ZERO, &mut h);
         assert!(!idle(&p, 2), "a paused class may not send");
         assert!(idle(&p, 0) && idle(&p, CONTROL_CLASS), "other classes may");
 
         let mut p = port();
-        p.apply_port_pause(true, Time::ZERO, &mut h);
+        p.apply_pause(PfcScope::Port, true, Time::ZERO, &mut h);
         assert!(!idle(&p, 0) && !idle(&p, 6), "a port-level pause stops every data class");
         assert!(idle(&p, CONTROL_CLASS), "control is pause-exempt");
 
@@ -861,7 +855,7 @@ mod tests {
         // A class left on the DWRR list by a watchdog flush still counts.
         let _ = p.pick();
         p.enqueue(data_frame(2, 100));
-        p.apply_class_pause(2, true, end, &mut h);
+        p.apply_pause(PfcScope::Queue(2), true, end, &mut h);
         let mut out = Vec::new();
         p.watchdog_flush_class(2, end, &mut out, &mut h);
         assert!(p.has_waiting());
