@@ -179,6 +179,15 @@ pub(crate) struct MmuCore {
     pub(crate) queues: Vec<QueueState>,
     pub(crate) ports: Vec<PortState>,
     pub(crate) total_shared: u64,
+    /// Running totals of the private, SIH headroom and DSH insurance
+    /// regions, and the counts of paused queues and ports: kept by the
+    /// charge/release and pause/resume helpers so a snapshot reads them
+    /// without scanning (`Mmu::audit` checks them against the scan).
+    pub(crate) total_private: u64,
+    pub(crate) total_headroom: u64,
+    pub(crate) total_insurance: u64,
+    pub(crate) paused_queues: usize,
+    pub(crate) paused_ports: usize,
     pub(crate) headroom_peaks: Vec<PeakTracker>,
     pub(crate) stats: MmuStats,
     pub(crate) attribution: DropAttribution,
@@ -198,6 +207,11 @@ impl MmuCore {
             queues: vec![QueueState::default(); nq],
             ports: vec![PortState::default(); np],
             total_shared: 0,
+            total_private: 0,
+            total_headroom: 0,
+            total_insurance: 0,
+            paused_queues: 0,
+            paused_ports: 0,
             headroom_peaks: vec![PeakTracker::default(); np],
             stats: MmuStats::default(),
             attribution: DropAttribution::default(),
@@ -243,6 +257,7 @@ impl MmuCore {
 
     pub(crate) fn charge_private(&mut self, idx: usize, bytes: u64) {
         self.queues[idx].private += bytes;
+        self.total_private += bytes;
     }
 
     pub(crate) fn charge_shared(&mut self, idx: usize, port: usize, bytes: u64) {
@@ -253,11 +268,13 @@ impl MmuCore {
 
     pub(crate) fn charge_headroom(&mut self, idx: usize, port: usize, bytes: u64) {
         self.queues[idx].headroom += bytes;
+        self.total_headroom += bytes;
         self.headroom_peaks[port].add(bytes);
     }
 
     pub(crate) fn charge_insurance(&mut self, port: usize, bytes: u64) {
         self.ports[port].insurance += bytes;
+        self.total_insurance += bytes;
         self.headroom_peaks[port].add(bytes);
     }
 
@@ -277,6 +294,7 @@ impl MmuCore {
                     .private
                     .checked_sub(bytes)
                     .expect("departure exceeds admission: private segment underflow");
+                self.total_private -= bytes;
             }
             Region::Shared => {
                 let q = &mut self.queues[idx];
@@ -294,6 +312,7 @@ impl MmuCore {
                     .headroom
                     .checked_sub(bytes)
                     .expect("departure exceeds admission: headroom underflow");
+                self.total_headroom -= bytes;
                 self.headroom_peaks[port].sub(bytes);
             }
             Region::Insurance => {
@@ -303,6 +322,7 @@ impl MmuCore {
                     .insurance
                     .checked_sub(bytes)
                     .expect("departure exceeds admission: insurance underflow");
+                self.total_insurance -= bytes;
                 self.headroom_peaks[port].sub(bytes);
             }
         }
@@ -314,6 +334,7 @@ impl MmuCore {
         let idx = self.qidx(port, queue);
         if !self.queues[idx].paused {
             self.queues[idx].paused = true;
+            self.paused_queues += 1;
             self.stats.queue_pauses += 1;
             actions.push(FcAction::QueuePause { port, queue });
             trace_event!(self.tracer, TraceEvent::MmuQueuePause, {
@@ -328,6 +349,7 @@ impl MmuCore {
     pub(crate) fn pause_port(&mut self, port: usize, actions: &mut FcActions) {
         if !self.ports[port].paused {
             self.ports[port].paused = true;
+            self.paused_ports += 1;
             self.stats.port_pauses += 1;
             actions.push(FcAction::PortPause { port });
             trace_event!(self.tracer, TraceEvent::MmuPortPause, {
@@ -355,6 +377,7 @@ impl MmuCore {
         }
         if self.queues[idx].shared <= x_on {
             self.queues[idx].paused = false;
+            self.paused_queues -= 1;
             self.stats.queue_resumes += 1;
             actions.push(FcAction::QueueResume { port, queue });
             trace_event!(self.tracer, TraceEvent::MmuQueueResume, {
@@ -379,6 +402,7 @@ impl MmuCore {
         let x_pon = self.x_poff().saturating_sub(self.cfg.resume_delta_port.as_u64());
         if self.port_total_occupancy(port) <= x_pon {
             self.ports[port].paused = false;
+            self.paused_ports -= 1;
             self.stats.port_resumes += 1;
             actions.push(FcAction::PortResume { port });
             trace_event!(self.tracer, TraceEvent::MmuPortResume, {
@@ -534,24 +558,34 @@ impl Mmu {
     }
 
     /// A point-in-time snapshot of the MMU's buffer occupancy, useful for
-    /// probes and debugging dashboards.
+    /// probes and debugging dashboards. It reads running counters, so it
+    /// costs the same at any port count.
     #[must_use]
     pub fn occupancy_snapshot(&self) -> OccupancySnapshot {
-        let mut private = 0;
-        let mut headroom = 0;
-        for q in &self.core.queues {
-            private += q.private;
-            headroom += q.headroom;
-        }
-        let insurance = self.core.ports.iter().map(|p| p.insurance).sum();
+        let core = &self.core;
         OccupancySnapshot {
-            shared: self.core.total_shared,
-            private,
-            headroom,
-            insurance,
-            threshold: self.core.threshold(),
-            paused_queues: self.core.queues.iter().filter(|q| q.paused).count(),
-            paused_ports: self.core.ports.iter().filter(|p| p.paused).count(),
+            shared: core.total_shared,
+            private: core.total_private,
+            headroom: core.total_headroom,
+            insurance: core.total_insurance,
+            threshold: core.threshold(),
+            paused_queues: core.paused_queues,
+            paused_ports: core.paused_ports,
+        }
+    }
+
+    /// The snapshot [`Mmu::occupancy_snapshot`] should read, recomputed
+    /// by scanning every queue and port.
+    fn scanned_snapshot(&self) -> OccupancySnapshot {
+        let core = &self.core;
+        OccupancySnapshot {
+            shared: core.queues.iter().map(|q| q.shared).sum(),
+            private: core.queues.iter().map(|q| q.private).sum(),
+            headroom: core.queues.iter().map(|q| q.headroom).sum(),
+            insurance: core.ports.iter().map(|p| p.insurance).sum(),
+            threshold: core.threshold(),
+            paused_queues: core.queues.iter().filter(|q| q.paused).count(),
+            paused_ports: core.ports.iter().filter(|p| p.paused).count(),
         }
     }
 
@@ -679,6 +713,11 @@ impl Mmu {
     ///   equals the sum over its queues;
     /// * `total-shared-consistent` — the global `Σ w_ij` cache equals the
     ///   sum over all queues;
+    /// * `total-private-consistent` / `total-headroom-consistent` /
+    ///   `total-insurance-consistent` / `paused-queue-count-consistent` /
+    ///   `paused-port-count-consistent` — the running counters
+    ///   [`Mmu::occupancy_snapshot`] reads equal the scan over all queues
+    ///   and ports;
     /// * `shared-within-pool` — `Σ w_ij ≤ B_s`;
     /// * `insurance-within-eta` — each port's insurance occupancy ≤ η;
     /// * `queue-resumes-within-pauses` / `port-resumes-within-pauses` —
@@ -696,7 +735,6 @@ impl Mmu {
         };
 
         let phi = core.cfg.private_per_queue.as_u64();
-        let mut sum_shared: u64 = 0;
         for (i, q) in core.queues.iter().enumerate() {
             let port = i / core.cfg.queues_per_port;
             let queue = i % core.cfg.queues_per_port;
@@ -707,7 +745,6 @@ impl Mmu {
             if q.headroom > eta {
                 violate("queue-headroom-within-eta", Some(port), Some(queue), eta, q.headroom);
             }
-            sum_shared += q.shared;
         }
 
         for (port, p) in core.ports.iter().enumerate() {
@@ -723,8 +760,23 @@ impl Mmu {
             }
         }
 
-        if sum_shared != core.total_shared {
-            violate("total-shared-consistent", None, None, sum_shared, core.total_shared);
+        let scan = self.scanned_snapshot();
+        let counted = self.occupancy_snapshot();
+        for (invariant, expected, actual) in [
+            ("total-shared-consistent", scan.shared, counted.shared),
+            ("total-private-consistent", scan.private, counted.private),
+            ("total-headroom-consistent", scan.headroom, counted.headroom),
+            ("total-insurance-consistent", scan.insurance, counted.insurance),
+            (
+                "paused-queue-count-consistent",
+                scan.paused_queues as u64,
+                counted.paused_queues as u64,
+            ),
+            ("paused-port-count-consistent", scan.paused_ports as u64, counted.paused_ports as u64),
+        ] {
+            if expected != actual {
+                violate(invariant, None, None, expected, actual);
+            }
         }
         if core.total_shared > core.dt.shared_size() {
             violate("shared-within-pool", None, None, core.dt.shared_size(), core.total_shared);
@@ -770,7 +822,7 @@ impl Mmu {
                 64,
             );
         }
-        AuditReport { scheme: core.cfg.scheme, snapshot: self.occupancy_snapshot(), violations }
+        AuditReport { scheme: core.cfg.scheme, snapshot: scan, violations }
     }
 
     /// Debug-build conservation checks: a full audit after every
@@ -1144,6 +1196,35 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("port-shared-sum-consistent"), "{text}");
         assert!(text.contains("port 0"), "{text}");
+    }
+
+    #[test]
+    fn snapshot_counters_match_the_scan_and_the_audit_checks_them() {
+        for scheme in Scheme::ALL {
+            let mut mmu = Mmu::new(small_cfg(scheme));
+            let outcomes = blast(&mut mmu, 0, 0, 5000, 1500);
+            assert_eq!(
+                mmu.occupancy_snapshot(),
+                mmu.scanned_snapshot(),
+                "{scheme} after the burst"
+            );
+            for o in &outcomes {
+                if let Some(r) = o.region {
+                    let _ = mmu.on_departure(0, 0, 1500, r);
+                }
+            }
+            assert_eq!(mmu.occupancy_snapshot(), mmu.scanned_snapshot(), "{scheme} drained");
+            assert_eq!(mmu.occupancy_snapshot().in_use(), 0, "{scheme} drained");
+        }
+        let mut mmu = Mmu::new(small_cfg(Scheme::Dsh));
+        let _ = blast(&mut mmu, 0, 0, 100, 1500);
+        mmu.core.total_private += 7;
+        mmu.core.paused_ports += 1;
+        let report = mmu.audit();
+        let named: Vec<_> =
+            report.violations.iter().map(|v| (v.invariant, v.actual - v.expected)).collect();
+        assert_eq!(named, [("total-private-consistent", 7), ("paused-port-count-consistent", 1)]);
+        assert_eq!(report.snapshot, mmu.scanned_snapshot(), "the report carries the scan");
     }
 
     #[test]
