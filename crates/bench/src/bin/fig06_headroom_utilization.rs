@@ -24,9 +24,12 @@ fn run(args: &dsh_bench::Args) -> Sections {
     let (leaves, hosts, horizon) =
         if full { (16, 16, Delta::from_ms(10)) } else { (4, 8, Delta::from_ms(3)) };
     println!("Fig. 6 — headroom utilization at local maxima (DCQCN, high load)");
+    // One run per scheme on the pool, printed in scheme order.
+    let runs = args.executor().par_map(Scheme::ALL.to_vec(), |scheme| {
+        dsh_bench::fig06::run(scheme, leaves, hosts, horizon, seed)
+    });
     let mut docs: Vec<Json> = Vec::new();
-    for scheme in Scheme::ALL {
-        let r = dsh_bench::fig06::run(scheme, leaves, hosts, horizon, seed);
+    for (scheme, r) in Scheme::ALL.into_iter().zip(runs) {
         let cdf = &r.utilization;
         println!("[{scheme}] samples: {}", cdf.len());
         for q in [0.10, 0.25, 0.50, 0.75, 0.90, 0.99] {

@@ -288,9 +288,10 @@ pub struct Sections {
 /// holding `schema_version` ([`RECORD_VERSION`]), the
 /// [`Args::provenance`] header, the figure's [`Sections`], and the
 /// Chrome export of every simulation's flight recorder
-/// ([`dsh_simcore::trace::chrome_trace`]: `traceEvents`,
+/// ([`dsh_simcore::trace::write_chrome_trace`]: `traceEvents`,
 /// `displayTimeUnit`, `otherData`), so the record loads in
-/// `chrome://tracing` and Perfetto. Without the flag `run` executes
+/// `chrome://tracing` and Perfetto. The trace events stream through a
+/// buffered writer as they are rendered. Without the flag `run` executes
 /// directly: no session, every tracer off.
 pub fn record(args: &Args, run: impl FnOnce() -> Sections) {
     let Some(path) = args.record.as_deref() else {
@@ -298,21 +299,30 @@ pub fn record(args: &Args, run: impl FnOnce() -> Sections) {
         return;
     };
     let (sections, logs) = trace::capture(run);
-    let mut doc = trace::chrome_trace(&logs)
-        .with("schema_version", RECORD_VERSION)
-        .with("provenance", args.provenance());
+    let mut head =
+        Json::object().with("schema_version", RECORD_VERSION).with("provenance", args.provenance());
     if let Some(figure) = sections.figure {
-        doc = doc.with("figure", figure);
+        head = head.with("figure", figure);
     }
     if let Some(metrics) = sections.metrics {
-        doc = doc.with("metrics", metrics);
+        head = head.with("metrics", metrics);
     }
-    let text = doc.to_string();
-    if let Err(e) = std::fs::write(path, &text) {
-        eprintln!("[dsh] failed to write the run record to {path}: {e}");
-        std::process::exit(1);
+    let written = std::fs::File::create(path).and_then(|file| {
+        let mut out = std::io::BufWriter::new(file);
+        trace::write_chrome_trace(&logs, head, &mut out)?;
+        out.into_inner().map_err(std::io::IntoInnerError::into_error)?.metadata()
+    });
+    match written {
+        Ok(meta) => eprintln!(
+            "[dsh] wrote run record: {} simulations, {} bytes -> {path}",
+            logs.len(),
+            meta.len()
+        ),
+        Err(e) => {
+            eprintln!("[dsh] failed to write the run record to {path}: {e}");
+            std::process::exit(1);
+        }
     }
-    eprintln!("[dsh] wrote run record: {} simulations, {} bytes -> {path}", logs.len(), text.len());
 }
 
 /// The `metrics` section of a run record: runs `net`, built with the

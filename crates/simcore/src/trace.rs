@@ -22,8 +22,8 @@
 //!   ring of [`CAPACITY`] records, and the rings come back as
 //!   [`TraceLog`]s sorted by [`TraceKey`] so the result is identical at
 //!   any thread count. Outside a session every tracer is off.
-//! * [`chrome_trace`] converts logs to the Chrome `trace_event` JSON
-//!   format (load in `chrome://tracing` or Perfetto): PFC pause→resume
+//! * [`write_chrome_trace`] streams logs out in the Chrome `trace_event`
+//!   JSON format (load in `chrome://tracing` or Perfetto): PFC pause→resume
 //!   spans, MMU pause decisions, flow lifetime spans with retransmission
 //!   markers, and loss-recovery spans.
 //! * [`Tracer::dump`] prints the last records to stderr — the MMU calls
@@ -33,6 +33,7 @@ use crate::json::Json;
 use crate::time::Time;
 use std::cell::RefCell;
 use std::fmt;
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Flight-recorder capacity of every simulation in a [`capture`]
@@ -499,7 +500,23 @@ fn span_end(open: &mut std::collections::BTreeMap<(u64, u64), u64>, pid: u64, ti
     }
 }
 
-/// Converts captured logs into a Chrome `trace_event` JSON document
+/// The `traceEvents` array of a Chrome export being written: each event
+/// is rendered and written as it is pushed, never held.
+struct EventStream<'w, W: Write> {
+    out: &'w mut W,
+    first: bool,
+}
+
+impl<W: Write> EventStream<'_, W> {
+    fn push(&mut self, event: Json) -> io::Result<()> {
+        if !std::mem::take(&mut self.first) {
+            self.out.write_all(b",")?;
+        }
+        write!(self.out, "{event}")
+    }
+}
+
+/// Writes captured logs to `out` as a Chrome `trace_event` JSON document
 /// (load the file in `chrome://tracing` or <https://ui.perfetto.dev>).
 ///
 /// Tracks:
@@ -511,17 +528,43 @@ fn span_end(open: &mut std::collections::BTreeMap<(u64, u64), u64>, pid: u64, ti
 /// * **pid 7 "recovery"** — RTO backoff spans and NACK/repair instants
 ///   per flow (only when such records exist).
 ///
-/// `otherData` counts the simulations, their records and the records
-/// their rings overwrote.
-#[must_use]
-pub fn chrome_trace(logs: &[TraceLog]) -> Json {
+/// The document is one object: every key of `head` (a run record's
+/// provenance, figure rows and metrics; `Json::object()` for none),
+/// `displayTimeUnit`, `otherData` — which counts the simulations, their
+/// records and the records their rings overwrote — and, last,
+/// `traceEvents`. The small keys are written first and the events are
+/// streamed one at a time, so memory stays bounded by the logs, and the
+/// bytes are those a [`Json`] object holding every key would print.
+///
+/// # Errors
+///
+/// Returns the first error `out` reports.
+///
+/// # Panics
+///
+/// Panics if `head` is not an object or holds a key that does not sort
+/// before `traceEvents`.
+pub fn write_chrome_trace(logs: &[TraceLog], head: Json, out: &mut impl Write) -> io::Result<()> {
     use std::collections::BTreeMap;
 
-    let mut events: Vec<Json> = Vec::new();
+    let head = head.with("displayTimeUnit", "ns").with(
+        "otherData",
+        Json::object()
+            .with("simulations", logs.len())
+            .with("records", logs.iter().map(|l| l.records.len()).sum::<usize>())
+            .with("dropped_records", logs.iter().map(|l| l.dropped).sum::<u64>()),
+    );
+    let Json::Obj(keys) = &head else { unreachable!("`with` keeps an object") };
+    assert!(keys.keys().all(|k| k.as_str() < "traceEvents"), "traceEvents must be the last key");
+    // The head object without its closing brace, then the events array.
+    let head = head.to_string();
+    out.write_all(&head.as_bytes()[..head.len() - 1])?;
+    out.write_all(b",\"traceEvents\":[")?;
+
+    let mut events = EventStream { out, first: true };
     let mut open: BTreeMap<(u64, u64), u64> = BTreeMap::new();
     let mut names: BTreeMap<(u64, u64), String> = BTreeMap::new();
     let mut end_ts = 0.0f64;
-    let mut dropped_total = 0u64;
     let mut any_recovery = false;
 
     let ev = |name: &str, ph: &str, ts: f64, pid: u64, tid: u64| {
@@ -534,7 +577,6 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
     };
 
     for log in logs {
-        dropped_total += log.dropped;
         for rec in &log.records {
             let kind = rec.event;
             let ts = rec.at.as_ps() as f64 / 1e6; // ps → µs
@@ -552,12 +594,12 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                     };
                     names.entry((1, tid)).or_insert_with(|| label.clone());
                     span_begin(&mut open, 1, tid);
-                    events.push(ev(&label, "B", ts, 1, tid));
+                    events.push(ev(&label, "B", ts, 1, tid))?;
                 }
                 TraceEvent::PfcResume | TraceEvent::PfcPortResume => {
                     let tid = (node << 16) | (port << 4) | class.min(15);
                     if span_end(&mut open, 1, tid) {
-                        events.push(ev("", "E", ts, 1, tid));
+                        events.push(ev("", "E", ts, 1, tid))?;
                     }
                 }
                 TraceEvent::MmuQueuePause | TraceEvent::MmuPortPause => {
@@ -572,12 +614,12 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                     events.push(
                         ev(&label, "B", ts, 2, tid)
                             .with("args", Json::object().with("occupancy_bytes", rec.payload)),
-                    );
+                    )?;
                 }
                 TraceEvent::MmuQueueResume | TraceEvent::MmuPortResume => {
                     let tid = (node << 16) | (port << 4) | class.min(15);
                     if span_end(&mut open, 2, tid) {
-                        events.push(ev("", "E", ts, 2, tid));
+                        events.push(ev("", "E", ts, 2, tid))?;
                     }
                 }
                 TraceEvent::MmuDrop | TraceEvent::HeadroomEnter => {
@@ -586,14 +628,14 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                         ev(kind.name(), "i", ts, 2, tid)
                             .with("s", "t")
                             .with("args", Json::object().with("bytes", rec.payload)),
-                    );
+                    )?;
                 }
                 TraceEvent::AuditFail => {
                     events.push(
                         ev(kind.name(), "i", ts, 2, node << 16)
                             .with("s", "p")
                             .with("args", Json::object().with("node", node)),
-                    );
+                    )?;
                 }
                 TraceEvent::FlowStart => {
                     let tid = u64::from(rec.flow);
@@ -603,7 +645,7 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                     events.push(
                         ev(&label, "B", ts, 3, tid)
                             .with("args", Json::object().with("size_bytes", rec.payload)),
-                    );
+                    )?;
                 }
                 TraceEvent::FlowComplete | TraceEvent::FlowFailed => {
                     let tid = u64::from(rec.flow);
@@ -611,7 +653,7 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                         events.push(
                             ev("", "E", ts, 3, tid)
                                 .with("args", Json::object().with("outcome", kind.name())),
-                        );
+                        )?;
                     }
                 }
                 TraceEvent::Retransmit => {
@@ -623,7 +665,7 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                                 .with("retries", rec.payload >> 48)
                                 .with("rto_ns", rec.payload & ((1 << 48) - 1)),
                         ),
-                    );
+                    )?;
                 }
                 TraceEvent::RecoveryRto => {
                     // The RTO fire renders as a complete span covering the
@@ -641,7 +683,7 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                                     .with("retries", rec.payload >> 48)
                                     .with("rto_ns", rto_ns),
                             ),
-                    );
+                    )?;
                 }
                 TraceEvent::RecoveryNack | TraceEvent::RecoveryRepair => {
                     any_recovery = true;
@@ -649,7 +691,7 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                     events.push(ev(kind.name(), "i", ts, 7, tid).with("s", "t").with(
                         "args",
                         Json::object().with("node", node).with("payload", rec.payload),
-                    ));
+                    ))?;
                 }
             }
         }
@@ -658,7 +700,7 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
     // Close every span still open at the end of the trace.
     for ((pid, tid), n) in &open {
         for _ in 0..*n {
-            events.push(ev("", "E", end_ts, *pid, *tid));
+            events.push(ev("", "E", end_ts, *pid, *tid))?;
         }
     }
 
@@ -678,7 +720,7 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                 .with("ph", "M")
                 .with("pid", pid)
                 .with("args", Json::object().with("name", pname)),
-        );
+        )?;
     }
     for ((pid, tid), label) in &names {
         events.push(
@@ -688,16 +730,10 @@ pub fn chrome_trace(logs: &[TraceLog]) -> Json {
                 .with("pid", *pid)
                 .with("tid", *tid)
                 .with("args", Json::object().with("name", label.as_str())),
-        );
+        )?;
     }
 
-    Json::object().with("traceEvents", events).with("displayTimeUnit", "ns").with(
-        "otherData",
-        Json::object()
-            .with("simulations", logs.len())
-            .with("records", logs.iter().map(|l| l.records.len()).sum::<usize>())
-            .with("dropped_records", dropped_total),
-    )
+    events.out.write_all(b"]}")
 }
 
 #[cfg(test)]
@@ -797,9 +833,17 @@ mod tests {
         trace_event!(t, TraceEvent::PfcResume, { node: 2, port: 1, class: 0 });
         trace_event!(t, TraceEvent::MmuDrop, { node: 4, port: 0, class: 0, payload: 1500 });
         let log = t.log(TraceKey::default());
-        let doc = chrome_trace(&[log]);
-        let text = doc.to_string();
-        let parsed = Json::parse(&text).expect("chrome trace must be valid JSON");
+        let render = |logs: &[TraceLog]| {
+            let mut buf = Vec::new();
+            let head = Json::object().with("provenance", "test");
+            write_chrome_trace(logs, head, &mut buf).expect("a Vec takes every write");
+            Json::parse(&String::from_utf8(buf).unwrap()).expect("chrome trace must be valid JSON")
+        };
+        // No records: only the four track names.
+        let empty = render(&[]);
+        assert_eq!(empty.get("traceEvents").and_then(Json::as_arr).map(<[Json]>::len), Some(4));
+        let parsed = render(&[log]);
+        assert_eq!(parsed.get("provenance").and_then(Json::as_str), Some("test"));
         let events = parsed.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
         let ph = |p: &str| {
             events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some(p)).count()

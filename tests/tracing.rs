@@ -48,8 +48,9 @@ fn traced_sweep(threads: usize) -> (Vec<TraceLog>, String) {
         trace::capture(|| Executor::new(threads).par_map(traced_grid(), |e| fabric::run_fct(&e)));
     assert_eq!(logs.len(), 4, "one flight recorder per simulation");
     assert!(logs.iter().all(|l| !l.records.is_empty()), "traced sims must record events");
-    let chrome = trace::chrome_trace(&logs).to_string();
-    (logs, chrome)
+    let mut chrome = Vec::new();
+    trace::write_chrome_trace(&logs, Json::object(), &mut chrome).expect("a Vec takes every write");
+    (logs, String::from_utf8(chrome).expect("the export is UTF-8"))
 }
 
 #[test]
