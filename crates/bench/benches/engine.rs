@@ -3,19 +3,22 @@
 //! clustered arrivals of the figure workloads, the latter also at fat-tree
 //! k=16 density with its walk steps per push asserted), end-to-end
 //! events/second on a small incast, allocation-accounted packet-path
-//! probes, and the parallel fig. 14 sweep — run with
-//! `DSH_BENCH_JSON=out.json` to write the timings and metrics as JSON.
+//! probes, fabric builds up to the k=16 fat-tree, and the parallel
+//! fig. 14 sweep — run with `DSH_BENCH_JSON=out.json` to write the timings
+//! and metrics as JSON.
 //!
 //! With `--features alloc-count` the process allocator is replaced by a
 //! counting wrapper and the packet-path benches additionally report (and
 //! assert) steady-state heap allocations per delivered packet — the
-//! hot-path zero-allocation contract of DESIGN.md §10.
+//! hot-path zero-allocation contract of DESIGN.md §10 — and the build
+//! probe reports (and asserts below one) heap allocations per egress port.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dsh_bench::fabric::{FctExperiment, Topo};
 use dsh_bench::fig14;
 use dsh_core::Scheme;
-use dsh_net::{FlowSpec, NetParams, Network, NetworkBuilder};
+use dsh_net::topology::{fat_tree, leaf_spine, LeafSpineShape};
+use dsh_net::{FlowSpec, NetParams, Network, NetworkBuilder, NodeId};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, EventQueue, Executor, Simulation, Time};
 use dsh_transport::{CcKind, RecoveryConfig};
 
@@ -575,6 +578,71 @@ fn packet_path_probe(label: &str, mut sim: Simulation<Network>, assert_zero: boo
     }
 }
 
+/// An unbuilt fabric of the build probe, all links 100 Gb/s and 2 µs.
+fn unbuilt_fabric(topo: Topo) -> NetworkBuilder {
+    let params = NetParams::tomahawk(Scheme::Dsh);
+    let (link, delay) = (Bandwidth::from_gbps(100), Delta::from_us(2));
+    match topo {
+        Topo::LeafSpine { leaves, spines, hosts_per_leaf } => {
+            let shape = LeafSpineShape {
+                leaves,
+                spines,
+                hosts_per_leaf,
+                downlink: link,
+                uplink: link,
+                link_delay: delay,
+            };
+            leaf_spine(params, shape).builder
+        }
+        Topo::FatTree { k } => fat_tree(params, k, link, delay).builder,
+    }
+}
+
+/// Fabric builds: the time of `NetworkBuilder::build` plus `into_sim` for
+/// the 64- and 256-host leaf-spines and the 1,024-host k=16 fat-tree, and
+/// — with the counting allocator — the heap allocations that build makes
+/// per egress port, asserted below one: the build allocates per switch,
+/// never per port (DESIGN.md §10).
+fn fabric_build(c: &mut Criterion) {
+    let fabrics = [
+        ("leaf_spine_64", Topo::SMALL_LEAF_SPINE),
+        ("leaf_spine_256", Topo::PAPER_LEAF_SPINE),
+        ("fat_tree_k16", Topo::FatTree { k: 16 }),
+    ];
+    let mut g = c.benchmark_group("fabric_build");
+    g.sample_size(5);
+    for (label, topo) in fabrics {
+        g.bench_function(label, |b| {
+            b.iter_batched(
+                || unbuilt_fabric(topo),
+                |b| b.build().into_sim(),
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    g.finish();
+    for (label, topo) in fabrics {
+        let bld = unbuilt_fabric(topo);
+        let allocs0 = allocations();
+        let sim = bld.build().into_sim();
+        let allocs1 = allocations(); // Read before anything below allocates.
+        let net = sim.model();
+        let ports: usize = (0..net.node_count()).map(|n| net.ports(NodeId(n)).len()).sum();
+        criterion::record_metric(&format!("fabric_build/{label}/egress_ports"), ports as f64);
+        if let (Some(a0), Some(a1)) = (allocs0, allocs1) {
+            let allocs = a1 - a0;
+            let per_port = allocs as f64 / ports as f64;
+            criterion::record_metric(&format!("fabric_build/{label}/allocs"), allocs as f64);
+            criterion::record_metric(&format!("fabric_build/{label}/allocs_per_port"), per_port);
+            assert!(
+                per_port < 1.0,
+                "{label}: {allocs} heap allocations building {ports} egress ports \
+                 ({per_port:.3}/port) — building a port must not allocate"
+            );
+        }
+    }
+}
+
 /// Steady-state packet-path probes: timing plus allocation accounting.
 fn packet_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("packet_path");
@@ -634,6 +702,7 @@ criterion_group!(
     event_queue_throughput,
     end_to_end_incast,
     packet_path,
+    fabric_build,
     fig14_sweep_parallel
 );
 criterion_main!(benches);

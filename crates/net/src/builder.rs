@@ -4,10 +4,10 @@ use crate::dataplane::SwitchNode;
 use crate::ecn::EcnConfig;
 use crate::host::HostNode;
 use crate::ids::{NodeId, NUM_DATA_CLASSES};
-use crate::network::{Network, Node};
+use crate::network::{Network, Node, NO_PORT};
 use crate::observe::ObserveConfig;
 use crate::port::EgressPort;
-use crate::routing::compute_routes;
+use crate::routing::{compute_routes, PortTable};
 use dsh_core::{headroom, Mmu, MmuConfig, Scheme};
 use dsh_simcore::trace::{TraceKey, Tracer};
 use dsh_simcore::{Bandwidth, ByteSize, Delta};
@@ -200,33 +200,49 @@ impl NetworkBuilder {
         // points, the scheme tag separates the SIH/DSH pair of a point.
         let tracer = Tracer::for_simulation(self.params.trace_key());
         let n = self.nodes.len();
-        // Ports per node, in link insertion order; each port's network-wide
-        // index is its creation order.
-        let mut ports: Vec<Vec<EgressPort>> = (0..n).map(|_| Vec::new()).collect();
-        // adjacency over all nodes: (neighbor, local port index)
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for (i, &(a, b, bw, d)) in self.links.iter().enumerate() {
-            let pa = ports[a.0].len();
-            let pb = ports[b.0].len();
-            let index = u32::try_from(2 * i).expect("too many links");
-            ports[a.0].push(EgressPort::new(index, b, pb, bw, d));
-            ports[b.0].push(EgressPort::new(index + 1, a, pa, bw, d));
-            adj[a.0].push((b.0, pa));
-            adj[b.0].push((a.0, pb));
+        // The port table: node `u`'s ports are `start[u]..start[u + 1]`,
+        // in link insertion order.
+        let mut start = vec![0u32; n + 1];
+        for &(a, b, _, _) in &self.links {
+            start[a.0 + 1] += 1;
+            start[b.0 + 1] += 1;
         }
         // Queued frames tag their switch ingress port as a `u16`.
-        if let Some((i, p)) = ports.iter().enumerate().find(|(_, p)| p.len() > 1 << 16) {
-            panic!("node n{i} has {} ports; a switch indexes at most 65536", p.len());
+        if let Some((i, &d)) = start.iter().enumerate().find(|&(_, &d)| d > 1 << 16) {
+            panic!("node n{} has {d} ports; a switch indexes at most 65536", i - 1);
         }
+        for u in 0..n {
+            start[u + 1] = start[u].checked_add(start[u + 1]).expect("too many links");
+        }
+        // Each link end's table position, dealt out in link order: the
+        // end's link, its peer and its peer's local port number.
+        let mut next = start.clone();
+        let mut ends = vec![(0, NodeId(0), 0); start[n] as usize];
+        for (i, &(a, b, _, _)) in self.links.iter().enumerate() {
+            let (pa, pb) = (next[a.0], next[b.0]);
+            next[a.0] += 1;
+            next[b.0] += 1;
+            ends[pa as usize] = (i, b, (pb - start[b.0]) as usize);
+            ends[pb as usize] = (i, a, (pa - start[a.0]) as usize);
+        }
+        let ports: Vec<EgressPort> = ends
+            .iter()
+            .enumerate()
+            .map(|(pos, &(link, peer, peer_port))| {
+                let (_, _, bw, d) = self.links[link];
+                EgressPort::new(pos as u32, peer, peer_port, bw, d)
+            })
+            .collect();
+        let ports_at = |u: usize| &ports[start[u] as usize..start[u + 1] as usize];
 
         // Validate host attachment.
         let is_switch: Vec<bool> =
             self.nodes.iter().map(|p| matches!(p, ProtoNode::Switch)).collect();
         for u in 0..n {
             if !is_switch[u] {
-                assert!(adj[u].len() <= 1, "host n{u} must be single-homed");
-                if let Some(&(v, _)) = adj[u].first() {
-                    assert!(is_switch[v], "host n{u} must attach to a switch");
+                assert!(ports_at(u).len() <= 1, "host n{u} must be single-homed");
+                if let Some(up) = ports_at(u).first() {
+                    assert!(is_switch[up.peer.0], "host n{u} must attach to a switch");
                 }
             }
         }
@@ -234,7 +250,7 @@ impl NetworkBuilder {
         // Routing: BFS from each ToR over the switch graph; each switch
         // forwards toward a host to any neighbour strictly closer to the
         // host's ToR (ECMP).
-        let routes = compute_routes(&is_switch, &adj);
+        let routes = compute_routes(&is_switch, PortTable { ports: &ports, start: &start });
         // A hop-slab slot budgets every INT frame's stamp count: a
         // topology deeper than HOP_CAPACITY must fail here, not panic
         // mid-simulation in HopList::push.
@@ -251,14 +267,12 @@ impl NetworkBuilder {
         // Materialize nodes.
         let mut nodes = Vec::with_capacity(n);
         let mut tables = routes.tables.into_iter();
-        for (i, (proto, nports)) in self.nodes.iter().zip(ports).enumerate() {
+        for (i, proto) in self.nodes.iter().enumerate() {
+            let nports = ports_at(i);
             match proto {
                 ProtoNode::Host => {
-                    let mut h = HostNode::new(NodeId(i));
-                    let mut it = nports.into_iter();
-                    h.port = it.next();
-                    assert!(it.next().is_none(), "host n{i} must have one uplink");
-                    nodes.push(Node::Host(h));
+                    let uplink = if nports.is_empty() { NO_PORT } else { start[i] };
+                    nodes.push(Node::Host(HostNode::new(NodeId(i), uplink)));
                 }
                 ProtoNode::Switch => {
                     let num_ports = nports.len().max(1);
@@ -301,7 +315,8 @@ impl NetworkBuilder {
                     mmu.set_tracer(tracer.clone(), i as u32);
                     nodes.push(Node::Switch(SwitchNode {
                         id: NodeId(i),
-                        ports: nports,
+                        first_port: start[i],
+                        port_count: start[i + 1] - start[i],
                         mmu,
                         routes: tables.next().expect("one table per switch"),
                     }));
@@ -309,7 +324,7 @@ impl NetworkBuilder {
             }
         }
 
-        Network::from_parts(self.params, nodes, tracer)
+        Network::from_parts(self.params, nodes, ports, tracer)
     }
 }
 

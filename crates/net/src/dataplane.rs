@@ -10,8 +10,8 @@
 use crate::arena::FrameId;
 use crate::frame::{Frame, FrameKind};
 use crate::ids::NodeId;
-use crate::network::{port_of, NetEvent, Network, Node};
-use crate::port::{EgressPort, IngressTag, QueuedFrame};
+use crate::network::{NetEvent, Network, Node};
+use crate::port::{IngressTag, QueuedFrame};
 use crate::routing::RouteTable;
 use dsh_core::{FcActions, Mmu};
 use dsh_simcore::Scheduler;
@@ -22,9 +22,12 @@ use dsh_transport::TelemetryHop;
 pub struct SwitchNode {
     /// This node's id.
     pub id: NodeId,
-    /// Egress ports (index = port number; the ingress side of port *i* is
-    /// the link from `ports[i].peer`).
-    pub ports: Vec<EgressPort>,
+    /// Position of port 0 in the network's port table; port *i* sits *i*
+    /// places further on (the ingress side of port *i* is the link from
+    /// its peer).
+    pub first_port: u32,
+    /// Number of ports.
+    pub port_count: u32,
     /// The lossless-pool MMU (SIH or DSH).
     pub mmu: Mmu,
     /// ECMP candidates toward every destination node.
@@ -49,7 +52,7 @@ impl Network {
         };
 
         let sw = self.switch_mut(node);
-        let out_port = sw.routes.pick(dst.0, flow, sw.id);
+        let out_port = sw.first_port as usize + sw.routes.pick(dst.0, flow, sw.id);
         let mut fc = FcActions::none();
         let admitted = if frame.is_data() {
             let q = frame.class as usize;
@@ -76,7 +79,7 @@ impl Network {
 
         // ECN marking against the egress queue length (congestion point).
         if frame.is_data() && self.params.ecn.enabled {
-            let qlen = self.port_mut(node, out_port).queue_bytes(frame.class);
+            let qlen = self.ports[out_port].queue_bytes(frame.class);
             let mark = self.params.ecn.mark(qlen, &mut self.rng);
             if mark {
                 if let FrameKind::Data(d) = &mut self.frames.get_mut(id).kind {
@@ -94,9 +97,10 @@ impl Network {
         self.send_or_enqueue(node, out_port, QueuedFrame::new(id, &frame, tag), sched);
     }
 
-    /// Starts a transmission on `(node, port)` if the serializer is idle
-    /// and a frame is eligible. On a busy serializer, books the wake-up at
-    /// the end of the frame on the wire if one is now owed.
+    /// Starts a transmission on `node`'s egress `port` (a port-table
+    /// position, as every egress port below is named) if the serializer is
+    /// idle and a frame is eligible. On a busy serializer, books the
+    /// wake-up at the end of the frame on the wire if one is now owed.
     pub(crate) fn try_transmit(
         &mut self,
         node: NodeId,
@@ -104,7 +108,7 @@ impl Network {
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let now = sched.now();
-        let p = self.port_mut(node, port);
+        let p = &mut self.ports[port];
         if p.is_busy(now, sched.current_seq()) {
             self.book_wake(node, port, sched);
             return;
@@ -125,7 +129,7 @@ impl Network {
         qf: QueuedFrame,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
-        let p = self.port_mut(node, port);
+        let p = &mut self.ports[port];
         if p.idle_for(qf.class, sched.now(), sched.current_seq()) {
             self.transmit(node, port, qf, sched);
         } else {
@@ -161,7 +165,7 @@ impl Network {
             }
             Node::Host(_) => false,
         };
-        let p = port_of(&mut self.nodes, node, port);
+        let p = &mut self.ports[port];
         // Stamp INT telemetry at switch egress, into data frames whose
         // sender asked for it.
         if is_switch && qf.int {
@@ -199,13 +203,11 @@ impl Network {
     /// refills the NIC queue and books the pacing wake-ups. Without one the
     /// `TxDone` would find nothing to do, so it never reaches the calendar.
     fn book_wake(&mut self, node: NodeId, port: usize, sched: &mut Scheduler<'_, NetEvent>) {
-        let (p, owed) = match &mut self.nodes[node.0] {
-            Node::Switch(s) => (&mut s.ports[port], false),
-            Node::Host(h) => {
-                let flows_active = !h.active.is_empty();
-                (h.uplink_mut(), flows_active)
-            }
+        let owed = match &self.nodes[node.0] {
+            Node::Switch(_) => false,
+            Node::Host(h) => !h.active.is_empty(),
         };
+        let p = &mut self.ports[port];
         if !(owed || p.has_waiting()) {
             return;
         }
@@ -230,7 +232,7 @@ impl Network {
         port: usize,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
-        self.port_mut(node, port).on_wake();
+        self.ports[port].on_wake();
         if self.is_host(node) {
             // Refill the NIC queue from flow state, then transmit.
             self.host_try_send(node, sched);

@@ -11,7 +11,7 @@
 use crate::arena::FrameId;
 use crate::frame::{Frame, PfcFrame, PfcScope};
 use crate::ids::NodeId;
-use crate::network::{port_of, NetEvent, Network};
+use crate::network::{NetEvent, Network};
 use crate::observe::PORT_SCOPE_CLASS;
 use crate::port::{IngressTag, QueuedFrame};
 use dsh_core::headroom::PFC_PROCESSING_BYTES;
@@ -44,11 +44,12 @@ impl Network {
         actions: impl IntoIterator<Item = FcAction>,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
+        let first = self.first_port(node);
         for a in actions {
             let (p, f) = pfc_frame(a);
             let qf = self.alloc_queued(f);
-            self.port_mut(node, p).enqueue(qf);
-            self.try_transmit(node, p, sched);
+            self.ports[first + p].enqueue(qf);
+            self.try_transmit(node, first + p, sched);
         }
     }
 
@@ -77,10 +78,10 @@ impl Network {
         self.released = released;
     }
 
-    /// Receives PFC frame `id` on `in_port` of `node`, switch or host.
-    /// PFC frames are link-local: the frame is consumed here, and it
-    /// pauses (or resumes) this node's egress side of `in_port` after the
-    /// standard processing delay.
+    /// Receives PFC frame `id` on `in_port` (the node's own port number)
+    /// of `node`, switch or host. PFC frames are link-local: the frame is
+    /// consumed here, and it pauses (or resumes) this node's egress side
+    /// of `in_port` after the standard processing delay.
     pub(crate) fn receive_pfc(
         &mut self,
         node: NodeId,
@@ -89,12 +90,13 @@ impl Network {
         pfc: PfcFrame,
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
-        let delay = self.port_mut(node, in_port).bandwidth().tx_delay(PFC_PROCESSING_BYTES);
+        let port = self.first_port(node) + in_port;
+        let delay = self.ports[port].bandwidth().tx_delay(PFC_PROCESSING_BYTES);
         sched.at(
             sched.now() + delay,
             NetEvent::ApplyPause {
                 node: node.0 as u32,
-                port: in_port as u32,
+                port: port as u32,
                 scope: pfc.scope,
                 pause: pfc.pause,
             },
@@ -102,6 +104,8 @@ impl Network {
         self.frames.free(id);
     }
 
+    /// Applies a received pause or resume to `node`'s egress `port` (a
+    /// port-table position).
     pub(crate) fn handle_apply_pause(
         &mut self,
         node: NodeId,
@@ -111,12 +115,10 @@ impl Network {
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let now = sched.now();
-        let (peer, peer_port, was, is) = {
-            let p = port_of(&mut self.nodes, node, port);
-            let was = p.pause_asserted();
-            p.apply_pause(scope, pause, now, &mut self.pauses);
-            (p.peer, p.peer_port, was, p.pause_asserted())
-        };
+        let p = &mut self.ports[port];
+        let was = p.pause_asserted();
+        p.apply_pause(scope, pause, now, &mut self.pauses);
+        let (peer, peer_port, is) = (p.peer, p.peer_port, p.pause_asserted());
         self.count_paused_port(was, is);
         let up_is_host = self.is_host(node);
         // The cascade edge and the trace record both name a port-scope
@@ -125,14 +127,17 @@ impl Network {
             PfcScope::Queue(c) => c,
             PfcScope::Port => PORT_SCOPE_CLASS,
         };
+        // The cascade tracker and the trace name the port by its number
+        // at the node.
+        let local = port - self.first_port(node);
         // Pause-causality hook: links are full-duplex port pairs, so the
         // congested downstream that requested this pause is statically
         // the peer endpoint. One branch when the observatory is off.
         if let Some(obs) = self.observe.as_deref_mut() {
             if pause {
-                obs.cascade.on_pause(node, port, class, peer, peer_port, up_is_host, now);
+                obs.cascade.on_pause(node, local, class, peer, peer_port, up_is_host, now);
             } else {
-                obs.cascade.on_resume(node, port, class, now);
+                obs.cascade.on_resume(node, local, class, now);
             }
         }
         let kind = match (scope, pause) {
@@ -141,7 +146,7 @@ impl Network {
             (PfcScope::Port, true) => TraceEvent::PfcPortPause,
             (PfcScope::Port, false) => TraceEvent::PfcPortResume,
         };
-        trace_event!(self.tracer, kind, { node: node.0 as u32, port: port as u16, class: class });
+        trace_event!(self.tracer, kind, { node: node.0 as u32, port: local as u16, class: class });
         if !pause {
             // Resumed: traffic may flow again.
             if up_is_host {
@@ -152,8 +157,8 @@ impl Network {
         }
     }
 
-    /// The PFC watchdog's flush of `class` on egress `port` of switch
-    /// `node`: force-clears the class pause and any port-scope pause,
+    /// The PFC watchdog's flush of `class` on egress `port` (a port-table
+    /// position) of switch `node`: force-clears the class pause and any port-scope pause,
     /// drops the class's queued frames (releasing their MMU accounting
     /// and forwarding any resumes that releases), ends the matching
     /// cascade edges and lets the port transmit again.
@@ -166,16 +171,15 @@ impl Network {
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let mut flushed = std::mem::take(&mut self.drained);
-        let (was, is) = {
-            let p = port_of(&mut self.nodes, node, port);
-            let was = p.pause_asserted();
-            p.watchdog_flush_class(class, now, &mut flushed, &mut self.pauses);
-            (was, p.pause_asserted())
-        };
+        let p = &mut self.ports[port];
+        let was = p.pause_asserted();
+        p.watchdog_flush_class(class, now, &mut flushed, &mut self.pauses);
+        let is = p.pause_asserted();
         self.count_paused_port(was, is);
+        let local = port - self.first_port(node);
         if let Some(obs) = self.observe.as_deref_mut() {
-            obs.cascade.on_resume(node, port, class, now);
-            obs.cascade.on_resume(node, port, PORT_SCOPE_CLASS, now);
+            obs.cascade.on_resume(node, local, class, now);
+            obs.cascade.on_resume(node, local, PORT_SCOPE_CLASS, now);
         }
         self.watchdog_drops += flushed.len() as u64;
         self.release_drained(node, flushed, sched);

@@ -13,7 +13,7 @@ use crate::frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame};
 use crate::ids::{FlowId, NodeId};
 use crate::monitor::FctRecord;
 use crate::network::{FlowSpec, NetEvent, Network, Node};
-use crate::port::{EgressPort, QueuedFrame};
+use crate::port::QueuedFrame;
 use dsh_simcore::trace::TraceEvent;
 use dsh_simcore::{trace_event, Scheduler, Time};
 use dsh_transport::{
@@ -199,8 +199,9 @@ impl Default for ReceiverFlow {
 pub struct HostNode {
     /// This node's id.
     pub id: NodeId,
-    /// The single uplink (port 0).
-    pub port: Option<EgressPort>,
+    /// Position of the single uplink (port 0) in the network's port
+    /// table; `NO_PORT` for a host that was never linked.
+    pub uplink: u32,
     /// Flows sourced at this host, in start order (the network's flow
     /// record holds each flow's position here).
     pub tx_flows: Vec<SenderFlow>,
@@ -219,39 +220,18 @@ pub struct HostNode {
 }
 
 impl HostNode {
-    /// Creates a host with no uplink yet (the builder attaches it).
+    /// Creates a host whose uplink sits at `uplink` in the port table.
     #[must_use]
-    pub fn new(id: NodeId) -> Self {
+    pub fn new(id: NodeId, uplink: u32) -> Self {
         HostNode {
             id,
-            port: None,
+            uplink,
             tx_flows: Vec::new(),
             sourced: 0,
             active: Vec::new(),
             rr_cursor: 0,
             wake_at: Time::MAX,
         }
-    }
-
-    /// The uplink port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host was never linked into the topology.
-    #[must_use]
-    pub fn uplink(&self) -> &EgressPort {
-        self.port
-            .as_ref()
-            .unwrap_or_else(|| panic!("host {} has no uplink; call NetworkBuilder::link", self.id))
-    }
-
-    /// Mutable access to the uplink port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host was never linked into the topology.
-    pub fn uplink_mut(&mut self) -> &mut EgressPort {
-        self.port.as_mut().expect("host has no uplink; call NetworkBuilder::link")
     }
 
     /// Registers a new sender flow (marked active); returns its
@@ -297,10 +277,8 @@ impl Network {
             class: spec.class,
             payload: spec.size,
         });
-        let (bw, base_rtt) = {
-            let host = self.host_mut(spec.src);
-            (host.uplink().bandwidth(), self.params.base_rtt)
-        };
+        let (bw, base_rtt) =
+            (self.ports[self.first_port(spec.src)].bandwidth(), self.params.base_rtt);
         let cc = new_cc(spec.cc, bw, base_rtt);
         let rcfg = self.params.recovery.unwrap_or_else(|| RecoveryConfig::for_rtt(base_rtt));
         let sender = SenderFlow::new(flow, &spec, cc, GoBackN::new(rcfg));
@@ -510,14 +488,14 @@ impl Network {
             self.frames.get_mut(id).echo_as_ack(ack);
         }
         let reply = QueuedFrame::new(id, self.frames.get(id), None);
+        let up = self.first_port(node);
         if send_cnp {
             let cnp = self.alloc_queued(Frame::cnp(flow, src));
-            let uplink = self.host_mut(node).uplink_mut();
-            uplink.enqueue(reply);
-            uplink.enqueue(cnp);
-            self.try_transmit(node, 0, sched);
+            self.ports[up].enqueue(reply);
+            self.ports[up].enqueue(cnp);
+            self.try_transmit(node, up, sched);
         } else {
-            self.send_or_enqueue(node, 0, reply, sched);
+            self.send_or_enqueue(node, up, reply, sched);
         }
     }
 
@@ -528,10 +506,11 @@ impl Network {
         let mtu = self.params.mtu;
         let recovery_on = self.params.recovery.is_some();
         let sr = self.params.recovery.is_some_and(|r| r.regime == Regime::SelectiveRepeat);
+        let up = self.first_port(node);
         loop {
-            let host = self.host_mut(node);
+            let (host, port) = self.host_with_uplink(node);
             let n = host.active.len();
-            if n == 0 || host.port.is_none() {
+            if n == 0 {
                 break;
             }
             let mut chosen = None;
@@ -565,7 +544,6 @@ impl Network {
                     continue;
                 }
                 let seg = if repair { mtu } else { mtu.min(f.size - f.sent) };
-                let port = host.uplink();
                 if !port.class_sendable(f.class) {
                     continue;
                 }
@@ -684,19 +662,18 @@ impl Network {
                 );
             }
             let qf = self.alloc_queued(Frame::data(df, class));
-            self.host_mut(node).uplink_mut().enqueue(qf);
+            self.ports[up].enqueue(qf);
             self.arm_cc_timer(node, flow_id, sched);
         }
-        self.try_transmit(node, 0, sched);
+        self.try_transmit(node, up, sched);
 
         // Pacing wake-up for flows waiting only on their send clock — but
         // only from an idle serializer: while the uplink is busy, the
         // active flows have booked its TxDone, which re-enters this
         // function and re-evaluates the clock, so a wake-up event here
         // would just be calendar churn.
-        let seq = sched.current_seq();
-        let host = self.host_mut(node);
-        if host.port.as_ref().is_some_and(|p| p.is_busy(now, seq)) {
+        let (host, port) = self.host_with_uplink(node);
+        if port.is_busy(now, sched.current_seq()) {
             return;
         }
         let next =
@@ -835,7 +812,6 @@ impl Network {
     /// reported via [`Network::failed_flow_count`].
     fn fail_flow(&mut self, node: NodeId, flow: FlowId) {
         self.failed_flows += 1;
-        self.flows[flow.0].failed = true;
         trace_event!(self.tracer, TraceEvent::FlowFailed, {
             flow: flow.0 as u32,
             node: node.0 as u32,
@@ -938,19 +914,12 @@ mod tests {
 
     #[test]
     fn host_flow_registry() {
-        let mut h = HostNode::new(NodeId(0));
+        let mut h = HostNode::new(NodeId(0), 0);
         h.sourced = 3;
         assert_eq!(h.add_sender(flow(5)), 0);
         assert_eq!(h.add_sender(flow(9)), 1);
         assert_eq!(h.tx_flows[1].id, FlowId(9));
         assert_eq!(h.active, [0, 1]);
         assert_eq!(h.tx_flows.capacity(), 3, "sized to the flows it sources");
-    }
-
-    #[test]
-    #[should_panic(expected = "no uplink")]
-    fn unlinked_host_panics() {
-        let h = HostNode::new(NodeId(0));
-        let _ = h.uplink();
     }
 }

@@ -25,6 +25,7 @@ use dsh_core::FcAction;
 use dsh_simcore::trace::Tracer;
 use dsh_simcore::{EventClass, Model, Scheduler, SimRng, Simulation, Time};
 use dsh_transport::CcKind;
+use std::ops::Range;
 
 /// Specification of one flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,7 +67,7 @@ pub enum NetEvent {
     TxDone {
         /// Transmitting node index.
         node: u32,
-        /// Egress port index.
+        /// The egress port, by its position in the network's port table.
         port: u32,
     },
     /// A received PFC frame takes effect after the standard processing
@@ -74,7 +75,8 @@ pub enum NetEvent {
     ApplyPause {
         /// Index of the node whose egress is paused/resumed.
         node: u32,
-        /// Egress port index (the port the PFC frame arrived on).
+        /// The egress port (the one the PFC frame arrived on), by its
+        /// position in the network's port table.
         port: u32,
         /// Queue- or port-level.
         scope: PfcScope,
@@ -134,9 +136,6 @@ pub(crate) struct FlowMeta {
     /// Position of the flow's sender state in its source host's
     /// `tx_flows`; [`NO_SENDER`] until the flow starts.
     pub(crate) sender: u32,
-    /// Loss recovery gave up on this flow (go-back-N hit its retry cap);
-    /// marked explicitly so a run can tell failed from wedged.
-    pub(crate) failed: bool,
 }
 
 /// [`FlowMeta::sender`] of a flow that has not started.
@@ -151,6 +150,11 @@ const NO_SENDER: u32 = u32::MAX;
 pub struct Network {
     pub(crate) params: NetParams,
     pub(crate) nodes: Vec<Node>,
+    /// Every egress port in the network, node by node and each node's in
+    /// link order: a port's [`EgressPort::index`] is its position here. A
+    /// switch holds the position of its first port, a host that of its
+    /// uplink.
+    pub(crate) ports: Vec<EgressPort>,
     pub(crate) flows: Vec<FlowMeta>,
     pub(crate) flow_rx: Vec<u64>,
     /// Receiver-side per-flow state, indexed by flow id. Flow ids are
@@ -159,8 +163,8 @@ pub struct Network {
     pub(crate) rx_flows: Vec<ReceiverFlow>,
     pub(crate) fct: Vec<FctRecord>,
     pub(crate) monitors: Vec<FlowMonitor>,
-    /// Closed pause→resume intervals of every egress port, keyed by
-    /// [`EgressPort::index`].
+    /// Closed pause→resume intervals of every egress port, keyed by its
+    /// position in `ports`.
     pub(crate) pauses: PauseHistograms,
     /// Egress ports with a port-level or a data-class pause asserted.
     pub(crate) paused_ports: u64,
@@ -210,7 +214,12 @@ pub struct Network {
 }
 
 impl Network {
-    pub(crate) fn from_parts(params: NetParams, nodes: Vec<Node>, tracer: Tracer) -> Self {
+    pub(crate) fn from_parts(
+        params: NetParams,
+        nodes: Vec<Node>,
+        ports: Vec<EgressPort>,
+        tracer: Tracer,
+    ) -> Self {
         let rng = SimRng::new(params.seed);
         // Pre-register every switch so metrics sampling never allocates.
         let observe = params.observe.as_ref().map(|_| {
@@ -222,16 +231,16 @@ impl Network {
             }
             st
         });
-        let ports = nodes.iter().map(|n| node_ports(n).len()).sum();
         Network {
             params,
             nodes,
+            pauses: PauseHistograms::new(ports.len()),
+            ports,
             flows: Vec::new(),
             flow_rx: Vec::new(),
             rx_flows: Vec::new(),
             fct: Vec::new(),
             monitors: Vec::new(),
-            pauses: PauseHistograms::new(ports),
             paused_ports: 0,
             rng,
             frames: FrameArena::default(),
@@ -265,16 +274,18 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the class is not a data class or the endpoints are not
-    /// hosts.
+    /// Panics if the class is not a data class, the endpoints are not
+    /// hosts or the source has no uplink.
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
         assert!((spec.class as usize) < NUM_DATA_CLASSES, "class must be 0..7");
         assert!(matches!(self.nodes[spec.src.0], Node::Host(_)), "src must be a host");
         assert!(matches!(self.nodes[spec.dst.0], Node::Host(_)), "dst must be a host");
         assert!(spec.size > 0, "flow size must be positive");
-        self.host_mut(spec.src).sourced += 1;
+        let src = self.host_mut(spec.src);
+        assert!(src.uplink != NO_PORT, "src {} has no uplink; call NetworkBuilder::link", src.id);
+        src.sourced += 1;
         let id = FlowId(self.flows.len());
-        self.flows.push(FlowMeta { spec, sender: NO_SENDER, failed: false });
+        self.flows.push(FlowMeta { spec, sender: NO_SENDER });
         self.flow_rx.push(0);
         self.rx_flows.push(ReceiverFlow::new());
         id
@@ -310,7 +321,11 @@ impl Network {
             || self.params.pfc_watchdog.is_some()
             || self.observe.is_some())
         .then_some(self.params.sample_interval);
-        let mut sim = Simulation::new(wrap(self));
+        // The calendar is sized for every event seeded below, so seeding
+        // never regrows it; a power of two, so the run's later growth
+        // steps are the ones an unsized calendar's doubling takes.
+        let capacity = (starts.len() + 1).next_power_of_two();
+        let mut sim = Simulation::with_capacity(wrap(self), capacity);
         for (t, flow) in starts {
             sim.schedule(t, NetEvent::FlowStart { flow: flow.0 as u32 });
         }
@@ -326,10 +341,12 @@ impl Network {
         self.nodes.len()
     }
 
-    /// A node's egress ports: a switch's in port order, a host's uplink.
+    /// A node's egress ports, one contiguous slice of the network's port
+    /// table: a switch's in port order, a host's uplink (none for a host
+    /// that was never linked).
     #[must_use]
     pub fn ports(&self, node: NodeId) -> &[EgressPort] {
-        node_ports(&self.nodes[node.0])
+        &self.ports[self.port_range(node)]
     }
 
     /// A switch's ECMP routing table, computed at build; `None` for a
@@ -342,12 +359,6 @@ impl Network {
         }
     }
 
-    /// The flow's specification.
-    #[must_use]
-    pub fn flow_spec(&self, flow: FlowId) -> FlowSpec {
-        self.flows[flow.0].spec
-    }
-
     /// Number of flows registered.
     #[must_use]
     pub fn flow_count(&self) -> usize {
@@ -357,10 +368,10 @@ impl Network {
     // ---- node plumbing ----------------------------------------------------
 
     /// Every egress port in the network as `(node, port index, port)`, in
-    /// node then port order.
+    /// node then port order: the port table's order.
     pub(crate) fn all_ports(&self) -> impl Iterator<Item = (NodeId, usize, &EgressPort)> {
-        self.nodes.iter().enumerate().flat_map(|(i, n)| {
-            node_ports(n).iter().enumerate().map(move |(p, port)| (NodeId(i), p, port))
+        (0..self.nodes.len()).map(NodeId).flat_map(move |node| {
+            self.ports(node).iter().enumerate().map(move |(p, port)| (node, p, port))
         })
     }
 
@@ -407,30 +418,42 @@ impl Network {
         }
     }
 
-    pub(crate) fn port_mut(&mut self, id: NodeId, port: usize) -> &mut EgressPort {
-        port_of(&mut self.nodes, id, port)
+    /// Position in the port table of the first egress port of `node`: a
+    /// switch's port 0, a host's uplink. Port `p` of the node sits `p`
+    /// places further on.
+    #[inline]
+    pub(crate) fn first_port(&self, node: NodeId) -> usize {
+        match &self.nodes[node.0] {
+            Node::Switch(s) => s.first_port as usize,
+            Node::Host(h) => h.uplink as usize,
+        }
     }
-}
 
-/// A node's egress ports: a switch's in port order, a host's uplink.
-fn node_ports(node: &Node) -> &[EgressPort] {
-    match node {
-        Node::Switch(s) => &s.ports,
-        Node::Host(h) => h.port.as_slice(),
+    /// The port-table positions of `node`'s egress ports.
+    pub(crate) fn port_range(&self, node: NodeId) -> Range<usize> {
+        let (first, count) = match &self.nodes[node.0] {
+            Node::Switch(s) => (s.first_port, s.port_count),
+            Node::Host(h) if h.uplink == NO_PORT => (0, 0),
+            Node::Host(h) => (h.uplink, 1),
+        };
+        first as usize..(first + count) as usize
     }
-}
 
-/// Egress port `port` of node `id`, borrowed from the node list alone so
-/// the caller keeps the rest of the network.
-pub(crate) fn port_of(nodes: &mut [Node], id: NodeId, port: usize) -> &mut EgressPort {
-    match &mut nodes[id.0] {
-        Node::Switch(s) => &mut s.ports[port],
-        Node::Host(h) => {
-            assert_eq!(port, 0, "hosts have a single uplink");
-            h.uplink_mut()
+    /// Host `id` and its uplink, borrowed apart.
+    pub(crate) fn host_with_uplink(&mut self, id: NodeId) -> (&mut HostNode, &mut EgressPort) {
+        match &mut self.nodes[id.0] {
+            Node::Host(h) => {
+                let uplink = &mut self.ports[h.uplink as usize];
+                (h, uplink)
+            }
+            Node::Switch(_) => panic!("{id} is not a host"),
         }
     }
 }
+
+/// The port-table position of a host that was never linked: it has no
+/// uplink.
+pub(crate) const NO_PORT: u32 = u32::MAX;
 
 // Hot-path size contracts: calendar entries and queue slots are memcpy'd
 // constantly, so they carry a frame as its 4-byte arena id, and a queue
@@ -442,10 +465,11 @@ dsh_simcore::const_assert_size!(QueuedFrame, 16);
 dsh_simcore::const_assert_size!(crate::frame::Frame, 72);
 // Fabric state contracts: ports and nodes are built by the thousand at
 // paper scale, so per-port telemetry (the pause histograms) lives in the
-// network's stores, not inline. The host variant, which holds its uplink
-// inline, sizes `Node`.
-dsh_simcore::const_assert_size!(EgressPort, 1024);
-dsh_simcore::const_assert_size!(Node, 1024);
+// network's stores, and every port in the one port table, not in its node.
+// A port holds its PFC lane and DWRR list inline, so building one
+// allocates nothing; the switch variant, with its MMU, sizes `Node`.
+dsh_simcore::const_assert_size!(EgressPort, 872);
+dsh_simcore::const_assert_size!(Node, 464);
 
 impl Model for Network {
     type Event = NetEvent;
@@ -685,6 +709,17 @@ mod tests {
     fn switch_sources_are_rejected() {
         let (mut net, _, h1) = two_hosts_one_switch(Scheme::Dsh);
         net.add_flow(spec(NodeId(2), h1, 100, 0, CcKind::Uncontrolled));
+    }
+
+    #[test]
+    #[should_panic(expected = "src n0 has no uplink")]
+    fn flows_from_an_unlinked_host_are_rejected() {
+        let mut b = NetworkBuilder::new(NetParams::tomahawk(Scheme::Dsh));
+        let (h0, h1, s) = (b.host(), b.host(), b.switch());
+        b.link(h1, s, Bandwidth::from_gbps(100), Delta::from_us(2));
+        let mut net = b.build();
+        assert!(net.ports(h0).is_empty(), "an unlinked host has no port");
+        net.add_flow(spec(h0, h1, 100, 0, CcKind::Uncontrolled));
     }
 
     #[test]

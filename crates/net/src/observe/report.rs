@@ -96,12 +96,6 @@ impl Network {
         self.failed_flows
     }
 
-    /// Whether `flow` was explicitly marked failed by loss recovery.
-    #[must_use]
-    pub fn flow_failed(&self, flow: FlowId) -> bool {
-        self.flows[flow.0].failed
-    }
-
     /// Goodput time series recorded for `flow` (see
     /// [`Network::monitor_flow`]).
     #[must_use]

@@ -61,10 +61,10 @@ impl Network {
     fn run_watchdog(&mut self, now: Time, timeout: Delta, sched: &mut Scheduler<'_, NetEvent>) {
         for ni in 0..self.nodes.len() {
             let node = NodeId(ni);
-            let ports = if self.is_host(node) { 0 } else { self.ports(node).len() };
-            for pi in 0..ports {
+            let ports = if self.is_host(node) { 0..0 } else { self.port_range(node) };
+            for pi in ports {
                 for class in 0..NUM_DATA_CLASSES as u8 {
-                    let p = &self.ports(node)[pi];
+                    let p = &self.ports[pi];
                     let since = p
                         .class_paused_since(class)
                         .or_else(|| p.port_paused_since().filter(|_| p.queue_bytes(class) > 0));

@@ -71,6 +71,124 @@ impl QueuedFrame {
     }
 }
 
+/// A FIFO of at most `N` (below 256) entries held inline, so it never
+/// touches the heap; `push_back` hands the entry back when the ring is
+/// full.
+#[derive(Clone, Copy, Debug)]
+struct InlineRing<T: Copy, const N: usize> {
+    slots: [T; N],
+    head: u8,
+    len: u8,
+}
+
+impl<T: Copy, const N: usize> InlineRing<T, N> {
+    /// An empty ring; `fill` only initializes the unused slots.
+    const fn new(fill: T) -> Self {
+        assert!(N < 256, "head and length are bytes");
+        InlineRing { slots: [fill; N], head: 0, len: 0 }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Slot of the entry `k` places behind the front.
+    #[inline]
+    fn slot(&self, k: usize) -> usize {
+        (usize::from(self.head) + k) % N
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    #[inline]
+    fn front(&self) -> Option<T> {
+        (self.len > 0).then(|| self.slots[self.slot(0)])
+    }
+
+    #[inline]
+    fn push_back(&mut self, v: T) -> Result<(), T> {
+        if self.len() == N {
+            return Err(v);
+        }
+        self.slots[self.slot(self.len())] = v;
+        self.len += 1;
+        Ok(())
+    }
+
+    #[inline]
+    fn pop_front(&mut self) -> Option<T> {
+        let v = self.front()?;
+        self.head = self.slot(1) as u8;
+        self.len -= 1;
+        Some(v)
+    }
+
+    /// Moves the front entry to the back.
+    #[inline]
+    fn rotate(&mut self) {
+        if let Some(v) = self.pop_front() {
+            let _ = self.push_back(v);
+        }
+    }
+}
+
+/// Frames the PFC lane holds inline. The lane is served ahead of
+/// everything else on its port, so its frames wait only for the frame on
+/// the wire.
+const PFC_INLINE: usize = 8;
+
+/// The PFC lane: a FIFO whose first [`PFC_INLINE`] frames sit in the port
+/// itself. Frames beyond them wait, in order, in `spill`, which is
+/// allocated the first time the inline ring overflows; a pop refills the
+/// ring from it, so `spill` holds frames only while the ring is full.
+#[derive(Clone, Debug)]
+struct PfcLane {
+    ring: InlineRing<QueuedFrame, PFC_INLINE>,
+    spill: VecDeque<QueuedFrame>,
+}
+
+impl PfcLane {
+    fn new() -> Self {
+        let fill = QueuedFrame {
+            frame: FrameId(0),
+            bytes: 0,
+            class: CONTROL_CLASS,
+            pfc: true,
+            int: false,
+            ingress: None,
+        };
+        PfcLane { ring: InlineRing::new(fill), spill: VecDeque::new() }
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    fn push_back(&mut self, qf: QueuedFrame) {
+        if !self.spill.is_empty() {
+            self.spill.push_back(qf);
+        } else if let Err(qf) = self.ring.push_back(qf) {
+            // Double the lane's room, as a full `VecDeque` would.
+            self.spill.reserve(PFC_INLINE);
+            self.spill.push_back(qf);
+        }
+    }
+
+    #[inline]
+    fn pop_front(&mut self) -> Option<QueuedFrame> {
+        let qf = self.ring.pop_front()?;
+        if let Some(next) = self.spill.pop_front() {
+            let _ = self.ring.push_back(next);
+        }
+        Some(qf)
+    }
+}
+
 /// Pause bookkeeping of one scope (a class, or the whole port): total
 /// paused wall-clock (Fig. 11's metric) and the currently open pause
 /// interval. Closed intervals go to the network's [`PauseHistograms`].
@@ -147,12 +265,13 @@ pub struct EgressPort {
     /// exceed the one-MTU waiting delay budgeted in the headroom formula
     /// and overflow the headroom (observed as a rare `headroom-full` drop
     /// at high load before this lane existed).
-    pfc: VecDeque<QueuedFrame>,
+    pfc: PfcLane,
     pfc_bytes: u64,
     qbytes: [u64; NUM_CLASSES],
     deficit: [u64; NUM_CLASSES],
-    /// Round-robin order of active (non-empty) data queues.
-    active: VecDeque<usize>,
+    /// Round-robin order of active (non-empty) data queues; each data
+    /// class appears at most once, so the ring never fills.
+    active: InlineRing<u8, NUM_CLASSES>,
     in_active: [bool; NUM_CLASSES],
 
     /// End of the frame on the wire (or of the last one).
@@ -189,19 +308,18 @@ impl EgressPort {
             bandwidth,
             prop_delay,
             ps_per_byte: bandwidth.exact_ps_per_byte().unwrap_or(0),
-            // The per-class tables live inline (ports are built by the
-            // hundred per experiment; five heap round-trips per port was
-            // measurable in the end-to-end benches). The ring buffers
+            // Building a port allocates nothing. The per-class tables, the
+            // DWRR list and the PFC lane live inline; the class queues
             // start unallocated — most class queues on most ports are
-            // never touched — and grow on first use. Only the PFC lane is
-            // pre-sized: the first pause of a run can land long after
-            // warmup.
+            // never touched — and grow on first use. The PFC lane needs
+            // no growth at all for its first frames: the first pause of
+            // a run can land long after warmup.
             queues: std::array::from_fn(|_| VecDeque::new()),
-            pfc: VecDeque::with_capacity(8),
+            pfc: PfcLane::new(),
             pfc_bytes: 0,
             qbytes: [0; NUM_CLASSES],
             deficit: [0; NUM_CLASSES],
-            active: VecDeque::with_capacity(NUM_CLASSES),
+            active: InlineRing::new(0),
             in_active: [false; NUM_CLASSES],
             busy_until: Time::ZERO,
             tx_seq: 0,
@@ -225,9 +343,10 @@ impl EgressPort {
         self.qbytes.iter().sum::<u64>() + self.pfc_bytes
     }
 
-    /// Network-wide index of this port (keys its pause histograms).
+    /// Position of this port in the network's port table (keys its pause
+    /// histograms).
     #[must_use]
-    pub(crate) fn index(&self) -> u32 {
+    pub fn index(&self) -> u32 {
         self.index
     }
 
@@ -400,7 +519,8 @@ impl EgressPort {
         self.queues[c].push_back(qf);
         if c != CONTROL_CLASS as usize && !self.in_active[c] {
             self.in_active[c] = true;
-            self.active.push_back(c);
+            let listed = self.active.push_back(qf.class);
+            debug_assert!(listed.is_ok(), "a data class is listed at most once");
         }
     }
 
@@ -427,7 +547,7 @@ impl EgressPort {
         // of the loop's repeated quantum top-ups, leaving bit-identical
         // scheduler state for when a second class activates.
         if self.active.len() == 1 {
-            let c = *self.active.front().expect("len checked");
+            let c = usize::from(self.active.front().expect("len checked"));
             if self.class_sendable(c as u8) {
                 if let Some(sz) = self.queues[c].front().map(QueuedFrame::bytes) {
                     if self.deficit[c] < sz {
@@ -455,7 +575,7 @@ impl EgressPort {
             }
             let mut any_eligible = false;
             for _ in 0..rounds {
-                let Some(&c) = self.active.front() else { break };
+                let Some(c) = self.active.front().map(usize::from) else { break };
                 let sendable = self.class_sendable(c as u8);
                 let head_bytes = self.queues[c].front().map(QueuedFrame::bytes);
                 match head_bytes {
@@ -480,11 +600,11 @@ impl EgressPort {
                         }
                         // Not enough deficit yet: top up and move on.
                         self.deficit[c] += DWRR_QUANTUM;
-                        self.active.rotate_left(1);
+                        self.active.rotate();
                     }
                     Some(_) => {
                         // Paused: skip without granting quantum.
-                        self.active.rotate_left(1);
+                        self.active.rotate();
                     }
                 }
             }
@@ -731,6 +851,22 @@ mod tests {
         let second = p.pick().unwrap();
         assert!(first.pfc && second.pfc);
         assert_eq!((first.frame, second.frame), (pause.frame, resume.frame), "pause first");
+    }
+
+    #[test]
+    fn pfc_lane_stays_fifo_past_its_inline_frames() {
+        let mut p = port();
+        let frames = (0..3 * PFC_INLINE as u32)
+            .map(|k| QueuedFrame { frame: FrameId(k), ..pfc_frame(PfcScope::Port, k % 2 == 0) });
+        // Fill past the inline ring, drain part of it, refill, drain all.
+        let (first, rest): (Vec<_>, Vec<_>) = frames.partition(|qf| qf.frame.0 < 20);
+        first.iter().for_each(|&qf| p.enqueue(qf));
+        let mut order: Vec<u32> = (0..5).map(|_| p.pick().unwrap().frame.0).collect();
+        rest.iter().for_each(|&qf| p.enqueue(qf));
+        assert_eq!(p.total_queued_bytes(), 19 * first[0].bytes());
+        order.extend(std::iter::from_fn(|| p.pick()).map(|qf| qf.frame.0));
+        assert_eq!(order, (0..3 * PFC_INLINE as u32).collect::<Vec<_>>());
+        assert!(!p.has_waiting() && p.pfc.spill.is_empty());
     }
 
     #[test]

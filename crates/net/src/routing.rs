@@ -12,6 +12,7 @@
 //! buffer dependency that deadlocks SIH.
 
 use crate::ids::{FlowId, NodeId};
+use crate::port::EgressPort;
 
 /// One switch's routing table: the ECMP candidate egress ports toward
 /// every destination node, in one flat array.
@@ -88,10 +89,26 @@ pub(crate) struct Routes {
 /// Marks a switch the BFS did not reach.
 const UNREACHED: u32 = u32::MAX;
 
+/// A network's port table as the builder lays it out: node `n`'s egress
+/// ports are `ports[start[n]..start[n + 1]]`, in port order, and each
+/// names the neighbour it transmits toward.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PortTable<'a> {
+    pub(crate) ports: &'a [EgressPort],
+    pub(crate) start: &'a [u32],
+}
+
+impl PortTable<'_> {
+    /// Node `u`'s links as `(port, neighbour)` pairs, in port order.
+    fn links(&self, u: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let ports = &self.ports[self.start[u] as usize..self.start[u + 1] as usize];
+        ports.iter().map(|p| p.peer.0).enumerate()
+    }
+}
+
 /// Computes every switch's routes once, when the topology is built.
 ///
-/// `adj[n]` lists `(neighbour, egress port index)` pairs for each link
-/// out of node `n` (insertion order = port order); `is_switch[n]` marks
+/// The neighbours come off the port `table`; `is_switch[n]` marks
 /// switches. A host with no link into a switch is simply unreachable:
 /// every switch's candidate set toward it stays empty.
 ///
@@ -102,7 +119,7 @@ const UNREACHED: u32 = u32::MAX;
 /// # Panics
 ///
 /// Panics if a switch has more ports than a `u16` indexes.
-pub(crate) fn compute_routes(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) -> Routes {
+pub(crate) fn compute_routes(is_switch: &[bool], table: PortTable<'_>) -> Routes {
     let n = is_switch.len();
     // The ToR of every host with an access link (hosts are
     // single-homed).
@@ -111,7 +128,7 @@ pub(crate) fn compute_routes(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) ->
             if is_switch[h] {
                 return None;
             }
-            adj[h].iter().find(|&&(v, _)| is_switch[v]).map(|&(t, _)| t)
+            table.links(h).map(|(_, v)| v).find(|&v| is_switch[v])
         })
         .collect();
     // Distances to each ToR over the switch graph: row `row_of[t]` of
@@ -127,7 +144,7 @@ pub(crate) fn compute_routes(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) ->
     let mut dist = vec![UNREACHED; tors.len() * n];
     let mut queue = Vec::with_capacity(n);
     for (row, &t) in dist.chunks_exact_mut(n).zip(&tors) {
-        bfs(is_switch, adj, t, row, &mut queue);
+        bfs(is_switch, table, t, row, &mut queue);
     }
     let dist_to = |t: usize| &dist[row_of[t] * n..][..n];
 
@@ -142,40 +159,57 @@ pub(crate) fn compute_routes(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) ->
     }
 
     let port16 = |p: usize| u16::try_from(p).expect("switch port index exceeds u16");
+    // Each table's candidates gather in one scratch buffer and are copied
+    // out at their exact length: one allocation per table, not one per
+    // doubling.
+    let mut ports = Vec::new();
+    // Away from its own ToR, a switch's candidates toward a host depend
+    // only on the host's ToR: they are worked out for the first host
+    // behind each ToR and copied for the rest (`span` holds where they
+    // sit in `ports`, by the ToR's row).
+    let mut span = vec![None; tors.len()];
     let tables = (0..n)
         .filter(|&s| is_switch[s])
         .map(|s| {
             let mut offsets = Vec::with_capacity(n + 1);
-            let mut ports = Vec::new();
+            ports.clear();
+            span.fill(None);
             offsets.push(0);
             for (d, &t) in tor.iter().enumerate() {
                 match t {
                     // The ToR delivers on the access port itself.
                     Some(t) if t == s => {
-                        ports
-                            .extend(adj[s].iter().find(|&&(v, _)| v == d).map(|&(_, p)| port16(p)));
+                        ports.extend(table.links(s).find(|&(_, v)| v == d).map(|(p, _)| port16(p)));
                     }
                     Some(t) => {
-                        let row = dist_to(t);
-                        if row[s] != UNREACHED {
-                            // The reachability guard matters on a split
-                            // fabric: a cut-off neighbour is UNREACHED, and
-                            // `+ 1` would overflow.
-                            ports.extend(
-                                adj[s]
-                                    .iter()
-                                    .filter(|&&(v, _)| {
-                                        is_switch[v] && row[v] != UNREACHED && row[v] + 1 == row[s]
-                                    })
-                                    .map(|&(_, p)| port16(p)),
-                            );
+                        if let Some(range) = span[row_of[t]].clone() {
+                            ports.extend_from_within(range);
+                        } else {
+                            let first = ports.len();
+                            let row = dist_to(t);
+                            if row[s] != UNREACHED {
+                                // The reachability guard matters on a split
+                                // fabric: a cut-off neighbour is UNREACHED,
+                                // and `+ 1` would overflow.
+                                ports.extend(
+                                    table
+                                        .links(s)
+                                        .filter(|&(_, v)| {
+                                            is_switch[v]
+                                                && row[v] != UNREACHED
+                                                && row[v] + 1 == row[s]
+                                        })
+                                        .map(|(p, _)| port16(p)),
+                                );
+                            }
+                            span[row_of[t]] = Some(first..ports.len());
                         }
                     }
                     None => {}
                 }
                 offsets.push(u32::try_from(ports.len()).expect("route table exceeds u32"));
             }
-            RouteTable { offsets, ports }
+            RouteTable { offsets, ports: ports.clone() }
         })
         .collect();
     Routes { tables, max_hops }
@@ -186,7 +220,7 @@ pub(crate) fn compute_routes(is_switch: &[bool], adj: &[Vec<(usize, usize)>]) ->
 /// `queue` is scratch.
 fn bfs(
     is_switch: &[bool],
-    adj: &[Vec<(usize, usize)>],
+    table: PortTable<'_>,
     src: usize,
     dist: &mut [u32],
     queue: &mut Vec<usize>,
@@ -197,7 +231,7 @@ fn bfs(
     let mut head = 0;
     while let Some(&u) = queue.get(head) {
         head += 1;
-        for &(v, _) in &adj[u] {
+        for (_, v) in table.links(u) {
             if is_switch[v] && dist[v] == UNREACHED {
                 dist[v] = dist[u] + 1;
                 queue.push(v);
@@ -218,6 +252,7 @@ pub fn ecmp_hash(flow: u64, node: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsh_simcore::{Bandwidth, Delta};
 
     #[test]
     fn ecmp_hash_spreads_flows() {
@@ -241,18 +276,33 @@ mod tests {
     }
 
     /// Two hosts (0, 1) under ToRs (2, 3) joined by spines (4, 5):
-    /// classic 2x2 leaf-spine in miniature.
-    fn leaf_spine_adj() -> (Vec<bool>, Vec<Vec<(usize, usize)>>) {
+    /// classic 2x2 leaf-spine in miniature. `adj[n]` lists node `n`'s
+    /// neighbours in port order.
+    fn leaf_spine_adj() -> (Vec<bool>, Vec<Vec<usize>>) {
         let is_switch = vec![false, false, true, true, true, true];
         let adj = vec![
-            vec![(2, 0)],                 // h0 -> ToR 2
-            vec![(3, 0)],                 // h1 -> ToR 3
-            vec![(0, 0), (4, 1), (5, 2)], // ToR 2
-            vec![(1, 0), (4, 1), (5, 2)], // ToR 3
-            vec![(2, 0), (3, 1)],         // spine 4
-            vec![(2, 0), (3, 1)],         // spine 5
+            vec![2],       // h0 -> ToR 2
+            vec![3],       // h1 -> ToR 3
+            vec![0, 4, 5], // ToR 2
+            vec![1, 4, 5], // ToR 3
+            vec![2, 3],    // spine 4
+            vec![2, 3],    // spine 5
         ];
         (is_switch, adj)
+    }
+
+    /// The routes over the port table that `adj` lays out.
+    fn compute(is_switch: &[bool], adj: &[Vec<usize>]) -> Routes {
+        let mut ports = Vec::new();
+        let mut start = vec![0];
+        for neighbours in adj {
+            for &v in neighbours {
+                let (bw, d) = (Bandwidth::from_gbps(100), Delta::from_us(1));
+                ports.push(EgressPort::new(ports.len() as u32, NodeId(v), 0, bw, d));
+            }
+            start.push(ports.len() as u32);
+        }
+        compute_routes(is_switch, PortTable { ports: &ports, start: &start })
     }
 
     /// Candidates of switch `node` toward `dst` (tables are in switch
@@ -265,7 +315,7 @@ mod tests {
     #[test]
     fn one_table_per_switch_and_none_for_hosts() {
         let (is_switch, adj) = leaf_spine_adj();
-        let routes = compute_routes(&is_switch, &adj);
+        let routes = compute(&is_switch, &adj);
         assert_eq!(routes.tables.len(), 4);
         // Switches are no destination.
         assert_eq!(cands(&routes, &is_switch, 2, 4), Vec::<usize>::new());
@@ -274,7 +324,7 @@ mod tests {
     #[test]
     fn pick_is_stable_per_flow() {
         let (is_switch, adj) = leaf_spine_adj();
-        let routes = compute_routes(&is_switch, &adj);
+        let routes = compute(&is_switch, &adj);
         let tor = &routes.tables[0];
         let p1 = tor.pick(1, FlowId(42), NodeId(2));
         assert_eq!(p1, tor.pick(1, FlowId(42), NodeId(2)));
@@ -287,15 +337,15 @@ mod tests {
     fn pick_panics_when_unreachable() {
         let (is_switch, mut adj) = leaf_spine_adj();
         adj[1].clear();
-        adj[3].retain(|&(v, _)| v != 1);
-        let routes = compute_routes(&is_switch, &adj);
+        adj[3].retain(|&v| v != 1);
+        let routes = compute(&is_switch, &adj);
         let _ = routes.tables[0].pick(1, FlowId(0), NodeId(2));
     }
 
     #[test]
     fn compute_routes_ecmp_up_and_access_down() {
         let (is_switch, adj) = leaf_spine_adj();
-        let routes = compute_routes(&is_switch, &adj);
+        let routes = compute(&is_switch, &adj);
         // ToR 2 reaches h0 on the access port and h1 via both spines.
         assert_eq!(cands(&routes, &is_switch, 2, 0), [0]);
         assert_eq!(cands(&routes, &is_switch, 2, 1), [1, 2]);
@@ -307,35 +357,37 @@ mod tests {
     #[test]
     fn compute_routes_reroutes_around_a_removed_spine_link() {
         let (is_switch, mut adj) = leaf_spine_adj();
-        // Remove ToR 2 <-> spine 4 (both directions).
-        adj[2].retain(|&(v, _)| v != 4);
-        adj[4].retain(|&(v, _)| v != 2);
-        let routes = compute_routes(&is_switch, &adj);
-        // ToR 2 now reaches h1 only via spine 5 (port 2).
-        assert_eq!(cands(&routes, &is_switch, 2, 1), [2]);
+        // Remove ToR 2 <-> spine 4 (both directions); the ports after it
+        // move up one, as the builder numbers them.
+        adj[2].retain(|&v| v != 4);
+        adj[4].retain(|&v| v != 2);
+        let routes = compute(&is_switch, &adj);
+        // ToR 2 now reaches h1 only via spine 5 (port 1).
+        assert_eq!(cands(&routes, &is_switch, 2, 1), [1]);
         // Spine 4 lost its only edge toward ToR 2, so it reaches h0 by
-        // the leaf bounce through ToR 3 (then spine 5, then ToR 2).
-        assert_eq!(cands(&routes, &is_switch, 4, 0), [1]);
+        // the leaf bounce through ToR 3 (port 0, then spine 5, then ToR 2).
+        assert_eq!(cands(&routes, &is_switch, 4, 0), [0]);
     }
 
     #[test]
     fn max_hops_counts_switch_stamps() {
         let (is_switch, adj) = leaf_spine_adj();
         // h0 -> ToR 2 -> spine -> ToR 3 -> h1: three egress stamps.
-        assert_eq!(compute_routes(&is_switch, &adj).max_hops, 3);
+        assert_eq!(compute(&is_switch, &adj).max_hops, 3);
     }
 
     #[test]
     fn compute_routes_tolerates_a_host_without_a_link() {
         let (is_switch, mut adj) = leaf_spine_adj();
         adj[0].clear();
-        adj[2].retain(|&(v, _)| v != 0);
-        let routes = compute_routes(&is_switch, &adj);
+        adj[2].retain(|&v| v != 0);
+        let routes = compute(&is_switch, &adj);
         for t in &routes.tables {
             assert_eq!(t.candidates(0).len(), 0, "an unattached host is unreachable");
         }
-        // The rest of the fabric still routes.
-        assert_eq!(cands(&routes, &is_switch, 2, 1), [1, 2]);
+        // The rest of the fabric still routes, over ToR 2's spine ports,
+        // numbered from 0 now that the access port is gone.
+        assert_eq!(cands(&routes, &is_switch, 2, 1), [0, 1]);
         // A lone reachable ToR bounds no route.
         assert_eq!(routes.max_hops, 1);
     }

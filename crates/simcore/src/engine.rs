@@ -114,7 +114,19 @@ impl<M: Model> Simulation<M> {
     /// Creates a simulation around `model` with an empty calendar, at time
     /// zero.
     pub fn new(model: M) -> Self {
-        Simulation { model, queue: EventQueue::new(), now: Time::ZERO, processed: 0 }
+        Self::with_capacity(model, 0)
+    }
+
+    /// [`Simulation::new`] with a calendar that holds `capacity` pending
+    /// events before it reallocates: room for the initial events a caller
+    /// is about to schedule.
+    pub fn with_capacity(model: M, capacity: usize) -> Self {
+        Simulation {
+            model,
+            queue: EventQueue::with_capacity(capacity),
+            now: Time::ZERO,
+            processed: 0,
+        }
     }
 
     /// Schedules an initial event (before or between runs).

@@ -1,5 +1,6 @@
 //! Routing and topology behaviour: ECMP spreading, reroute around links
-//! removed before the build, fat-tree reachability.
+//! removed before the build, fat-tree reachability, and the port table
+//! the routes are computed from.
 
 mod common;
 
@@ -7,8 +8,8 @@ use common::raw_params;
 use dsh_bench::fabric::{self, FctExperiment};
 use dsh_bench::fig17::{self, Cell, Fig17Experiment};
 use dsh_core::Scheme;
-use dsh_net::topology::{fat_tree, leaf_spine, LeafSpineShape};
-use dsh_net::{FlowSpec, Network, NodeId};
+use dsh_net::topology::{fat_tree, leaf_spine, FatTree, LeafSpine, LeafSpineShape};
+use dsh_net::{EgressPort, FlowSpec, Network, NodeId};
 use dsh_simcore::{Bandwidth, Delta, Time};
 use dsh_transport::CcKind;
 use std::collections::VecDeque;
@@ -220,6 +221,65 @@ fn assert_routes_match_reference(net: &Network, what: &str) -> usize {
     routed
 }
 
+/// Checks the port table's layout against `links`, the fabric's links in
+/// the order they were added: every node's ports are one contiguous slice
+/// of a single table, node after node, each port's `index()` is its
+/// position in that table, a node's ports face its neighbours in link
+/// order, and every port's peer port points back at it.
+fn assert_port_table(net: &Network, links: &[(NodeId, NodeId)], what: &str) {
+    let entry = std::mem::size_of::<EgressPort>();
+    let mut position = 0;
+    let mut table = None;
+    for n in (0..net.node_count()).map(NodeId) {
+        let ports = net.ports(n);
+        let linked: Vec<NodeId> = links
+            .iter()
+            .filter_map(|&(a, b)| (a == n).then_some(b).or((b == n).then_some(a)))
+            .collect();
+        let peers: Vec<NodeId> = ports.iter().map(|p| p.peer).collect();
+        assert_eq!(peers, linked, "{what}: {n}'s ports in link order");
+        for (i, p) in ports.iter().enumerate() {
+            assert_eq!(p.index() as usize, position, "{what}: index of port {i} of {n}");
+            let addr = std::ptr::from_ref(p) as usize;
+            let start = *table.get_or_insert(addr - position * entry);
+            assert_eq!(addr, start + position * entry, "{what}: port {i} of {n} is in the table");
+            let back = &net.ports(p.peer)[p.peer_port];
+            assert_eq!((back.peer, back.peer_port), (n, i), "{what}: peer of port {i} of {n}");
+            position += 1;
+        }
+    }
+    assert_eq!(position, 2 * links.len(), "{what}: two ports per link");
+}
+
+/// A leaf-spine's links in the order `leaf_spine` adds them, less the
+/// `removed` ones.
+fn leaf_spine_links(ls: &LeafSpine, removed: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
+    let access =
+        ls.leaves.iter().zip(&ls.hosts).flat_map(|(&l, rack)| rack.iter().map(move |&h| (h, l)));
+    let fabric = ls.leaves.iter().flat_map(|&l| ls.spines.iter().map(move |&s| (l, s)));
+    access
+        .chain(fabric)
+        .filter(|&(a, b)| !removed.iter().any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a)))
+        .collect()
+}
+
+/// A fat-tree's links in the order `fat_tree` adds them.
+fn fat_tree_links(ft: &FatTree) -> Vec<(NodeId, NodeId)> {
+    let half = ft.edges[0].len();
+    let mut links = Vec::new();
+    for pod in 0..ft.edges.len() {
+        let (edges, aggs) = (&ft.edges[pod], &ft.aggs[pod]);
+        for (e, &edge) in edges.iter().enumerate() {
+            links.extend(ft.hosts[pod][e * half..][..half].iter().map(|&h| (h, edge)));
+        }
+        links.extend(edges.iter().flat_map(|&e| aggs.iter().map(move |&a| (e, a))));
+        for (i, &a) in aggs.iter().enumerate() {
+            links.extend(ft.cores[i * half..][..half].iter().map(|&c| (a, c)));
+        }
+    }
+    links
+}
+
 #[test]
 fn flat_route_tables_match_a_per_host_bfs() {
     // The fig. 14 and fig. 17 leaf-spines and a k=4 fat-tree, as built.
@@ -228,20 +288,28 @@ fn flat_route_tables_match_a_per_host_bfs() {
     let (fig17, _) = fig17::loaded(&Fig17Experiment::small(Cell::Dsh));
     assert!(assert_routes_match_reference(&fig17, "fig17 leaf-spine") > 0);
     let ft = fat_tree(raw_params(Scheme::Dsh), 4, Bandwidth::from_gbps(100), Delta::from_us(2));
-    assert!(assert_routes_match_reference(&ft.builder.build(), "k=4 fat-tree") > 0);
+    let links = fat_tree_links(&ft);
+    let ft = ft.builder.build();
+    assert_port_table(&ft, &links, "k=4 fat-tree");
+    assert!(assert_routes_match_reference(&ft, "k=4 fat-tree") > 0);
     // The fig. 12 fabric with its two links removed at build time.
     let mut ls = leaf_spine(raw_params(Scheme::Dsh), LeafSpineShape::paper_deadlock());
     let (s0, s1, l0, l3) = (ls.spines[0], ls.spines[1], ls.leaves[0], ls.leaves[3]);
-    ls.builder.remove_link(s0, l3);
-    ls.builder.remove_link(s1, l0);
-    assert!(assert_routes_match_reference(&ls.builder.build(), "fig12 as built") > 0);
+    let removed = [(s0, l3), (s1, l0)];
+    for (a, b) in removed {
+        ls.builder.remove_link(a, b);
+    }
+    let links = leaf_spine_links(&ls, &removed);
+    let fig12 = ls.builder.build();
+    assert_port_table(&fig12, &links, "fig12 as built");
+    assert!(assert_routes_match_reference(&fig12, "fig12 as built") > 0);
 }
 
 #[test]
 fn flat_route_tables_match_a_per_host_bfs_after_every_fault() {
     // Link failures are links removed before the build. First fig. 12's
     // two failures and then one host access link cut (an unreachable
-    // destination), applied cumulatively.
+    // destination, whose host keeps no port), applied cumulatively.
     let fig12 = || leaf_spine(raw_params(Scheme::Dsh), LeafSpineShape::paper_deadlock());
     let ls = fig12();
     let (s0, s1, l0, l3) = (ls.spines[0], ls.spines[1], ls.leaves[0], ls.leaves[3]);
@@ -252,7 +320,10 @@ fn flat_route_tables_match_a_per_host_bfs_after_every_fault() {
             for &(a, b) in &faults[..n] {
                 ls.builder.remove_link(a, b);
             }
-            assert_routes_match_reference(&ls.builder.build(), &format!("after {n} faults"))
+            let links = leaf_spine_links(&ls, &faults[..n]);
+            let (net, what) = (ls.builder.build(), format!("after {n} faults"));
+            assert_port_table(&net, &links, &what);
+            assert_routes_match_reference(&net, &what)
         })
         .collect();
     // Bounce paths keep every host reachable after the two fabric
