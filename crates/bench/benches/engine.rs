@@ -17,7 +17,6 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dsh_bench::fabric::{FctExperiment, Topo};
 use dsh_bench::fig14;
 use dsh_core::Scheme;
-use dsh_net::topology::{fat_tree, leaf_spine, LeafSpineShape};
 use dsh_net::{FlowSpec, NetParams, Network, NetworkBuilder, NodeId};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, EventQueue, Executor, Simulation, Time};
 use dsh_transport::{CcKind, RecoveryConfig};
@@ -578,24 +577,9 @@ fn packet_path_probe(label: &str, mut sim: Simulation<Network>, assert_zero: boo
     }
 }
 
-/// An unbuilt fabric of the build probe, all links 100 Gb/s and 2 µs.
+/// An unbuilt fabric of the build probe.
 fn unbuilt_fabric(topo: Topo) -> NetworkBuilder {
-    let params = NetParams::tomahawk(Scheme::Dsh);
-    let (link, delay) = (Bandwidth::from_gbps(100), Delta::from_us(2));
-    match topo {
-        Topo::LeafSpine { leaves, spines, hosts_per_leaf } => {
-            let shape = LeafSpineShape {
-                leaves,
-                spines,
-                hosts_per_leaf,
-                downlink: link,
-                uplink: link,
-                link_delay: delay,
-            };
-            leaf_spine(params, shape).builder
-        }
-        Topo::FatTree { k } => fat_tree(params, k, link, delay).builder,
-    }
+    topo.builder(NetParams::tomahawk(Scheme::Dsh)).0
 }
 
 /// Fabric builds: the time of `NetworkBuilder::build` plus `into_sim` for

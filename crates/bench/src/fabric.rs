@@ -5,7 +5,7 @@
 use dsh_analysis::fct::FctSummary;
 use dsh_core::Scheme;
 use dsh_net::topology::{fat_tree, leaf_spine, LeafSpineShape};
-use dsh_net::{FlowId, FlowSpec, NetParams, Network, NodeId, ObserveConfig};
+use dsh_net::{FlowId, FlowSpec, NetParams, Network, NetworkBuilder, NodeId, ObserveConfig};
 use dsh_simcore::{Bandwidth, ByteSize, Delta, Executor, SimRng, Time};
 use dsh_transport::CcKind;
 use dsh_workloads::{background_flows, fan_in_bursts, FlowSizeDist, PatternConfig, Workload};
@@ -39,6 +39,33 @@ impl Topo {
     /// A laptop-scale leaf–spine (64 servers) with the same oversubscription
     /// (1:1).
     pub const SMALL_LEAF_SPINE: Topo = Topo::LeafSpine { leaves: 4, spines: 4, hosts_per_leaf: 16 };
+
+    /// The unbuilt fabric, every link 100 Gb/s with 2 µs of propagation,
+    /// and its hosts.
+    #[must_use]
+    pub fn builder(self, params: NetParams) -> (NetworkBuilder, Vec<NodeId>) {
+        let (link, delay) = (Bandwidth::from_gbps(100), Delta::from_us(2));
+        match self {
+            Topo::LeafSpine { leaves, spines, hosts_per_leaf } => {
+                let shape = LeafSpineShape {
+                    leaves,
+                    spines,
+                    hosts_per_leaf,
+                    downlink: link,
+                    uplink: link,
+                    link_delay: delay,
+                };
+                let ls = leaf_spine(params, shape);
+                let hosts = ls.all_hosts();
+                (ls.builder, hosts)
+            }
+            Topo::FatTree { k } => {
+                let ft = fat_tree(params, k, link, delay);
+                let hosts = ft.all_hosts();
+                (ft.builder, hosts)
+            }
+        }
+    }
 }
 
 /// One FCT experiment configuration.
@@ -144,28 +171,8 @@ fn build(exp: &FctExperiment) -> (Network, Vec<NodeId>) {
     if let Some(cfg) = exp.observe {
         params = params.with_observability(cfg);
     }
-    match exp.topo {
-        Topo::LeafSpine { leaves, spines, hosts_per_leaf } => {
-            let ls = leaf_spine(
-                params,
-                LeafSpineShape {
-                    leaves,
-                    spines,
-                    hosts_per_leaf,
-                    downlink: Bandwidth::from_gbps(100),
-                    uplink: Bandwidth::from_gbps(100),
-                    link_delay: Delta::from_us(2),
-                },
-            );
-            let hosts = ls.all_hosts();
-            (ls.builder.build(), hosts)
-        }
-        Topo::FatTree { k } => {
-            let ft = fat_tree(params, k, Bandwidth::from_gbps(100), Delta::from_us(2));
-            let hosts = ft.all_hosts();
-            (ft.builder.build(), hosts)
-        }
-    }
+    let (builder, hosts) = exp.topo.builder(params);
+    (builder.build(), hosts)
 }
 
 /// Runs an FCT experiment.

@@ -250,7 +250,8 @@ impl NetworkBuilder {
         // Routing: BFS from each ToR over the switch graph; each switch
         // forwards toward a host to any neighbour strictly closer to the
         // host's ToR (ECMP).
-        let routes = compute_routes(&is_switch, PortTable { ports: &ports, start: &start });
+        let peers: Vec<NodeId> = ends.iter().map(|&(_, peer, _)| peer).collect();
+        let routes = compute_routes(&is_switch, PortTable { peers: &peers, start: &start });
         // A hop-slab slot budgets every INT frame's stamp count: a
         // topology deeper than HOP_CAPACITY must fail here, not panic
         // mid-simulation in HopList::push.

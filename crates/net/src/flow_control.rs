@@ -158,10 +158,10 @@ impl Network {
     }
 
     /// The PFC watchdog's flush of `class` on egress `port` (a port-table
-    /// position) of switch `node`: force-clears the class pause and any port-scope pause,
-    /// drops the class's queued frames (releasing their MMU accounting
-    /// and forwarding any resumes that releases), ends the matching
-    /// cascade edges and lets the port transmit again.
+    /// position) of switch `node`: force-clears the class pause and any
+    /// port-scope pause, drops the class's queued frames (releasing their
+    /// MMU accounting and forwarding any resumes that releases), ends the
+    /// matching cascade edges and lets the port transmit again.
     pub(crate) fn flush_paused_class(
         &mut self,
         node: NodeId,

@@ -12,7 +12,6 @@
 //! buffer dependency that deadlocks SIH.
 
 use crate::ids::{FlowId, NodeId};
-use crate::port::EgressPort;
 
 /// One switch's routing table: the ECMP candidate egress ports toward
 /// every destination node, in one flat array.
@@ -89,20 +88,22 @@ pub(crate) struct Routes {
 /// Marks a switch the BFS did not reach.
 const UNREACHED: u32 = u32::MAX;
 
-/// A network's port table as the builder lays it out: node `n`'s egress
-/// ports are `ports[start[n]..start[n + 1]]`, in port order, and each
-/// names the neighbour it transmits toward.
+/// A network's port table as the builder lays it out, by its neighbour
+/// column: node `n`'s egress ports are `start[n]..start[n + 1]`, in port
+/// order, and `peers[i]` is the neighbour port `i` transmits toward. The
+/// column is a few bytes a port where a port is most of a kilobyte, so
+/// the per-ToR walks below stay in cache.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PortTable<'a> {
-    pub(crate) ports: &'a [EgressPort],
+    pub(crate) peers: &'a [NodeId],
     pub(crate) start: &'a [u32],
 }
 
 impl PortTable<'_> {
     /// Node `u`'s links as `(port, neighbour)` pairs, in port order.
     fn links(&self, u: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let ports = &self.ports[self.start[u] as usize..self.start[u + 1] as usize];
-        ports.iter().map(|p| p.peer.0).enumerate()
+        let peers = &self.peers[self.start[u] as usize..self.start[u + 1] as usize];
+        peers.iter().map(|v| v.0).enumerate()
     }
 }
 
@@ -252,7 +253,6 @@ pub fn ecmp_hash(flow: u64, node: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsh_simcore::{Bandwidth, Delta};
 
     #[test]
     fn ecmp_hash_spreads_flows() {
@@ -293,16 +293,13 @@ mod tests {
 
     /// The routes over the port table that `adj` lays out.
     fn compute(is_switch: &[bool], adj: &[Vec<usize>]) -> Routes {
-        let mut ports = Vec::new();
+        let peers: Vec<NodeId> = adj.iter().flatten().map(|&v| NodeId(v)).collect();
         let mut start = vec![0];
-        for neighbours in adj {
-            for &v in neighbours {
-                let (bw, d) = (Bandwidth::from_gbps(100), Delta::from_us(1));
-                ports.push(EgressPort::new(ports.len() as u32, NodeId(v), 0, bw, d));
-            }
-            start.push(ports.len() as u32);
-        }
-        compute_routes(is_switch, PortTable { ports: &ports, start: &start })
+        start.extend(adj.iter().scan(0, |end, a| {
+            *end += a.len() as u32;
+            Some(*end)
+        }));
+        compute_routes(is_switch, PortTable { peers: &peers, start: &start })
     }
 
     /// Candidates of switch `node` toward `dst` (tables are in switch
