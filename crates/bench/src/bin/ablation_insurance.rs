@@ -18,7 +18,7 @@ use dsh_core::{Mmu, MmuConfig, Scheme};
 fn adversarial(cfg: MmuConfig) -> (u64, u64) {
     let ports = cfg.num_ports;
     let queues = cfg.queues_per_port;
-    let eta = cfg.eta.as_u64();
+    let eta = cfg.eta_for(0).as_u64();
     let mut mmu = Mmu::new(cfg);
     // Each (port, queue) keeps sending until it has seen a pause AND
     // delivered eta more bytes (the worst-case in-flight allowance).

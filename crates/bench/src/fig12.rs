@@ -8,7 +8,7 @@
 use dsh_core::Scheme;
 use dsh_net::observe::{ObserveConfig, PauseCycle};
 use dsh_net::topology::{leaf_spine, LeafSpineShape};
-use dsh_net::{EcnConfig, FlowSpec, NetParams};
+use dsh_net::{FlowSpec, NetParams};
 use dsh_simcore::{Delta, Executor, SimRng, Time};
 use dsh_transport::CcKind;
 use dsh_workloads::{fan_in_bursts, FlowSizeDist, PatternConfig, Workload};
@@ -101,8 +101,7 @@ pub fn run_once(scheme: Scheme, cc: CcKind, cfg: &Fig12Config, seed: u64) -> Dea
     params.pfc_watchdog = cfg.watchdog;
     params.observe = Some(ObserveConfig);
     let grace = cfg.watchdog.map_or(Delta::ZERO, |wd| wd + params.sample_interval);
-    params.ecn =
-        if cc == CcKind::Uncontrolled { EcnConfig::disabled() } else { EcnConfig::for_100g() };
+    params.ecn = cc != CcKind::Uncontrolled;
 
     let mut ls = leaf_spine(params, LeafSpineShape::paper_deadlock());
     let (s0, s1) = (ls.spines[0], ls.spines[1]);

@@ -62,22 +62,13 @@ pub struct MmuConfig {
     pub queues_per_port: usize,
     /// Private buffer reserved per queue (`φ`).
     pub private_per_queue: ByteSize,
-    /// Per-queue worst-case headroom `η` (Eq. 1), used for every port
-    /// unless overridden by [`MmuConfig::port_etas`].
-    pub eta: ByteSize,
-    /// Optional per-port `η` override (index = port). Real deployments
-    /// size headroom per port from that port's link speed and cable
-    /// length; mixed-speed fabrics (e.g. 100G downlinks + 400G uplinks)
-    /// need this.
-    pub port_etas: Option<Vec<ByteSize>>,
+    /// Per-queue worst-case headroom `η` (Eq. 1) of each port (index =
+    /// port). Real deployments size headroom per port from that port's
+    /// link speed and cable length; mixed-speed fabrics (e.g. 100G
+    /// downlinks + 400G uplinks) need this.
+    pub eta: Vec<ByteSize>,
     /// Dynamic Threshold control parameter `α` (Eq. 2).
     pub alpha: f64,
-    /// Hysteresis below `X_qoff` before a queue RESUME is sent (`δ_q`). The
-    /// paper's evaluation uses 0 ("the X_on threshold is the same as the
-    /// X_off threshold").
-    pub resume_delta_queue: ByteSize,
-    /// Hysteresis below `X_poff` before a port RESUME is sent (`δ_p`).
-    pub resume_delta_port: ByteSize,
     /// Ablation switch: disable DSH's port-level flow control and
     /// insurance headroom, leaving only queue-level pauses at
     /// `T(t) − η`. **Not lossless** — exists to demonstrate why the
@@ -104,7 +95,7 @@ impl MmuConfig {
             .ports(32)
             .lossless_queues(7)
             .private_per_queue(ByteSize::kib(3))
-            .eta_from_link(Bandwidth::from_gbps(100), Delta::from_us(2), 1500)
+            .eta(headroom::eta(Bandwidth::from_gbps(100), Delta::from_us(2), 1500))
             .alpha(1.0 / 16.0)
             .build()
     }
@@ -113,13 +104,10 @@ impl MmuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `port` is out of range of a configured override table.
+    /// Panics if `port` is out of range.
     #[must_use]
     pub fn eta_for(&self, port: usize) -> ByteSize {
-        match &self.port_etas {
-            Some(v) => v[port],
-            None => self.eta,
-        }
+        self.eta[port]
     }
 
     /// Size of the statically reserved headroom segment.
@@ -128,7 +116,7 @@ impl MmuConfig {
     /// (Eq. 4).
     #[must_use]
     pub fn reserved_headroom(&self) -> ByteSize {
-        let per_port_sum: u64 = (0..self.num_ports).map(|p| self.eta_for(p).as_u64()).sum();
+        let per_port_sum: u64 = self.eta.iter().map(|e| e.as_u64()).sum();
         match self.scheme {
             Scheme::Sih => ByteSize::bytes(self.queues_per_port as u64 * per_port_sum),
             Scheme::Dsh if self.dsh_port_fc => ByteSize::bytes(per_port_sum),
@@ -174,20 +162,11 @@ impl MmuConfig {
         if !(self.alpha.is_finite() && self.alpha > 0.0) {
             return Err("alpha must be a positive finite number".into());
         }
-        if self.eta.as_u64() == 0 {
-            return Err("eta must be positive".into());
+        if self.eta.len() != self.num_ports {
+            return Err(format!("eta has {} entries for {} ports", self.eta.len(), self.num_ports));
         }
-        if let Some(v) = &self.port_etas {
-            if v.len() != self.num_ports {
-                return Err(format!(
-                    "port_etas has {} entries for {} ports",
-                    v.len(),
-                    self.num_ports
-                ));
-            }
-            if v.iter().any(|e| e.as_u64() == 0) {
-                return Err("per-port eta must be positive".into());
-            }
+        if self.eta.iter().any(|e| e.as_u64() == 0) {
+            return Err("eta must be positive".into());
         }
         if self.shared_size().as_u64() == 0 {
             return Err(format!(
@@ -212,8 +191,6 @@ pub struct MmuConfigBuilder {
     eta: ByteSize,
     port_etas: Option<Vec<ByteSize>>,
     alpha: f64,
-    resume_delta_queue: ByteSize,
-    resume_delta_port: ByteSize,
     dsh_port_fc: bool,
 }
 
@@ -228,8 +205,6 @@ impl Default for MmuConfigBuilder {
             eta: ByteSize::bytes(56_840),
             port_etas: None,
             alpha: 1.0 / 16.0,
-            resume_delta_queue: ByteSize::ZERO,
-            resume_delta_port: ByteSize::ZERO,
             dsh_port_fc: true,
         }
     }
@@ -266,45 +241,22 @@ impl MmuConfigBuilder {
         self
     }
 
-    /// Sets `η` directly.
+    /// Sets the same `η` for every port.
     pub fn eta(&mut self, b: ByteSize) -> &mut Self {
         self.eta = b;
         self
     }
 
-    /// Sets a per-port `η` table (index = port); lengths are validated at
-    /// build time.
+    /// Sets a per-port `η` table (index = port) in place of the uniform
+    /// [`MmuConfigBuilder::eta`]; its length is validated at build time.
     pub fn port_etas(&mut self, v: Vec<ByteSize>) -> &mut Self {
         self.port_etas = Some(v);
-        self
-    }
-
-    /// Computes `η` from link parameters via Eq. (1).
-    pub fn eta_from_link(
-        &mut self,
-        capacity: Bandwidth,
-        prop_delay: Delta,
-        mtu_bytes: u64,
-    ) -> &mut Self {
-        self.eta = headroom::eta(capacity, prop_delay, mtu_bytes);
         self
     }
 
     /// Sets the DT control parameter `α`.
     pub fn alpha(&mut self, a: f64) -> &mut Self {
         self.alpha = a;
-        self
-    }
-
-    /// Sets the queue-level resume hysteresis `δ_q`.
-    pub fn resume_delta_queue(&mut self, b: ByteSize) -> &mut Self {
-        self.resume_delta_queue = b;
-        self
-    }
-
-    /// Sets the port-level resume hysteresis `δ_p`.
-    pub fn resume_delta_port(&mut self, b: ByteSize) -> &mut Self {
-        self.resume_delta_port = b;
         self
     }
 
@@ -339,11 +291,8 @@ impl MmuConfigBuilder {
             num_ports: self.num_ports,
             queues_per_port: self.queues_per_port,
             private_per_queue: self.private_per_queue,
-            eta: self.eta,
-            port_etas: self.port_etas.clone(),
+            eta: self.port_etas.clone().unwrap_or_else(|| vec![self.eta; self.num_ports]),
             alpha: self.alpha,
-            resume_delta_queue: self.resume_delta_queue,
-            resume_delta_port: self.resume_delta_port,
             dsh_port_fc: self.dsh_port_fc,
         };
         cfg.validate()?;
@@ -358,7 +307,7 @@ mod tests {
     #[test]
     fn tomahawk_preset_matches_paper() {
         let sih = MmuConfig::tomahawk(Scheme::Sih);
-        assert_eq!(sih.eta.as_u64(), 56_840);
+        assert!(sih.eta.iter().all(|e| e.as_u64() == 56_840));
         // "The total headroom size for SIH is 56840B x 32 x 7 = 12MB."
         assert_eq!(sih.reserved_headroom().as_u64(), 56_840 * 32 * 7);
         // "The private buffer size is 672KB (3KB for each DWRR queue)."
@@ -381,11 +330,10 @@ mod tests {
             .private_per_queue(ByteSize::kib(1))
             .eta(ByteSize::bytes(10_000))
             .alpha(0.5)
-            .resume_delta_queue(ByteSize::bytes(100))
             .build();
         assert_eq!(cfg.total_queues(), 32);
         assert_eq!(cfg.reserved_headroom().as_u64(), 320_000);
-        assert_eq!(cfg.resume_delta_queue.as_u64(), 100);
+        assert_eq!(cfg.eta, vec![ByteSize::bytes(10_000); 8]);
     }
 
     #[test]

@@ -389,9 +389,9 @@ impl MmuCore {
         }
     }
 
-    /// DSH's port-level resume check (Fig. 8b).
-    /// Requires the insurance headroom to be empty so the next port-pause
-    /// cycle has its full η of slack.
+    /// DSH's port-level resume check (Fig. 8b): `X_pon = X_poff` (the
+    /// paper's `δ_p = 0`). Requires the insurance headroom to be empty so
+    /// the next port-pause cycle has its full η of slack.
     pub(crate) fn check_resume_port(&mut self, port: usize, actions: &mut FcActions) {
         if !self.ports[port].paused {
             return;
@@ -399,8 +399,7 @@ impl MmuCore {
         if self.ports[port].insurance > 0 {
             return;
         }
-        let x_pon = self.x_poff().saturating_sub(self.cfg.resume_delta_port.as_u64());
-        if self.port_total_occupancy(port) <= x_pon {
+        if self.port_total_occupancy(port) <= self.x_poff() {
             self.ports[port].paused = false;
             self.paused_ports -= 1;
             self.stats.port_resumes += 1;
@@ -454,14 +453,8 @@ impl Mmu {
         self.core.threshold()
     }
 
-    /// DSH queue-level pause threshold `X_qoff(t) = T(t) − η` (Eq. 5),
-    /// with the default `η`.
-    #[must_use]
-    pub fn x_qoff(&self) -> u64 {
-        self.core.threshold().saturating_sub(self.core.cfg.eta.as_u64())
-    }
-
-    /// DSH queue-level pause threshold for a specific ingress port's `η`.
+    /// DSH queue-level pause threshold `X_qoff(t) = T(t) − η` (Eq. 5) for
+    /// one ingress port's `η`.
     #[must_use]
     pub fn x_qoff_for(&self, port: usize) -> u64 {
         self.core.x_qoff_for(port)
@@ -477,12 +470,6 @@ impl Mmu {
     #[must_use]
     pub fn total_shared(&self) -> u64 {
         self.core.total_shared
-    }
-
-    /// Shared occupancy `w_ij` of one ingress queue.
-    #[must_use]
-    pub fn shared_occupancy(&self, port: usize, queue: usize) -> u64 {
-        self.core.queues[self.core.qidx(port, queue)].shared
     }
 
     /// SIH headroom occupancy of one ingress queue.
@@ -502,12 +489,6 @@ impl Mmu {
     #[must_use]
     pub fn insurance_occupancy(&self, port: usize) -> u64 {
         self.core.ports[port].insurance
-    }
-
-    /// Sum of shared occupancies over a port's queues.
-    #[must_use]
-    pub fn port_shared_occupancy(&self, port: usize) -> u64 {
-        self.core.ports[port].shared_sum
     }
 
     /// Per-port headroom occupancy (SIH: static headroom; DSH: insurance;
@@ -947,7 +928,7 @@ mod tests {
         // At the pause instant the queue's shared occupancy just exceeded
         // X_qoff = T - eta.
         let w = 1500u64 * (pause_at as u64 + 1) - 3000; // minus private fill
-        let x_qoff_now = mmu.x_qoff();
+        let x_qoff_now = mmu.x_qoff_for(0);
         // After the burst continued the threshold fell further, so the pause
         // point must be above the *current* X_qoff.
         assert!(w > x_qoff_now, "w={w} x_qoff={x_qoff_now}");

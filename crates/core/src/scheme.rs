@@ -30,16 +30,16 @@ use crate::mmu::MmuCore;
 pub(crate) mod sih {
     use super::*;
 
-    /// Queue-level resume check (paper case ② / Fig. 8a): `X_on = T(t) − δ`
-    /// against shared occupancy, gated on the queue's headroom having
-    /// drained (otherwise the next pause cycle would find less than `η`
-    /// of slack and could overflow).
+    /// Queue-level resume check (paper case ② / Fig. 8a): `X_on = T(t)`
+    /// (the paper's `δ = 0`) against shared occupancy, gated on the
+    /// queue's headroom having drained (otherwise the next pause cycle
+    /// would find less than `η` of slack and could overflow).
     fn check_resume_queue(core: &mut MmuCore, port: usize, queue: usize, actions: &mut FcActions) {
         let idx = core.qidx(port, queue);
         if core.queues[idx].headroom > 0 {
             return;
         }
-        let x_on = core.threshold().saturating_sub(core.cfg.resume_delta_queue.as_u64());
+        let x_on = core.threshold();
         core.resume_queue_below(port, queue, x_on, actions);
     }
 
@@ -143,11 +143,11 @@ pub(crate) mod sih {
 pub(crate) mod dsh {
     use super::*;
 
-    /// DSH queue resume: `X_qon = X_qoff − δ_q`. The slack here is
-    /// recomputed from the live threshold (`T − w ≥ η` whenever
-    /// `w ≤ X_qoff`), so no headroom-empty gate is needed.
+    /// DSH queue resume: `X_qon = X_qoff` (the paper's `δ_q = 0`). The
+    /// slack here is recomputed from the live threshold (`T − w ≥ η`
+    /// whenever `w ≤ X_qoff`), so no headroom-empty gate is needed.
     fn check_resume_queue(core: &mut MmuCore, port: usize, queue: usize, actions: &mut FcActions) {
-        let x_on = core.x_qoff_for(port).saturating_sub(core.cfg.resume_delta_queue.as_u64());
+        let x_on = core.x_qoff_for(port);
         core.resume_queue_below(port, queue, x_on, actions);
     }
 

@@ -8,6 +8,7 @@
 //! to refill its queue.
 
 use crate::arena::FrameId;
+use crate::ecn;
 use crate::frame::{Frame, FrameKind};
 use crate::ids::NodeId;
 use crate::network::{NetEvent, Network, Node};
@@ -78,10 +79,9 @@ impl Network {
         };
 
         // ECN marking against the egress queue length (congestion point).
-        if frame.is_data() && self.params.ecn.enabled {
+        if frame.is_data() && self.params.ecn {
             let qlen = self.ports[out_port].queue_bytes(frame.class);
-            let mark = self.params.ecn.mark(qlen, &mut self.rng);
-            if mark {
+            if ecn::mark(qlen, &mut self.rng) {
                 if let FrameKind::Data(d) = &mut self.frames.get_mut(id).kind {
                     d.ecn = true;
                 }

@@ -9,7 +9,7 @@
 //! layer's resume call back into `host_try_send`.
 
 use crate::arena::FrameId;
-use crate::frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame};
+use crate::frame::{AckFrame, DataFrame, Frame, FrameKind, NackFrame, MTU};
 use crate::ids::{FlowId, NodeId};
 use crate::monitor::FctRecord;
 use crate::network::{FlowSpec, NetEvent, Network, Node};
@@ -299,7 +299,7 @@ impl Network {
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let now = sched.now();
-        let sack_mtu = self.params.recovery.is_some().then_some(self.params.mtu);
+        let sack_mtu = self.params.recovery.is_some().then_some(MTU);
         // ACKs and NACKs may open window space; a CNP only slows the flow.
         let (flow, may_send) = match &self.frames.get(id).kind {
             FrameKind::Data(_) => return self.host_receive_data(node, id, sched),
@@ -342,7 +342,6 @@ impl Network {
                 (a.flow, true)
             }
             &FrameKind::Nack(n) => {
-                let mtu = self.params.mtu;
                 let slot = self.sender_slot(n.flow);
                 let host = self.host_mut(node);
                 let mut episode = false;
@@ -353,8 +352,8 @@ impl Network {
                     // the echo is an empty hop list — INT-driven CCs treat
                     // that as "no information" (PowerTcp::on_ack returns
                     // early), not as an uncongested path.
-                    f.advance_cum_ack(n.expected, n.ecn_echo, &[], now, Some(mtu));
-                    episode = f.sack.on_nack(f.acked, n.bitmap, mtu, f.max_sent);
+                    f.advance_cum_ack(n.expected, n.ecn_echo, &[], now, Some(MTU));
+                    episode = f.sack.on_nack(f.acked, n.bitmap, MTU, f.max_sent);
                     if episode {
                         // One window cut per loss episode (NewReno-style),
                         // not per NACK.
@@ -408,7 +407,6 @@ impl Network {
         let meta_size = self.flows[flow.0].spec.size;
         let meta_start = self.flows[flow.0].spec.start;
         let sr = self.params.recovery.is_some_and(|r| r.regime == Regime::SelectiveRepeat);
-        let mtu = self.params.mtu;
 
         let (send_cnp, completed, cum_acked, nack, bitmap) = {
             let rx = &mut self.rx_flows[flow.0];
@@ -434,11 +432,11 @@ impl Network {
                     // now contiguous. All segments except a flow's last
                     // are exactly one MTU.
                     for _ in 0..rx.sack.on_in_order_arrival() {
-                        rx.received += mtu.min(meta_size - rx.received);
+                        rx.received += MTU.min(meta_size - rx.received);
                     }
                 }
             } else if sr && seq > rx.received {
-                let gap = (seq - rx.received) / mtu;
+                let gap = (seq - rx.received) / MTU;
                 let _ = rx.sack.offer(gap);
                 nack = true;
             }
@@ -503,7 +501,6 @@ impl Network {
     /// kicks the serializer; schedules a pacing wake-up if needed.
     pub(crate) fn host_try_send(&mut self, node: NodeId, sched: &mut Scheduler<'_, NetEvent>) {
         let now = sched.now();
-        let mtu = self.params.mtu;
         let recovery_on = self.params.recovery.is_some();
         let sr = self.params.recovery.is_some_and(|r| r.regime == Regime::SelectiveRepeat);
         let up = self.first_port(node);
@@ -539,17 +536,17 @@ impl Network {
                 // RTO at a time. Repairs land inside the window and pass.
                 if sr
                     && !repair
-                    && f.sent.saturating_sub(f.acked) >= SackBuffer::WINDOW_SEGMENTS * mtu
+                    && f.sent.saturating_sub(f.acked) >= SackBuffer::WINDOW_SEGMENTS * MTU
                 {
                     continue;
                 }
-                let seg = if repair { mtu } else { mtu.min(f.size - f.sent) };
+                let seg = if repair { MTU } else { MTU.min(f.size - f.sent) };
                 if !port.class_sendable(f.class) {
                     continue;
                 }
                 // Keep at most ~2 MTU queued per class: the NIC pulls from
                 // queue pairs on demand rather than dumping the whole flow.
-                if port.queue_bytes(f.class) >= 2 * mtu {
+                if port.queue_bytes(f.class) >= 2 * MTU {
                     continue;
                 }
                 // Repairs fill holes the window already covered once, so
@@ -573,9 +570,9 @@ impl Network {
             // receiver stalls the cumulative mark, while fresh data only
             // extends the out-of-order tail.
             let repair_off =
-                if sr && f.sack.repair_pending() { f.sack.next_repair(f.acked, mtu) } else { None };
+                if sr && f.sack.repair_pending() { f.sack.next_repair(f.acked, MTU) } else { None };
             let (seq, seg, is_retx, is_repair) = match repair_off {
-                Some(off) => (off, mtu.min(f.size - off), true, true),
+                Some(off) => (off, MTU.min(f.size - off), true, true),
                 None => {
                     if f.fully_sent() {
                         // Every outstanding gap turned out to be SACKed:
@@ -584,7 +581,7 @@ impl Network {
                         host.retire(slot);
                         continue;
                     }
-                    if sr && f.sent.saturating_sub(f.acked) >= SackBuffer::WINDOW_SEGMENTS * mtu {
+                    if sr && f.sent.saturating_sub(f.acked) >= SackBuffer::WINDOW_SEGMENTS * MTU {
                         // Selected for a repair that the scan then found
                         // fully SACKed; fresh data is still window-blocked
                         // (the scan consumed `repair_pending`, so the
@@ -594,7 +591,7 @@ impl Network {
                     // Anything re-sent below the high-water mark is a
                     // retransmission (a go-back-N rewind replays from
                     // `acked`).
-                    (f.sent, mtu.min(f.size - f.sent), f.sent < f.max_sent, false)
+                    (f.sent, MTU.min(f.size - f.sent), f.sent < f.max_sent, false)
                 }
             };
             let df = DataFrame {
@@ -840,7 +837,6 @@ impl Network {
         sched: &mut Scheduler<'_, NetEvent>,
     ) {
         let now = sched.now();
-        let mtu = self.params.mtu;
         self.recovery_timeouts += 1;
         let (deadline, gen, rto_word) = {
             let slot = self.sender_slot(flow).expect("RTO for unregistered flow");
@@ -849,7 +845,7 @@ impl Network {
             f.cc.on_loss(now);
             match regime {
                 Regime::GoBackN => f.sent = f.acked,
-                Regime::SelectiveRepeat => f.sack.rearm_on_timeout(f.acked, mtu),
+                Regime::SelectiveRepeat => f.sack.rearm_on_timeout(f.acked, MTU),
             }
             f.next_send = now;
             f.rtt_probe = None;

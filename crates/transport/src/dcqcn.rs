@@ -10,52 +10,32 @@
 use crate::cc::{AckInfo, Cc};
 use dsh_simcore::{Bandwidth, Delta, Time};
 
-/// DCQCN parameters (defaults follow the paper's open-source ns-3
-/// simulation, scaled for the link rate).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DcqcnConfig {
-    /// Line rate (initial and maximum rate).
-    pub link: Bandwidth,
-    /// Minimum rate floor.
-    pub min_rate: Bandwidth,
-    /// EWMA gain `g` for the α update.
-    pub g: f64,
-    /// α-decay timer (no-CNP window), default 55 µs.
-    pub alpha_timer: Delta,
-    /// Rate-increase timer period, default 55 µs.
-    pub increase_timer: Delta,
-    /// Byte counter threshold `B`, default 10 MB.
-    pub byte_counter: u64,
-    /// Stage threshold `F` for leaving fast recovery, default 5.
-    pub f_threshold: u32,
-    /// Additive increase step `R_AI`, default 40 Mb/s.
-    pub rai: Bandwidth,
-    /// Hyper increase step `R_HAI`, default 400 Mb/s.
-    pub rhai: Bandwidth,
-}
+// DCQCN parameters: the defaults of the paper's open-source ns-3
+// simulation, scaled for the link rate. The line rate, the initial and
+// maximum rate, is each sender's own.
 
-impl DcqcnConfig {
-    /// Default parameters for a sender on `link`.
-    #[must_use]
-    pub fn for_link(link: Bandwidth) -> Self {
-        DcqcnConfig {
-            link,
-            min_rate: Bandwidth::from_mbps(100),
-            g: 1.0 / 256.0,
-            alpha_timer: Delta::from_us(55),
-            increase_timer: Delta::from_us(55),
-            byte_counter: 10 * 1024 * 1024,
-            f_threshold: 5,
-            rai: Bandwidth::from_mbps(40),
-            rhai: Bandwidth::from_mbps(400),
-        }
-    }
-}
+/// Minimum rate floor.
+const MIN_RATE: Bandwidth = Bandwidth::from_mbps(100);
+/// EWMA gain `g` for the α update.
+const G: f64 = 1.0 / 256.0;
+/// α-decay timer (no-CNP window).
+const ALPHA_TIMER: Delta = Delta::from_us(55);
+/// Rate-increase timer period.
+const INCREASE_TIMER: Delta = Delta::from_us(55);
+/// Byte counter threshold `B` (10 MB).
+const BYTE_COUNTER: u64 = 10 * 1024 * 1024;
+/// Stage threshold `F` for leaving fast recovery.
+const F_THRESHOLD: u32 = 5;
+/// Additive increase step `R_AI`.
+const RAI: Bandwidth = Bandwidth::from_mbps(40);
+/// Hyper increase step `R_HAI`.
+const RHAI: Bandwidth = Bandwidth::from_mbps(400);
 
 /// DCQCN per-flow sender state.
 #[derive(Clone, Debug)]
 pub struct Dcqcn {
-    cfg: DcqcnConfig,
+    /// Line rate (initial and maximum rate).
+    link: Bandwidth,
     /// Current rate `R_c` in b/s (f64 for the averaging steps).
     rc: f64,
     /// Target rate `R_t` in b/s.
@@ -75,12 +55,12 @@ pub struct Dcqcn {
 }
 
 impl Dcqcn {
-    /// Creates a sender starting at line rate.
+    /// Creates a sender on `link`, starting at line rate.
     #[must_use]
-    pub fn new(cfg: DcqcnConfig) -> Self {
+    pub fn new(link: Bandwidth) -> Self {
         Dcqcn {
-            rc: cfg.link.as_bps() as f64,
-            rt: cfg.link.as_bps() as f64,
+            rc: link.as_bps() as f64,
+            rt: link.as_bps() as f64,
             alpha: 1.0,
             bytes_since: 0,
             timer_stage: 0,
@@ -88,7 +68,7 @@ impl Dcqcn {
             alpha_deadline: Time::MAX,
             increase_deadline: Time::MAX,
             cut_seen: false,
-            cfg,
+            link,
         }
     }
 
@@ -99,8 +79,8 @@ impl Dcqcn {
     }
 
     fn clamp_rates(&mut self) {
-        let max = self.cfg.link.as_bps() as f64;
-        let min = self.cfg.min_rate.as_bps() as f64;
+        let max = self.link.as_bps() as f64;
+        let min = MIN_RATE.as_bps() as f64;
         self.rc = self.rc.clamp(min, max);
         self.rt = self.rt.clamp(min, max);
     }
@@ -108,15 +88,15 @@ impl Dcqcn {
     /// One rate-increase step; `stage` is max(timer_stage, byte_stage)
     /// *before* this step, and both counters decide the phase.
     fn increase(&mut self) {
-        let f = self.cfg.f_threshold;
+        let f = F_THRESHOLD;
         if self.timer_stage < f && self.byte_stage < f {
             // Fast recovery: climb halfway back to the target.
         } else if self.timer_stage >= f && self.byte_stage >= f {
             // Hyper increase.
-            self.rt += self.cfg.rhai.as_bps() as f64;
+            self.rt += RHAI.as_bps() as f64;
         } else {
             // Additive increase.
-            self.rt += self.cfg.rai.as_bps() as f64;
+            self.rt += RAI.as_bps() as f64;
         }
         self.rc = (self.rc + self.rt) / 2.0;
         self.clamp_rates();
@@ -132,14 +112,14 @@ impl Cc for Dcqcn {
         // Multiplicative decrease and α increase (congestion observed).
         self.rt = self.rc;
         self.rc *= 1.0 - self.alpha / 2.0;
-        self.alpha = (1.0 - self.cfg.g) * self.alpha + self.cfg.g;
+        self.alpha = (1.0 - G) * self.alpha + G;
         self.clamp_rates();
         self.timer_stage = 0;
         self.byte_stage = 0;
         self.bytes_since = 0;
         self.cut_seen = true;
-        self.alpha_deadline = now + self.cfg.alpha_timer;
-        self.increase_deadline = now + self.cfg.increase_timer;
+        self.alpha_deadline = now + ALPHA_TIMER;
+        self.increase_deadline = now + INCREASE_TIMER;
     }
 
     fn on_loss(&mut self, now: Time) {
@@ -153,8 +133,8 @@ impl Cc for Dcqcn {
             return;
         }
         self.bytes_since += bytes;
-        while self.bytes_since >= self.cfg.byte_counter {
-            self.bytes_since -= self.cfg.byte_counter;
+        while self.bytes_since >= BYTE_COUNTER {
+            self.bytes_since -= BYTE_COUNTER;
             self.byte_stage += 1;
             self.increase();
         }
@@ -176,18 +156,18 @@ impl Cc for Dcqcn {
     fn on_timer(&mut self, now: Time) {
         if now >= self.alpha_deadline {
             // No CNP during the window: α decays toward zero.
-            self.alpha *= 1.0 - self.cfg.g;
-            self.alpha_deadline = now + self.cfg.alpha_timer;
+            self.alpha *= 1.0 - G;
+            self.alpha_deadline = now + ALPHA_TIMER;
         }
         if now >= self.increase_deadline {
             self.timer_stage += 1;
             self.increase();
-            self.increase_deadline = now + self.cfg.increase_timer;
+            self.increase_deadline = now + INCREASE_TIMER;
         }
         // Once fully recovered to line rate with small alpha, park the
         // timers so idle flows stop generating events (alpha only matters
         // at the next CNP, which will restart the timers anyway).
-        if self.rc >= self.cfg.link.as_bps() as f64 && self.alpha < 1e-3 {
+        if self.rc >= self.link.as_bps() as f64 && self.alpha < 1e-3 {
             self.alpha_deadline = Time::MAX;
             self.increase_deadline = Time::MAX;
             self.cut_seen = false;
@@ -200,7 +180,7 @@ mod tests {
     use super::*;
 
     fn mk() -> Dcqcn {
-        Dcqcn::new(DcqcnConfig::for_link(Bandwidth::from_gbps(100)))
+        Dcqcn::new(Bandwidth::from_gbps(100))
     }
 
     #[test]

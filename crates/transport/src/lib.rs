@@ -21,10 +21,10 @@
 //! # Example
 //!
 //! ```
-//! use dsh_transport::{Cc, Dcqcn, DcqcnConfig};
+//! use dsh_transport::{Cc, Dcqcn};
 //! use dsh_simcore::{Bandwidth, Time};
 //!
-//! let mut cc = Dcqcn::new(DcqcnConfig::for_link(Bandwidth::from_gbps(100)));
+//! let mut cc = Dcqcn::new(Bandwidth::from_gbps(100));
 //! let before = cc.rate();
 //! cc.on_cnp(Time::from_us(10));
 //! assert!(cc.rate() < before, "a CNP must cut the sending rate");
@@ -41,8 +41,8 @@ mod recovery;
 mod telemetry;
 
 pub use cc::{AckInfo, AnyCc, Cc, CcKind, Uncontrolled};
-pub use dcqcn::{Dcqcn, DcqcnConfig};
-pub use powertcp::{PowerTcp, PowerTcpConfig};
+pub use dcqcn::Dcqcn;
+pub use powertcp::PowerTcp;
 pub use receiver::{CnpPolicy, SackBuffer};
 pub use recovery::{GoBackN, RecoveryConfig, Regime, RtoOutcome, RttEstimator, SackState};
 pub use telemetry::{HopList, TelemetryHop, HOP_CAPACITY};
@@ -55,9 +55,7 @@ use dsh_simcore::{Bandwidth, Delta};
 pub fn new_cc(kind: CcKind, link: Bandwidth, base_rtt: Delta) -> AnyCc {
     match kind {
         CcKind::Uncontrolled => AnyCc::Uncontrolled(Uncontrolled::new(link)),
-        CcKind::Dcqcn => AnyCc::Dcqcn(Dcqcn::new(DcqcnConfig::for_link(link))),
-        CcKind::PowerTcp => {
-            AnyCc::PowerTcp(PowerTcp::new(PowerTcpConfig::for_link(link, base_rtt)))
-        }
+        CcKind::Dcqcn => AnyCc::Dcqcn(Dcqcn::new(link)),
+        CcKind::PowerTcp => AnyCc::PowerTcp(PowerTcp::new(link, base_rtt)),
     }
 }

@@ -17,44 +17,14 @@ use crate::cc::{AckInfo, Cc};
 use crate::telemetry::{TelemetryHop, HOP_CAPACITY};
 use dsh_simcore::{Bandwidth, Delta, Time};
 
-/// PowerTCP parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PowerTcpConfig {
-    /// Line rate of the sender's link.
-    pub link: Bandwidth,
-    /// Base (uncongested) round-trip time `τ`.
-    pub base_rtt: Delta,
-    /// EWMA gain `γ` (paper default 0.9).
-    pub gamma: f64,
-    /// Additive increase `β` in bytes (we use one MTU).
-    pub beta_bytes: f64,
-    /// Lower window clamp in bytes.
-    pub min_cwnd: u64,
-    /// Upper window clamp in bytes (a few BDP).
-    pub max_cwnd: u64,
-}
-
-impl PowerTcpConfig {
-    /// Defaults for a sender on `link` with base RTT `base_rtt`.
-    #[must_use]
-    pub fn for_link(link: Bandwidth, base_rtt: Delta) -> Self {
-        let bdp = (link.as_bps() as f64 / 8.0 * base_rtt.as_secs_f64()) as u64;
-        PowerTcpConfig {
-            link,
-            base_rtt,
-            gamma: 0.9,
-            beta_bytes: 1500.0,
-            min_cwnd: 1500,
-            max_cwnd: bdp.max(1500) * 4,
-        }
-    }
-
-    /// The bandwidth-delay product in bytes.
-    #[must_use]
-    pub fn bdp_bytes(&self) -> u64 {
-        (self.link.as_bps() as f64 / 8.0 * self.base_rtt.as_secs_f64()) as u64
-    }
-}
+/// EWMA gain `γ` (paper default 0.9).
+const GAMMA: f64 = 0.9;
+/// Additive increase `β` in bytes (one MTU).
+const BETA_BYTES: f64 = 1500.0;
+/// Lower window clamp in bytes.
+const MIN_CWND: u64 = 1500;
+/// Upper window clamp in bandwidth-delay products.
+const MAX_CWND_BDPS: u64 = 4;
 
 /// Previous INT observation for one hop (to form discrete gradients).
 #[derive(Clone, Copy, Debug)]
@@ -69,7 +39,13 @@ const ZERO_MEMORY: HopMemory = HopMemory { qlen_bytes: 0, tx_bytes: 0, timestamp
 /// PowerTCP per-flow sender state.
 #[derive(Clone, Debug)]
 pub struct PowerTcp {
-    cfg: PowerTcpConfig,
+    /// Line rate of the sender's link.
+    link: Bandwidth,
+    /// Base (uncongested) round-trip time `τ`.
+    base_rtt: Delta,
+    /// Upper window clamp in bytes: [`MAX_CWND_BDPS`] bandwidth-delay
+    /// products.
+    max_cwnd: u64,
     cwnd: f64,
     /// Previous per-hop observations, inline ([`HOP_CAPACITY`] slots) so a
     /// new flow's first ACKs never allocate.
@@ -82,13 +58,16 @@ pub struct PowerTcp {
 }
 
 impl PowerTcp {
-    /// Creates a sender starting at one BDP of window.
+    /// Creates a sender on `link` with base RTT `base_rtt`, starting at
+    /// one bandwidth-delay product of window.
     #[must_use]
-    pub fn new(cfg: PowerTcpConfig) -> Self {
-        let bdp = cfg.bdp_bytes().max(cfg.min_cwnd) as f64;
+    pub fn new(link: Bandwidth, base_rtt: Delta) -> Self {
+        let bdp = ((link.as_bps() as f64 / 8.0 * base_rtt.as_secs_f64()) as u64).max(MIN_CWND);
         PowerTcp {
-            cfg,
-            cwnd: bdp,
+            link,
+            base_rtt,
+            max_cwnd: bdp * MAX_CWND_BDPS,
+            cwnd: bdp as f64,
             prev_hops: [ZERO_MEMORY; HOP_CAPACITY],
             prev_len: 0,
             smoothed_power: None,
@@ -110,7 +89,7 @@ impl PowerTcp {
         }
         let dt = (cur.timestamp - prev.timestamp).as_secs_f64();
         let c = cur.bandwidth.as_bps() as f64; // bits/s
-        let bdp_bits = c * self.cfg.base_rtt.as_secs_f64();
+        let bdp_bits = c * self.base_rtt.as_secs_f64();
         // λ: current throughput; q̇: queue growth rate (bits/s, may be
         // negative).
         let lambda = (cur.tx_bytes.saturating_sub(prev.tx_bytes)) as f64 * 8.0 / dt;
@@ -150,7 +129,7 @@ impl Cc for PowerTcp {
             // per-ACK gradient term q̇ whips around under a PFC sawtooth.
             let dt = now.saturating_since(self.last_update).as_secs_f64();
             self.last_update = now;
-            let tau = self.cfg.base_rtt.as_secs_f64();
+            let tau = self.base_rtt.as_secs_f64();
             let wt = (dt / tau).clamp(0.0, 1.0);
             let u = match self.smoothed_power {
                 Some(s) => s * (1.0 - wt) + p_inst * wt,
@@ -160,9 +139,9 @@ impl Cc for PowerTcp {
             // once-per-RTT window reference bounds compounding similarly).
             let u_clamped = u.clamp(0.5, 10.0);
             self.smoothed_power = Some(u);
-            let g = self.cfg.gamma;
-            let new = g * (self.cwnd / u_clamped + self.cfg.beta_bytes) + (1.0 - g) * self.cwnd;
-            self.cwnd = new.clamp(self.cfg.min_cwnd as f64, self.cfg.max_cwnd as f64);
+            let g = GAMMA;
+            let new = g * (self.cwnd / u_clamped + BETA_BYTES) + (1.0 - g) * self.cwnd;
+            self.cwnd = new.clamp(MIN_CWND as f64, self.max_cwnd as f64);
         }
     }
 
@@ -173,14 +152,14 @@ impl Cc for PowerTcp {
     fn on_loss(&mut self, _now: Time) {
         // INT tells PowerTCP nothing about a dead link; halve the window
         // so the go-back-N rewind is not replayed at full blast.
-        self.cwnd = (self.cwnd / 2.0).max(self.cfg.min_cwnd as f64);
+        self.cwnd = (self.cwnd / 2.0).max(MIN_CWND as f64);
     }
 
     fn on_sent(&mut self, _now: Time, _bytes: u64) {}
 
     fn rate(&self) -> Bandwidth {
         // Window-based: the NIC sends as fast as the window allows.
-        self.cfg.link
+        self.link
     }
 
     fn cwnd_bytes(&self) -> u64 {
@@ -199,7 +178,7 @@ mod tests {
     use super::*;
 
     fn mk() -> PowerTcp {
-        PowerTcp::new(PowerTcpConfig::for_link(Bandwidth::from_gbps(100), Delta::from_us(16)))
+        PowerTcp::new(Bandwidth::from_gbps(100), Delta::from_us(16))
     }
 
     fn hop(q: u64, tx: u64, t_us: u64) -> TelemetryHop {
@@ -278,10 +257,7 @@ mod tests {
                 &ack(&[hop(0, 1_000_000_000, 19_990 + i * 20)]),
             );
         }
-        assert!(
-            cc.cwnd_bytes()
-                <= PowerTcpConfig::for_link(Bandwidth::from_gbps(100), Delta::from_us(16)).max_cwnd
-        );
+        assert!(cc.cwnd_bytes() <= cc.max_cwnd);
     }
 
     #[test]

@@ -70,11 +70,9 @@ pub struct RecoveryConfig {
     /// Consecutive unproductive RTO firings tolerated before the flow is
     /// declared failed.
     pub max_retries: u32,
-    /// Retransmission strategy.
+    /// Retransmission strategy. Receivers buffer out-of-order arrivals
+    /// exactly under [`Regime::SelectiveRepeat`].
     pub regime: Regime,
-    /// Whether receivers buffer out-of-order arrivals (required by
-    /// [`Regime::SelectiveRepeat`]; go-back-N ignores it).
-    pub rx_buffering: bool,
 }
 
 impl RecoveryConfig {
@@ -91,16 +89,13 @@ impl RecoveryConfig {
             max_rto: Delta::from_ps(min_rto.as_ps().saturating_mul(256)),
             max_retries: 8,
             regime: Regime::GoBackN,
-            rx_buffering: false,
         }
     }
 
-    /// Returns a copy running IRN-style selective repeat (receiver
-    /// out-of-order buffering switched on, as SR requires).
+    /// Returns a copy running IRN-style selective repeat.
     #[must_use]
     pub fn selective_repeat(mut self) -> Self {
         self.regime = Regime::SelectiveRepeat;
-        self.rx_buffering = true;
         self
     }
 
@@ -108,9 +103,7 @@ impl RecoveryConfig {
     ///
     /// # Errors
     ///
-    /// Rejects a ceiling below the floor and selective repeat without
-    /// receiver buffering (an SR sender would spin on NACKs the receiver
-    /// can never generate).
+    /// Rejects a ceiling below the floor.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_rto < self.min_rto {
             return Err(format!(
@@ -118,11 +111,6 @@ impl RecoveryConfig {
                 self.max_rto.as_ns(),
                 self.min_rto.as_ns()
             ));
-        }
-        if self.regime == Regime::SelectiveRepeat && !self.rx_buffering {
-            return Err("selective-repeat recovery requires receiver out-of-order buffering \
-                 (rx_buffering)"
-                .to_string());
         }
         Ok(())
     }
@@ -425,7 +413,6 @@ mod tests {
             max_rto: Delta::from_ms(10),
             max_retries: 3,
             regime: Regime::GoBackN,
-            rx_buffering: false,
         }
     }
 
@@ -492,13 +479,11 @@ mod tests {
     fn validation_rejects_incoherent_configs() {
         let bad = RecoveryConfig { max_rto: Delta::from_us(1), ..cfg() };
         assert!(bad.validate().unwrap_err().contains("below min_rto"));
-        let bad = RecoveryConfig { regime: Regime::SelectiveRepeat, ..cfg() };
-        assert!(bad.validate().unwrap_err().contains("rx_buffering"));
         cfg().validate().expect("base config is coherent");
         RecoveryConfig::for_rtt(Delta::from_us(16))
             .selective_repeat()
             .validate()
-            .expect("selective_repeat() must turn on rx_buffering");
+            .expect("selective repeat is coherent");
     }
 
     #[test]

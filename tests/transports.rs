@@ -6,18 +6,12 @@ mod common;
 
 use common::{add_incast, run, star};
 use dsh_core::Scheme;
-use dsh_net::{EcnConfig, NetParams};
+use dsh_net::NetParams;
 use dsh_simcore::Time;
 use dsh_transport::CcKind;
 
-fn cc_params(scheme: Scheme) -> NetParams {
-    let mut p = NetParams::tomahawk(scheme);
-    p.ecn = EcnConfig::for_100g();
-    p
-}
-
 fn incast_with(cc: CcKind, scheme: Scheme) -> dsh_net::Network {
-    let (mut net, hosts) = star(cc_params(scheme), 17);
+    let (mut net, hosts) = star(NetParams::tomahawk(scheme), 17);
     let dst = hosts[16];
     add_incast(&mut net, &hosts[..16], dst, 1_000_000, 0, Time::ZERO, cc);
     run(net, Time::from_ms(20))
@@ -52,7 +46,7 @@ fn powertcp_keeps_buffers_lower_than_dcqcn_in_steady_state() {
     // 1-BDP initial window). The paper's property is about *persistent*
     // occupancy, so compare pause activity after the first millisecond.
     let steady_pauses = |cc: CcKind| {
-        let (mut net, hosts) = star(cc_params(Scheme::Sih), 17);
+        let (mut net, hosts) = star(NetParams::tomahawk(Scheme::Sih), 17);
         let dst = hosts[16];
         add_incast(&mut net, &hosts[..16], dst, 4_000_000, 0, Time::ZERO, cc);
         let mut sim = net.into_sim();
@@ -71,7 +65,7 @@ fn fcts_are_ordered_by_flow_size() {
     // Sanity of the FCT pipeline: with a shared bottleneck and equal
     // start, a 4x larger flow cannot finish faster than the small one on
     // average.
-    let (mut net, hosts) = star(cc_params(Scheme::Dsh), 3);
+    let (mut net, hosts) = star(NetParams::tomahawk(Scheme::Dsh), 3);
     let dst = hosts[2];
     add_incast(&mut net, &hosts[..1], dst, 200_000, 0, Time::ZERO, CcKind::Dcqcn);
     add_incast(&mut net, &hosts[1..2], dst, 800_000, 1, Time::ZERO, CcKind::Dcqcn);
