@@ -44,21 +44,6 @@ pub struct LeafSpineShape {
 }
 
 impl LeafSpineShape {
-    /// The paper's large-scale fabric (§V-B): 16 leaves × 16 spines ×
-    /// 16 hosts/leaf = 256 servers, all 100 Gb/s, 2 µs links,
-    /// full bisection.
-    #[must_use]
-    pub fn paper_large() -> Self {
-        LeafSpineShape {
-            leaves: 16,
-            spines: 16,
-            hosts_per_leaf: 16,
-            downlink: Bandwidth::from_gbps(100),
-            uplink: Bandwidth::from_gbps(100),
-            link_delay: Delta::from_us(2),
-        }
-    }
-
     /// The paper's deadlock fabric (Fig. 12a): 2 spines × 4 leaves ×
     /// 16 hosts, 100 Gb/s downlinks, 400 Gb/s uplinks, 2 µs links.
     #[must_use]

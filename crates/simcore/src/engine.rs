@@ -221,12 +221,6 @@ impl<M: Model> Simulation<M> {
         &self.model
     }
 
-    /// Mutably borrows the model (e.g. to inject configuration between
-    /// phases).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consumes the simulation and returns the model (e.g. to extract final
     /// statistics).
     #[must_use]
