@@ -372,14 +372,13 @@ pub struct TelemetryReport {
     pub data_drops: u64,
     /// Frames dropped by the PFC watchdog.
     pub watchdog_drops: u64,
-    /// Timeout retransmission episodes across all flows (both regimes).
-    pub retransmissions: u64,
     /// Selective-repeat NACK frames sent by receivers.
     pub nacks_sent: u64,
     /// Bytes retransmitted by selective-repeat gap repairs (disjoint from
     /// go-back-N rewind bytes; both count into `retransmitted_bytes`).
     pub sr_retransmitted_bytes: u64,
-    /// Recovery episodes attributed to an RTO expiry.
+    /// Recovery episodes attributed to an RTO expiry: timeout
+    /// retransmissions across all flows (both regimes).
     pub recovery_timeouts: u64,
     /// Recovery episodes attributed to a NACK (selective repeat only).
     pub recovery_nacks: u64,
@@ -423,7 +422,6 @@ impl TelemetryReport {
             .with("generated_at_ns", self.generated_at.as_ns())
             .with("data_drops", self.data_drops)
             .with("watchdog_drops", self.watchdog_drops)
-            .with("retransmissions", self.retransmissions)
             .with("nacks_sent", self.nacks_sent)
             .with("sr_retransmitted_bytes", self.sr_retransmitted_bytes)
             .with("recovery_timeouts", self.recovery_timeouts)
@@ -506,7 +504,6 @@ mod tests {
             generated_at: Time::ZERO,
             data_drops: 2,
             watchdog_drops: 0,
-            retransmissions: 0,
             nacks_sent: 0,
             sr_retransmitted_bytes: 0,
             recovery_timeouts: 0,

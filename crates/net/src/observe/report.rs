@@ -49,14 +49,6 @@ impl Network {
         self.watchdog_drops
     }
 
-    /// Timeout retransmission episodes: RTO firings that resent data,
-    /// under either regime (the count [`Network::recovery_timeouts`]
-    /// attributes to the timer).
-    #[must_use]
-    pub fn retransmissions(&self) -> u64 {
-        self.recovery_timeouts
-    }
-
     /// Bytes re-sent below a flow's high-water mark (retransmitted bytes
     /// count toward wire occupancy but never toward FCT completion, which
     /// ends at the last *new* in-order byte).
@@ -78,7 +70,8 @@ impl Network {
         self.sr_retransmitted_bytes
     }
 
-    /// Recovery episodes attributed to an RTO expiry.
+    /// Recovery episodes attributed to an RTO expiry: RTO firings that
+    /// resent data, under either regime.
     #[must_use]
     pub fn recovery_timeouts(&self) -> u64 {
         self.recovery_timeouts
@@ -181,7 +174,6 @@ impl Network {
             generated_at: now,
             data_drops: self.data_drops,
             watchdog_drops: self.watchdog_drops,
-            retransmissions: self.recovery_timeouts,
             nacks_sent: self.nacks_sent,
             sr_retransmitted_bytes: self.sr_retransmitted_bytes,
             recovery_timeouts: self.recovery_timeouts,

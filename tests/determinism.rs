@@ -127,17 +127,17 @@ fn telemetry_json_is_byte_identical_at_1_and_4_threads() {
     // the pooled hot path must reproduce the pre-pooling telemetry JSON
     // byte for byte, and any refactor of the scheme policies must leave
     // them unchanged. (Last rebaselined when the report lost its
-    // `provenance` key to the run record's one header: each new JSON
-    // equals the old one with that key removed, byte for byte —
-    // serialization-only; the event stream is untouched.)
+    // `retransmissions` key, which always equalled `recovery_timeouts`:
+    // each new JSON equals the old one with that key removed, byte for
+    // byte — serialization-only; the event stream is untouched.)
     let digests: Vec<u64> = serial.iter().map(|s| fnv1a(s)).collect();
     assert_eq!(
         digests,
         vec![
-            3_621_566_315_648_000_521,
-            12_447_832_946_351_097_893,
-            3_621_566_315_648_000_521,
-            12_447_832_946_351_097_893,
+            9_263_498_656_071_736_613,
+            12_989_339_050_925_989_513,
+            9_263_498_656_071_736_613,
+            12_989_339_050_925_989_513,
         ],
         "telemetry JSON drifted"
     );
@@ -195,12 +195,12 @@ fn chain_telemetry_matches_pinned_digests() {
         Scheme::ALL.into_iter().map(|scheme| fnv1a(&chain_telemetry(scheme))).collect();
     // Golden digests (SIH, DSH): pin the chain's full telemetry
     // across refactors. (Last rebaselined when the report lost its
-    // `provenance` key: each new JSON equals the old one with that key
-    // removed, byte for byte — serialization-only; the event stream is
-    // untouched.)
+    // `retransmissions` key, which always equalled `recovery_timeouts`:
+    // each new JSON equals the old one with that key removed, byte for
+    // byte — serialization-only; the event stream is untouched.)
     assert_eq!(
         digests,
-        vec![16_942_443_017_475_603_664, 4_579_083_960_029_137_656],
+        vec![11_916_310_973_636_436_908, 3_627_044_729_649_175_252],
         "chain telemetry drifted"
     );
 }
