@@ -552,8 +552,9 @@ impl EventClass for NetEvent {
 mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
+    use crate::ecn;
     use dsh_core::Scheme;
-    use dsh_simcore::{Bandwidth, Delta, Json};
+    use dsh_simcore::{Bandwidth, ByteSize, Delta, Json};
 
     fn two_hosts_one_switch(scheme: Scheme) -> (Network, NodeId, NodeId) {
         let mut b = NetworkBuilder::new(NetParams::tomahawk(scheme).without_ecn());
@@ -576,6 +577,41 @@ mod tests {
         let mut params = NetParams::tomahawk(Scheme::Dsh);
         params.sample_interval = Delta::ZERO;
         let _ = NetworkBuilder::new(params).build();
+    }
+
+    /// The paper's fixed switch parameters (§V-A) as the builder applies
+    /// them, so that editing a constant fails here instead of silently
+    /// shifting a figure.
+    #[test]
+    fn the_builder_applies_the_paper_constants() {
+        for scheme in [Scheme::Sih, Scheme::Dsh] {
+            let (net, _, _) = two_hosts_one_switch(scheme);
+            let (_, sw) = net.switches().next().expect("one switch");
+            let cfg = sw.mmu.config();
+            // Eq. 1 on a 100 Gb/s, 2 µs link: 2(25,000 + 1,500) + 3,840.
+            assert_eq!(cfg.eta, vec![ByteSize::bytes(56_840); 2]);
+            assert_eq!(cfg.private_per_queue, ByteSize::kib(3));
+            assert_eq!(cfg.alpha, 1.0 / 16.0);
+            let sum_eta = 2 * 56_840;
+            let reserved = if scheme == Scheme::Sih { 7 * sum_eta } else { sum_eta };
+            assert_eq!(cfg.reserved_headroom().as_u64(), reserved, "{scheme}");
+        }
+        // Each port's η follows its own link: 2(3,125 + 1,500) + 3,840 on
+        // a 25 Gb/s, 1 µs link.
+        let mut b = NetworkBuilder::new(NetParams::tomahawk(Scheme::Dsh));
+        let (h0, h1, s) = (b.host(), b.host(), b.switch());
+        b.link(h0, s, Bandwidth::from_gbps(100), Delta::from_us(2));
+        b.link(h1, s, Bandwidth::from_gbps(25), Delta::from_us(1));
+        let net = b.build();
+        let (_, sw) = net.switches().next().expect("one switch");
+        assert_eq!(sw.mmu.config().eta, [ByteSize::bytes(56_840), ByteSize::bytes(13_090)]);
+        // ECN marks nothing below 100 KiB, every frame from 400 KiB, and
+        // with probability near P_max = 0.2 just below 400 KiB.
+        let mut rng = SimRng::new(1);
+        assert!((0..1_000).all(|_| !ecn::mark(100 * 1024 - 1, &mut rng)));
+        assert!((0..1_000).all(|_| ecn::mark(400 * 1024, &mut rng)));
+        let hits = (0..100_000).filter(|_| ecn::mark(400 * 1024 - 1, &mut rng)).count();
+        assert!((hits as f64 / 100_000.0 - 0.2).abs() < 0.01, "{hits}");
     }
 
     #[test]
